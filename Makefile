@@ -1,6 +1,6 @@
 # Convenience targets for the causal-broadcast reproduction.
 
-.PHONY: install test bench bench-quick perf-guard chaos-quick chaos-wire serve-smoke serve-smoke-procs examples demos lint-clean
+.PHONY: install test bench bench-quick bench-serve bench-serve-tests perf-guard chaos-quick chaos-wire serve-smoke examples demos lint-clean
 
 install:
 	python setup.py develop
@@ -12,19 +12,27 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Core trio (drain-scale, claim-scale, proto-overhead) -> BENCH_core.json,
-# plus the full drain sweep -> BENCH_drain_scale.json, the shard scaling
-# sweep -> BENCH_shard_scale.json, and the serve-layer wire sweep over
-# real sockets -> BENCH_wire.json.
+# plus the full drain sweep -> BENCH_drain_scale.json and the shard
+# scaling sweep -> BENCH_shard_scale.json.
 bench-quick:
 	PYTHONPATH=src:benchmarks python benchmarks/bench_drain_scale.py
 	PYTHONPATH=src:benchmarks python benchmarks/bench_shard_scale.py
-	PYTHONPATH=src:benchmarks python benchmarks/bench_wire_throughput.py
 	PYTHONPATH=src:benchmarks python benchmarks/run_core.py
 
-# Fail if the indexed drain, the sharded throughput, or the wire-layer
-# throughput regresses >25% vs the committed baselines, if 1->8 shard
-# scaling drops below 3x at 0% cross traffic, or if the wire floor /
-# batching acceptance breaks (override with PERF_GUARD_TOLERANCE=0.4).
+# The serving benchmark BENCHMARK.json declares: four fixed-work wire
+# workloads against `repro serve` child processes, every metric printed
+# by name, a black-box CC/CCv verification pass per workload (see
+# bench/README.md; ~2-3 min).  `--workload W --seconds 20` runs one.
+bench-serve:
+	python3 bench/run.py
+
+# The benchmark harness's own tests (outside tier-1).
+bench-serve-tests:
+	python -m pytest bench/tests -q
+
+# Fail if the indexed drain or the sharded throughput regresses >25% vs
+# the committed baselines, or if 1->8 shard scaling drops below 3x at 0%
+# cross traffic (override with PERF_GUARD_TOLERANCE=0.4).
 perf-guard:
 	PYTHONPATH=src:benchmarks python benchmarks/perf_guard.py
 
@@ -34,36 +42,21 @@ perf-guard:
 serve-smoke:
 	PYTHONPATH=src python examples/serve_demo.py
 
-# The multi-process topology end-to-end through the CLI: a 2-worker
-# serve (one process per shard) driven with binary-codec pipelined load
-# plus token reconnects, then a graceful SIGINT drain whose exit code
-# carries the aggregated worker audits.
-serve-smoke-procs:
-	PYTHONPATH=src python -m repro serve --port 7412 --procs 2 --stats & \
-	SERVER_PID=$$!; \
-	sleep 2; \
-	PYTHONPATH=src python -m repro loadgen --port 7412 \
-	  --clients 6 --ops 30 --pipeline 4 --reconnect-every 11 \
-	  --codec binary --stats || { kill -INT $$SERVER_PID; exit 1; }; \
-	kill -INT $$SERVER_PID; \
-	wait $$SERVER_PID
-
-# Chaos over the wire: 12 seeded end-to-end campaigns through a
+# Chaos over the wire: 10 seeded end-to-end campaigns through a
 # fault-injecting TCP proxy (cuts mid-frame, stalls, delays, duplicated
-# and truncated frames, replica crash/restart, worker SIGKILL+respawn,
-# queue-full overload) against single-proc and multi-proc servers on
-# both codecs.  Self-healing clients drive the traffic; afterwards the
-# black-box auditor checks CC/CCv over what the clients *observed* —
-# zero violations, zero hangs, or the target fails.
+# and truncated frames, replica crash/restart, queue-full overload).
+# Self-healing clients drive the traffic; afterwards the black-box
+# auditor checks CC/CCv over what the clients *observed* — zero
+# violations, zero hangs, or the target fails.
 chaos-wire:
-	PYTHONPATH=src python -m repro chaos-wire --procs 1 --codec json \
+	PYTHONPATH=src python -m repro chaos-wire \
 	  --seed 11 --campaigns disconnects,stalls,truncations,overload
-	PYTHONPATH=src python -m repro chaos-wire --procs 1 --codec binary \
+	PYTHONPATH=src python -m repro chaos-wire \
 	  --seed 21 --campaigns disconnects,truncations
-	PYTHONPATH=src python -m repro chaos-wire --procs 2 --codec json \
-	  --seed 31 --campaigns disconnects,workers,overload
-	PYTHONPATH=src python -m repro chaos-wire --procs 2 --codec binary \
-	  --seed 41 --campaigns stalls,workers,truncations
+	PYTHONPATH=src python -m repro chaos-wire \
+	  --seed 31 --campaigns disconnects,overload
+	PYTHONPATH=src python -m repro chaos-wire \
+	  --seed 41 --campaigns stalls,truncations
 
 # Seeded fault-injection campaigns (crash/partition/loss/churn) across
 # every crash-eligible protocol; fails on any safety-invariant violation.

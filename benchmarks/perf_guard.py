@@ -1,26 +1,22 @@
 """``make perf-guard`` — fail on benchmark throughput regressions.
 
-Replays the drain-scale, shard-scale, and wire-throughput sweeps and
-compares throughput against the committed baselines
-(``BENCH_drain_scale.json``, ``BENCH_shard_scale.json``,
-``BENCH_wire.json``), case by case.  A case regresses when current
-throughput falls more than the tolerance below baseline (default 25%;
-override with ``PERF_GUARD_TOLERANCE=0.4`` etc.; the socket-crossing
-wire sweep gets extra slack).  The shard guard additionally enforces
-the portable acceptance ratio (>= 3x throughput from 1 to 8 shards at
-0% cross-shard traffic), and the wire guard enforces that pipelined
-writes genuinely coalesce into multi-op batch cycles, that the serving
-fast path (multi-process workers + binary codec) does not lose to
-single-process JSON at the 8x8 shape within the same sweep, and that
-replica-routed reads at four members clear the single-coordinator
-baseline by the replica scaling floor (both same-run ratios are
-advisory on single-core hosts, where nothing can run in parallel).
+Replays the drain-scale and shard-scale sweeps and compares throughput
+against the committed baselines (``BENCH_drain_scale.json``,
+``BENCH_shard_scale.json``), case by case.  A case regresses when
+current throughput falls more than the tolerance below baseline
+(default 25%; override with ``PERF_GUARD_TOLERANCE=0.4`` etc.).  The
+shard guard additionally enforces the portable acceptance ratio (>= 3x
+throughput from 1 to 8 shards at 0% cross-shard traffic).  The serving
+path over real sockets is guarded by the repo benchmark instead
+(``python3 bench/run.py``, declared in ``BENCHMARK.json``).
+
+Exit codes: 0 all cases within tolerance, 1 a case regressed (or the
+shard baseline is missing), 2 no drain baseline to compare against.
 
 The committed baselines are machine-relative: after intentional changes
 (or on a different machine class), regenerate them with
 ``python benchmarks/bench_drain_scale.py`` /
-``python benchmarks/bench_shard_scale.py`` /
-``python benchmarks/bench_wire_throughput.py`` and commit the new JSON.
+``python benchmarks/bench_shard_scale.py`` and commit the new JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import os
 import sys
 
 import bench_shard_scale
-import bench_wire_throughput
 from bench_drain_scale import REPORT_PATH, best_of, run_case, run_sweep
 
 DEFAULT_TOLERANCE = 0.25
@@ -38,24 +33,6 @@ RETRY_REPEATS = 5
 
 #: Portable floor for shards=1 -> shards=8 scaling at 0% cross traffic.
 MIN_SHARD_SCALING = 3.0
-
-#: The wire sweep crosses real sockets and an event loop, so it is far
-#: noisier than the in-process sims — guard it with extra slack on top
-#: of the shared tolerance.
-WIRE_EXTRA_TOLERANCE = 0.15
-
-#: Same-run ratio floor for the serving fast path: multi-process binary
-#: must at least match single-process JSON at the 8x8 shape (it should
-#: win outright wherever the workers get real cores).
-MIN_WIRE_SCALING = 1.0
-
-#: Same-run ratio floor for replica-routed reads: four replicas serving
-#: gets directly must at least double the single-coordinator (all reads
-#: through the batch cycle) throughput.  Replica routing's win is
-#: parallel service capacity, so on a single-core host — where both
-#: policies share one CPU and the comparison measures only per-frame
-#: overhead — the floor is advisory (printed, never failing).
-MIN_REPLICA_SCALING = 2.0
 
 
 def guard_shard_scale(tolerance: float) -> int:
@@ -114,206 +91,6 @@ def guard_shard_scale(tolerance: float) -> int:
     return len(confirmed)
 
 
-def _wire_key(row: dict) -> tuple:
-    """Sweep-case key; old baselines predate the procs/codec axes."""
-    return (
-        row["clients"],
-        row["pipeline"],
-        row.get("procs", 1),
-        row.get("codec", "json"),
-    )
-
-
-def guard_wire(tolerance: float) -> int:
-    """Serve-layer wire section; returns the number of confirmed failures."""
-    path = bench_wire_throughput.REPORT_PATH
-    if not path.exists():
-        print(f"no baseline at {path}; run bench_wire_throughput.py first")
-        return 1
-    tolerance = min(0.95, tolerance + WIRE_EXTRA_TOLERANCE)
-    baseline_report = json.loads(path.read_text())
-    baseline_by_case = {
-        _wire_key(row): row for row in baseline_report["results"]
-    }
-    current = bench_wire_throughput.run_sweep(repeats=1)
-    failures = []
-    for row in current["results"]:
-        key = _wire_key(row)
-        base = baseline_by_case.get(key)
-        if base is None:
-            continue  # baseline predates this case; nothing to guard
-        floor = base["ops_per_sec"] * (1.0 - tolerance)
-        ok = row["ops_per_sec"] >= floor
-        print(
-            f"  wire clients={row['clients']:>2} pipeline={row['pipeline']} "
-            f"procs={row['procs']} codec={row['codec']:<6}: "
-            f"{row['ops_per_sec']:>8.1f} vs baseline "
-            f"{base['ops_per_sec']:>8.1f} ({'ok' if ok else 'REGRESSED'})"
-        )
-        if not ok:
-            failures.append(key)
-    confirmed = []
-    for clients, pipeline, procs, codec in failures:
-        floor = baseline_by_case[(clients, pipeline, procs, codec)][
-            "ops_per_sec"
-        ] * (1.0 - tolerance)
-        retried = bench_wire_throughput.best_of(
-            3,
-            lambda: bench_wire_throughput.run_case(
-                clients, pipeline, procs, codec
-            ),
-        )["ops_per_sec"]
-        print(
-            f"  retry wire clients={clients} pipeline={pipeline} "
-            f"procs={procs} codec={codec}: "
-            f"{retried:.1f} vs floor {floor:.1f} "
-            f"({'ok' if retried >= floor else 'REGRESSED'})"
-        )
-        if retried < floor:
-            confirmed.append((clients, pipeline, procs, codec))
-    pipelined = next(
-        (
-            row
-            for row in current["results"]
-            if _wire_key(row) == (8, 8, 1, "json")
-        ),
-        None,
-    )
-    if pipelined is not None and pipelined["mean_batch"] < 4.0:
-        print(
-            f"  wire batching acceptance: mean batch "
-            f"{pipelined['mean_batch']} at 8x8 (< 4.0)"
-        )
-        confirmed.append(("batching", 0, 0, ""))
-    confirmed.extend(_wire_scaling_floor(current))
-    confirmed.extend(_replica_guard(current, baseline_report, tolerance))
-    return len(confirmed)
-
-
-def _replica_guard(
-    current: dict, baseline_report: dict, tolerance: float
-) -> list:
-    """Replica-sweep section: per-row baselines plus the scaling floor.
-
-    Rows are keyed (members, policy); a baseline that predates the
-    replica sweep guards nothing.  The portable acceptance is the
-    same-run ratio of replica@4 against coordinator@4 (see
-    :data:`MIN_REPLICA_SCALING` for why it is advisory on single-core
-    hosts).
-    """
-    sweep = current.get("replica_sweep")
-    if not sweep:
-        return []
-    baseline_rows = {
-        (row["members"], row["policy"]): row
-        for row in baseline_report.get("replica_sweep", {}).get("results", [])
-    }
-    confirmed = []
-    rows = {}
-    for row in sweep["results"]:
-        key = (row["members"], row["policy"])
-        rows[key] = row
-        base = baseline_rows.get(key)
-        if base is None:
-            continue  # baseline predates the replica sweep
-        floor = base["gets_per_sec"] * (1.0 - tolerance)
-        ok = row["gets_per_sec"] >= floor
-        print(
-            f"  replica members={row['members']} policy={row['policy']:<11}: "
-            f"{row['gets_per_sec']:>8.1f} vs baseline "
-            f"{base['gets_per_sec']:>8.1f} ({'ok' if ok else 'REGRESSED'})"
-        )
-        if ok:
-            continue
-        retried = max(
-            bench_wire_throughput.run_replica_case(*key)["gets_per_sec"]
-            for _ in range(3)
-        )
-        print(
-            f"  retry replica members={key[0]} policy={key[1]}: "
-            f"{retried:.1f} vs floor {floor:.1f} "
-            f"({'ok' if retried >= floor else 'REGRESSED'})"
-        )
-        if retried < floor:
-            confirmed.append(("replica",) + key)
-    replica = rows.get((4, "replica"))
-    coordinator = rows.get((4, "coordinator"))
-    if replica is None or coordinator is None:
-        return confirmed
-    advisory = (os.cpu_count() or 1) < 2
-    ratio = replica["gets_per_sec"] / max(1e-9, coordinator["gets_per_sec"])
-    ok = ratio >= MIN_REPLICA_SCALING
-    print(
-        f"  replica scaling floor: 4 replicas {replica['gets_per_sec']:.1f} "
-        f"vs coordinator {coordinator['gets_per_sec']:.1f} = {ratio:.2f}x "
-        f"(need >= {MIN_REPLICA_SCALING}x"
-        f"{', advisory on single-core host' if advisory else ''})"
-    )
-    if ok or advisory:
-        return confirmed
-    fast_retry = max(
-        bench_wire_throughput.run_replica_case(4, "replica")["gets_per_sec"]
-        for _ in range(3)
-    )
-    slow_retry = max(
-        bench_wire_throughput.run_replica_case(4, "coordinator")["gets_per_sec"]
-        for _ in range(3)
-    )
-    ratio = fast_retry / max(1e-9, slow_retry)
-    ok = ratio >= MIN_REPLICA_SCALING
-    print(
-        f"  retry replica scaling floor: {fast_retry:.1f} vs "
-        f"{slow_retry:.1f} = {ratio:.2f}x ({'ok' if ok else 'REGRESSED'})"
-    )
-    if not ok:
-        confirmed.append(("replica-scaling", 4, ""))
-    return confirmed
-
-
-def _wire_scaling_floor(current: dict) -> list:
-    """The fast path must not lose to the slow path on the same run.
-
-    Compares multi-process binary against single-process JSON at the
-    8x8 shape *within one sweep* — both sides rode the same host noise,
-    so the ratio is far steadier than either absolute number.  A losing
-    first sample is re-measured best-of-3 on both sides before failing.
-    On a single-core host the workers cannot run in parallel at all and
-    the comparison degenerates to pure IPC overhead, so there the floor
-    is advisory (printed, never failing).
-    """
-    rows = {_wire_key(row): row for row in current["results"]}
-    fast = rows.get((8, 8, 2, "binary"))
-    slow = rows.get((8, 8, 1, "json"))
-    if fast is None or slow is None:
-        return []
-    advisory = (os.cpu_count() or 1) < 2
-    ratio = fast["ops_per_sec"] / max(1e-9, slow["ops_per_sec"])
-    ok = ratio >= MIN_WIRE_SCALING
-    print(
-        f"  wire scaling floor (8x8): multiproc binary "
-        f"{fast['ops_per_sec']:.1f} vs single-proc json "
-        f"{slow['ops_per_sec']:.1f} = {ratio:.2f}x "
-        f"(need >= {MIN_WIRE_SCALING}x"
-        f"{', advisory on single-core host' if advisory else ''})"
-    )
-    if ok or advisory:
-        return []
-    fast_retry = bench_wire_throughput.best_of(
-        3, lambda: bench_wire_throughput.run_case(8, 8, 2, "binary")
-    )["ops_per_sec"]
-    slow_retry = bench_wire_throughput.best_of(
-        3, lambda: bench_wire_throughput.run_case(8, 8, 1, "json")
-    )["ops_per_sec"]
-    ratio = fast_retry / max(1e-9, slow_retry)
-    ok = ratio >= MIN_WIRE_SCALING
-    print(
-        f"  retry wire scaling floor (8x8): {fast_retry:.1f} vs "
-        f"{slow_retry:.1f} = {ratio:.2f}x "
-        f"({'ok' if ok else 'REGRESSED'})"
-    )
-    return [] if ok else [("wire-scaling", 8, 8, "")]
-
-
 def main() -> int:
     tolerance = float(os.environ.get("PERF_GUARD_TOLERANCE", DEFAULT_TOLERANCE))
     if not REPORT_PATH.exists():
@@ -362,10 +139,9 @@ def main() -> int:
                 confirmed.append((scenario, members, depth))
         failures = confirmed
     shard_failures = guard_shard_scale(tolerance)
-    wire_failures = guard_wire(tolerance)
-    if failures or shard_failures or wire_failures:
+    if failures or shard_failures:
         print(
-            f"perf-guard: {len(failures) + shard_failures + wire_failures} "
+            f"perf-guard: {len(failures) + shard_failures} "
             f"case(s) regressed more than {tolerance:.0%} vs the committed "
             f"baselines"
         )

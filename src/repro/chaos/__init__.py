@@ -24,7 +24,7 @@ from repro.chaos.cluster import (
 )
 
 #: Lazily re-exported from :mod:`repro.chaos.wire` — importing it
-#: eagerly here would close an import cycle (wire -> serve.procs ->
+#: eagerly here would close an import cycle (wire -> serve.server ->
 #: shard -> chaos.campaign -> this package).
 _WIRE_EXPORTS = (
     "WIRE_CAMPAIGNS",

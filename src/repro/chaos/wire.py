@@ -5,16 +5,15 @@ Where :mod:`repro.chaos.campaign` injects faults *inside* the simulator
 stamps, a wire campaign attacks the serving stack from the *outside* and
 audits with nothing but what clients observed:
 
-1. boot a real server — :class:`~repro.serve.server.ServeServer` or the
-   multi-process front-end — on a real TCP port;
+1. boot a real :class:`~repro.serve.server.ServeServer` on a real TCP
+   port;
 2. put a :class:`~repro.serve.faults.ChaosProxy` in front of it with a
    seeded :class:`~repro.serve.faults.FaultPlan` (cuts mid-frame,
    stalls, delays, duplicated frames, truncated frames);
 3. drive :class:`~repro.serve.resilient.ResilientClient` sessions
    through the proxy while (depending on the campaign) also crashing
-   and restarting replicas via the in-simulator chaos verbs, killing
-   and respawning whole worker processes, or squeezing the server's
-   batch queue until it sheds;
+   and restarting replicas via the in-simulator chaos verbs, or
+   squeezing the server's batch queue until it sheds;
 4. after the dust settles, merge every client's recorded observations
    and run the black-box CC/CCv checker
    (:func:`repro.analysis.wire_history.check_wire_history`) — no
@@ -26,12 +25,6 @@ hangs** — every operation resolved or raised within its deadline.  The
 stricter CM level is also checked and reported (it should hold too; it
 is surfaced separately so a future CM-only anomaly is visible without
 failing the causal-consistency gate).
-
-The worker-kill campaign restarts workers *empty* (they are in-memory),
-so its second phase uses fresh sessions over a fresh key namespace: a
-phase-2 read of a phase-1 key really would be a lost write, and flagging
-it would be the auditor doing its job on data loss we inflicted
-deliberately.
 """
 
 from __future__ import annotations
@@ -48,10 +41,8 @@ from repro.analysis.wire_history import (
 )
 from repro.serve.client import ServeError
 from repro.serve.faults import ChaosProxy, FaultPlan
-from repro.serve.procs import MultiProcServeServer
 from repro.serve.resilient import GaveUp, ResilientClient
 from repro.serve.server import ServeServer
-from repro.serve.wire import CODEC_JSON
 
 #: The campaign kinds ``run_wire_campaign`` understands.
 WIRE_CAMPAIGNS = (
@@ -60,7 +51,6 @@ WIRE_CAMPAIGNS = (
     "stalls",        # directional stalls + delays; deadlines must fire
     "truncations",   # frames cut short after an honest length prefix
     "overload",      # tiny batch queue; server sheds, clients back off
-    "workers",       # SIGKILL + respawn a shard worker (procs >= 2)
 )
 
 #: Per-client wall-clock budget (seconds): a generous backstop far above
@@ -75,8 +65,6 @@ class WireCampaignResult:
 
     name: str
     seed: int
-    procs: int
-    codec: str
     clients: int
     ops: int = 0
     failed_ops: int = 0
@@ -105,8 +93,8 @@ class WireCampaignResult:
             if value
         )
         lines = [
-            f"[{status}] {self.name} seed={self.seed} procs={self.procs} "
-            f"codec={self.codec}: ops={self.ops} failed={self.failed_ops} "
+            f"[{status}] {self.name} seed={self.seed}: "
+            f"ops={self.ops} failed={self.failed_ops} "
             f"hangs={self.hangs} violations={len(self.violations)} "
             f"cm={len(self.cm_violations)}"
         ]
@@ -130,7 +118,7 @@ def _plan_for(kind: str, seed: int) -> Optional[FaultPlan]:
         )
     if kind == "truncations":
         return FaultPlan(seed, truncate_rate=0.02, cut_rate=0.01)
-    # overload / workers torture the server itself; the proxy forwards.
+    # overload tortures the server itself; the proxy only forwards.
     return None
 
 
@@ -138,7 +126,6 @@ async def _drive_session(
     proxy: ChaosProxy,
     name: str,
     *,
-    codec: str,
     seed: int,
     ops: int,
     keys: List[str],
@@ -152,8 +139,7 @@ async def _drive_session(
     recorders.append(recorder)
     client = ResilientClient(
         "127.0.0.1", proxy.port, name,
-        codec=codec, request_timeout=request_timeout,
-        seed=seed, recorder=recorder,
+        request_timeout=request_timeout, seed=seed, recorder=recorder,
     )
     try:
         await client.connect()
@@ -190,7 +176,6 @@ async def _run_clients(
     proxy: ChaosProxy,
     names: List[str],
     *,
-    codec: str,
     seed: int,
     ops: int,
     keys: List[str],
@@ -204,8 +189,8 @@ async def _run_clients(
             await asyncio.wait_for(
                 _drive_session(
                     proxy, name,
-                    codec=codec, seed=seed * 7919 + index, ops=ops,
-                    keys=keys, request_timeout=request_timeout,
+                    seed=seed * 7919 + index, ops=ops, keys=keys,
+                    request_timeout=request_timeout,
                     result=result, recorders=recorders,
                 ),
                 CLIENT_BUDGET,
@@ -222,8 +207,6 @@ async def run_wire_campaign(
     kind: str,
     seed: int,
     *,
-    procs: int = 1,
-    codec: str = CODEC_JSON,
     clients: int = 4,
     ops_per_client: int = 20,
     shards: int = 2,
@@ -234,25 +217,15 @@ async def run_wire_campaign(
         raise ValueError(
             f"unknown wire campaign {kind!r} (know {WIRE_CAMPAIGNS})"
         )
-    if kind == "workers" and procs < 2:
-        raise ValueError("the workers campaign needs procs >= 2")
-    result = WireCampaignResult(
-        name=kind, seed=seed, procs=procs, codec=codec, clients=clients,
-    )
+    result = WireCampaignResult(name=kind, seed=seed, clients=clients)
     # A queue bound of one op: any two requests landing in the same
     # batch window shed the second — guarantees the campaign actually
     # exercises the overload frames and the clients' backoff.
     max_queue = 1 if kind == "overload" else None
-    if procs > 1:
-        server: object = MultiProcServeServer(
-            shards=shards, members_per_shard=members_per_shard,
-            seed=seed, procs=procs, max_queue=max_queue,
-        )
-    else:
-        server = ServeServer(
-            shards=shards, members_per_shard=members_per_shard,
-            seed=seed, max_queue=max_queue,
-        )
+    server = ServeServer(
+        shards=shards, members_per_shard=members_per_shard,
+        seed=seed, max_queue=max_queue,
+    )
     await server.start()
     proxy = ChaosProxy(
         "127.0.0.1", server.port, plan=_plan_for(kind, seed)
@@ -268,7 +241,7 @@ async def run_wire_campaign(
     try:
         wave = _run_clients(
             proxy, names,
-            codec=codec, seed=seed, ops=ops_per_client, keys=keys,
+            seed=seed, ops=ops_per_client, keys=keys,
             request_timeout=request_timeout, result=result,
             recorders=recorders,
         )
@@ -281,7 +254,7 @@ async def run_wire_campaign(
             wave_task = asyncio.ensure_future(wave)
             control = ResilientClient(
                 "127.0.0.1", server.port, f"wc-{kind}-{seed}-control",
-                codec=CODEC_JSON, request_timeout=request_timeout,
+                request_timeout=request_timeout,
             )
             member: Optional[str] = None
             try:
@@ -303,30 +276,6 @@ async def run_wire_campaign(
                 except (ServeError, ConnectionError, OSError):
                     pass
             await wave_task
-        elif kind == "workers":
-            # Phase 1 under normal service; then SIGKILL a worker (its
-            # shards' data dies with it), respawn it empty, and run a
-            # phase 2 of fresh sessions over a fresh key namespace.
-            await wave
-            victim = 1
-            await server.kill_worker(victim)
-            # A couple of ops against the dead worker: they must fail
-            # fast (clean errors / refused hellos), never hang.
-            await _run_clients(
-                proxy, [f"wc-{kind}-{seed}-dead{i}" for i in range(2)],
-                codec=codec, seed=seed + 1, ops=3, keys=keys,
-                request_timeout=request_timeout, result=result,
-                recorders=recorders,
-            )
-            await server.respawn_worker(victim)
-            await _run_clients(
-                proxy,
-                [f"wc-{kind}-{seed}-p2c{i}" for i in range(clients)],
-                codec=codec, seed=seed + 2, ops=ops_per_client,
-                keys=[f"wc{seed}p2k{i}" for i in range(6)],
-                request_timeout=request_timeout, result=result,
-                recorders=recorders,
-            )
         else:
             await wave
     finally:
@@ -356,8 +305,6 @@ async def run_wire_campaigns(
     kinds: List[str],
     seed: int,
     *,
-    procs: int = 1,
-    codec: str = CODEC_JSON,
     clients: int = 4,
     ops_per_client: int = 20,
 ) -> List[WireCampaignResult]:
@@ -366,7 +313,6 @@ async def run_wire_campaigns(
     for offset, kind in enumerate(kinds):
         results.append(await run_wire_campaign(
             kind, seed + offset,
-            procs=procs, codec=codec,
             clients=clients, ops_per_client=ops_per_client,
         ))
     return results

@@ -293,26 +293,16 @@ def run_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serve import MultiProcServeServer, ServeServer
+    from repro.serve import ServeServer
 
     async def main() -> int:
-        if args.procs > 1:
-            server = MultiProcServeServer(
-                shards=args.shards,
-                members_per_shard=args.members,
-                seed=args.seed,
-                procs=args.procs,
-                host=args.host,
-                port=args.port,
-            )
-        else:
-            server = ServeServer(
-                shards=args.shards,
-                members_per_shard=args.members,
-                seed=args.seed,
-                host=args.host,
-                port=args.port,
-            )
+        server = ServeServer(
+            shards=args.shards,
+            members_per_shard=args.members,
+            seed=args.seed,
+            host=args.host,
+            port=args.port,
+        )
         await server.start()
         # Explicit handlers: a backgrounded shell job inherits SIGINT as
         # ignored, so the default KeyboardInterrupt path never fires.
@@ -323,10 +313,9 @@ def run_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):
                 pass  # platforms without unix signal support
-        topology = f" across {args.procs} worker process(es)" if args.procs > 1 else ""
         print(
-            f"serving {args.shards} shard(s) x {args.members} member(s)"
-            f"{topology} on {args.host}:{server.port}  "
+            f"serving {args.shards} shard(s) x {args.members} member(s) "
+            f"on {args.host}:{server.port}  "
             "(SIGINT/SIGTERM drains and stops)"
         )
         serve_task = asyncio.ensure_future(server.serve_forever())
@@ -338,18 +327,8 @@ def run_serve(args: argparse.Namespace) -> int:
         except asyncio.CancelledError:
             pass
         if args.stats:
-            if args.procs > 1:
-                print("aggregated stats:")
-                for key, value in sorted(server.aggregate_stats().items()):
-                    if key not in ("latency", "workers", "frontend"):
-                        print(f"  {key:<22} {value}")
-            else:
-                print(server.metrics.render())
-        if args.procs > 1:
-            violations = list(server.heal_violations)
-            violations += server.session_guarantee_violations()
-        else:
-            violations = server.check_invariants()
+            print(server.metrics.render())
+        violations = server.check_invariants()
         status = "clean" if not violations else f"{len(violations)} VIOLATION(S)"
         print(f"drained; audit: {status}")
         for violation in violations:
@@ -381,13 +360,12 @@ def run_loadgen(args: argparse.Namespace) -> int:
             rate=args.rate,
             seed=args.seed,
             fetch_stats=args.stats,
-            codec=args.codec,
         )
         print(report.summary())
         if args.stats and report.server_stats is not None:
             print("server stats:")
             for key, value in sorted(report.server_stats.items()):
-                if key not in ("latency", "workers", "frontend"):
+                if key != "latency":
                     print(f"  {key:<22} {value}")
             for kind, quantiles in report.server_stats.get(
                 "latency", {}
@@ -419,7 +397,6 @@ def run_chaos_wire(args: argparse.Namespace) -> int:
         for offset in range(args.runs):
             results = await run_wire_campaigns(
                 kinds, args.seed + offset * 101,
-                procs=args.procs, codec=args.codec,
                 clients=args.clients, ops_per_client=args.ops,
             )
             for result in results:
@@ -428,10 +405,7 @@ def run_chaos_wire(args: argparse.Namespace) -> int:
                 if not result.ok:
                     failures += 1
         status = "all clean" if not failures else f"{failures} FAILED"
-        print(
-            f"\nchaos-wire: {total} campaign(s) "
-            f"(procs={args.procs}, codec={args.codec}), {status}"
-        )
+        print(f"\nchaos-wire: {total} campaign(s), {status}")
         return 1 if failures else 0
 
     return asyncio.run(main())
@@ -541,11 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--procs", type=int, default=1,
-        help="worker processes; >1 runs each shard subset in its own "
-        "process behind a routing front-end",
-    )
-    serve.add_argument(
         "--stats", action="store_true",
         help="print the server metrics table after drain",
     )
@@ -581,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument(
-        "--codec", choices=["json", "binary"], default="json",
-        help="frame codec to negotiate (binary skips the JSON round-trip)",
-    )
-    loadgen.add_argument(
         "--stats", action="store_true",
         help="also fetch and print the server metrics snapshot",
     )
@@ -598,21 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--campaigns",
         default="disconnects,stalls,truncations,overload",
         help="comma-separated campaign kinds "
-        "(disconnects, stalls, truncations, overload, workers)",
+        "(disconnects, stalls, truncations, overload)",
     )
     chaos_wire.add_argument("--seed", type=int, default=1, help="first seed")
     chaos_wire.add_argument(
         "--runs", type=int, default=1,
         help="repeat the campaign list this many times with shifted seeds",
-    )
-    chaos_wire.add_argument(
-        "--procs", type=int, default=1,
-        help="1 = single-process server; >1 = multi-process front-end "
-        "(required for the workers campaign)",
-    )
-    chaos_wire.add_argument(
-        "--codec", choices=["json", "binary"], default="json",
-        help="frame codec the campaign clients negotiate",
     )
     chaos_wire.add_argument("--clients", type=int, default=4)
     chaos_wire.add_argument(

@@ -1,4 +1,4 @@
-"""Wire encoding for envelopes (JSON, plus a compact binary form).
+"""Wire encoding for envelopes (JSON).
 
 In-process transports pass :class:`~repro.types.Envelope` objects by
 reference; crossing a real network needs a byte encoding.  This codec
@@ -25,24 +25,12 @@ decoders, which is what lets the wire format evolve one side at a time.
 codec on its own; the serving layer (:mod:`repro.serve.wire`) reuses it
 for request/reply documents so labels and label sets cross the client
 wire with the same structural encoding the envelope payloads use.
-
-Next to the JSON form lives a **binary** codec over the *same* value
-domain: every value the JSON codec accepts round-trips identically
-through :func:`encode_value_binary` / :func:`decode_value_binary` (and
-envelopes through :func:`encode_envelope_binary`).  Values are tagged
-bytes — one tag byte, then LEB128 varints for lengths and integers
-(zigzag for signed), ``struct``-packed doubles for floats, UTF-8 for
-strings — with no intermediate ``__mid__``-style structural wrapping, so
-a ``MessageId`` costs a tag, a short string and a varint instead of a
-JSON object.  The serving layer negotiates which form a connection
-speaks; JSON stays the default.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 from repro.clocks.lamport import Timestamp
 from repro.clocks.vector import VectorClock
@@ -206,435 +194,4 @@ def decode_envelope(data: bytes) -> Envelope:
         metadata = _decode_metadata(document["meta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed wire envelope: {exc}") from exc
-    return Envelope(message, metadata)
-
-
-# -- binary encoding ----------------------------------------------------------
-
-#: Version byte leading every binary envelope.
-BINARY_WIRE_VERSION = 1
-
-# Value tags.  ``True``/``False`` get their own tags (a bool is an int in
-# Python — the tag keeps the type across the wire, as JSON does).
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_BIGINT = 0x04
-_T_FLOAT = 0x05
-_T_STR = 0x06
-_T_LIST = 0x07
-_T_TUPLE = 0x08
-_T_SET = 0x09
-_T_DICT = 0x0A
-_T_MID = 0x0B
-
-# Metadata key tags (same closed key set the JSON codec enforces).
-_M_OCCURS_AFTER = 0x01
-_M_VCLOCK = 0x02
-_M_LAMPORT = 0x03
-_M_SENT_MATRIX = 0x04
-_M_EPOCH = 0x05
-_M_TOTAL_SEQ = 0x06
-
-#: Signed ints up to this magnitude travel as zigzag varints; wider ones
-#: (Python ints are unbounded) fall back to a length-prefixed decimal
-#: string, mirroring what JSON does for every int.
-_VARINT_MAX = 1 << 63
-
-_pack_double = struct.Struct(">d").pack
-_unpack_double = struct.Struct(">d").unpack_from
-
-
-def _write_varint(out: bytearray, number: int) -> None:
-    """LEB128 unsigned varint."""
-    if number < 0:
-        raise ProtocolError(f"cannot varint-encode negative {number}")
-    while True:
-        byte = number & 0x7F
-        number >>= 7
-        if number:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ProtocolError("binary value truncated in varint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise ProtocolError("binary varint too wide")
-
-
-def _write_str(out: bytearray, text: str) -> None:
-    encoded = text.encode("utf-8")
-    _write_varint(out, len(encoded))
-    out += encoded
-
-
-def _read_str(data: bytes, offset: int) -> Tuple[str, int]:
-    length, offset = _read_varint(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("binary value truncated in string")
-    try:
-        return data[offset:end].decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"malformed binary string: {exc}") from exc
-
-
-def _write_value(out: bytearray, value: Any) -> None:
-    # Branches ordered by serve-frame frequency; one-byte varints (almost
-    # every length and small int) are written inline.
-    if type(value) is str:
-        encoded = value.encode("utf-8")
-        length = len(encoded)
-        if length < 0x80:
-            out.append(_T_STR)
-            out.append(length)
-        else:
-            out.append(_T_STR)
-            _write_varint(out, length)
-        out += encoded
-    elif value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        if -_VARINT_MAX <= value < _VARINT_MAX:
-            zig = (value << 1) if value >= 0 else ((-value) << 1) - 1
-            if zig < 0x80:
-                out.append(_T_INT)
-                out.append(zig)
-            else:
-                out.append(_T_INT)
-                _write_varint(out, zig)
-        else:
-            out.append(_T_BIGINT)
-            _write_str(out, str(value))
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        count = len(value)
-        if count < 0x80:
-            out.append(count)
-        else:
-            _write_varint(out, count)
-        for key, item in value.items():
-            _write_value(out, key)
-            _write_value(out, item)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        count = len(value)
-        if count < 0x80:
-            out.append(count)
-        else:
-            _write_varint(out, count)
-        for item in value:
-            _write_value(out, item)
-    elif isinstance(value, MessageId):
-        out.append(_T_MID)
-        _write_str(out, value.sender)
-        _write_varint(out, (value.seqno << 1) ^ (value.seqno >> 63))
-    elif isinstance(value, str):
-        out.append(_T_STR)
-        _write_str(out, value)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _pack_double(value)
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            _write_value(out, item)
-    elif isinstance(value, (frozenset, set)):
-        out.append(_T_SET)
-        _write_varint(out, len(value))
-        # Sorted for deterministic bytes, matching the JSON form.
-        for item in sorted(value):
-            _write_value(out, item)
-    else:
-        raise ProtocolError(f"cannot encode payload value: {value!r}")
-
-
-def _read_value(data: bytes, offset: int) -> Tuple[Any, int]:
-    # Hot path: tags ordered by serve-frame frequency, and the one-byte
-    # varint case (nearly every length and small int) is inlined.  A
-    # truncated buffer surfaces as IndexError from `data[offset]`, turned
-    # into ProtocolError at the decode entry points.
-    tag = data[offset]
-    offset += 1
-    if tag == _T_STR:
-        length = data[offset]
-        offset += 1
-        if length > 0x7F:
-            length, offset = _read_varint(data, offset - 1)
-        end = offset + length
-        if end > len(data):
-            raise ProtocolError("binary value truncated in string")
-        try:
-            return data[offset:end].decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"malformed binary string: {exc}") from exc
-    if tag == _T_INT:
-        raw = data[offset]
-        offset += 1
-        if raw > 0x7F:
-            raw, offset = _read_varint(data, offset - 1)
-        return (raw >> 1) ^ -(raw & 1), offset
-    if tag == _T_DICT:
-        count = data[offset]
-        offset += 1
-        if count > 0x7F:
-            count, offset = _read_varint(data, offset - 1)
-        entries: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, offset = _read_value(data, offset)
-            item, offset = _read_value(data, offset)
-            entries[key] = item
-        return entries, offset
-    if tag == _T_LIST or tag == _T_TUPLE:
-        count = data[offset]
-        offset += 1
-        if count > 0x7F:
-            count, offset = _read_varint(data, offset - 1)
-        items: List[Any] = []
-        for _ in range(count):
-            item, offset = _read_value(data, offset)
-            items.append(item)
-        return (items if tag == _T_LIST else tuple(items)), offset
-    if tag == _T_MID:
-        sender, offset = _read_str(data, offset)
-        raw = data[offset]
-        offset += 1
-        if raw > 0x7F:
-            raw, offset = _read_varint(data, offset - 1)
-        return MessageId(sender, (raw >> 1) ^ -(raw & 1)), offset
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_SET:
-        count, offset = _read_varint(data, offset)
-        members: List[Any] = []
-        for _ in range(count):
-            item, offset = _read_value(data, offset)
-            members.append(item)
-        return frozenset(members), offset
-    if tag == _T_FLOAT:
-        if offset + 8 > len(data):
-            raise ProtocolError("binary value truncated in float")
-        return _unpack_double(data, offset)[0], offset + 8
-    if tag == _T_BIGINT:
-        text, offset = _read_str(data, offset)
-        try:
-            return int(text), offset
-        except ValueError as exc:
-            raise ProtocolError(f"malformed binary bigint: {text!r}") from exc
-    raise ProtocolError(f"unknown binary value tag: {tag:#04x}")
-
-
-def _skip_value(data: bytes, offset: int) -> int:
-    """Advance past one encoded value without materialising it."""
-    tag = data[offset]
-    offset += 1
-    if tag == _T_STR or tag == _T_BIGINT:
-        length = data[offset]
-        offset += 1
-        if length > 0x7F:
-            length, offset = _read_varint(data, offset - 1)
-        end = offset + length
-        if end > len(data):
-            raise ProtocolError("binary value truncated in string")
-        return end
-    if tag == _T_INT:
-        while data[offset] > 0x7F:
-            offset += 1
-        return offset + 1
-    if tag == _T_DICT:
-        count, offset = _read_varint(data, offset)
-        for _ in range(count):
-            offset = _skip_value(data, offset)
-            offset = _skip_value(data, offset)
-        return offset
-    if tag == _T_LIST or tag == _T_TUPLE or tag == _T_SET:
-        count, offset = _read_varint(data, offset)
-        for _ in range(count):
-            offset = _skip_value(data, offset)
-        return offset
-    if tag == _T_MID:
-        length = data[offset]
-        offset += 1
-        if length > 0x7F:
-            length, offset = _read_varint(data, offset - 1)
-        offset += length
-        while data[offset] > 0x7F:
-            offset += 1
-        return offset + 1
-    if tag == _T_NONE or tag == _T_TRUE or tag == _T_FALSE:
-        return offset
-    if tag == _T_FLOAT:
-        return offset + 8
-    raise ProtocolError(f"unknown binary value tag: {tag:#04x}")
-
-
-def encode_value_binary(value: Any) -> bytes:
-    """Binary form of :func:`encode_value` over the same value domain."""
-    out = bytearray()
-    _write_value(out, value)
-    return bytes(out)
-
-
-def decode_value_binary(data: bytes) -> Any:
-    """Inverse of :func:`encode_value_binary`; rejects trailing bytes."""
-    try:
-        value, offset = _read_value(data, 0)
-    except IndexError as exc:
-        raise ProtocolError("binary value truncated") from exc
-    if offset != len(data):
-        raise ProtocolError(
-            f"binary value has {len(data) - offset} trailing bytes"
-        )
-    return value
-
-
-# -- binary metadata ---------------------------------------------------------
-
-
-def _write_metadata(out: bytearray, metadata: Any) -> None:
-    _write_varint(out, len(metadata))
-    for key, value in metadata.items():
-        if key == "occurs_after" and isinstance(value, OccursAfter):
-            out.append(_M_OCCURS_AFTER)
-            _write_varint(out, len(value.ancestors))
-            for label in sorted(value.ancestors):
-                _write_str(out, label.sender)
-                _write_varint(out, (label.seqno << 1) ^ (label.seqno >> 63))
-        elif key == "vclock" and isinstance(value, VectorClock):
-            entries = value.as_dict()
-            out.append(_M_VCLOCK)
-            _write_varint(out, len(entries))
-            for entity, counter in sorted(entries.items()):
-                _write_str(out, entity)
-                _write_varint(out, counter)
-        elif key == "lamport" and isinstance(value, Timestamp):
-            out.append(_M_LAMPORT)
-            _write_varint(out, value.counter)
-            _write_str(out, value.entity)
-        elif key == "sent_matrix" and isinstance(value, dict):
-            out.append(_M_SENT_MATRIX)
-            _write_varint(out, len(value))
-            for row, cols in sorted(value.items()):
-                _write_str(out, row)
-                _write_varint(out, len(cols))
-                for col, count in sorted(cols.items()):
-                    _write_str(out, col)
-                    _write_varint(out, count)
-        elif key in ("epoch", "total_seq") and isinstance(value, int):
-            out.append(_M_EPOCH if key == "epoch" else _M_TOTAL_SEQ)
-            _write_varint(out, value)
-        else:
-            raise ProtocolError(
-                f"cannot encode metadata key {key!r} (value {value!r})"
-            )
-
-
-def _read_metadata(data: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
-    count, offset = _read_varint(data, offset)
-    metadata: Dict[str, Any] = {}
-    for _ in range(count):
-        if offset >= len(data):
-            raise ProtocolError("binary metadata truncated at key tag")
-        tag = data[offset]
-        offset += 1
-        if tag == _M_OCCURS_AFTER:
-            size, offset = _read_varint(data, offset)
-            labels = []
-            for _ in range(size):
-                sender, offset = _read_str(data, offset)
-                raw, offset = _read_varint(data, offset)
-                labels.append(MessageId(sender, (raw >> 1) ^ -(raw & 1)))
-            metadata["occurs_after"] = OccursAfter.after(labels)
-        elif tag == _M_VCLOCK:
-            size, offset = _read_varint(data, offset)
-            entries: Dict[str, int] = {}
-            for _ in range(size):
-                entity, offset = _read_str(data, offset)
-                entries[entity], offset = _read_varint(data, offset)
-            metadata["vclock"] = VectorClock(entries)
-        elif tag == _M_LAMPORT:
-            counter, offset = _read_varint(data, offset)
-            entity, offset = _read_str(data, offset)
-            metadata["lamport"] = Timestamp(counter, entity)
-        elif tag == _M_SENT_MATRIX:
-            rows, offset = _read_varint(data, offset)
-            matrix: Dict[str, Dict[str, int]] = {}
-            for _ in range(rows):
-                row, offset = _read_str(data, offset)
-                width, offset = _read_varint(data, offset)
-                cols: Dict[str, int] = {}
-                for _ in range(width):
-                    col, offset = _read_str(data, offset)
-                    cols[col], offset = _read_varint(data, offset)
-                matrix[row] = cols
-            metadata["sent_matrix"] = matrix
-        elif tag == _M_EPOCH:
-            metadata["epoch"], offset = _read_varint(data, offset)
-        elif tag == _M_TOTAL_SEQ:
-            metadata["total_seq"], offset = _read_varint(data, offset)
-        else:
-            raise ProtocolError(f"unknown metadata key on wire: {tag:#04x}")
-    return metadata, offset
-
-
-# -- binary envelopes --------------------------------------------------------
-
-
-def encode_envelope_binary(envelope: Envelope) -> bytes:
-    """Serialize an envelope to the compact binary form."""
-    out = bytearray()
-    out.append(BINARY_WIRE_VERSION)
-    _write_str(out, envelope.msg_id.sender)
-    seqno = envelope.msg_id.seqno
-    _write_varint(out, (seqno << 1) ^ (seqno >> 63))
-    _write_str(out, envelope.message.operation)
-    _write_value(out, envelope.message.payload)
-    _write_metadata(out, envelope.metadata)
-    return bytes(out)
-
-
-def decode_envelope_binary(data: bytes) -> Envelope:
-    """Parse an envelope from :func:`encode_envelope_binary` output."""
-    if not data:
-        raise ProtocolError("empty binary envelope")
-    if data[0] != BINARY_WIRE_VERSION:
-        raise ProtocolError(f"unsupported wire version: {data[0]!r}")
-    try:
-        sender, offset = _read_str(data, 1)
-        raw, offset = _read_varint(data, offset)
-        operation, offset = _read_str(data, offset)
-        payload, offset = _read_value(data, offset)
-        metadata, offset = _read_metadata(data, offset)
-    except IndexError as exc:
-        raise ProtocolError(f"malformed binary envelope: {exc}") from exc
-    if offset != len(data):
-        raise ProtocolError(
-            f"binary envelope has {len(data) - offset} trailing bytes"
-        )
-    message = Message(
-        MessageId(sender, (raw >> 1) ^ -(raw & 1)), operation, payload
-    )
     return Envelope(message, metadata)

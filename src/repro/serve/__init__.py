@@ -22,20 +22,15 @@ from repro.serve.client import (
 from repro.serve.faults import ChaosProxy, FaultPlan
 from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.metrics import ServeMetrics, percentile
-from repro.serve.procs import MultiProcServeServer, merge_tokens, partition_shards
 from repro.serve.resilient import GaveUp, ResilientClient
 from repro.serve.server import ServeServer
 from repro.serve.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
     DEFAULT_OVERLOAD_RETRY_AFTER,
     DEFAULT_RETRY_AFTER,
     FRAME_OVERLOAD,
     FRAME_RETRY,
     MAX_FRAME,
     SERVE_WIRE_VERSION,
-    SUPPORTED_CODECS,
-    FrameBuffer,
     decode_frame,
     encode_frame,
     read_frame,
@@ -43,8 +38,6 @@ from repro.serve.wire import (
 )
 
 __all__ = [
-    "CODEC_BINARY",
-    "CODEC_JSON",
     "ChaosProxy",
     "DEFAULT_OVERLOAD_RETRY_AFTER",
     "DEFAULT_REQUEST_TIMEOUT",
@@ -52,14 +45,11 @@ __all__ = [
     "FRAME_OVERLOAD",
     "FRAME_RETRY",
     "FaultPlan",
-    "FrameBuffer",
     "GaveUp",
     "LoadReport",
     "MAX_FRAME",
-    "MultiProcServeServer",
     "ResilientClient",
     "SERVE_WIRE_VERSION",
-    "SUPPORTED_CODECS",
     "ServeClient",
     "ServeError",
     "ServeMetrics",
@@ -67,8 +57,6 @@ __all__ = [
     "ServeServer",
     "decode_frame",
     "encode_frame",
-    "merge_tokens",
-    "partition_shards",
     "percentile",
     "read_frame",
     "reconnect",

@@ -12,12 +12,6 @@ remembers the newest one, and a reconnect presents it in ``hello``.  The
 server folds the token's frontier back into the (possibly fresh) session
 state, so read-your-writes and monotonic order survive disconnects —
 the token *is* the session, the TCP connection is just a vehicle.
-
-A client may ask for the ``binary`` frame codec: the ``hello`` goes out
-as JSON (every server speaks it), and the connection switches codecs
-only when the server's hello reply confirms the choice — a server that
-never heard of codecs simply ignores the field and the connection stays
-on JSON, so new clients work against old servers and vice versa.
 """
 
 from __future__ import annotations
@@ -28,12 +22,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.serve.wire import (
-    CODEC_JSON,
     DEFAULT_RETRY_AFTER,
     FRAME_OVERLOAD,
     FRAME_RETRY,
-    decode_frame,
-    read_frame_bytes,
+    read_frame,
     write_frame,
 )
 
@@ -82,7 +74,6 @@ class ServeClient:
         port: int,
         session: str,
         token: Optional[str] = None,
-        codec: str = CODEC_JSON,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
         self.host = host
@@ -95,16 +86,11 @@ class ServeClient:
         #: matched by rid on one ordered stream, so after abandoning one
         #: we could mis-trust the stream's timing for every later reply.
         self.request_timeout = request_timeout
-        #: The codec this client *asks* for; ``negotiated_codec`` is what
-        #: the server actually granted (JSON until the hello confirms).
-        self.codec = codec
-        self.negotiated_codec = CODEC_JSON
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._recv_task: Optional[asyncio.Task] = None
         self._waiting: Dict[int, asyncio.Future] = {}
         self._next_rid = 0
-        self._hello_rid: Optional[int] = None
         self._recv_dead = False
         self.server_said_bye = False
         self.hello_reply: Optional[Dict[str, Any]] = None
@@ -129,11 +115,9 @@ class ServeClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
-        self.negotiated_codec = CODEC_JSON
         self._recv_task = asyncio.ensure_future(self._recv_loop())
         reply = await self._request({
             "t": "hello", "session": self.session, "token": self.token,
-            "codec": self.codec,
         })
         self.hello_reply = reply
         return reply
@@ -142,7 +126,7 @@ class ServeClient:
         """Polite close: say bye, then tear the connection down."""
         if self._writer is not None and not self._writer.is_closing():
             try:
-                write_frame(self._writer, {"t": "bye"}, self.negotiated_codec)
+                write_frame(self._writer, {"t": "bye"})
                 await self._writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -179,15 +163,11 @@ class ServeClient:
             # queued work whose client deadline already fired gets shed
             # with an ``overload`` frame instead of burning a cycle.
             document["ttl"] = self.request_timeout
-        if document.get("t") == "hello":
-            # Remember which reply may carry the codec grant; the switch
-            # happens when it resolves, before any later reply is sent.
-            self._hello_rid = rid
         loop = asyncio.get_event_loop()
         future: asyncio.Future = loop.create_future()
         self._waiting[rid] = future
         try:
-            write_frame(self._writer, document, self.negotiated_codec)
+            write_frame(self._writer, document)
         except (ConnectionError, RuntimeError) as exc:
             self._waiting.pop(rid, None)
             raise ServeError(f"send failed: {exc}") from exc
@@ -204,13 +184,9 @@ class ServeClient:
         assert self._reader is not None
         try:
             while True:
-                # Raw read, then decode with whatever codec is active by
-                # the time the bytes are in hand — the hello reply can
-                # switch it for the frames that follow.
-                body = await read_frame_bytes(self._reader)
-                if body is None:
+                frame = await read_frame(self._reader)
+                if frame is None:
                     break
-                frame = decode_frame(body, self.negotiated_codec)
                 if frame.get("t") == "bye":
                     self.server_said_bye = True
                     break
@@ -259,11 +235,6 @@ class ServeClient:
         handle = self._deadlines.pop(rid, None)
         if handle is not None:
             handle.cancel()
-        if rid is not None and rid == self._hello_rid:
-            self._hello_rid = None
-            if frame.get("t") != "error":
-                # Absent on pre-negotiation servers: stay on JSON.
-                self.negotiated_codec = frame.get("codec", CODEC_JSON)
         if future is None or future.done():
             return
         token = frame.get("token")
@@ -386,14 +357,11 @@ async def reconnect(client: ServeClient) -> ServeClient:
 
     The new connection presents the old connection's newest token, so the
     resumed session's causal floor covers everything the old one did —
-    the reconnect is invisible to the session guarantees.  It also
-    re-runs codec negotiation with the same preference, so a binary
-    client stays binary across the reconnect.
-
-    While the old connection is still alive we ask the server for a
-    fresh token rather than trusting the last reply's: against a
-    multi-process front-end the per-reply tokens carry one worker's
-    shards, while the ``token`` verb merges every worker's frontier.
+    the reconnect is invisible to the session guarantees.  While the old
+    connection is still alive we ask the server for a fresh token rather
+    than trusting the last reply's: the ``token`` verb returns the
+    session's frontier as the server holds it now, including operations
+    whose replies this connection never saw.
     """
     token = client.token
     if not client._recv_dead and client._writer is not None:
@@ -404,7 +372,7 @@ async def reconnect(client: ServeClient) -> ServeClient:
     await client.close()
     fresh = ServeClient(
         client.host, client.port, client.session,
-        token=token, codec=client.codec,
+        token=token,
         request_timeout=client.request_timeout,
     )
     await fresh.connect()

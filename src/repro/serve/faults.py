@@ -23,8 +23,7 @@ Faults are chosen per frame by a :class:`FaultPlan` — seeded, so a chaos
 campaign is reproducible fault-for-fault — or injected manually through
 :meth:`ChaosProxy.cut_all` / :meth:`ChaosProxy.stall_all` for targeted
 tests.  The proxy is frame-aware (it splits the byte stream with the
-same length-prefix rules as the server) but codec-blind: it never
-decodes a body, so JSON and binary connections are tortured identically.
+same length-prefix rules as the server) but never decodes a body.
 """
 
 from __future__ import annotations

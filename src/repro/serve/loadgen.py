@@ -40,7 +40,6 @@ from repro.serve.client import (
     reconnect,
 )
 from repro.serve.metrics import percentile
-from repro.serve.wire import CODEC_JSON
 
 
 @dataclass
@@ -101,14 +100,11 @@ async def _drive_client(
     key_space: int,
     rate: Optional[float],
     seed: int,
-    codec: str,
     request_timeout: Optional[float],
     report: LoadReport,
 ) -> None:
     rng = random.Random(seed)
-    client = ServeClient(
-        host, port, name, codec=codec, request_timeout=request_timeout
-    )
+    client = ServeClient(host, port, name, request_timeout=request_timeout)
     await client.connect()
     outstanding: List[asyncio.Future] = []
     written: List[str] = []
@@ -201,7 +197,6 @@ async def run_load(
     seed: int = 0,
     session_prefix: str = "load",
     fetch_stats: bool = False,
-    codec: str = CODEC_JSON,
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
 ) -> LoadReport:
     """Run the load shape and return a :class:`LoadReport`."""
@@ -221,7 +216,6 @@ async def run_load(
             key_space=key_space,
             rate=rate,
             seed=seed * 10_007 + index,
-            codec=codec,
             request_timeout=request_timeout,
             report=report,
         )
@@ -229,7 +223,7 @@ async def run_load(
     ])
     report.elapsed = time.perf_counter() - started
     if fetch_stats:
-        probe = ServeClient(host, port, f"{session_prefix}-probe", codec=codec)
+        probe = ServeClient(host, port, f"{session_prefix}-probe")
         await probe.connect()
         report.server_stats = await probe.stats()
         await probe.close()

@@ -46,7 +46,6 @@ from repro.serve.client import (
     ServeError,
     ServeOverload,
 )
-from repro.serve.wire import CODEC_JSON
 
 #: Default attempt budget per operation (first try + retries).
 DEFAULT_OP_ATTEMPTS = 6
@@ -70,7 +69,6 @@ class ResilientClient:
         session: str,
         *,
         token: Optional[str] = None,
-        codec: str = CODEC_JSON,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         op_attempts: int = DEFAULT_OP_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -81,7 +79,6 @@ class ResilientClient:
         self.host = host
         self.port = port
         self.session = session
-        self.codec = codec
         self.request_timeout = request_timeout
         self.op_attempts = op_attempts
         self.backoff_base = backoff_base
@@ -155,7 +152,7 @@ class ResilientClient:
             for attempt in range(self.op_attempts):
                 fresh = ServeClient(
                     self.host, self.port, self.session,
-                    token=self._token, codec=self.codec,
+                    token=self._token,
                     request_timeout=self.request_timeout,
                 )
                 try:

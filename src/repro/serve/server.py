@@ -57,13 +57,11 @@ from repro.analysis.invariants import Violation
 from repro.errors import ProtocolError
 from repro.serve.metrics import ServeMetrics
 from repro.serve.wire import (
-    CODEC_JSON,
     DEFAULT_OVERLOAD_RETRY_AFTER,
     DEFAULT_RETRY_AFTER,
     FRAME_OVERLOAD,
     FRAME_RETRY,
     SERVE_WIRE_VERSION,
-    SUPPORTED_CODECS,
     read_frame,
     write_frame,
 )
@@ -104,10 +102,6 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.session: Optional[Session] = None
-        #: Active frame codec.  Every connection starts in JSON; the
-        #: ``hello`` exchange may switch it (reply still goes out in the
-        #: codec the hello arrived in, so the switch is race-free).
-        self.codec = CODEC_JSON
         self.inflight = 0
         self.can_admit = asyncio.Event()
         self.can_admit.set()
@@ -169,7 +163,6 @@ class ServeServer:
         port: int = 0,
         max_inflight: int = MAX_INFLIGHT,
         repair_interval: float = REPAIR_INTERVAL,
-        batch_window: float = 0.0,
         read_policy: str = "replica",
         read_fallback: str = "forward",
         retry_after: float = DEFAULT_RETRY_AFTER,
@@ -191,12 +184,6 @@ class ServeServer:
         self.port = port
         self.max_inflight = max_inflight
         self.repair_interval = repair_interval
-        #: Seconds a flush waits for more requests to coalesce before
-        #: running the cycle.  0 batches only within one loop tick (the
-        #: single-process default); multi-process workers use a few
-        #: milliseconds so requests staggered through the front-end hop
-        #: still land in one simulator drive.
-        self.batch_window = batch_window
         self.read_policy = read_policy
         self.read_fallback = read_fallback
         self.retry_after = retry_after
@@ -269,7 +256,7 @@ class ServeServer:
             self._repair_task = None
         for conn in list(self._connections):
             try:
-                write_frame(conn.writer, {"t": "bye"}, conn.codec)
+                write_frame(conn.writer, {"t": "bye"})
                 self.metrics.bump("frames_out")
                 await conn.writer.drain()
             except (ConnectionError, RuntimeError):
@@ -323,7 +310,7 @@ class ServeServer:
         self.metrics.bump("connections_opened")
         try:
             while True:
-                frame = await read_frame(reader, conn.codec)
+                frame = await read_frame(reader)
                 if frame is None or frame.get("t") == "bye":
                     break
                 self.metrics.bump("frames_in")
@@ -350,7 +337,7 @@ class ServeServer:
         if conn.closed:
             return
         try:
-            write_frame(conn.writer, document, conn.codec)
+            write_frame(conn.writer, document)
             self.metrics.bump("frames_out")
             await conn.writer.drain()
         except (ConnectionError, RuntimeError):
@@ -443,16 +430,17 @@ class ServeServer:
         if not isinstance(name, str) or not name:
             await self._send_error(conn, rid, "hello needs a session name")
             return
-        requested = frame.get("codec", CODEC_JSON)
-        if requested not in SUPPORTED_CODECS:
-            # Clean reject, still in the codec the hello arrived in: the
-            # client gets a parseable error plus what it *could* ask for,
-            # instead of a codec-mismatch hang.
+        requested = frame.get("codec", "json")
+        if requested != "json":
+            # JSON is the only wire format.  A client asking for any
+            # other gets a parseable refusal and may send a corrected
+            # hello, instead of hanging on its first frame in a format
+            # nobody here reads.
             self.metrics.bump("errors")
             await self._send(conn, {
                 "t": "error", "rid": rid,
                 "error": f"unknown codec: {requested!r}",
-                "codecs": list(SUPPORTED_CODECS),
+                "codecs": ["json"],
             })
             return
         session = self.cluster.router.session(name)
@@ -473,15 +461,9 @@ class ServeServer:
             "wire_version": SERVE_WIRE_VERSION,
             "session": name,
             "shards": len(self.cluster.shard_ids),
-            "codec": requested,
-            "codecs": list(SUPPORTED_CODECS),
             "token": session.export_token(),
             "token_labels_dropped": dropped,
         })
-        # Reply went out in the old codec; everything after speaks the
-        # negotiated one.
-        conn.codec = requested
-        self.metrics.bump(f"codec_{requested}")
 
     async def _handle_chaos(
         self, conn: _Connection, frame: Dict[str, Any]
@@ -539,8 +521,8 @@ class ServeServer:
         everything this session may rely on, so it answers without any
         broadcast, barrier, or simulator drive.  Returns False to route
         the get through the batch cycle instead (fallback ``forward``,
-        pipelined session ops in flight, unhosted shard); with fallback
-        ``retry`` an uncovered get is answered with a ``retry`` frame.
+        pipelined session ops in flight); with fallback ``retry`` an
+        uncovered get is answered with a ``retry`` frame.
         """
         session = conn.session
         if not session.idle or self._session_pending.get(session.name, 0):
@@ -552,8 +534,6 @@ class ServeServer:
         if not isinstance(key, str):
             return False
         shard, _slot, floor = session.read_floor(key)
-        if shard not in self.cluster.groups:
-            return False
         loop = asyncio.get_event_loop()
         started = loop.time()
         member = self._choose_replica(frame, shard, floor)
@@ -635,13 +615,6 @@ class ServeServer:
         # joins the same cycle — this is where pipelining turns into
         # batching.
         await asyncio.sleep(0)
-        if self.batch_window > 0.0:
-            # Coalesce across the window with a real sleep: it parks
-            # this process so peers (the front-end, sibling workers) get
-            # scheduled and their in-flight requests join this cycle.
-            # Busy-yielding here would steal the CPU those requests need
-            # to arrive at all.
-            await asyncio.sleep(self.batch_window)
         while self._pending:
             batch, self._pending = self._pending, []
             self.metrics.queue_depth = 0
@@ -692,15 +665,6 @@ class ServeServer:
                     )
                     continue
                 shard = self.cluster.shard_map.shard_of(key)
-                if shard not in self.cluster.groups:
-                    # A subset cluster (multi-process worker) only hosts
-                    # some shards; a misrouted key must error cleanly,
-                    # not KeyError the whole batch cycle.
-                    op.error = (
-                        f"key {key!r} routes to shard {shard}, "
-                        "which this server does not host"
-                    )
-                    continue
                 per_shard[shard] = per_shard.get(shard, 0) + 1
                 session.put(
                     key,
@@ -735,7 +699,7 @@ class ServeServer:
             self.metrics.record_latency("op", millis)
             if not op.conn.closed:
                 try:
-                    write_frame(op.conn.writer, reply, op.conn.codec)
+                    write_frame(op.conn.writer, reply)
                     self.metrics.bump("frames_out")
                     drains.append(op.conn)
                 except (ConnectionError, RuntimeError):
@@ -890,17 +854,16 @@ class ServeServer:
         cluster = self.cluster
         if isinstance(key, str):
             shard, _slot, floor = session.read_floor(key)
-            if shard in cluster.groups:
-                order = cluster.read_members(shard)
-                contact = cluster.contact(shard)
-                if contact in order:
-                    order = [contact] + [m for m in order if m != contact]
-                for member in order:
-                    if cluster.covers(shard, member, floor):
-                        value, label = cluster.member_read(shard, member, key)
-                        self.metrics.bump("gets_cycle")
-                        self.metrics.bump(f"replica_reads_{member}")
-                        return value, label, member, shard
+            order = cluster.read_members(shard)
+            contact = cluster.contact(shard)
+            if contact in order:
+                order = [contact] + [m for m in order if m != contact]
+            for member in order:
+                if cluster.covers(shard, member, floor):
+                    value, label = cluster.member_read(shard, member, key)
+                    self.metrics.bump("gets_cycle")
+                    self.metrics.bump(f"replica_reads_{member}")
+                    return value, label, member, shard
             value, label = self._session_get(session, key)
             return value, label, None, shard
         value, _label = self._session_get(session, key)

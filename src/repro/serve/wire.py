@@ -1,20 +1,10 @@
-"""Length-prefixed framing for the serving layer (JSON or binary).
+"""Length-prefixed JSON framing for the serving layer.
 
-One frame = a 4-byte big-endian length followed by that many body bytes.
-A connection's *codec* decides how the body encodes the frame document:
-
-* ``json`` (the default, and the only form PR-5 clients speak): UTF-8
-  JSON of a flat dict whose values go through the envelope codec's
-  structural value encoding (:func:`repro.runtime.codec.encode_value`),
-  so :class:`~repro.types.MessageId` labels and label sets cross the
-  client wire exactly as they cross the replica wire.
-* ``binary``: a magic byte then the document as tag-encoded pairs via
-  :func:`repro.runtime.codec.encode_value_binary` — no JSON string
-  round-trip, no structural ``__mid__`` wrapping.
-
-Both codecs carry the same document domain; which one a connection
-speaks is negotiated in the ``hello`` exchange (the hello itself is
-always JSON — see :mod:`repro.serve.server`).
+One frame = a 4-byte big-endian length followed by that many body bytes:
+UTF-8 JSON of a flat dict whose values go through the envelope codec's
+structural value encoding (:func:`repro.runtime.codec.encode_value`), so
+:class:`~repro.types.MessageId` labels and label sets cross the client
+wire exactly as they cross the replica wire.
 
 Request documents carry ``t`` (the request type) and ``rid`` (a
 client-chosen correlation id echoed on the reply) — nothing in the
@@ -35,18 +25,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ProtocolError
-from repro.runtime.codec import (
-    _read_value,
-    _read_varint,
-    _skip_value,
-    decode_value,
-    decode_value_binary,
-    encode_value,
-    encode_value_binary,
-)
+from repro.runtime.codec import decode_value, encode_value
 
 #: Serving-wire schema version, carried by ``hello`` replies.
 SERVE_WIRE_VERSION = 1
@@ -55,11 +37,6 @@ SERVE_WIRE_VERSION = 1
 MAX_FRAME = 4 * 1024 * 1024
 
 _LENGTH_BYTES = 4
-
-#: Codec names as they appear in the ``hello`` negotiation.
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-SUPPORTED_CODECS = (CODEC_JSON, CODEC_BINARY)
 
 #: Frame type of a reject-with-retry answer to a ``get``: no replica of
 #: the key's shard currently covers the session's causal floor, so the
@@ -89,28 +66,16 @@ DEFAULT_OVERLOAD_RETRY_AFTER = 0.1
 #: hint; the server honours it only while that member stays eligible.
 FIELD_REPLICA = "replica"
 
-#: First body byte of every binary frame — catches a peer that switched
-#: codecs out of step (a JSON body can never start with 0xB1).
-_BINARY_MAGIC = 0xB1
 
-
-def encode_frame_body(
-    document: Dict[str, Any], codec: str = CODEC_JSON
-) -> bytes:
+def encode_frame_body(document: Dict[str, Any]) -> bytes:
     """Serialize a frame document to body bytes (no length prefix)."""
-    if codec == CODEC_JSON:
-        encoded = {
-            key: encode_value(value) for key, value in document.items()
-        }
-        return json.dumps(encoded, separators=(",", ":")).encode("utf-8")
-    if codec == CODEC_BINARY:
-        return bytes([_BINARY_MAGIC]) + encode_value_binary(dict(document))
-    raise ProtocolError(f"unknown frame codec: {codec!r}")
+    encoded = {key: encode_value(value) for key, value in document.items()}
+    return json.dumps(encoded, separators=(",", ":")).encode("utf-8")
 
 
-def encode_frame(document: Dict[str, Any], codec: str = CODEC_JSON) -> bytes:
+def encode_frame(document: Dict[str, Any]) -> bytes:
     """Serialize one frame document to length-prefixed bytes."""
-    body = encode_frame_body(document, codec)
+    body = encode_frame_body(document)
     if len(body) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}"
@@ -118,69 +83,19 @@ def encode_frame(document: Dict[str, Any], codec: str = CODEC_JSON) -> bytes:
     return len(body).to_bytes(_LENGTH_BYTES, "big") + body
 
 
-def decode_frame(body: bytes, codec: str = CODEC_JSON) -> Dict[str, Any]:
+def decode_frame(body: bytes) -> Dict[str, Any]:
     """Parse one frame body (the bytes after the length prefix)."""
-    if codec == CODEC_JSON:
-        try:
-            document = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"malformed wire frame: {exc}") from exc
-        if not isinstance(document, dict):
-            raise ProtocolError("malformed wire frame: not an object")
-        return {key: decode_value(value) for key, value in document.items()}
-    if codec == CODEC_BINARY:
-        if not body or body[0] != _BINARY_MAGIC:
-            raise ProtocolError("malformed wire frame: bad binary magic")
-        document = decode_value_binary(body[1:])
-        if not isinstance(document, dict):
-            raise ProtocolError("malformed wire frame: not an object")
-        return document
-    raise ProtocolError(f"unknown frame codec: {codec!r}")
-
-
-#: Binary dict tag — the first body byte after the magic in every
-#: well-formed binary frame (frame documents are dicts).
-_BINARY_DICT_TAG = 0x0A
-
-
-def peek_frame_fields(
-    body: bytes, codec: str, fields: tuple
-) -> Dict[str, Any]:
-    """Extract just ``fields`` from a frame body, skipping the rest.
-
-    For the JSON codec this is a full decode (the C parser is faster
-    than any Python-level skipping).  For the binary codec it walks the
-    top-level document, materialising only the wanted keys and skipping
-    other values byte-wise — the multi-process front-end uses it to
-    route requests and match replies without paying a full decode.
-    Missing fields are simply absent from the result.
-    """
-    if codec != CODEC_BINARY:
-        return decode_frame(body, codec)
-    if not body or body[0] != _BINARY_MAGIC or len(body) < 3:
-        raise ProtocolError("malformed wire frame: bad binary magic")
-    if body[1] != _BINARY_DICT_TAG:
-        raise ProtocolError("malformed wire frame: not an object")
     try:
-        count, offset = _read_varint(body, 2)
-        found: Dict[str, Any] = {}
-        remaining = len(fields)
-        for _ in range(count):
-            key, offset = _read_value(body, offset)
-            if key in fields:
-                found[key], offset = _read_value(body, offset)
-                remaining -= 1
-                if not remaining:
-                    break
-            else:
-                offset = _skip_value(body, offset)
-        return found
-    except IndexError as exc:
-        raise ProtocolError("malformed wire frame: truncated") from exc
+        document = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed wire frame: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ProtocolError("malformed wire frame: not an object")
+    return {key: decode_value(value) for key, value in document.items()}
 
 
 async def read_frame(
-    reader: asyncio.StreamReader, codec: str = CODEC_JSON
+    reader: asyncio.StreamReader,
 ) -> Optional[Dict[str, Any]]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
@@ -191,7 +106,7 @@ async def read_frame(
     body = await read_frame_bytes(reader)
     if body is None:
         return None
-    return decode_frame(body, codec)
+    return decode_frame(body)
 
 
 async def read_frame_bytes(
@@ -199,8 +114,8 @@ async def read_frame_bytes(
 ) -> Optional[bytes]:
     """Read one raw frame body; ``None`` on clean EOF at a boundary.
 
-    The codec-agnostic half of :func:`read_frame` — the multi-process
-    front-end uses it to forward bodies verbatim without re-encoding.
+    The undecoded half of :func:`read_frame` — the fault-injecting proxy
+    uses it to forward bodies verbatim without re-encoding.
     """
     try:
         prefix = await reader.readexactly(_LENGTH_BYTES)
@@ -220,62 +135,7 @@ async def read_frame_bytes(
 
 
 def write_frame(
-    writer: asyncio.StreamWriter,
-    document: Dict[str, Any],
-    codec: str = CODEC_JSON,
+    writer: asyncio.StreamWriter, document: Dict[str, Any]
 ) -> None:
     """Queue one frame on ``writer`` (callers await ``writer.drain()``)."""
-    writer.write(encode_frame(document, codec))
-
-
-def write_frame_bytes(writer: asyncio.StreamWriter, body: bytes) -> None:
-    """Queue one raw frame body (re-adding the length prefix)."""
-    writer.write(len(body).to_bytes(_LENGTH_BYTES, "big") + body)
-
-
-class FrameBuffer:
-    """Incremental splitter for length-prefixed frame streams.
-
-    Feed it arbitrary byte chunks; it yields complete frame *bodies* in
-    arrival order.  Purely synchronous, so transports that are not
-    asyncio streams (worker pipes, tests) can reuse the exact framing
-    rules — including the :data:`MAX_FRAME` bound.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._offset = 0
-
-    def feed(self, chunk: bytes) -> List[bytes]:
-        self._buffer += chunk
-        bodies: List[bytes] = []
-        while True:
-            available = len(self._buffer) - self._offset
-            if available < _LENGTH_BYTES:
-                break
-            start = self._offset
-            length = int.from_bytes(
-                self._buffer[start:start + _LENGTH_BYTES], "big"
-            )
-            if length > MAX_FRAME:
-                raise ProtocolError(
-                    f"incoming frame of {length} bytes exceeds "
-                    f"MAX_FRAME={MAX_FRAME}"
-                )
-            if available < _LENGTH_BYTES + length:
-                break
-            body_start = start + _LENGTH_BYTES
-            bodies.append(bytes(self._buffer[body_start:body_start + length]))
-            self._offset = body_start + length
-        if self._offset and self._offset == len(self._buffer):
-            self._buffer.clear()
-            self._offset = 0
-        elif self._offset > 65536:
-            del self._buffer[:self._offset]
-            self._offset = 0
-        return bodies
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buffer) - self._offset
+    writer.write(encode_frame(document))

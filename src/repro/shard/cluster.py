@@ -92,7 +92,6 @@ class ShardedCluster:
         seed: int = 0,
         *,
         num_slots: int = 16,
-        shard_ids: Optional[Iterable[int]] = None,
         latency: Optional[LatencyModel] = None,
         overlap: bool = False,
         auto_membership: bool = True,
@@ -103,23 +102,8 @@ class ShardedCluster:
         if shards < 1:
             raise ConfigurationError("a sharded cluster needs >= 1 shard")
         self.scheduler = Scheduler()
-        # The map always spans the full shard space, even when this
-        # cluster hosts a subset (`shard_ids`): a multi-process worker
-        # must route keys exactly like its siblings, and member names /
-        # derived seeds stay identical to the full-cluster layout so a
-        # hosted shard's group is bit-for-bit the same either way.
         self.shard_map = ShardMap(shards, num_slots=num_slots)
-        if shard_ids is None:
-            self.shard_ids: Tuple[int, ...] = tuple(range(shards))
-        else:
-            self.shard_ids = tuple(sorted(set(shard_ids)))
-            if not self.shard_ids:
-                raise ConfigurationError("shard_ids must name >= 1 shard")
-            bad = [s for s in self.shard_ids if not 0 <= s < shards]
-            if bad:
-                raise ConfigurationError(
-                    f"shard_ids {bad} outside range 0..{shards - 1}"
-                )
+        self.shard_ids: Tuple[int, ...] = tuple(range(shards))
         self.groups: Dict[int, ChaosCluster] = {}
         self.shard_of_member: Dict[EntityId, int] = {}
         for shard in self.shard_ids:
@@ -418,12 +402,7 @@ class ShardedCluster:
         which is what lets a session that observed a label on shard B
         correctly depend on that label's shard-A ancestors.
         """
-        group = self.groups.get(shard)
-        if group is None:
-            # A subset cluster (multi-process worker) does not host this
-            # shard, so no ledger label can live there.
-            return frozenset()
-        shard_labels = group.data_labels
+        shard_labels = self.groups[shard].data_labels
         pool = tuple(labels)
         if len(pool) == 1 and pool[0] in shard_labels:
             # The label dominates its own causal past, so restricted to

@@ -161,12 +161,6 @@ class Session:
                     f"malformed session token frontier: {exc}"
                 ) from exc
             if shard not in cluster.groups:
-                if 0 <= shard < cluster.shard_map.num_shards:
-                    # The shard exists in the object space but is hosted
-                    # by a sibling (subset cluster / multi-process
-                    # worker): its labels are that sibling's to order,
-                    # not losses to report.
-                    continue
                 raise ProtocolError(
                     f"session token names unknown shard {shard}"
                 )

@@ -58,13 +58,9 @@ class TestCampaignSmoke:
         with pytest.raises(ValueError, match="unknown wire campaign"):
             asyncio.run(run_wire_campaign("meteors", 1))
 
-    def test_workers_needs_procs(self):
-        with pytest.raises(ValueError, match="procs >= 2"):
-            asyncio.run(run_wire_campaign("workers", 1, procs=1))
-
     def test_campaign_kinds_are_documented(self):
         assert set(WIRE_CAMPAIGNS) == {
-            "disconnects", "stalls", "truncations", "overload", "workers",
+            "disconnects", "stalls", "truncations", "overload",
         }
 
 

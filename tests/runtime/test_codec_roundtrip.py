@@ -19,13 +19,9 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.runtime.codec import (
     decode_envelope,
-    decode_envelope_binary,
     decode_value,
-    decode_value_binary,
     encode_envelope,
-    encode_envelope_binary,
     encode_value,
-    encode_value_binary,
 )
 from repro.types import Envelope, Message, MessageId
 
@@ -94,79 +90,6 @@ class TestEnvelopeRoundTrip:
         assert restored.message.operation == op
         assert restored.message.payload == payload
         assert restored.metadata == metadata
-
-
-#: The binary codec also carries floats and arbitrary-precision ints
-#: (tags of their own on the wire); fold them into the shared value
-#: domain for the agreement properties.
-binary_values = st.recursive(
-    scalars
-    | st.floats(allow_nan=False)
-    | st.integers(-(2**80), 2**80)
-    | st.builds(MessageId, st.text(min_size=1, max_size=6), st.integers(0, 9999)),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3)
-    | st.lists(children, max_size=3).map(tuple),
-    max_leaves=10,
-)
-
-
-class TestBinaryAgreesWithJson:
-    """The two wire codecs are interchangeable over the value domain.
-
-    The serving layer negotiates ``json`` or ``binary`` per connection
-    and mixes both on one server, so the codecs must be *semantically
-    identical*: any value either can carry round-trips through both to
-    the same Python object.
-    """
-
-    @settings(max_examples=80, deadline=None)
-    @given(value=binary_values)
-    def test_binary_value_round_trips_exactly(self, value):
-        assert decode_value_binary(encode_value_binary(value)) == value
-
-    @settings(max_examples=80, deadline=None)
-    @given(value=values)
-    def test_codecs_agree_on_shared_domain(self, value):
-        via_json = decode_value(encode_value(value))
-        via_binary = decode_value_binary(encode_value_binary(value))
-        assert via_json == via_binary
-        assert type(via_json) is type(via_binary)
-
-    @settings(max_examples=30, deadline=None)
-    @given(labels=label_sets)
-    def test_label_sets_agree(self, labels):
-        restored = decode_value_binary(encode_value_binary(labels))
-        assert restored == decode_value(encode_value(labels))
-        assert isinstance(restored, frozenset)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        sender=st.text(min_size=1, max_size=8),
-        seqno=st.integers(0, 10**9),
-        op=st.text(min_size=1, max_size=8),
-        payload=values,
-        epoch=st.none() | st.integers(0, 100),
-    )
-    def test_envelopes_agree(self, sender, seqno, op, payload, epoch):
-        metadata = {} if epoch is None else {"epoch": epoch}
-        env = Envelope(Message(MessageId(sender, seqno), op, payload), metadata)
-        via_json = decode_envelope(encode_envelope(env))
-        via_binary = decode_envelope_binary(encode_envelope_binary(env))
-        assert via_binary.msg_id == via_json.msg_id == env.msg_id
-        assert via_binary.message.operation == via_json.message.operation
-        assert via_binary.message.payload == via_json.message.payload
-        assert via_binary.metadata == via_json.metadata == metadata
-
-    def test_binary_truncation_is_a_protocol_error(self):
-        blob = encode_value_binary({"k": [1, "two", MessageId("a", 3)]})
-        for cut in range(len(blob)):
-            with pytest.raises(ProtocolError):
-                decode_value_binary(blob[:cut])
-
-    def test_binary_rejects_unencodable_values(self):
-        with pytest.raises(ProtocolError):
-            encode_value_binary(object())
 
 
 class TestForwardCompatibility:

@@ -1,12 +1,11 @@
-"""Codec negotiation tests: hello handshake, rejects, compatibility.
+"""Hello-handshake tests: codec requests are refused, not ignored.
 
-The negotiation contract (see :mod:`repro.serve.wire`): every
-connection starts in JSON, the ``hello`` names a codec, the hello reply
-confirms it *in the old codec*, and only frames after the reply speak
-the negotiated one.  That makes JSON-only PR-5 clients — which never
-send a ``codec`` field — indistinguishable from clients that explicitly
-ask for JSON, and it makes an unknown codec a clean, parseable error
-instead of a framing desync.
+JSON is the only wire format.  A ``hello`` may still carry a ``codec``
+field (older clients negotiated one): ``"json"`` and an absent field
+both succeed, anything else is a clean, parseable ``error`` frame that
+leaves the connection usable for a corrected hello — a client speaking
+a format the server never reads must fail fast, not hang on its first
+frame.
 """
 
 from __future__ import annotations
@@ -14,16 +13,8 @@ from __future__ import annotations
 import asyncio
 from contextlib import asynccontextmanager
 
-import pytest
-
-from repro.serve import ServeClient, ServeError, ServeServer, reconnect
-from repro.serve.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-    read_frame,
-    write_frame,
-)
+from repro.serve import ServeClient, ServeServer, reconnect
+from repro.serve.wire import read_frame, write_frame
 
 
 @asynccontextmanager
@@ -39,67 +30,47 @@ async def server(**kwargs):
         await srv.shutdown()
 
 
-@asynccontextmanager
-async def client(srv, name="c", token=None, codec=CODEC_JSON):
-    cli = ServeClient("127.0.0.1", srv.port, name, token=token, codec=codec)
-    await cli.connect()
-    try:
-        yield cli
-    finally:
-        await cli.close()
-
-
 def run(coro_fn):
     return asyncio.run(coro_fn())
 
 
 class TestNegotiation:
-    def test_binary_negotiation_switches_after_hello(self):
-        async def scenario():
-            async with server() as srv:
-                async with client(srv, codec=CODEC_BINARY) as cli:
-                    assert cli.hello_reply["codec"] == CODEC_BINARY
-                    assert cli.negotiated_codec == CODEC_BINARY
-                    reply = await cli.put_wait("k", ("tuple", 1))
-                    assert reply["ok"] is True
-                    read = await cli.read()
-                    assert read["value"]["k"] == ("tuple", 1)
-                    assert srv.metrics.counters["codec_binary"] == 1
-
-        run(scenario)
-
-    def test_hello_advertises_supported_codecs(self):
-        async def scenario():
-            async with server() as srv:
-                async with client(srv) as cli:
-                    assert cli.hello_reply["codecs"] == list(SUPPORTED_CODECS)
-                    assert cli.hello_reply["codec"] == CODEC_JSON
-
-        run(scenario)
-
     def test_unknown_codec_rejected_cleanly(self):
+        async def refused_then_corrected(srv, requested):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            write_frame(writer, {
+                "t": "hello", "rid": 1, "session": "s",
+                "codec": requested,
+            })
+            reply = await read_frame(reader)
+            assert reply["t"] == "error"
+            assert "unknown codec" in reply["error"]
+            assert reply["codecs"] == ["json"]
+            # The connection stays up: a corrected hello on the same
+            # socket succeeds, and so does the work after it.
+            write_frame(writer, {
+                "t": "hello", "rid": 2, "session": "s",
+                "codec": "json",
+            })
+            reply = await read_frame(reader)
+            assert reply["ok"] is True
+            assert "codec" not in reply and "codecs" not in reply
+            write_frame(writer, {
+                "t": "put", "rid": 3, "key": "k", "value": requested,
+            })
+            reply = await read_frame(reader)
+            assert reply["ok"] is True and reply["rid"] == 3
+            write_frame(writer, {"t": "get", "rid": 4, "key": "k"})
+            reply = await read_frame(reader)
+            assert reply["value"] == requested
+            writer.close()
+
         async def scenario():
             async with server() as srv:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", srv.port
-                )
-                write_frame(writer, {
-                    "t": "hello", "rid": 1, "session": "s",
-                    "codec": "msgpack",
-                })
-                reply = await read_frame(reader)
-                assert reply["t"] == "error"
-                assert "unknown codec" in reply["error"]
-                assert reply["codecs"] == list(SUPPORTED_CODECS)
-                # The connection stays up, still in JSON: a corrected
-                # hello on the same socket succeeds.
-                write_frame(writer, {
-                    "t": "hello", "rid": 2, "session": "s",
-                    "codec": "json",
-                })
-                reply = await read_frame(reader)
-                assert reply["ok"] is True
-                writer.close()
+                for requested in ("msgpack", "binary"):
+                    await refused_then_corrected(srv, requested)
 
         run(scenario)
 
@@ -114,7 +85,7 @@ class TestNegotiation:
                 write_frame(writer, {"t": "hello", "rid": 1, "session": "old"})
                 hello = await read_frame(reader)
                 assert hello["ok"] is True
-                assert hello["codec"] == CODEC_JSON
+                assert "codec" not in hello
                 write_frame(writer, {
                     "t": "put", "rid": 2, "key": "legacy", "value": 41,
                 })
@@ -128,37 +99,15 @@ class TestNegotiation:
         run(scenario)
 
 
-class TestMixedCodecs:
-    def test_json_and_binary_clients_share_a_server(self):
-        async def scenario():
-            async with server() as srv:
-                async with client(srv, "cj", codec=CODEC_JSON) as cj:
-                    async with client(srv, "cb", codec=CODEC_BINARY) as cb:
-                        await cj.put_wait("from-json", 1)
-                        await cb.put_wait("from-binary", 2)
-                        # Each sees the other's write at a stable point.
-                        for cli in (cj, cb):
-                            read = await cli.read()
-                            assert read["value"]["from-json"] == 1
-                            assert read["value"]["from-binary"] == 2
-                assert srv.metrics.counters["codec_json"] == 1
-                assert srv.metrics.counters["codec_binary"] == 1
-
-        run(scenario)
-
-
 class TestReconnect:
-    def test_reconnect_keeps_token_and_codec(self):
+    def test_reconnect_keeps_token(self):
         async def scenario():
             async with server() as srv:
-                cli = ServeClient(
-                    "127.0.0.1", srv.port, "r", codec=CODEC_BINARY
-                )
+                cli = ServeClient("127.0.0.1", srv.port, "r")
                 await cli.connect()
                 try:
                     await cli.put_wait("mine", "before-reconnect")
                     cli = await reconnect(cli)
-                    assert cli.negotiated_codec == CODEC_BINARY
                     assert cli.token is not None
                     # Read-your-writes survives the reconnect: the new
                     # connection presented the old session's token.

@@ -114,18 +114,18 @@ class TestServeCommands:
         assert args.read_every == 10
         assert args.reconnect_every == 0
         assert args.rate is None
-        assert args.codec == "json"
 
-    def test_serve_procs_flag(self):
-        assert build_parser().parse_args(["serve"]).procs == 1
-        args = build_parser().parse_args(["serve", "--procs", "4"])
-        assert args.procs == 4
-
-    def test_loadgen_codec_flag(self):
-        args = build_parser().parse_args(["loadgen", "--codec", "binary"])
-        assert args.codec == "binary"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--codec", "msgpack"])
+    def test_procs_and_codec_flags_are_gone(self):
+        """One topology, one wire format: argparse refuses the old knobs."""
+        for argv in (
+            ["serve", "--procs", "2"],
+            ["loadgen", "--codec", "binary"],
+            ["chaos-wire", "--procs", "2"],
+            ["chaos-wire", "--codec", "json"],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                build_parser().parse_args(argv)
+            assert refused.value.code == 2
 
     def test_serve_rejects_bad_port(self):
         with pytest.raises(SystemExit):
@@ -134,7 +134,6 @@ class TestServeCommands:
     def test_chaos_wire_parser_defaults(self):
         args = build_parser().parse_args(["chaos-wire"])
         assert args.campaigns == "disconnects,stalls,truncations,overload"
-        assert (args.procs, args.codec) == (1, "json")
         assert (args.clients, args.ops, args.runs) == (4, 20, 1)
 
     def test_chaos_wire_rejects_unknown_campaign(self, capsys):
@@ -185,50 +184,6 @@ class TestServeCommands:
         finally:
             holder["loop"].call_soon_threadsafe(holder["stop"].set)
             thread.join(15)
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "ops/s" in out and "errors=0" in out
-        assert holder["violations"] == []
-
-    def test_loadgen_binary_codec_against_multiproc_server(self, capsys):
-        """The CLI fast path end to end: ``--codec binary`` load against
-        a multi-process server (the ``serve --procs 2`` topology)."""
-        import asyncio
-        import threading
-
-        from repro.serve import MultiProcServeServer
-
-        started = threading.Event()
-        holder = {}
-
-        def serve_thread():
-            async def body():
-                srv = MultiProcServeServer(
-                    shards=2, members_per_shard=3, seed=2, procs=2
-                )
-                await srv.start()
-                holder["port"] = srv.port
-                holder["stop"] = asyncio.Event()
-                holder["loop"] = asyncio.get_running_loop()
-                started.set()
-                await holder["stop"].wait()
-                await srv.shutdown()
-                holder["violations"] = srv.session_guarantee_violations()
-
-            asyncio.run(body())
-
-        thread = threading.Thread(target=serve_thread)
-        thread.start()
-        assert started.wait(30)
-        try:
-            rc = main([
-                "loadgen", "--port", str(holder["port"]),
-                "--clients", "2", "--ops", "6", "--pipeline", "2",
-                "--codec", "binary",
-            ])
-        finally:
-            holder["loop"].call_soon_threadsafe(holder["stop"].set)
-            thread.join(30)
         assert rc == 0
         out = capsys.readouterr().out
         assert "ops/s" in out and "errors=0" in out
