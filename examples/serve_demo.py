@@ -12,9 +12,9 @@ causal object space on an ephemeral TCP port, then:
    server's repair loop and retrying session layer carry traffic over
    the remaining replicas;
 3. runs a get-heavy load against the replica-routed read path and kills
-   the replica currently serving a probe's reads mid-run — the router
-   must drop the corpse from the eligible set and reroute every later
-   get with zero session-guarantee violations;
+   the replica currently serving a probe's reads mid-run — the session
+   layer must drop the corpse from the eligible set and reroute every
+   later get with zero session-guarantee violations;
 4. walks one scripted session through the visible API: pipelined puts,
    a causally gated get, a barrier read, and a token reconnect that
    provably preserves read-your-writes;
@@ -44,10 +44,10 @@ from repro.analysis.wire_history import (
 )
 from repro.serve import (
     ChaosProxy,
-    FaultPlan,
     ResilientClient,
     ServeClient,
     ServeServer,
+    WireFaultPlan,
     reconnect,
     run_load,
 )
@@ -94,10 +94,11 @@ async def main() -> None:
     await probe.chaos("crash", shard=shard, member=target)
     print(f"crashed {target} (serving probe's reads on shard {shard}) "
           "mid-get-load")
-    # The sticky hint points at the corpse; the router must ignore it
-    # and serve the same causal floor from a surviving replica.
-    assert await probe.get("probe-key") == "v", "failover lost the value"
-    rerouted = probe.replica_hints["probe-key"]
+    # The session must serve the same causal floor from a surviving
+    # replica; the reply names which one did.
+    second = await probe.get_submit("probe-key")
+    assert second["value"] == "v", "failover lost the value"
+    rerouted = second["replica"]
     assert rerouted != target, "get still routed to the crashed replica"
     print(f"probe rerouted to {rerouted}; read-your-writes held")
 
@@ -161,8 +162,8 @@ async def wire_chaos_pass() -> None:
     """Faulty network, self-healing clients, black-box verdict."""
     server = ServeServer(shards=2, members_per_shard=3, seed=11)
     await server.start()
-    plan = FaultPlan(13, cut_rate=0.02, dup_rate=0.05, delay_rate=0.08,
-                     delay_seconds=0.02)
+    plan = WireFaultPlan(13, cut_rate=0.02, dup_rate=0.05, delay_rate=0.08,
+                         delay_seconds=0.02)
     proxy = ChaosProxy("127.0.0.1", server.port, plan=plan)
     await proxy.start()
     print(f"\nchaos proxy up on 127.0.0.1:{proxy.port} "

@@ -8,7 +8,7 @@ audits with nothing but what clients observed:
 1. boot a real :class:`~repro.serve.server.ServeServer` on a real TCP
    port;
 2. put a :class:`~repro.serve.faults.ChaosProxy` in front of it with a
-   seeded :class:`~repro.serve.faults.FaultPlan` (cuts mid-frame,
+   seeded :class:`~repro.serve.faults.WireFaultPlan` (cuts mid-frame,
    stalls, delays, duplicated frames, truncated frames);
 3. drive :class:`~repro.serve.resilient.ResilientClient` sessions
    through the proxy while (depending on the campaign) also crashing
@@ -40,7 +40,7 @@ from repro.analysis.wire_history import (
     check_wire_history,
 )
 from repro.serve.client import ServeError
-from repro.serve.faults import ChaosProxy, FaultPlan
+from repro.serve.faults import ChaosProxy, WireFaultPlan
 from repro.serve.resilient import GaveUp, ResilientClient
 from repro.serve.server import ServeServer
 
@@ -105,19 +105,19 @@ class WireCampaignResult:
         return "\n".join(lines)
 
 
-def _plan_for(kind: str, seed: int) -> Optional[FaultPlan]:
+def _plan_for(kind: str, seed: int) -> Optional[WireFaultPlan]:
     if kind == "disconnects":
-        return FaultPlan(
+        return WireFaultPlan(
             seed, cut_rate=0.015, dup_rate=0.04, delay_rate=0.08,
             delay_seconds=0.02,
         )
     if kind == "stalls":
-        return FaultPlan(
+        return WireFaultPlan(
             seed, stall_rate=0.05, delay_rate=0.10,
             stall_seconds=0.25, delay_seconds=0.03,
         )
     if kind == "truncations":
-        return FaultPlan(seed, truncate_rate=0.02, cut_rate=0.01)
+        return WireFaultPlan(seed, truncate_rate=0.02, cut_rate=0.01)
     # overload tortures the server itself; the proxy only forwards.
     return None
 

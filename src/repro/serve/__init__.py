@@ -6,10 +6,10 @@ server (:mod:`repro.serve.server`) fronts a
 length-prefixed JSON protocol (:mod:`repro.serve.wire`), with pipelining,
 per-cycle write batching, admission control, causal *session tokens*
 that let a client reconnect anywhere without losing read-your-writes or
-monotonic causal order, and read-anywhere replica routing that serves
-each ``get`` from any shard member whose settled prefix covers the
-session's causal floor.  A pipelined client and a closed/open-loop load
-generator ride along; see ``docs/SERVING.md``.
+monotonic causal order, and ``get`` as a session verb: served in the
+session's issue order by any shard member whose settled prefix covers
+the session's causal floor.  A pipelined client and a closed/open-loop
+load generator ride along; see ``docs/SERVING.md``.
 """
 
 from repro.serve.client import (
@@ -19,16 +19,14 @@ from repro.serve.client import (
     ServeOverload,
     reconnect,
 )
-from repro.serve.faults import ChaosProxy, FaultPlan
+from repro.serve.faults import ChaosProxy, WireFaultPlan
 from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.metrics import ServeMetrics, percentile
 from repro.serve.resilient import GaveUp, ResilientClient
 from repro.serve.server import ServeServer
 from repro.serve.wire import (
     DEFAULT_OVERLOAD_RETRY_AFTER,
-    DEFAULT_RETRY_AFTER,
     FRAME_OVERLOAD,
-    FRAME_RETRY,
     MAX_FRAME,
     SERVE_WIRE_VERSION,
     decode_frame,
@@ -41,10 +39,7 @@ __all__ = [
     "ChaosProxy",
     "DEFAULT_OVERLOAD_RETRY_AFTER",
     "DEFAULT_REQUEST_TIMEOUT",
-    "DEFAULT_RETRY_AFTER",
     "FRAME_OVERLOAD",
-    "FRAME_RETRY",
-    "FaultPlan",
     "GaveUp",
     "LoadReport",
     "MAX_FRAME",
@@ -55,6 +50,7 @@ __all__ = [
     "ServeMetrics",
     "ServeOverload",
     "ServeServer",
+    "WireFaultPlan",
     "decode_frame",
     "encode_frame",
     "percentile",

@@ -17,21 +17,15 @@ the token *is* the session, the TCP connection is just a vehicle.
 from __future__ import annotations
 
 import asyncio
-import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.serve.wire import (
-    DEFAULT_RETRY_AFTER,
+    DEFAULT_OVERLOAD_RETRY_AFTER,
     FRAME_OVERLOAD,
-    FRAME_RETRY,
     read_frame,
     write_frame,
 )
-
-#: How many ``retry`` frames :meth:`ServeClient.get` absorbs (sleeping
-#: each frame's ``retry_after``) before giving up with a ServeError.
-GET_RETRIES = 8
 
 #: Default per-request deadline, in seconds.  Generous on purpose: it is
 #: a hang-breaker, not a latency target — a stalled (but open) socket
@@ -60,7 +54,7 @@ def _raise_if_overload(reply: Dict[str, Any]) -> Dict[str, Any]:
     if reply.get("t") == FRAME_OVERLOAD:
         raise ServeOverload(
             f"server overloaded: {reply.get('reason') or 'load shed'}",
-            float(reply.get("retry_after") or DEFAULT_RETRY_AFTER),
+            float(reply.get("retry_after") or DEFAULT_OVERLOAD_RETRY_AFTER),
         )
     return reply
 
@@ -94,19 +88,9 @@ class ServeClient:
         self._recv_dead = False
         self.server_said_bye = False
         self.hello_reply: Optional[Dict[str, Any]] = None
-        #: key -> member that last served a replica-routed get for it.
-        #: Echoed as a sticky hint on later gets of the same key; the
-        #: server honours it only while that replica stays eligible.
-        self.replica_hints: Dict[str, str] = {}
-        #: ``retry`` frames absorbed across this connection's gets.
-        self.retries = 0
         #: Requests that hit their deadline on this connection.
         self.timeouts = 0
         self._deadlines: Dict[int, asyncio.TimerHandle] = {}
-        # Jitter source for retry sleeps — seeded per session name so a
-        # fault campaign replays the same backoff pattern, while distinct
-        # sessions desynchronise (no retry storms).
-        self._rng = random.Random(f"jitter:{session}")
 
     # -- connection lifecycle ----------------------------------------------
 
@@ -280,44 +264,19 @@ class ServeClient:
     def get_submit(self, key: str) -> "asyncio.Future[Dict[str, Any]]":
         """Pipelined get: send the frame now, resolve the reply later.
 
-        The reply may be a ``retry`` frame (``t == "retry"``) when the
-        server runs reject-with-retry and no replica covers the session
-        floor yet — pipelining callers handle it themselves; one-at-a-
-        time callers should use :meth:`get`, which absorbs retries.
+        The reply names the ``replica`` and ``shard`` that served it.
         """
-        document: Dict[str, Any] = {"t": "get", "key": key}
-        hint = self.replica_hints.get(key)
-        if hint is not None:
-            document["replica"] = hint
-        return self.submit(document)
+        return self.submit({"t": "get", "key": key})
 
-    async def get(
-        self, key: str, *, retries: int = GET_RETRIES
-    ) -> Optional[object]:
+    async def get(self, key: str) -> Optional[object]:
         """Causally gated read (read-your-writes; no global snapshot).
 
-        Served by any replica covering the session's causal floor; waits
-        out up to ``retries`` reject-with-retry answers (sleeping each
-        frame's ``retry_after``) before raising.
+        Served in session order by a replica covering the session's
+        causal floor; raises :class:`ServeError` (``get aborted``) if no
+        up replica covers it within the server's bounded wait.
         """
-        for _ in range(retries + 1):
-            reply = _raise_if_overload(await self.get_submit(key))
-            if reply.get("t") == FRAME_RETRY:
-                self.retries += 1
-                # Jittered sleep: every rejected client sleeping exactly
-                # the server-advertised interval would resubmit in
-                # lock-step — a synchronized retry storm.  Spread the
-                # herd over [0.5, 1.5) of the advertised interval.
-                base = float(reply.get("retry_after") or DEFAULT_RETRY_AFTER)
-                await asyncio.sleep(base * (0.5 + self._rng.random()))
-                continue
-            replica = reply.get("replica")
-            if isinstance(replica, str):
-                self.replica_hints[key] = replica
-            return reply.get("value")
-        raise ServeError(
-            f"get {key!r}: no covering replica after {retries} retries"
-        )
+        reply = _raise_if_overload(await self.get_submit(key))
+        return reply.get("value")
 
     async def read(
         self, shards: Optional[Sequence[int]] = None

@@ -19,7 +19,7 @@ both peers:
                   server's idempotent puts and the client's rid matching
                   must both absorb it).
 
-Faults are chosen per frame by a :class:`FaultPlan` — seeded, so a chaos
+Faults are chosen per frame by a :class:`WireFaultPlan` — seeded, so a chaos
 campaign is reproducible fault-for-fault — or injected manually through
 :meth:`ChaosProxy.cut_all` / :meth:`ChaosProxy.stall_all` for targeted
 tests.  The proxy is frame-aware (it splits the byte stream with the
@@ -42,7 +42,7 @@ CLIENTWARD = "clientward"   # server -> client
 SERVERWARD = "serverward"   # client -> server
 
 
-class FaultPlan:
+class WireFaultPlan:
     """Seeded per-frame fault decisions.
 
     Rates are per-frame probabilities per direction; an exempt window
@@ -154,7 +154,7 @@ class ChaosProxy:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        plan: Optional[FaultPlan] = None,
+        plan: Optional[WireFaultPlan] = None,
     ) -> None:
         self.target_host = target_host
         self.target_port = target_port

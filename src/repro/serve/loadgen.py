@@ -54,7 +54,6 @@ class LoadReport:
     reconnects: int
     elapsed: float
     gets: int = 0
-    retries: int = 0
     #: Degradation counters: how much the run had to heal or shed.
     timeouts: int = 0
     overloads: int = 0
@@ -116,12 +115,7 @@ async def _drive_client(
             future = outstanding.pop(0)
             started = getattr(future, "_lg_started", None)
             try:
-                reply = await future
-                if isinstance(reply, dict) and reply.get("t") == "retry":
-                    # Reject-with-retry on a pipelined get: let the
-                    # client's retrying get absorb the wait (rare).
-                    report.retries += 1
-                    await client.get(getattr(future, "_lg_key"))
+                await future
                 if started is not None:
                     report.latencies_ms.append(
                         (time.perf_counter() - started) * 1000.0
@@ -160,7 +154,6 @@ async def _drive_client(
                 future = client.get_submit(key)
                 future._lg_started = time.perf_counter()  # type: ignore[attr-defined]
                 future._lg_get = True  # type: ignore[attr-defined]
-                future._lg_key = key  # type: ignore[attr-defined]
                 outstanding.append(future)
                 await reap(pipeline - 1)
             else:

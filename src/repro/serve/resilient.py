@@ -100,7 +100,6 @@ class ResilientClient:
             "replays": 0,
             "overloads": 0,
             "backoffs": 0,
-            "retries": 0,
             "errors": 0,
         }
 

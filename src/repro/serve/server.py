@@ -21,6 +21,13 @@ simulator drive is the expensive part, so batching amortises it across
 every pipelined request in the cycle — the same lesson as the paper's
 message-packing ablation, applied at the serving edge.
 
+A ``get`` takes one path: the server hands it to its session in wire
+order and the session serves it, in issue order, from a replica that
+covers the session's causal floor (:meth:`Session.get`).  An idle
+session with a covered floor is answered on the spot, without a cycle;
+any other get rides its cycle and is served during the drive, behind the
+session's earlier operations and ahead of its later ones.
+
 Flow control, both directions:
 
 * **admission** — at most ``max_inflight`` unanswered requests per
@@ -58,16 +65,13 @@ from repro.errors import ProtocolError
 from repro.serve.metrics import ServeMetrics
 from repro.serve.wire import (
     DEFAULT_OVERLOAD_RETRY_AFTER,
-    DEFAULT_RETRY_AFTER,
     FRAME_OVERLOAD,
-    FRAME_RETRY,
     SERVE_WIRE_VERSION,
     read_frame,
     write_frame,
 )
 from repro.shard.cluster import ShardedCluster
-from repro.shard.ledger import DATA_KINDS
-from repro.shard.router import Session
+from repro.shard.router import Served, Session
 from repro.types import EntityId, MessageId
 
 #: Default cap on unanswered requests per connection.
@@ -76,19 +80,6 @@ MAX_INFLIGHT = 64
 #: Wall-clock seconds between background repair rounds (anti-entropy +
 #: stability gossip at every up replica) while the server is idle.
 REPAIR_INTERVAL = 0.25
-
-#: Read-routing policies: ``replica`` serves eligible gets directly from
-#: any covering member (round-robin, sticky hints honoured); the
-#: ``coordinator`` policy funnels every get through the batch cycle at
-#: the shard contact — the PR-5/PR-6 behaviour, kept for comparison.
-READ_POLICIES = ("replica", "coordinator")
-
-#: What to do with a get no replica can serve yet: ``forward`` sends it
-#: through the batch cycle (the coordinator path always qualifies after
-#: the cycle's drain); ``retry`` answers immediately with a parseable
-#: :data:`~repro.serve.wire.FRAME_RETRY` frame carrying ``retry_after``
-#: seconds.
-READ_FALLBACKS = ("forward", "retry")
 
 
 class _Connection:
@@ -123,8 +114,8 @@ class _PendingOp:
     """One admitted request waiting for (or resolved by) a batch cycle."""
 
     __slots__ = (
-        "conn", "frame", "started", "label", "read", "error",
-        "deadline", "shed", "opid", "dup",
+        "conn", "frame", "started", "label", "read", "served", "handed",
+        "error", "deadline", "shed", "opid", "dup",
     )
 
     def __init__(self, conn: _Connection, frame: Dict[str, Any], now: float):
@@ -133,6 +124,11 @@ class _PendingOp:
         self.started = now
         self.label: Optional[MessageId] = None
         self.read = None
+        #: What the session's replica read delivered for a get; still
+        #: ``None`` after the cycle's drain means the get was aborted.
+        self.served: Optional[Served] = None
+        #: True once a get has been handed to its session.
+        self.handed = False
         self.error: Optional[str] = None
         #: Absolute loop time past which executing this op is pointless
         #: (the client's deadline will already have fired) — from the
@@ -163,16 +159,9 @@ class ServeServer:
         port: int = 0,
         max_inflight: int = MAX_INFLIGHT,
         repair_interval: float = REPAIR_INTERVAL,
-        read_policy: str = "replica",
-        read_fallback: str = "forward",
-        retry_after: float = DEFAULT_RETRY_AFTER,
         max_queue: Optional[int] = None,
         overload_retry_after: float = DEFAULT_OVERLOAD_RETRY_AFTER,
     ) -> None:
-        if read_policy not in READ_POLICIES:
-            raise ProtocolError(f"unknown read policy: {read_policy!r}")
-        if read_fallback not in READ_FALLBACKS:
-            raise ProtocolError(f"unknown read fallback: {read_fallback!r}")
         # Serving-path clusters skip per-hop trace events: nothing on
         # the serve path reads them, and the hot delivery loop would pay
         # for assembling one per network hop.
@@ -184,9 +173,6 @@ class ServeServer:
         self.port = port
         self.max_inflight = max_inflight
         self.repair_interval = repair_interval
-        self.read_policy = read_policy
-        self.read_fallback = read_fallback
-        self.retry_after = retry_after
         #: Load shedding: with a batch queue at or past this depth, new
         #: work is answered with a parseable ``overload`` frame instead
         #: of being admitted — the server degrades loudly, not silently.
@@ -200,12 +186,12 @@ class ServeServer:
         self._applied_puts: Dict[str, "OrderedDict[str, object]"] = {}
         #: session name -> answered ops, in issue order.  Entries are
         #: ("write", label), ("read", BarrierRead), or
-        #: ("get", (key, shard, served label | None, member | None)).
+        #: ("get", (key, shard, served label | None, member)); a get is
+        #: recorded when its session serves it, not when it is answered.
         self.history: Dict[str, List[Tuple[str, object]]] = {}
-        #: shard -> round-robin cursor over its eligible read replicas.
-        self._rr: Dict[int, int] = {}
         #: session name -> ops of that session still inside the batch
-        #: pipeline; a direct replica get must not overtake them.
+        #: pipeline; a get handed to the session at dispatch would
+        #: overtake them.
         self._session_pending: Dict[str, int] = {}
         self._pending: List[_PendingOp] = []
         self._flush_task: Optional[asyncio.Task] = None
@@ -390,9 +376,19 @@ class ServeServer:
                 # was applied — the frame is safe to retry.
                 await self._send_overload(conn, rid, "queue-full")
                 return
-            if kind == "get" and self.read_policy == "replica":
-                if await self._direct_get(conn, frame):
-                    return  # answered (or told to retry) off the cycle path
+            op = _PendingOp(conn, frame, asyncio.get_event_loop().time())
+            if kind == "get" and not self._session_pending.get(
+                conn.session.name
+            ):
+                # Nothing of this session is inside the batch pipeline,
+                # so session order lets the get go to its session now;
+                # served on the spot, it is answered off the cycle path.
+                self._hand_get(op)
+                if op.served is not None:
+                    await self._answer_direct(op)
+                    return
+                if op.error is None:
+                    self.metrics.bump("read_misses")
             while conn.inflight >= self.max_inflight:
                 # Admission control: stop reading this socket until the
                 # pipeline drains below the cap — the client feels it as
@@ -402,7 +398,7 @@ class ServeServer:
                 await conn.can_admit.wait()
             conn.inflight += 1
             self.metrics.inflight += 1
-            self._enqueue(conn, frame)
+            self._enqueue(op)
             return
         if kind == "token":
             await self._send(conn, {
@@ -508,92 +504,67 @@ class ServeServer:
             "action": action, "shard": shard, "member": member,
         })
 
-    # -- replica-routed reads ----------------------------------------------
+    # -- gets: one read path ------------------------------------------------
 
-    async def _direct_get(
-        self, conn: _Connection, frame: Dict[str, Any]
-    ) -> bool:
-        """Serve a get from a covering replica, off the batch cycle.
+    def _hand_get(self, op: _PendingOp) -> None:
+        """Hand a get to its session, which serves it in session order.
 
-        Eligibility: a member of the key's shard has settled the session
-        token's projection onto that shard (plus any migration handoff) —
-        then its local last-writer-wins state is already causally after
-        everything this session may rely on, so it answers without any
-        broadcast, barrier, or simulator drive.  Returns False to route
-        the get through the batch cycle instead (fallback ``forward``,
-        pipelined session ops in flight); with fallback ``retry`` an
-        uncovered get is answered with a ``retry`` frame.
+        Called when the get's turn comes on the wire: at dispatch if the
+        session has nothing in the batch pipeline, else at the op's own
+        position in its cycle.  A replica covering the session's causal
+        floor answers it (:meth:`Session.get`) — synchronously when one
+        already does, else during the cycle's drain, behind the session's
+        earlier operations and ahead of its later ones.
         """
-        session = conn.session
-        if not session.idle or self._session_pending.get(session.name, 0):
-            # The session has ops inside the batch pipeline (e.g. a
-            # pipelined put this get must observe); the cycle path keeps
-            # issue order.
-            return False
-        key = frame.get("key")
+        op.handed = True
+        key = op.frame.get("key")
         if not isinstance(key, str):
-            return False
-        shard, _slot, floor = session.read_floor(key)
-        loop = asyncio.get_event_loop()
-        started = loop.time()
-        member = self._choose_replica(frame, shard, floor)
-        if member is None:
-            self.metrics.bump("read_misses")
-            if self.read_fallback != "retry":
-                return False
-            self.metrics.bump("gets_retried")
-            await self._send(conn, {
-                "t": FRAME_RETRY, "rid": frame.get("rid"),
-                "key": key, "shard": shard,
-                "retry_after": self.retry_after,
-            })
-            return True
-        value, label = self.cluster.member_read(shard, member, key)
-        if label is not None:
-            # The session now depends on what it saw: monotonic reads
-            # and writes-follow-reads hold by construction.
-            session.observe(label)
-        self.history[session.name].append(("get", (key, shard, label, member)))
+            op.error = "get needs a string key"
+            return
+        op.conn.session.get(
+            key, lambda served, op=op: self._get_served(op, served)
+        )
+
+    def _get_served(self, op: _PendingOp, served: Optional[Served]) -> None:
+        op.served = served
+        if served is not None:
+            _value, label, member, shard = served
+            # Recorded when served, not when answered: the audit must
+            # see the get where it sat in the session's issue order.
+            self.history[op.conn.session.name].append(
+                ("get", (op.frame["key"], shard, label, member))
+            )
+            self.metrics.bump(f"replica_reads_{member}")
+
+    def _get_reply(self, op: _PendingOp) -> Dict[str, Any]:
+        if op.served is None:
+            self.metrics.bump("errors")
+            return {
+                "t": "error", "rid": op.frame.get("rid"),
+                "error": "get aborted: no replica covers the session floor",
+            }
+        value, _label, member, shard = op.served
+        return {
+            "t": "reply", "rid": op.frame.get("rid"), "ok": True,
+            "key": op.frame["key"], "value": value,
+            "shard": shard, "replica": member,
+            "token": op.conn.session.export_token(),
+        }
+
+    async def _answer_direct(self, op: _PendingOp) -> None:
         self.metrics.bump("ops")
         self.metrics.bump("gets")
         self.metrics.bump("gets_direct")
-        self.metrics.bump(f"replica_reads_{member}")
-        millis = (loop.time() - started) * 1000.0
+        millis = (asyncio.get_event_loop().time() - op.started) * 1000.0
         self.metrics.record_latency("get", millis)
         self.metrics.record_latency("op", millis)
-        await self._send(conn, {
-            "t": "reply", "rid": frame.get("rid"), "ok": True,
-            "key": key, "value": value,
-            "shard": shard, "replica": member,
-            "token": session.export_token(),
-        })
-        return True
-
-    def _choose_replica(
-        self, frame: Dict[str, Any], shard: int, floor
-    ) -> Optional[EntityId]:
-        """Pick an eligible read replica: sticky hint, else round-robin."""
-        members = self.cluster.read_members(shard)
-        eligible = [
-            member for member in members
-            if self.cluster.covers(shard, member, floor)
-        ]
-        if not eligible:
-            return None
-        hint = frame.get("replica")
-        if hint in eligible:
-            self.metrics.bump("sticky_hits")
-            return hint
-        cursor = self._rr.get(shard, 0)
-        self._rr[shard] = cursor + 1
-        return eligible[cursor % len(eligible)]
+        await self._send(op.conn, self._get_reply(op))
 
     # -- the batch cycle ---------------------------------------------------
 
-    def _enqueue(self, conn: _Connection, frame: Dict[str, Any]) -> None:
-        loop = asyncio.get_event_loop()
-        self._pending.append(_PendingOp(conn, frame, loop.time()))
-        name = conn.session.name
+    def _enqueue(self, op: _PendingOp) -> None:
+        self._pending.append(op)
+        name = op.conn.session.name
         self._session_pending[name] = self._session_pending.get(name, 0) + 1
         self.metrics.queue_depth = len(self._pending)
         if self._flush_task is None or self._flush_task.done():
@@ -683,6 +654,8 @@ class ServeServer:
                     shards=shards,
                     callback=lambda read, op=op: setattr(op, "read", read),
                 )
+            elif kind == "get" and not op.handed:
+                self._hand_get(op)
         self.metrics.record_batch(len(batch))
         for shard, count in sorted(per_shard.items()):
             self.metrics.bump(f"shard{shard}_batch_puts", count)
@@ -798,23 +771,9 @@ class ServeServer:
             }
         if kind == "get":
             self.metrics.bump("gets")
-            key = frame.get("key")
-            value, label, member, shard = self._cycle_get(session, key)
-            if label is not None:
-                session.observe(label)
-            if isinstance(key, str):
-                self.history[session.name].append(
-                    ("get", (key, shard, label, member))
-                )
-            reply = {
-                "t": "reply", "rid": rid, "ok": True,
-                "key": key, "value": value,
-                "token": session.export_token(),
-            }
-            if member is not None:
-                reply["shard"] = shard
-                reply["replica"] = member
-            return reply
+            if op.served is not None:
+                self.metrics.bump("gets_cycle")
+            return self._get_reply(op)
         self.metrics.bump("reads")
         read = op.read
         if read is None:
@@ -836,74 +795,6 @@ class ServeServer:
             },
             "token": session.export_token(),
         }
-
-    def _cycle_get(
-        self, session: Session, key: object
-    ) -> Tuple[Optional[object], Optional[MessageId], Optional[EntityId], Optional[int]]:
-        """Serve a batch-path get, post-drain, as (value, label, member, shard).
-
-        Runs after the cycle's ``cluster.drain()``, so any put this get
-        was pipelined behind has already issued and (normally) settled
-        at the contact.  Prefers a member read — the contact first (the
-        coordinator path proper, and what the ``forward`` fallback lands
-        on), then any other covering replica — and only falls back to
-        the session-local ledger fold when nobody covers the floor yet
-        (e.g. the shard is mid-repair); the fold is always safe but
-        carries no label for the freshness audit.
-        """
-        cluster = self.cluster
-        if isinstance(key, str):
-            shard, _slot, floor = session.read_floor(key)
-            order = cluster.read_members(shard)
-            contact = cluster.contact(shard)
-            if contact in order:
-                order = [contact] + [m for m in order if m != contact]
-            for member in order:
-                if cluster.covers(shard, member, floor):
-                    value, label = cluster.member_read(shard, member, key)
-                    self.metrics.bump("gets_cycle")
-                    self.metrics.bump(f"replica_reads_{member}")
-                    return value, label, member, shard
-            value, label = self._session_get(session, key)
-            return value, label, None, shard
-        value, _label = self._session_get(session, key)
-        return value, None, None, None
-
-    def _session_get(
-        self, session: Session, key: object
-    ) -> Tuple[Optional[object], Optional[MessageId]]:
-        """Session-local fallback read: fold the session's own causal past.
-
-        The newest (value, write label) for ``key`` under the session's
-        current frontier — read-your-writes for this session, no
-        cross-session freshness promise.  Last resort behind the
-        replica/coordinator member reads.
-        """
-        cluster = self.cluster
-        past: Set[MessageId] = set()
-        for labels in session.frontier.values():
-            for label in labels:
-                past.add(label)
-                past |= cluster.graph.causal_past(label)
-        best_index = -1
-        best_value: Optional[object] = None
-        best_label: Optional[MessageId] = None
-        for label in past:
-            record = cluster.ops.get(label)
-            if record is None or record.kind not in DATA_KINDS:
-                continue
-            if record.index <= best_index:
-                continue
-            if record.kind == "put":
-                if record.key == key:
-                    best_index = record.index
-                    best_value = record.value["value"]
-                    best_label = label
-            elif key in record.value["entries"]:
-                best_index = record.index
-                best_value = record.value["entries"][key]
-                best_label = label
-        return best_value, best_label
 
     # -- auditing ----------------------------------------------------------
 
@@ -953,7 +844,7 @@ class ServeServer:
     def get_violations(self) -> List[GuaranteeViolation]:
         """Audit replica-served gets for per-key session monotonicity.
 
-        Walking each session's history in answer order, a key's *floor*
+        Walking each session's history in issue order, a key's *floor*
         is the newest (by issue index) write of that key the session is
         entitled to: its own puts, writes observed by its barrier reads,
         and writes served by its earlier gets.  Every get must return a

@@ -11,11 +11,8 @@ client-chosen correlation id echoed on the reply) — nothing in the
 framing layer assumes requests are answered in order, which is what
 makes pipelining possible.  Unknown document fields are preserved by
 :func:`decode_frame` and ignored by the server, mirroring the envelope
-codec's forward-compatibility rule.  Besides ``reply``/``error``, a
-``get`` may be answered with a :data:`FRAME_RETRY` frame (reject-with-
-retry under replica routing), and replica-served replies carry the
-:data:`FIELD_REPLICA`/``shard`` fields so clients can stick to a warm
-replica.
+codec's forward-compatibility rule.  Every answered ``get`` carries the
+:data:`FIELD_REPLICA`/``shard`` fields naming the member that served it.
 
 The frame length is bounded (:data:`MAX_FRAME`): a malformed or
 malicious length prefix must not make the server allocate gigabytes.
@@ -38,16 +35,6 @@ MAX_FRAME = 4 * 1024 * 1024
 
 _LENGTH_BYTES = 4
 
-#: Frame type of a reject-with-retry answer to a ``get``: no replica of
-#: the key's shard currently covers the session's causal floor, so the
-#: server asks the client to resubmit after ``retry_after`` seconds
-#: (fields: ``rid``, ``key``, ``shard``, ``retry_after``).  Only sent
-#: when the server runs with ``read_fallback="retry"``.
-FRAME_RETRY = "retry"
-
-#: Default client back-off carried by ``retry`` frames, in seconds.
-DEFAULT_RETRY_AFTER = 0.05
-
 #: Frame type of a load-shed answer: the server refused (queue full) or
 #: abandoned (deadline passed before execution) the request instead of
 #: stalling silently.  Fields: ``rid``, ``reason`` (``"queue-full"`` or
@@ -56,14 +43,10 @@ DEFAULT_RETRY_AFTER = 0.05
 FRAME_OVERLOAD = "overload"
 
 #: Default client back-off carried by ``overload`` frames, in seconds.
-#: Longer than :data:`DEFAULT_RETRY_AFTER` — overload means *shed load*,
-#: not *try the next replica*.
 DEFAULT_OVERLOAD_RETRY_AFTER = 0.1
 
-#: Reply fields identifying which member answered a replica-routed get:
-#: ``replica`` (the member id) and ``shard`` (its shard).  Clients may
-#: echo ``replica`` on later gets of the same key as a sticky-routing
-#: hint; the server honours it only while that member stays eligible.
+#: Reply fields identifying which member answered a get: ``replica``
+#: (the member id) and ``shard`` (its shard).
 FIELD_REPLICA = "replica"
 
 

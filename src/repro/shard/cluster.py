@@ -23,7 +23,7 @@ cross-shard causal-consistency check
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.invariants import CrossShardChecker, Violation
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
@@ -210,6 +210,8 @@ class ShardedCluster:
                 ],
             ],
         ] = {}
+        #: shard -> round-robin cursor of `read_replica`.
+        self._read_cursor: Dict[int, int] = {}
         self.barriers_started = 0
         self.reads_failed = 0
         self._livelock: Optional[str] = None
@@ -501,27 +503,25 @@ class ShardedCluster:
             return record.value["entries"][key], label
         return None, None
 
-    def read_contact(
-        self, shard: int, floor: Iterable[MessageId]
+    def read_replica(
+        self, shard: int, floor: Collection[MessageId]
     ) -> Optional[EntityId]:
-        """A read-serving member of ``shard`` covering ``floor``.
+        """The member that serves the next read of ``shard`` under ``floor``.
 
-        Prefers the stable contact (keeping frontier maintenance lazy on
-        everyone else); only when the contact does not cover the floor
-        does it probe the other read members, and when nobody covers it
-        falls back to the contact — the caller's retry/dependency
-        machinery handles the wait.
+        The one selection rule: round-robin over the read members whose
+        settled set covers ``floor``, so reads spread over every covering
+        copy and a lagging replica stays inside the audited read set.
+        ``None`` while no up member covers the floor.
         """
-        floor = tuple(floor)
-        contact = self.contact(shard)
-        if not floor or (
-            contact is not None and self.covers(shard, contact, floor)
-        ):
-            return contact
-        for member in self.read_members(shard):
-            if self.covers(shard, member, floor):
-                return member
-        return contact
+        eligible = [
+            member for member in self.read_members(shard)
+            if self.covers(shard, member, floor)
+        ]
+        if not eligible:
+            return None
+        cursor = self._read_cursor.get(shard, 0)
+        self._read_cursor[shard] = cursor + 1
+        return eligible[cursor % len(eligible)]
 
     def invalidate_snapshots(self, *shards: int) -> None:
         """Drop barrier snapshot-cache entries touching any of ``shards``.

@@ -20,9 +20,10 @@ graph.  Projection is what makes the scheme sound: if ``put1(A)`` ≺
 depends on ``put1`` even though the session never touched A before.
 
 Sessions are FIFO: an operation is issued only after every earlier one
-(writes issue, reads complete).  A write whose slot is frozen by an
-in-flight rebalance waits at the head of the queue — preserving session
-order through the cutover.
+(writes issue, gets are served, barrier reads complete).  A write whose
+slot is frozen by an in-flight rebalance, or a get whose floor no up
+replica covers yet, waits at the head of the queue — preserving session
+order through the cutover or the catch-up.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.types import MessageId
+from repro.types import EntityId, MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.barrier import BarrierRead
@@ -49,8 +50,13 @@ PUT_ATTEMPTS = 240
 TOKEN_VERSION = 1
 
 
+#: What a served get hands its callback: (value, label of the write it
+#: came from — ``None`` for a never-written key —, serving member, shard).
+Served = Tuple[Optional[object], Optional[MessageId], EntityId, int]
+
+
 class Session:
-    """One client session: FIFO keyed writes and barrier reads."""
+    """One client session: FIFO keyed writes, gets and barrier reads."""
 
     def __init__(self, router: "ShardRouter", name: str) -> None:
         self.router = router
@@ -80,8 +86,25 @@ class Session:
         exhausts its retry budget and is dropped.  The serving layer uses
         it to answer wire requests with the label the put became.
         """
-        self._queue.append(["put", key, value, PUT_ATTEMPTS, on_issued])
-        self.pump()
+        self._enqueue(["put", (key, value), on_issued, PUT_ATTEMPTS])
+
+    def get(
+        self, key: str, on_served: Callable[[Optional[Served]], None]
+    ) -> None:
+        """Queue a causally gated read of ``key``, served in session order.
+
+        When the get reaches the head of the queue it is answered by one
+        replica of the key's shard that has settled :meth:`read_floor`
+        (:meth:`ShardedCluster.read_replica` picks it), and the served
+        write is folded into the frontier before any later operation of
+        this session issues — so the get sees every earlier put of the
+        session and none of the later ones.  ``on_served`` fires exactly
+        once: with ``(value, label, member, shard)``, or with ``None``
+        if no up replica covered the floor within the retry budget a put
+        gets.  While it waits, only this session's later operations are
+        held back.
+        """
+        self._enqueue(["get", (key,), on_served, PUT_ATTEMPTS])
 
     def read(
         self,
@@ -90,8 +113,7 @@ class Session:
     ) -> None:
         """Queue a consistent multi-shard read (all shards by default)."""
         chosen = tuple(shards) if shards is not None else None
-        self._queue.append(["read", chosen, callback])
-        self.pump()
+        self._enqueue(["read", (chosen,), callback])
 
     @property
     def idle(self) -> bool:
@@ -173,31 +195,40 @@ class Session:
 
     # -- engine ------------------------------------------------------------
 
+    def _enqueue(self, entry: list) -> None:
+        self._queue.append(entry)
+        if len(self._queue) == 1:
+            # Behind a blocked head there is nothing to do: its retry
+            # timer (or its barrier's completion) pumps the queue, and
+            # re-trying it here would spend its attempt budget on calls
+            # instead of on simulated seconds.
+            self.pump()
+
     def pump(self) -> None:
-        """Issue queued operations until blocked (frozen slot, read)."""
+        """Issue queued operations until one blocks.
+
+        A put on a frozen slot and a get no replica covers yet retry on
+        a timer; a barrier read holds the queue until it completes.
+        """
         while self._queue and not self._reading:
             entry = self._queue[0]
-            if entry[0] == "put":
-                _, key, value, _attempts, on_issued = entry
-                label = self._issue_put(key, value)
-                if label is None:
-                    entry[3] -= 1
-                    if entry[3] <= 0:
-                        self.ops_skipped += 1
-                        self._queue.popleft()
-                        if on_issued is not None:
-                            on_issued(None)
-                        continue
+            kind, args, callback = entry[:3]
+            if kind == "read":
+                self._queue.popleft()
+                self._begin_read(*args, callback)
+                return
+            attempt = self._issue_put if kind == "put" else self._serve_get
+            outcome = attempt(*args)
+            if outcome is None:
+                entry[3] -= 1
+                if entry[3] > 0:
                     self._arm_retry()
                     return
-                self._queue.popleft()
-                if on_issued is not None:
-                    on_issued(label)
-            else:
-                _, shards, callback = entry
-                self._queue.popleft()
-                self._begin_read(shards, callback)
-                return
+                if kind == "put":
+                    self.ops_skipped += 1
+            self._queue.popleft()
+            if callback is not None:
+                callback(outcome)
 
     def _issue_put(self, key: str, value: object) -> Optional[MessageId]:
         cluster = self.router.cluster
@@ -281,6 +312,19 @@ class Session:
             },
             cross=dict(self.frontier),
         ).start()
+
+    def _serve_get(self, key: str) -> Optional[Served]:
+        cluster = self.router.cluster
+        shard, _slot, floor = self.read_floor(key)
+        member = cluster.read_replica(shard, floor)
+        if member is None:
+            return None
+        value, label = cluster.member_read(shard, member, key)
+        if label is not None:
+            # The session now depends on what it saw: monotonic reads
+            # and writes-follow-reads hold by construction.
+            self.observe(label)
+        return value, label, member, shard
 
     def read_floor(
         self, key: str

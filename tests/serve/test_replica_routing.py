@@ -1,23 +1,32 @@
-"""Replica-routed gets: eligibility gating, spread, stickiness, failover.
+"""Replica-routed gets: issue order, eligibility gating, spread, failover.
 
-The read-anywhere front end routes each ``get`` to any up member of the
-key's shard whose settled prefix covers the session token's projection
-onto that shard — round-robin over the eligible set, sticky hints
-honoured while they stay eligible, falling back to the batch cycle
-(``forward``) or a parseable ``retry`` frame (``retry``) when nobody
-covers.  These tests drive the whole stack over localhost sockets.
+A ``get`` is a session verb: the server hands it to its session in wire
+order, and the session serves it — behind its earlier operations, ahead
+of its later ones — from any up member of the key's shard whose settled
+prefix covers the session token's projection onto that shard, round-
+robin over the covering set.  With nobody covering, the get waits a
+bounded time and is then refused with a parseable ``error``.  These
+tests drive the whole stack over localhost sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
+import random
+import time
+from collections import deque
 from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.analysis.wire_history import (
+    WireHistory,
+    WireRecorder,
+    check_wire_history,
+    corrupt_stale_read,
+)
 from repro.serve import ServeClient, ServeError, ServeServer
-from repro.serve.server import READ_FALLBACKS, READ_POLICIES
 
 
 @asynccontextmanager
@@ -55,19 +64,23 @@ def replica_counters(srv) -> dict:
     }
 
 
-class TestConfig:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ProtocolError):
-            ServeServer(read_policy="psychic")
-
-    def test_unknown_fallback_rejected(self):
-        with pytest.raises(ProtocolError):
-            ServeServer(read_fallback="shrug")
-
-    def test_knob_domains(self):
-        assert "replica" in READ_POLICIES
-        assert "coordinator" in READ_POLICIES
-        assert set(READ_FALLBACKS) == {"forward", "retry"}
+def test_option_surface_is_pinned():
+    """The read path takes no options: one rule, nothing to select."""
+    parameters = list(inspect.signature(ServeServer.__init__).parameters)
+    assert parameters == [
+        "self", "cluster", "shards", "members_per_shard", "seed", "host",
+        "port", "max_inflight", "repair_interval", "max_queue",
+        "overload_retry_after",
+    ]
+    for removed in (
+        {"read_policy": "replica"},
+        {"read_fallback": "forward"},
+        {"retry_after": 0.1},
+    ):
+        with pytest.raises(TypeError):
+            ServeServer(**removed)
+    with pytest.raises(TypeError):
+        ServeClient("127.0.0.1", 1, "c").get("k", retries=1)
 
 
 class TestDirectGets:
@@ -90,8 +103,7 @@ class TestDirectGets:
                 await cli.put_wait("k", "v")
                 served = set()
                 for _ in range(6):
-                    # Raw submits carry no sticky hint, so the cursor
-                    # walks the whole eligible set.
+                    # The cursor walks the whole eligible set.
                     reply = await cli.submit({"t": "get", "key": "k"})
                     assert reply["value"] == "v"
                     served.add(reply["replica"])
@@ -102,16 +114,35 @@ class TestDirectGets:
 
         run(scenario)
 
-    def test_sticky_hint_pins_the_replica(self):
+    @pytest.mark.parametrize("hint", ["unknown", "crashed", "non-covering"])
+    def test_replica_field_from_old_clients_is_ignored(self, hint):
+        """Clients that still echo a ``replica`` hint are served normally."""
+
         async def scenario():
-            async with server() as srv, client(srv) as cli:
+            async with server(repair_interval=0) as srv, client(srv) as cli:
                 await cli.put_wait("k", "v")
-                assert await cli.get("k") == "v"
-                first = cli.replica_hints["k"]
+                (shard, group), = srv.cluster.groups.items()
+                # Not the write's origin: a restarted origin replays its
+                # outbox and would cover the floor again at once.
+                named = group.members[1]
+                if hint == "unknown":
+                    named = "no-such-member"
+                elif hint == "crashed":
+                    group.crash(named)
+                else:
+                    group.crash(named)
+                    group.restart(named)
+                    session = srv.cluster.router.session("c")
+                    _shard, _slot, floor = session.read_floor("k")
+                    assert not srv.cluster.covers(shard, named, floor)
                 for _ in range(4):
-                    assert await cli.get("k") == "v"
-                    assert cli.replica_hints["k"] == first
-                assert srv.metrics.counters["sticky_hits"] == 4
+                    reply = await cli.submit(
+                        {"t": "get", "key": "k", "replica": named}
+                    )
+                    assert reply["value"] == "v"
+                    assert reply["replica"] in group.members
+                    assert reply["replica"] != named
+                assert srv.session_guarantee_violations() == []
 
         run(scenario)
 
@@ -131,14 +162,102 @@ class TestDirectGets:
 
         run(scenario)
 
-    def test_coordinator_policy_serves_through_the_cycle(self):
+    def test_get_never_sees_a_put_pipelined_behind_it(self):
+        """Regression: the burst put(other); get(k); put(k, "v2").
+
+        The get used to join the batch cycle and be answered after the
+        cycle's drain, by which time the put behind it had landed.
+        """
+
         async def scenario():
-            async with server(read_policy="coordinator") as srv:
-                async with client(srv) as cli:
-                    await cli.put_wait("k", "v")
-                    assert await cli.get("k") == "v"
-                    assert srv.metrics.counters.get("gets_direct", 0) == 0
-                    assert srv.session_guarantee_violations() == []
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", "v1")
+                other = cli.put("other", "x")
+                get = cli.get_submit("k")
+                later = cli.put("k", "v2")
+                assert (await get)["value"] == "v1"
+                assert (await other)["ok"] and (await later)["ok"]
+                assert await cli.get("k") == "v2"
+                assert srv.get_violations() == []
+
+        run(scenario)
+
+    def test_non_string_key_is_a_per_op_error(self):
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                with pytest.raises(ServeError, match="get needs a string key"):
+                    await cli.submit({"t": "get", "key": 7})
+                assert (await cli.put_wait("k", "v"))["ok"]
+
+        run(scenario)
+
+
+async def drive_mixed(cli: ServeClient, recorder: WireRecorder, seed: int):
+    """400 ops at depth 32, 70 % get / 30 % put over 4 private keys.
+
+    No key avoidance: a put may follow a still-unanswered get of the
+    same key.  The recorder is fed in issue order, whatever order the
+    replies resolve in.
+    """
+    rng = random.Random(seed)
+    keys = [f"{cli.session}.k{i}" for i in range(4)]
+    inflight = deque()
+
+    async def settle():
+        kind, key, value, future = inflight.popleft()
+        reply = await future
+        if kind == "put":
+            recorder.put(key, value)
+        else:
+            recorder.get(key, reply["value"])
+
+    for index in range(400):
+        key = rng.choice(keys)
+        if rng.random() < 0.3:
+            value = f"{cli.session}:{index}"
+            inflight.append(("put", key, value, cli.put(key, value)))
+        else:
+            inflight.append(("get", key, None, cli.get_submit(key)))
+        if len(inflight) == 32:
+            await settle()
+    while inflight:
+        await settle()
+
+
+class TestIssueOrder:
+    def test_pipelined_same_key_traffic_is_causally_consistent(self):
+        """Regression: black-box ``cyclic-co`` the white-box audit missed.
+
+        A get answered after its cycle's drain returned a put the same
+        session pipelined behind it; the server's own audit recorded
+        gets in answer order and so saw nothing.
+        """
+
+        async def scenario():
+            async with server() as srv:
+                async with client(srv, "a") as a, client(srv, "b") as b:
+                    recorders = [WireRecorder("a"), WireRecorder("b")]
+                    await asyncio.gather(
+                        drive_mixed(a, recorders[0], 1),
+                        drive_mixed(b, recorders[1], 2),
+                    )
+                history = WireHistory.merge(recorders)
+                assert len(history) == 800
+                assert check_wire_history(
+                    history, levels=("CC", "CCv")
+                ) == []
+                assert srv.session_guarantee_violations() == []
+                # Non-vacuity: the same check flags a planted stale read.
+                assert check_wire_history(
+                    corrupt_stale_read(history), levels=("CC", "CCv")
+                )
+                counters = srv.metrics.counters
+                assert counters["gets_direct"] and counters["gets_cycle"]
+                assert (
+                    counters["gets_direct"] + counters["gets_cycle"]
+                    == counters["gets"]
+                )
+                assert len(replica_counters(srv)) >= 2
 
         run(scenario)
 
@@ -159,50 +278,29 @@ def orphan_the_write(srv):
     return group, origin
 
 
-class TestFallbacks:
-    def test_forward_fallback_serves_from_session_state(self):
+class TestUncoveredFloor:
+    def test_uncovered_floor_is_a_bounded_wait_then_a_refusal(self):
+        """Never an answer no replica holds: wait, then a parseable error."""
+
         async def scenario():
             async with server() as srv, client(srv) as cli:
                 await cli.put_wait("k", "v")
-                orphan_the_write(srv)
-                # No replica covers, so the get forwards to the batch
-                # cycle, which folds the session's own causal past —
-                # read-your-writes survives losing every covering copy.
-                assert await cli.get("k") == "v"
+                group, origin = orphan_the_write(srv)
+                started = time.perf_counter()
+                with pytest.raises(ServeError, match="get aborted"):
+                    await cli.get("k")
+                assert time.perf_counter() - started < 1.0
                 assert srv.metrics.counters["read_misses"] >= 1
+                # The refusal is per-op: the connection stays usable.
+                assert (await cli.put_wait("k2", "w"))["ok"]
+                # Recovery: the origin comes back, replays its outbox,
+                # and anti-entropy refills the amnesiacs.
+                group.restart(origin)
+                srv._repair_round()
+                reply = await cli.get_submit("k")
+                assert reply["value"] == "v"
+                assert reply["replica"] in group.members
                 assert srv.session_guarantee_violations() == []
-
-        run(scenario)
-
-    def test_retry_fallback_emits_parseable_frames(self):
-        async def scenario():
-            async with server(read_fallback="retry") as srv:
-                async with client(srv) as cli:
-                    await cli.put_wait("k", "v")
-                    orphan_the_write(srv)
-                    reply = await cli.get_submit("k")
-                    assert reply["t"] == "retry"
-                    assert reply["key"] == "k"
-                    assert reply["shard"] in srv.cluster.groups
-                    assert reply["retry_after"] > 0
-
-        run(scenario)
-
-    def test_client_absorbs_retries_until_exhaustion(self):
-        async def scenario():
-            async with server(read_fallback="retry", retry_after=0.005) as srv:
-                async with client(srv) as cli:
-                    await cli.put_wait("k", "v")
-                    group, origin = orphan_the_write(srv)
-                    with pytest.raises(ServeError, match="no covering"):
-                        await cli.get("k", retries=2)
-                    assert cli.retries == 3
-                    # Recovery: the origin comes back, replays its
-                    # outbox, and anti-entropy refills the amnesiacs.
-                    group.restart(origin)
-                    srv._repair_round()
-                    assert await cli.get("k") == "v"
-                    assert srv.session_guarantee_violations() == []
 
         run(scenario)
 
@@ -212,14 +310,14 @@ class TestFailover:
         async def scenario():
             async with server() as srv, client(srv) as cli:
                 await cli.put_wait("k", "v")
-                assert await cli.get("k") == "v"
-                target = cli.replica_hints["k"]
+                target = (await cli.get_submit("k"))["replica"]
                 (shard,) = srv.cluster.groups
                 await cli.chaos("crash", shard, target)
-                # The sticky hint now points at a corpse; the server
-                # must ignore it and reroute to a covering survivor.
-                assert await cli.get("k") == "v"
-                assert cli.replica_hints["k"] != target
+                # Every later get is rerouted to a covering survivor.
+                for _ in range(3):
+                    reply = await cli.get_submit("k")
+                    assert reply["value"] == "v"
+                    assert reply["replica"] != target
                 assert srv.session_guarantee_violations() == []
 
         run(scenario)

@@ -15,7 +15,7 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.serve import ServeClient, ServeError, ServeServer
-from repro.serve.faults import CLIENTWARD, ChaosProxy, FaultPlan
+from repro.serve.faults import CLIENTWARD, ChaosProxy, WireFaultPlan
 from repro.serve.resilient import ResilientClient
 
 
@@ -139,7 +139,7 @@ class TestTruncation:
         async def scenario():
             # Grace covers exactly the hello exchange (frame 0 in each
             # direction); the put is frame 1 and gets truncated.
-            plan = FaultPlan(7, truncate_rate=1.0, grace_frames=1)
+            plan = WireFaultPlan(7, truncate_rate=1.0, grace_frames=1)
             async with proxied_server(plan) as (srv, proxy):
                 cli = ServeClient(
                     "127.0.0.1", proxy.port, "trunc", request_timeout=2.0
@@ -159,7 +159,7 @@ class TestDuplication:
         keep the session history single-application."""
 
         async def scenario():
-            plan = FaultPlan(3, dup_rate=1.0, grace_frames=1)
+            plan = WireFaultPlan(3, dup_rate=1.0, grace_frames=1)
             async with proxied_server(plan) as (srv, proxy):
                 cli = ServeClient("127.0.0.1", proxy.port, "dup")
                 await cli.connect()

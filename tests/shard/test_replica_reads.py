@@ -1,9 +1,10 @@
 """Replica-read plumbing: coverage gate, per-key index, amnesia, caches.
 
-The serving layer's read-anywhere routing stands on four cluster
+The session layer's read-anywhere routing stands on five cluster
 primitives — ``covers`` (the eligibility gate), ``member_read`` (the
-per-member LWW fold), ``read_members`` (who may serve), and the
-``key_writes`` index they walk — plus two regressions this PR fixes:
+per-member LWW fold), ``read_members`` (who may serve), ``read_replica``
+(who serves next), and the ``key_writes`` index they walk — plus two
+regressions fixed alongside them:
 ``contact`` must not pick a just-restarted amnesiac, and the barrier
 snapshot cache must be dropped on rebalance cutover and member restart.
 """
@@ -99,14 +100,22 @@ class TestReadMembers:
         group.crash(group.members[1])
         assert group.members[1] not in cluster.read_members(0)
 
-    def test_read_contact_prefers_the_contact(self):
+    def test_read_replica_round_robins_over_covering_members(self):
         cluster = quiet_cluster()
-        key = key_for(cluster, 0)
-        cluster.router.session("s").put(key, "v")
+        group = cluster.groups[0]
+        label = cluster.shard_send(
+            0, "put", {"key": "k", "value": "v"},
+            occurs_after=frozenset(), cross_deps=frozenset(), session="s",
+        )
+        # In flight: nobody has settled the label, nobody may serve.
+        assert cluster.read_replica(0, {label}) is None
         cluster.drain()
-        (label,) = cluster.issue_order
-        assert cluster.read_contact(0, frozenset()) == cluster.contact(0)
-        assert cluster.read_contact(0, {label}) == cluster.contact(0)
+        picks = [cluster.read_replica(0, {label}) for _ in range(6)]
+        assert picks == list(group.members) * 2
+        group.crash(group.members[1])
+        assert group.members[1] not in {
+            cluster.read_replica(0, {label}) for _ in range(4)
+        }
 
 
 class TestAmnesiacContact:

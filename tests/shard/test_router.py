@@ -120,6 +120,91 @@ class TestReads:
         assert session.idle
 
 
+class TestGets:
+    """``Session.get``: the third FIFO verb, served by a covering replica."""
+
+    def test_get_waits_for_the_put_before_it_and_precedes_the_put_after(self):
+        cluster = quiet_cluster(shards=1)
+        session = cluster.router.session("s")
+        served = []
+        session.put("k", "v1")
+        (first,) = cluster.issue_order
+        session.get("k", served.append)
+        session.put("k", "v2")
+        # The put is still in flight: no replica covers {first}, so the
+        # get waits and holds the second put back with it.
+        assert served == []
+        assert cluster.issue_order == [first]
+        cluster.drain()
+        ((value, label, member, shard),) = served
+        assert (value, label, shard) == ("v1", first, 0)
+        assert cluster.covers(0, member, {first})
+        _, second = cluster.issue_order
+        # Writes-follow-reads: the later put is stamped after what the
+        # get observed, so it cannot have issued before the get was served.
+        assert cluster.ops[second].deps == frozenset({first})
+        assert session.idle
+
+    def test_idle_session_get_is_served_synchronously(self):
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        key = key_for(cluster, 1)
+        session.put(key, "v")
+        cluster.drain()
+        served = []
+        session.get(key, served.append)
+        session.get("never-written", served.append)
+        assert [(value, label) for value, label, _m, _s in served] == [
+            ("v", cluster.issue_order[0]), (None, None),
+        ]
+
+    def test_get_behind_a_barrier_read_waits_for_it(self):
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        key = key_for(cluster, 0)
+        session.put(key, "v")
+        cluster.drain()
+        order = []
+        session.read(callback=lambda read: order.append("read"))
+        session.get(key, lambda served: order.append(served[0]))
+        assert order == []
+        cluster.drain()
+        assert order == ["read", "v"]
+
+    def test_budget_exhaustion_aborts_once_and_unblocks_the_queue(self):
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        key = key_for(cluster, 0)
+        session.put(key, "v")
+        cluster.drain()
+        for member in cluster.groups[0].members:
+            cluster.groups[0].crash(member)
+        served, issued = [], []
+        session.get(key, served.append)
+        session.put(key_for(cluster, 1), "w", on_issued=issued.append)
+        assert served == [] and issued == []
+        cluster.drain()  # 240 one-second retries, then the get is aborted
+        assert served == [None]
+        assert len(issued) == 1 and issued[0] is not None
+        assert session.idle
+
+    def test_waiting_get_holds_back_only_its_own_session(self):
+        cluster = quiet_cluster()
+        key = key_for(cluster, 0)
+        blocked = cluster.router.session("blocked")
+        blocked.put(key, "v")
+        waiting = []
+        blocked.get(key, waiting.append)
+        other = cluster.router.session("other")
+        other.put(key, "w")
+        served = []
+        other.get(key_for(cluster, 1), served.append)
+        assert waiting == []
+        assert other.ops_issued == 1 and len(served) == 1
+        cluster.drain()
+        assert len(waiting) == 1
+
+
 class TestSlotFreeze:
     def test_frozen_slot_blocks_then_resumes(self):
         cluster = quiet_cluster()
