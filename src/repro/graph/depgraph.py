@@ -18,6 +18,7 @@ topological order of the graph is a legal processing sequence.
 
 from __future__ import annotations
 
+import sys
 from typing import (
     AbstractSet,
     Dict,
@@ -27,6 +28,7 @@ from typing import (
     List,
     Optional,
     Set,
+    Tuple,
     Union,
 )
 
@@ -37,48 +39,59 @@ from repro.types import MessageId, freeze_ancestors
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
 
+#: byte value -> offsets of its set bits (``labels_of``'s scan table).
+_BYTE_BITS = tuple(
+    tuple(offset for offset in range(8) if byte >> offset & 1)
+    for byte in range(256)
+)
+#: ``bytes.translate`` table flagging non-zero bytes, so ``labels_of``
+#: skips the zero runs of a sparse mask with C-level ``find`` calls.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
 class DependencyGraph:
     """A DAG of message labels with ancestor→descendant edges.
 
-    Reachability is answered from a memoised ancestor-closure cache:
-    ``_reach[n]`` holds every label (added *or* dangling) with a path to
-    ``n``, so :meth:`precedes`, :meth:`causal_past`, and
-    :meth:`concurrent` are set lookups instead of DFS walks.  Closures
-    are computed lazily on first query (so :meth:`add` stays
-    O(direct ancestors) — hot in every ``OSend`` receive path) and
-    invalidated only by :meth:`add`, the graph's sole mutator, under two
-    invariants:
+    Every label the graph has seen — added, or only referenced as a
+    still-*dangling* ancestor — owns one bit, assigned on first sight
+    (``_bit`` / ``_labels``).  Sets of labels are Python ints over those
+    bits, and reachability is answered from a memoised ancestor-closure
+    cache of such masks: bit ``b`` of ``_reach[n]`` is set iff the label
+    at ``b`` has a path to ``n``.  :meth:`precedes` is a shift-and-test,
+    :meth:`maximal_mask` a handful of big-int operations, and
+    :meth:`causal_past` a derived view (``_reach[n] & _added_mask`` turned
+    back into labels).  Bit positions are private to one graph: they
+    depend on its insertion order and never leave it — callers get masks
+    from :meth:`mask_of` / :meth:`past_mask` and labels back from
+    :meth:`labels_of`.  Three invariants:
 
-    1. ``_reach[n]``, when present, equals ``n``'s direct ancestors ∪ the
-       closures of its *added* direct ancestors (dangling ancestors
-       contribute only themselves — their edges are unknown until
-       materialised).  Computing ``n``'s closure memoises every added
-       transitive ancestor of ``n`` along the way.
+    1. ``_reach[n]``, when present, is the bits of ``n``'s direct
+       ancestors ORed with the closures of its *added* direct ancestors
+       (a dangling ancestor contributes only its own bit — its edges are
+       unknown until it materialises).  Computing ``n``'s closure
+       memoises every added transitive ancestor of ``n`` along the way.
     2. An entry exists for ``n`` only if entries exist for all of ``n``'s
        added transitive ancestors — established by 1 and preserved by
        invalidation, which walks a materialised node's descendants and
-       stops below any node that was already absent.
-
-    Only materialising a previously *dangling* label can change existing
-    closures (nothing else gains ancestors), so that is the only event
-    that invalidates.
+       stops below any node that was already absent.  Only materialising
+       a dangling label *with ancestry* changes existing closures, so
+       that is the only event that invalidates.
+    3. :meth:`add` never computes or stores a closure.  Its cycle check
+       walks the nodes already hanging below the new label, so a graph
+       nobody queries (every ``OSend`` member's, on the receive path)
+       memoises nothing: :meth:`closure_footprint` stays ``(0, 0)``.
     """
 
     def __init__(self) -> None:
         self._ancestors: Dict[MessageId, FrozenSet[MessageId]] = {}
         self._descendants: Dict[MessageId, Set[MessageId]] = {}
+        # The insertion index: label <-> bit position, added or dangling.
+        self._bit: Dict[MessageId, int] = {}
+        self._labels: List[MessageId] = []
+        # Bits of the added labels (what causal_past keeps of a closure).
+        self._added_mask = 0
         # Memoised transitive-ancestor closures (invariants above).
-        self._reach: Dict[MessageId, FrozenSet[MessageId]] = {}
-        # Added labels as a plain set, so causal_past can restrict a
-        # closure to added nodes with one C-level intersection instead of
-        # a per-label Python filter (hot in the barrier/frontier paths).
-        self._added: Set[MessageId] = set()
-        # Memoised causal_past results.  A cached past goes stale in
-        # exactly two cases: the node's closure was invalidated (handled
-        # by sharing _invalidate_below), or a dangling ancestor
-        # materialised (the closure is unchanged but the added-filter
-        # result grows) — handled in add() for referenced labels.
-        self._past: Dict[MessageId, FrozenSet[MessageId]] = {}
+        self._reach: Dict[MessageId, int] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -96,7 +109,8 @@ class DependencyGraph:
             If ``msg_id`` was already added, depends on itself, or the new
             edges would create a cycle among known nodes.
         """
-        if msg_id in self._ancestors:
+        known = self._ancestors
+        if msg_id in known:
             raise DependencyError(f"duplicate message label: {msg_id}")
         if isinstance(occurs_after, OccursAfter):
             ancestors = occurs_after.ancestors
@@ -104,64 +118,95 @@ class DependencyGraph:
             ancestors = freeze_ancestors(occurs_after)
         if msg_id in ancestors:
             raise DependencyError(f"{msg_id} cannot occur after itself")
-        # A cycle needs a path from msg_id back to an ancestor, and every
-        # edge out of msg_id is a pre-existing dangling reference — so a
-        # never-referenced label cannot close one, and the check (with its
-        # closure computation) is skipped on the common fresh-label path.
-        referenced = bool(self._descendants.get(msg_id))
-        if referenced:
-            for ancestor in ancestors:
-                if (
-                    ancestor in self._ancestors
-                    and msg_id in self._closure(ancestor)
-                ):
-                    raise DependencyError(
-                        f"edge {ancestor} -> {msg_id} would create a cycle"
-                    )
-        self._ancestors[msg_id] = ancestors
-        self._added.add(msg_id)
-        self._descendants.setdefault(msg_id, set())
-        for ancestor in ancestors:
-            self._descendants.setdefault(ancestor, set()).add(msg_id)
-        if referenced:
-            if ancestors:
-                # msg_id materialised with ancestry: descendants' memoised
-                # closures hold msg_id as a bare endpoint and miss what
-                # lies above it.
-                self._invalidate_below(msg_id)
+        descendants = self._descendants
+        below = descendants.get(msg_id)
+        if below:
+            self._check_acyclic(msg_id, ancestors, below)
+        bit = self._bit
+        labels = self._labels
+        for label in ancestors:
+            if label not in bit:
+                bit[label] = len(labels)
+                labels.append(label)
+            children = descendants.get(label)
+            if children is None:
+                descendants[label] = {msg_id}
             else:
-                # Closures below stay valid, but cached pasts must now
-                # include msg_id itself (it just became an added node).
-                self._invalidate_past_below(msg_id)
+                children.add(msg_id)
+        position = bit.get(msg_id)
+        if position is None:
+            position = bit[msg_id] = len(labels)
+            labels.append(msg_id)
+        known[msg_id] = ancestors
+        self._added_mask |= 1 << position
+        if below and ancestors and self._reach:
+            # msg_id materialised with ancestry: descendants' memoised
+            # closures hold its bit as a bare endpoint and miss what lies
+            # above it.  (Without ancestry they stay exact — the added
+            # filter of causal_past is applied per query, not cached.)
+            self._invalidate_below(msg_id)
+
+    def _check_acyclic(
+        self,
+        msg_id: MessageId,
+        ancestors: FrozenSet[MessageId],
+        below: Set[MessageId],
+    ) -> None:
+        """Raise if an edge ``ancestor -> msg_id`` would close a cycle.
+
+        A cycle needs a path from ``msg_id`` down to one of its own
+        ancestors, and every node below ``msg_id`` was *added* (only an
+        added node registers as a descendant).  So the check is a walk of
+        the cone already hanging below the materialising label — the few
+        messages that overtook it, on the receive path — and it is skipped
+        outright unless some ancestor is added, which keeps a chain
+        arriving in reverse (every ancestor still dangling, the whole
+        chain below) linear.
+        """
+        known = self._ancestors
+        if not any(label in known for label in ancestors):
+            return
+        descendants = self._descendants
+        seen = set(below)
+        stack = list(below)
+        while stack:
+            node = stack.pop()
+            if node in ancestors:
+                raise DependencyError(
+                    f"edge {node} -> {msg_id} would create a cycle"
+                )
+            for child in descendants.get(node, ()):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
 
     # -- closure cache -----------------------------------------------------
 
-    def _closure(self, node: MessageId) -> FrozenSet[MessageId]:
-        """Memoised transitive-ancestor closure of an added ``node``."""
+    def _closure(self, node: MessageId) -> int:
+        """Memoised transitive-ancestor mask of an added ``node``."""
         memo = self._reach
         cached = memo.get(node)
         if cached is not None:
             return cached
-        # Iterative post-order: compute added ancestors before dependants.
-        stack = [(node, False)]
+        known = self._ancestors
+        bit = self._bit
+        # Iterative post-order: a node stays on the stack until every
+        # added ancestor has its entry (the graph is acyclic by add()).
+        stack = [node]
         while stack:
-            current, expanded = stack.pop()
-            if current in memo:
+            current = stack[-1]
+            direct = known[current]
+            pending = [a for a in direct if a in known and a not in memo]
+            if pending:
+                stack.extend(pending)
                 continue
-            direct = self._ancestors[current]
-            if expanded:
-                closure: Set[MessageId] = set(direct)
-                for ancestor in direct:
-                    if ancestor in self._ancestors:
-                        closure |= memo[ancestor]
-                memo[current] = frozenset(closure)
-            else:
-                stack.append((current, True))
-                stack.extend(
-                    (ancestor, False)
-                    for ancestor in direct
-                    if ancestor in self._ancestors and ancestor not in memo
-                )
+            stack.pop()
+            mask = 0
+            for ancestor in direct:
+                mask |= 1 << bit[ancestor]
+                if ancestor in known:
+                    mask |= memo[ancestor]
+            memo[current] = mask
         return memo[node]
 
     def _invalidate_below(self, source: MessageId) -> None:
@@ -172,31 +217,96 @@ class DependencyGraph:
         removed it.
         """
         memo = self._reach
-        past = self._past
         queue = list(self._descendants.get(source, ()))
         while queue:
             node = queue.pop()
             if memo.pop(node, None) is not None:
-                past.pop(node, None)
                 queue.extend(self._descendants.get(node, ()))
 
-    def _invalidate_past_below(self, source: MessageId) -> None:
-        """Drop cached pasts of ``source``'s transitive descendants.
+    def closure_footprint(self) -> Tuple[int, int]:
+        """``(entries, bytes)`` currently held by the closure cache.
 
-        Used when a referenced label materialises *without* ancestors:
-        closures below are still correct (invariant 1), but pasts cached
-        before the materialisation are missing the newly added node.
+        The number the serving layer watches for flatness: a graph that
+        is only ever added to reports ``(0, 0)`` (invariant 3).
         """
-        past = self._past
-        stack = list(self._descendants.get(source, ()))
-        seen: Set[MessageId] = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            past.pop(node, None)
-            stack.extend(self._descendants.get(node, ()))
+        reach = self._reach
+        if not reach:
+            return 0, 0
+        return len(reach), sys.getsizeof(reach) + sum(
+            map(sys.getsizeof, reach.values())
+        )
+
+    # -- label masks ---------------------------------------------------------
+
+    def bit_of(self, label: MessageId) -> int:
+        """The one-bit mask of ``label`` (0 if the graph never saw it)."""
+        position = self._bit.get(label)
+        return 0 if position is None else 1 << position
+
+    def mask_of(self, labels: Iterable[MessageId]) -> int:
+        """The mask of ``labels``; labels the graph never saw are skipped."""
+        bit = self._bit
+        mask = 0
+        for label in labels:
+            position = bit.get(label)
+            if position is not None:
+                mask |= 1 << position
+        return mask
+
+    def past_mask(self, msg_id: MessageId) -> int:
+        """:meth:`causal_past` as a mask: the added transitive ancestors."""
+        if msg_id not in self._ancestors:
+            return 0
+        return self._closure(msg_id) & self._added_mask
+
+    def maximal_mask(self, mask: int) -> int:
+        """Prune ``mask`` to the labels no other label in it reaches.
+
+        A top-bit-down scan: the highest remaining candidate is usually
+        the newest label and shadows most of the pool with one closure.
+        Shadowed bits are cleared from the *result* whatever the scan
+        order, so correctness does not need the index to be a linear
+        extension of causality (on a member's graph it is not: arrival
+        order).  The order only decides how early the pool empties — a
+        shadowed candidate is skipped because its closure is a subset of
+        its shadower's.
+        """
+        if not mask & (mask - 1):
+            return mask
+        labels = self._labels
+        known = self._ancestors
+        todo = mask
+        while todo:
+            top = todo.bit_length() - 1
+            todo ^= 1 << top
+            label = labels[top]
+            if label in known:
+                shadow = self._closure(label)
+                # x ^ (x & y) is x & ~y without the negative big int.
+                todo ^= todo & shadow
+                mask ^= mask & shadow
+        return mask
+
+    def labels_of(self, mask: int) -> FrozenSet[MessageId]:
+        """The labels whose bits are set in ``mask``.
+
+        A byte-table scan: cost is the mask's byte length (zero runs are
+        skipped by C-level ``find``) plus its population — never a
+        per-bit big-int loop, which is quadratic on a dense mask.
+        """
+        if not mask:
+            return frozenset()
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        find = data.translate(_NONZERO).find
+        labels = self._labels
+        found: List[MessageId] = []
+        index = find(1)
+        while index >= 0:
+            base = index << 3
+            for offset in _BYTE_BITS[data[index]]:
+                found.append(labels[base + offset])
+            index = find(1, index + 1)
+        return frozenset(found)
 
     # -- basic queries -------------------------------------------------------
 
@@ -247,13 +357,19 @@ class DependencyGraph:
     def precedes(self, earlier: MessageId, later: MessageId) -> bool:
         """True iff ``earlier ≺ later`` (transitively) among added nodes.
 
-        A closure lookup — O(1) amortised over repeated queries, vs. the
-        ancestor-walk DFS this replaced (kept as the reference
-        implementation in ``tests/graph/test_reachability_cache.py``).
+        A shift-and-test on ``later``'s closure mask — O(1) amortised
+        over repeated queries, vs. the ancestor-walk DFS this replaced
+        (kept as the reference implementation in
+        ``tests/graph/test_reachability_cache.py``).  The graph is
+        acyclic, so a label's own bit is never in its closure and
+        ``precedes(x, x)`` needs no special case.
         """
-        if later not in self._ancestors or earlier == later:
+        if later not in self._ancestors:
             return False
-        return earlier in self._closure(later)
+        position = self._bit.get(earlier)
+        if position is None:
+            return False
+        return bool(self._closure(later) >> position & 1)
 
     def maximal_elements(
         self, labels: Iterable[MessageId]
@@ -261,29 +377,21 @@ class DependencyGraph:
         """Prune ``labels`` to those not in any other member's causal past.
 
         Equivalent to keeping each label that no other label in the set
-        :meth:`precedes`, but costs one closure intersection per element
-        instead of O(n²) pairwise queries — frontier maintenance calls
-        this on every absorb, so the difference is structural.  Labels
-        unknown to the graph cannot shadow others but can themselves be
-        shadowed (they may appear in closures as dangling ancestors),
-        matching the pairwise semantics.
+        :meth:`precedes`, but costs one :meth:`maximal_mask` scan instead
+        of O(n²) pairwise queries — frontier maintenance calls this on
+        every absorb, so the difference is structural.  Labels unknown to
+        the graph cannot shadow others but can themselves be shadowed
+        (they may appear in closures as dangling ancestors), matching the
+        pairwise semantics; a label the graph never even saw referenced
+        is trivially maximal.
         """
-        ordered = list(dict.fromkeys(labels))
-        if len(ordered) <= 1:
-            return frozenset(ordered)
-        pool = set(ordered)
-        shadowed: Set[MessageId] = set()
-        ancestors = self._ancestors
-        for label in ordered:
-            # Everything in label's closure is shadowed by label; label's
-            # own closure is a subset of any shadower's, so
-            # already-shadowed labels are safe to skip.  Iteration follows
-            # the caller's order: callers that present likely-maximal
-            # labels first (e.g. newest-issued first) shadow most of the
-            # pool in the first few intersections.
-            if label in ancestors and label not in shadowed:
-                shadowed |= pool & self._closure(label)
-        return frozenset(pool - shadowed)
+        pool = frozenset(labels)
+        if len(pool) <= 1:
+            return pool
+        bit = self._bit
+        maximal = self.labels_of(self.maximal_mask(self.mask_of(pool)))
+        unseen = [label for label in pool if label not in bit]
+        return maximal.union(unseen) if unseen else maximal
 
     def concurrent(self, a: MessageId, b: MessageId) -> bool:
         """The paper's ‖ relation: neither precedes the other."""
@@ -293,13 +401,7 @@ class DependencyGraph:
 
     def causal_past(self, msg_id: MessageId) -> FrozenSet[MessageId]:
         """All added transitive ancestors of ``msg_id``."""
-        if msg_id not in self._ancestors:
-            return frozenset()
-        cached = self._past.get(msg_id)
-        if cached is None:
-            cached = frozenset(self._closure(msg_id) & self._added)
-            self._past[msg_id] = cached
-        return cached
+        return self.labels_of(self.past_mask(msg_id))
 
     def concurrency_classes(self) -> List[FrozenSet[MessageId]]:
         """Maximal antichains found greedily in insertion order.

@@ -11,7 +11,7 @@ report, and the benchmark JSON, so every surface shows the same numbers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 #: Latency samples retained per kind (newest win).
 RESERVOIR = 4096
@@ -32,9 +32,17 @@ def percentile(samples: Sequence[float], q: float) -> Optional[float]:
 
 
 class ServeMetrics:
-    """Counters + latency reservoirs for one server (or one load run)."""
+    """Counters + latency reservoirs for one server (or one load run).
 
-    def __init__(self) -> None:
+    ``gauges`` (if given) is sampled by every :meth:`snapshot` and merged
+    into it — sizes that are walked on demand, never maintained per op
+    (the server passes its cluster's dependency-graph gauges).
+    """
+
+    def __init__(
+        self, gauges: Optional[Callable[[], Dict[str, int]]] = None
+    ) -> None:
+        self._gauges = gauges
         self.counters: Dict[str, int] = {
             "connections_opened": 0,
             "connections_closed": 0,
@@ -82,6 +90,9 @@ class ServeMetrics:
 
     # -- reporting ---------------------------------------------------------
 
+    def _sampled_gauges(self) -> Dict[str, int]:
+        return self._gauges() if self._gauges is not None else {}
+
     def latency_quantiles(self, kind: str = "op") -> Dict[str, Optional[float]]:
         samples = list(self._latency.get(kind, ()))
         return {
@@ -98,6 +109,7 @@ class ServeMetrics:
             **self.counters,
             "inflight": self.inflight,
             "queue_depth": self.queue_depth,
+            **self._sampled_gauges(),
             "batch_mean": (sum(sizes) / len(sizes)) if sizes else None,
             "batch_max": max(sizes) if sizes else None,
             "latency": {
@@ -114,6 +126,8 @@ class ServeMetrics:
             lines.append(f"  {key:<22} {self.counters[key]}")
         lines.append(f"  {'inflight':<22} {snap['inflight']}")
         lines.append(f"  {'queue_depth':<22} {snap['queue_depth']}")
+        for key in sorted(self._sampled_gauges()):
+            lines.append(f"  {key:<22} {snap[key]}")
         if snap["batch_mean"] is not None:
             lines.append(
                 f"  {'batch size':<22} mean={snap['batch_mean']:.1f} "

@@ -102,7 +102,14 @@ class StablePointBarrier:
             for shard, labels in (cross or {}).items()
         }
         self.max_rounds = max_rounds
-        self.covered: Dict[int, Set[MessageId]] = {s: set() for s in self.shards}
+        #: shard -> the cut covered so far, and the same cut as a mask
+        #: over the ledger graph's bits: the cut algebra runs on the
+        #: mask, and only each delivery's fresh delta is turned into
+        #: labels and unioned into the set `BarrierRead.covered` exposes.
+        self.covered: Dict[int, FrozenSet[MessageId]] = dict.fromkeys(
+            self.shards, frozenset()
+        )
+        self._covered_mask: Dict[int, int] = dict.fromkeys(self.shards, 0)
         #: Snapshot-cache entry for this touched-shard set, captured once
         #: so every shard that seeds does so from the *same* mutually
         #: closed read (the cluster replaces entries wholesale).
@@ -204,23 +211,29 @@ class StablePointBarrier:
         self._waiting.discard(label)
         cluster = self.cluster
         # The barrier label itself is control traffic, so the data cut is
-        # its causal past restricted to this shard's writes — two set
-        # intersections, no per-label kind lookups.
-        past = cluster.graph.causal_past(label)
+        # its causal past restricted to this shard's writes — big-int
+        # ANDs, no per-label kind lookups; only the delta the read has
+        # not covered yet is turned back into labels.
+        graph = cluster.graph
+        past = graph.past_mask(label)
         entry = self._cache_entry
-        if entry is not None and not self.covered[shard]:
+        if entry is not None and not self._covered_mask[shard]:
             cached = entry.get(shard)
-            if cached is not None and cached[0] in past:
+            if cached is not None and past & graph.bit_of(cached[0]):
                 # The cached read's barrier is in this barrier's causal
                 # past, so its cut (= past ∩ writes, zero-round reads
                 # only) is a subset of ours: seed covered and the fold
                 # from it and let `fresh` shrink to the delta.
-                self.covered[shard] = set(cached[1])
-                self._folded[shard] = dict(cached[2])
+                _, cut, cut_mask, fold = cached
+                self.covered[shard] = cut
+                self._covered_mask[shard] = cut_mask
+                self._folded[shard] = dict(fold)
                 self._seeded.add(shard)
-        fresh = past & cluster.write_labels[shard]
-        fresh -= self.covered[shard]
-        if fresh:
+        fresh_mask = past & cluster.write_mask[shard]
+        fresh_mask ^= fresh_mask & self._covered_mask[shard]
+        if fresh_mask:
+            fresh = graph.labels_of(fresh_mask)
+            self._covered_mask[shard] |= fresh_mask
             self.covered[shard] |= fresh
             ops = cluster.ops
             folded = self._folded[shard]
@@ -301,7 +314,7 @@ class StablePointBarrier:
                 if current is None or current[0] < pair[0]:
                     merged[key] = pair
         value = {key: pair[1] for key, pair in merged.items()}
-        covered = {s: frozenset(c) for s, c in self.covered.items()}
+        covered = dict(self.covered)
         if self._rounds == 0 and all(
             len(labels) == 1 for labels in self._barrier_labels.values()
         ):
@@ -315,6 +328,7 @@ class StablePointBarrier:
                 shard: (
                     self._barrier_labels[shard][0],
                     covered[shard],
+                    self._covered_mask[shard],
                     self._folded[shard],
                 )
                 for shard in self.shards

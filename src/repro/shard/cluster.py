@@ -140,12 +140,12 @@ class ShardedCluster:
         self.ops: Dict[MessageId, OpRecord] = {}
         self.issue_order: List[MessageId] = []
         self.shard_of_label: Dict[MessageId, int] = {}
-        #: shard -> its data-carrying labels (``DATA_KINDS`` only) — lets
-        #: the barrier restrict a causal cut to one shard's writes with a
-        #: single set intersection instead of a per-label kind lookup.
-        self.write_labels: Dict[int, Set[MessageId]] = {
-            shard: set() for shard in self.shard_ids
-        }
+        #: shard -> mask (over ``graph``'s bits) of every ledger label it
+        #: carries, and of its data-carrying ones (``DATA_KINDS``) alone:
+        #: `project` restricts a causal past to a shard, and the barrier
+        #: a causal cut to a shard's writes, with one big-int AND.
+        self.label_mask: Dict[int, int] = dict.fromkeys(self.shard_ids, 0)
+        self.write_mask: Dict[int, int] = dict.fromkeys(self.shard_ids, 0)
         #: shard -> key -> its writes in issue order (puts, plus the
         #: migrate labels that carried the key between shards).  Lets a
         #: replica read answer "newest delivered write of this key" with
@@ -182,7 +182,7 @@ class ShardedCluster:
                 detector = StablePointDetector(member, spec)
                 self.detectors[member] = detector
                 self._frontiers[member] = FrontierTracker(
-                    self.graph.causal_past, self._op_index
+                    self.graph.precedes, self._op_index
                 )
                 self._frontier_sync[member] = stack._settled_version
                 stack.on_deliver(
@@ -192,13 +192,14 @@ class ShardedCluster:
         self.rebalancer = Rebalancer(self)
         self.barrier_reads: List["BarrierRead"] = []
         #: touched-shard-set (sorted tuple) -> per-shard (barrier label,
-        #: covered cut, folded values) of the newest zero-round barrier
-        #: read over exactly those shards.  A later read whose barrier
-        #: causally dominates the cached label seeds its cut and fold
-        #: from the entry and only processes the delta — without it every
-        #: read re-folds (and re-closure-scans) the whole shard history.
-        #: Entries are replaced wholesale, never mutated: in-flight reads
-        #: hold a reference to the entry they seeded from.
+        #: covered cut, the cut as a mask over ``graph``'s bits, folded
+        #: values) of the newest zero-round barrier read over exactly
+        #: those shards.  A later read whose barrier causally dominates
+        #: the cached label seeds its cut and fold from the entry and
+        #: only processes the delta — without it every read re-folds
+        #: (and re-closure-scans) the whole shard history.  Entries are
+        #: replaced wholesale, never mutated: in-flight reads hold a
+        #: reference to the entry they seeded from.
         self._snapshot_cache: Dict[
             Tuple[int, ...],
             Dict[
@@ -206,6 +207,7 @@ class ShardedCluster:
                 Tuple[
                     MessageId,
                     FrozenSet[MessageId],
+                    int,
                     Dict[str, Tuple[int, object]],
                 ],
             ],
@@ -356,8 +358,10 @@ class ShardedCluster:
         )
         self.issue_order.append(label)
         self.shard_of_label[label] = shard
+        bit = self.graph.bit_of(label)
+        self.label_mask[shard] |= bit
         if kind in DATA_KINDS:
-            self.write_labels[shard].add(label)
+            self.write_mask[shard] |= bit
             by_key = self.key_writes[shard]
             if kind == "put":
                 by_key.setdefault(key, []).append(label)
@@ -378,22 +382,8 @@ class ShardedCluster:
     # -- causal-order utilities -------------------------------------------
 
     def maximal(self, labels: Iterable[MessageId]) -> FrozenSet[MessageId]:
-        """Prune ``labels`` to its maximal elements under the graph.
-
-        Labels are presented newest-issued-first: a later ledger label is
-        the likelier dominator, so the graph's shadowing scan usually
-        swallows the whole pool within its first few closures.
-        """
-        pool = set(labels)
-        if len(pool) <= 1:
-            return frozenset(pool)
-        ops = self.ops
-        ordered = sorted(
-            pool,
-            key=lambda l: ops[l].index if l in ops else -1,
-            reverse=True,
-        )
-        return self.graph.maximal_elements(ordered)
+        """Prune ``labels`` to its maximal elements under the graph."""
+        return self.graph.maximal_elements(labels)
 
     def project(
         self, labels: Iterable[MessageId], shard: int
@@ -404,18 +394,18 @@ class ShardedCluster:
         which is what lets a session that observed a label on shard B
         correctly depend on that label's shard-A ancestors.
         """
-        shard_labels = self.groups[shard].data_labels
         pool = tuple(labels)
-        if len(pool) == 1 and pool[0] in shard_labels:
+        if len(pool) == 1 and self.shard_of_label.get(pool[0]) == shard:
             # The label dominates its own causal past, so restricted to
             # its home shard it is the unique maximum.
             return frozenset(pool)
-        result: Set[MessageId] = set()
+        graph = self.graph
+        reached = graph.mask_of(pool)
         for label in pool:
-            if label in shard_labels:
-                result.add(label)
-            result |= self.graph.causal_past(label) & shard_labels
-        return self.maximal(result)
+            reached |= graph.past_mask(label)
+        return graph.labels_of(
+            graph.maximal_mask(reached & self.label_mask[shard])
+        )
 
     def _lagging(self, group: ChaosCluster, member: EntityId) -> bool:
         """Is ``member`` an amnesiac — settled prefix empty of data?
@@ -563,8 +553,8 @@ class ShardedCluster:
             # stable-prefix skip, state transfer) or the member was just
             # activated: the incremental frontier is stale, so rebuild it
             # from the full settled set — delivered ∪ skip-settled — and
-            # resync.  `maximal` is the fast closure-intersection path;
-            # the tracker adopts its result as-is.
+            # resync.  `maximal` is one mask scan; the tracker adopts its
+            # result as-is.
             ops = self.ops
             tracker.reset({
                 label: ops[label].index
@@ -574,6 +564,25 @@ class ShardedCluster:
             })
             self._frontier_sync[member] = version
         return tracker.labels()
+
+    def graph_gauges(self) -> Dict[str, int]:
+        """Dependency-graph sizes: the ledger's graph plus every member's.
+
+        ``graph_nodes`` grows with the ops served; ``graph_closures`` /
+        ``graph_closure_kb`` count memoised reachability closures and
+        what they hold — only the ledger's graph is ever queried, so
+        every member's share stays zero.  Walks each cache: meant for a
+        ``stats`` request, not for the per-op path.
+        """
+        graphs = [self.graph]
+        for group in self.groups.values():
+            graphs.extend(stack.graph for stack in group.stacks.values())
+        footprints = [graph.closure_footprint() for graph in graphs]
+        return {
+            "graph_nodes": sum(len(graph) for graph in graphs),
+            "graph_closures": sum(entries for entries, _ in footprints),
+            "graph_closure_kb": sum(size for _, size in footprints) // 1024,
+        }
 
     # -- campaign execution ------------------------------------------------
 

@@ -45,22 +45,22 @@ __all__ = ["FrontierTracker"]
 class FrontierTracker:
     """Maximal antichain of noted labels, maintained incrementally.
 
-    ``causal_past(label)`` must return the set of labels strictly before
-    ``label``; ``index_of(label)`` must be a linear extension of that
+    ``precedes(earlier, later)`` must decide the strict causal order of
+    two labels; ``index_of(label)`` must be a linear extension of that
     order (issue index).  Both are supplied by the owner so one shared
     dependency graph can back every member's tracker.
     """
 
-    __slots__ = ("heads", "_causal_past", "_index_of")
+    __slots__ = ("heads", "_precedes", "_index_of")
 
     def __init__(
         self,
-        causal_past: Callable[[MessageId], frozenset],
+        precedes: Callable[[MessageId, MessageId], bool],
         index_of: Callable[[MessageId], int],
     ) -> None:
         #: Current frontier: label -> issue index.
         self.heads: Dict[MessageId, int] = {}
-        self._causal_past = causal_past
+        self._precedes = precedes
         self._index_of = index_of
 
     def labels(self) -> FrozenSet[MessageId]:
@@ -76,15 +76,14 @@ class FrontierTracker:
         its past.
         """
         index = self._index_of(label)
-        causal_past = self._causal_past
-        for head, head_index in self.heads.items():
-            if head_index > index and label in causal_past(head):
+        precedes = self._precedes
+        heads = self.heads
+        for head, head_index in heads.items():
+            if head_index > index and precedes(label, head):
                 return
-        past = causal_past(label)
-        shadowed = [head for head in self.heads if head in past]
-        for head in shadowed:
-            del self.heads[head]
-        self.heads[label] = index
+        for head in [head for head in heads if precedes(head, label)]:
+            del heads[head]
+        heads[label] = index
 
     def rebuild(self, labels: Iterable[MessageId]) -> None:
         """Recompute the frontier from scratch over ``labels``.
@@ -94,10 +93,10 @@ class FrontierTracker:
         only contain lower-indexed labels.
         """
         self.heads.clear()
-        causal_past = self._causal_past
+        precedes = self._precedes
         index_of = self._index_of
         for label in sorted(labels, key=index_of, reverse=True):
-            if not any(label in causal_past(head) for head in self.heads):
+            if not any(precedes(label, head) for head in self.heads):
                 self.heads[label] = index_of(label)
 
     def reset(self, heads: Dict[MessageId, int]) -> None:

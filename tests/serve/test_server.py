@@ -112,6 +112,39 @@ class TestBasics:
 
         run(scenario)
 
+    def test_stats_report_graph_gauges(self):
+        """`stats` carries the dependency-graph sizes, sampled on demand.
+
+        Puts alone memoise no reachability closure anywhere — not on the
+        receive path of any member, not in the ledger; the first barrier
+        read queries the ledger's graph (and only that one).
+        """
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                empty = await cli.stats()
+                assert (
+                    empty["graph_nodes"],
+                    empty["graph_closures"],
+                    empty["graph_closure_kb"],
+                ) == (0, 0, 0)
+                await asyncio.gather(*(cli.put(f"k{i}", i) for i in range(40)))
+                after_puts = await cli.stats()
+                # The ledger's graph plus one per member: 1 + 3 inserts.
+                assert after_puts["graph_nodes"] == 40 * 4
+                assert after_puts["graph_closures"] == 0
+                await cli.read()
+                after_read = await cli.stats()
+                assert 0 < after_read["graph_closures"] <= 42
+                assert all(
+                    stack.graph.closure_footprint() == (0, 0)
+                    for group in srv.cluster.groups.values()
+                    for stack in group.stacks.values()
+                )
+                assert "graph_closures" in srv.metrics.render()
+
+        run(scenario)
+
     def test_unknown_request_type_errors(self):
         async def scenario():
             async with server() as srv, client(srv) as cli:

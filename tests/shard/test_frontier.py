@@ -48,7 +48,7 @@ def diamond() -> DependencyGraph:
 
 
 def tracker_for(graph: DependencyGraph) -> FrontierTracker:
-    return FrontierTracker(graph.causal_past, lambda l: l.seqno)
+    return FrontierTracker(graph.precedes, lambda l: l.seqno)
 
 
 class TestTrackerUnit:
@@ -152,7 +152,7 @@ class TestProtocolIntegration:
         index_of: dict = {}
         trackers = {
             member: FrontierTracker(
-                graph.causal_past, lambda l: index_of[l]
+                graph.precedes, lambda l: index_of[l]
             )
             for member in self.MEMBERS
         }
@@ -192,7 +192,7 @@ class TestProtocolIntegration:
                     trackers[member].rebuild(settled)
                     synced[member] = stack._settled_version
                 reference = FrontierTracker(
-                    graph.causal_past, lambda l: index_of[l]
+                    graph.precedes, lambda l: index_of[l]
                 )
                 reference.rebuild(settled)
                 assert trackers[member].labels() == reference.labels(), (
