@@ -1,6 +1,6 @@
 # Convenience targets for the causal-broadcast reproduction.
 
-.PHONY: install test bench bench-quick bench-serve bench-serve-tests perf-guard chaos-quick chaos-wire serve-smoke examples demos lint-clean
+.PHONY: install test bench bench-quick bench-serve bench-serve-tests perf-guard chaos-quick chaos-wire serve-smoke examples demos outputs
 
 install:
 	python setup.py develop

@@ -2,9 +2,11 @@
 
 The paper assumes a substrate that keeps delivering causally consistent
 messages across member failures and regroupings; this package tests that
-assumption end-to-end.  :class:`ChaosCluster` wires every ordering
-protocol together with its recovery, garbage-collection and view-sync
-sidecars; :class:`ChaosCampaign` scripts timed crashes, restarts,
+assumption end-to-end.  :class:`ChaosCluster` is a
+:class:`~repro.group.replica_group.ReplicaGroup` (every ordering
+protocol wired with its recovery, garbage-collection and view-sync
+sidecars) plus per-send ground truth and the campaign runner;
+:class:`ChaosCampaign` scripts timed crashes, restarts,
 partitions, loss phases and membership churn; and the
 :class:`~repro.analysis.invariants.InvariantMonitor` audits safety after
 every run.  See ``docs/ROBUSTNESS.md`` for the fault model and the

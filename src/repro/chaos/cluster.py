@@ -1,13 +1,12 @@
-"""Fully wired protocol cluster for fault-injection campaigns.
+"""A replica group under a chaos controller, with its ground truth.
 
-:class:`ChaosCluster` assembles, per member, the complete stack the paper
-assumes of its substrate: an ordering protocol
-(:mod:`repro.broadcast`), NACK/anti-entropy recovery
-(:class:`~repro.broadcast.recovery.RecoveryAgent`), stability-driven
-store compaction (:class:`~repro.broadcast.gc.StabilityTracker`) and
-view-synchronous membership (:class:`~repro.group.view_sync.ViewSyncAgent`)
-— then runs a :class:`~repro.chaos.campaign.ChaosCampaign` against it,
-drives repair to convergence and audits the
+:class:`ChaosCluster` is a
+:class:`~repro.group.replica_group.ReplicaGroup` — which wires the
+stacks, their sidecars and the fault controls — plus what single-group
+fault-injection campaigns need on top: it generates application traffic,
+records the ground truth of every send, runs a
+:class:`~repro.chaos.campaign.ChaosCampaign`, drives repair to
+convergence and audits the
 :class:`~repro.analysis.invariants.InvariantMonitor` battery.
 
 Ground truth
@@ -39,83 +38,32 @@ Eligibility is declared on the protocol classes themselves
 (``BroadcastProtocol.crash_eligible``): ``asend`` opts out (anonymous
 epoch closure an amnesiac member cannot reconstruct); everything else —
 the sequencer included, via its epoch-based failover — is in the matrix.
-
-Every stack also carries a
-:class:`~repro.group.auto_membership.MembershipManager`: heartbeats feed
-a failure detector whose suspicions turn into automatic ``leave``
-proposals, so a crash mid-flush un-wedges itself (the removal wins the
-flush tie-break and re-forms the quorum).  See ``docs/ROBUSTNESS.md``.
+See ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.invariants import InvariantMonitor, Violation
-from repro.broadcast import (
-    ASendTotalOrder,
-    CbcastBroadcast,
-    FifoBroadcast,
-    LamportTotalOrder,
-    OSendBroadcast,
-    RstBroadcast,
-    SequencerTotalOrder,
-    UnorderedBroadcast,
-)
-from repro.broadcast.gc import StabilityTracker
-from repro.broadcast.recovery import RecoveryAgent
-from repro.errors import (
-    ConfigurationError,
-    MembershipError,
-    ProtocolError,
-    SimulationError,
-)
-from repro.group.auto_membership import MembershipManager, manage_membership
-from repro.group.membership import GroupMembership
-from repro.group.view_sync import ViewSyncAgent, attach_view_sync
-from repro.net.faults import FaultPlan
-from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.network import Network
-from repro.sim.rng import RngRegistry
+from repro.errors import ConfigurationError, ProtocolError
+from repro.group.replica_group import PROTOCOLS, ReplicaGroup
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import TraceRecorder
 from repro.types import EntityId, MessageId
 
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 
 #: Every protocol the repo ships; eligibility is read off the classes.
-_CANDIDATE_PROTOCOLS = (
-    UnorderedBroadcast,
-    FifoBroadcast,
-    CbcastBroadcast,
-    OSendBroadcast,
-    RstBroadcast,
-    LamportTotalOrder,
-    SequencerTotalOrder,
-    ASendTotalOrder,
-)
+_CANDIDATE_PROTOCOLS = tuple(PROTOCOLS.values())
 
 #: The protocols chaos campaigns run against — derived from the
 #: ``crash_eligible`` marker each class declares, so protocols opt in or
 #: out at the definition site.
-CHAOS_PROTOCOLS = {
-    cls.protocol_name: cls
-    for cls in _CANDIDATE_PROTOCOLS
-    if cls.crash_eligible
-}
+CHAOS_PROTOCOLS = {n: c for n, c in PROTOCOLS.items() if c.crash_eligible}
 
-#: Protocols that opted out (for error messages and tests).
-CHAOS_EXCLUDED = {
-    cls.protocol_name: cls
-    for cls in _CANDIDATE_PROTOCOLS
-    if not cls.crash_eligible
-}
-
-#: Safety cap per scheduler drain: a repair loop that schedules this many
-#: events without quiescing is reported as a liveness violation instead
-#: of hanging the campaign.
-MAX_EVENTS_PER_DRAIN = 2_000_000
+#: Protocols that opted out (a group built on one is refused).
+CHAOS_EXCLUDED = {n: c for n, c in PROTOCOLS.items() if not c.crash_eligible}
 
 
 @dataclass
@@ -168,88 +116,23 @@ class CampaignResult:
         return line
 
 
-class ChaosCluster:
-    """A group of fully equipped stacks under a chaos controller."""
+class ChaosCluster(ReplicaGroup):
+    """A replica group that sends, records ground truth and runs campaigns."""
 
     def __init__(
         self,
         protocol: str = "cbcast",
         members: Sequence[EntityId] = ("a", "b", "c", "d"),
         seed: int = 0,
-        latency: Optional[LatencyModel] = None,
-        scan_interval: float = 2.0,
-        nack_backoff: float = 4.0,
         overlap: bool = False,
         auto_membership: bool = True,
-        heartbeat_interval: float = 1.0,
-        suspicion_timeout: float = 5.0,
         scheduler: Optional[Scheduler] = None,
         hop_events: str = "full",
     ) -> None:
-        if protocol not in CHAOS_PROTOCOLS:
-            if protocol in CHAOS_EXCLUDED:
-                raise ConfigurationError(
-                    f"protocol {protocol!r} declares crash_eligible=False "
-                    "and cannot run chaos campaigns"
-                )
-            raise ConfigurationError(
-                f"unknown chaos protocol {protocol!r}; "
-                f"choose from {sorted(CHAOS_PROTOCOLS)}"
-            )
-        if len(members) < 2:
-            raise ConfigurationError("a chaos cluster needs >= 2 members")
-        self.protocol_name = protocol
-        self.members: Tuple[EntityId, ...] = tuple(members)
-        # An external scheduler lets several clusters share one simulated
-        # timeline — each remains its own replication group on its own
-        # network (`repro.shard` runs one cluster per shard this way).
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
-        self.faults = FaultPlan()
-        # `hop_events` tunes how much per-hop detail the trace keeps:
-        # analysis runs want "full"; serving-path clusters pass "off" so
-        # the simulator's hot loop skips assembling per-hop events
-        # entirely (send/deliver events are always kept).
-        self.network = Network(
-            self.scheduler,
-            latency=latency if latency is not None else UniformLatency(0.2, 1.8),
-            faults=self.faults,
-            rng=RngRegistry(seed),
-            trace=TraceRecorder(hop_events=hop_events),
+        super().__init__(
+            protocol, members, seed, overlap, auto_membership, scheduler,
+            hop_events,
         )
-        self.group = GroupMembership(self.members)
-        protocol_cls = CHAOS_PROTOCOLS[protocol]
-        self.stacks: Dict[EntityId, "BroadcastProtocol"] = {}
-        for member in self.members:
-            stack = protocol_cls(member, self.group)
-            self.network.register(stack)
-            self.stacks[member] = stack
-        self.recoveries: Dict[EntityId, RecoveryAgent] = {}
-        for member, stack in self.stacks.items():
-            agent = RecoveryAgent(
-                stack, scan_interval=scan_interval, nack_backoff=nack_backoff
-            )
-            agent.start()
-            self.recoveries[member] = agent
-        self.trackers: Dict[EntityId, StabilityTracker] = {
-            member: StabilityTracker(stack)
-            for member, stack in self.stacks.items()
-        }
-        self.view_syncs: Dict[EntityId, ViewSyncAgent] = attach_view_sync(
-            self.stacks
-        )
-        #: Overlapping-disturbance mode: crashes are not deferred past
-        #: in-flight flushes or other members' outages (beyond the
-        #: two-up floor) — the failure detector is expected to repair
-        #: whatever the overlap wedges.
-        self.overlap = overlap
-        self.managers: Dict[EntityId, MembershipManager] = {}
-        if auto_membership:
-            self.managers = manage_membership(
-                self.stacks,
-                self.view_syncs,
-                heartbeat_interval=heartbeat_interval,
-                suspicion_timeout=suspicion_timeout,
-            )
         # Ground-truth bookkeeping (see module docstring).
         self.data_labels: Set[MessageId] = set()
         self.dependencies: Dict[MessageId, frozenset] = {}
@@ -260,29 +143,8 @@ class ChaosCluster:
         }
         self._payload_counter = 0
         self.sends_skipped = 0
-        self.crashes = 0
-        self.restarts = 0
-        # Invoked with the member id after every restart (wiped volatile
-        # state); lets an embedding layer drop caches keyed on settled
-        # prefixes (e.g. ShardedCluster's barrier snapshot cache).
-        self.on_restart: Optional[Callable[[EntityId], None]] = None
-        # Crash times per member (latest crash), for suspicion-delay and
-        # handoff-delay accounting.
-        self._crash_log: Dict[EntityId, float] = {}
-        # Set when a scheduler drain trips the event cap: the repair
-        # machinery livelocked instead of quiescing.
-        self._livelock: Optional[str] = None
 
     # -- application traffic -------------------------------------------------
-
-    def _settled_data(self, member: EntityId) -> Set[MessageId]:
-        stack = self.stacks[member]
-        delivered = {
-            e.msg_id
-            for e in stack._delivered_envelopes
-            if e.msg_id in self.data_labels
-        }
-        return delivered | (set(stack._skipped_stable) & self.data_labels)
 
     def _ground_truth_deps(self, member: EntityId) -> frozenset:
         stack = self.stacks[member]
@@ -305,7 +167,7 @@ class ChaosCluster:
                 if e.msg_id in self.data_labels
             ]
             return frozenset(recent[-2:])
-        settled = self._settled_data(member)
+        settled = self.settled(member, self.data_labels)
         if name == "cbcast":
             return frozenset(settled) | frozenset(own)
         if name == "rst":
@@ -342,7 +204,7 @@ class ChaosCluster:
         itself part of what campaigns exercise).
         """
         stack = self.stacks[member]
-        if stack.crashed or member not in self.group.view:
+        if member not in self.serving():
             self.sends_skipped += 1
             return None
         deps = self._ground_truth_deps(member)
@@ -365,164 +227,13 @@ class ChaosCluster:
         self._sends[member].append((label, stack.incarnation))
         return label
 
-    # -- fault controls ------------------------------------------------------
-
-    def crash(self, member: EntityId) -> None:
-        self.stacks[member].crash()
-        self.crashes += 1
-        self._crash_log[member] = self.scheduler.now
-
-    def restart(self, member: EntityId) -> None:
-        self.stacks[member].restart()
-        self.restarts += 1
-        if self.on_restart is not None:
-            self.on_restart(member)
-
-    def partition(self, *groups: Sequence[EntityId]) -> None:
-        self.faults.partition(*groups)
-
-    def heal(self) -> None:
-        self.faults.heal()
-
-    def set_loss(self, probability: float) -> None:
-        self.faults.drop_probability = probability
-
-    def set_duplicate(self, probability: float) -> None:
-        self.faults.duplicate_probability = probability
-
-    # -- membership churn ----------------------------------------------------
-
-    def propose_with_retry(
-        self, kind: str, entity: EntityId, attempts: int = 60
-    ) -> None:
-        """Propose ``kind``/``entity``, retrying while a flush is busy.
-
-        Proposal goes through the first up-and-in-view member (other than
-        ``entity``) with no pending change; if none qualifies right now,
-        retry after a delay until ``attempts`` runs out.
-        """
-
-        def attempt(remaining: int) -> None:
-            view = self.group.view
-            if kind == "join" and entity in view:
-                return
-            if kind == "leave" and entity not in view:
-                return
-            proposer = next(
-                (
-                    m
-                    for m in view.members
-                    if m != entity
-                    and not self.stacks[m].crashed
-                    and self.view_syncs[m]._pending_change is None
-                ),
-                None,
-            )
-            if proposer is not None:
-                try:
-                    self.view_syncs[proposer].propose(kind, entity)
-                    return
-                except (ProtocolError, MembershipError):
-                    pass
-            if remaining > 0:
-                self.scheduler.call_in(1.0, attempt, remaining - 1)
-
-        attempt(attempts)
-
-    def remove(self, member: EntityId) -> None:
-        """Crash ``member`` and propose its removal from the view."""
-        if not self.stacks[member].crashed:
-            self.crash(member)
-        self.propose_with_retry("leave", member)
-
-    def rejoin(self, member: EntityId, attempts: int = 60) -> None:
-        """Propose re-adding ``member``; restart it once the join installs.
-
-        The restart is deliberately deferred until the member is back in
-        the view: a node that wakes *before* the join flush completes
-        would receive in-flight old-view traffic whose ordering metadata
-        does not account for it (the RST sent-matrix records owed counts
-        per *view member*).
-        """
-        self.propose_with_retry("join", member)
-
-        def wake(remaining: int) -> None:
-            if member in self.group.view:
-                if self.stacks[member].crashed:
-                    self.restart(member)
-                return
-            if remaining > 0:
-                self.scheduler.call_in(1.0, wake, remaining - 1)
-
-        self.scheduler.call_in(1.0, wake, attempts)
-
     # -- campaign execution --------------------------------------------------
 
     def _apply(self, event: ChaosEvent) -> None:
-        action = event.action
-        if action == "send":
+        if event.action == "send":
             self.app_send(event.arg)
-        elif action == "crash":
-            self._crash_when_safe(event.arg)
-        elif action == "restart":
-            if self.stacks[event.arg].crashed:
-                if event.arg in self.group.view:
-                    self.restart(event.arg)
-                else:
-                    # The failure detector already removed this plainly
-                    # crashed member; it must come back through a join
-                    # flush, not wake inside a view it is no longer in.
-                    self.rejoin(event.arg)
-        elif action == "remove":
-            self.remove(event.arg)
-        elif action == "rejoin":
-            self.rejoin(event.arg)
-        elif action == "partition":
-            self.partition(*event.arg)
-        elif action == "heal":
-            self.heal()
-        elif action == "loss":
-            self.set_loss(event.arg)
-        elif action == "dup":
-            self.set_duplicate(event.arg)
-
-    def _crash_when_safe(self, member: EntityId, attempts: int = 50) -> None:
-        """Crash ``member``, deferring only as far as the mode requires.
-
-        Serial mode keeps at most one member down and never kills a
-        member mid-flush; the runner enforces both by deferring the
-        crash, bounded so a wedged flush cannot postpone it forever — it
-        is dropped instead.  Overlap mode crashes straight into in-flight
-        flushes and other members' outages (the failure detector is the
-        repair path) and defers only for the two-up floor, below which no
-        flush quorum could ever re-form.
-        """
-        if self.overlap:
-            up_after = sum(
-                1
-                for name, other in self.stacks.items()
-                if name != member and not other.crashed
-            )
-            if up_after >= 2:
-                if not self.stacks[member].crashed:
-                    self.crash(member)
-                return
         else:
-            others_down = any(
-                other.crashed
-                for name, other in self.stacks.items()
-                if name != member
-            )
-            flushing = any(
-                agent._pending_change is not None
-                for agent in self.view_syncs.values()
-            )
-            if not others_down and not flushing:
-                if not self.stacks[member].crashed:
-                    self.crash(member)
-                return
-        if attempts > 0:
-            self.scheduler.call_in(1.0, self._crash_when_safe, member, attempts - 1)
+            self.apply_fault(event.action, event.arg)
 
     def run_campaign(
         self,
@@ -535,11 +246,12 @@ class ChaosCluster:
             manager.start(campaign.duration)
         for event in campaign.events:
             self.scheduler.call_at(event.time, self._apply, event)
-        try:
-            self.scheduler.run_until(campaign.duration, MAX_EVENTS_PER_DRAIN)
-        except SimulationError as exc:
-            self._livelock = str(exc)
-        self._restore()
+        self.drain(until=campaign.duration)
+        # End-of-campaign cleanup: heal, de-fault, revive, re-admit.
+        self.clear_faults()
+        self.drain()
+        self.revive()
+        self.drain()
         violations, rounds = self.settle(max_settle_rounds)
         if check_invariants:
             violations = violations + self.check_invariants()
@@ -573,7 +285,7 @@ class ChaosCluster:
         for manager in self.managers.values():
             removals += manager.removals_proposed
             for suspect, when in manager.suspicion_log:
-                crashed_at = self._crash_log.get(suspect)
+                crashed_at = self.crash_log.get(suspect)
                 if crashed_at is not None and crashed_at <= when:
                     susp_delays.append(when - crashed_at)
         if susp_delays:
@@ -602,7 +314,7 @@ class ChaosCluster:
                 if not handoff["took_over"]:
                     continue
                 handoff_count += 1
-                crashed_at = self._crash_log.get(handoff["previous"])
+                crashed_at = self.crash_log.get(handoff["previous"])
                 if crashed_at is not None and crashed_at <= handoff["time"]:
                     handoff_delays.append(handoff["time"] - crashed_at)
         if handoff_count:
@@ -614,69 +326,10 @@ class ChaosCluster:
             metrics["handoff_delay_max"] = max(handoff_delays)
         return metrics
 
-    def _restore(self) -> None:
-        """End-of-campaign cleanup: heal, de-fault, revive, re-admit."""
-        self.heal()
-        self.set_loss(0.0)
-        self.set_duplicate(0.0)
-        self._drain()
-        for member, stack in self.stacks.items():
-            if stack.crashed and member in self.group.view:
-                self.restart(member)
-        for member in self.members:
-            if member not in self.group.view:
-                self.rejoin(member)
-        self._drain()
-
-    def _drain(self) -> None:
-        """Run the scheduler to quiescence, recording a livelock if any.
-
-        The event-driven protocol timers all disarm themselves (recovery
-        scans stop when nothing is chaseable, flush checks ride delivery
-        hooks), so a queue that does not empty within the cap is a
-        liveness bug — recorded rather than raised so the campaign can
-        still report every other invariant.
-        """
-        if self._livelock is not None:
-            return
-        try:
-            self.scheduler.run(MAX_EVENTS_PER_DRAIN)
-        except SimulationError as exc:
-            self._livelock = str(exc)
-
     # -- repair-to-convergence ----------------------------------------------
 
-    def _repair_participants(self) -> List[EntityId]:
-        return [
-            member
-            for member, stack in self.stacks.items()
-            if not stack.crashed
-        ]
-
     def converged(self) -> bool:
-        if frozenset(self.group.view.members) != frozenset(self.members):
-            return False
-        if any(stack.crashed for stack in self.stacks.values()):
-            return False
-        if any(
-            agent._pending_change is not None
-            for agent in self.view_syncs.values()
-        ):
-            return False
-        union: Set[MessageId] = set()
-        for member in self.members:
-            union |= self._settled_data(member)
-        for member in self.members:
-            if union - self._settled_data(member):
-                return False
-            held_data = [
-                e.msg_id
-                for e in self.stacks[member].holdback_envelopes
-                if e.msg_id in self.data_labels
-            ]
-            if held_data:
-                return False
-        return True
+        return super().converged(self.data_labels)
 
     def settle(
         self, max_rounds: int = 60
@@ -691,66 +344,31 @@ class ChaosCluster:
         violation — exactly the class of bug this harness exists to pin.
         """
         for round_number in range(1, max_rounds + 1):
-            if self._livelock is not None:
+            if self.livelock is not None:
                 return (
                     [Violation(
                         "liveness",
                         None,
-                        f"scheduler failed to quiesce: {self._livelock}",
+                        f"scheduler failed to quiesce: {self.livelock}",
                     )],
                     round_number - 1,
                 )
             if self.converged():
                 return [], round_number - 1
-            self._repair_membership()
-            for member in self._repair_participants():
-                self.recoveries[member].anti_entropy_round()
-                self.trackers[member].gossip_round()
-            self._drain()
+            self.repair_membership()
+            self.repair_round()
+            self.drain()
         if self.converged():
             return [], max_rounds
         return [self._liveness_violation(max_rounds)], max_rounds
 
-    def _repair_membership(self) -> None:
-        """Undo membership damage that surfaced after ``_restore`` ran.
-
-        A deferred leave can install *during* settling (its proposal was
-        queued behind the tie-break winner), evicting a member that
-        ``_restore`` already revived; campaigns must end with the full
-        group, so re-propose the join and restart anyone crashed yet
-        still in the view.
-        """
-        for member, stack in self.stacks.items():
-            if stack.crashed and member in self.group.view:
-                self.restart(member)
-        # Re-announce wedged flushes: a participant that crashed mid-flush
-        # forgot it was flushing, and the others' bounded FLUSH_OK resends
-        # may be long exhausted.  The nudge makes the amnesiac adopt the
-        # change and makes everyone who already flushed re-send one
-        # FLUSH_OK — both idempotent.
-        for agent in self.view_syncs.values():
-            if agent._pending_change is not None and not agent.protocol.crashed:
-                agent.nudge()
-        for member in self.members:
-            if member in self.group.view:
-                continue
-            join_in_flight = any(
-                agent._pending_change is not None
-                and agent._pending_change.kind == "join"
-                and agent._pending_change.entity == member
-                for agent in self.view_syncs.values()
-            )
-            if not join_in_flight:
-                self.rejoin(member)
-
     def _liveness_violation(self, rounds: int) -> Violation:
-        union: Set[MessageId] = set()
-        for member in self.members:
-            union |= self._settled_data(member)
+        settled = {m: self.settled(m, self.data_labels) for m in self.members}
+        union = set().union(*settled.values())
         report = []
         for member in self.members:
             stack = self.stacks[member]
-            missing = union - self._settled_data(member)
+            missing = union - settled[member]
             held = len(stack.holdback_envelopes)
             pending = self.view_syncs[member]._pending_change
             if missing or held or pending or stack.crashed:

@@ -249,20 +249,10 @@ class ServeServer:
                 pass
             self._close_connection(conn)
         if heal:
-            self.heal_violations = self._heal()
-
-    def _heal(self) -> List[Violation]:
-        cluster = self.cluster
-        for group in cluster.groups.values():
-            for member, stack in group.stacks.items():
-                if stack.crashed and member in group.group.view:
-                    group.restart(member)
-            for member in group.members:
-                if member not in group.group.view:
-                    group.rejoin(member)
-        cluster.drain()
-        violations, _rounds = cluster.settle()
-        return violations
+            for group in self.cluster.groups.values():
+                group.revive()
+            self.cluster.drain()
+            self.heal_violations, _rounds = self.cluster.settle()
 
     # -- background repair -------------------------------------------------
 
@@ -280,9 +270,7 @@ class ServeServer:
         killed over the wire stays down until asked to restart.
         """
         for group in self.cluster.groups.values():
-            for member in group._repair_participants():
-                group.recoveries[member].anti_entropy_round()
-                group.trackers[member].gossip_round()
+            group.repair_round()
         self.cluster.router.kick()
         self.cluster.drain()
 
@@ -468,22 +456,26 @@ class ServeServer:
         rid = frame.get("rid")
         action = frame.get("action")
         shard = frame.get("shard")
-        if shard not in self.cluster.groups:
+        if not isinstance(shard, int) or shard not in self.cluster.groups:
             await self._send_error(conn, rid, f"unknown shard: {shard!r}")
             return
         group = self.cluster.groups[shard]
         member: Optional[EntityId] = frame.get("member")
+        if member is not None and (
+            not isinstance(member, str) or member not in group.stacks
+        ):
+            await self._send_error(
+                conn, rid, f"unknown member of shard {shard}: {member!r}"
+            )
+            return
         if action == "crash":
-            if member is None:
-                member = next(
-                    (m for m in group.members if not group.stacks[m].crashed),
-                    None,
-                )
-            if member is None or group.stacks[member].crashed:
+            up = group.up_members()
+            if member is None and up:
+                member = up[0]
+            if member not in up:
                 await self._send_error(conn, rid, "no up member to crash")
                 return
-            up = sum(1 for s in group.stacks.values() if not s.crashed)
-            if up <= 1:
+            if len(up) <= 1:
                 await self._send_error(
                     conn, rid, f"refusing to crash the last member of shard {shard}"
                 )
@@ -646,7 +638,11 @@ class ServeServer:
                 shards = frame.get("shards")
                 if shards is not None and (
                     not isinstance(shards, list)
-                    or any(s not in self.cluster.groups for s in shards)
+                    or any(
+                        not isinstance(s, int)
+                        or s not in self.cluster.groups
+                        for s in shards
+                    )
                 ):
                     op.error = f"read names unknown shards: {shards!r}"
                     continue

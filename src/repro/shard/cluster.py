@@ -1,8 +1,8 @@
 """N replication groups, one simulated timeline, one object space.
 
-:class:`ShardedCluster` composes one fully wired
-:class:`~repro.chaos.cluster.ChaosCluster` per shard — each its own
-``OSend`` causal-broadcast group with recovery, GC, view-sync and
+:class:`ShardedCluster` composes one
+:class:`~repro.group.replica_group.ReplicaGroup` per shard — each its
+own ``OSend`` causal-broadcast group with recovery, GC, view-sync and
 auto-membership, on its own network — all sharing a single
 :class:`~repro.sim.scheduler.Scheduler`.  No ordering machinery spans
 groups: cross-shard causality travels only as explicit ``Occurs-After``
@@ -10,31 +10,29 @@ ancestors injected by the session layer (:mod:`repro.shard.router`) and
 as audit-only ``cross_deps`` stamps, which is exactly the paper's bet —
 application-declared precedence needs no system-wide clocks.
 
-The cluster keeps the global ground truth (:mod:`repro.shard.ledger`):
-every issued operation, its dependency sets, and the global dependency
-graph over both edge kinds.  On top of that ride the barrier reads
+The groups hold replicas and nothing else; the cluster's ledger
+(:mod:`repro.shard.ledger`) is the only ground truth: every issued
+operation, its dependency sets, and the global dependency graph over
+both edge kinds.  On top of that ride the barrier reads
 (:mod:`repro.shard.barrier`), slot moves (:mod:`repro.shard.rebalance`)
-and the post-campaign audit: each group's full
-:class:`~repro.analysis.invariants.InvariantMonitor` battery plus the
-cross-shard causal-consistency check
+and the post-campaign audit, all derived from the ledger: one
+:class:`~repro.analysis.invariants.InvariantMonitor` battery per group
+plus the cross-shard causal-consistency check
 (:class:`~repro.analysis.invariants.CrossShardChecker`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.invariants import CrossShardChecker, Violation
+from repro.analysis.invariants import CrossShardChecker, InvariantMonitor, Violation
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
-from repro.chaos.cluster import MAX_EVENTS_PER_DRAIN, ChaosCluster
-from repro.core.commutativity import CommutativitySpec
-from repro.core.stable_points import StablePointDetector
-from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.depgraph import DependencyGraph
-from repro.net.latency import LatencyModel
+from repro.group.replica_group import ReplicaGroup, drive
 from repro.shard.frontier import FrontierTracker
-from repro.shard.ledger import COMMUTATIVE_KINDS, DATA_KINDS, OpRecord
+from repro.shard.ledger import DATA_KINDS, OpRecord
 from repro.shard.map import ShardMap
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import ShardRouter
@@ -63,7 +61,6 @@ class ShardedResult:
     data_messages: int
     settle_rounds: int
     sim_time: float
-    stable_points: Dict[EntityId, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -91,20 +88,14 @@ class ShardedCluster:
         members_per_shard: int = 3,
         seed: int = 0,
         *,
-        num_slots: int = 16,
-        latency: Optional[LatencyModel] = None,
-        overlap: bool = False,
-        auto_membership: bool = True,
-        scan_interval: float = 2.0,
-        nack_backoff: float = 4.0,
         hop_events: str = "full",
     ) -> None:
         if shards < 1:
             raise ConfigurationError("a sharded cluster needs >= 1 shard")
         self.scheduler = Scheduler()
-        self.shard_map = ShardMap(shards, num_slots=num_slots)
+        self.shard_map = ShardMap(shards, num_slots=16)
         self.shard_ids: Tuple[int, ...] = tuple(range(shards))
-        self.groups: Dict[int, ChaosCluster] = {}
+        self.groups: Dict[int, ReplicaGroup] = {}
         self.shard_of_member: Dict[EntityId, int] = {}
         for shard in self.shard_ids:
             members = tuple(
@@ -112,15 +103,10 @@ class ShardedCluster:
             )
             # Distinct derived seeds: each group gets its own RNG registry
             # (shared streams would entangle the shards' latency draws).
-            group = ChaosCluster(
+            group = ReplicaGroup(
                 protocol="osend",
                 members=members,
                 seed=seed * 1_000_003 + shard,
-                latency=latency,
-                scan_interval=scan_interval,
-                nack_backoff=nack_backoff,
-                overlap=overlap,
-                auto_membership=auto_membership,
                 scheduler=self.scheduler,
                 hop_events=hop_events,
             )
@@ -137,9 +123,15 @@ class ShardedCluster:
                 self.shard_of_member[member] = shard
         # -- the global ledger (ground truth; see repro.shard.ledger) ----
         self.graph = DependencyGraph()
+        #: label -> record, in global issue order (``OpRecord.index`` is
+        #: the label's position).
         self.ops: Dict[MessageId, OpRecord] = {}
-        self.issue_order: List[MessageId] = []
         self.shard_of_label: Dict[MessageId, int] = {}
+        #: shard -> the ledger labels its group carries (what tells data
+        #: from protocol control traffic in a member's delivery log).
+        self.shard_labels: Dict[int, Set[MessageId]] = {
+            shard: set() for shard in self.shard_ids
+        }
         #: shard -> mask (over ``graph``'s bits) of every ledger label it
         #: carries, and of its data-carrying ones (``DATA_KINDS``) alone:
         #: `project` restricts a causal past to a shard, and the barrier
@@ -158,7 +150,6 @@ class ShardedCluster:
         self.session_batches: Dict[str, List[List[MessageId]]] = {}
         #: label -> callbacks fired on its first delivery anywhere.
         self._watchers: Dict[MessageId, List[Callable[[EntityId], None]]] = {}
-        self.detectors: Dict[EntityId, StablePointDetector] = {}
         #: member -> running maximal frontier of its settled ledger
         #: labels, maintained incrementally by the delivery hook (via
         #: :class:`~repro.shard.frontier.FrontierTracker`) so
@@ -176,18 +167,13 @@ class ShardedCluster:
         #: join on their first `delivered_frontier` query with one
         #: rebuild from their settled set.
         self._frontier_active: Set[EntityId] = set()
-        spec = CommutativitySpec(commutative_ops=COMMUTATIVE_KINDS)
         for shard, group in self.groups.items():
             for member, stack in group.stacks.items():
-                detector = StablePointDetector(member, spec)
-                self.detectors[member] = detector
                 self._frontiers[member] = FrontierTracker(
                     self.graph.precedes, self._op_index
                 )
                 self._frontier_sync[member] = stack._settled_version
-                stack.on_deliver(
-                    self._delivery_hook(member, detector, group)
-                )
+                stack.on_deliver(self._delivery_hook(member, shard))
         self.router = ShardRouter(self)
         self.rebalancer = Rebalancer(self)
         self.barrier_reads: List["BarrierRead"] = []
@@ -216,22 +202,25 @@ class ShardedCluster:
         self._read_cursor: Dict[int, int] = {}
         self.barriers_started = 0
         self.reads_failed = 0
-        self._livelock: Optional[str] = None
+        #: Set when a drain trips the event cap (see ``drive``).
+        self.livelock: Optional[str] = None
+
+    @property
+    def issue_order(self) -> List[MessageId]:
+        """Every ledger label in global issue order (a copy of ``ops``'s keys)."""
+        return list(self.ops)
 
     # -- delivery plumbing -------------------------------------------------
 
     def _op_index(self, label: MessageId) -> int:
         return self.ops[label].index
 
-    def _delivery_hook(
-        self, member: EntityId, detector: StablePointDetector, group
-    ):
+    def _delivery_hook(self, member: EntityId, shard: int):
         tracker = self._frontiers[member]
-        data_labels = group.data_labels
+        data_labels = self.shard_labels[shard]
         active = self._frontier_active
 
         def hook(envelope) -> None:
-            detector.observe(envelope, self.scheduler.now)
             label = envelope.msg_id
             if label in data_labels and member in active:
                 # Incremental maximal: causal delivery means no in-group
@@ -299,16 +288,13 @@ class ShardedCluster:
                 f"cross_deps for shard {shard} names in-group labels: "
                 f"{sorted(map(str, local))}"
             )
-        order = list(group.members)
-        if preferred in group.stacks:
+        order = group.serving()
+        if preferred in order:
             order.remove(preferred)
             order.insert(0, preferred)
         for member in order:
-            stack = group.stacks[member]
-            if stack.crashed or member not in group.group.view:
-                continue
             try:
-                label = stack.bcast(
+                label = group.stacks[member].bcast(
                     kind, payload, occurs_after=deps, cross_deps=cross
                 )
             except ProtocolError:
@@ -325,7 +311,6 @@ class ShardedCluster:
                 cross_deps=cross,
                 session=session,
             )
-            group._sends[member].append((label, stack.incarnation))
             return label
         return None
 
@@ -353,11 +338,11 @@ class ShardedCluster:
             deps=deps,
             cross_deps=cross_deps,
             session=session,
-            index=len(self.issue_order),
+            index=len(self.ops),
             time=self.scheduler.now,
         )
-        self.issue_order.append(label)
         self.shard_of_label[label] = shard
+        self.shard_labels[shard].add(label)
         bit = self.graph.bit_of(label)
         self.label_mask[shard] |= bit
         if kind in DATA_KINDS:
@@ -368,10 +353,6 @@ class ShardedCluster:
             else:  # migrate: the label carries every moved key
                 for entry_key in value["entries"]:
                     by_key.setdefault(entry_key, []).append(label)
-        group = self.groups[shard]
-        group.data_labels.add(label)
-        group.dependencies[label] = deps
-        group.audience[label] = frozenset(group.group.view.members)
 
     def note_session_batch(
         self, session: str, labels: List[MessageId]
@@ -407,7 +388,7 @@ class ShardedCluster:
             graph.maximal_mask(reached & self.label_mask[shard])
         )
 
-    def _lagging(self, group: ChaosCluster, member: EntityId) -> bool:
+    def _lagging(self, shard: int, member: EntityId) -> bool:
         """Is ``member`` an amnesiac — settled prefix empty of data?
 
         A just-restarted replica whose state transfer has not landed yet
@@ -417,10 +398,11 @@ class ShardedCluster:
         settled label hits) and cheap for an amnesiac (small settled
         set scanned against the data-label set).
         """
-        if not group.data_labels:
+        labels = self.shard_labels[shard]
+        if not labels:
             return False
-        stack = group.stacks[member]
-        return stack._delivered_ids.isdisjoint(group.data_labels)
+        stack = self.groups[shard].stacks[member]
+        return stack._delivered_ids.isdisjoint(labels)
 
     def contact(self, shard: int) -> Optional[EntityId]:
         """The first up, in-view, non-amnesiac member of ``shard``, if any.
@@ -429,16 +411,11 @@ class ShardedCluster:
         is amnesiac (a freshly restarted group still needs *a* contact
         to rebuild through).
         """
-        group = self.groups[shard]
-        fallback: Optional[EntityId] = None
-        for member in group.members:
-            if group.stacks[member].crashed or member not in group.group.view:
-                continue
-            if not self._lagging(group, member):
+        serving = self.groups[shard].serving()
+        for member in serving:
+            if not self._lagging(shard, member):
                 return member
-            if fallback is None:
-                fallback = member
-        return fallback
+        return serving[0] if serving else None
 
     def read_members(self, shard: int) -> List[EntityId]:
         """Members of ``shard`` eligible to serve replica reads.
@@ -447,17 +424,9 @@ class ShardedCluster:
         is amnesiac they are all returned (the coverage gate still
         protects correctness — an empty settled set covers nothing).
         """
-        group = self.groups[shard]
-        fresh: List[EntityId] = []
-        lagging: List[EntityId] = []
-        for member in group.members:
-            if group.stacks[member].crashed or member not in group.group.view:
-                continue
-            if self._lagging(group, member):
-                lagging.append(member)
-            else:
-                fresh.append(member)
-        return fresh if fresh else lagging
+        serving = self.groups[shard].serving()
+        fresh = [m for m in serving if not self._lagging(shard, m)]
+        return fresh or serving
 
     def covers(
         self, shard: int, member: EntityId, labels: Iterable[MessageId]
@@ -539,8 +508,7 @@ class ShardedCluster:
         self, shard: int, member: EntityId
     ) -> FrozenSet[MessageId]:
         """Maximal ledger labels ``member`` has settled in its group."""
-        group = self.groups[shard]
-        stack = group.stacks[member]
+        stack = self.groups[shard].stacks[member]
         tracker = self._frontiers[member]
         version = stack._settled_version
         if member not in self._frontier_active:
@@ -559,7 +527,7 @@ class ShardedCluster:
             tracker.reset({
                 label: ops[label].index
                 for label in self.maximal(
-                    stack._delivered_ids & group.data_labels
+                    stack._delivered_ids & self.shard_labels[shard]
                 )
             })
             self._frontier_sync[member] = version
@@ -599,7 +567,7 @@ class ShardedCluster:
             self.rebalancer.move_slot(slot, dest)
         else:
             shard, arg = event.arg
-            self.groups[shard]._apply(ChaosEvent(event.time, action, arg))
+            self.groups[shard].apply_fault(action, arg)
 
     def run_campaign(
         self,
@@ -613,11 +581,14 @@ class ShardedCluster:
                 manager.start(campaign.duration)
         for event in campaign.events:
             self.scheduler.call_at(event.time, self._apply_sharded, event)
-        try:
-            self.scheduler.run_until(campaign.duration, MAX_EVENTS_PER_DRAIN)
-        except SimulationError as exc:
-            self._livelock = str(exc)
-        self._restore()
+        self.drain(until=campaign.duration)
+        # End-of-campaign cleanup across every group.
+        for group in self.groups.values():
+            group.clear_faults()
+        self.drain()
+        for group in self.groups.values():
+            group.revive()
+        self.drain()
         violations, rounds = self.settle(max_settle_rounds)
         if check_invariants:
             violations = violations + self.check_invariants()
@@ -638,44 +609,20 @@ class ShardedCluster:
             data_messages=len(self.ops),
             settle_rounds=rounds,
             sim_time=self.scheduler.now,
-            stable_points={
-                member: detector.count
-                for member, detector in self.detectors.items()
-            },
         )
 
-    def _restore(self) -> None:
-        """End-of-campaign cleanup across every group."""
-        for group in self.groups.values():
-            group.heal()
-            group.set_loss(0.0)
-            group.set_duplicate(0.0)
-        self._drain()
-        for group in self.groups.values():
-            for member, stack in group.stacks.items():
-                if stack.crashed and member in group.group.view:
-                    group.restart(member)
-            for member in group.members:
-                if member not in group.group.view:
-                    group.rejoin(member)
-        self._drain()
-
-    def drain(self) -> None:
-        """Run the shared scheduler to quiescence (public, for demos)."""
-        self._drain()
-
-    def _drain(self) -> None:
-        if self._livelock is not None:
-            return
-        try:
-            self.scheduler.run(MAX_EVENTS_PER_DRAIN)
-        except SimulationError as exc:
-            self._livelock = str(exc)
+    def drain(self, until: Optional[float] = None) -> None:
+        """Run the shared scheduler to quiescence, or to sim time ``until``."""
+        if self.livelock is None:
+            self.livelock = drive(self.scheduler, until)
 
     # -- repair-to-convergence --------------------------------------------
 
     def converged(self) -> bool:
-        if any(not group.converged() for group in self.groups.values()):
+        if any(
+            not group.converged(self.shard_labels[shard])
+            for shard, group in self.groups.items()
+        ):
             return False
         if self.router.busy():
             return False
@@ -692,24 +639,22 @@ class ShardedCluster:
         machinery is audited, not just of each group.
         """
         for round_number in range(1, max_rounds + 1):
-            if self._livelock is not None:
+            if self.livelock is not None:
                 return (
                     [Violation(
                         "liveness",
                         None,
-                        f"scheduler failed to quiesce: {self._livelock}",
+                        f"scheduler failed to quiesce: {self.livelock}",
                     )],
                     round_number - 1,
                 )
             if self.converged():
                 return [], round_number - 1
             for group in self.groups.values():
-                group._repair_membership()
-                for member in group._repair_participants():
-                    group.recoveries[member].anti_entropy_round()
-                    group.trackers[member].gossip_round()
+                group.repair_membership()
+                group.repair_round()
             self.router.kick()
-            self._drain()
+            self.drain()
         if self.converged():
             return [], max_rounds
         return [self._liveness_violation(max_rounds)], max_rounds
@@ -717,7 +662,7 @@ class ShardedCluster:
     def _liveness_violation(self, rounds: int) -> Violation:
         report = []
         for shard, group in self.groups.items():
-            if not group.converged():
+            if not group.converged(self.shard_labels[shard]):
                 view = group.group.view
                 report.append(
                     f"shard {shard} not converged "
@@ -738,8 +683,21 @@ class ShardedCluster:
     def check_invariants(self) -> List[Violation]:
         """Per-group batteries + cross-shard CC + routing audit."""
         violations: List[Violation] = []
-        for shard in self.shard_ids:
-            violations.extend(self.groups[shard].check_invariants())
+        for shard, group in self.groups.items():
+            # The single-group battery, fed from the ledger: a record's
+            # in-group ``Occurs-After`` set is its dependency set.
+            violations.extend(InvariantMonitor(
+                group.stacks,
+                dependencies={
+                    label: record.deps
+                    for label, record in self.ops.items()
+                    if record.shard == shard
+                },
+                data_labels=self.shard_labels[shard],
+                view_syncs=group.view_syncs,
+                trackers=group.trackers,
+                expected_members=group.members,
+            ).check_all())
         violations.extend(self.check_cross_shard())
         violations.extend(self._check_routing())
         return violations
@@ -764,6 +722,7 @@ class ShardedCluster:
     def _check_routing(self) -> List[Violation]:
         """No put may reach a slot's *old* group after its cutover."""
         violations: List[Violation] = []
+        issue_order = self.issue_order
         for move in self.rebalancer.moves:
             if move.phase != "done" or move.cutover_index is None:
                 continue
@@ -776,7 +735,7 @@ class ShardedCluster:
             )
             if superseded:
                 continue
-            for label in self.issue_order[move.cutover_index:]:
+            for label in issue_order[move.cutover_index:]:
                 record = self.ops[label]
                 if (
                     record.kind == "put"

@@ -2,13 +2,16 @@
 
 Each shard runs its *own* causal-broadcast group; no protocol instance
 ever sees the whole object space.  The ledger is the sharded cluster's
-external ground truth (mirroring what :class:`~repro.chaos.cluster.
-ChaosCluster` records at ``app_send`` for a single group): one
-:class:`OpRecord` per issued operation, holding both the in-group
-``Occurs-After`` set and the cross-group dependency stamp, in global
-issue order.  The invariant battery audits delivery logs against it, and
+only ground truth (a :class:`~repro.group.replica_group.ReplicaGroup`
+records nothing about the traffic it carries): one :class:`OpRecord` per
+issued operation, holding both the in-group ``Occurs-After`` set and the
+cross-group dependency stamp, in global issue order
+(:class:`~repro.shard.cluster.ShardedCluster` owns the containers).
+Both audits are derived from it — the per-shard
+:class:`~repro.analysis.invariants.InvariantMonitor` battery reads each
+record's ``deps``, the cross-shard check both edge kinds — and
 :class:`~repro.shard.barrier.StablePointBarrier` folds read values from
-it — so reads survive store compaction and crashes without any
+it, so reads survive store compaction and crashes without any
 per-member key/value state machine.
 """
 
@@ -22,11 +25,6 @@ from repro.types import MessageId
 #: Operation kinds that carry object-space data.  ``barrier`` is control
 #: traffic: it synchronises but writes nothing.
 DATA_KINDS = frozenset({"put", "migrate"})
-
-#: Kinds that commute between stable points (paper Section 6): ``put``s
-#: on distinct keys are independent; ``barrier`` and ``migrate`` are the
-#: synchronization points themselves.
-COMMUTATIVE_KINDS = frozenset({"put"})
 
 
 @dataclass(frozen=True)

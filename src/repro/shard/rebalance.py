@@ -91,7 +91,7 @@ class Rebalancer:
         if source == dest:
             record.phase = "done"
             record.cutover_time = cluster.scheduler.now
-            record.cutover_index = len(cluster.issue_order)
+            record.cutover_index = len(cluster.ops)
             return record
         cluster.router.freeze_slot(slot)
         StablePointBarrier(

@@ -162,6 +162,25 @@ class TestBasics:
 
         run(scenario)
 
+    def test_malformed_read_shards_fail_only_that_read(self):
+        """An unhashable ``shards`` entry used to raise inside the cycle,
+        and the catch-all answered every op of every client in it with
+        ``server error`` — applied puts included."""
+
+        async def scenario():
+            async with server() as srv, client(srv, "a") as a, \
+                    client(srv, "b") as b:
+                put = a.put("k", 1)
+                bad = b.submit({"t": "read", "shards": [[0]]})
+                reply = await put
+                assert reply["ok"] and reply["label"] is not None
+                with pytest.raises(ServeError, match="unknown shards"):
+                    await bad
+                assert await a.get("k") == 1
+                assert (await b.read(shards=[0, 1]))["ok"]
+
+        run(scenario)
+
     def test_request_before_hello_rejected(self):
         async def scenario():
             async with server() as srv:
@@ -264,6 +283,36 @@ class TestChaosOverTheWire:
                     assert first["member"] != second["member"]
                     with pytest.raises(ServeError, match="last member"):
                         await cli.chaos("crash", shard=1)
+
+        run(scenario)
+
+    @pytest.mark.parametrize("frame", [
+        {"action": "crash", "shard": 0, "member": "nope"},
+        {"action": "restart", "shard": 0, "member": "nope"},
+        {"action": "crash", "shard": 0, "member": ["s0n0"]},
+        {"action": "crash", "shard": [0]},
+    ], ids=[
+        "crash-unknown-member", "restart-unknown-member",
+        "unhashable-member", "unhashable-shard",
+    ])
+    def test_malformed_chaos_frame_is_a_per_request_error(self, frame):
+        """A member the shard does not have, or an unhashable field, used
+        to raise out of the handler and drop the connection with every
+        request pipelined on it."""
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", "v")
+                behind = cli.put("k2", "v2")
+                with pytest.raises(ServeError, match="unknown (shard|member)"):
+                    await cli._request({"t": "chaos", **frame})
+                assert (await behind)["ok"]
+                assert await cli.get("k") == "v"
+                assert all(
+                    not stack.crashed
+                    for group in srv.cluster.groups.values()
+                    for stack in group.stacks.values()
+                )
 
         run(scenario)
 

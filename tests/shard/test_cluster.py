@@ -153,3 +153,39 @@ class TestQuiescentAudit:
         cluster = quiet_cluster()
         with pytest.raises(KeyError):
             cluster.watch(MessageId("ghost", 0), lambda member: None)
+
+
+class TestPerShardAuditNonVacuity:
+    """The per-shard battery is fed from the ledger; planted anomalies in
+    one member's delivery log must come back under their own names (the
+    cross-shard checker alone would call both `cross-shard-causal`)."""
+
+    @staticmethod
+    def two_ordered_puts():
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        key = key_for(cluster, 0)
+        session.put(key, "a")
+        session.put(key, "b")
+        cluster.drain()
+        assert cluster.check_invariants() == []
+        first, second = cluster.issue_order
+        assert cluster.ops[second].deps == frozenset({first})
+        envelopes = cluster.groups[0].stacks["s0n1"]._delivered_envelopes
+        positions = {
+            e.msg_id: i for i, e in enumerate(envelopes)
+            if e.msg_id in (first, second)
+        }
+        return cluster, envelopes, positions[first], positions[second]
+
+    def test_planted_swap_is_reported_as_causal_order(self):
+        cluster, envelopes, i, j = self.two_ordered_puts()
+        envelopes[i], envelopes[j] = envelopes[j], envelopes[i]
+        found = {(v.invariant, v.member) for v in cluster.check_invariants()}
+        assert ("causal-order", "s0n1") in found
+
+    def test_planted_duplicate_is_reported_as_duplicate_delivery(self):
+        cluster, envelopes, i, _j = self.two_ordered_puts()
+        envelopes.append(envelopes[i])
+        found = {(v.invariant, v.member) for v in cluster.check_invariants()}
+        assert ("duplicate-delivery", "s0n1") in found

@@ -204,14 +204,14 @@ class TestProtocolIntegration:
         for _ in range(3):
             send("a")
             send("b")
-            cluster._drain()
+            cluster.drain()
         checkpoint()
 
         # Concurrent sends land while ``c`` is still inactive; its first
         # checkpoint below rebuilds from everything at once.
         send("a")
         send("c")
-        cluster._drain()
+        cluster.drain()
         checkpoint()
 
         # Crash ``b``, keep writing, restart it, and settle: the restart
@@ -221,7 +221,7 @@ class TestProtocolIntegration:
         cluster.crash("b")
         send("a")
         send("c")
-        cluster._drain()
+        cluster.drain()
         checkpoint()
         cluster.restart("b")
         violations, _rounds = cluster.settle()
@@ -231,5 +231,5 @@ class TestProtocolIntegration:
         # Post-recovery traffic goes back to the incremental path.
         send("b")
         send("a")
-        cluster._drain()
+        cluster.drain()
         checkpoint()

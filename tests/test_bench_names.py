@@ -58,3 +58,18 @@ def test_every_directly_called_method_resolves(replay):
             f"{owner.__name__}.{method} is gone"
         )
     assert isinstance(vars(Session)["idle"], property)
+
+
+def test_group_attributes_the_replay_reaches_resolve():
+    """``replay.py`` counts through ``cluster.groups`` and re-creates the
+    server's crash / restart / repair-round verbs on a group by hand."""
+    cluster = ShardedCluster(shards=1, members_per_shard=2, seed=0)
+    (group,) = cluster.groups.values()
+    member = group.members[0]
+    assert callable(group.crash) and callable(group.restart)
+    assert group.stacks[member].crashed is False
+    assert group.stacks[member].max_holdback == 0
+    assert callable(group.recoveries[member].anti_entropy_round)
+    assert callable(group.trackers[member].gossip_round)
+    assert group.view_syncs[member].changes_installed == 0
+    assert group.network.hops_sent == 0
