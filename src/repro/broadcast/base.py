@@ -5,8 +5,8 @@ Every protocol in this package is the same machine with a different
 
 1. a send path that stamps protocol metadata onto an :class:`Envelope`
    and hands it to the network,
-2. a receive path that deduplicates copies and places them in a
-   *hold-back queue*,
+2. a receive path that deduplicates copies and places the ones that are
+   not deliverable yet in a *hold-back queue*,
 3. a delivery loop that repeatedly releases queued envelopes whose
    predicate is satisfied, in deterministic order.
 
@@ -28,6 +28,10 @@ The chassis offers two drain implementations selected by ``drain_mode``:
     receive-time state change) wakes exactly the envelopes it unblocks;
     the hold-back queue is a dict, so removal is O(1).  Each unblocking
     event costs one predicate evaluation instead of a full queue rescan.
+    An arrival whose predicate already holds, with no drain running and
+    nothing runnable ahead of it, is delivered on arrival and never
+    enters the queue at all — the common case when a sender's envelopes
+    arrive in send order.
 
 ``"naive"``
     The original reference drain: rescan the whole queue until no
@@ -461,11 +465,11 @@ class BroadcastProtocol(SimNode):
         self._seen.add(msg_id)
         self._envelopes_by_id[msg_id] = envelope
         self._on_received(sender, envelope)
-        self._pending[msg_id] = envelope
-        self._arrival[msg_id] = self._arrival_counter
-        self._arrival_counter += 1
-        if len(self._pending) > self.max_holdback:
-            self.max_holdback = len(self._pending)
+        arrival = self._arrival_counter
+        self._arrival_counter = arrival + 1
+        held = len(self._pending) + 1
+        if held > self.max_holdback:
+            self.max_holdback = held
         trace = self.network.trace
         if trace.wants("hold"):
             trace.record(
@@ -473,11 +477,35 @@ class BroadcastProtocol(SimNode):
                 "hold",
                 entity=self.entity_id,
                 msg_id=msg_id,
-                queue=len(self._pending),
+                queue=held,
             )
-        if self.drain_mode == "indexed":
-            self._index(envelope)
-        self._drain()
+        if (
+            self.drain_mode == "indexed"
+            and not self._draining
+            and not self._ready
+            and self._deliverable(envelope)
+        ):
+            # Deliver on arrival: nothing is runnable ahead of this
+            # envelope and its predicate holds, so the drain's first pass
+            # would reach it next — skip the hold-back queue, the wakeup
+            # index and the heap.  With `_cursor` at its arrival index,
+            # whatever its delivery wakes (all earlier arrivals) lands in
+            # the next pass, exactly where the naive scan delivers it.
+            self._draining = True
+            self._cursor = arrival
+            try:
+                self.predicate_evaluations += 1
+                self._deliver(envelope)
+                self._signal_event(("delivered", msg_id))
+                self._run_passes()
+            finally:
+                self._end_drain()
+        else:
+            self._pending[msg_id] = envelope
+            self._arrival[msg_id] = arrival
+            if self.drain_mode == "indexed":
+                self._index(envelope)
+            self._drain()
         if self._recovery is not None and self._pending:
             self._recovery.notify_blocked()
 
@@ -578,38 +606,45 @@ class BroadcastProtocol(SimNode):
             return  # the outer drain's pass loop will pick up new arrivals
         self._draining = True
         try:
-            while self._ready:
-                # One pass: everything runnable so far, in arrival order.
-                self._current = self._ready
-                self._ready = []
-                self._cursor = -1
-                while self._current:
-                    arrival, msg_id = heapq.heappop(self._current)
-                    envelope = self._pending.get(msg_id)
-                    if envelope is None:
-                        self._queued.discard(msg_id)
-                        continue
-                    self._queued.discard(msg_id)
-                    self._cursor = arrival
-                    self.predicate_evaluations += 1
-                    if self._deliverable(envelope):
-                        del self._pending[msg_id]
-                        del self._arrival[msg_id]
-                        self._deliver(envelope)
-                        self._signal_event(("delivered", msg_id))
-                    else:
-                        # Woken too early: the blocker set grew since
-                        # registration.  Re-index with current blockers.
-                        self._index(envelope)
-                        if msg_id not in self._blocked_on:
-                            raise ProtocolError(
-                                f"{self.protocol_name}: wakeup index cannot "
-                                f"explain why {msg_id} is blocked"
-                            )
+            self._run_passes()
         finally:
-            self._draining = False
-            self._current = []
+            self._end_drain()
+
+    def _end_drain(self) -> None:
+        self._draining = False
+        self._current = []
+        self._cursor = -1
+
+    def _run_passes(self) -> None:
+        """The indexed drain's pass loop (caller holds ``_draining``)."""
+        while self._ready:
+            # One pass: everything runnable so far, in arrival order.
+            self._current = self._ready
+            self._ready = []
             self._cursor = -1
+            while self._current:
+                arrival, msg_id = heapq.heappop(self._current)
+                envelope = self._pending.get(msg_id)
+                if envelope is None:
+                    self._queued.discard(msg_id)
+                    continue
+                self._queued.discard(msg_id)
+                self._cursor = arrival
+                self.predicate_evaluations += 1
+                if self._deliverable(envelope):
+                    del self._pending[msg_id]
+                    del self._arrival[msg_id]
+                    self._deliver(envelope)
+                    self._signal_event(("delivered", msg_id))
+                else:
+                    # Woken too early: the blocker set grew since
+                    # registration.  Re-index with current blockers.
+                    self._index(envelope)
+                    if msg_id not in self._blocked_on:
+                        raise ProtocolError(
+                            f"{self.protocol_name}: wakeup index cannot "
+                            f"explain why {msg_id} is blocked"
+                        )
 
     def _drain_naive(self) -> None:
         """Reference drain: rescan the queue until no predicate fires.
@@ -647,14 +682,16 @@ class BroadcastProtocol(SimNode):
         self._delivery_log.append(record)
         self._delivered_envelopes.append(envelope)
         self._on_delivered(envelope)
-        self.network.trace.record(
-            self.now,
-            "deliver",
-            entity=self.entity_id,
-            msg_id=msg_id,
-            operation=envelope.message.operation,
-            position=record.position,
-        )
+        trace = self.network.trace
+        if trace.enabled:
+            trace.record(
+                self.now,
+                "deliver",
+                entity=self.entity_id,
+                msg_id=msg_id,
+                operation=envelope.message.operation,
+                position=record.position,
+            )
         if not self._is_control(envelope):
             for callback in self._callbacks:
                 callback(envelope)

@@ -124,7 +124,11 @@ class RecoveryAgent:
         now = self.protocol.now
         chaseable = False
         for envelope in self.protocol.holdback_envelopes:
-            for label in self.protocol.missing_for(envelope):
+            # `missing_for` is a frozenset of labels hashed through their
+            # `str` sender: unsorted, the NACK order — and with it the
+            # `!rec` labels and the hops' RNG draws — would follow
+            # PYTHONHASHSEED.
+            for label in sorted(self.protocol.missing_for(envelope)):
                 if self._maybe_nack(label, now):
                     chaseable = True
         if chaseable:

@@ -124,15 +124,19 @@ class ReplicaGroup:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.faults = FaultPlan()
         # `hop_events` tunes how much per-hop detail the trace keeps:
-        # analysis runs want "full"; serving-path groups pass "off" so
-        # the simulator's hot loop skips assembling per-hop events
-        # entirely (send/deliver events are always kept).
+        # analysis runs want "full" (or "sampled": send/deliver events
+        # are then always kept); serving-path groups pass "off" and
+        # retain no trace at all — nothing there reads one, and a put
+        # would otherwise leave a send and three deliver events behind
+        # forever.
         self.network = Network(
             self.scheduler,
             latency=UniformLatency(0.2, 1.8),
             faults=self.faults,
             rng=RngRegistry(seed),
-            trace=TraceRecorder(hop_events=hop_events),
+            trace=TraceRecorder(
+                enabled=hop_events != "off", hop_events=hop_events
+            ),
         )
         self.group = GroupMembership(self.members)
         self.stacks: Dict[EntityId, "BroadcastProtocol"] = {}

@@ -7,11 +7,17 @@ a broadcast is modelled as one independent hop per destination, each with
 its own sampled latency and fault decision — exactly the conditions under
 which copies arrive at different members in different orders, which the
 ordering protocols above must repair.
+
+A hop carries a *frame*: one envelope normally, or — when a burst of sends
+was corked (:meth:`Network.cork`) — everything one source sent one
+destination, in send order.  A frame is late, lost or duplicated as a
+unit; the paper's ordering comes from ``Occurs-After``, not from the
+transport, so the transport is free to coalesce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, MembershipError
 from repro.net.faults import FaultPlan, RELIABLE
@@ -71,9 +77,17 @@ class Network:
         self.service_time = service_time
         self._node_free_at: Dict[EntityId, float] = {}
         self._nodes: Dict[EntityId, SimNode] = {}
+        #: The three ``hops_*`` counters count envelopes, ``frames_sent``
+        #: the hops that carried them (equal unless sends were corked).
         self.hops_sent = 0
         self.hops_delivered = 0
         self.hops_dropped = 0
+        self.frames_sent = 0
+        #: (source, destination) -> envelopes parked in send order while
+        #: corked; ``None`` while sends go straight out (see `cork`).
+        self._parked: Optional[
+            Dict[Tuple[EntityId, EntityId], List[Envelope]]
+        ] = None
 
     # -- membership -----------------------------------------------------------
 
@@ -120,7 +134,7 @@ class Network:
         """Queue one hop from ``source`` to ``destination``."""
         if destination not in self._nodes:
             raise MembershipError(f"unknown destination: {destination!r}")
-        self._hop(source, destination, envelope)
+        self._send(source, destination, envelope)
 
     def broadcast(self, source: EntityId, envelope: Envelope) -> None:
         """Queue one hop to every registered node, including the sender.
@@ -128,59 +142,106 @@ class Network:
         Each hop samples latency and faults independently, so destinations
         generally observe broadcasts in different relative orders.
         """
-        self.trace.record(
-            self.scheduler.now,
-            "send",
-            source=source,
-            msg_id=envelope.msg_id,
-            operation=envelope.message.operation,
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                self.scheduler.now,
+                "send",
+                source=source,
+                msg_id=envelope.msg_id,
+                operation=envelope.message.operation,
+            )
         for destination in self._nodes:
-            self._hop(source, destination, envelope)
+            self._send(source, destination, envelope)
 
-    def _hop(
+    def cork(self) -> None:
+        """Park sends until the scheduler's next event, then frame them.
+
+        For a caller that issues a burst of sends from *outside* the
+        simulation, between two drives: what each source sends each
+        destination while corked leaves as one frame, in send order, at
+        the simulated instant it was sent.  The flush is itself a
+        scheduler event at the current time, so whoever drives next
+        flushes first and nothing can stay parked.  Idempotent.
+        """
+        if self._parked is None:
+            self._parked = {}
+            self.scheduler.call_now(self.flush)
+
+    def flush(self) -> None:
+        """Send everything parked since :meth:`cork`, one frame per link."""
+        parked, self._parked = self._parked, None
+        if parked:
+            for (source, destination), envelopes in parked.items():
+                self._transmit(source, destination, envelopes)
+
+    def _send(
         self, source: EntityId, destination: EntityId, envelope: Envelope
     ) -> None:
+        if self._parked is None:
+            self._transmit(source, destination, (envelope,))
+        else:
+            self._parked.setdefault((source, destination), []).append(envelope)
+
+    def _transmit(
+        self,
+        source: EntityId,
+        destination: EntityId,
+        envelopes: Sequence[Envelope],
+    ) -> None:
+        """Send one frame: ``envelopes`` share the hop's whole fate.
+
+        One crash check, one fault decision, one latency draw and one
+        scheduler event, however many envelopes ride along — an ordinary
+        hop is the frame of one.  The ``hops_*`` counters count envelopes.
+        """
         origin = self._nodes.get(source)
         if origin is not None and origin.crashed:
             # A crashed node emits nothing (crash-stop); control agents
-            # whose timers slipped past the node guards land here.
-            self.hops_dropped += 1
+            # whose timers slipped past the node guards land here, and so
+            # does whatever a node parked before it went down.
+            self.hops_dropped += len(envelopes)
             return
-        self.hops_sent += 1
+        self.hops_sent += len(envelopes)
+        self.frames_sent += 1
         copies, blocked = self.faults.decide(
             source, destination, self._fault_rng
         )
         if copies == 0:
-            self.hops_dropped += 1
-            self.trace.record(
-                self.scheduler.now,
-                "drop",
-                source=source,
-                destination=destination,
-                msg_id=envelope.msg_id,
-                blocked=blocked,
-            )
+            self.hops_dropped += len(envelopes)
+            for envelope in envelopes:
+                self.trace.record(
+                    self.scheduler.now,
+                    "drop",
+                    source=source,
+                    destination=destination,
+                    msg_id=envelope.msg_id,
+                    blocked=blocked,
+                )
             return
         for _ in range(copies):
             delay = self.latency.sample(source, destination, self._latency_rng)
             self.scheduler.call_in(
-                delay, self._arrive, source, destination, envelope
+                delay, self._arrive, source, destination, envelopes
             )
 
     def _arrive(
-        self, source: EntityId, destination: EntityId, envelope: Envelope
+        self,
+        source: EntityId,
+        destination: EntityId,
+        envelopes: Sequence[Envelope],
     ) -> None:
-        if self.service_time:
-            now = self.scheduler.now
-            start = max(now, self._node_free_at.get(destination, 0.0))
-            done = start + self.service_time
-            self._node_free_at[destination] = done
-            self.scheduler.call_at(
-                done, self._process, source, destination, envelope
-            )
-            return
-        self._process(source, destination, envelope)
+        """A frame lands: the node takes its envelopes in send order."""
+        for envelope in envelopes:
+            if self.service_time:
+                now = self.scheduler.now
+                start = max(now, self._node_free_at.get(destination, 0.0))
+                done = start + self.service_time
+                self._node_free_at[destination] = done
+                self.scheduler.call_at(
+                    done, self._process, source, destination, envelope
+                )
+            else:
+                self._process(source, destination, envelope)
 
     def _process(
         self, source: EntityId, destination: EntityId, envelope: Envelope

@@ -180,7 +180,7 @@ class ServeServer:
         #: admission still applies.
         self.max_queue = max_queue
         self.overload_retry_after = overload_retry_after
-        self.metrics = ServeMetrics(gauges=self.cluster.graph_gauges)
+        self.metrics = ServeMetrics(gauges=self.cluster.gauges)
         #: session name -> opid -> issued label (or the pending
         #: sentinel): the at-most-once memory behind put idempotency.
         self._applied_puts: Dict[str, "OrderedDict[str, object]"] = {}

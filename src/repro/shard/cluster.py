@@ -272,8 +272,18 @@ class ShardedCluster:
         Tries each up, in-view member (``preferred`` first) until one
         accepts the send; returns ``None`` if none can right now (all
         crashed, evicted, or flush-frozen) — callers retry on a timer.
+
+        Issued while the scheduler is idle (a serving cycle's puts, an
+        example's or a test's, back to back before one ``drain()``), the
+        send is corked: everything a member sends a peer before the next
+        drive leaves as one frame, in send order
+        (:meth:`~repro.net.network.Network.cork`).  Sends issued from
+        inside a drive — campaign ops, barrier rounds, retries — go out
+        hop by hop as they always did.
         """
         group = self.groups[shard]
+        if not self.scheduler.running:
+            group.network.cork()
         deps = frozenset(occurs_after)
         cross = frozenset(cross_deps)
         foreign = [l for l in deps if self.shard_of_label.get(l) != shard]
@@ -533,23 +543,32 @@ class ShardedCluster:
             self._frontier_sync[member] = version
         return tracker.labels()
 
-    def graph_gauges(self) -> Dict[str, int]:
-        """Dependency-graph sizes: the ledger's graph plus every member's.
+    def gauges(self) -> Dict[str, int]:
+        """What the ``stats`` verb samples on demand: graphs and transport.
 
-        ``graph_nodes`` grows with the ops served; ``graph_closures`` /
+        ``graph_nodes`` (the ledger's dependency graph plus every
+        member's) grows with the ops served; ``graph_closures`` /
         ``graph_closure_kb`` count memoised reachability closures and
         what they hold — only the ledger's graph is ever queried, so
-        every member's share stays zero.  Walks each cache: meant for a
-        ``stats`` request, not for the per-op path.
+        every member's share stays zero.  ``net_envelopes`` and
+        ``net_frames`` are the envelopes sent over every group's network
+        and the hops that carried them (their ratio is the packing
+        factor: about 30 when cycles are full, 1 at depth 1);
+        ``holdback_peak`` is the deepest hold-back queue any member has
+        seen.  Walks each cache: meant for a ``stats`` request, not for
+        the per-op path.
         """
-        graphs = [self.graph]
-        for group in self.groups.values():
-            graphs.extend(stack.graph for stack in group.stacks.values())
+        groups = self.groups.values()
+        stacks = [stack for g in groups for stack in g.stacks.values()]
+        graphs = [self.graph] + [stack.graph for stack in stacks]
         footprints = [graph.closure_footprint() for graph in graphs]
         return {
             "graph_nodes": sum(len(graph) for graph in graphs),
             "graph_closures": sum(entries for entries, _ in footprints),
             "graph_closure_kb": sum(size for _, size in footprints) // 1024,
+            "net_frames": sum(g.network.frames_sent for g in groups),
+            "net_envelopes": sum(g.network.hops_sent for g in groups),
+            "holdback_peak": max(stack.max_holdback for stack in stacks),
         }
 
     # -- campaign execution ------------------------------------------------

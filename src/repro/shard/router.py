@@ -63,6 +63,9 @@ class Session:
         self.name = name
         #: shard -> maximal labels of this session's causal past there.
         self.frontier: Dict[int, FrozenSet[MessageId]] = {}
+        #: `export_token`'s last result; dropped wherever ``frontier`` is
+        #: assigned, so the replies of one cycle share one encoding.
+        self._token: Optional[str] = None
         self._queue: Deque[list] = deque()
         self._reading = False
         self._retry_armed = False
@@ -131,20 +134,22 @@ class Session:
         survive the reconnect.  Version-tagged so the schema can evolve
         (importers reject tags they do not know).
         """
-        return json.dumps(
-            {
-                "v": TOKEN_VERSION,
-                "session": self.name,
-                "frontier": {
-                    str(shard): sorted(
-                        [label.sender, label.seqno] for label in labels
-                    )
-                    for shard, labels in sorted(self.frontier.items())
-                    if labels
+        if self._token is None:
+            self._token = json.dumps(
+                {
+                    "v": TOKEN_VERSION,
+                    "session": self.name,
+                    "frontier": {
+                        str(shard): sorted(
+                            [label.sender, label.seqno] for label in labels
+                        )
+                        for shard, labels in sorted(self.frontier.items())
+                        if labels
+                    },
                 },
-            },
-            separators=(",", ":"),
-        )
+                separators=(",", ":"),
+            )
+        return self._token
 
     def import_token(self, token: str) -> FrozenSet[MessageId]:
         """Merge a previously exported token into this session's frontier.
@@ -191,6 +196,7 @@ class Session:
             if known:
                 merged = set(self.frontier.get(shard, ())) | known
                 self.frontier[shard] = cluster.maximal(merged)
+                self._token = None
         return frozenset(unknown)
 
     # -- engine ------------------------------------------------------------
@@ -261,6 +267,7 @@ class Session:
             return None
         # The new label dominates everything it was stamped with.
         self.frontier[shard] = frozenset({label})
+        self._token = None
         if handoff is not None:
             # The handoff label drags in causal past the session never
             # observed (the migration follows the moved writes *and* the
@@ -375,6 +382,7 @@ class Session:
             if projected:
                 merged = set(self.frontier.get(shard, ())) | set(projected)
                 self.frontier[shard] = cluster.maximal(merged)
+                self._token = None
 
     def _arm_retry(self) -> None:
         if self._retry_armed:

@@ -73,6 +73,7 @@ class Scheduler:
         self._tiebreak = itertools.count()
         self._stopped = False
         self._events_processed = 0
+        self._running = False
 
     # -- clock ------------------------------------------------------------
 
@@ -85,6 +86,15 @@ class Scheduler:
     def events_processed(self) -> int:
         """Total number of events fired so far."""
         return self._events_processed
+
+    @property
+    def running(self) -> bool:
+        """Whether a :meth:`run` / :meth:`run_until` drive is in progress.
+
+        False while the scheduler is *idle*: whoever schedules now does so
+        from outside the simulation, between two drives.
+        """
+        return self._running
 
     @property
     def pending(self) -> int:
@@ -160,13 +170,17 @@ class Scheduler:
             of hanging.
         """
         fired = 0
-        while self.step():
-            fired += 1
-            if max_events is not None and fired > max_events:
-                raise SimulationError(
-                    f"run() exceeded max_events={max_events}; "
-                    "likely a livelocked protocol"
-                )
+        was_running, self._running = self._running, True
+        try:
+            while self.step():
+                fired += 1
+                if max_events is not None and fired > max_events:
+                    raise SimulationError(
+                        f"run() exceeded max_events={max_events}; "
+                        "likely a livelocked protocol"
+                    )
+        finally:
+            self._running = was_running
         return fired
 
     def run_until(self, deadline: float, max_events: Optional[int] = None) -> int:
@@ -180,21 +194,25 @@ class Scheduler:
                 f"deadline {deadline} is before now={self._now}"
             )
         fired = 0
-        while self._queue:
-            time, _, handle = self._queue[0]
-            if time > deadline:
-                break
-            heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            self._now = time
-            self._events_processed += 1
-            handle._fire()
-            fired += 1
-            if max_events is not None and fired > max_events:
-                raise SimulationError(
-                    f"run_until() exceeded max_events={max_events}"
-                )
+        was_running, self._running = self._running, True
+        try:
+            while self._queue:
+                time, _, handle = self._queue[0]
+                if time > deadline:
+                    break
+                heapq.heappop(self._queue)
+                if handle.cancelled:
+                    continue
+                self._now = time
+                self._events_processed += 1
+                handle._fire()
+                fired += 1
+                if max_events is not None and fired > max_events:
+                    raise SimulationError(
+                        f"run_until() exceeded max_events={max_events}"
+                    )
+        finally:
+            self._running = was_running
         self._now = deadline
         return fired
 

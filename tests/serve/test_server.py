@@ -145,6 +145,41 @@ class TestBasics:
 
         run(scenario)
 
+    def test_stats_report_transport_gauges(self):
+        """`stats` carries the packing factor and the hold-back peak.
+
+        Puts awaited one by one are cycles of one: every envelope is its
+        own frame.  A pipelined burst leaves as one frame per (sender,
+        destination), arrives in send order and is held back nowhere.
+        """
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                empty = await cli.stats()
+                assert (
+                    empty["net_frames"],
+                    empty["net_envelopes"],
+                    empty["holdback_peak"],
+                ) == (0, 0, 0)
+                for i in range(4):
+                    await cli.put_wait(f"k{i}", i)
+                serial = await cli.stats()
+                assert serial["net_envelopes"] == 4 * 3
+                assert serial["net_frames"] == serial["net_envelopes"]
+                await asyncio.gather(*(cli.put(f"p{i}", i) for i in range(40)))
+                burst = await cli.stats()
+                envelopes = burst["net_envelopes"] - serial["net_envelopes"]
+                frames = burst["net_frames"] - serial["net_frames"]
+                assert envelopes == 40 * 3
+                cycles = srv.metrics.counters["batches"] - 4
+                # One frame per member of each shard a cycle wrote to.
+                assert 3 <= frames <= cycles * 2 * 3
+                assert frames < envelopes
+                assert burst["holdback_peak"] == 1
+                assert "net_frames" in srv.metrics.render()
+
+        run(scenario)
+
     def test_unknown_request_type_errors(self):
         async def scenario():
             async with server() as srv, client(srv) as cli:

@@ -50,6 +50,8 @@ def test_served_history_retains_no_member_closures_and_bounded_memory():
     assert len(reads) == SESSIONS * OPS // 10
     assert all(session.idle for session in sessions)
     for group in cluster.groups.values():
+        # Serving-path groups keep no trace: nothing reads one there.
+        assert len(group.network.trace) == 0
         for member, stack in group.stacks.items():
             assert len(stack.graph) > OPS // 2, member
             assert stack.graph.closure_footprint() == (0, 0), member

@@ -284,6 +284,54 @@ class TestSessionTokens:
         self.fill(cluster, session)
         assert session.export_token() == session.export_token()
 
+    def test_token_is_cached_until_the_frontier_moves(self):
+        """One encoding per frontier: a cycle's replies share the string."""
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        other = cluster.router.session("other")
+        self.fill(cluster, session)
+        token = session.export_token()
+        assert session.export_token() is token
+
+        # A put moves the frontier.
+        session.put(key_for(cluster, 0), "next")
+        cluster.drain()
+        after_put = session.export_token()
+        assert after_put != token and session.export_token() is after_put
+
+        # Observing what the frontier already dominates keeps the cache...
+        own = next(iter(session.frontier[0]))
+        earlier = cluster.issue_order[0]
+        session.observe(own)
+        session.observe(earlier)
+        assert session.export_token() is after_put
+        # ...observing a foreign write drops it.
+        other.put(key_for(cluster, 1), "foreign")
+        cluster.drain()
+        session.observe(cluster.issue_order[-1])
+        after_observe = session.export_token()
+        assert after_observe != after_put
+
+        # So does importing a token that adds to the frontier...
+        other.put(key_for(cluster, 0), "foreign again")
+        cluster.drain()
+        session.import_token(other.export_token())
+        after_import = session.export_token()
+        assert after_import != after_observe
+
+        # ...and a barrier read, whose labels the session absorbs.
+        session.read()
+        cluster.drain()
+        after_read = session.export_token()
+        assert after_read != after_import
+        assert session.export_token() is after_read
+
+        # The cached string is what a fresh encoding of the frontier gives.
+        fresh = cluster.router.session("s-copy")
+        fresh.name = "s"
+        fresh.frontier = dict(session.frontier)
+        assert fresh.export_token() == after_read
+
     def test_import_chains_next_write_after_token_frontier(self):
         cluster = quiet_cluster()
         writer = cluster.router.session("writer")

@@ -128,6 +128,24 @@ class TestExecution:
         assert sched.step() is True
         assert seen == [1]
 
+    def test_running_only_inside_a_drive(self):
+        sched = Scheduler()
+        seen = []
+        sched.call_at(1.0, lambda: seen.append(sched.running))
+        sched.call_at(3.0, lambda: seen.append(sched.running))
+        assert not sched.running
+        sched.run_until(2.0)
+        assert not sched.running
+        sched.run()
+        assert seen == [True, True] and not sched.running
+
+    def test_running_is_cleared_when_a_callback_raises(self):
+        sched = Scheduler()
+        sched.call_at(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sched.run()
+        assert not sched.running
+
     def test_run_returns_event_count(self):
         sched = Scheduler()
         for t in range(5):
