@@ -393,6 +393,25 @@ class DependencyGraph:
         unseen = [label for label in pool if label not in bit]
         return maximal.union(unseen) if unseen else maximal
 
+    def path(self, earlier: MessageId, later: MessageId) -> List[MessageId]:
+        """One chain of direct edges from ``later`` back to ``earlier``.
+
+        ``[later, ..., earlier]``, each label a direct ancestor of the one
+        before it; empty unless ``earlier ≺ later``.  Of the ancestors
+        that still reach ``earlier`` the smallest label is followed, so
+        the chain is the same on every run.
+        """
+        if not self.precedes(earlier, later):
+            return []
+        chain = [later]
+        while chain[-1] != earlier:
+            chain.append(min(
+                label
+                for label in self._ancestors[chain[-1]]
+                if label == earlier or self.precedes(earlier, label)
+            ))
+        return chain
+
     def concurrent(self, a: MessageId, b: MessageId) -> bool:
         """The paper's ‖ relation: neither precedes the other."""
         if a == b:

@@ -19,7 +19,7 @@ the package ``__init__`` cannot re-export it.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broadcast import (
     ASendTotalOrder,
@@ -168,10 +168,6 @@ class ReplicaGroup:
             )
         self.crashes = 0
         self.restarts = 0
-        # Invoked with the member id after every restart (wiped volatile
-        # state); lets an embedding layer drop caches keyed on settled
-        # prefixes (e.g. ShardedCluster's barrier snapshot cache).
-        self.on_restart: Optional[Callable[[EntityId], None]] = None
         #: Latest crash time per member, for suspicion-delay and
         #: handoff-delay accounting.
         self.crash_log: Dict[EntityId, float] = {}
@@ -189,8 +185,6 @@ class ReplicaGroup:
     def restart(self, member: EntityId) -> None:
         self.stacks[member].restart()
         self.restarts += 1
-        if self.on_restart is not None:
-            self.on_restart(member)
 
     def partition(self, *groups: Sequence[EntityId]) -> None:
         self.faults.partition(*groups)

@@ -11,25 +11,41 @@ settled in the same relative order at every member of that shard, so
 the cut is a legal read snapshot with no extra agreement traffic
 ("without requiring separate message exchanges", Section 7).
 
-Cross-shard closure: a covered write may carry ``cross_deps`` into
-another *touched* shard whose cut does not cover them yet (the barriers
-raced).  The barrier then issues a supplemental barrier on that shard
-whose ``Occurs-After`` includes the missing labels, and re-checks —
-bounded rounds, after which the union of cuts is closed under both
-in-group and cross-group dependency edges restricted to the touched
-shards: a causally consistent multi-shard snapshot.
+One cut.  A read's state is one integer per touched shard, a mask over
+the ledger graph's bits: each barrier delivery ORs in
+``past_mask(barrier) & write_mask[shard]``.  Everything in a label's
+past was recorded before the label, so the cut is a pure function of
+the barrier labels: a completed :class:`BarrierRead` keeps only those,
+and derives ``covered`` / ``labels`` from the ledger on demand.
 
-The read *value* is folded from the cluster ledger (issue-order fold of
-the covered writes), not from any member's live state — so reads are
-insensitive to store compaction and crash amnesia.
+One closure rule.  The barriers race, so one cut may hold a write whose
+causal past reaches a write another *touched* shard's cut missed.  With
+no barrier outstanding, the past of the cuts' maximal writes, restricted
+to each touched shard's writes, must lie inside that shard's cut
+(:func:`closure_gaps`); a gap issues a supplemental barrier there whose
+``Occurs-After`` names the gap's maximal labels, and the check repeats —
+bounded rounds, after which the snapshot is closed under the *whole*
+causal order: both edge kinds, through barrier labels and untouched
+shards.  Scanning covered writes' direct ``cross_deps`` is not enough: a
+session that absorbs its own barrier collapses its frontier onto it, so
+``d (shard t) ≺ barrier (shard s) ≺ w (shard s)`` leaves ``w`` with no
+cross-dependency on ``d`` to scan.
+
+One fold.  The read *value* is the issue-order fold of the covered
+writes from the cluster ledger, not any member's live state, so reads
+are insensitive to store compaction and crash amnesia.  Writes are
+last-writer-wins per key, so the fold is the max-index write of each
+key; the cluster keeps it per shard for the newest completed cut, and a
+read whose cut contains the fold it started from folds only the
+difference (any other — a lagging contact — folds from nothing).  A
+fold is a pure function of its mask: nothing ever invalidates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.shard.ledger import DATA_KINDS
 from repro.types import MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,9 +55,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 BARRIER_ATTEMPTS = 240
 
 #: Closure-extension rounds before the read aborts.  Each round can only
-#: chase cross-dependencies of labels the previous round added, so real
+#: chase the causal past of labels the previous round added, so real
 #: workloads converge in one or two.
 MAX_CLOSURE_ROUNDS = 8
+
+
+def closure_gaps(
+    cluster: "ShardedCluster", cuts: Dict[int, int]
+) -> Dict[int, int]:
+    """shard -> the writes its cut lacks for ``cuts`` to be causally closed.
+
+    The past of the cuts' maximal writes is the past of every covered
+    write; each touched shard's share of it must lie inside its cut.
+    """
+    graph = cluster.graph
+    past = 0
+    for cut in cuts.values():
+        for head in graph.labels_of(graph.maximal_mask(cut)):
+            past |= graph.past_mask(head)
+    gaps: Dict[int, int] = {}
+    for shard, cut in cuts.items():
+        reached = past & cluster.write_mask[shard]
+        # x ^ (x & y) is x & ~y without the negative big int.
+        gap = reached ^ (reached & cut)
+        if gap:
+            gaps[shard] = gap
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -51,18 +90,33 @@ class BarrierRead:
     session: Optional[str]
     shards: Tuple[int, ...]
     value: Dict[str, object]
-    covered: Dict[int, FrozenSet[MessageId]]
     barrier_labels: Dict[int, Tuple[MessageId, ...]]
     rounds: int
     issued_at: float
     completed_at: float
+    #: The ledger the cut views below are derived from.
+    cluster: "ShardedCluster" = field(repr=False, compare=False)
+
+    def cuts(self) -> Dict[int, int]:
+        """shard -> the snapshot's cut, as a mask over the ledger graph."""
+        past_mask = self.cluster.graph.past_mask
+        cuts = dict.fromkeys(self.shards, 0)
+        for shard, labels in self.barrier_labels.items():
+            for label in labels:
+                cuts[shard] |= past_mask(label)
+            cuts[shard] &= self.cluster.write_mask[shard]
+        return cuts
+
+    @property
+    def covered(self) -> Dict[int, FrozenSet[MessageId]]:
+        """shard -> the data labels the snapshot covers there."""
+        labels_of = self.cluster.graph.labels_of
+        return {shard: labels_of(cut) for shard, cut in self.cuts().items()}
 
     @property
     def labels(self) -> FrozenSet[MessageId]:
         """Every data label the snapshot covers, across shards."""
-        return frozenset(
-            label for cut in self.covered.values() for label in cut
-        )
+        return frozenset().union(*self.covered.values())
 
 
 class StablePointBarrier:
@@ -102,40 +156,14 @@ class StablePointBarrier:
             for shard, labels in (cross or {}).items()
         }
         self.max_rounds = max_rounds
-        #: shard -> the cut covered so far, and the same cut as a mask
-        #: over the ledger graph's bits: the cut algebra runs on the
-        #: mask, and only each delivery's fresh delta is turned into
-        #: labels and unioned into the set `BarrierRead.covered` exposes.
-        self.covered: Dict[int, FrozenSet[MessageId]] = dict.fromkeys(
-            self.shards, frozenset()
-        )
-        self._covered_mask: Dict[int, int] = dict.fromkeys(self.shards, 0)
-        #: Snapshot-cache entry for this touched-shard set, captured once
-        #: so every shard that seeds does so from the *same* mutually
-        #: closed read (the cluster replaces entries wholesale).
-        self._cache_key = tuple(sorted(self.shards))
-        self._cache_entry = cluster._snapshot_cache.get(self._cache_key)
-        #: Shards whose cut/fold were seeded from the cache entry — their
-        #: prefix labels skipped the closure scan.
-        self._seeded: Set[int] = set()
-        self._prefix_scanned = False
-        #: Covered labels not yet closure-scanned.  A label's cross-deps
-        #: are immutable, so once scanned (its missing deps forced into a
-        #: supplemental barrier's Occurs-After, hence into a later cut)
-        #: re-scanning it can never surface new work — each closure round
-        #: therefore walks only the labels the latest deliveries added.
-        self._unscanned: List[Tuple[int, MessageId]] = []
-        #: shard -> key -> (issue index, value) of the newest covered
-        #: write to the key on that shard, folded incrementally as cuts
-        #: arrive.  Merging the per-shard folds by max index at
-        #: completion is equivalent to the issue-order ``fold_ledger``
-        #: over the union of cuts: ``put`` and ``migrate`` are
-        #: last-writer-wins per key, so the fold is the max-index write
-        #: of each key.  Kept per shard (not global) so a shard can seed
-        #: its fold from the snapshot cache independently of the others.
-        self._folded: Dict[int, Dict[str, Tuple[int, object]]] = {
-            s: {} for s in self.shards
-        }
+        #: shard -> the cut covered so far, as a mask over the ledger
+        #: graph's bits; all the read knows about its snapshot.
+        self._cut: Dict[int, int] = dict.fromkeys(self.shards, 0)
+        #: The cluster's per-shard folds as this read found them — now,
+        #: not at completion: reads in flight together end with
+        #: incomparable cuts (each holds its own session's newest writes)
+        #: but all contain what completed before they began.
+        self._base = dict(cluster.cut_folds)
         self._barrier_labels: Dict[int, List[MessageId]] = {
             s: [] for s in self.shards
         }
@@ -211,139 +239,86 @@ class StablePointBarrier:
         self._waiting.discard(label)
         cluster = self.cluster
         # The barrier label itself is control traffic, so the data cut is
-        # its causal past restricted to this shard's writes — big-int
-        # ANDs, no per-label kind lookups; only the delta the read has
-        # not covered yet is turned back into labels.
-        graph = cluster.graph
-        past = graph.past_mask(label)
-        entry = self._cache_entry
-        if entry is not None and not self._covered_mask[shard]:
-            cached = entry.get(shard)
-            if cached is not None and past & graph.bit_of(cached[0]):
-                # The cached read's barrier is in this barrier's causal
-                # past, so its cut (= past ∩ writes, zero-round reads
-                # only) is a subset of ours: seed covered and the fold
-                # from it and let `fresh` shrink to the delta.
-                _, cut, cut_mask, fold = cached
-                self.covered[shard] = cut
-                self._covered_mask[shard] = cut_mask
-                self._folded[shard] = dict(fold)
-                self._seeded.add(shard)
-        fresh_mask = past & cluster.write_mask[shard]
-        fresh_mask ^= fresh_mask & self._covered_mask[shard]
-        if fresh_mask:
-            fresh = graph.labels_of(fresh_mask)
-            self._covered_mask[shard] |= fresh_mask
-            self.covered[shard] |= fresh
-            ops = cluster.ops
-            folded = self._folded[shard]
-            for covered_label in fresh:
-                record = ops[covered_label]
-                if record.kind == "put":
-                    key = record.value["key"]
-                    entry = folded.get(key)
-                    if entry is None or entry[0] < record.index:
-                        folded[key] = (record.index, record.value["value"])
-                else:  # migrate
-                    for key, value in record.value["entries"].items():
-                        entry = folded.get(key)
-                        if entry is None or entry[0] < record.index:
-                            folded[key] = (record.index, value)
-                self._unscanned.append((shard, covered_label))
+        # its causal past restricted to this shard's writes.
+        self._cut[shard] |= (
+            cluster.graph.past_mask(label) & cluster.write_mask[shard]
+        )
         if not self._waiting and not self._retries:
             self._check_closure()
 
-    # -- cross-shard closure ----------------------------------------------
+    # -- causal closure ----------------------------------------------------
 
     def _check_closure(self) -> None:
         cluster = self.cluster
-        touched = set(self.shards)
-        missing: Dict[int, Set[MessageId]] = {}
-        pending = self._unscanned
-        self._unscanned = []
-        for shard, label in pending:
-            for dep in cluster.ops[label].cross_deps:
-                dep_shard = cluster.shard_of_label.get(dep)
-                if (
-                    dep_shard in touched
-                    and cluster.ops[dep].kind in DATA_KINDS
-                    and dep not in self.covered[dep_shard]
-                ):
-                    missing.setdefault(dep_shard, set()).add(dep)
-        if not missing:
-            if (
-                self._seeded
-                and len(self._seeded) != len(self.shards)
-                and not self._prefix_scanned
-            ):
-                # Partial seed: some touched shard's cut does not contain
-                # the cached read's cut for it, so the mutual-closure
-                # argument that lets seeded prefixes skip the scan does
-                # not apply.  Scan them once the old way, then re-check.
-                self._prefix_scanned = True
-                entry = self._cache_entry
-                self._unscanned.extend(
-                    (shard, covered_label)
-                    for shard in self._seeded
-                    for covered_label in entry[shard][1]
-                )
-                self._check_closure()
-                return
+        gaps = closure_gaps(cluster, self._cut)
+        if not gaps:
             self._complete()
             return
         self._rounds += 1
         if self._rounds > self.max_rounds:
             self._abort()
             return
-        for shard, labels in sorted(missing.items()):
-            self._issue(shard, frozenset(labels), BARRIER_ATTEMPTS)
+        graph = cluster.graph
+        for shard, gap in sorted(gaps.items()):
+            self._issue(
+                shard,
+                graph.labels_of(graph.maximal_mask(gap)),
+                BARRIER_ATTEMPTS,
+            )
 
     # -- completion --------------------------------------------------------
+
+    def _fold(self, shard: int) -> Dict[str, Tuple[int, object]]:
+        """key -> (issue index, value) of ``shard``'s cut, newest per key.
+
+        Extends a copy of the fold this read started from if the cut
+        contains that fold's, starts from nothing otherwise, and leaves
+        the result at the cluster for the reads that begin after it.
+        """
+        cluster = self.cluster
+        cut = self._cut[shard]
+        base, folded = self._base[shard]
+        if base & cut != base:
+            base, folded = 0, {}
+        folded = dict(folded)
+        ops = cluster.ops
+        for label in cluster.graph.labels_of(cut ^ base):
+            record = ops[label]
+            if record.kind == "put":
+                entries = ((record.value["key"], record.value["value"]),)
+            else:  # migrate: the label carries every moved key
+                entries = record.value["entries"].items()
+            for key, value in entries:
+                held = folded.get(key)
+                if held is None or held[0] < record.index:
+                    folded[key] = (record.index, value)
+        cluster.cut_folds[shard] = (cut, folded)
+        return folded
 
     def _complete(self) -> None:
         self._done = True
         cluster = self.cluster
-        # The per-shard incremental folds hold the max-index write per
-        # key on each shard; their max-index merge is what the
-        # issue-order ``fold_ledger`` of the union of cuts reduces to
-        # (puts and migrates are last-writer-wins).
+        # A key lives on one shard at a time but a slot move leaves its
+        # older writes behind on the source, so the per-shard folds merge
+        # by max index — what the issue-order fold of the union of cuts
+        # reduces to.
         merged: Dict[str, Tuple[int, object]] = {}
-        for folded in self._folded.values():
-            for key, pair in folded.items():
-                current = merged.get(key)
-                if current is None or current[0] < pair[0]:
+        for shard in self.shards:
+            for key, pair in self._fold(shard).items():
+                held = merged.get(key)
+                if held is None or held[0] < pair[0]:
                     merged[key] = pair
-        value = {key: pair[1] for key, pair in merged.items()}
-        covered = dict(self.covered)
-        if self._rounds == 0 and all(
-            len(labels) == 1 for labels in self._barrier_labels.values()
-        ):
-            # Exactly one barrier per shard means each cut is precisely
-            # that barrier's causal past restricted to the shard's writes
-            # — the shape the seeding domination test relies on — so this
-            # read can serve as the next one's prefix.  The completed
-            # read never mutates its folds again, so they are stored
-            # as-is (seeding copies).
-            cluster._snapshot_cache[self._cache_key] = {
-                shard: (
-                    self._barrier_labels[shard][0],
-                    covered[shard],
-                    self._covered_mask[shard],
-                    self._folded[shard],
-                )
-                for shard in self.shards
-            }
         read = BarrierRead(
             session=self.session,
             shards=self.shards,
-            value=value,
-            covered=covered,
+            value={key: pair[1] for key, pair in merged.items()},
             barrier_labels={
                 s: tuple(labels) for s, labels in self._barrier_labels.items()
             },
             rounds=self._rounds,
             issued_at=self.issued_at,
             completed_at=cluster.scheduler.now,
+            cluster=cluster,
         )
         cluster.barrier_reads.append(read)
         self.on_complete(read)

@@ -31,6 +31,7 @@ from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.group.replica_group import ReplicaGroup, drive
+from repro.shard.barrier import BarrierRead, closure_gaps
 from repro.shard.frontier import FrontierTracker
 from repro.shard.ledger import DATA_KINDS, OpRecord
 from repro.shard.map import ShardMap
@@ -38,9 +39,6 @@ from repro.shard.rebalance import Rebalancer
 from repro.shard.router import ShardRouter
 from repro.sim.scheduler import Scheduler
 from repro.types import EntityId, MessageId
-
-if False:  # pragma: no cover - typing only
-    from repro.shard.barrier import BarrierRead
 
 
 @dataclass
@@ -111,14 +109,6 @@ class ShardedCluster:
                 hop_events=hop_events,
             )
             self.groups[shard] = group
-            # A restart wipes the member's volatile settled prefix, so
-            # any barrier snapshot touching its shard may describe a cut
-            # the group can no longer serve verbatim — drop those
-            # entries (satellite of the PR-6 cache; see
-            # `invalidate_snapshots`).
-            group.on_restart = (
-                lambda member, shard=shard: self.invalidate_snapshots(shard)
-            )
             for member in members:
                 self.shard_of_member[member] = shard
         # -- the global ledger (ground truth; see repro.shard.ledger) ----
@@ -176,28 +166,13 @@ class ShardedCluster:
                 stack.on_deliver(self._delivery_hook(member, shard))
         self.router = ShardRouter(self)
         self.rebalancer = Rebalancer(self)
-        self.barrier_reads: List["BarrierRead"] = []
-        #: touched-shard-set (sorted tuple) -> per-shard (barrier label,
-        #: covered cut, the cut as a mask over ``graph``'s bits, folded
-        #: values) of the newest zero-round barrier read over exactly
-        #: those shards.  A later read whose barrier causally dominates
-        #: the cached label seeds its cut and fold from the entry and
-        #: only processes the delta — without it every read re-folds
-        #: (and re-closure-scans) the whole shard history.  Entries are
-        #: replaced wholesale, never mutated: in-flight reads hold a
-        #: reference to the entry they seeded from.
-        self._snapshot_cache: Dict[
-            Tuple[int, ...],
-            Dict[
-                int,
-                Tuple[
-                    MessageId,
-                    FrozenSet[MessageId],
-                    int,
-                    Dict[str, Tuple[int, object]],
-                ],
-            ],
-        ] = {}
+        self.barrier_reads: List[BarrierRead] = []
+        #: shard -> (cut mask, key -> (issue index, value)) of the newest
+        #: completed barrier cut there: the fold the next read extends
+        #: when its cut contains this one (see `StablePointBarrier._fold`).
+        self.cut_folds: Dict[
+            int, Tuple[int, Dict[str, Tuple[int, object]]]
+        ] = {shard: (0, {}) for shard in self.shard_ids}
         #: shard -> round-robin cursor of `read_replica`.
         self._read_cursor: Dict[int, int] = {}
         self.barriers_started = 0
@@ -492,28 +467,6 @@ class ShardedCluster:
         self._read_cursor[shard] = cursor + 1
         return eligible[cursor % len(eligible)]
 
-    def invalidate_snapshots(self, *shards: int) -> None:
-        """Drop barrier snapshot-cache entries touching any of ``shards``.
-
-        Called on rebalance cutover (the moved slot's keys change home,
-        so a cached fold for source or dest describes a pre-move world)
-        and on member restart (the member's settled prefix was wiped; a
-        cut cached against the old incarnation may no longer be
-        servable as-is).  With no arguments, clears everything.  Entries
-        are dropped, never mutated — in-flight reads keep whatever entry
-        they already seeded from, which stays sound because cached cuts
-        only describe the barrier's fixed causal past.
-        """
-        if not shards:
-            self._snapshot_cache.clear()
-            return
-        affected = set(shards)
-        stale = [
-            key for key in self._snapshot_cache if affected.intersection(key)
-        ]
-        for key in stale:
-            del self._snapshot_cache[key]
-
     def delivered_frontier(
         self, shard: int, member: EntityId
     ) -> FrozenSet[MessageId]:
@@ -700,7 +653,7 @@ class ShardedCluster:
     # -- auditing ----------------------------------------------------------
 
     def check_invariants(self) -> List[Violation]:
-        """Per-group batteries + cross-shard CC + routing audit."""
+        """Per-group batteries, cross-shard CC, snapshot and routing audits."""
         violations: List[Violation] = []
         for shard, group in self.groups.items():
             # The single-group battery, fed from the ledger: a record's
@@ -718,6 +671,7 @@ class ShardedCluster:
                 expected_members=group.members,
             ).check_all())
         violations.extend(self.check_cross_shard())
+        violations.extend(self._check_snapshot_closure())
         violations.extend(self._check_routing())
         return violations
 
@@ -737,6 +691,38 @@ class ShardedCluster:
             issue_order=self.issue_order,
         )
         return checker.check()
+
+    def _check_snapshot_closure(self) -> List[Violation]:
+        """Every completed barrier read is a causally closed snapshot.
+
+        A gap means the read returned a write and not one it causally
+        follows — the ``WriteCOInitRead`` pattern of arXiv:1611.00580.
+        """
+        graph = self.graph
+        violations: List[Violation] = []
+        for read in self.barrier_reads:
+            cuts = read.cuts()
+            for shard, gap in sorted(closure_gaps(self, cuts).items()):
+                missing = min(graph.labels_of(gap), key=self._op_index)
+                covering = min(
+                    (
+                        label
+                        for cut in cuts.values()
+                        for label in graph.labels_of(cut)
+                        if graph.precedes(missing, label)
+                    ),
+                    key=self._op_index,
+                )
+                path = " <- ".join(map(str, graph.path(missing, covering)))
+                violations.append(Violation(
+                    "snapshot-closure",
+                    None,
+                    f"session {read.session}'s read of shards "
+                    f"{read.shards} at t={read.completed_at:.2f} covers "
+                    f"{covering} but not {missing} on shard {shard}, "
+                    f"which it causally follows ({path})",
+                ))
+        return violations
 
     def _check_routing(self) -> List[Violation]:
         """No put may reach a slot's *old* group after its cutover."""

@@ -113,10 +113,9 @@ class Rebalancer:
             cluster.router.unfreeze_slot(record.slot)
             return
         record.phase = "transfer"
-        covered = read.covered[record.source]
         full = Snapshot(
             state=dict(read.value),
-            covered=frozenset(covered),
+            covered=read.covered[record.source],
             donor=f"shard{record.source}",
             stable_index=record.slot,
         )
@@ -172,8 +171,4 @@ class Rebalancer:
         record.cutover_time = cluster.scheduler.now
         record.cutover_index = cluster.ops[label].index + 1
         cluster.shard_map = cluster.shard_map.reassign(record.slot, record.dest)
-        # Cached barrier snapshots for either side describe the pre-move
-        # key->shard world (the moved slot's keys just changed home);
-        # drop them rather than let a later read seed from a stale cut.
-        cluster.invalidate_snapshots(record.source, record.dest)
         cluster.router.unfreeze_slot(record.slot, handoff=label)

@@ -309,3 +309,19 @@ class TestMaximalElements:
         for x in result:
             for y in result:
                 assert not graph.precedes(x, y)
+
+
+class TestPath:
+    def test_chain_of_direct_edges_back_to_the_ancestor(self):
+        graph = DependencyGraph()
+        a, b, c, d, e = (MessageId("n", i) for i in range(5))
+        graph.add(a)
+        graph.add(b, [a])
+        graph.add(c, [a])
+        graph.add(d, [b, c])
+        graph.add(e)
+        assert graph.path(a, d) == [d, b, a]  # b < c: the smaller label
+        assert graph.path(b, d) == [d, b]
+        assert graph.path(d, a) == []
+        assert graph.path(e, d) == []
+        assert graph.path(a, a) == []

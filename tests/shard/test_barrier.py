@@ -69,7 +69,14 @@ class TestBarrierReads:
 
 class TestClosureInvariant:
     def test_covered_cuts_are_closed_under_cross_deps(self):
-        """Any completed read's cut covers its own cross-shard ancestry."""
+        """A completed read's cut holds every covered write's whole past.
+
+        Not just its direct ``cross_deps`` (all the barrier scanned when
+        this test was named): every write anywhere in a
+        covered write's transitive causal past (both edge kinds, through
+        barrier labels and untouched shards) that lives on a touched
+        shard is itself covered.
+        """
         cluster = quiet_cluster(shards=3, seed=2)
         sessions = [cluster.router.session(f"s{i}") for i in range(3)]
         for index, session in enumerate(sessions):
@@ -78,21 +85,27 @@ class TestClosureInvariant:
                 key_for(cluster, (index + 1) % 3, salt=index + 3),
                 f"b{index}",
             )
+        for index, session in enumerate(sessions):
+            session.read(shards=(index, (index + 1) % 3))
+            session.put(key_for(cluster, index, salt=index + 6), f"c{index}")
         for session in sessions:
             session.read()
         cluster.drain()
         for session in sessions:
-            (read,) = session.reads
-            touched = set(read.shards)
-            for shard in read.shards:
-                for label in read.covered[shard]:
-                    for dep in cluster.ops[label].cross_deps:
-                        dep_shard = cluster.shard_of_label[dep]
-                        if (
-                            dep_shard in touched
-                            and cluster.ops[dep].kind in DATA_KINDS
-                        ):
-                            assert dep in read.covered[dep_shard]
+            assert len(session.reads) == 2
+            for read in session.reads:
+                covered = read.covered
+                assert set(covered) == set(read.shards)
+                for shard in read.shards:
+                    for label in covered[shard]:
+                        for dep in cluster.graph.causal_past(label):
+                            dep_shard = cluster.shard_of_label[dep]
+                            if (
+                                dep_shard in covered
+                                and cluster.ops[dep].kind in DATA_KINDS
+                            ):
+                                assert dep in covered[dep_shard]
+        assert cluster.check_invariants() == []
 
 
 class TestAbort:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosCluster, random_campaign
+from repro.chaos.cluster import CHAOS_PROTOCOLS
 from repro.group.replica_group import ReplicaGroup
 from repro.shard import ShardedCluster, sharded_campaign
 
@@ -85,12 +86,148 @@ CHAOS_ONCE_HASH_SEED_DEPENDENT = {
     }),
 }
 
+#: (protocol, seed, overlap) -> the same fields for the other twenty of
+#: the 28 single-group campaigns ``make chaos-quick`` runs (seven
+#: protocols x seeds 1, 2 x overlap off / on), captured at PR 22 and
+#: identical under ``PYTHONHASHSEED`` 0 and 7.
+CHAOS_QUICK_REST = {
+    ("cbcast", 2, False): (16, 8, 2, 2, 0, 105.914822, {
+        "suspicions": 3.0, "suspicion_delay_mean": 6.676667,
+        "suspicion_delay_max": 7.51, "removals_proposed": 2.0,
+        "flushes": 13.0, "flush_duration_mean": 1.852125,
+        "flush_duration_max": 11.943242,
+    }),
+    ("cbcast", 2, True): (9, 15, 2, 2, 1, 120.644271, {
+        "suspicions": 1.0, "suspicion_delay_mean": 4.54,
+        "suspicion_delay_max": 4.54, "removals_proposed": 2.0,
+        "flushes": 10.0, "flush_duration_mean": 10.19424,
+        "flush_duration_max": 78.41698,
+    }),
+    ("fifo", 1, False): (20, 4, 2, 2, 1, 101.433380, {
+        "suspicions": 4.0, "suspicion_delay_mean": 16.965,
+        "suspicion_delay_max": 49.32, "removals_proposed": 1.0,
+        "flushes": 12.0, "flush_duration_mean": 1.505854,
+        "flush_duration_max": 7.739274,
+    }),
+    ("fifo", 1, True): (8, 16, 2, 2, 3, 260.082973, {
+        "suspicions": 2.0, "suspicion_delay_mean": 6.9,
+        "suspicion_delay_max": 6.9, "removals_proposed": 1.0,
+        "flushes": 8.0, "flush_duration_mean": 59.160795,
+        "flush_duration_max": 161.351773,
+    }),
+    ("fifo", 2, False): (16, 8, 2, 2, 0, 107.549086, {
+        "suspicions": 3.0, "suspicion_delay_mean": 7.51,
+        "suspicion_delay_max": 7.51, "removals_proposed": 2.0,
+        "flushes": 13.0, "flush_duration_mean": 1.788656,
+        "flush_duration_max": 11.943242,
+    }),
+    ("fifo", 2, True): (9, 15, 2, 2, 1, 120.989269, {
+        "suspicions": 1.0, "suspicion_delay_mean": 4.54,
+        "suspicion_delay_max": 4.54, "removals_proposed": 2.0,
+        "flushes": 10.0, "flush_duration_mean": 10.336971,
+        "flush_duration_max": 79.844295,
+    }),
+    ("lamport_total", 1, False): (7, 17, 1, 1, 3, 199.910325, {
+        "suspicions": 3.0, "suspicion_delay_mean": 6.82,
+        "suspicion_delay_max": 6.82, "removals_proposed": 1.0,
+        "flushes": 12.0, "flush_duration_mean": 51.805586,
+        "flush_duration_max": 157.452071,
+    }),
+    ("lamport_total", 2, False): (12, 12, 1, 1, 3, 210.463127, {
+        "suspicions": 3.0, "suspicion_delay_mean": 5.883333,
+        "suspicion_delay_max": 7.55, "flushes": 7.0,
+        "flush_duration_mean": 77.373015,
+        "flush_duration_max": 154.019877,
+    }),
+    ("osend", 2, True): (10, 14, 2, 2, 0, 52.364974, {
+        "suspicions": 2.0, "suspicion_delay_mean": 7.04,
+        "suspicion_delay_max": 7.04, "removals_proposed": 2.0,
+        "flushes": 10.0, "flush_duration_mean": 3.770379,
+        "flush_duration_max": 9.079323,
+    }),
+    ("rst", 1, False): (20, 4, 2, 2, 2, 328.985163, {
+        "suspicions": 6.0, "suspicion_delay_mean": 19.203333,
+        "suspicion_delay_max": 49.32, "removals_proposed": 3.0,
+        "flushes": 34.0, "flush_duration_mean": 4.139457,
+        "flush_duration_max": 76.600246,
+    }),
+    ("rst", 1, True): (7, 17, 2, 2, 1, 202.655209, {
+        "suspicions": 5.0, "suspicion_delay_mean": 7.29,
+        "suspicion_delay_max": 7.55, "removals_proposed": 1.0,
+        "flushes": 19.0, "flush_duration_mean": 3.088098,
+        "flush_duration_max": 20.875652,
+    }),
+    ("rst", 2, False): (16, 8, 2, 2, 1, 110.178878, {
+        "suspicions": 3.0, "suspicion_delay_mean": 7.51,
+        "suspicion_delay_max": 7.51, "removals_proposed": 2.0,
+        "flushes": 13.0, "flush_duration_mean": 1.813514,
+        "flush_duration_max": 11.943242,
+    }),
+    ("rst", 2, True): (9, 15, 2, 2, 1, 120.644271, {
+        "suspicions": 1.0, "suspicion_delay_mean": 4.54,
+        "suspicion_delay_max": 4.54, "removals_proposed": 2.0,
+        "flushes": 10.0, "flush_duration_mean": 10.19424,
+        "flush_duration_max": 78.41698,
+    }),
+    ("sequencer", 1, True): (7, 17, 2, 2, 2, 126.395392, {
+        "suspicions": 6.0, "suspicion_delay_mean": 8.058333,
+        "suspicion_delay_max": 14.4, "removals_proposed": 2.0,
+        "flushes": 15.0, "flush_duration_mean": 25.152591,
+        "flush_duration_max": 101.056203, "handoffs": 1.0,
+    }),
+    ("sequencer", 2, False): (9, 15, 1, 1, 3, 214.613212, {
+        "suspicions": 3.0, "suspicion_delay_mean": 7.55,
+        "suspicion_delay_max": 7.55, "flushes": 7.0,
+        "flush_duration_mean": 87.847883,
+        "flush_duration_max": 157.501572,
+    }),
+    ("sequencer", 2, True): (9, 15, 2, 2, 2, 266.254378, {
+        "suspicions": 5.0, "suspicion_delay_mean": 7.25,
+        "suspicion_delay_max": 7.39, "removals_proposed": 2.0,
+        "flushes": 13.0, "flush_duration_mean": 53.408416,
+        "flush_duration_max": 220.032606,
+    }),
+    ("unordered", 1, False): (17, 7, 2, 2, 2, 221.049412, {
+        "suspicions": 4.0, "suspicion_delay_mean": 16.965,
+        "suspicion_delay_max": 49.32, "removals_proposed": 1.0,
+        "flushes": 12.0, "flush_duration_mean": 36.656521,
+        "flush_duration_max": 147.890673,
+    }),
+    ("unordered", 1, True): (7, 17, 2, 2, 2, 182.306650, {
+        "suspicions": 5.0, "suspicion_delay_mean": 7.29,
+        "suspicion_delay_max": 7.55, "removals_proposed": 1.0,
+        "flushes": 11.0, "flush_duration_mean": 55.49378,
+        "flush_duration_max": 158.436223,
+    }),
+    ("unordered", 2, False): (16, 8, 2, 2, 1, 110.870465, {
+        "suspicions": 1.0, "suspicion_delay_mean": 5.01,
+        "suspicion_delay_max": 5.01, "removals_proposed": 2.0,
+        "flushes": 12.0, "flush_duration_mean": 1.010063,
+        "flush_duration_max": 1.621036,
+    }),
+    ("unordered", 2, True): (8, 16, 2, 2, 3, 243.602976, {
+        "suspicions": 1.0, "suspicion_delay_mean": 4.54,
+        "suspicion_delay_max": 4.54, "removals_proposed": 2.0,
+        "flushes": 8.0, "flush_duration_mean": 38.838956,
+        "flush_duration_max": 160.673472,
+    }),
+}
+
 #: seed -> what ``repro shard --seed <seed>`` does: ops, skipped, reads,
 #: failed reads, moves, crashes, restarts, ledger size, settle rounds,
 #: sim clock.
 SHARD = {
     0: (33, 0, 8, 0, 1, 1, 1, 49, 0, 49.474487),
     1: (35, 0, 6, 0, 1, 1, 1, 47, 1, 155.175849),
+}
+
+#: seed -> the same fields for ``repro shard --shards 2 --seed <seed>``:
+#: the two campaigns of ``make chaos-quick``'s two-shard run whose reads
+#: were not causally closed before PR 22 (one supplemental round each
+#: now), captured after the fix.
+SHARD_TWO = {
+    12: (34, 0, 7, 0, 1, 1, 1, 50, 0, 67.845983),
+    17: (34, 0, 7, 0, 1, 1, 1, 49, 1, 53.070041),
 }
 
 
@@ -126,9 +263,29 @@ class TestDeterminism:
             CHAOS_ONCE_HASH_SEED_DEPENDENT[protocol, seed, overlap],
         )
 
-    @pytest.mark.parametrize("seed", sorted(SHARD))
-    def test_sharded_campaign_matches_the_parent(self, seed):
-        cluster = ShardedCluster(shards=3, members_per_shard=3, seed=seed)
+    @pytest.mark.parametrize("protocol,seed,overlap", sorted(CHAOS_QUICK_REST))
+    def test_rest_of_chaos_quick(self, protocol, seed, overlap):
+        self.check_chaos(
+            protocol, seed, overlap, CHAOS_QUICK_REST[protocol, seed, overlap]
+        )
+
+    def test_every_chaos_quick_campaign_is_pinned(self):
+        pinned = (
+            {(protocol, 1, overlap) for protocol, overlap in CHAOS_SEED_1}
+            | set(CHAOS_ONCE_HASH_SEED_DEPENDENT)
+            | set(CHAOS_QUICK_REST)
+        )
+        assert pinned == {
+            (protocol, seed, overlap)
+            for protocol in CHAOS_PROTOCOLS
+            for seed in (1, 2)
+            for overlap in (False, True)
+        }
+        assert len(pinned) == 28
+
+    @staticmethod
+    def check_shard(shards, seed, expected):
+        cluster = ShardedCluster(shards=shards, members_per_shard=3, seed=seed)
         result = cluster.run_campaign(sharded_campaign(
             cluster.shard_map,
             {s: g.members for s, g in cluster.groups.items()},
@@ -136,13 +293,21 @@ class TestDeterminism:
             ops_per_session=10,
         ))
         assert result.ok
-        *counts, sim_time = SHARD[seed]
+        *counts, sim_time = expected
         assert [
             result.ops, result.ops_skipped, result.reads,
             result.reads_failed, result.rebalances, result.crashes,
             result.restarts, result.data_messages, result.settle_rounds,
         ] == counts
         assert result.sim_time == pytest.approx(sim_time, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", sorted(SHARD))
+    def test_sharded_campaign_matches_the_parent(self, seed):
+        self.check_shard(3, seed, SHARD[seed])
+
+    @pytest.mark.parametrize("seed", sorted(SHARD_TWO))
+    def test_two_shard_campaign_with_closure_rounds(self, seed):
+        self.check_shard(2, seed, SHARD_TWO[seed])
 
 
 class TestOptionSurface:
@@ -169,6 +334,11 @@ class TestOptionSurface:
             "protocol", "members", "seed", "overlap", "auto_membership",
             "scheduler", "hop_events",
         ]
+
+    def test_replica_group_has_no_restart_hook(self):
+        # Its one user was the barrier snapshot cache's invalidation.
+        group = ShardedCluster(shards=1, members_per_shard=3).groups[0]
+        assert not hasattr(group, "on_restart")
 
 
 class TestLayering:
