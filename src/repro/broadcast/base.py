@@ -10,6 +10,12 @@ Every protocol in this package is the same machine with a different
 3. a delivery loop that repeatedly releases queued envelopes whose
    predicate is satisfied, in deterministic order.
 
+What a delivery leaves behind is one log entry — the envelope, its
+delivery time, its label in the delivered set.  ``delivery_log``,
+``delivered`` and ``has_seen`` (delivered or held back) are views derived
+from that log and the hold-back queue when somebody asks; nothing else is
+kept per delivery.
+
 Keeping the chassis identical means measured differences between
 protocols are exactly their ordering semantics — the comparison the
 paper's Sections 3, 5 and 6 make qualitatively.
@@ -140,15 +146,16 @@ class BroadcastProtocol(SimNode):
         self._allocator = MessageIdAllocator(entity_id)
         # Hold-back queue: insertion order == arrival order, O(1) removal.
         self._pending: Dict[MessageId, Envelope] = {}
-        self._seen: Set[MessageId] = set()
         self._delivered_ids: Set[MessageId] = set()
         #: Bumped whenever ``_delivered_ids`` mutates outside `_deliver`
         #: (stable-prefix skip, restart wipe, state transfer) — lets
         #: callers that cache views of the delivered set detect that the
         #: set changed without a delivery callback firing.
         self._settled_version = 0
-        self._delivery_log: List[DeliveryRecord] = []
+        # The delivery log: what was delivered and when, in delivery
+        # order.  `delivery_log` / `delivered` are views of these two.
         self._delivered_envelopes: List[Envelope] = []
+        self._delivery_times: List[float] = []
         self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
         self._send_times: Dict[MessageId, float] = {}
@@ -348,9 +355,10 @@ class BroadcastProtocol(SimNode):
         served again, and chasing it would NACK forever.  A member that
         has not delivered it (in practice: an amnesiac rejoiner whose
         delivered state was lost in a crash) treats it as settled history
-        instead: the label is marked seen (stray copies dedup away) and
-        counted delivered for predicate purposes, and the protocol's
-        per-origin cursors fast-forward (:meth:`_on_stable_skip`).
+        instead: the label is counted delivered — for predicate purposes
+        and for :meth:`has_seen`, so stray copies dedup away — and the
+        protocol's per-origin cursors fast-forward
+        (:meth:`_on_stable_skip`).
 
         At a healthy member the frontier never exceeds its own delivered
         prefix (the frontier is a group-wide minimum that includes the
@@ -365,7 +373,6 @@ class BroadcastProtocol(SimNode):
             label = MessageId(origin, seqno)
             if label in self._delivered_ids:
                 continue
-            self._seen.add(label)
             self._delivered_ids.add(label)
             self._skipped_stable.add(label)
             if label in self._pending:
@@ -398,8 +405,8 @@ class BroadcastProtocol(SimNode):
         reused), the outbox (stable-storage log of own sends), the shared
         group membership, registered callbacks and interceptors, and
         cumulative diagnostics.  Everything else — the hold-back queue,
-        dedup set, delivered state, repair store and the wakeup index — is
-        volatile and lost with the crash.  The previous life's delivery
+        delivered state, repair store and the wakeup index — is volatile
+        and lost with the crash.  The previous life's delivery
         history is archived for post-hoc analysis.
 
         After the wipe the outbox is replayed: every logged send is
@@ -414,11 +421,10 @@ class BroadcastProtocol(SimNode):
             (list(self._delivered_envelopes), frozenset(self._skipped_stable))
         )
         self._pending.clear()
-        self._seen.clear()
         self._delivered_ids.clear()
         self._settled_version += 1
-        self._delivery_log.clear()
         self._delivered_envelopes.clear()
+        self._delivery_times.clear()
         self._envelopes_by_id.clear()
         self._send_times.clear()
         self._arrival.clear()
@@ -459,10 +465,9 @@ class BroadcastProtocol(SimNode):
             if interceptor.intercept(sender, envelope):
                 return
         msg_id = envelope.msg_id
-        if msg_id in self._seen:
+        if self.has_seen(msg_id):
             self.duplicates_discarded += 1
             return
-        self._seen.add(msg_id)
         self._envelopes_by_id[msg_id] = envelope
         self._on_received(sender, envelope)
         arrival = self._arrival_counter
@@ -673,14 +678,9 @@ class BroadcastProtocol(SimNode):
         if msg_id in self._delivered_ids:
             raise ProtocolError(f"double delivery of {msg_id}")
         self._delivered_ids.add(msg_id)
-        record = DeliveryRecord(
-            entity=self.entity_id,
-            msg_id=msg_id,
-            position=len(self._delivery_log),
-            time=self.now,
-        )
-        self._delivery_log.append(record)
+        position = len(self._delivered_envelopes)
         self._delivered_envelopes.append(envelope)
+        self._delivery_times.append(self.now)
         self._on_delivered(envelope)
         trace = self.network.trace
         if trace.enabled:
@@ -690,7 +690,7 @@ class BroadcastProtocol(SimNode):
                 entity=self.entity_id,
                 msg_id=msg_id,
                 operation=envelope.message.operation,
-                position=record.position,
+                position=position,
             )
         if not self._is_control(envelope):
             for callback in self._callbacks:
@@ -701,11 +701,18 @@ class BroadcastProtocol(SimNode):
     @property
     def delivered(self) -> List[MessageId]:
         """Labels delivered so far, in local delivery order."""
-        return [record.msg_id for record in self._delivery_log]
+        return [envelope.msg_id for envelope in self._delivered_envelopes]
 
     @property
     def delivery_log(self) -> List[DeliveryRecord]:
-        return list(self._delivery_log)
+        """One :class:`DeliveryRecord` per delivery, built when asked."""
+        entity = self.entity_id
+        return [
+            DeliveryRecord(entity, envelope.msg_id, position, time)
+            for position, (envelope, time) in enumerate(
+                zip(self._delivered_envelopes, self._delivery_times)
+            )
+        ]
 
     @property
     def delivered_envelopes(self) -> List[Envelope]:
@@ -714,7 +721,7 @@ class BroadcastProtocol(SimNode):
     @property
     def delivered_count(self) -> int:
         """Number of deliveries so far (control traffic included)."""
-        return len(self._delivery_log)
+        return len(self._delivered_envelopes)
 
     @property
     def holdback_size(self) -> int:
@@ -732,6 +739,18 @@ class BroadcastProtocol(SimNode):
 
     def has_delivered(self, msg_id: MessageId) -> bool:
         return msg_id in self._delivered_ids
+
+    def has_seen(self, msg_id: MessageId) -> bool:
+        """Whether a copy of ``msg_id`` is settled or held here.
+
+        "Seen" is not separate state: a label is seen iff it was
+        delivered (or settled by a stable-prefix skip or an installed
+        snapshot — both enter ``_delivered_ids``) or its envelope waits
+        in the hold-back queue.  This is the dedup test of
+        :meth:`on_receive` and what recovery and the protocols'
+        ``missing_for`` ask before naming a label missing.
+        """
+        return msg_id in self._delivered_ids or msg_id in self._pending
 
     def send_time(self, msg_id: MessageId) -> Optional[float]:
         """When this member broadcast ``msg_id`` (None if not ours)."""

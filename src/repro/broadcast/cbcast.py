@@ -111,7 +111,7 @@ class CbcastBroadcast(BroadcastProtocol):
             upto = count - 1 if entity == sender else count
             for broadcast_index in range(have, upto):
                 label = MessageId(entity, broadcast_index)
-                if label not in self._seen:
+                if not self.has_seen(label):
                     yield label
 
     def missing_for(self, envelope: Envelope) -> frozenset:

@@ -55,5 +55,5 @@ class FifoBroadcast(BroadcastProtocol):
         return frozenset(
             MessageId(sender, seqno)
             for seqno in range(next_expected, envelope.msg_id.seqno)
-            if MessageId(sender, seqno) not in self._seen
+            if not self.has_seen(MessageId(sender, seqno))
         )

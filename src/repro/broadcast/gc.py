@@ -54,10 +54,18 @@ class StabilityTracker:
     # -- local prefix maintenance ------------------------------------------------
 
     def _on_delivery(self, envelope: Envelope) -> None:
-        origin = envelope.msg_id.sender
-        seqnos = self._delivered_seqnos.setdefault(origin, set())
-        seqnos.add(envelope.msg_id.seqno)
+        label = envelope.msg_id
+        origin = label.sender
         prefix = self._own_prefix.get(origin, 0)
+        seqnos = self._delivered_seqnos.get(origin)
+        if label.seqno == prefix and not seqnos:
+            # In order with nothing parked above the prefix — every
+            # delivery of a loss-free run: no set is touched.
+            self._own_prefix[origin] = prefix + 1
+            return
+        if seqnos is None:
+            seqnos = self._delivered_seqnos[origin] = set()
+        seqnos.add(label.seqno)
         while prefix in seqnos:
             seqnos.discard(prefix)
             prefix += 1

@@ -11,16 +11,20 @@ Unlike clock-based causal broadcast, ordering reflects the application's
 ("incidental ordering", footnote 1) — so unrelated messages stay
 concurrent and can be processed with maximum asynchrony.
 
-Every member also *extracts the message dependency graph* from the traffic
-(Section 3.2: the stable graph "is extractable by observing [the]
-execution behaviour").  The graph is shared knowledge: because the same
-labels and ancestor sets reach every member, each member's extracted graph
-converges to the same DAG, which is what makes stable points locally
+Every member can also *extract the message dependency graph* from the
+traffic (Section 3.2: the stable graph "is extractable by observing [the]
+execution behaviour").  Extraction is literal: nothing on the receive path
+builds a graph; :attr:`OSendBroadcast.graph` derives it, when somebody
+asks, from what the member has observed — the envelopes it delivered and
+the ones it still holds back.  The graph is shared knowledge: because the
+same labels and ancestor sets reach every member, each member's extracted
+graph converges to the same DAG, which is what makes stable points locally
 detectable (Section 4.2).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.broadcast.base import BroadcastProtocol, WakeKey, after_event
@@ -40,7 +44,10 @@ class OSendBroadcast(BroadcastProtocol):
 
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id, group)
+        # The extracted graph is a view (see `graph`): what was derived
+        # so far, and how much of the delivery log it already covers.
         self._graph = DependencyGraph()
+        self._graph_cursor = 0
 
     # -- sending ---------------------------------------------------------
 
@@ -104,17 +111,17 @@ class OSendBroadcast(BroadcastProtocol):
             )
         return predicate
 
-    def _on_received(self, sender: EntityId, envelope: Envelope) -> None:
-        self._graph.add(envelope.msg_id, self._predicate_of(envelope))
-
     def _deliverable(self, envelope: Envelope) -> bool:
         return self._predicate_of(envelope).satisfied_by(self._delivered_ids)
 
     def _reset_volatile(self) -> None:
-        # The extracted graph is re-derived from observed traffic; the
-        # stable-prefix skip needs no cursor work here because skipped
-        # labels enter `_delivered_ids`, which the predicate consults.
+        # The extracted graph is re-derived from what this incarnation
+        # observes (the delivery log restarts empty, so must the cursor
+        # into it); the stable-prefix skip needs no cursor work here
+        # because skipped labels enter `_delivered_ids`, which the
+        # predicate consults.
         self._graph = DependencyGraph()
+        self._graph_cursor = 0
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
         # The Occurs-After ancestor index: one wake per undelivered
@@ -131,7 +138,7 @@ class OSendBroadcast(BroadcastProtocol):
         will be reported instead.
         """
         blocked = self._predicate_of(envelope).missing(self._delivered_ids)
-        return frozenset(l for l in blocked if l not in self._seen)
+        return frozenset(l for l in blocked if not self.has_seen(l))
 
     @staticmethod
     def cross_deps_of(envelope: Envelope) -> frozenset[MessageId]:
@@ -144,10 +151,30 @@ class OSendBroadcast(BroadcastProtocol):
     def graph(self) -> DependencyGraph:
         """The dependency graph extracted from observed traffic.
 
+        A derived view: the delivered envelopes plus the currently
+        held-back ones, each with its ``Occurs-After`` set.  Nothing
+        maintains it between accesses — an access extends the cached
+        graph by the deliveries since the previous one (a cursor into
+        the delivery log) and by whatever is held back now, so asking
+        per delivery costs O(new deliveries), and a member nobody asks
+        keeps an empty graph.  A held copy that a stable-prefix skip
+        settled before anyone asked was never delivered here and is not
+        in the view.
+
         Identical at every member once the same messages have been
         received (tested as an invariant).
         """
-        return self._graph
+        graph = self._graph
+        delivered = self._delivered_envelopes
+        for envelope in itertools.chain(
+            delivered[self._graph_cursor:], self._pending.values()
+        ):
+            # Already in the view: asked about while it was held back,
+            # or a covered label an installed snapshot registered.
+            if envelope.msg_id not in graph:
+                graph.add(envelope.msg_id, self._predicate_of(envelope))
+        self._graph_cursor = len(delivered)
+        return graph
 
     def blocking_ancestors(self, msg_id: MessageId) -> frozenset[MessageId]:
         """Ancestors still preventing delivery of a held-back message."""
@@ -158,4 +185,5 @@ class OSendBroadcast(BroadcastProtocol):
 
     def last_delivered(self) -> Optional[MessageId]:
         """Label of the most recently delivered message, if any."""
-        return self._delivery_log[-1].msg_id if self._delivery_log else None
+        delivered = self._delivered_envelopes
+        return delivered[-1].msg_id if delivered else None

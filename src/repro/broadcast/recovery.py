@@ -143,10 +143,10 @@ class RecoveryAgent:
         sweep keeps ``_nack_state`` / ``_first_missing`` bounded by the
         set of labels actually still missing.
         """
-        seen = self.protocol._seen
-        for label in [l for l in self._nack_state if l in seen]:
+        has_seen = self.protocol.has_seen
+        for label in [l for l in self._nack_state if has_seen(l)]:
             del self._nack_state[label]
-        for label in [l for l in self._first_missing if l in seen]:
+        for label in [l for l in self._first_missing if has_seen(l)]:
             del self._first_missing[label]
 
     def _maybe_nack(self, label: MessageId, now: float) -> bool:
@@ -208,7 +208,7 @@ class RecoveryAgent:
         # Re-inject our own broadcasts whose every network copy (including
         # the self-delivery hop) was lost: they exist only in our store.
         for label, stored in list(self.protocol._envelopes_by_id.items()):
-            if label not in self.protocol._seen:
+            if not self.protocol.has_seen(label):
                 self.protocol.on_receive(self.protocol.entity_id, stored)
         servable: Dict[EntityId, set] = {}
         for label in self.protocol._envelopes_by_id:
@@ -274,7 +274,7 @@ class RecoveryAgent:
         for origin, seqnos in payload.get("labels", {}).items():
             for seqno in seqnos:
                 label = MessageId(origin, seqno)
-                if label not in self.protocol._seen:
+                if not self.protocol.has_seen(label):
                     self.nacks_sent += 1
                     nack = Message(
                         self._allocator.next_id(), NACK_OPERATION, label

@@ -155,7 +155,7 @@ class RstBroadcast(BroadcastProtocol):
             owed = self._get(matrix, origin, me)
             for seqno in range(self._delivered_from.get(origin, 0), owed):
                 label = MessageId(origin, seqno)
-                if label not in self._seen:
+                if not self.has_seen(label):
                     yield label
 
     def missing_for(self, envelope: Envelope) -> frozenset:

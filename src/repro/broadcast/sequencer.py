@@ -360,7 +360,7 @@ class SequencerTotalOrder(BroadcastProtocol):
         missing = set()
         for position in range(self._next_to_deliver, seq):
             binding = self._bindings.get(position)
-            if binding is not None and binding[1] not in self._seen:
+            if binding is not None and not self.has_seen(binding[1]):
                 missing.add(binding[1])
         return frozenset(missing)
 

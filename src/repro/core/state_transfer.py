@@ -121,11 +121,11 @@ def replayable_envelopes(
 def install_snapshot(replica: Replica, snapshot: Snapshot) -> None:
     """Install ``snapshot`` into a fresh joiner replica.
 
-    The joiner's protocol is marked as having seen/delivered every covered
+    The joiner's protocol is marked as having delivered every covered
     label so that (a) later messages whose ``Occurs-After`` references
     covered history become deliverable, and (b) re-broadcast copies of
-    covered messages are discarded as duplicates instead of being applied
-    twice.
+    covered messages are discarded as duplicates (``has_seen``) instead
+    of being applied twice.
     """
     protocol = replica.protocol
     if protocol.delivered:
@@ -136,8 +136,7 @@ def install_snapshot(replica: Replica, snapshot: Snapshot) -> None:
     replica._state = snapshot.state
     replica._stable_fold_state = snapshot.state
     replica._stable_fold_labels = set(snapshot.covered)
-    protocol._seen |= set(snapshot.covered)
-    protocol._delivered_ids |= set(snapshot.covered)
+    protocol._delivered_ids |= snapshot.covered
     protocol._settled_version += 1
     graph = getattr(protocol, "graph", None)
     if graph is not None:

@@ -84,7 +84,10 @@ class DependencyGraph:
 
     def __init__(self) -> None:
         self._ancestors: Dict[MessageId, FrozenSet[MessageId]] = {}
-        self._descendants: Dict[MessageId, Set[MessageId]] = {}
+        # Children per referenced ancestor, append-only: `add` registers
+        # each (ancestor, child) pair once and nothing tests membership,
+        # so a list (a third of a set's size) is enough.
+        self._descendants: Dict[MessageId, List[MessageId]] = {}
         # The insertion index: label <-> bit position, added or dangling.
         self._bit: Dict[MessageId, int] = {}
         self._labels: List[MessageId] = []
@@ -130,9 +133,9 @@ class DependencyGraph:
                 labels.append(label)
             children = descendants.get(label)
             if children is None:
-                descendants[label] = {msg_id}
+                descendants[label] = [msg_id]
             else:
-                children.add(msg_id)
+                children.append(msg_id)
         position = bit.get(msg_id)
         if position is None:
             position = bit[msg_id] = len(labels)
@@ -150,7 +153,7 @@ class DependencyGraph:
         self,
         msg_id: MessageId,
         ancestors: FrozenSet[MessageId],
-        below: Set[MessageId],
+        below: List[MessageId],
     ) -> None:
         """Raise if an edge ``ancestor -> msg_id`` would close a cycle.
 

@@ -286,8 +286,11 @@ class ViewSyncAgent:
 
     def _known_labels(self) -> frozenset:
         """Every application label this member knows exists."""
-        return frozenset(self.protocol._seen) | frozenset(
-            self.protocol._envelopes_by_id
+        protocol = self.protocol
+        return frozenset().union(
+            protocol._delivered_ids,
+            protocol._pending,
+            protocol._envelopes_by_id,
         )
 
     def _on_progress(self) -> None:

@@ -497,13 +497,13 @@ class ShardedCluster:
         return tracker.labels()
 
     def gauges(self) -> Dict[str, int]:
-        """What the ``stats`` verb samples on demand: graphs and transport.
+        """What the ``stats`` verb samples on demand: graph and transport.
 
-        ``graph_nodes`` (the ledger's dependency graph plus every
-        member's) grows with the ops served; ``graph_closures`` /
-        ``graph_closure_kb`` count memoised reachability closures and
-        what they hold — only the ledger's graph is ever queried, so
-        every member's share stays zero.  ``net_envelopes`` and
+        ``graph_nodes`` (the ledger's dependency graph) grows with the
+        ops served; ``graph_closures`` / ``graph_closure_kb`` count its
+        memoised reachability closures and what they hold.  The members'
+        graphs are not sampled: each is a view derived when asked, and a
+        probe must not be what builds six of them.  ``net_envelopes`` and
         ``net_frames`` are the envelopes sent over every group's network
         and the hops that carried them (their ratio is the packing
         factor: about 30 when cycles are full, 1 at depth 1);
@@ -513,12 +513,11 @@ class ShardedCluster:
         """
         groups = self.groups.values()
         stacks = [stack for g in groups for stack in g.stacks.values()]
-        graphs = [self.graph] + [stack.graph for stack in stacks]
-        footprints = [graph.closure_footprint() for graph in graphs]
+        closures, closure_bytes = self.graph.closure_footprint()
         return {
-            "graph_nodes": sum(len(graph) for graph in graphs),
-            "graph_closures": sum(entries for entries, _ in footprints),
-            "graph_closure_kb": sum(size for _, size in footprints) // 1024,
+            "graph_nodes": len(self.graph),
+            "graph_closures": closures,
+            "graph_closure_kb": closure_bytes // 1024,
             "net_frames": sum(g.network.frames_sent for g in groups),
             "net_envelopes": sum(g.network.hops_sent for g in groups),
             "holdback_peak": max(stack.max_holdback for stack in stacks),

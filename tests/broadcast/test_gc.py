@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.broadcast.gc import StabilityTracker, track_group
 from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import protect_group
@@ -11,6 +14,7 @@ from repro.group.membership import GroupMembership
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
+from repro.types import Envelope, Message, MessageId
 from tests.conftest import build_group
 
 
@@ -107,3 +111,69 @@ class TestCompaction:
         scheduler.run()
         assert all(t.stable_frontier("a") == 1 for t in trackers.values())
         assert all(t.store_size == 0 for t in trackers.values())
+
+
+class _ReferenceTracker(StabilityTracker):
+    """`_on_delivery` as it was before the in-order fast path (PR 23)."""
+
+    def _on_delivery(self, envelope):
+        origin = envelope.msg_id.sender
+        seqnos = self._delivered_seqnos.setdefault(origin, set())
+        seqnos.add(envelope.msg_id.seqno)
+        prefix = self._own_prefix.get(origin, 0)
+        while prefix in seqnos:
+            seqnos.discard(prefix)
+            prefix += 1
+        self._own_prefix[origin] = prefix
+
+
+class TestInOrderFastPath:
+    """The fast path is an optimisation of the set walk, nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["deliver", "deliver", "deliver", "skip", "reset"]),
+                st.sampled_from(["a", "b"]),
+                st.integers(min_value=0, max_value=12),
+            ),
+            max_size=60,
+        )
+    )
+    def test_prefixes_match_the_set_walk_at_every_step(self, steps):
+        membership = GroupMembership(["a", "b"])
+        fast = StabilityTracker(OSendBroadcast("a", membership))
+        slow = _ReferenceTracker(OSendBroadcast("a", membership))
+        delivered = set()
+        for action, origin, number in steps:
+            if action == "deliver":
+                # A label is delivered at most once, and never below a
+                # prefix a stable skip already settled.
+                if (origin, number) in delivered or number < max(
+                    fast.local_prefix(origin), slow.local_prefix(origin)
+                ):
+                    continue
+                delivered.add((origin, number))
+                envelope = Envelope(Message(MessageId(origin, number), "op"))
+                fast._on_delivery(envelope)
+                slow._on_delivery(envelope)
+            elif action == "skip":
+                fast.on_stable_skip(origin, number)
+                slow.on_stable_skip(origin, number)
+            else:
+                delivered.clear()
+                fast.reset_volatile()
+                slow.reset_volatile()
+            assert fast._own_prefix == slow._own_prefix, (action, origin, number)
+            for each in ("a", "b"):
+                assert fast.local_prefix(each) == slow.local_prefix(each)
+
+    def test_in_order_deliveries_touch_no_set(self):
+        tracker = StabilityTracker(
+            OSendBroadcast("a", GroupMembership(["a", "b"]))
+        )
+        for seqno in range(5):
+            tracker._on_delivery(Envelope(Message(MessageId("b", seqno), "op")))
+        assert tracker.local_prefix("b") == 5
+        assert tracker._delivered_seqnos == {}

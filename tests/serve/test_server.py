@@ -115,9 +115,10 @@ class TestBasics:
     def test_stats_report_graph_gauges(self):
         """`stats` carries the dependency-graph sizes, sampled on demand.
 
-        Puts alone memoise no reachability closure anywhere — not on the
-        receive path of any member, not in the ledger; the first barrier
-        read queries the ledger's graph (and only that one).
+        The gauges count the ledger's graph only: a member's graph is a
+        view derived when somebody asks, and a `stats` probe must not be
+        what builds it.  Puts alone memoise no reachability closure; the
+        first barrier read queries the ledger's graph (and only that one).
         """
 
         async def scenario():
@@ -130,9 +131,14 @@ class TestBasics:
                 ) == (0, 0, 0)
                 await asyncio.gather(*(cli.put(f"k{i}", i) for i in range(40)))
                 after_puts = await cli.stats()
-                # The ledger's graph plus one per member: 1 + 3 inserts.
-                assert after_puts["graph_nodes"] == 40 * 4
+                # One ledger insert a put; no member graph was derived.
+                assert after_puts["graph_nodes"] == 40
                 assert after_puts["graph_closures"] == 0
+                assert all(
+                    len(stack._graph) == 0
+                    for group in srv.cluster.groups.values()
+                    for stack in group.stacks.values()
+                )
                 await cli.read()
                 after_read = await cli.stats()
                 assert 0 < after_read["graph_closures"] <= 42
