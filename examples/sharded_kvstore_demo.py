@@ -37,7 +37,7 @@ def main() -> None:
     alice.put(k2, "publish")  # ... and transitively after both
     cluster.drain()
 
-    chain = [cluster.ops[label] for label in cluster.issue_order]
+    chain = [cluster.ledger.ops[label] for label in cluster.ledger.issue_order]
     print("alice's chain (shard / occurs-after / cross-deps):")
     for record in chain:
         print(
@@ -78,7 +78,7 @@ def main() -> None:
 
     assert cluster.check_invariants() == []
     print("\ncross-shard causal audit: OK "
-          f"({len(cluster.ops)} operations, zero violations)")
+          f"({len(cluster.ledger.ops)} operations, zero violations)")
 
 
 if __name__ == "__main__":

@@ -68,12 +68,11 @@ def kv_spec() -> CommutativitySpec:
 def fold_ledger(records: Iterable) -> Dict[str, object]:
     """Fold issue-ordered ledger records into key/value state.
 
-    The single place the store's write semantics live for readers that
-    work off the cluster ledger rather than a replica's live state: the
-    stable-point barrier (:mod:`repro.shard.barrier`) folds its snapshot
-    cut through this, and the serving layer's session-local ``get`` fast
-    path folds a session's causal past the same way — both therefore
-    agree with :func:`kv_machine`'s ``put`` by construction.
+    The test reference: it applies :func:`kv_machine`'s ``put`` record by
+    record, and ``tests/shard/test_snapshot_closure.py`` checks every
+    barrier read's value against it.  Nothing on the serving path calls
+    it — the barrier folds its cut in :meth:`repro.shard.ledger.Ledger.fold`
+    and a ``get`` is a replica read of the key's newest settled write.
 
     ``records`` are :class:`~repro.shard.ledger.OpRecord`-shaped objects
     (``kind``/``value`` attributes) already sorted by issue index; kinds

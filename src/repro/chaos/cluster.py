@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.invariants import InvariantMonitor, Violation
 from repro.errors import ConfigurationError, ProtocolError
-from repro.group.replica_group import PROTOCOLS, ReplicaGroup
+from repro.group.replica_group import PROTOCOLS, ReplicaGroup, settle
 from repro.sim.scheduler import Scheduler
 from repro.types import EntityId, MessageId
 
@@ -331,38 +331,21 @@ class ChaosCluster(ReplicaGroup):
     def converged(self) -> bool:
         return super().converged(self.data_labels)
 
-    def settle(
-        self, max_rounds: int = 60
-    ) -> Tuple[List[Violation], int]:
+    def settle(self, max_rounds: int = 60) -> Tuple[List[Violation], int]:
         """Run repair rounds until convergence or the round budget.
 
         Each round first repairs membership (restarts crashed in-view
         members, re-proposes joins for members a late-installing leave
         evicted), then drives one anti-entropy digest exchange and one
-        stability-gossip round at every up member, then drains the
-        scheduler.  Non-convergence within the budget is a *liveness*
-        violation — exactly the class of bug this harness exists to pin.
+        stability-gossip round at every up member (see ``settle``).
         """
-        for round_number in range(1, max_rounds + 1):
-            if self.livelock is not None:
-                return (
-                    [Violation(
-                        "liveness",
-                        None,
-                        f"scheduler failed to quiesce: {self.livelock}",
-                    )],
-                    round_number - 1,
-                )
-            if self.converged():
-                return [], round_number - 1
-            self.repair_membership()
-            self.repair_round()
-            self.drain()
-        if self.converged():
-            return [], max_rounds
-        return [self._liveness_violation(max_rounds)], max_rounds
+        return settle(self, max_rounds, self.converged, self._repair)
 
-    def _liveness_violation(self, rounds: int) -> Violation:
+    def _repair(self) -> None:
+        self.repair_membership()
+        self.repair_round()
+
+    def liveness_violation(self, rounds: int) -> Violation:
         settled = {m: self.settled(m, self.data_labels) for m in self.members}
         union = set().union(*settled.values())
         report = []

@@ -19,8 +19,9 @@ the package ``__init__`` cannot re-export it.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.invariants import Violation
 from repro.broadcast import (
     ASendTotalOrder,
     CbcastBroadcast,
@@ -91,6 +92,35 @@ def drive(scheduler: Scheduler, until: Optional[float] = None) -> Optional[str]:
     return None
 
 
+def settle(
+    cluster, max_rounds: int, converged: Callable[[], bool], repair: Callable[[], None]
+) -> Tuple[List[Violation], int]:
+    """Repair rounds until ``converged()`` or the round budget.
+
+    What a round repairs and what counts as converged are the caller's;
+    ``cluster`` owns the drive (``livelock``, ``drain()``) and reports who
+    is stuck (``liveness_violation(rounds)``).  Returns the violations —
+    a livelocked drive or non-convergence — and the rounds used.
+    """
+    for round_number in range(1, max_rounds + 1):
+        if cluster.livelock is not None:
+            return (
+                [Violation(
+                    "liveness",
+                    None,
+                    f"scheduler failed to quiesce: {cluster.livelock}",
+                )],
+                round_number - 1,
+            )
+        if converged():
+            return [], round_number - 1
+        repair()
+        cluster.drain()
+    if converged():
+        return [], max_rounds
+    return [cluster.liveness_violation(max_rounds)], max_rounds
+
+
 class ReplicaGroup:
     """Fully equipped stacks on one network, plus their fault controls."""
 
@@ -124,8 +154,7 @@ class ReplicaGroup:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.faults = FaultPlan()
         # `hop_events` tunes how much per-hop detail the trace keeps:
-        # analysis runs want "full" (or "sampled": send/deliver events
-        # are then always kept); serving-path groups pass "off" and
+        # analysis runs want "full"; serving-path groups pass "off" and
         # retain no trace at all — nothing there reads one, and a put
         # would otherwise leave a send and three deliver events behind
         # forever.

@@ -254,7 +254,7 @@ class Network:
             return
         self.hops_delivered += 1
         # Per-hop events dominate tracing cost at scale; gate on `wants`
-        # so benchmarks with hop tracing off/sampled skip the dict build.
+        # so benchmarks with hop tracing off skip the dict build.
         if self.trace.wants("receive"):
             self.trace.record(
                 self.scheduler.now,

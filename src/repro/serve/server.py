@@ -41,8 +41,9 @@ Shutdown is a graceful drain: stop accepting, answer everything already
 admitted, say ``bye`` on every connection, then (optionally) heal the
 cluster — restart crashed replicas and run repair rounds to convergence.
 
-Every answered operation is recorded per session; the recorded wire
-history is checked against the four session guarantees
+Every operation that takes effect is recorded per session, by its
+``Session``, in the cluster's ledger (:mod:`repro.shard.ledger`), which
+checks that history against the four session guarantees
 (:mod:`repro.analysis.session_guarantees`) — over a causal broadcast
 substrate with correct ``Occurs-After`` stamping, all four hold even
 with replicas crashing mid-run, and the serve test suite and CI smoke
@@ -55,11 +56,6 @@ import asyncio
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.session_guarantees import (
-    GuaranteeViolation,
-    SessionOp,
-    check_all_session_guarantees,
-)
 from repro.analysis.invariants import Violation
 from repro.errors import ProtocolError
 from repro.serve.metrics import ServeMetrics
@@ -184,11 +180,6 @@ class ServeServer:
         #: session name -> opid -> issued label (or the pending
         #: sentinel): the at-most-once memory behind put idempotency.
         self._applied_puts: Dict[str, "OrderedDict[str, object]"] = {}
-        #: session name -> answered ops, in issue order.  Entries are
-        #: ("write", label), ("read", BarrierRead), or
-        #: ("get", (key, shard, served label | None, member)); a get is
-        #: recorded when its session serves it, not when it is answered.
-        self.history: Dict[str, List[Tuple[str, object]]] = {}
         #: session name -> ops of that session still inside the batch
         #: pipeline; a get handed to the session at dispatch would
         #: overtake them.
@@ -439,7 +430,6 @@ class ServeServer:
             self.metrics.bump("tokens_imported")
             self.metrics.bump("token_labels_dropped", dropped)
         conn.session = session
-        self.history.setdefault(name, [])
         await self._send(conn, {
             "t": "reply", "rid": rid, "ok": True,
             "wire_version": SERVE_WIRE_VERSION,
@@ -514,19 +504,8 @@ class ServeServer:
             op.error = "get needs a string key"
             return
         op.conn.session.get(
-            key, lambda served, op=op: self._get_served(op, served)
+            key, lambda served, op=op: setattr(op, "served", served)
         )
-
-    def _get_served(self, op: _PendingOp, served: Optional[Served]) -> None:
-        op.served = served
-        if served is not None:
-            _value, label, member, shard = served
-            # Recorded when served, not when answered: the audit must
-            # see the get where it sat in the session's issue order.
-            self.history[op.conn.session.name].append(
-                ("get", (op.frame["key"], shard, label, member))
-            )
-            self.metrics.bump(f"replica_reads_{member}")
 
     def _get_reply(self, op: _PendingOp) -> Dict[str, Any]:
         if op.served is None:
@@ -536,6 +515,7 @@ class ServeServer:
                 "error": "get aborted: no replica covers the session floor",
             }
         value, _label, member, shard = op.served
+        self.metrics.bump(f"replica_reads_{member}")
         return {
             "t": "reply", "rid": op.frame.get("rid"), "ok": True,
             "key": op.frame["key"], "value": value,
@@ -617,9 +597,9 @@ class ServeServer:
                 if op.opid is not None and self._register_opid(op):
                     continue  # duplicate: answered from the record
                 try:
-                    # The kv fold stores state as a frozenset of pairs,
-                    # so values must be hashable; reject per-op here
-                    # rather than letting the fold poison the batch.
+                    # The black-box auditor keys observations by value
+                    # (repro.analysis.wire_history), so values must be
+                    # hashable; reject per-op here.
                     hash(frame.get("value"))
                 except TypeError:
                     op.error = (
@@ -707,13 +687,10 @@ class ServeServer:
 
     def _put_issued(self, op: _PendingOp, label: Optional[MessageId]) -> None:
         op.label = label
-        if label is not None:
-            session = op.conn.session
-            self.history[session.name].append(("write", label))
-            if op.opid is not None:
-                applied = self._applied_puts.get(session.name)
-                if applied is not None and op.opid in applied:
-                    applied[op.opid] = label
+        if label is not None and op.opid is not None:
+            applied = self._applied_puts.get(op.conn.session.name)
+            if applied is not None and op.opid in applied:
+                applied[op.opid] = label
 
     def _build_reply(self, op: _PendingOp) -> Dict[str, Any]:
         frame = op.frame
@@ -779,7 +756,6 @@ class ServeServer:
                 "t": "error", "rid": rid,
                 "error": "barrier read aborted",
             }
-        self.history[session.name].append(("read", read))
         return {
             "t": "reply", "rid": rid, "ok": True,
             "value": dict(read.value),
@@ -794,121 +770,14 @@ class ServeServer:
 
     # -- auditing ----------------------------------------------------------
 
-    def session_logs(self) -> Dict[str, List[SessionOp]]:
-        """The recorded wire history as session-guarantee checker input.
+    @property
+    def history(self) -> Dict[str, List[Tuple[str, object]]]:
+        """session name -> its log in the ledger (the live lists)."""
+        return self.cluster.ledger.history
 
-        A write is its label.  A read is anchored at its first barrier
-        label (every barrier label of a read carries the session's whole
-        frontier as ``Occurs-After``/``cross_deps``, so any one of them
-        witnesses the session-order edge); its observed set is the data
-        the snapshot covered, restricted to writes.
-        """
-        all_writes = {
-            entry[1]
-            for entries in self.history.values()
-            for entry in entries
-            if entry[0] == "write"
-        }
-        logs: Dict[str, List[SessionOp]] = {}
-        for name, entries in self.history.items():
-            log: List[SessionOp] = []
-            for entry in entries:
-                if entry[0] == "get":
-                    # Replica-served gets are audited by index floors in
-                    # `get_violations` — their served label is a foreign
-                    # write, not a session operation, so shoehorning it
-                    # into SessionOp would fabricate anchor edges.
-                    continue
-                if entry[0] == "write":
-                    log.append(SessionOp("write", entry[1]))
-                else:
-                    read = entry[1]
-                    anchor = min(
-                        (
-                            label
-                            for labels in read.barrier_labels.values()
-                            for label in labels
-                        ),
-                        key=lambda label: self.cluster.ops[label].index,
-                    )
-                    log.append(SessionOp(
-                        "read", anchor, frozenset(read.labels & all_writes)
-                    ))
-            logs[name] = log
-        return logs
-
-    def get_violations(self) -> List[GuaranteeViolation]:
-        """Audit replica-served gets for per-key session monotonicity.
-
-        Walking each session's history in issue order, a key's *floor*
-        is the newest (by issue index) write of that key the session is
-        entitled to: its own puts, writes observed by its barrier reads,
-        and writes served by its earlier gets.  Every get must return a
-        write at or above the floor — returning an older value (or no
-        value where the floor names one) means some replica answered
-        below the session's causal context, i.e. the eligibility gate
-        failed.
-        """
-        cluster = self.cluster
-        ops = cluster.ops
-        violations: List[GuaranteeViolation] = []
-        for name, entries in self.history.items():
-            floor: Dict[str, Tuple[int, MessageId]] = {}
-
-            def raise_floor(key: Optional[str], label: MessageId) -> None:
-                record = ops.get(label)
-                if record is None:
-                    return
-                if record.kind == "put":
-                    keys = [record.key] if record.key is not None else []
-                elif record.kind == "migrate":
-                    keys = list(record.value["entries"])
-                else:
-                    return
-                if key is not None:
-                    keys = [key] if key in keys else []
-                for each in keys:
-                    held = floor.get(each)
-                    if held is None or record.index > held[0]:
-                        floor[each] = (record.index, label)
-
-            for entry in entries:
-                if entry[0] == "write":
-                    raise_floor(None, entry[1])
-                elif entry[0] == "read":
-                    for label in entry[1].labels:
-                        raise_floor(None, label)
-                else:
-                    key, _shard, label, _member = entry[1]
-                    held = floor.get(key)
-                    if label is None:
-                        if held is not None:
-                            violations.append(GuaranteeViolation(
-                                "get-freshness", name, held[1], held[1]
-                            ))
-                        continue
-                    if held is not None and ops[label].index < held[0]:
-                        violations.append(GuaranteeViolation(
-                            "get-freshness", name, label, held[1]
-                        ))
-                    raise_floor(key, label)
-        return violations
-
-    def session_guarantee_violations(self) -> List[GuaranteeViolation]:
-        """Check the recorded wire history against all four guarantees.
-
-        The four classic checkers run over writes and barrier reads;
-        replica-served gets get their own per-key freshness audit
-        (:meth:`get_violations`), appended to the same list.
-        """
-        results = check_all_session_guarantees(
-            self.cluster.graph, self.session_logs()
-        )
-        return [
-            violation
-            for violations in results.values()
-            for violation in violations
-        ] + self.get_violations()
+    def session_guarantee_violations(self) -> list:
+        """The ledger's white-box audit of every session's log."""
+        return self.cluster.ledger.session_guarantee_violations()
 
     def check_invariants(self) -> List[Violation]:
         """Full cluster battery + cross-shard audit + wire guarantees."""

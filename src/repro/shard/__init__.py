@@ -10,7 +10,7 @@ slot rebalancing reuses the state-transfer machinery.
 from repro.shard.barrier import BarrierRead, StablePointBarrier
 from repro.shard.campaign import SHARDED_DISTURBANCES, sharded_campaign
 from repro.shard.cluster import ShardedCluster, ShardedResult
-from repro.shard.ledger import DATA_KINDS, OpRecord
+from repro.shard.ledger import DATA_KINDS, Ledger, OpRecord
 from repro.shard.map import ShardMap
 from repro.shard.rebalance import MoveRecord, Rebalancer
 from repro.shard.router import Session, ShardRouter
@@ -18,6 +18,7 @@ from repro.shard.router import Session, ShardRouter
 __all__ = [
     "BarrierRead",
     "DATA_KINDS",
+    "Ledger",
     "MoveRecord",
     "OpRecord",
     "Rebalancer",

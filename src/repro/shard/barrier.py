@@ -12,17 +12,17 @@ the cut is a legal read snapshot with no extra agreement traffic
 ("without requiring separate message exchanges", Section 7).
 
 One cut.  A read's state is one integer per touched shard, a mask over
-the ledger graph's bits: each barrier delivery ORs in
-``past_mask(barrier) & write_mask[shard]``.  Everything in a label's
-past was recorded before the label, so the cut is a pure function of
-the barrier labels: a completed :class:`BarrierRead` keeps only those,
-and derives ``covered`` / ``labels`` from the ledger on demand.
+the ledger graph's bits: each barrier delivery ORs in the barrier's past
+restricted to the shard's writes (``Ledger.past_writes``).  Everything in
+a label's past was recorded before the label, so the cut is a pure
+function of the barrier labels: a completed :class:`BarrierRead` keeps
+only those, and derives ``covered`` / ``labels`` from the ledger on demand.
 
 One closure rule.  The barriers race, so one cut may hold a write whose
 causal past reaches a write another *touched* shard's cut missed.  With
 no barrier outstanding, the past of the cuts' maximal writes, restricted
 to each touched shard's writes, must lie inside that shard's cut
-(:func:`closure_gaps`); a gap issues a supplemental barrier there whose
+(``Ledger.closure_gaps``); a gap issues a supplemental barrier there whose
 ``Occurs-After`` names the gap's maximal labels, and the check repeats —
 bounded rounds, after which the snapshot is closed under the *whole*
 causal order: both edge kinds, through barrier labels and untouched
@@ -35,7 +35,7 @@ One fold.  The read *value* is the issue-order fold of the covered
 writes from the cluster ledger, not any member's live state, so reads
 are insensitive to store compaction and crash amnesia.  Writes are
 last-writer-wins per key, so the fold is the max-index write of each
-key; the cluster keeps it per shard for the newest completed cut, and a
+key; the ledger keeps it per shard for the newest completed cut, and a
 read whose cut contains the fold it started from folds only the
 difference (any other — a lagging contact — folds from nothing).  A
 fold is a pure function of its mask: nothing ever invalidates it.
@@ -50,6 +50,7 @@ from repro.types import MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.cluster import ShardedCluster
+    from repro.shard.ledger import Ledger
 
 #: One-second retries per barrier broadcast before the read aborts.
 BARRIER_ATTEMPTS = 240
@@ -58,29 +59,6 @@ BARRIER_ATTEMPTS = 240
 #: chase the causal past of labels the previous round added, so real
 #: workloads converge in one or two.
 MAX_CLOSURE_ROUNDS = 8
-
-
-def closure_gaps(
-    cluster: "ShardedCluster", cuts: Dict[int, int]
-) -> Dict[int, int]:
-    """shard -> the writes its cut lacks for ``cuts`` to be causally closed.
-
-    The past of the cuts' maximal writes is the past of every covered
-    write; each touched shard's share of it must lie inside its cut.
-    """
-    graph = cluster.graph
-    past = 0
-    for cut in cuts.values():
-        for head in graph.labels_of(graph.maximal_mask(cut)):
-            past |= graph.past_mask(head)
-    gaps: Dict[int, int] = {}
-    for shard, cut in cuts.items():
-        reached = past & cluster.write_mask[shard]
-        # x ^ (x & y) is x & ~y without the negative big int.
-        gap = reached ^ (reached & cut)
-        if gap:
-            gaps[shard] = gap
-    return gaps
 
 
 @dataclass(frozen=True)
@@ -94,24 +72,27 @@ class BarrierRead:
     rounds: int
     issued_at: float
     completed_at: float
-    #: The ledger the cut views below are derived from.
-    cluster: "ShardedCluster" = field(repr=False, compare=False)
+    #: The ledger the views below are derived from.
+    ledger: "Ledger" = field(repr=False, compare=False)
+
+    def barriers(self) -> List[MessageId]:
+        """Every barrier label of the read, shard by shard."""
+        return [l for labels in self.barrier_labels.values() for l in labels]
 
     def cuts(self) -> Dict[int, int]:
         """shard -> the snapshot's cut, as a mask over the ledger graph."""
-        past_mask = self.cluster.graph.past_mask
+        past_writes = self.ledger.past_writes
         cuts = dict.fromkeys(self.shards, 0)
         for shard, labels in self.barrier_labels.items():
             for label in labels:
-                cuts[shard] |= past_mask(label)
-            cuts[shard] &= self.cluster.write_mask[shard]
+                cuts[shard] |= past_writes(label, shard)
         return cuts
 
     @property
     def covered(self) -> Dict[int, FrozenSet[MessageId]]:
         """shard -> the data labels the snapshot covers there."""
-        labels_of = self.cluster.graph.labels_of
-        return {shard: labels_of(cut) for shard, cut in self.cuts().items()}
+        cut_labels = self.ledger.cut_labels
+        return {shard: cut_labels(cut) for shard, cut in self.cuts().items()}
 
     @property
     def labels(self) -> FrozenSet[MessageId]:
@@ -130,7 +111,6 @@ class StablePointBarrier:
         session: Optional[str] = None,
         baseline: Optional[Dict[int, FrozenSet[MessageId]]] = None,
         cross: Optional[Dict[int, FrozenSet[MessageId]]] = None,
-        max_rounds: int = MAX_CLOSURE_ROUNDS,
     ) -> None:
         self.cluster = cluster
         self.shards: Tuple[int, ...] = tuple(dict.fromkeys(shards))
@@ -155,15 +135,14 @@ class StablePointBarrier:
             shard: frozenset(labels)
             for shard, labels in (cross or {}).items()
         }
-        self.max_rounds = max_rounds
         #: shard -> the cut covered so far, as a mask over the ledger
         #: graph's bits; all the read knows about its snapshot.
         self._cut: Dict[int, int] = dict.fromkeys(self.shards, 0)
-        #: The cluster's per-shard folds as this read found them — now,
+        #: The ledger's per-shard folds as this read found them — now,
         #: not at completion: reads in flight together end with
         #: incomparable cuts (each holds its own session's newest writes)
         #: but all contain what completed before they began.
-        self._base = dict(cluster.cut_folds)
+        self._base = cluster.ledger.folds()
         self._barrier_labels: Dict[int, List[MessageId]] = {
             s: [] for s in self.shards
         }
@@ -237,74 +216,42 @@ class StablePointBarrier:
         if self._done:
             return
         self._waiting.discard(label)
-        cluster = self.cluster
         # The barrier label itself is control traffic, so the data cut is
         # its causal past restricted to this shard's writes.
-        self._cut[shard] |= (
-            cluster.graph.past_mask(label) & cluster.write_mask[shard]
-        )
+        self._cut[shard] |= self.cluster.ledger.past_writes(label, shard)
         if not self._waiting and not self._retries:
             self._check_closure()
 
     # -- causal closure ----------------------------------------------------
 
     def _check_closure(self) -> None:
-        cluster = self.cluster
-        gaps = closure_gaps(cluster, self._cut)
+        gaps = self.cluster.ledger.closure_gaps(self._cut)
         if not gaps:
             self._complete()
             return
         self._rounds += 1
-        if self._rounds > self.max_rounds:
+        if self._rounds > MAX_CLOSURE_ROUNDS:
             self._abort()
             return
-        graph = cluster.graph
+        ledger = self.cluster.ledger
         for shard, gap in sorted(gaps.items()):
             self._issue(
-                shard,
-                graph.labels_of(graph.maximal_mask(gap)),
-                BARRIER_ATTEMPTS,
+                shard, ledger.maximal(ledger.cut_labels(gap)), BARRIER_ATTEMPTS
             )
 
     # -- completion --------------------------------------------------------
 
-    def _fold(self, shard: int) -> Dict[str, Tuple[int, object]]:
-        """key -> (issue index, value) of ``shard``'s cut, newest per key.
-
-        Extends a copy of the fold this read started from if the cut
-        contains that fold's, starts from nothing otherwise, and leaves
-        the result at the cluster for the reads that begin after it.
-        """
-        cluster = self.cluster
-        cut = self._cut[shard]
-        base, folded = self._base[shard]
-        if base & cut != base:
-            base, folded = 0, {}
-        folded = dict(folded)
-        ops = cluster.ops
-        for label in cluster.graph.labels_of(cut ^ base):
-            record = ops[label]
-            if record.kind == "put":
-                entries = ((record.value["key"], record.value["value"]),)
-            else:  # migrate: the label carries every moved key
-                entries = record.value["entries"].items()
-            for key, value in entries:
-                held = folded.get(key)
-                if held is None or held[0] < record.index:
-                    folded[key] = (record.index, value)
-        cluster.cut_folds[shard] = (cut, folded)
-        return folded
-
     def _complete(self) -> None:
         self._done = True
-        cluster = self.cluster
+        ledger = self.cluster.ledger
         # A key lives on one shard at a time but a slot move leaves its
         # older writes behind on the source, so the per-shard folds merge
         # by max index — what the issue-order fold of the union of cuts
         # reduces to.
         merged: Dict[str, Tuple[int, object]] = {}
         for shard in self.shards:
-            for key, pair in self._fold(shard).items():
+            fold = ledger.fold(shard, self._cut[shard], self._base[shard])
+            for key, pair in fold.items():
                 held = merged.get(key)
                 if held is None or held[0] < pair[0]:
                     merged[key] = pair
@@ -317,10 +264,10 @@ class StablePointBarrier:
             },
             rounds=self._rounds,
             issued_at=self.issued_at,
-            completed_at=cluster.scheduler.now,
-            cluster=cluster,
+            completed_at=self.cluster.scheduler.now,
+            ledger=ledger,
         )
-        cluster.barrier_reads.append(read)
+        ledger.barrier_reads.append(read)
         self.on_complete(read)
 
     def _abort(self) -> None:

@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.invariants import CrossShardChecker, InvariantMonitor, Violation
+from repro.analysis.invariants import InvariantMonitor, Violation
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 from repro.errors import ConfigurationError, ProtocolError
-from repro.graph.depgraph import DependencyGraph
-from repro.group.replica_group import ReplicaGroup, drive
-from repro.shard.barrier import BarrierRead, closure_gaps
+from repro.group.replica_group import ReplicaGroup, drive, settle
 from repro.shard.frontier import FrontierTracker
-from repro.shard.ledger import DATA_KINDS, OpRecord
+from repro.shard.ledger import Ledger
 from repro.shard.map import ShardMap
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import ShardRouter
@@ -111,33 +109,10 @@ class ShardedCluster:
             self.groups[shard] = group
             for member in members:
                 self.shard_of_member[member] = shard
-        # -- the global ledger (ground truth; see repro.shard.ledger) ----
-        self.graph = DependencyGraph()
-        #: label -> record, in global issue order (``OpRecord.index`` is
-        #: the label's position).
-        self.ops: Dict[MessageId, OpRecord] = {}
-        self.shard_of_label: Dict[MessageId, int] = {}
-        #: shard -> the ledger labels its group carries (what tells data
-        #: from protocol control traffic in a member's delivery log).
-        self.shard_labels: Dict[int, Set[MessageId]] = {
-            shard: set() for shard in self.shard_ids
-        }
-        #: shard -> mask (over ``graph``'s bits) of every ledger label it
-        #: carries, and of its data-carrying ones (``DATA_KINDS``) alone:
-        #: `project` restricts a causal past to a shard, and the barrier
-        #: a causal cut to a shard's writes, with one big-int AND.
-        self.label_mask: Dict[int, int] = dict.fromkeys(self.shard_ids, 0)
-        self.write_mask: Dict[int, int] = dict.fromkeys(self.shard_ids, 0)
-        #: shard -> key -> its writes in issue order (puts, plus the
-        #: migrate labels that carried the key between shards).  Lets a
-        #: replica read answer "newest delivered write of this key" with
-        #: a short reversed scan instead of a ledger fold.
-        self.key_writes: Dict[int, Dict[str, List[MessageId]]] = {
-            shard: {} for shard in self.shard_ids
-        }
-        #: session -> issue-order batches (a write is a singleton batch; a
-        #: read's barrier labels form one batch — they are concurrent).
-        self.session_batches: Dict[str, List[List[MessageId]]] = {}
+        #: The ground truth: every issued operation and everything derived
+        #: from it (see repro.shard.ledger).
+        self.ledger = Ledger(self.shard_ids)
+        self.graph = self.ledger.graph
         #: label -> callbacks fired on its first delivery anywhere.
         self._watchers: Dict[MessageId, List[Callable[[EntityId], None]]] = {}
         #: member -> running maximal frontier of its settled ledger
@@ -160,19 +135,12 @@ class ShardedCluster:
         for shard, group in self.groups.items():
             for member, stack in group.stacks.items():
                 self._frontiers[member] = FrontierTracker(
-                    self.graph.precedes, self._op_index
+                    self.ledger.precedes, self.ledger.index_of
                 )
                 self._frontier_sync[member] = stack._settled_version
                 stack.on_deliver(self._delivery_hook(member, shard))
         self.router = ShardRouter(self)
         self.rebalancer = Rebalancer(self)
-        self.barrier_reads: List[BarrierRead] = []
-        #: shard -> (cut mask, key -> (issue index, value)) of the newest
-        #: completed barrier cut there: the fold the next read extends
-        #: when its cut contains this one (see `StablePointBarrier._fold`).
-        self.cut_folds: Dict[
-            int, Tuple[int, Dict[str, Tuple[int, object]]]
-        ] = {shard: (0, {}) for shard in self.shard_ids}
         #: shard -> round-robin cursor of `read_replica`.
         self._read_cursor: Dict[int, int] = {}
         self.barriers_started = 0
@@ -180,19 +148,11 @@ class ShardedCluster:
         #: Set when a drain trips the event cap (see ``drive``).
         self.livelock: Optional[str] = None
 
-    @property
-    def issue_order(self) -> List[MessageId]:
-        """Every ledger label in global issue order (a copy of ``ops``'s keys)."""
-        return list(self.ops)
-
     # -- delivery plumbing -------------------------------------------------
-
-    def _op_index(self, label: MessageId) -> int:
-        return self.ops[label].index
 
     def _delivery_hook(self, member: EntityId, shard: int):
         tracker = self._frontiers[member]
-        data_labels = self.shard_labels[shard]
+        data_labels = self.ledger.labels(shard)
         active = self._frontier_active
 
         def hook(envelope) -> None:
@@ -220,14 +180,14 @@ class ShardedCluster:
         Fires immediately if some member of the label's group already
         settled it (delivered, or skip-settled via a stable prefix).
         """
-        shard = self.shard_of_label[label]
+        shard = self.ledger.shard_of(label)
         for member, stack in self.groups[shard].stacks.items():
             if label in stack._delivered_ids:
                 callback(member)
                 return
         self._watchers.setdefault(label, []).append(callback)
 
-    # -- the ledger --------------------------------------------------------
+    # -- sending -----------------------------------------------------------
 
     def shard_send(
         self,
@@ -261,18 +221,7 @@ class ShardedCluster:
             group.network.cork()
         deps = frozenset(occurs_after)
         cross = frozenset(cross_deps)
-        foreign = [l for l in deps if self.shard_of_label.get(l) != shard]
-        if foreign:
-            raise ProtocolError(
-                f"occurs_after for shard {shard} names foreign labels: "
-                f"{sorted(map(str, foreign))}"
-            )
-        local = [l for l in cross if self.shard_of_label.get(l) == shard]
-        if local:
-            raise ProtocolError(
-                f"cross_deps for shard {shard} names in-group labels: "
-                f"{sorted(map(str, local))}"
-            )
+        self.ledger.check_stamp(shard, deps, cross)
         order = group.serving()
         if preferred in order:
             order.remove(preferred)
@@ -285,93 +234,24 @@ class ShardedCluster:
             except ProtocolError:
                 # Flush-frozen: try the next member.
                 continue
-            self._record(
-                label,
-                shard=shard,
-                kind=kind,
-                key=key,
-                slot=slot,
-                value=payload,
-                deps=deps,
-                cross_deps=cross,
-                session=session,
+            self.ledger.record(
+                label, shard=shard, kind=kind, key=key, slot=slot,
+                value=payload, deps=deps, cross_deps=cross, session=session,
             )
             return label
         return None
-
-    def _record(
-        self,
-        label: MessageId,
-        *,
-        shard: int,
-        kind: str,
-        key: Optional[str],
-        slot: Optional[int],
-        value: object,
-        deps: FrozenSet[MessageId],
-        cross_deps: FrozenSet[MessageId],
-        session: Optional[str],
-    ) -> None:
-        self.graph.add(label, deps | cross_deps)
-        self.ops[label] = OpRecord(
-            label=label,
-            shard=shard,
-            kind=kind,
-            key=key,
-            slot=slot,
-            value=value,
-            deps=deps,
-            cross_deps=cross_deps,
-            session=session,
-            index=len(self.ops),
-            time=self.scheduler.now,
-        )
-        self.shard_of_label[label] = shard
-        self.shard_labels[shard].add(label)
-        bit = self.graph.bit_of(label)
-        self.label_mask[shard] |= bit
-        if kind in DATA_KINDS:
-            self.write_mask[shard] |= bit
-            by_key = self.key_writes[shard]
-            if kind == "put":
-                by_key.setdefault(key, []).append(label)
-            else:  # migrate: the label carries every moved key
-                for entry_key in value["entries"]:
-                    by_key.setdefault(entry_key, []).append(label)
-
-    def note_session_batch(
-        self, session: str, labels: List[MessageId]
-    ) -> None:
-        if labels:
-            self.session_batches.setdefault(session, []).append(list(labels))
 
     # -- causal-order utilities -------------------------------------------
 
     def maximal(self, labels: Iterable[MessageId]) -> FrozenSet[MessageId]:
         """Prune ``labels`` to its maximal elements under the graph."""
-        return self.graph.maximal_elements(labels)
+        return self.ledger.maximal(labels)
 
     def project(
         self, labels: Iterable[MessageId], shard: int
     ) -> FrozenSet[MessageId]:
-        """``labels``' transitive causal past, restricted to ``shard``.
-
-        The projection follows *both* edge kinds (in-group and cross),
-        which is what lets a session that observed a label on shard B
-        correctly depend on that label's shard-A ancestors.
-        """
-        pool = tuple(labels)
-        if len(pool) == 1 and self.shard_of_label.get(pool[0]) == shard:
-            # The label dominates its own causal past, so restricted to
-            # its home shard it is the unique maximum.
-            return frozenset(pool)
-        graph = self.graph
-        reached = graph.mask_of(pool)
-        for label in pool:
-            reached |= graph.past_mask(label)
-        return graph.labels_of(
-            graph.maximal_mask(reached & self.label_mask[shard])
-        )
+        """``labels``' transitive causal past, restricted to ``shard``."""
+        return self.ledger.project(labels, shard)
 
     def _lagging(self, shard: int, member: EntityId) -> bool:
         """Is ``member`` an amnesiac — settled prefix empty of data?
@@ -383,7 +263,7 @@ class ShardedCluster:
         settled label hits) and cheap for an amnesiac (small settled
         set scanned against the data-label set).
         """
-        labels = self.shard_labels[shard]
+        labels = self.ledger.labels(shard)
         if not labels:
             return False
         stack = self.groups[shard].stacks[member]
@@ -430,22 +310,10 @@ class ShardedCluster:
     def member_read(
         self, shard: int, member: EntityId, key: str
     ) -> Tuple[Optional[object], Optional[MessageId]]:
-        """``key``'s newest write ``member`` has settled, as (value, label).
-
-        Walks the key's per-shard write history newest-first and returns
-        the first write inside the member's settled set — the exact
-        value a last-writer-wins fold of that member's delivered prefix
-        would produce for the key, without folding anything.
-        """
-        delivered = self.groups[shard].stacks[member]._delivered_ids
-        for label in reversed(self.key_writes[shard].get(key, ())):
-            if label not in delivered:
-                continue
-            record = self.ops[label]
-            if record.kind == "put":
-                return record.value["value"], label
-            return record.value["entries"][key], label
-        return None, None
+        """``key``'s newest write ``member`` has settled, as (value, label)."""
+        return self.ledger.newest_settled_write(
+            shard, key, self.groups[shard].stacks[member]._delivered_ids
+        )
 
     def read_replica(
         self, shard: int, floor: Collection[MessageId]
@@ -486,11 +354,11 @@ class ShardedCluster:
             # from the full settled set — delivered ∪ skip-settled — and
             # resync.  `maximal` is one mask scan; the tracker adopts its
             # result as-is.
-            ops = self.ops
+            ledger = self.ledger
             tracker.reset({
-                label: ops[label].index
-                for label in self.maximal(
-                    stack._delivered_ids & self.shard_labels[shard]
+                label: ledger.index_of(label)
+                for label in ledger.maximal(
+                    stack._delivered_ids & ledger.labels(shard)
                 )
             })
             self._frontier_sync[member] = version
@@ -571,13 +439,13 @@ class ShardedCluster:
             violations=violations,
             ops=sum(s.ops_issued for s in sessions),
             ops_skipped=sum(s.ops_skipped for s in sessions),
-            reads=len(self.barrier_reads),
+            reads=len(self.ledger.barrier_reads),
             reads_failed=self.reads_failed,
             rebalances=sum(1 for m in moves if m.phase == "done"),
             rebalances_aborted=sum(1 for m in moves if m.phase == "aborted"),
             crashes=sum(g.crashes for g in self.groups.values()),
             restarts=sum(g.restarts for g in self.groups.values()),
-            data_messages=len(self.ops),
+            data_messages=len(self.ledger),
             settle_rounds=rounds,
             sim_time=self.scheduler.now,
         )
@@ -591,7 +459,7 @@ class ShardedCluster:
 
     def converged(self) -> bool:
         if any(
-            not group.converged(self.shard_labels[shard])
+            not group.converged(self.ledger.labels(shard))
             for shard, group in self.groups.items()
         ):
             return False
@@ -609,31 +477,18 @@ class ShardedCluster:
         completed or aborted, no slot frozen — liveness of the *sharded*
         machinery is audited, not just of each group.
         """
-        for round_number in range(1, max_rounds + 1):
-            if self.livelock is not None:
-                return (
-                    [Violation(
-                        "liveness",
-                        None,
-                        f"scheduler failed to quiesce: {self.livelock}",
-                    )],
-                    round_number - 1,
-                )
-            if self.converged():
-                return [], round_number - 1
-            for group in self.groups.values():
-                group.repair_membership()
-                group.repair_round()
-            self.router.kick()
-            self.drain()
-        if self.converged():
-            return [], max_rounds
-        return [self._liveness_violation(max_rounds)], max_rounds
+        return settle(self, max_rounds, self.converged, self._repair)
 
-    def _liveness_violation(self, rounds: int) -> Violation:
+    def _repair(self) -> None:
+        for group in self.groups.values():
+            group.repair_membership()
+            group.repair_round()
+        self.router.kick()
+
+    def liveness_violation(self, rounds: int) -> Violation:
         report = []
         for shard, group in self.groups.items():
-            if not group.converged(self.shard_labels[shard]):
+            if not group.converged(self.ledger.labels(shard)):
                 view = group.group.view
                 report.append(
                     f"shard {shard} not converged "
@@ -659,98 +514,17 @@ class ShardedCluster:
             # in-group ``Occurs-After`` set is its dependency set.
             violations.extend(InvariantMonitor(
                 group.stacks,
-                dependencies={
-                    label: record.deps
-                    for label, record in self.ops.items()
-                    if record.shard == shard
-                },
-                data_labels=self.shard_labels[shard],
+                dependencies=self.ledger.dependencies(shard),
+                data_labels=self.ledger.labels(shard),
                 view_syncs=group.view_syncs,
                 trackers=group.trackers,
                 expected_members=group.members,
             ).check_all())
-        violations.extend(self.check_cross_shard())
-        violations.extend(self._check_snapshot_closure())
-        violations.extend(self._check_routing())
-        return violations
-
-    def check_cross_shard(self) -> List[Violation]:
-        protocols: Dict[EntityId, object] = {}
-        for group in self.groups.values():
-            protocols.update(group.stacks)
-        checker = CrossShardChecker(
-            protocols,
-            shard_of_member=self.shard_of_member,
-            shard_of_label=self.shard_of_label,
-            dependencies={l: r.deps for l, r in self.ops.items()},
-            cross_dependencies={
-                l: r.cross_deps for l, r in self.ops.items()
-            },
-            session_batches=self.session_batches,
-            issue_order=self.issue_order,
-        )
-        return checker.check()
-
-    def _check_snapshot_closure(self) -> List[Violation]:
-        """Every completed barrier read is a causally closed snapshot.
-
-        A gap means the read returned a write and not one it causally
-        follows — the ``WriteCOInitRead`` pattern of arXiv:1611.00580.
-        """
-        graph = self.graph
-        violations: List[Violation] = []
-        for read in self.barrier_reads:
-            cuts = read.cuts()
-            for shard, gap in sorted(closure_gaps(self, cuts).items()):
-                missing = min(graph.labels_of(gap), key=self._op_index)
-                covering = min(
-                    (
-                        label
-                        for cut in cuts.values()
-                        for label in graph.labels_of(cut)
-                        if graph.precedes(missing, label)
-                    ),
-                    key=self._op_index,
-                )
-                path = " <- ".join(map(str, graph.path(missing, covering)))
-                violations.append(Violation(
-                    "snapshot-closure",
-                    None,
-                    f"session {read.session}'s read of shards "
-                    f"{read.shards} at t={read.completed_at:.2f} covers "
-                    f"{covering} but not {missing} on shard {shard}, "
-                    f"which it causally follows ({path})",
-                ))
-        return violations
-
-    def _check_routing(self) -> List[Violation]:
-        """No put may reach a slot's *old* group after its cutover."""
-        violations: List[Violation] = []
-        issue_order = self.issue_order
-        for move in self.rebalancer.moves:
-            if move.phase != "done" or move.cutover_index is None:
-                continue
-            superseded = any(
-                other is not move
-                and other.slot == move.slot
-                and other.cutover_index is not None
-                and other.cutover_index > move.cutover_index
-                for other in self.rebalancer.moves
-            )
-            if superseded:
-                continue
-            for label in issue_order[move.cutover_index:]:
-                record = self.ops[label]
-                if (
-                    record.kind == "put"
-                    and record.slot == move.slot
-                    and record.shard == move.source
-                ):
-                    violations.append(Violation(
-                        "shard-routing",
-                        None,
-                        f"{label} put key {record.key!r} on shard "
-                        f"{record.shard} after slot {move.slot} moved to "
-                        f"{move.dest}",
-                    ))
+        protocols = {
+            m: s for g in self.groups.values() for m, s in g.stacks.items()
+        }
+        ledger = self.ledger
+        violations.extend(ledger.check_cross_shard(protocols, self.shard_of_member))
+        violations.extend(ledger.check_snapshot_closure())
+        violations.extend(ledger.check_routing(self.rebalancer.moves))
         return violations

@@ -91,7 +91,7 @@ class Rebalancer:
         if source == dest:
             record.phase = "done"
             record.cutover_time = cluster.scheduler.now
-            record.cutover_index = len(cluster.ops)
+            record.cutover_index = len(cluster.ledger)
             return record
         cluster.router.freeze_slot(slot)
         StablePointBarrier(
@@ -123,7 +123,8 @@ class Rebalancer:
             full,
             select_key=lambda key: cluster.shard_map.slot_of(key)
             == record.slot,
-            select_label=lambda label: cluster.ops[label].slot == record.slot,
+            select_label=lambda label: cluster.ledger.slot_of(label)
+            == record.slot,
         )
         record.moved_labels = len(moved.covered)
         record.entries = len(moved.state)
@@ -169,6 +170,6 @@ class Rebalancer:
         record.migrate_label = label
         record.phase = "done"
         record.cutover_time = cluster.scheduler.now
-        record.cutover_index = cluster.ops[label].index + 1
+        record.cutover_index = cluster.ledger.index_of(label) + 1
         cluster.shard_map = cluster.shard_map.reassign(record.slot, record.dest)
         cluster.router.unfreeze_slot(record.slot, handoff=label)

@@ -71,8 +71,10 @@ class Session:
         self._retry_armed = False
         self.ops_issued = 0
         self.ops_skipped = 0
-        self.reads: List["BarrierRead"] = []
         self.reads_failed = 0
+        #: This session's log in the ledger, appended here and nowhere
+        #: else, the moment an operation takes effect in session order.
+        self.log = router.cluster.ledger.history.setdefault(name, [])
 
     # -- public API --------------------------------------------------------
 
@@ -122,6 +124,11 @@ class Session:
     def idle(self) -> bool:
         return not self._queue and not self._reading
 
+    @property
+    def reads(self) -> List["BarrierRead"]:
+        """The barrier reads this session completed, in order."""
+        return [entry for kind, entry in self.log if kind == "read"]
+
     # -- causal session tokens ---------------------------------------------
 
     def export_token(self) -> str:
@@ -161,6 +168,8 @@ class Session:
         invalid token, or one carrying an unknown version tag or a shard
         outside this cluster's map, raises :class:`ProtocolError` — a
         newer layout must never be silently misread as an empty frontier.
+        So does a corrupted or forged one that lists a known label under
+        a shard it does not belong to; a refused token merges nothing.
         """
         try:
             document = json.loads(token)
@@ -178,7 +187,9 @@ class Session:
         if not isinstance(frontier, dict):
             raise ProtocolError("malformed session token: missing frontier")
         cluster = self.router.cluster
+        ledger = cluster.ledger
         unknown: Set[MessageId] = set()
+        known: Dict[int, Set[MessageId]] = {}
         for shard_key, pairs in frontier.items():
             try:
                 shard = int(shard_key)
@@ -191,10 +202,21 @@ class Session:
                 raise ProtocolError(
                     f"session token names unknown shard {shard}"
                 )
-            known = {label for label in labels if label in cluster.graph}
-            unknown |= labels - known
-            if known:
-                merged = set(self.frontier.get(shard, ())) | known
+            filed = {label for label in labels if label in ledger}
+            unknown |= labels - filed
+            known.setdefault(shard, set()).update(filed)
+            for label in sorted(filed):
+                if ledger.shard_of(label) != shard:
+                    # Merged, it would be stamped as an in-group
+                    # dependency of a group that never carries it.
+                    raise ProtocolError(
+                        f"session token files {label} under shard {shard}; "
+                        f"it belongs to shard {ledger.shard_of(label)}"
+                    )
+        # Nothing is merged until the whole token has been checked.
+        for shard, labels in known.items():
+            if labels:
+                merged = set(self.frontier.get(shard, ())) | labels
                 self.frontier[shard] = cluster.maximal(merged)
                 self._token = None
         return frozenset(unknown)
@@ -275,7 +297,7 @@ class Session:
             # cross-dependencies).  Fold it in, or the session's next
             # write to those shards under-declares its Occurs-After.
             self._absorb(label)
-        cluster.note_session_batch(self.name, [label])
+        self.log.append(("write", label))
         self.ops_issued += 1
         return label
 
@@ -295,14 +317,8 @@ class Session:
             if read is None:
                 self.reads_failed += 1
             else:
-                self.reads.append(read)
-                labels = [
-                    label
-                    for per_shard in read.barrier_labels.values()
-                    for label in per_shard
-                ]
-                cluster.note_session_batch(self.name, labels)
-                for label in labels:
+                self.log.append(("read", read))
+                for label in read.barriers():
                     self._absorb(label)
                 if callback is not None:
                     callback(read)
@@ -331,6 +347,7 @@ class Session:
             # The session now depends on what it saw: monotonic reads
             # and writes-follow-reads hold by construction.
             self.observe(label)
+        self.log.append(("get", (key, shard, label, member)))
         return value, label, member, shard
 
     def read_floor(
@@ -363,14 +380,13 @@ class Session:
         reads by construction).  Cheap no-op when the frontier already
         dominates the label.
         """
-        cluster = self.router.cluster
-        shard = cluster.shard_of_label.get(label)
+        ledger = self.router.cluster.ledger
+        shard = ledger.shard_of(label)
         if shard is not None:
             current = self.frontier.get(shard, ())
             if label in current:
                 return
-            graph = cluster.graph
-            if any(graph.precedes(label, head) for head in current):
+            if any(ledger.precedes(label, head) for head in current):
                 return
         self._absorb(label)
 

@@ -10,22 +10,22 @@ behaviour" (Section 3.2).
 Per-hop events (``"receive"`` and ``"hold"``) are recorded once per
 network arrival, which dominates tracing cost in large runs.  They are
 therefore *opt-out*: ``hop_events`` selects full recording (the default,
-used by the analysis layer), deterministic 1-in-``hop_sample_every``
-sampling, or none at all — benchmarks time protocol work, not trace
-appends.  Producers call :meth:`TraceRecorder.wants` before building an
-event so a suppressed hop costs one predicate check and nothing else.
+used by the analysis layer) or none at all — benchmarks time protocol
+work, not trace appends.  Producers call :meth:`TraceRecorder.wants`
+before building an event so a suppressed hop costs one predicate check
+and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Iterator, List, Mapping, Optional
 
 #: Event kinds emitted once per network arrival (the hot path).
 HOP_KINDS = frozenset({"receive", "hold"})
 
 #: Valid ``hop_events`` modes.
-HOP_MODES = ("full", "sampled", "off")
+HOP_MODES = ("full", "off")
 
 
 @dataclass(frozen=True)
@@ -54,53 +54,29 @@ class TraceRecorder:
     enabled:
         Master switch; a disabled recorder drops everything.
     hop_events:
-        ``"full"`` records every per-hop event, ``"sampled"`` keeps one in
-        ``hop_sample_every`` per kind (deterministic, count-based — the
-        ``queue`` field of sampled ``"hold"`` events still reflects true
-        queue depth at the sampled instants), ``"off"`` drops hop events
-        entirely.  Non-hop kinds (``"send"``, ``"deliver"``, ...) are
-        always recorded while enabled.
-    hop_sample_every:
-        Sampling period for ``hop_events="sampled"``.
+        ``"full"`` records every per-hop event, ``"off"`` drops hop
+        events entirely.  Non-hop kinds (``"send"``, ``"deliver"``, ...)
+        are always recorded while enabled.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        hop_events: str = "full",
-        hop_sample_every: int = 100,
-    ) -> None:
+    def __init__(self, enabled: bool = True, hop_events: str = "full") -> None:
         if hop_events not in HOP_MODES:
             raise ValueError(
                 f"hop_events must be one of {HOP_MODES}, got {hop_events!r}"
             )
-        if hop_sample_every < 1:
-            raise ValueError("hop_sample_every must be >= 1")
         self.enabled = enabled
         self.hop_events = hop_events
-        self.hop_sample_every = hop_sample_every
-        self._hop_counts: Dict[str, int] = {}
+        self._dropped = HOP_KINDS if hop_events == "off" else frozenset()
         self._events: List[TraceEvent] = []
         self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     def wants(self, kind: str) -> bool:
-        """Whether an event of ``kind`` would be kept *right now*.
+        """Whether an event of ``kind`` would be kept.
 
         Producers on hot paths call this before assembling event details,
-        so suppressed hops cost nothing.  For sampled hop kinds this
-        advances the sampling counter — follow a ``True`` with the
-        matching :meth:`record` call.
+        so suppressed hops cost nothing.
         """
-        if not self.enabled:
-            return False
-        if kind in HOP_KINDS:
-            if self.hop_events == "off":
-                return False
-            if self.hop_events == "sampled":
-                count = self._hop_counts.get(kind, 0)
-                self._hop_counts[kind] = count + 1
-                return count % self.hop_sample_every == 0
-        return True
+        return self.enabled and kind not in self._dropped
 
     def record(self, time: float, kind: str, **details: Any) -> None:
         """Record one event (no-op when disabled).
@@ -110,9 +86,7 @@ class TraceRecorder:
         working under ``hop_events="off"``; such callers should migrate to
         the ``wants`` gate to also skip building ``details``.
         """
-        if not self.enabled:
-            return
-        if kind in HOP_KINDS and self.hop_events == "off":
+        if not self.enabled or kind in self._dropped:
             return
         event = TraceEvent(time, kind, details)
         self._events.append(event)
@@ -157,4 +131,3 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self._events.clear()
-        self._hop_counts.clear()

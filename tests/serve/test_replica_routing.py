@@ -178,7 +178,7 @@ class TestDirectGets:
                 assert (await get)["value"] == "v1"
                 assert (await other)["ok"] and (await later)["ok"]
                 assert await cli.get("k") == "v2"
-                assert srv.get_violations() == []
+                assert srv.cluster.ledger.get_violations() == []
 
         run(scenario)
 
@@ -330,7 +330,7 @@ class TestGetAudit:
                 await cli.put_wait("k", "v1")
                 await cli.put_wait("k", "v2")
                 assert await cli.get("k") == "v2"
-                assert srv.get_violations() == []
+                assert srv.cluster.ledger.get_violations() == []
 
         run(scenario)
 
@@ -339,13 +339,13 @@ class TestGetAudit:
             async with server() as srv, client(srv) as cli:
                 await cli.put_wait("k", "v1")
                 await cli.put_wait("k", "v2")
-                first, _second = srv.cluster.issue_order
+                first, _second = srv.cluster.ledger.issue_order
                 (shard,) = srv.cluster.groups
                 # Fabricate the bug the audit exists for: a get answered
                 # with the older write after the session issued a newer
                 # one.
                 srv.history["c"].append(("get", ("k", shard, first, "s0n0")))
-                violations = srv.get_violations()
+                violations = srv.cluster.ledger.get_violations()
                 assert len(violations) == 1
                 assert violations[0].guarantee == "get-freshness"
                 assert violations[0].session == "c"

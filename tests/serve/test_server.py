@@ -69,8 +69,9 @@ class TestBasics:
         run(scenario)
 
     def test_unhashable_value_errors_without_poisoning_batch(self):
-        """The kv fold needs hashable values; one bad op must not take
-        down the ops pipelined alongside it."""
+        """The black-box auditor keys observations by value, so values
+        must be hashable; one bad op must not take down the ops pipelined
+        alongside it."""
 
         async def scenario():
             async with server() as srv, client(srv) as cli:
@@ -275,6 +276,58 @@ class TestSessionTokens:
                 with pytest.raises(ServeError):
                     await cli.connect()
                 await cli.close()
+
+        run(scenario)
+
+    def test_forged_token_is_refused_at_hello(self):
+        """A token filing a label under the wrong shard used to be
+        accepted; the session's first put then raised out of the batch
+        cycle (every client's op in it answered ``server error``) and
+        out of every repair round after it."""
+
+        async def scenario():
+            async with server() as srv, client(srv, "w") as writer:
+                label = (await writer.put_wait("k", "v"))["label"]
+                home = srv.cluster.ledger.shard_of(label)
+                forged = (
+                    '{"v":1,"session":"forger","frontier":{'
+                    f'"{1 - home}":[["{label.sender}",{label.seqno}]]}}}}'
+                )
+                forger = ServeClient(
+                    "127.0.0.1", srv.port, "forger", token=forged
+                )
+                with pytest.raises(ServeError, match="belongs to shard"):
+                    await forger.connect()
+                assert srv.cluster.router.session("forger").frontier == {}
+                # The refusal is per request: a corrected hello on the
+                # same connection is accepted, and its put shares a
+                # cycle with another client's without harming it.
+                await forger.submit({"t": "hello", "session": "forger"})
+                mine, theirs = forger.put("k", "v2"), writer.put("j", "v3")
+                assert (await mine)["ok"] and (await theirs)["ok"]
+                srv._repair_round()
+                assert srv.check_invariants() == []
+                await forger.close()
+
+        run(scenario)
+
+
+class TestSessionLog:
+    def test_a_read_pipelined_ahead_of_a_put_is_recorded_in_issue_order(self):
+        """The read used to reach the history when its reply was built —
+        after the put behind it had issued — so the white-box audit
+        reported a read-your-writes violation for a correct run."""
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", "v1")
+                read, put = cli.submit({"t": "read"}), cli.put("k", "v2")
+                assert (await read)["value"] == {"k": "v1"}
+                assert (await put)["ok"]
+                assert [kind for kind, _ in srv.history["c"]] == [
+                    "write", "read", "write",
+                ]
+                assert srv.session_guarantee_violations() == []
 
         run(scenario)
 

@@ -22,7 +22,7 @@ class TestBarrierReads:
         cluster.drain()
         (read,) = done
         assert read.value == {k0: "1", k1: "2"}
-        assert read.labels == set(cluster.issue_order[:2])
+        assert read.labels == set(cluster.ledger.issue_order[:2])
         assert read.rounds == 0
 
     def test_later_write_wins_the_fold(self):
@@ -61,10 +61,10 @@ class TestBarrierReads:
         session = cluster.router.session("s")
         session.read()
         cluster.drain()
-        kinds = {cluster.ops[l].kind for l in cluster.issue_order}
+        kinds = {cluster.ledger.ops[l].kind for l in cluster.ledger.issue_order}
         assert kinds == {"barrier"}
         assert cluster.barriers_started == 1
-        assert len(cluster.barrier_reads) == 1
+        assert len(cluster.ledger.barrier_reads) == 1
 
 
 class TestClosureInvariant:
@@ -99,10 +99,10 @@ class TestClosureInvariant:
                 for shard in read.shards:
                     for label in covered[shard]:
                         for dep in cluster.graph.causal_past(label):
-                            dep_shard = cluster.shard_of_label[dep]
+                            dep_shard = cluster.ledger.shard_of(dep)
                             if (
                                 dep_shard in covered
-                                and cluster.ops[dep].kind in DATA_KINDS
+                                and cluster.ledger.ops[dep].kind in DATA_KINDS
                             ):
                                 assert dep in covered[dep_shard]
         assert cluster.check_invariants() == []

@@ -30,7 +30,7 @@ class TestShardSendValidation:
         cluster = quiet_cluster()
         cluster.router.session("s").put(key_for(cluster, 1), "v")
         cluster.drain()
-        foreign = cluster.issue_order[0]  # lives on shard 1
+        foreign = cluster.ledger.issue_order[0]  # lives on shard 1
         with pytest.raises(ProtocolError):
             cluster.shard_send(
                 0, "put", {"key": "k", "value": "v"},
@@ -43,7 +43,7 @@ class TestShardSendValidation:
         cluster = quiet_cluster()
         cluster.router.session("s").put(key_for(cluster, 0), "v")
         cluster.drain()
-        local = cluster.issue_order[0]
+        local = cluster.ledger.issue_order[0]
         with pytest.raises(ProtocolError):
             cluster.shard_send(
                 0, "put", {"key": "k", "value": "v"},
@@ -99,7 +99,7 @@ class TestCausalUtilities:
         session.put(key, "a")
         session.put(key, "b")
         cluster.drain()
-        first, second = cluster.issue_order
+        first, second = cluster.ledger.issue_order
         assert cluster.maximal({first, second}) == frozenset({second})
 
     def test_project_follows_cross_edges(self):
@@ -108,7 +108,7 @@ class TestCausalUtilities:
         session.put(key_for(cluster, 0), "a")
         session.put(key_for(cluster, 1), "b")
         cluster.drain()
-        first, second = cluster.issue_order
+        first, second = cluster.ledger.issue_order
         # Projecting the shard-1 label back onto shard 0 must surface the
         # shard-0 ancestor it was stamped with.
         assert cluster.project((second,), 0) == frozenset({first})
@@ -121,7 +121,7 @@ class TestCausalUtilities:
         session.put(key, "a")
         session.put(key, "b")
         cluster.drain()
-        _, second = cluster.issue_order
+        _, second = cluster.ledger.issue_order
         contact = cluster.contact(0)
         assert cluster.delivered_frontier(0, contact) == frozenset({second})
 
@@ -169,8 +169,8 @@ class TestPerShardAuditNonVacuity:
         session.put(key, "b")
         cluster.drain()
         assert cluster.check_invariants() == []
-        first, second = cluster.issue_order
-        assert cluster.ops[second].deps == frozenset({first})
+        first, second = cluster.ledger.issue_order
+        assert cluster.ledger.ops[second].deps == frozenset({first})
         envelopes = cluster.groups[0].stacks["s0n1"]._delivered_envelopes
         positions = {
             e.msg_id: i for i, e in enumerate(envelopes)

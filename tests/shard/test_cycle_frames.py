@@ -108,7 +108,7 @@ class TestNothingStaysParked:
         session = cluster.router.session("s")
         labels = []
         session.put("k", 1, on_issued=labels.append)
-        shard = cluster.shard_of_label[labels[0]]
+        shard = cluster.ledger.shard_of(labels[0])
         group = cluster.groups[shard]
         assert not any(stack.delivered_count for stack in group.stacks.values())
         if drive == "cluster":
@@ -141,7 +141,7 @@ class TestCrashes:
         labels = []
         for index in range(6):
             session.put("k", index, on_issued=labels.append)
-        shard = cluster.shard_of_label[labels[0]]
+        shard = cluster.ledger.shard_of(labels[0])
         group = cluster.groups[shard]
         sender = labels[0].sender
         group.crash(sender)
@@ -167,7 +167,7 @@ class TestCrashes:
         labels = []
         for index in range(6):
             session.put("k", index, on_issued=labels.append)
-        shard = cluster.shard_of_label[labels[0]]
+        shard = cluster.ledger.shard_of(labels[0])
         group = cluster.groups[shard]
         victim = next(m for m in group.members if m != labels[0].sender)
         cluster.scheduler.call_at(0.1, group.crash, victim)
@@ -196,7 +196,7 @@ class TestBurstLoss:
                 cluster.groups[0].restart("s0n1")
             issue_cycle(cluster, cycle, keys=48)
             cluster.drain()
-        assert len(cluster.ops) == 12 * SESSIONS * DEPTH
+        assert len(cluster.ledger.ops) == 12 * SESSIONS * DEPTH
         for group in cluster.groups.values():
             network = group.network
             assert network.hops_dropped > 0

@@ -32,12 +32,12 @@ class TestMoveSlot:
         key = key_for(cluster, 0)
         cluster.router.session("s").put(key, "v")
         cluster.drain()
-        put_label = cluster.issue_order[0]
+        put_label = cluster.ledger.issue_order[0]
         record = cluster.rebalancer.move_slot(
             cluster.shard_map.slot_of(key), 1
         )
         settle(cluster)
-        migrate = cluster.ops[record.migrate_label]
+        migrate = cluster.ledger.ops[record.migrate_label]
         assert migrate.kind == "migrate"
         assert migrate.shard == 1
         assert put_label in migrate.cross_deps
@@ -65,7 +65,7 @@ class TestMoveSlot:
         settle(cluster)
         cluster.router.session("other").put(key, "new")
         settle(cluster)
-        put = cluster.ops[cluster.issue_order[-1]]
+        put = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert put.shard == 1
         assert record.migrate_label in put.deps
         assert cluster.check_invariants() == []
@@ -80,7 +80,7 @@ class TestMoveSlot:
         session.put(key, "during-move")
         settle(cluster)
         assert session.idle
-        put = cluster.ops[cluster.issue_order[-1]]
+        put = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert put.shard == 1
         assert put.value == {"key": key, "value": "during-move"}
 
@@ -89,7 +89,7 @@ class TestMoveSlot:
         slot = cluster.shard_map.slots_of(0)[0]
         record = cluster.rebalancer.move_slot(slot, 0)
         assert record.phase == "done"
-        assert cluster.issue_order == []
+        assert cluster.ledger.issue_order == []
         assert cluster.shard_map.version == 0
 
     def test_move_aborts_when_source_unreachable(self):
@@ -123,7 +123,7 @@ class TestRoutingAudit:
             slot=slot,
         )
         cluster.drain()
-        violations = cluster._check_routing()
+        violations = cluster.ledger.check_routing(cluster.rebalancer.moves)
         assert len(violations) == 1
         assert violations[0].invariant == "shard-routing"
 

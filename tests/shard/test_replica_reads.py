@@ -23,7 +23,7 @@ class TestKeyWritesIndex:
         session.put(key, "v1")
         session.put(key, "v2")
         cluster.drain()
-        assert cluster.key_writes[0][key] == list(cluster.issue_order)
+        assert cluster.ledger.key_writes[0][key] == list(cluster.ledger.issue_order)
 
     def test_migrate_indexes_every_moved_key(self):
         cluster = quiet_cluster()
@@ -34,7 +34,7 @@ class TestKeyWritesIndex:
             cluster.shard_map.slot_of(key), 1
         )
         settle(cluster)
-        assert record.migrate_label in cluster.key_writes[1][key]
+        assert record.migrate_label in cluster.ledger.key_writes[1][key]
 
 
 class TestCoverageGate:
@@ -43,7 +43,7 @@ class TestCoverageGate:
         key = key_for(cluster, 0)
         cluster.router.session("s").put(key, "v")
         cluster.drain()
-        (label,) = cluster.issue_order
+        (label,) = cluster.ledger.issue_order
         for member in cluster.groups[0].members:
             assert cluster.covers(0, member, {label})
 
@@ -69,7 +69,7 @@ class TestCoverageGate:
         member = cluster.contact(0)
         value, label = cluster.member_read(0, member, key)
         assert value == "new"
-        assert label == cluster.issue_order[-1]
+        assert label == cluster.ledger.issue_order[-1]
 
     def test_member_read_unknown_key_is_none(self):
         cluster = quiet_cluster()

@@ -26,9 +26,9 @@ class TestPuts:
         key = key_for(cluster, 1)
         session.put(key, "v1")
         cluster.drain()
-        (label,) = cluster.issue_order
-        assert cluster.ops[label].shard == 1
-        assert cluster.ops[label].key == key
+        (label,) = cluster.ledger.issue_order
+        assert cluster.ledger.ops[label].shard == 1
+        assert cluster.ledger.ops[label].key == key
 
     def test_same_shard_writes_chain_occurs_after(self):
         cluster = quiet_cluster()
@@ -37,8 +37,8 @@ class TestPuts:
         session.put(key, "v1")
         session.put(key, "v2")
         cluster.drain()
-        first, second = cluster.issue_order
-        assert cluster.ops[second].deps == frozenset({first})
+        first, second = cluster.ledger.issue_order
+        assert cluster.ledger.ops[second].deps == frozenset({first})
         assert session.frontier[0] == frozenset({second})
 
     def test_cross_shard_write_stamps_cross_deps(self):
@@ -47,8 +47,8 @@ class TestPuts:
         session.put(key_for(cluster, 0), "a")
         session.put(key_for(cluster, 1), "b")
         cluster.drain()
-        first, second = cluster.issue_order
-        record = cluster.ops[second]
+        first, second = cluster.ledger.issue_order
+        record = cluster.ledger.ops[second]
         assert record.shard == 1
         assert record.deps == frozenset()  # no earlier shard-1 write
         assert record.cross_deps == frozenset({first})
@@ -60,8 +60,8 @@ class TestPuts:
         cluster.drain()
         cluster.router.session("b").put(key, "vb")
         cluster.drain()
-        _, second = cluster.issue_order
-        assert cluster.ops[second].deps == frozenset()
+        _, second = cluster.ledger.issue_order
+        assert cluster.ledger.ops[second].deps == frozenset()
 
     def test_session_batches_record_issue_order(self):
         cluster = quiet_cluster()
@@ -69,9 +69,9 @@ class TestPuts:
         session.put(key_for(cluster, 0), "a")
         session.put(key_for(cluster, 1), "b")
         cluster.drain()
-        assert cluster.session_batches["s"] == [
-            [cluster.issue_order[0]],
-            [cluster.issue_order[1]],
+        assert cluster.ledger.session_batches()["s"] == [
+            [cluster.ledger.issue_order[0]],
+            [cluster.ledger.issue_order[1]],
         ]
 
 
@@ -96,12 +96,12 @@ class TestReads:
         reader = cluster.router.session("r")
         reader.read()
         cluster.drain()
-        put_label = cluster.issue_order[0]
+        put_label = cluster.ledger.issue_order[0]
         # The reader's next shard-0 write must causally follow the put it
         # observed, even though another session issued it.
         reader.put(k0, "y")
         cluster.drain()
-        record = cluster.ops[cluster.issue_order[-1]]
+        record = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert any(
             dep == put_label or cluster.graph.precedes(put_label, dep)
             for dep in record.deps
@@ -128,21 +128,21 @@ class TestGets:
         session = cluster.router.session("s")
         served = []
         session.put("k", "v1")
-        (first,) = cluster.issue_order
+        (first,) = cluster.ledger.issue_order
         session.get("k", served.append)
         session.put("k", "v2")
         # The put is still in flight: no replica covers {first}, so the
         # get waits and holds the second put back with it.
         assert served == []
-        assert cluster.issue_order == [first]
+        assert cluster.ledger.issue_order == [first]
         cluster.drain()
         ((value, label, member, shard),) = served
         assert (value, label, shard) == ("v1", first, 0)
         assert cluster.covers(0, member, {first})
-        _, second = cluster.issue_order
+        _, second = cluster.ledger.issue_order
         # Writes-follow-reads: the later put is stamped after what the
         # get observed, so it cannot have issued before the get was served.
-        assert cluster.ops[second].deps == frozenset({first})
+        assert cluster.ledger.ops[second].deps == frozenset({first})
         assert session.idle
 
     def test_idle_session_get_is_served_synchronously(self):
@@ -155,7 +155,7 @@ class TestGets:
         session.get(key, served.append)
         session.get("never-written", served.append)
         assert [(value, label) for value, label, _m, _s in served] == [
-            ("v", cluster.issue_order[0]), (None, None),
+            ("v", cluster.ledger.issue_order[0]), (None, None),
         ]
 
     def test_get_behind_a_barrier_read_waits_for_it(self):
@@ -227,14 +227,14 @@ class TestSlotFreeze:
         key = key_for(cluster, 0)
         fence.put(key, "pre")
         cluster.drain()
-        fence_label = cluster.issue_order[0]
+        fence_label = cluster.ledger.issue_order[0]
         slot = cluster.shard_map.slot_of(key)
         cluster.router.freeze_slot(slot)
         cluster.router.unfreeze_slot(slot, handoff=fence_label)
         other = cluster.router.session("other")
         other.put(key, "post")
         cluster.drain()
-        record = cluster.ops[cluster.issue_order[-1]]
+        record = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert fence_label in record.deps
 
     def test_unreachable_shard_exhausts_attempts(self):
@@ -301,14 +301,14 @@ class TestSessionTokens:
 
         # Observing what the frontier already dominates keeps the cache...
         own = next(iter(session.frontier[0]))
-        earlier = cluster.issue_order[0]
+        earlier = cluster.ledger.issue_order[0]
         session.observe(own)
         session.observe(earlier)
         assert session.export_token() is after_put
         # ...observing a foreign write drops it.
         other.put(key_for(cluster, 1), "foreign")
         cluster.drain()
-        session.observe(cluster.issue_order[-1])
+        session.observe(cluster.ledger.issue_order[-1])
         after_observe = session.export_token()
         assert after_observe != after_put
 
@@ -338,12 +338,12 @@ class TestSessionTokens:
         key = key_for(cluster, 0)
         writer.put(key, "first")
         cluster.drain()
-        first = cluster.issue_order[0]
+        first = cluster.ledger.issue_order[0]
         heir = cluster.router.session("heir")
         heir.import_token(writer.export_token())
         heir.put(key, "second")
         cluster.drain()
-        record = cluster.ops[cluster.issue_order[-1]]
+        record = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert first in record.deps
 
     def test_unknown_version_rejected(self):
@@ -384,13 +384,42 @@ class TestSessionTokens:
                 '{"v":1,"session":"s","frontier":{"7":[["s7n0",1]]}}'
             )
 
+    def test_label_filed_under_the_wrong_shard_is_refused(self):
+        """A forged or corrupted token; merged, the session's next put
+        would name a foreign label in its ``Occurs-After`` and raise out
+        of ``pump`` on every retry."""
+        import pytest
+
+        from repro.errors import ProtocolError
+
+        cluster = quiet_cluster()
+        writer = cluster.router.session("w")
+        writer.put(key_for(cluster, 0), "on-0")
+        writer.put(key_for(cluster, 1), "on-1")
+        cluster.drain()
+        on_0, on_1 = cluster.ledger.issue_order
+        token = (
+            '{"v":1,"session":"f","frontier":{'
+            f'"0":[["{on_0.sender}",{on_0.seqno}],'
+            f'["{on_1.sender}",{on_1.seqno}]]}}}}'
+        )
+        forged = cluster.router.session("f")
+        with pytest.raises(
+            ProtocolError, match=f"{on_1} under shard 0.*belongs to shard 1"
+        ):
+            forged.import_token(token)
+        assert forged.frontier == {}  # the rightly filed label neither
+        forged.put(key_for(cluster, 0), "still works")
+        cluster.drain()
+        assert cluster.check_invariants() == []
+
     def test_unknown_labels_dropped_and_reported(self):
         cluster = quiet_cluster()
         session = cluster.router.session("s")
         key = key_for(cluster, 0)
         session.put(key, "v")
         cluster.drain()
-        known = cluster.issue_order[0]
+        known = cluster.ledger.issue_order[0]
         from repro.types import MessageId
 
         ghost = MessageId("never-issued", 42)
@@ -416,4 +445,4 @@ class TestSessionTokens:
         cluster.drain()
         merged.import_token(token)
         # Both writes are concurrent maximal elements of the frontier.
-        assert merged.frontier[0] == frozenset(cluster.issue_order[:2])
+        assert merged.frontier[0] == frozenset(cluster.ledger.issue_order[:2])

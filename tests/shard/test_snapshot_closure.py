@@ -45,7 +45,7 @@ def closure_violations(cluster):
 
 def reference_fold(cluster, read):
     return fold_ledger(sorted(
-        (cluster.ops[label] for label in read.labels),
+        (cluster.ledger.ops[label] for label in read.labels),
         key=lambda record: record.index,
     ))
 
@@ -55,10 +55,10 @@ class TestSeed17Regression:
         cluster, result = run_campaign(17)
         assert result.ok, [str(v) for v in result.violations]
         assert result.reads == 7
-        puts = [r for r in cluster.ops.values() if r.kind == "put"]
+        puts = [r for r in cluster.ledger.ops.values() if r.kind == "put"]
         # Campaign values are unique, so a returned value names its put.
         index_of = {r.value["value"]: r.index for r in puts}
-        for read in cluster.barrier_reads:
+        for read in cluster.ledger.barrier_reads:
             observed = read.labels
             for later in puts:
                 if later.label not in observed:
@@ -97,12 +97,12 @@ class TestClosureAuditIsNotVacuous:
         cluster.drain()
         assert cluster.check_invariants() == []
         first, second = (
-            label for label in cluster.issue_order
-            if cluster.ops[label].kind == "put"
+            label for label in cluster.ledger.issue_order
+            if cluster.ledger.ops[label].kind == "put"
         )
         # Shard 1's cut from before the writes, shard 0's from after: a
         # snapshot holding `second` and not the `first` it follows.
-        cluster.barrier_reads.append(BarrierRead(
+        cluster.ledger.barrier_reads.append(BarrierRead(
             session="planted",
             shards=(0, 1),
             value={k0: "second"},
@@ -113,7 +113,7 @@ class TestClosureAuditIsNotVacuous:
             rounds=0,
             issued_at=0.0,
             completed_at=cluster.scheduler.now,
-            cluster=cluster,
+            ledger=cluster.ledger,
         ))
         (violation,) = closure_violations(cluster)
         assert "planted" in violation.detail
@@ -140,9 +140,9 @@ class TestOneFold:
     @pytest.mark.parametrize("seed", range(20))
     def test_value_is_the_issue_order_fold_of_the_cut(self, seed):
         cluster, _result = run_campaign(seed, shards=2 + seed % 2)
-        assert cluster.barrier_reads
+        assert cluster.ledger.barrier_reads
         assert closure_violations(cluster) == []
-        for read in cluster.barrier_reads:
+        for read in cluster.ledger.barrier_reads:
             assert read.value == reference_fold(cluster, read)
             assert read.labels == frozenset().union(*read.covered.values())
 

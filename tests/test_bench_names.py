@@ -73,3 +73,16 @@ def test_group_attributes_the_replay_reaches_resolve():
     assert callable(group.trackers[member].gossip_round)
     assert group.view_syncs[member].changes_installed == 0
     assert group.network.hops_sent == 0
+
+
+def test_cluster_attributes_the_replay_reads_resolve():
+    """``replay.py`` ends a run on ``len(cluster.graph)`` and
+    ``cluster.reads_failed``, and diffs ``scheduler.events_processed``."""
+    cluster = ShardedCluster(shards=1, members_per_shard=2, seed=0)
+    assert len(cluster.graph) == 0
+    assert cluster.reads_failed == 0
+    before = cluster.scheduler.events_processed
+    cluster.router.session("s").put("k", "v")
+    cluster.drain()
+    assert len(cluster.graph) == 1
+    assert cluster.scheduler.events_processed > before

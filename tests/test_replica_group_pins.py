@@ -364,3 +364,42 @@ class TestLayering:
             if reach_in.search(line)
         ]
         assert offenders == []
+
+    #: What only ``shard/ledger.py`` may touch: the ledger's containers
+    #: and the graph's mask API, and the put / migrate payload format.
+    LEDGER_STATE = re.compile(
+        r"\.ops[\[.]|\.shard_of_label|\.shard_labels|\.label_mask|"
+        r"\.write_mask|\.key_writes|\.session_batches|\.cut_folds|"
+        r"graph\.(?:past_mask|labels_of|maximal_mask)|"
+        r"record\.kind == \"put\"|\[\"entries\"\]"
+    )
+
+    def test_only_the_ledger_module_reads_ledger_state(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+            for package in ("shard", "serve")
+            for path in sorted((SRC / package).glob("*.py"))
+            if path.name != "ledger.py"
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1
+            )
+            if self.LEDGER_STATE.search(line)
+        ]
+        assert offenders == []
+        # Not vacuous: the module that owns the state trips every clause.
+        owner = (SRC / "shard" / "ledger.py").read_text()
+        for needle in (
+            ".ops[", ".key_writes", "graph.past_mask", "graph.labels_of",
+            "graph.maximal_mask", 'record.kind == "put"', '["entries"]',
+        ):
+            assert needle in owner and self.LEDGER_STATE.search(needle)
+
+    def test_the_cluster_owns_no_ledger_container(self):
+        cluster = ShardedCluster(shards=1, members_per_shard=2)
+        for name in (
+            "ops", "shard_of_label", "shard_labels", "label_mask",
+            "write_mask", "key_writes", "session_batches", "cut_folds",
+            "barrier_reads", "issue_order", "note_session_batch",
+        ):
+            assert not hasattr(cluster, name), name
+        assert cluster.graph is cluster.ledger.graph

@@ -145,8 +145,8 @@ class TestReplay:
             assert violations == []
             assert cluster.check_invariants() == []
             return (
-                cluster.issue_order,
-                [read.value for read in cluster.barrier_reads],
+                cluster.ledger.issue_order,
+                [read.value for read in cluster.ledger.barrier_reads],
             )
 
         assert run(schedule) == run(load_schedule(path))
