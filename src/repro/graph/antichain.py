@@ -9,7 +9,9 @@ approximates it; this module computes it exactly.
 By Dilworth's theorem the maximum antichain size equals the minimum
 number of chains covering the poset, which for a DAG's *transitive
 closure* is ``n - (maximum bipartite matching)`` (König/minimum path
-cover).  The matching runs on networkx (Hopcroft-Karp).
+cover).  The matching runs on networkx (Hopcroft-Karp), imported only
+when a width is asked for: ``import repro`` needs nothing outside the
+standard library.
 
 Complexity is O(V·E) for the closure plus the matching — fine for the
 activity-sized graphs the experiments inspect.
@@ -18,8 +20,6 @@ activity-sized graphs the experiments inspect.
 from __future__ import annotations
 
 from typing import FrozenSet, List, Set, Tuple
-
-import networkx as nx
 
 from repro.graph.depgraph import DependencyGraph
 from repro.types import MessageId
@@ -44,6 +44,8 @@ def width(graph: DependencyGraph) -> int:
     edges = _closure_edges(graph)
     if not edges:
         return len(nodes)
+    import networkx as nx
+
     # Minimum chain cover on the closure = n - maximum matching in the
     # split bipartite graph (u_out -> v_in per closure edge).
     bipartite = nx.Graph()
@@ -73,6 +75,8 @@ def maximum_antichain(graph: DependencyGraph) -> FrozenSet[MessageId]:
     edges = _closure_edges(graph)
     if not edges:
         return frozenset(nodes)
+    import networkx as nx
+
     bipartite = nx.Graph()
     left = {node: ("L", node) for node in nodes}
     right = {node: ("R", node) for node in nodes}

@@ -23,7 +23,8 @@ from repro.errors import ProtocolError
 from repro.serve.wire import (
     DEFAULT_OVERLOAD_RETRY_AFTER,
     FRAME_OVERLOAD,
-    read_frame,
+    FrameReader,
+    decode_frame,
     write_frame,
 )
 
@@ -166,15 +167,18 @@ class ServeClient:
 
     async def _recv_loop(self) -> None:
         assert self._reader is not None
+        frames = FrameReader(self._reader)
         try:
             while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
+                bodies = await frames.read()
+                if bodies is None:
                     break
-                if frame.get("t") == "bye":
-                    self.server_said_bye = True
-                    break
-                self._dispatch_reply(frame)
+                for body in bodies:
+                    frame = decode_frame(body)
+                    if frame.get("t") == "bye":
+                        self.server_said_bye = True
+                        return
+                    self._dispatch_reply(frame)
         except (ProtocolError, ConnectionError):
             pass
         finally:

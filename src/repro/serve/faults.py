@@ -23,7 +23,8 @@ Faults are chosen per frame by a :class:`WireFaultPlan` — seeded, so a chaos
 campaign is reproducible fault-for-fault — or injected manually through
 :meth:`ChaosProxy.cut_all` / :meth:`ChaosProxy.stall_all` for targeted
 tests.  The proxy is frame-aware (it splits the byte stream with the
-same length-prefix rules as the server) but never decodes a body.
+server's own :class:`~repro.serve.wire.FrameReader`) but never decodes a
+body; verdicts are still per frame.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import asyncio
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.serve.wire import _LENGTH_BYTES, read_frame_bytes
+from repro.serve.wire import _LENGTH_BYTES, FrameReader
 
 #: Fault verbs a plan may return (plus ``pass``).
 FAULTS = ("cut", "truncate", "stall", "delay", "dup")
@@ -288,53 +289,57 @@ class ChaosProxy:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Forward frames one way, applying the plan's verdicts."""
+        frames = FrameReader(reader)
         frame_index = 0
         try:
             while not link.closed:
-                body = await read_frame_bytes(reader)
-                if body is None:
+                bodies = await frames.read()
+                if bodies is None:
                     break
-                self.counters["frames"] += 1
-                await self._flowing[direction].wait()
-                verb, seconds = (
-                    self.plan.action(direction, frame_index)
-                    if self.plan is not None else ("pass", 0.0)
-                )
-                frame_index += 1
-                if verb == "cut":
-                    self.counters["cuts"] += 1
-                    link.abort()
-                    return
-                if verb == "truncate":
-                    # Honest length prefix, dishonest body: the peer
-                    # waits for bytes that never arrive, then EOF.
-                    self.counters["truncations"] += 1
-                    keep = max(1, len(body) // 2)
-                    writer.write(
-                        len(body).to_bytes(_LENGTH_BYTES, "big")
-                        + body[:keep]
+                for body in bodies:
+                    if link.closed:
+                        return
+                    self.counters["frames"] += 1
+                    await self._flowing[direction].wait()
+                    verb, seconds = (
+                        self.plan.action(direction, frame_index)
+                        if self.plan is not None else ("pass", 0.0)
                     )
-                    try:
-                        await writer.drain()
-                    except (ConnectionError, RuntimeError):
-                        pass
-                    link.abort()
-                    return
-                if verb == "stall":
-                    self.counters["stalls"] += 1
-                    await asyncio.sleep(seconds)
-                elif verb == "delay":
-                    self.counters["delays"] += 1
-                    await asyncio.sleep(seconds)
-                copies = 2 if verb == "dup" else 1
-                if verb == "dup":
-                    self.counters["dups"] += 1
-                for _ in range(copies):
-                    writer.write(
-                        len(body).to_bytes(_LENGTH_BYTES, "big") + body
-                    )
-                await writer.drain()
-        except (ConnectionError, RuntimeError, asyncio.IncompleteReadError):
+                    frame_index += 1
+                    if verb == "cut":
+                        self.counters["cuts"] += 1
+                        link.abort()
+                        return
+                    if verb == "truncate":
+                        # Honest length prefix, dishonest body: the peer
+                        # waits for bytes that never arrive, then EOF.
+                        self.counters["truncations"] += 1
+                        keep = max(1, len(body) // 2)
+                        writer.write(
+                            len(body).to_bytes(_LENGTH_BYTES, "big")
+                            + body[:keep]
+                        )
+                        try:
+                            await writer.drain()
+                        except (ConnectionError, RuntimeError):
+                            pass
+                        link.abort()
+                        return
+                    if verb == "stall":
+                        self.counters["stalls"] += 1
+                        await asyncio.sleep(seconds)
+                    elif verb == "delay":
+                        self.counters["delays"] += 1
+                        await asyncio.sleep(seconds)
+                    copies = 2 if verb == "dup" else 1
+                    if verb == "dup":
+                        self.counters["dups"] += 1
+                    for _ in range(copies):
+                        writer.write(
+                            len(body).to_bytes(_LENGTH_BYTES, "big") + body
+                        )
+                    await writer.drain()
+        except (ConnectionError, RuntimeError):
             pass
         except Exception:
             # A malformed length prefix (ProtocolError) means the stream

@@ -6,12 +6,17 @@ computed on demand by sorting the ring — exact over the retained window,
 cheap at serving scale.  ``snapshot()`` is the single source for the
 wire ``stats`` reply, ``repro serve --stats``, the load generator's
 report, and the benchmark JSON, so every surface shows the same numbers.
+
+``counters`` is a live dict: the server's hot paths add to it directly,
+once per dispatch turn or batch cycle where they can (``bump`` is for
+the rare paths), and latencies arrive a turn's or a cycle's worth at a
+time (:meth:`ServeMetrics.record_latencies`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 #: Latency samples retained per kind (newest win).
 RESERVOIR = 4096
@@ -48,6 +53,9 @@ class ServeMetrics:
             "connections_closed": 0,
             "frames_in": 0,
             "frames_out": 0,
+            # One write carries every reply a turn or a cycle earned a
+            # connection: frames_out / wire_writes is the packing factor.
+            "wire_writes": 0,
             "ops": 0,
             "puts": 0,
             "puts_dropped": 0,
@@ -55,6 +63,9 @@ class ServeMetrics:
             "sheds": 0,
             "deadline_drops": 0,
             "gets": 0,
+            "gets_direct": 0,
+            "gets_cycle": 0,
+            "read_misses": 0,
             "reads": 0,
             "reads_failed": 0,
             "errors": 0,
@@ -78,10 +89,14 @@ class ServeMetrics:
         self.counters[counter] = self.counters.get(counter, 0) + amount
 
     def record_latency(self, kind: str, millis: float) -> None:
+        self.record_latencies(kind, (millis,))
+
+    def record_latencies(self, kind: str, samples: Iterable[float]) -> None:
+        """Add a turn's or a cycle's samples of one kind at once."""
         ring = self._latency.get(kind)
         if ring is None:
             ring = self._latency[kind] = deque(maxlen=RESERVOIR)
-        ring.append(millis)
+        ring.extend(samples)
 
     def record_batch(self, size: int) -> None:
         self.bump("batches")

@@ -28,14 +28,22 @@ session with a covered floor is answered on the spot, without a cycle;
 any other get rides its cycle and is served during the drive, behind the
 session's earlier operations and ahead of its later ones.
 
+Frames move in batches at this edge too.  A connection's *turn* is one
+read of its socket: every complete frame the read holds is parsed and
+dispatched in order, and the replies the turn earns leave in one
+``write``; a batch cycle likewise answers each connection it touched
+with one ``write``.  Counters are added per turn and per cycle.
+
 Flow control, both directions:
 
 * **admission** — at most ``max_inflight`` unanswered requests per
-  connection; past that the server stops reading the socket, so TCP
-  backpressure reaches the client before memory does;
-* **slow clients** — replies go through ``writer.drain()``, so a client
-  that stops reading pauses its own reply stream without wedging the
-  batch cycle for everyone else.
+  connection; past that the turn flushes what it has answered and parks
+  until the pipeline drains below the cap, reading nothing more from the
+  socket, so TCP backpressure reaches the client before memory does;
+* **slow clients** — each turn ends in one ``writer.drain()``, so a
+  client that stops reading parks its own connection (and stops being
+  read); batch cycles only write, never wait on a socket, so it cannot
+  wedge the cycle for everyone else.
 
 Shutdown is a graceful drain: stop accepting, answer everything already
 admitted, say ``bye`` on every connection, then (optionally) heal the
@@ -63,8 +71,9 @@ from repro.serve.wire import (
     DEFAULT_OVERLOAD_RETRY_AFTER,
     FRAME_OVERLOAD,
     SERVE_WIRE_VERSION,
-    read_frame,
-    write_frame,
+    FrameReader,
+    decode_frame,
+    encode_frame,
 )
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import Served, Session
@@ -79,25 +88,68 @@ REPAIR_INTERVAL = 0.25
 
 
 class _Connection:
-    """Per-connection state: session binding, admission, liveness."""
+    """Per-connection state: session binding, admission, replies, liveness.
+
+    Replies are queued by :meth:`send` and leave by :meth:`flush`: one
+    ``write`` for everything a dispatch turn or a batch cycle earned.
+    """
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
+        counters: Dict[str, int],
     ) -> None:
-        self.reader = reader
+        self.frames = FrameReader(reader)
         self.writer = writer
         self.session: Optional[Session] = None
         self.inflight = 0
         self.can_admit = asyncio.Event()
         self.can_admit.set()
         self.closed = False
+        self._out: List[bytes] = []
+        self._counters = counters
 
     def release(self) -> None:
         self.inflight -= 1
         if not self.can_admit.is_set():
             self.can_admit.set()
+
+    def send(self, document: Dict[str, Any]) -> None:
+        if not self.closed:
+            self._out.append(encode_frame(document))
+
+    def flush(self) -> None:
+        out = self._out
+        if not out:
+            return
+        self._out = []
+        if self.closed:
+            return
+        self._counters["frames_out"] += len(out)
+        self._counters["wire_writes"] += 1
+        try:
+            self.writer.write(b"".join(out))
+        except (ConnectionError, RuntimeError):
+            self.close()
+
+    async def drain(self) -> None:
+        if self.closed:
+            return
+        try:
+            await self.writer.drain()
+        except (ConnectionError, RuntimeError):
+            self.close()
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self._counters["connections_closed"] += 1
+        try:
+            self.writer.close()
+        except RuntimeError:
+            pass
 
 
 #: Sentinel recorded under an opid before its put issues — an opid whose
@@ -232,12 +284,9 @@ class ServeServer:
                 pass
             self._repair_task = None
         for conn in list(self._connections):
-            try:
-                write_frame(conn.writer, {"t": "bye"})
-                self.metrics.bump("frames_out")
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
+            conn.send({"t": "bye"})
+            conn.flush()
+            await conn.drain()
             self._close_connection(conn)
         if heal:
             for group in self.cluster.groups.values():
@@ -270,51 +319,77 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = _Connection(reader, writer)
+        conn = _Connection(reader, writer, self.metrics.counters)
         self._connections.add(conn)
         self.metrics.bump("connections_opened")
         try:
             while True:
-                frame = await read_frame(reader)
-                if frame is None or frame.get("t") == "bye":
+                bodies = await conn.frames.read()
+                if bodies is None or not await self._turn(conn, bodies):
                     break
-                self.metrics.bump("frames_in")
-                await self._dispatch(conn, frame)
         except ProtocolError as exc:
-            await self._send_error(conn, None, str(exc))
-        except (ConnectionError, asyncio.IncompleteReadError):
+            self._send_error(conn, None, str(exc))
+        except ConnectionError:
             pass
         finally:
+            conn.flush()
             self._close_connection(conn)
+
+    async def _turn(self, conn: _Connection, bodies: List[bytes]) -> bool:
+        """Dispatch one read's frames in order; answer them in one write.
+
+        False once the peer said ``bye``: the frames behind it are not
+        dispatched.  Every op of the turn is stamped with the turn's
+        start, the moment its frame was read.
+        """
+        loop = asyncio.get_event_loop()
+        started = loop.time()
+        self.metrics.counters["frames_in"] += len(bodies)
+        direct = 0  # gets answered on the spot, counted when the turn ends
+        try:
+            for body in bodies:
+                frame = decode_frame(body)
+                if frame.get("t") == "bye":
+                    return False
+                op = self._dispatch(conn, frame, started)
+                if op is None:
+                    continue
+                if op.served is not None:
+                    direct += 1
+                    continue
+                if conn.inflight >= self.max_inflight:
+                    await self._admit(conn)
+                conn.inflight += 1
+                self.metrics.inflight += 1
+                self._enqueue(op)
+        finally:
+            if direct:
+                self._count_direct_gets(
+                    direct, (loop.time() - started) * 1000.0
+                )
+        conn.flush()
+        await conn.drain()
+        return True
+
+    async def _admit(self, conn: _Connection) -> None:
+        """Admission control: stop reading this socket until the pipeline
+        drains below the cap — the client feels it as TCP backpressure,
+        not an error.  What the turn answered so far leaves first."""
+        conn.flush()
+        while conn.inflight >= self.max_inflight:
+            self.metrics.bump("admission_waits")
+            conn.can_admit.clear()
+            await conn.can_admit.wait()
 
     def _close_connection(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
         self._connections.discard(conn)
-        self.metrics.bump("connections_closed")
-        try:
-            conn.writer.close()
-        except RuntimeError:
-            pass
+        conn.close()
 
-    async def _send(self, conn: _Connection, document: Dict[str, Any]) -> None:
-        if conn.closed:
-            return
-        try:
-            write_frame(conn.writer, document)
-            self.metrics.bump("frames_out")
-            await conn.writer.drain()
-        except (ConnectionError, RuntimeError):
-            self._close_connection(conn)
-
-    async def _send_error(
+    def _send_error(
         self, conn: _Connection, rid: Optional[int], message: str
     ) -> None:
         self.metrics.bump("errors")
-        await self._send(
-            conn, {"t": "error", "rid": rid, "error": message}
-        )
+        conn.send({"t": "error", "rid": rid, "error": message})
 
     def _overload_frame(
         self, rid: Optional[int], reason: str
@@ -326,26 +401,29 @@ class ServeServer:
             "queue_depth": len(self._pending),
         }
 
-    async def _send_overload(
-        self, conn: _Connection, rid: Optional[int], reason: str
-    ) -> None:
-        await self._send(conn, self._overload_frame(rid, reason))
-
     # -- request dispatch --------------------------------------------------
 
-    async def _dispatch(self, conn: _Connection, frame: Dict[str, Any]) -> None:
+    def _dispatch(
+        self, conn: _Connection, frame: Dict[str, Any], now: float
+    ) -> Optional[_PendingOp]:
+        """Handle one frame, queueing its reply on ``conn`` if it has one.
+
+        Returns the ``put`` / ``get`` / ``read`` op it made: a get served
+        on the spot (``served`` set, reply queued), or an op to admit
+        into the batch pipeline.
+        """
         kind = frame.get("t")
         rid = frame.get("rid")
         if kind == "hello":
-            await self._handle_hello(conn, frame)
-            return
+            self._handle_hello(conn, frame)
+            return None
         if conn.session is None:
-            await self._send_error(conn, rid, "hello required first")
-            return
+            self._send_error(conn, rid, "hello required first")
+            return None
         if kind in ("put", "read", "get"):
             if self._draining:
-                await self._send_error(conn, rid, "server is draining")
-                return
+                self._send_error(conn, rid, "server is draining")
+                return None
             if (
                 self.max_queue is not None
                 and len(self._pending) >= self.max_queue
@@ -353,9 +431,9 @@ class ServeServer:
                 # Shed before admitting: a parseable refusal now beats a
                 # reply that arrives after the client gave up.  Nothing
                 # was applied — the frame is safe to retry.
-                await self._send_overload(conn, rid, "queue-full")
-                return
-            op = _PendingOp(conn, frame, asyncio.get_event_loop().time())
+                conn.send(self._overload_frame(rid, "queue-full"))
+                return None
+            op = _PendingOp(conn, frame, now)
             if kind == "get" and not self._session_pending.get(
                 conn.session.name
             ):
@@ -364,46 +442,35 @@ class ServeServer:
                 # served on the spot, it is answered off the cycle path.
                 self._hand_get(op)
                 if op.served is not None:
-                    await self._answer_direct(op)
-                    return
+                    conn.send(self._get_reply(op))
+                    return op
                 if op.error is None:
                     self.metrics.bump("read_misses")
-            while conn.inflight >= self.max_inflight:
-                # Admission control: stop reading this socket until the
-                # pipeline drains below the cap — the client feels it as
-                # TCP backpressure, not an error.
-                self.metrics.bump("admission_waits")
-                conn.can_admit.clear()
-                await conn.can_admit.wait()
-            conn.inflight += 1
-            self.metrics.inflight += 1
-            self._enqueue(op)
-            return
+            return op
         if kind == "token":
-            await self._send(conn, {
+            conn.send({
                 "t": "reply", "rid": rid, "ok": True,
                 "token": conn.session.export_token(),
             })
-            return
-        if kind == "stats":
+        elif kind == "stats":
             self.metrics.queue_depth = len(self._pending)
-            await self._send(conn, {
+            conn.send({
                 "t": "reply", "rid": rid, "ok": True,
                 "stats": self.metrics.snapshot(),
             })
-            return
-        if kind == "chaos":
-            await self._handle_chaos(conn, frame)
-            return
-        await self._send_error(conn, rid, f"unknown request type: {kind!r}")
+        elif kind == "chaos":
+            self._handle_chaos(conn, frame)
+        else:
+            self._send_error(conn, rid, f"unknown request type: {kind!r}")
+        return None
 
-    async def _handle_hello(
+    def _handle_hello(
         self, conn: _Connection, frame: Dict[str, Any]
     ) -> None:
         rid = frame.get("rid")
         name = frame.get("session")
         if not isinstance(name, str) or not name:
-            await self._send_error(conn, rid, "hello needs a session name")
+            self._send_error(conn, rid, "hello needs a session name")
             return
         requested = frame.get("codec", "json")
         if requested != "json":
@@ -412,7 +479,7 @@ class ServeServer:
             # hello, instead of hanging on its first frame in a format
             # nobody here reads.
             self.metrics.bump("errors")
-            await self._send(conn, {
+            conn.send({
                 "t": "error", "rid": rid,
                 "error": f"unknown codec: {requested!r}",
                 "codecs": ["json"],
@@ -425,12 +492,12 @@ class ServeServer:
             try:
                 dropped = len(session.import_token(token))
             except ProtocolError as exc:
-                await self._send_error(conn, rid, str(exc))
+                self._send_error(conn, rid, str(exc))
                 return
             self.metrics.bump("tokens_imported")
             self.metrics.bump("token_labels_dropped", dropped)
         conn.session = session
-        await self._send(conn, {
+        conn.send({
             "t": "reply", "rid": rid, "ok": True,
             "wire_version": SERVE_WIRE_VERSION,
             "session": name,
@@ -439,7 +506,7 @@ class ServeServer:
             "token_labels_dropped": dropped,
         })
 
-    async def _handle_chaos(
+    def _handle_chaos(
         self, conn: _Connection, frame: Dict[str, Any]
     ) -> None:
         """Fault injection over the wire (demos, CI smoke, soak tests)."""
@@ -447,14 +514,14 @@ class ServeServer:
         action = frame.get("action")
         shard = frame.get("shard")
         if not isinstance(shard, int) or shard not in self.cluster.groups:
-            await self._send_error(conn, rid, f"unknown shard: {shard!r}")
+            self._send_error(conn, rid, f"unknown shard: {shard!r}")
             return
         group = self.cluster.groups[shard]
         member: Optional[EntityId] = frame.get("member")
         if member is not None and (
             not isinstance(member, str) or member not in group.stacks
         ):
-            await self._send_error(
+            self._send_error(
                 conn, rid, f"unknown member of shard {shard}: {member!r}"
             )
             return
@@ -463,10 +530,10 @@ class ServeServer:
             if member is None and up:
                 member = up[0]
             if member not in up:
-                await self._send_error(conn, rid, "no up member to crash")
+                self._send_error(conn, rid, "no up member to crash")
                 return
             if len(up) <= 1:
-                await self._send_error(
+                self._send_error(
                     conn, rid, f"refusing to crash the last member of shard {shard}"
                 )
                 return
@@ -474,14 +541,14 @@ class ServeServer:
             self.cluster.drain()
         elif action == "restart":
             if member is None or not group.stacks[member].crashed:
-                await self._send_error(conn, rid, "member is not crashed")
+                self._send_error(conn, rid, "member is not crashed")
                 return
             group.restart(member)
             self._repair_round()
         else:
-            await self._send_error(conn, rid, f"unknown chaos action: {action!r}")
+            self._send_error(conn, rid, f"unknown chaos action: {action!r}")
             return
-        await self._send(conn, {
+        conn.send({
             "t": "reply", "rid": rid, "ok": True,
             "action": action, "shard": shard, "member": member,
         })
@@ -515,7 +582,9 @@ class ServeServer:
                 "error": "get aborted: no replica covers the session floor",
             }
         value, _label, member, shard = op.served
-        self.metrics.bump(f"replica_reads_{member}")
+        counters = self.metrics.counters
+        name = "replica_reads_" + member
+        counters[name] = counters.get(name, 0) + 1
         return {
             "t": "reply", "rid": op.frame.get("rid"), "ok": True,
             "key": op.frame["key"], "value": value,
@@ -523,14 +592,15 @@ class ServeServer:
             "token": op.conn.session.export_token(),
         }
 
-    async def _answer_direct(self, op: _PendingOp) -> None:
-        self.metrics.bump("ops")
-        self.metrics.bump("gets")
-        self.metrics.bump("gets_direct")
-        millis = (asyncio.get_event_loop().time() - op.started) * 1000.0
-        self.metrics.record_latency("get", millis)
-        self.metrics.record_latency("op", millis)
-        await self._send(op.conn, self._get_reply(op))
+    def _count_direct_gets(self, count: int, millis: float) -> None:
+        """Count one turn's on-the-spot gets; they left in one write."""
+        counters = self.metrics.counters
+        counters["ops"] += count
+        counters["gets"] += count
+        counters["gets_direct"] += count
+        samples = [millis] * count
+        self.metrics.record_latencies("get", samples)
+        self.metrics.record_latencies("op", samples)
 
     # -- the batch cycle ---------------------------------------------------
 
@@ -562,19 +632,21 @@ class ServeServer:
             batch, self._pending = self._pending, []
             self.metrics.queue_depth = 0
             try:
-                await self._run_cycle(batch)
+                self._run_cycle(batch)
             except Exception as exc:  # noqa: BLE001 - cycle must not die silently
                 # A failed cycle still answers (with errors) and still
                 # releases admission slots — a wedged pipeline would
                 # otherwise deadlock every client on the connection.
                 for op in batch:
                     self._op_done(op)
-                    await self._send_error(
+                    self._send_error(
                         op.conn, op.frame.get("rid"), f"server error: {exc}"
                     )
+                for conn in dict.fromkeys(op.conn for op in batch):
+                    conn.flush()
                 raise
 
-    async def _run_cycle(self, batch: List[_PendingOp]) -> None:
+    def _run_cycle(self, batch: List[_PendingOp]) -> None:
         per_shard: Dict[int, int] = {}
         now = asyncio.get_event_loop().time()
         for op in batch:
@@ -639,28 +711,27 @@ class ServeServer:
         # issues (or exhausts its retries), every barrier completes (or
         # aborts), every delivery lands.
         self.cluster.drain()
-        loop = asyncio.get_event_loop()
-        drains = []
+        # Every reply is built now, so the cycle's ops share one clock
+        # read; each connection gets its replies in one write, and
+        # nothing here waits on a socket — a client that stopped reading
+        # parks its own turn, never the cycle.
+        ended = asyncio.get_event_loop().time()
+        self.metrics.counters["ops"] += len(batch)
+        latencies: Dict[str, List[float]] = {}
+        touched = []
         for op in batch:
             reply = self._build_reply(op)
-            millis = (loop.time() - op.started) * 1000.0
-            self.metrics.record_latency(op.frame.get("t", "op"), millis)
-            self.metrics.record_latency("op", millis)
-            if not op.conn.closed:
-                try:
-                    write_frame(op.conn.writer, reply)
-                    self.metrics.bump("frames_out")
-                    drains.append(op.conn)
-                except (ConnectionError, RuntimeError):
-                    self._close_connection(op.conn)
+            latencies.setdefault(op.frame.get("t", "op"), []).append(
+                (ended - op.started) * 1000.0
+            )
+            op.conn.send(reply)
+            touched.append(op.conn)
             self._op_done(op)
-        # Slow-client write pausing: drain each touched connection; a
-        # stalled reader delays only its own replies.
-        for conn in dict.fromkeys(drains):
-            try:
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                self._close_connection(conn)
+        for conn in dict.fromkeys(touched):
+            conn.flush()
+        for kind, samples in latencies.items():
+            self.metrics.record_latencies(kind, samples)
+            self.metrics.record_latencies("op", samples)
 
     #: Idempotency memory per session, in applied opids.  Bounds the
     #: at-most-once window: a put retried more than this many acked puts
@@ -697,7 +768,7 @@ class ServeServer:
         rid = frame.get("rid")
         kind = frame.get("t")
         session = op.conn.session
-        self.metrics.bump("ops")
+        counters = self.metrics.counters
         if op.shed:
             return self._overload_frame(rid, "deadline")
         if op.error is not None:
@@ -715,14 +786,14 @@ class ServeServer:
                     "t": "error", "rid": rid,
                     "error": "put was dropped (shard unreachable)",
                 }
-            self.metrics.bump("puts")
+            counters["puts"] += 1
             return {
                 "t": "reply", "rid": rid, "ok": True,
                 "label": recorded, "deduped": True,
                 "token": session.export_token(),
             }
         if kind == "put":
-            self.metrics.bump("puts")
+            counters["puts"] += 1
             if op.label is None:
                 if op.opid is not None:
                     # Nothing was applied, so forget the opid: a retry
@@ -743,11 +814,11 @@ class ServeServer:
                 "token": session.export_token(),
             }
         if kind == "get":
-            self.metrics.bump("gets")
+            counters["gets"] += 1
             if op.served is not None:
-                self.metrics.bump("gets_cycle")
+                counters["gets_cycle"] += 1
             return self._get_reply(op)
-        self.metrics.bump("reads")
+        counters["reads"] += 1
         read = op.read
         if read is None:
             self.metrics.bump("reads_failed")

@@ -16,13 +16,20 @@ codec's forward-compatibility rule.  Every answered ``get`` carries the
 
 The frame length is bounded (:data:`MAX_FRAME`): a malformed or
 malicious length prefix must not make the server allocate gigabytes.
+
+Frames move in batches.  :class:`FrameReader` splits each ``read`` of a
+stream into every complete frame it holds, so a pipelined burst is
+parsed in one turn; a frame's values take the codec's structural walk
+only when they are not plain JSON scalars, and the bytes are the same
+either way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional
+import struct
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.runtime.codec import decode_value, encode_value
@@ -34,6 +41,19 @@ SERVE_WIRE_VERSION = 1
 MAX_FRAME = 4 * 1024 * 1024
 
 _LENGTH_BYTES = 4
+_PREFIX = struct.Struct(">I")
+
+#: Bytes one :meth:`FrameReader.read` asks its stream for: the default
+#: ``asyncio.StreamReader`` limit, so a connection holds at most one
+#: read's worth of parsed, undispatched frames.
+READ_CHUNK = 64 * 1024
+
+#: Value types that cross as themselves.  Exact types: a ``MessageId``
+#: is a tuple subclass and must take the walk.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+#: What ``json.loads`` returns that may hold a tagged value.
+_NESTED = frozenset({dict, list})
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 #: Frame type of a load-shed answer: the server refused (queue full) or
 #: abandoned (deadline passed before execution) the request instead of
@@ -51,9 +71,19 @@ FIELD_REPLICA = "replica"
 
 
 def encode_frame_body(document: Dict[str, Any]) -> bytes:
-    """Serialize a frame document to body bytes (no length prefix)."""
-    encoded = {key: encode_value(value) for key, value in document.items()}
-    return json.dumps(encoded, separators=(",", ":")).encode("utf-8")
+    """Serialize a frame document to body bytes (no length prefix).
+
+    Byte-identical to encoding every value with :func:`encode_value`:
+    only the values that walk would change are sent through it.
+    """
+    for value in document.values():
+        if type(value) not in _PLAIN:
+            document = {
+                key: value if type(value) in _PLAIN else encode_value(value)
+                for key, value in document.items()
+            }
+            break
+    return _ENCODER.encode(document).encode("utf-8")
 
 
 def encode_frame(document: Dict[str, Any]) -> bytes:
@@ -74,31 +104,93 @@ def decode_frame(body: bytes) -> Dict[str, Any]:
         raise ProtocolError(f"malformed wire frame: {exc}") from exc
     if not isinstance(document, dict):
         raise ProtocolError("malformed wire frame: not an object")
-    return {key: decode_value(value) for key, value in document.items()}
+    for value in document.values():
+        if type(value) in _NESTED:
+            return {
+                key: decode_value(value) if type(value) in _NESTED else value
+                for key, value in document.items()
+            }
+    return document
+
+
+class FrameReader:
+    """Every complete frame body a stream's next read holds, in order.
+
+    One :meth:`read` parses every whole frame already received, so a
+    pipelined burst costs one read and one turn, not one per frame.
+    What it holds between reads is the tail of one frame; an oversized
+    length prefix is refused as soon as it arrives, before its body is
+    buffered.  A frame larger than :data:`READ_CHUNK` is read whole
+    once its length is known.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buffer = bytearray()
+
+    async def read(self) -> Optional[List[bytes]]:
+        """The next complete frame bodies; ``None`` on clean EOF.
+
+        EOF inside a frame and an oversized length prefix raise
+        :class:`ProtocolError` — after the frames that preceded them
+        have been returned.
+        """
+        buffer = self._buffer
+        while True:
+            bodies = self._split()
+            if bodies:
+                return bodies
+            if len(buffer) >= _LENGTH_BYTES:
+                # The head frame's length is known and checked: wait for
+                # exactly the rest of it.
+                (length,) = _PREFIX.unpack_from(buffer)
+                try:
+                    buffer += await self._reader.readexactly(
+                        _LENGTH_BYTES + length - len(buffer)
+                    )
+                except asyncio.IncompleteReadError as exc:
+                    raise ProtocolError("connection closed mid-frame") from exc
+                continue
+            data = await self._reader.read(READ_CHUNK)
+            if not data:
+                if buffer:
+                    raise ProtocolError("connection closed mid-frame")
+                return None
+            buffer += data
+
+    def _split(self) -> List[bytes]:
+        buffer = self._buffer
+        size = len(buffer)
+        bodies: List[bytes] = []
+        start = 0
+        while size - start >= _LENGTH_BYTES:
+            (length,) = _PREFIX.unpack_from(buffer, start)
+            if length > MAX_FRAME:
+                if bodies:
+                    break  # refused on the next read, after these
+                raise ProtocolError(
+                    f"incoming frame of {length} bytes exceeds "
+                    f"MAX_FRAME={MAX_FRAME}"
+                )
+            end = start + _LENGTH_BYTES + length
+            if end > size:
+                break
+            bodies.append(bytes(buffer[start + _LENGTH_BYTES:end]))
+            start = end
+        if start:
+            del buffer[:start]
+        return bodies
 
 
 async def read_frame(
     reader: asyncio.StreamReader,
 ) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+    """Read exactly one frame; ``None`` on clean EOF at a frame boundary.
 
-    EOF in the middle of a frame, an oversized length prefix, or a body
-    that does not parse all raise :class:`ProtocolError` — the connection
-    is unusable past any of them.
-    """
-    body = await read_frame_bytes(reader)
-    if body is None:
-        return None
-    return decode_frame(body)
-
-
-async def read_frame_bytes(
-    reader: asyncio.StreamReader,
-) -> Optional[bytes]:
-    """Read one raw frame body; ``None`` on clean EOF at a boundary.
-
-    The undecoded half of :func:`read_frame` — the fault-injecting proxy
-    uses it to forward bodies verbatim without re-encoding.
+    For hand-written clients that want one reply at a time: nothing past
+    the frame is consumed from ``reader``.  EOF in the middle of a frame,
+    an oversized length prefix, or a body that does not parse all raise
+    :class:`ProtocolError` — the connection is unusable past any of them.
     """
     try:
         prefix = await reader.readexactly(_LENGTH_BYTES)
@@ -112,7 +204,7 @@ async def read_frame_bytes(
             f"incoming frame of {length} bytes exceeds MAX_FRAME={MAX_FRAME}"
         )
     try:
-        return await reader.readexactly(length)
+        return decode_frame(await reader.readexactly(length))
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
 

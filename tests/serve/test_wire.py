@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.runtime.codec import decode_value, encode_value
 from repro.serve.wire import (
     MAX_FRAME,
     decode_frame,
@@ -139,6 +141,52 @@ class TestFrameBodies:
     @given(document=frame_documents)
     def test_frame_bodies_round_trip(self, document):
         assert decode_frame(encode_frame_body(document)) == document
+
+
+labels = st.builds(
+    MessageId, st.text(min_size=1, max_size=4), st.integers(0, 999)
+)
+scalars = (
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False) | st.text(max_size=8)
+)
+# What a reply or request field holds: a scalar, a label, a label set,
+# a tuple, or a dict keyed by something other than strings.
+flat_values = (
+    scalars
+    | labels
+    | st.frozensets(labels, max_size=4)
+    | st.lists(scalars | labels, max_size=3).map(tuple)
+    | st.dictionaries(st.integers(0, 9) | labels, scalars, max_size=3)
+)
+flat_documents = st.dictionaries(
+    st.text(min_size=1, max_size=8), flat_values, max_size=8
+)
+
+
+class TestCodecFastPath:
+    """Scalars skip the codec's structural walk; the bytes must not move."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=flat_documents)
+    def test_body_equals_the_full_walk(self, document):
+        walked = json.dumps(
+            {key: encode_value(value) for key, value in document.items()},
+            separators=(",", ":"),
+        ).encode("utf-8")
+        body = encode_frame_body(document)
+        assert body == walked
+        assert decode_frame(body) == document
+        assert decode_frame(body) == {
+            key: decode_value(value)
+            for key, value in json.loads(body).items()
+        }
+
+    def test_a_label_is_not_mistaken_for_a_plain_tuple(self):
+        # MessageId is a tuple subclass: only the exact scalar types
+        # may skip the walk.
+        body = encode_frame_body({"label": MessageId("s0n0", 7), "n": True})
+        assert body == b'{"label":{"__mid__":["s0n0",7]},"n":true}'
 
 
 #: A session token as `Session.export_token` mints it.

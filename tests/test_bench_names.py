@@ -4,18 +4,22 @@
 by name (``owner.__dict__[method]``) and calls a few more directly;
 ``BENCHMARK.json`` freezes everything under ``bench/``, so a refactor of
 ``src/`` that renames one of them breaks ``bench/run.py --trace`` — which
-tier-1 never runs.  This test makes ``pytest`` say so instead.
+tier-1 never runs.  This test makes ``pytest`` say so instead.  The
+same holds on the wire: ``bench/traced.py`` calls the frame codec and
+``bench/wireload.py`` drives ``ServeClient``.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import Session, ShardRouter
+from repro.types import MessageId
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -73,6 +77,38 @@ def test_group_attributes_the_replay_reaches_resolve():
     assert callable(group.trackers[member].gossip_round)
     assert group.view_syncs[member].changes_installed == 0
     assert group.network.hops_sent == 0
+
+
+def test_the_wire_codec_the_traced_run_times_resolves():
+    """``traced.py`` times ``wire.encode_frame_body`` / ``decode_frame``
+    on the segment's own request and reply documents."""
+    from repro.serve import wire
+
+    request = {"t": "put", "key": "k", "value": "w0s0:1", "rid": 7,
+               "ttl": 30.0}
+    reply = {"t": "reply", "rid": 7, "ok": True,
+             "label": MessageId("s0n0", 3), "token": "{}"}
+    for document in (request, reply):
+        body = wire.encode_frame_body(document)
+        assert isinstance(body, bytes)
+        assert wire.decode_frame(body) == document
+
+
+def test_the_client_surface_the_load_generator_drives_resolves():
+    """``wireload.py`` builds ``ServeClient(host, port, session,
+    request_timeout=)`` and calls the verbs below; ``ServeError`` is
+    what it catches."""
+    from repro.serve import ServeClient, ServeError
+
+    parameters = inspect.signature(ServeClient.__init__).parameters
+    assert list(parameters)[1:4] == ["host", "port", "session"]
+    assert "request_timeout" in parameters
+    for method in ("connect", "close", "put", "get_submit", "submit",
+                   "chaos", "stats"):
+        assert callable(vars(ServeClient).get(method)), method
+    for coroutine in ("connect", "close", "chaos", "stats"):
+        assert inspect.iscoroutinefunction(vars(ServeClient)[coroutine])
+    assert issubclass(ServeError, Exception)
 
 
 def test_cluster_attributes_the_replay_reads_resolve():
