@@ -65,7 +65,6 @@ class ServeMetrics:
             "gets": 0,
             "gets_direct": 0,
             "gets_cycle": 0,
-            "read_misses": 0,
             "reads": 0,
             "reads_failed": 0,
             "errors": 0,

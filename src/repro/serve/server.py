@@ -443,9 +443,6 @@ class ServeServer:
                 self._hand_get(op)
                 if op.served is not None:
                     conn.send(self._get_reply(op))
-                    return op
-                if op.error is None:
-                    self.metrics.bump("read_misses")
             return op
         if kind == "token":
             conn.send({

@@ -143,6 +143,8 @@ class ShardedCluster:
         self.rebalancer = Rebalancer(self)
         #: shard -> round-robin cursor of `read_replica`.
         self._read_cursor: Dict[int, int] = {}
+        #: `read_replica` calls that found no member to serve.
+        self.read_misses = 0
         self.barriers_started = 0
         self.reads_failed = 0
         #: Set when a drain trips the event cap (see ``drive``).
@@ -261,7 +263,9 @@ class ShardedCluster:
         member has delivered *none* of the group's data labels.  The
         `isdisjoint` is O(1) expected for a healthy member (its first
         settled label hits) and cheap for an amnesiac (small settled
-        set scanned against the data-label set).
+        set scanned against the data-label set).  A reference question,
+        kept for ``contact`` and ``bench/replay.py``: the server's rule
+        is `read_replica`, which decides it inline.
         """
         labels = self.ledger.labels(shard)
         if not labels:
@@ -287,7 +291,9 @@ class ShardedCluster:
 
         Up, in-view, and caught up past amnesia; when *every* up member
         is amnesiac they are all returned (the coverage gate still
-        protects correctness — an empty settled set covers nothing).
+        protects correctness — an empty settled set covers nothing).  A
+        reference question, kept for ``bench/replay.py``: the server's
+        rule is `read_replica`, which decides it inline.
         """
         serving = self.groups[shard].serving()
         fresh = [m for m in serving if not self._lagging(shard, m)]
@@ -302,7 +308,9 @@ class ShardedCluster:
         read of a shard iff it has delivered the session frontier's
         projection onto that shard (plus any migration handoff).  Checked
         against the raw settled set — no frontier activation, no closure
-        walks — so probing many members stays cheap.
+        walks — so probing many members stays cheap.  A reference
+        question, kept for ``bench/replay.py``: the server's rule is
+        `read_replica`, which decides it inline.
         """
         delivered = self.groups[shard].stacks[member]._delivered_ids
         return all(label in delivered for label in labels)
@@ -320,16 +328,30 @@ class ShardedCluster:
     ) -> Optional[EntityId]:
         """The member that serves the next read of ``shard`` under ``floor``.
 
-        The one selection rule: round-robin over the read members whose
-        settled set covers ``floor``, so reads spread over every covering
-        copy and a lagging replica stays inside the audited read set.
-        ``None`` while no up member covers the floor.
+        The one selection rule, in one pass over the members: round-robin
+        on the shard's cursor over the `read_members` that `covers` the
+        floor, so reads spread over every covering copy and a lagging
+        replica stays inside the audited read set.  ``None`` (a read
+        miss) while no up member covers the floor.
         """
-        eligible = [
-            member for member in self.read_members(shard)
-            if self.covers(shard, member, floor)
-        ]
+        group = self.groups[shard]
+        view, labels = group.group.view.members, self.ledger.labels(shard)
+        eligible: List[EntityId] = []
+        amnesiacs: List[EntityId] = []
+        fresh = False
+        for member, stack in group.stacks.items():
+            if stack.crashed or member not in view:
+                continue
+            settled = stack._delivered_ids
+            amnesiac = labels and settled.isdisjoint(labels)
+            fresh = fresh or not amnesiac
+            if settled.issuperset(floor):
+                (amnesiacs if amnesiac else eligible).append(member)
+        if not fresh:
+            # Every up, in-view member is amnesiac: any that covers serves.
+            eligible = amnesiacs
         if not eligible:
+            self.read_misses += 1
             return None
         cursor = self._read_cursor.get(shard, 0)
         self._read_cursor[shard] = cursor + 1
@@ -376,8 +398,9 @@ class ShardedCluster:
         and the hops that carried them (their ratio is the packing
         factor: about 30 when cycles are full, 1 at depth 1);
         ``holdback_peak`` is the deepest hold-back queue any member has
-        seen.  Walks each cache: meant for a ``stats`` request, not for
-        the per-op path.
+        seen; ``read_misses`` counts the gets `read_replica` found no
+        member for, one per attempt.  Walks each cache: meant for a
+        ``stats`` request, not for the per-op path.
         """
         groups = self.groups.values()
         stacks = [stack for g in groups for stack in g.stacks.values()]
@@ -389,6 +412,7 @@ class ShardedCluster:
             "net_frames": sum(g.network.frames_sent for g in groups),
             "net_envelopes": sum(g.network.hops_sent for g in groups),
             "holdback_peak": max(stack.max_holdback for stack in stacks),
+            "read_misses": self.read_misses,
         }
 
     # -- campaign execution ------------------------------------------------

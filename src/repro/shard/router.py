@@ -357,19 +357,19 @@ class Session:
 
         Returns ``(shard, slot, floor)``: the key's current home shard
         and slot, and the session token's projection onto that shard —
-        the frontier labels the session already holds there, plus the
-        slot's migration handoff when one is pending.  A member whose
-        settled set covers ``floor`` can answer the read without
-        violating any session guarantee (the replica-read eligibility
-        rule; see docs/SERVING.md).
+        the frontier's own frozenset there, not a copy, plus the slot's
+        migration handoff when one is pending.  A member whose settled
+        set covers ``floor`` can answer the read without violating any
+        session guarantee (the replica-read eligibility rule; see
+        docs/SERVING.md).
         """
         slot = self.router.map.slot_of(key)
         shard = self.router.map.shard_for_slot(slot)
-        floor = set(self.frontier.get(shard, ()))
+        floor = self.frontier.get(shard) or frozenset()
         handoff = self.router.handoff_dep(slot)
         if handoff is not None:
-            floor.add(handoff)
-        return shard, slot, frozenset(floor)
+            floor = floor | {handoff}
+        return shard, slot, floor
 
     def observe(self, label: MessageId) -> None:
         """Fold an externally observed write into the session frontier.
@@ -386,8 +386,9 @@ class Session:
             current = self.frontier.get(shard, ())
             if label in current:
                 return
-            if any(ledger.precedes(label, head) for head in current):
-                return
+            for head in current:
+                if ledger.precedes(label, head):
+                    return
         self._absorb(label)
 
     def _absorb(self, label: MessageId) -> None:

@@ -290,7 +290,7 @@ class TestUncoveredFloor:
                 with pytest.raises(ServeError, match="get aborted"):
                     await cli.get("k")
                 assert time.perf_counter() - started < 1.0
-                assert srv.metrics.counters["read_misses"] >= 1
+                assert (await cli.stats())["read_misses"] >= 1
                 # The refusal is per-op: the connection stays usable.
                 assert (await cli.put_wait("k2", "w"))["ok"]
                 # Recovery: the origin comes back, replays its outbox,
@@ -301,6 +301,30 @@ class TestUncoveredFloor:
                 assert reply["value"] == "v"
                 assert reply["replica"] in group.members
                 assert srv.session_guarantee_violations() == []
+
+        run(scenario)
+
+
+class TestReadMisses:
+    def test_in_cycle_miss_is_counted(self):
+        """Regression: only misses at dispatch reached ``read_misses``.
+
+        A get pipelined behind its session's put joins that put's cycle;
+        handed over before the drain, it finds the put still corked, no
+        member covers its floor, and it waits on the sim-time retry.  The
+        decision is ``read_replica``'s, so the miss is counted there.
+        """
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                put = cli.put("k", "v")
+                get = cli.get_submit("k")
+                assert (await put)["ok"]
+                assert (await get)["value"] == "v"
+                stats = await cli.stats()
+                assert stats["gets_cycle"] == 1
+                assert stats["read_misses"] >= 1
+                assert "read_misses" in srv.metrics.render()
 
         run(scenario)
 

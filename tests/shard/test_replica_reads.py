@@ -7,10 +7,21 @@ per-member LWW fold), ``read_members`` (who may serve), ``read_replica``
 regressions fixed alongside them:
 ``contact`` must not pick a just-restarted amnesiac, and the barrier
 snapshot cache must be dropped on rebalance cutover and member restart.
+``read_replica`` decides in one pass what ``read_members`` filtered by
+``covers`` decides in three; a hypothesis property holds the two to the
+same pick, on the same cursor, through every event that reshapes a
+member's settled set.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.state_transfer import Snapshot, install_snapshot
+from repro.types import MessageId
 from tests.shard.test_rebalance import settle
 from tests.shard.test_router import key_for, quiet_cluster
 
@@ -186,6 +197,254 @@ class TestAmnesiacContact:
         members = cluster.read_members(0)
         assert group.members[0] not in members
         assert members  # the other two still serve
+
+
+def reference_pick(cluster, shard, floor):
+    """The rule as the three named questions state it."""
+    eligible = [
+        member for member in cluster.read_members(shard)
+        if cluster.covers(shard, member, floor)
+    ]
+    if not eligible:
+        return None
+    return eligible[cluster._read_cursor.get(shard, 0) % len(eligible)]
+
+
+#: (event, shard, member index): what a step of the property does.
+EVENTS = (
+    "put", "send", "drain", "crash", "wipe", "shrink", "evict", "rejoin",
+    "skip", "transfer", "barrier", "move", "repair",
+)
+
+
+def apply_event(cluster, step: int, event: str, shard: int, index: int):
+    """One event; a precondition that does not hold makes it a no-op."""
+    group = cluster.groups[shard]
+    member = group.members[index]
+    stack = group.stacks[member]
+    others = [m for m in group.members if m != member]
+    key = key_for(cluster, shard, salt=index)
+    if event == "put":
+        # Left in flight: the next probes see a floor nobody covers.
+        cluster.router.session(f"s{index}").put(key, step)
+    elif event == "send":
+        # Through one chosen origin: the others hold it only by receipt,
+        # which is what a restart wipes.
+        cluster.shard_send(
+            shard, "put", {"key": key, "value": step},
+            occurs_after=frozenset(), cross_deps=frozenset(),
+            session=None, key=key, preferred=member,
+        )
+        cluster.drain()
+    elif event == "drain":
+        cluster.drain()
+    elif event == "crash" and not stack.crashed:
+        group.crash(member)
+    elif event == "wipe":
+        if not stack.crashed:
+            group.crash(member)
+        if member in group.group.view:
+            group.restart(member)
+    elif event == "shrink" and member in group.group.view:
+        group.remove(member)
+        cluster.drain()
+    elif event == "evict" and member in group.group.view:
+        # A false suspicion: the view drops a member that stays up.
+        group.propose_with_retry("leave", member)
+        cluster.drain()
+    elif event == "rejoin" and member not in group.group.view:
+        group.rejoin(member)
+        cluster.drain()
+    elif event == "skip" and not stack.crashed:
+        # A gossiped stable frontier: the peers' contiguous prefix of
+        # each origin, skip-settled here without delivery.
+        donor = set().union(
+            *(group.stacks[m]._delivered_ids for m in others)
+        )
+        for origin in group.members:
+            prefix = 0
+            while MessageId(origin, prefix) in donor:
+                prefix += 1
+            stack.note_stable_prefix(origin, prefix)
+    elif event == "transfer" and not stack.crashed and not stack.delivered:
+        donor = others[0]
+        labels = cluster.ledger.labels(shard)
+        covered = group.stacks[donor]._delivered_ids & labels
+        install_snapshot(
+            SimpleNamespace(protocol=stack),
+            Snapshot(state={}, covered=frozenset(covered), donor=donor,
+                     stable_index=-1),
+        )
+    elif event == "barrier":
+        # A fresh session's read carries no Occurs-After: an amnesiac
+        # settles its barrier labels and nothing else.
+        cluster.router.session(f"r{step}").read(shards=(shard,))
+        cluster.drain()
+    elif event == "move" and not cluster.rebalancer.active():
+        slot = cluster.shard_map.slot_of(key)
+        cluster.rebalancer.move_slot(
+            slot, 1 - cluster.shard_map.shard_for_slot(slot)
+        )
+        cluster.drain()
+        cluster.settle(max_rounds=8)
+    elif event == "repair":
+        for each in cluster.groups.values():
+            each.repair_round()
+        cluster.drain()
+
+
+def probe_floors(cluster):
+    """(shard, floor) pairs a get could carry, and a few it could not."""
+    for shard in cluster.shard_ids:
+        labels = sorted(cluster.ledger.labels(shard))
+        yield shard, frozenset()
+        yield shard, frozenset(labels)
+        for label in labels[-3:]:
+            yield shard, {label}
+    for name in ("s0", "s1", "s2"):
+        session = cluster.router.session(name)
+        for shard in cluster.shard_ids:
+            for salt in range(3):
+                # After a move, a moved key's floor carries the handoff.
+                floor_shard, _slot, floor = session.read_floor(
+                    key_for(cluster, shard, salt=salt)
+                )
+                yield floor_shard, floor
+
+
+def assert_same_picks(cluster):
+    for shard, floor in probe_floors(cluster):
+        expected = reference_pick(cluster, shard, floor)
+        cursor = cluster._read_cursor.get(shard, 0)
+        misses = cluster.read_misses
+        assert cluster.read_replica(shard, floor) == expected, (shard, floor)
+        moved = expected is not None
+        assert cluster._read_cursor.get(shard, 0) == cursor + moved
+        assert cluster.read_misses == misses + (not moved)
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(EVENTS),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestOnePassEquivalence:
+    """``read_replica`` picks what ``read_members`` + ``covers`` pick."""
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(STEPS)
+    # Every up member settled nothing but barrier labels.
+    @example([("barrier", 0, 0)])
+    # One amnesiac among fresh members, then with a barrier label only.
+    @example([("send", 0, 1), ("wipe", 0, 0), ("barrier", 0, 0)])
+    # Every up member amnesiac: the fallback serves the empty floor.
+    @example([("send", 0, 1), ("crash", 0, 1), ("wipe", 0, 0),
+              ("wipe", 0, 2)])
+    @example([("put", 0, 0), ("drain", 0, 0), ("shrink", 0, 1),
+              ("rejoin", 0, 1)])
+    @example([("send", 0, 0), ("evict", 0, 1), ("rejoin", 0, 1)])
+    @example([("send", 0, 1), ("wipe", 0, 0), ("skip", 0, 0)])
+    @example([("send", 0, 1), ("wipe", 0, 0), ("transfer", 0, 0)])
+    @example([("put", 0, 0), ("drain", 0, 0), ("move", 0, 0), ("put", 1, 0)])
+    def test_same_member_on_the_same_cursor(self, steps):
+        cluster = quiet_cluster()
+        assert_same_picks(cluster)
+        for step, (event, shard, index) in enumerate(steps):
+            apply_event(cluster, step, event, shard, index)
+            assert_same_picks(cluster)
+
+    def test_the_examples_reach_every_shape(self):
+        """Not vacuous: the fallback, a barrier-only member, a skip, a
+        transfer and a handoff floor each occur."""
+        cluster = quiet_cluster(shards=1)
+        group = cluster.groups[0]
+        first, origin, third = group.members
+        apply_event(cluster, 0, "send", 0, 1)
+        apply_event(cluster, 1, "crash", 0, 1)
+        for step, index in ((2, 0), (3, 2)):
+            apply_event(cluster, step, "wipe", 0, index)
+        # All amnesiac: only the fallback pool serves, and only an empty
+        # floor.
+        assert all(cluster._lagging(0, m) for m in (first, third))
+        assert [cluster.read_replica(0, frozenset()) for _ in range(2)] == [
+            first, third,
+        ]
+        (label,) = cluster.ledger.labels(0)
+        assert cluster.read_replica(0, {label}) is None
+        apply_event(cluster, 4, "barrier", 0, 0)
+        barriers = cluster.ledger.labels(0) - {label}
+        settled = group.stacks[first]._delivered_ids & cluster.ledger.labels(0)
+        assert barriers and settled == barriers
+        assert not cluster._lagging(0, first)
+        apply_event(cluster, 5, "skip", 0, 2)
+        assert group.stacks[third].skipped_stable
+        assert_same_picks(cluster)
+
+        cluster = quiet_cluster(shards=1)
+        apply_event(cluster, 0, "send", 0, 1)
+        apply_event(cluster, 1, "wipe", 0, 0)
+        apply_event(cluster, 2, "transfer", 0, 0)
+        assert not cluster._lagging(0, cluster.groups[0].members[0])
+        assert_same_picks(cluster)
+
+        cluster = quiet_cluster()
+        apply_event(cluster, 0, "put", 0, 0)
+        apply_event(cluster, 1, "drain", 0, 0)
+        key = key_for(cluster, 0)
+        apply_event(cluster, 2, "move", 0, 0)
+        handoff = cluster.router.handoff_dep(cluster.shard_map.slot_of(key))
+        _shard, _slot, floor = cluster.router.session("s0").read_floor(key)
+        assert handoff is not None and handoff in floor
+        assert_same_picks(cluster)
+
+
+class TestMeasuredPremise:
+    """On a ``get_heavy``-shaped run a floor and a stamp are one label.
+
+    Two sessions on private keys over two shards, pipelined puts and
+    gets, one ``drain()`` a cycle: what per-origin vectors would make
+    cheaper is a set of at most one label, so ``covers`` is one lookup
+    either way and a get's cost is the call structure around it.
+    """
+
+    def test_floors_and_stamps_hold_one_label(self):
+        cluster = quiet_cluster()
+        sessions = [cluster.router.session(f"w{n}") for n in range(2)]
+        floors = []
+        for session in sessions:
+            reference = session.read_floor
+
+            def recorded(key, reference=reference):
+                shard, slot, floor = reference(key)
+                floors.append(floor)
+                return shard, slot, floor
+
+            session.read_floor = recorded
+        served = []
+        for cycle in range(12):
+            for n, session in enumerate(sessions):
+                for op in range(8):
+                    key = f"w{n}.k{(cycle + op) % 4}"
+                    if op % 4 == 0:
+                        session.put(key, (cycle, op))
+                    else:
+                        session.get(key, served.append)
+            cluster.drain()
+        assert len(served) == 12 * 2 * 6 and None not in served
+        assert len(floors) >= len(served)
+        assert max(len(floor) for floor in floors) == 1
+        for shard in cluster.shard_ids:
+            stamps = cluster.ledger.dependencies(shard).values()
+            assert stamps and max(len(deps) for deps in stamps) <= 1
 
 
 class TestSnapshotCacheInvalidation:
