@@ -70,7 +70,7 @@ chaos-quick:
 	PYTHONPATH=src python -m repro shard --shards 2 --seed 12 --seeds 6
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo ok; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null || exit 1; echo ok; done
 
 demos:
 	python -m repro list

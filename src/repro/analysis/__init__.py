@@ -31,12 +31,6 @@ from repro.analysis.incidental import (
     semantic_pairs,
 )
 from repro.analysis.reporting import format_table, print_table
-from repro.analysis.throughput import (
-    ThroughputReport,
-    delivery_throughput,
-    per_member_delivery_counts,
-    settle_time,
-)
 from repro.analysis.timeline import (
     TimelineOptions,
     delivery_matrix,
@@ -76,7 +70,6 @@ __all__ = [
     "SerializabilityReport",
     "SessionOp",
     "SummaryStats",
-    "ThroughputReport",
     "TimelineOptions",
     "WireHistory",
     "WireOp",
@@ -93,7 +86,6 @@ __all__ = [
     "compare_orderings",
     "delivery_latencies",
     "delivery_matrix",
-    "delivery_throughput",
     "divergence_between_sync_points",
     "format_table",
     "hold_durations",
@@ -102,9 +94,7 @@ __all__ = [
     "latency_summary",
     "message_cost",
     "print_table",
-    "per_member_delivery_counts",
     "render_timeline",
-    "settle_time",
     "same_message_sets_between_sync_points",
     "semantic_pairs",
     "sequences_respect_fifo",

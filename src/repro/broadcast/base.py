@@ -476,7 +476,7 @@ class BroadcastProtocol(SimNode):
         if held > self.max_holdback:
             self.max_holdback = held
         trace = self.network.trace
-        if trace.wants("hold"):
+        if trace.enabled:
             trace.record(
                 self.now,
                 "hold",

@@ -146,6 +146,10 @@ class ReplicaGroup:
             )
         if len(members) < 2:
             raise ConfigurationError("a replica group needs >= 2 members")
+        if hop_events not in ("full", "off"):
+            raise ValueError(
+                f"hop_events must be 'full' or 'off', got {hop_events!r}"
+            )
         self.protocol_name = protocol
         self.members: Tuple[EntityId, ...] = tuple(members)
         # An external scheduler lets several groups share one simulated
@@ -153,19 +157,16 @@ class ReplicaGroup:
         # network (`repro.shard` runs one group per shard this way).
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.faults = FaultPlan()
-        # `hop_events` tunes how much per-hop detail the trace keeps:
-        # analysis runs want "full"; serving-path groups pass "off" and
-        # retain no trace at all — nothing there reads one, and a put
-        # would otherwise leave a send and three deliver events behind
-        # forever.
+        # `hop_events` switches the trace: analysis runs want "full";
+        # serving-path groups pass "off" and retain no trace at all —
+        # nothing there reads one, and a put would otherwise leave a send
+        # and three deliver events behind forever.
         self.network = Network(
             self.scheduler,
             latency=UniformLatency(0.2, 1.8),
             faults=self.faults,
             rng=RngRegistry(seed),
-            trace=TraceRecorder(
-                enabled=hop_events != "off", hop_events=hop_events
-            ),
+            trace=TraceRecorder(enabled=hop_events == "full"),
         )
         self.group = GroupMembership(self.members)
         self.stacks: Dict[EntityId, "BroadcastProtocol"] = {}

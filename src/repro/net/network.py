@@ -253,9 +253,9 @@ class Network:
             self.hops_dropped += 1
             return
         self.hops_delivered += 1
-        # Per-hop events dominate tracing cost at scale; gate on `wants`
-        # so benchmarks with hop tracing off skip the dict build.
-        if self.trace.wants("receive"):
+        # Per-hop events dominate tracing cost at scale; a disabled
+        # recorder skips the dict build.
+        if self.trace.enabled:
             self.trace.record(
                 self.scheduler.now,
                 "receive",

@@ -183,7 +183,8 @@ class _PendingOp:
         #: request's optional ``ttl`` field.
         self.deadline: Optional[float] = None
         ttl = frame.get("ttl")
-        if isinstance(ttl, (int, float)) and ttl > 0:
+        # `type`, not `isinstance`: JSON `true` is an int equal to 1.
+        if type(ttl) in (int, float) and ttl > 0:
             self.deadline = now + float(ttl)
         self.shed = False
         opid = frame.get("opid")
@@ -510,7 +511,7 @@ class ServeServer:
         rid = frame.get("rid")
         action = frame.get("action")
         shard = frame.get("shard")
-        if not isinstance(shard, int) or shard not in self.cluster.groups:
+        if type(shard) is not int or shard not in self.cluster.groups:
             self._send_error(conn, rid, f"unknown shard: {shard!r}")
             return
         group = self.cluster.groups[shard]
@@ -688,8 +689,7 @@ class ServeServer:
                 if shards is not None and (
                     not isinstance(shards, list)
                     or any(
-                        not isinstance(s, int)
-                        or s not in self.cluster.groups
+                        type(s) is not int or s not in self.cluster.groups
                         for s in shards
                     )
                 ):

@@ -1,18 +1,18 @@
 """Length-prefixed JSON framing for the serving layer.
 
 One frame = a 4-byte big-endian length followed by that many body bytes:
-UTF-8 JSON of a flat dict whose values go through the envelope codec's
-structural value encoding (:func:`repro.runtime.codec.encode_value`), so
-:class:`~repro.types.MessageId` labels and label sets cross the client
-wire exactly as they cross the replica wire.
+UTF-8 JSON of a flat dict whose values go through a structural value
+encoding (:func:`encode_value`), so :class:`~repro.types.MessageId`
+labels, label sets, tuples and non-string-keyed dicts survive the trip.
 
 Request documents carry ``t`` (the request type) and ``rid`` (a
 client-chosen correlation id echoed on the reply) — nothing in the
 framing layer assumes requests are answered in order, which is what
 makes pipelining possible.  Unknown document fields are preserved by
-:func:`decode_frame` and ignored by the server, mirroring the envelope
-codec's forward-compatibility rule.  Every answered ``get`` carries the
-:data:`FIELD_REPLICA`/``shard`` fields naming the member that served it.
+:func:`decode_frame` and ignored by the server, so a newer client may
+annotate requests without breaking an older server.  Every answered
+``get`` carries the :data:`FIELD_REPLICA`/``shard`` fields naming the
+member that served it.
 
 The frame length is bounded (:data:`MAX_FRAME`): a malformed or
 malicious length prefix must not make the server allocate gigabytes.
@@ -32,7 +32,7 @@ import struct
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ProtocolError
-from repro.runtime.codec import decode_value, encode_value
+from repro.types import MessageId
 
 #: Serving-wire schema version, carried by ``hello`` replies.
 SERVE_WIRE_VERSION = 1
@@ -68,6 +68,60 @@ DEFAULT_OVERLOAD_RETRY_AFTER = 0.1
 #: Reply fields identifying which member answered a get: ``replica``
 #: (the member id) and ``shard`` (its shard).
 FIELD_REPLICA = "replica"
+
+
+def encode_value(value: Any) -> Any:
+    """Encode one value into JSON-compatible structures.
+
+    Scalars pass through; ``MessageId``, sets, tuples and non-string-keyed
+    dicts become tagged objects (``__mid__``/``__set__``/…).  Raises
+    :class:`ProtocolError` on anything JSON cannot carry.
+    """
+    if isinstance(value, MessageId):
+        return {"__mid__": [value.sender, value.seqno]}
+    if isinstance(value, (frozenset, set)):
+        return {"__set__": [encode_value(v) for v in sorted(value)]}
+    if isinstance(value, tuple):
+        return {"__tuple__": [encode_value(v) for v in value]}
+    if isinstance(value, dict):
+        return {
+            "__dict__": [
+                [encode_value(k), encode_value(v)] for k, v in value.items()
+            ]
+        }
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, list):
+        return [encode_value(v) for v in value]
+    raise ProtocolError(f"cannot encode payload value: {value!r}")
+
+
+def _decode_value(value: Any) -> Any:
+    if isinstance(value, dict):
+        if "__mid__" in value:
+            sender, seqno = value["__mid__"]
+            return MessageId(sender, seqno)
+        if "__set__" in value:
+            return frozenset(_decode_value(v) for v in value["__set__"])
+        if "__tuple__" in value:
+            return tuple(_decode_value(v) for v in value["__tuple__"])
+        if "__dict__" in value:
+            return {
+                _decode_value(k): _decode_value(v)
+                for k, v in value["__dict__"]
+            }
+        raise ProtocolError(f"unknown structured value: {value!r}")
+    if isinstance(value, list):
+        return [_decode_value(v) for v in value]
+    return value
+
+
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value` (post-``json.loads`` structures)."""
+    try:
+        return _decode_value(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed wire value: {exc}") from exc
 
 
 def encode_frame_body(document: Dict[str, Any]) -> bytes:

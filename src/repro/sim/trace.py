@@ -8,24 +8,15 @@ the message dependency graph is "extractable by observing execution
 behaviour" (Section 3.2).
 
 Per-hop events (``"receive"`` and ``"hold"``) are recorded once per
-network arrival, which dominates tracing cost in large runs.  They are
-therefore *opt-out*: ``hop_events`` selects full recording (the default,
-used by the analysis layer) or none at all — benchmarks time protocol
-work, not trace appends.  Producers call :meth:`TraceRecorder.wants`
-before building an event so a suppressed hop costs one predicate check
-and nothing else.
+network arrival, which dominates tracing cost in large runs.  Producers
+on that path test :attr:`TraceRecorder.enabled` before building an
+event, so a disabled recorder costs one attribute read a hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Mapping, Optional
-
-#: Event kinds emitted once per network arrival (the hot path).
-HOP_KINDS = frozenset({"receive", "hold"})
-
-#: Valid ``hop_events`` modes.
-HOP_MODES = ("full", "off")
 
 
 @dataclass(frozen=True)
@@ -53,40 +44,16 @@ class TraceRecorder:
     ----------
     enabled:
         Master switch; a disabled recorder drops everything.
-    hop_events:
-        ``"full"`` records every per-hop event, ``"off"`` drops hop
-        events entirely.  Non-hop kinds (``"send"``, ``"deliver"``, ...)
-        are always recorded while enabled.
     """
 
-    def __init__(self, enabled: bool = True, hop_events: str = "full") -> None:
-        if hop_events not in HOP_MODES:
-            raise ValueError(
-                f"hop_events must be one of {HOP_MODES}, got {hop_events!r}"
-            )
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.hop_events = hop_events
-        self._dropped = HOP_KINDS if hop_events == "off" else frozenset()
         self._events: List[TraceEvent] = []
         self._subscribers: List[Callable[[TraceEvent], None]] = []
 
-    def wants(self, kind: str) -> bool:
-        """Whether an event of ``kind`` would be kept.
-
-        Producers on hot paths call this before assembling event details,
-        so suppressed hops cost nothing.
-        """
-        return self.enabled and kind not in self._dropped
-
     def record(self, time: float, kind: str, **details: Any) -> None:
-        """Record one event (no-op when disabled).
-
-        Hop-kind events passed directly to ``record`` (without a prior
-        ``wants`` gate) are filtered here as well, so legacy callers keep
-        working under ``hop_events="off"``; such callers should migrate to
-        the ``wants`` gate to also skip building ``details``.
-        """
-        if not self.enabled or kind in self._dropped:
+        """Record one event (no-op when disabled)."""
+        if not self.enabled:
             return
         event = TraceEvent(time, kind, details)
         self._events.append(event)

@@ -5,12 +5,6 @@ from repro.workload.exploration import (
     explore_orderings,
     ordering_diversity_ratio,
 )
-from repro.workload.persistence import (
-    load_schedule,
-    save_schedule,
-    schedule_from_json,
-    schedule_to_json,
-)
 from repro.workload.generators import (
     ScheduledRequest,
     WorkloadDriver,
@@ -27,13 +21,9 @@ __all__ = [
     "WorkloadDriver",
     "cycle_schedule",
     "explore_orderings",
-    "load_schedule",
     "mixed_schedule",
     "ordering_diversity_ratio",
     "poisson_arrivals",
-    "save_schedule",
-    "schedule_from_json",
-    "schedule_to_json",
     "sharded_schedule",
     "uniform_arrivals",
 ]

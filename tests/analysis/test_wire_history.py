@@ -108,15 +108,30 @@ class TestBadPatterns:
         h = history(a=[("put", "x", 1)], b=[("put", "x", 1)])
         assert "undifferentiated" in patterns(h)
 
-    def test_cyclic_cf_needs_ccv(self):
+    @pytest.mark.parametrize("sessions", [
         # Classic convergence anomaly: two sessions disagree on the
         # final order of concurrent writes they both observed.
-        h = history(
+        dict(
             a=[("put", "x", 1)],
             b=[("put", "x", 2)],
             c=[("get", "x", 1), ("get", "x", 2)],
             d=[("get", "x", 2), ("get", "x", 1)],
-        )
+        ),
+        # "Causal order first, then a total order on MessageId" does not
+        # converge.  w1 -> w2, w3 concurrent with both, ids w1 > w3 > w2:
+        # a member holding {w1, w3} serves w1 (the larger id); one holding
+        # all three has causally maximal {w2, w3} and serves w3.  S reads
+        # at the second member, then the first; T reads x=2 before w3
+        # arrives, then x=3.
+        dict(
+            a=[("put", "x", 1), ("put", "x", 2)],
+            b=[("put", "x", 3)],
+            s=[("get", "x", 3), ("get", "x", 1)],
+            t=[("get", "x", 2), ("get", "x", 3)],
+        ),
+    ], ids=["two-writers", "causal-then-id"])
+    def test_cyclic_cf_needs_ccv(self, sessions):
+        h = history(**sessions)
         assert patterns(h, levels=("CC",)) == set()
         assert patterns(h) == {"cyclic-cf"}
 

@@ -8,6 +8,7 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.serve import ServeClient, ServeError, ServeServer, reconnect
+from repro.serve.server import _PendingOp
 from repro.serve.wire import read_frame, write_frame
 
 
@@ -223,6 +224,23 @@ class TestBasics:
 
         run(scenario)
 
+    def test_boolean_read_shard_is_refused(self):
+        """``True == 1``: a ``shards: [true]`` read used to be served as a
+        read of shard 1, its reply echoing ``[true]``."""
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", 1)
+                with pytest.raises(ServeError, match="unknown shards"):
+                    await cli.submit({"t": "read", "shards": [True]})
+                assert await cli.get("k") == 1
+
+        run(scenario)
+
+    def test_boolean_ttl_sets_no_deadline(self):
+        assert _PendingOp(None, {"t": "put", "ttl": True}, 5.0).deadline is None
+        assert _PendingOp(None, {"t": "put", "ttl": 1}, 5.0).deadline == 6.0
+
     def test_request_before_hello_rejected(self):
         async def scenario():
             async with server() as srv:
@@ -385,9 +403,10 @@ class TestChaosOverTheWire:
         {"action": "restart", "shard": 0, "member": "nope"},
         {"action": "crash", "shard": 0, "member": ["s0n0"]},
         {"action": "crash", "shard": [0]},
+        {"action": "crash", "shard": True},
     ], ids=[
         "crash-unknown-member", "restart-unknown-member",
-        "unhashable-member", "unhashable-shard",
+        "unhashable-member", "unhashable-shard", "boolean-shard",
     ])
     def test_malformed_chaos_frame_is_a_per_request_error(self, frame):
         """A member the shard does not have, or an unhashable field, used

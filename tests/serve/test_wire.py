@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.runtime.codec import decode_value, encode_value
 from repro.serve.wire import (
     MAX_FRAME,
     decode_frame,
+    decode_value,
     encode_frame,
     encode_frame_body,
+    encode_value,
     read_frame,
     write_frame,
 )
@@ -248,3 +249,28 @@ class TestGoldenBytes:
             b'{\\"0\\":[[\\"s0n0\\",7]],\\"1\\":[[\\"s1n2\\",3]]}}"}'
         )
         assert decode_frame(encode_frame(document)[4:]) == document
+
+
+class TestValueRoundTrip:
+    """The structural value encoding on its own, away from frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=frame_values)
+    def test_value_round_trips_exactly(self, value):
+        assert decode_value(encode_value(value)) == value
+
+    @settings(max_examples=30, deadline=None)
+    @given(label_set=st.frozensets(labels, max_size=4))
+    def test_label_sets_round_trip(self, label_set):
+        restored = decode_value(encode_value(label_set))
+        assert restored == label_set
+        assert isinstance(restored, frozenset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=frame_values)
+    def test_encoding_is_json_serializable(self, value):
+        json.dumps(encode_value(value))  # must not raise
+
+    def test_decode_value_wraps_malformed_structures(self):
+        with pytest.raises(ProtocolError):
+            decode_value({"__kind__": "no-such-kind", "data": 1})

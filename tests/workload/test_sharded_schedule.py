@@ -1,8 +1,7 @@
-"""Multi-shard workload generation, v2 persistence, and replay."""
+"""Multi-shard workload generation and replay."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -12,10 +11,6 @@ from repro.shard import ShardMap, ShardedCluster
 from repro.workload import (
     ScheduledRequest,
     WorkloadDriver,
-    load_schedule,
-    save_schedule,
-    schedule_from_json,
-    schedule_to_json,
     sharded_schedule,
 )
 
@@ -80,50 +75,13 @@ class TestGenerator:
             sample_schedule(read_fraction=-0.5)
 
 
-class TestPersistenceV2:
-    def test_round_trip_preserves_sessions(self, tmp_path):
-        schedule = sample_schedule()
-        path = tmp_path / "sharded.json"
-        save_schedule(schedule, path)
-        assert load_schedule(path) == schedule
-
-    def test_documents_declare_version_2(self):
-        document = json.loads(schedule_to_json(sample_schedule()))
-        assert document["version"] == 2
-        assert all("session" in entry for entry in document["requests"])
-
-    def test_sessionless_requests_omit_the_field(self):
-        document = json.loads(
-            schedule_to_json([ScheduledRequest(1.0, "a", "op")])
-        )
-        assert "session" not in document["requests"][0]
-
-    def test_version_1_documents_still_load(self):
-        legacy = json.dumps({
-            "version": 1,
-            "requests": [
-                {"time": 1.5, "member": "a", "operation": "inc",
-                 "payload": {"item": "x"}},
-            ],
-        })
-        (request,) = schedule_from_json(legacy)
-        assert request == ScheduledRequest(1.5, "a", "inc", {"item": "x"})
-        assert request.session is None
-
-    def test_future_versions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            schedule_from_json('{"version": 3, "requests": []}')
-
-
 class TestReplay:
-    def test_schedule_drives_a_sharded_cluster_deterministically(self, tmp_path):
+    def test_schedule_drives_a_sharded_cluster_deterministically(self):
         cluster_map = ShardedCluster(shards=2, members_per_shard=3).shard_map
         schedule = sharded_schedule(
             cluster_map, sessions=2, ops_per_session=5,
             rng=random.Random(4), cross_fraction=0.5, read_fraction=0.2,
         )
-        path = tmp_path / "w.json"
-        save_schedule(schedule, path)
 
         def run(sched):
             cluster = ShardedCluster(shards=2, members_per_shard=3, seed=6)
@@ -149,7 +107,7 @@ class TestReplay:
                 [read.value for read in cluster.ledger.barrier_reads],
             )
 
-        assert run(schedule) == run(load_schedule(path))
+        assert run(schedule) == run(list(schedule))
 
     def test_workload_driver_accepts_sharded_requests(self):
         # The generic driver still works: session rides in the payload
