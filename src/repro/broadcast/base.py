@@ -71,7 +71,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.group.membership import GroupMembership
 from repro.sim.node import SimNode
 from repro.types import (
@@ -160,7 +160,11 @@ class BroadcastProtocol(SimNode):
         self._callbacks: List[DeliveryCallback] = []
         self._send_times: Dict[MessageId, float] = {}
         self._recovery: Optional[Any] = None
+        # Control-plane sidecars, in registration order (restart and
+        # stable-skip hooks), and the one that consumes each control
+        # operation.
         self._interceptors: List[Any] = []
+        self._owners: Dict[str, Any] = {}
         self.duplicates_discarded = 0
         self.max_holdback = 0
         #: `_deliverable` calls made by the drain (both modes) — the
@@ -330,16 +334,29 @@ class BroadcastProtocol(SimNode):
     def add_interceptor(self, agent: Any) -> None:
         """Register a control-plane agent.
 
-        Each incoming envelope is offered to interceptors in registration
-        order; an interceptor returning ``True`` from ``intercept(sender,
-        envelope)`` consumes it before ordering-protocol processing.
+        ``agent.operations`` names the control operations the agent
+        consumes.  An incoming envelope carrying one of them goes to
+        ``agent.intercept(sender, envelope)`` before ordering-protocol
+        processing, and to nothing else; every other envelope (all data)
+        meets no agent.  An operation has one owner: a second agent for
+        it is refused with :class:`ConfigurationError`.
         """
+        for operation in agent.operations:
+            owner = self._owners.get(operation)
+            if owner is not None:
+                raise ConfigurationError(
+                    f"{self.entity_id}: control operation {operation!r} "
+                    f"already goes to {type(owner).__name__}"
+                )
+        for operation in agent.operations:
+            self._owners[operation] = agent
         self._interceptors.append(agent)
 
     def attach_recovery(self, agent: Any) -> None:
-        """Give a recovery agent first look at incoming envelopes."""
-        self._recovery = agent
+        """Route recovery's operations to ``agent`` and tell it of every
+        arrival while it chases a label."""
         self.add_interceptor(agent)
+        self._recovery = agent
 
     def envelope_of(self, msg_id: MessageId) -> Optional[Envelope]:
         """Any stored copy of ``msg_id`` (sent or received), for repair."""
@@ -461,10 +478,18 @@ class BroadcastProtocol(SimNode):
     # -- receive path -------------------------------------------------------------
 
     def on_receive(self, sender: EntityId, envelope: Envelope) -> None:
-        for interceptor in self._interceptors:
-            if interceptor.intercept(sender, envelope):
-                return
-        msg_id = envelope.msg_id
+        message = envelope.message
+        # `intercept` is looked up per call, not bound at registration,
+        # so a wrapper installed on the agent's class later sees it.
+        owner = self._owners.get(message.operation)
+        if owner is not None:
+            owner.intercept(sender, envelope)
+            return
+        msg_id = message.msg_id
+        recovery = self._recovery
+        if recovery is not None and recovery._first_missing:
+            # Something is being chased: this may be it.
+            recovery.arrived(msg_id)
         if self.has_seen(msg_id):
             self.duplicates_discarded += 1
             return
@@ -475,10 +500,11 @@ class BroadcastProtocol(SimNode):
         held = len(self._pending) + 1
         if held > self.max_holdback:
             self.max_holdback = held
-        trace = self.network.trace
+        network = self._network
+        trace = network.trace
         if trace.enabled:
             trace.record(
-                self.now,
+                network.scheduler.now,
                 "hold",
                 entity=self.entity_id,
                 msg_id=msg_id,
@@ -679,13 +705,15 @@ class BroadcastProtocol(SimNode):
             raise ProtocolError(f"double delivery of {msg_id}")
         self._delivered_ids.add(msg_id)
         position = len(self._delivered_envelopes)
+        network = self._network
+        now = network.scheduler.now
         self._delivered_envelopes.append(envelope)
-        self._delivery_times.append(self.now)
+        self._delivery_times.append(now)
         self._on_delivered(envelope)
-        trace = self.network.trace
+        trace = network.trace
         if trace.enabled:
             trace.record(
-                self.now,
+                now,
                 "deliver",
                 entity=self.entity_id,
                 msg_id=msg_id,

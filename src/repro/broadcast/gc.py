@@ -13,8 +13,9 @@ Gossip rounds are explicitly scheduled (like anti-entropy in
 :mod:`repro.broadcast.recovery`) so simulations terminate.
 
 The tracker composes with :class:`~repro.broadcast.recovery.RecoveryAgent`
-through the chassis interceptor chain; dropping only *stable* bodies never
-hurts recovery, because a stable message by definition needs no repair.
+as another control-plane sidecar of the chassis; dropping only *stable*
+bodies never hurts recovery, because a stable message by definition needs
+no repair.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ GC_VECTOR_OPERATION = "__gcvec__"
 
 class StabilityTracker:
     """Gossips delivered prefixes; compacts the envelope store."""
+
+    operations = (GC_VECTOR_OPERATION,)
 
     def __init__(self, protocol: BroadcastProtocol) -> None:
         self.protocol = protocol
@@ -93,12 +96,10 @@ class StabilityTracker:
         for i in range(1, rounds + 1):
             self.protocol.call_in(period * i, self.gossip_round)
 
-    def intercept(self, sender: EntityId, envelope: Envelope) -> bool:
-        if envelope.message.operation != GC_VECTOR_OPERATION:
-            return False
+    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
+        """Consume a peer's gossiped prefixes and compact against them."""
         self._prefixes[sender] = dict(envelope.message.payload)
         self._compact()
-        return True
 
     # -- compaction ------------------------------------------------------------------
 

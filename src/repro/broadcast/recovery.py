@@ -14,9 +14,9 @@ causal predecessors were lost is simply never delivered — but not *live*.
    store and unicasts the original envelope back; normal receive-path
    dedup makes re-repair harmless.
 
-The agent's control traffic never enters the ordering protocol: it is
-intercepted before deduplication (see
-:meth:`~repro.broadcast.base.BroadcastProtocol.attach_recovery`) and its
+The agent's control traffic never enters the ordering protocol: the
+chassis routes its two operations to the agent before deduplication (see
+:meth:`~repro.broadcast.base.BroadcastProtocol.add_interceptor`) and its
 labels live in a distinct ``<entity>!rec`` namespace.
 
 This corresponds to the transport-level reliability the paper assumes of
@@ -40,6 +40,10 @@ DIGEST_OPERATION = "__digest__"
 class RecoveryAgent:
     """Watches one protocol stack and repairs its losses.
 
+    Consumes the control operations in :attr:`operations`; the chassis
+    tells it (:meth:`arrived`) when any other envelope arrives while a
+    label is being chased.
+
     Parameters
     ----------
     protocol:
@@ -56,6 +60,8 @@ class RecoveryAgent:
         prevents chasing messages that are merely still in flight.
         Defaults to ``scan_interval``.
     """
+
+    operations = (NACK_OPERATION, DIGEST_OPERATION)
 
     def __init__(
         self,
@@ -82,7 +88,9 @@ class RecoveryAgent:
             scan_interval if min_hold_age is None else min_hold_age
         )
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!rec")
-        # label -> (last nack time, attempts)
+        # label -> (last nack time, attempts).  Its labels are a subset
+        # of `_first_missing`'s, which is therefore empty iff nothing is
+        # chased: the chassis tests it on every arrival.
         self._nack_state: Dict[MessageId, Tuple[float, int]] = {}
         self._first_missing: Dict[MessageId, float] = {}
         self._running = False
@@ -138,10 +146,10 @@ class RecoveryAgent:
     def _purge_settled(self) -> None:
         """Forget chase state for labels that have since arrived.
 
-        A label can settle between scans without passing through
-        :meth:`intercept` (e.g. a stable-prefix skip marks it seen); this
-        sweep keeps ``_nack_state`` / ``_first_missing`` bounded by the
-        set of labels actually still missing.
+        A label can settle between scans without arriving (e.g. a
+        stable-prefix skip marks it seen, and :meth:`arrived` never hears
+        of it); this sweep keeps ``_nack_state`` / ``_first_missing``
+        bounded by the set of labels actually still missing.
         """
         has_seen = self.protocol.has_seen
         for label in [l for l in self._nack_state if has_seen(l)]:
@@ -237,31 +245,26 @@ class RecoveryAgent:
 
     # -- control-plane receive path ------------------------------------------------
 
-    def intercept(self, sender: EntityId, envelope: Envelope) -> bool:
-        """Handle recovery control traffic; pass everything else through.
-
-        Returns ``True`` when the envelope was consumed.
-        """
-        operation = envelope.message.operation
-        if operation == NACK_OPERATION:
-            wanted: MessageId = envelope.message.payload
+    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
+        """Consume a NACK (repair from our store) or a digest (compare)."""
+        message = envelope.message
+        if message.operation == NACK_OPERATION:
+            wanted: MessageId = message.payload
             stored = self.protocol.envelope_of(wanted)
             if stored is not None:
                 self.repairs_sent += 1
                 self.protocol.network.unicast(
                     self.protocol.entity_id, sender, stored
                 )
-            return True
-        if operation == DIGEST_OPERATION:
-            if sender != self.protocol.entity_id:
-                self._compare_digest(sender, envelope.message.payload)
-            return True
-        # A label we were chasing has arrived (normal copy or repair):
-        # drop its chase state so `_nack_state` / `_first_missing` stay
-        # bounded and `outstanding_labels` reflects reality.
-        self._nack_state.pop(envelope.msg_id, None)
-        self._first_missing.pop(envelope.msg_id, None)
-        return False
+        elif sender != self.protocol.entity_id:
+            self._compare_digest(sender, message.payload)
+
+    def arrived(self, label: MessageId) -> None:
+        """A label we may be chasing has arrived (normal copy or repair):
+        drop its chase state so `_nack_state` / `_first_missing` stay
+        bounded and `outstanding_labels` reflects reality."""
+        self._nack_state.pop(label, None)
+        self._first_missing.pop(label, None)
 
     def _compare_digest(self, holder: EntityId, payload: dict) -> None:
         frontiers: Dict[EntityId, int] = payload.get("frontiers", {})

@@ -52,6 +52,8 @@ MAX_PROPOSAL_ATTEMPTS = 10
 class MembershipManager:
     """Heartbeats + suspicion + automatic leave proposal for one member."""
 
+    operations = (HEARTBEAT_OPERATION,)
+
     def __init__(
         self,
         protocol: "BroadcastProtocol",
@@ -169,14 +171,11 @@ class MembershipManager:
 
     # -- control plane ---------------------------------------------------------
 
-    def intercept(self, sender: EntityId, envelope: Envelope) -> bool:
-        if envelope.message.operation != HEARTBEAT_OPERATION:
-            return False
+    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
         if sender != self.protocol.entity_id and self.detector.is_monitored(
             sender
         ):
             self.detector.heartbeat(sender)
-        return True
 
     # -- suspicion handling -------------------------------------------------------
 

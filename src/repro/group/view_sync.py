@@ -33,7 +33,7 @@ adopted "their" change first would wait forever for each other's
 FLUSH_OK — the deadlock pinned by
 ``test_concurrent_proposals_converge`` in ``tests/group/test_view_sync.py``.
 
-Control traffic flows through the chassis interceptor chain like the
+Control traffic goes straight to the agent, by operation, like the
 recovery layer's, so it composes with every ordering protocol.
 """
 
@@ -101,6 +101,8 @@ class ViewSyncAgent:
     member's settled set for the old view covers the digest union.
     """
 
+    operations = (VCHG_OPERATION, FLUSH_OK_OPERATION)
+
     def __init__(
         self,
         protocol: "BroadcastProtocol",
@@ -137,7 +139,7 @@ class ViewSyncAgent:
         # off them.  A poll timer here would re-arm forever while a flush
         # is blocked on in-flight repair, livelocking any run-to-quiescence
         # driver (the scheduler's queue would never empty).
-        protocol.on_deliver(lambda _envelope: self._on_progress())
+        protocol.on_deliver(self._on_delivery)
         # The membership object is shared across the simulated group, so a
         # peer completing the flush first advances our view out from under
         # a still-pending change; finalize it instead of waiting forever
@@ -205,15 +207,12 @@ class ViewSyncAgent:
 
     # -- control plane ------------------------------------------------------
 
-    def intercept(self, sender: EntityId, envelope: Envelope) -> bool:
-        operation = envelope.message.operation
-        if operation == VCHG_OPERATION:
-            self._on_proposal(envelope.message.payload)
-            return True
-        if operation == FLUSH_OK_OPERATION:
-            self._on_flush_ok(envelope.message.payload)
-            return True
-        return False
+    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
+        message = envelope.message
+        if message.operation == VCHG_OPERATION:
+            self._on_proposal(message.payload)
+        else:
+            self._on_flush_ok(message.payload)
 
     def _on_proposal(self, change: ViewChange) -> None:
         self._consider(change)
@@ -292,6 +291,11 @@ class ViewSyncAgent:
             protocol._pending,
             protocol._envelopes_by_id,
         )
+
+    def _on_delivery(self, _envelope: Envelope) -> None:
+        # Outside a flush a delivery has nothing to progress.
+        if self._pending_change is not None:
+            self._on_progress()
 
     def _on_progress(self) -> None:
         """Re-check flush progress after a delivery or stable-skip."""

@@ -75,7 +75,8 @@ def encode_value(value: Any) -> Any:
 
     Scalars pass through; ``MessageId``, sets, tuples and non-string-keyed
     dicts become tagged objects (``__mid__``/``__set__``/…).  Raises
-    :class:`ProtocolError` on anything JSON cannot carry.
+    :class:`ProtocolError` on anything JSON cannot carry.  A ``MessageId``
+    is a tuple, so it is tested first.
     """
     if isinstance(value, MessageId):
         return {"__mid__": [value.sender, value.seqno]}
@@ -100,7 +101,9 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if "__mid__" in value:
             sender, seqno = value["__mid__"]
-            return MessageId(sender, seqno)
+            label = MessageId(sender, seqno)
+            hash(label)  # an unhashable part is a malformed label
+            return label
         if "__set__" in value:
             return frozenset(_decode_value(v) for v in value["__set__"])
         if "__tuple__" in value:

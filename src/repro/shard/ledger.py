@@ -20,9 +20,8 @@ one log per session.  Two surfaces (tabulated in ``docs/SHARDING.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.invariants import CrossShardChecker, Violation
 from repro.analysis.session_guarantees import (
@@ -46,8 +45,7 @@ DATA_KINDS = frozenset({"put", "migrate"})
 Fold = Dict[str, Tuple[int, object]]
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     """One issued operation, as recorded at send time.
 
     ``deps`` is the in-group ``Occurs-After`` AND-dependency the envelope

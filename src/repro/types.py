@@ -16,8 +16,10 @@ containers every other subsystem builds on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from types import MappingProxyType
+from typing import Any, Hashable, Mapping, NamedTuple, NoReturn, Tuple
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -27,32 +29,44 @@ EntityId = str
 """Identifier of an application entity (client, server replica, player...)."""
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
+class MessageId(tuple):
     """Globally unique message label.
 
     The paper's ``OSend`` primitive names messages so that causal relations
     can reference them explicitly ("message labels", Section 6.1).  A label
     is the pair *(sender, per-sender sequence number)*, which is unique
     without coordination.
+
+    Labels live in the hot sets of every layer (dedup, delivery, closures,
+    frontiers), so a label *is* the tuple ``(sender, seqno)``: hashing,
+    equality and lexicographic order are the tuple's own, computed in C,
+    and ``hash(label) == hash((sender, seqno))``.  A label is one value,
+    not a collection: iterating or unpacking it raises ``TypeError``, so
+    a bare label passed where a set of labels is expected fails loudly
+    instead of being read as ``{sender, seqno}``.
     """
 
-    sender: EntityId
-    seqno: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # Labels live in the hot sets of every layer (dedup, delivery,
-        # closures, frontiers); hashing the field tuple on every lookup
-        # is measurable, so compute it once.  The cached value matches
-        # the generated dataclass hash, and being a plain attribute it
-        # stays out of equality, ordering, and repr.
-        object.__setattr__(self, "_hash", hash((self.sender, self.seqno)))
+    def __new__(cls, sender: EntityId, seqno: int) -> "MessageId":
+        return tuple.__new__(cls, (sender, seqno))
 
-    def __hash__(self) -> int:
-        return self._hash
+    sender = property(itemgetter(0), doc="The sending entity.")
+    seqno = property(itemgetter(1), doc="The per-sender sequence number.")
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.sender}:{self.seqno}"
+    def __iter__(self) -> NoReturn:
+        raise TypeError(f"a message label is not a collection of labels: {self}")
+
+    def __getnewargs__(self) -> Tuple[EntityId, int]:
+        # Pickle and copy rebuild through `__new__`; the tuple default
+        # would iterate.
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"MessageId(sender={self[0]!r}, seqno={self[1]!r})"
+
+    def __str__(self) -> str:
+        return f"{self[0]}:{self[1]}"
 
 
 class MessageIdAllocator:
@@ -75,8 +89,7 @@ class MessageIdAllocator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An application-level data access message.
 
     ``operation`` names the service operation being invoked (e.g. ``"inc"``,
@@ -94,8 +107,12 @@ class Message:
         return self.msg_id.sender
 
 
-@dataclass(frozen=True)
-class Envelope:
+#: The metadata of an envelope stamped with none: one shared, read-only
+#: empty mapping.
+NO_METADATA: Mapping[str, Any] = MappingProxyType({})
+
+
+class Envelope(NamedTuple):
     """A message in flight, together with protocol metadata.
 
     ``metadata`` is a protocol-specific mapping.  The causal broadcast
@@ -112,17 +129,21 @@ class Envelope:
     """
 
     message: Message
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = NO_METADATA
 
-    @property
-    def msg_id(self) -> MessageId:
-        return self.message.msg_id
+    msg_id = property(attrgetter("message.msg_id"), doc="The message's label.")
 
     def with_metadata(self, **extra: Any) -> "Envelope":
         """Return a copy of this envelope with additional metadata keys."""
         merged = dict(self.metadata)
         merged.update(extra)
         return Envelope(self.message, merged)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # NO_METADATA cannot be pickled; the default restores it.
+        if self.metadata is NO_METADATA:
+            return (Envelope, (self.message,))
+        return (Envelope, (self.message, self.metadata))
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ class TestChaseStatePurge:
         scheduler.run()
         agent = agents["b"]
         # Simulate state left behind by a label that settled out of band
-        # (e.g. via a stable-prefix skip, which bypasses intercept()).
+        # (e.g. via a stable-prefix skip, which `arrived` never hears of).
         agent._nack_state[label] = (0.0, 1)
         agent._first_missing[label] = 0.0
         agent._purge_settled()

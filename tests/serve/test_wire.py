@@ -119,6 +119,18 @@ class TestEdges:
         assert decode_frame(blob[4:])["future_field"] == [1, 2]
 
 
+def typed(value):
+    """``value`` as a hashable tree tagged with every node's exact type:
+    equal only if labels came back labels and tuples tuples."""
+    if isinstance(value, (tuple, list)) and type(value) is not MessageId:
+        return (type(value), tuple(typed(v) for v in value))
+    if isinstance(value, (set, frozenset)):
+        return (type(value), frozenset(typed(v) for v in value))
+    if isinstance(value, dict):
+        return (dict, frozenset((typed(k), typed(v)) for k, v in value.items()))
+    return (type(value), value)
+
+
 # Frame documents: string keys (request/reply fields) over the value
 # domain the wire carries.
 frame_values = st.recursive(
@@ -189,6 +201,21 @@ class TestCodecFastPath:
         body = encode_frame_body({"label": MessageId("s0n0", 7), "n": True})
         assert body == b'{"label":{"__mid__":["s0n0",7]},"n":true}'
 
+    def test_nested_labels_come_back_as_labels(self):
+        # A label equals the plain pair it is made of, so `==` alone
+        # cannot tell a label from a `__tuple__`: compare exact types.
+        a, b = MessageId("s0n0", 7), MessageId("s1n2", 3)
+        document = {
+            "pair": (a, ("s0n0", 7)),
+            "nested": ((b,), [a]),
+            "set": frozenset({a, b}),
+            "keys": {a: 1, (b, 2): "x"},
+        }
+        decoded = decode_frame(encode_frame_body(document))
+        assert typed(decoded) == typed(document)
+        assert type(decoded["pair"][0]) is MessageId
+        assert type(decoded["pair"][1]) is tuple
+
 
 #: A session token as `Session.export_token` mints it.
 TOKEN = '{"v":1,"session":"c0","frontier":{"0":[["s0n0",7]],"1":[["s1n2",3]]}}'
@@ -258,6 +285,30 @@ class TestValueRoundTrip:
     @given(value=frame_values)
     def test_value_round_trips_exactly(self, value):
         assert decode_value(encode_value(value)) == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=frame_values | flat_values)
+    def test_value_round_trips_with_its_types(self, value):
+        assert typed(decode_value(encode_value(value))) == typed(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            (MessageId("a", 1),),
+            (("x", MessageId("a", 1)), 2),
+            frozenset({MessageId("a", 1), MessageId("b", 0)}),
+            {MessageId("a", 1): "v"},
+            {(MessageId("a", 1), 0): [MessageId("b", 2)]},
+        ],
+        ids=["in-tuple", "in-nested-tuple", "in-frozenset", "dict-key",
+             "in-tuple-key"],
+    )
+    def test_nested_labels_decode_as_labels(self, value):
+        assert typed(decode_value(encode_value(value))) == typed(value)
+
+    def test_a_label_with_an_unhashable_part_is_malformed(self):
+        with pytest.raises(ProtocolError):
+            decode_value({"__mid__": [["s0n0"], 7]})
 
     @settings(max_examples=30, deadline=None)
     @given(label_set=st.frozensets(labels, max_size=4))
