@@ -162,12 +162,22 @@ class _PendingOp:
     """One admitted request waiting for (or resolved by) a batch cycle."""
 
     __slots__ = (
-        "conn", "frame", "started", "label", "read", "served", "handed",
-        "error", "deadline", "shed", "opid", "dup",
+        "conn", "session", "frame", "started", "label", "read", "served",
+        "handed", "error", "deadline", "shed", "opid", "dup",
     )
 
-    def __init__(self, conn: _Connection, frame: Dict[str, Any], now: float):
+    def __init__(
+        self,
+        conn: _Connection,
+        session: Session,
+        frame: Dict[str, Any],
+        now: float,
+    ):
         self.conn = conn
+        #: The session the op was sent under, bound at dispatch: a later
+        #: ``hello`` on the same connection rebinds the connection, not
+        #: the ops already read ahead of it.
+        self.session = session
         self.frame = frame
         self.started = now
         self.label: Optional[MessageId] = None
@@ -434,7 +444,7 @@ class ServeServer:
                 # was applied — the frame is safe to retry.
                 conn.send(self._overload_frame(rid, "queue-full"))
                 return None
-            op = _PendingOp(conn, frame, now)
+            op = _PendingOp(conn, conn.session, frame, now)
             if kind == "get" and not self._session_pending.get(
                 conn.session.name
             ):
@@ -568,7 +578,7 @@ class ServeServer:
         if not isinstance(key, str):
             op.error = "get needs a string key"
             return
-        op.conn.session.get(
+        op.session.get(
             key, lambda served, op=op: setattr(op, "served", served)
         )
 
@@ -587,7 +597,7 @@ class ServeServer:
             "t": "reply", "rid": op.frame.get("rid"), "ok": True,
             "key": op.frame["key"], "value": value,
             "shard": shard, "replica": member,
-            "token": op.conn.session.export_token(),
+            "token": op.session.export_token(),
         }
 
     def _count_direct_gets(self, count: int, millis: float) -> None:
@@ -604,7 +614,7 @@ class ServeServer:
 
     def _enqueue(self, op: _PendingOp) -> None:
         self._pending.append(op)
-        name = op.conn.session.name
+        name = op.session.name
         self._session_pending[name] = self._session_pending.get(name, 0) + 1
         self.metrics.queue_depth = len(self._pending)
         if self._flush_task is None or self._flush_task.done():
@@ -614,7 +624,7 @@ class ServeServer:
         """Release one batch op's admission slot and pipeline count."""
         op.conn.release()
         self.metrics.inflight -= 1
-        name = op.conn.session.name
+        name = op.session.name
         count = self._session_pending.get(name, 0)
         if count > 1:
             self._session_pending[name] = count - 1
@@ -650,7 +660,7 @@ class ServeServer:
         for op in batch:
             frame = op.frame
             kind = frame.get("t")
-            session = op.conn.session
+            session = op.session
             if op.deadline is not None and now > op.deadline:
                 # Deadline-aware admission: the client's deadline has
                 # already fired, so executing would waste a simulator
@@ -742,7 +752,7 @@ class ServeServer:
         duplicate in the same batch (e.g. a duplicated frame) dedupes
         too; :meth:`_put_issued` overwrites it with the real label.
         """
-        session = op.conn.session
+        session = op.session
         applied = self._applied_puts.setdefault(session.name, OrderedDict())
         if op.opid in applied:
             op.dup = True
@@ -756,7 +766,7 @@ class ServeServer:
     def _put_issued(self, op: _PendingOp, label: Optional[MessageId]) -> None:
         op.label = label
         if label is not None and op.opid is not None:
-            applied = self._applied_puts.get(op.conn.session.name)
+            applied = self._applied_puts.get(op.session.name)
             if applied is not None and op.opid in applied:
                 applied[op.opid] = label
 
@@ -764,7 +774,7 @@ class ServeServer:
         frame = op.frame
         rid = frame.get("rid")
         kind = frame.get("t")
-        session = op.conn.session
+        session = op.session
         counters = self.metrics.counters
         if op.shed:
             return self._overload_frame(rid, "deadline")

@@ -32,6 +32,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.compact_json import dumps
 from repro.errors import ProtocolError
 from repro.types import EntityId, MessageId
 
@@ -142,7 +143,7 @@ class Session:
         (importers reject tags they do not know).
         """
         if self._token is None:
-            self._token = json.dumps(
+            self._token = dumps(
                 {
                     "v": TOKEN_VERSION,
                     "session": self.name,
@@ -153,8 +154,7 @@ class Session:
                         for shard, labels in sorted(self.frontier.items())
                         if labels
                     },
-                },
-                separators=(",", ":"),
+                }
             )
         return self._token
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.serve import ServeClient, ServeError, ServeServer, reconnect
 from repro.serve.server import _PendingOp
-from repro.serve.wire import read_frame, write_frame
+from repro.serve.wire import encode_frame, read_frame, write_frame
 
 
 @asynccontextmanager
@@ -238,8 +238,11 @@ class TestBasics:
         run(scenario)
 
     def test_boolean_ttl_sets_no_deadline(self):
-        assert _PendingOp(None, {"t": "put", "ttl": True}, 5.0).deadline is None
-        assert _PendingOp(None, {"t": "put", "ttl": 1}, 5.0).deadline == 6.0
+        def op(ttl):
+            return _PendingOp(None, None, {"t": "put", "ttl": ttl}, 5.0)
+
+        assert op(True).deadline is None
+        assert op(1).deadline == 6.0
 
     def test_request_before_hello_rejected(self):
         async def scenario():
@@ -345,6 +348,46 @@ class TestSessionLog:
                 assert [kind for kind, _ in srv.history["c"]] == [
                     "write", "read", "write",
                 ]
+                assert srv.session_guarantee_violations() == []
+
+        run(scenario)
+
+
+    def test_a_pipelined_second_hello_leaves_the_ops_ahead_of_it_alone(self):
+        """A put read in the same turn as a later ``hello`` used to be
+        issued, logged and answered as the new session's when its cycle
+        ran, and the old session's pipeline count never came back down:
+        every later get by it rode a batch cycle."""
+
+        async def scenario():
+            async with server() as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(
+                    encode_frame({"t": "hello", "session": "A", "rid": 0})
+                    + encode_frame(
+                        {"t": "put", "key": "k", "value": "v", "rid": 1}
+                    )
+                    + encode_frame({"t": "hello", "session": "B", "rid": 2})
+                )
+                await writer.drain()
+                replies = {}
+                while len(replies) < 3:
+                    reply = await read_frame(reader)
+                    replies[reply["rid"]] = reply
+                assert replies[1]["ok"]
+                assert replies[1]["token"] == (
+                    srv.cluster.router.session("A").export_token()
+                )
+                assert [kind for kind, _ in srv.history["A"]] == ["write"]
+                assert srv.history["B"] == []
+                assert srv._session_pending.get("A", 0) == 0
+                direct = srv.metrics.counters["gets_direct"]
+                async with client(srv, "A") as again:
+                    assert await again.get("k") == "v"
+                assert srv.metrics.counters["gets_direct"] == direct + 1
+                writer.close()
                 assert srv.session_guarantee_violations() == []
 
         run(scenario)

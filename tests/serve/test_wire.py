@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.serve.wire import (
     read_frame,
     write_frame,
 )
+from repro.shard.cluster import ShardedCluster
 from repro.types import MessageId
 
 
@@ -121,7 +123,11 @@ class TestEdges:
 
 def typed(value):
     """``value`` as a hashable tree tagged with every node's exact type:
-    equal only if labels came back labels and tuples tuples."""
+    equal only if labels came back labels and tuples tuples.  Floats
+    compare by ``repr``: NaN equals NaN and ``-0.0`` differs from
+    ``0.0``."""
+    if type(value) is float:
+        return (float, repr(value))
     if isinstance(value, (tuple, list)) and type(value) is not MessageId:
         return (type(value), tuple(typed(v) for v in value))
     if isinstance(value, (set, frozenset)):
@@ -325,3 +331,189 @@ class TestValueRoundTrip:
     def test_decode_value_wraps_malformed_structures(self):
         with pytest.raises(ProtocolError):
             decode_value({"__kind__": "no-such-kind", "data": 1})
+
+
+# -- the compiled codec against the formula it replaced -----------------
+
+#: ``json.JSONEncoder(separators=(",", ":")).encode`` — what frame
+#: bodies were built with before the encoder was compiled once.
+REFERENCE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def reference_body(document) -> bytes:
+    walked = {key: encode_value(value) for key, value in document.items()}
+    return REFERENCE_ENCODER.encode(walked).encode("utf-8")
+
+
+def reference_decode(body: bytes):
+    """``("ok", document)`` or ``("error", message)``, as ``decode_frame``
+    answered through ``json.loads``."""
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        return "error", f"malformed wire frame: {exc}"
+    if not isinstance(document, dict):
+        return "error", "malformed wire frame: not an object"
+    try:
+        return "ok", {
+            key: decode_value(value) for key, value in document.items()
+        }
+    except ProtocolError as exc:
+        return "error", str(exc)
+
+
+# Strings the escaper must get right: non-ASCII (two-, three- and
+# four-byte UTF-8), control characters, quotes and backslashes, and lone
+# surrogates (sent as `\udXXX` escapes).  A high surrogate followed by a
+# low one is not lone: JSON reads the two escapes back as one character.
+PAIRED_SURROGATES = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+awkward_text = st.text(
+    st.characters()
+    | st.sampled_from('\x00\x1f\x7f"\\/ é€😀')
+    | st.integers(0xD800, 0xDFFF).map(chr),
+    max_size=8,
+).filter(lambda text: not PAIRED_SURROGATES.search(text))
+wide_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | awkward_text
+)
+wide_labels = st.builds(MessageId, awkward_text, st.integers(0, 2**70))
+wide_values = st.recursive(
+    wide_scalars | wide_labels | st.frozensets(wide_labels, max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(awkward_text, children, max_size=3)
+    | st.dictionaries(st.integers() | wide_labels, children, max_size=3),
+    max_leaves=10,
+)
+wide_documents = st.dictionaries(awkward_text, wide_values, max_size=6)
+
+
+class TestCompiledCodec:
+    """The encoder and scanner built once give the per-call codec's bytes
+    and accept and refuse what it did, with the same error text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=wide_documents)
+    def test_bodies_equal_the_json_encoder_formula(self, document):
+        body = encode_frame_body(document)
+        assert body == reference_body(document)
+        decoded = decode_frame(body)
+        verdict, expected = reference_decode(body)
+        assert verdict == "ok" and typed(decoded) == typed(expected)
+        assert typed(decoded) == typed(document)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b' {"t":"get"}',
+            b'{"t":"get"} ',
+            b'\t\r\n {"t":"get","rid":1}\n',
+            b'{"t":"get"}{"t":"put"}',
+            b'{"t":"get"}x',
+            b'{"t":"get"}\x00',
+            b"",
+            b" ",
+            b"[1,2]",
+            b'"hello"',
+            b"null",
+            b"7",
+            b"\xff\xfe",
+            b'{"t":"\xc3"}',
+            b'\xef\xbb\xbf{"t":"get"}',
+            b'{"v":NaN}',
+            b'{"v":Infinity,"w":-Infinity}',
+            b'{"v":1e400}',
+            b'{"v":' + b"7" * 5000 + b"}",
+            b'{"v":' + b"7" * 400 + b"}",
+            b'{"s":"\\ud800","u":"\\u00e9"}',
+            b'{"t":"a\x01"}',
+            b'{"t":"get",}',
+            b'{"t" "get"}',
+            b'{"a":1,"a":2}',
+            b"{}",
+            b'{"mid":{"__mid__":["s0n0",7]},"x":[1,{"__set__":[2]}]}',
+            b'{"bad":{"__nope__":1}}',
+        ],
+        ids=[
+            "leading-space", "trailing-space", "padded-both-sides",
+            "trailing-object", "trailing-garbage", "trailing-nul",
+            "empty", "only-space", "array", "string", "null", "number",
+            "invalid-utf8", "truncated-utf8", "utf8-bom", "nan",
+            "infinities", "huge-float", "5000-digit-int", "400-digit-int",
+            "escapes", "control-char", "trailing-comma", "missing-colon",
+            "duplicate-key", "empty-object", "tagged-and-nested",
+            "unknown-tag",
+        ],
+    )
+    def test_edge_bodies_are_judged_as_json_loads_judges_them(self, body):
+        verdict, expected = reference_decode(body)
+        if verdict == "ok":
+            assert typed(decode_frame(body)) == typed(expected)
+        else:
+            with pytest.raises(ProtocolError) as refused:
+                decode_frame(body)
+            assert str(refused.value) == expected
+
+    def test_well_formed_bodies_never_reach_json_loads(self, monkeypatch):
+        def fallback(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", fallback)
+        for document in (
+            {"t": "get", "key": "k", "rid": 1, "ttl": 30.0},
+            {"t": "reply", "ok": True, "label": MessageId("s0n0", 7),
+             "value": None, "token": TOKEN},
+            {},
+        ):
+            assert decode_frame(encode_frame_body(document)) == document
+        # The patch is live: a padded body is the fallback's to judge.
+        with pytest.raises(AssertionError, match="json.loads called"):
+            decode_frame(b' {"t":"get"}')
+
+    def test_frames_and_tokens_are_not_built_per_call(self, monkeypatch):
+        def per_call(*args, **kwargs):
+            raise AssertionError("per-call JSON encoder used")
+
+        monkeypatch.setattr(json, "dumps", per_call)
+        monkeypatch.setattr(json.JSONEncoder, "encode", per_call)
+        body = encode_frame_body({"t": "reply", "label": MessageId("a", 1)})
+        assert body == b'{"t":"reply","label":{"__mid__":["a",1]}}'
+        assert token_of({0: {MessageId("s0n0", 7)}}).startswith('{"v":1,')
+
+
+def token_of(frontier) -> str:
+    session = ShardedCluster(shards=2).router.session("c0")
+    session.frontier = {
+        shard: frozenset(labels) for shard, labels in frontier.items()
+    }
+    return session.export_token()
+
+
+class TestTokenBytes:
+    """`Session.export_token`, pinned byte for byte: shards in order,
+    each shard's labels sorted, empty shards left out."""
+
+    def test_two_shard_frontier(self):
+        token = token_of({
+            1: {MessageId("s1n2", 3)},
+            0: {MessageId("s0n0", 7)},
+        })
+        assert token == TOKEN
+
+    def test_several_labels_a_shard_and_an_empty_shard(self):
+        token = token_of({
+            1: set(),
+            0: {MessageId("s0n2", 10), MessageId("s0n0", 9),
+                MessageId("s0n2", 2)},
+        })
+        assert token == (
+            '{"v":1,"session":"c0","frontier":'
+            '{"0":[["s0n0",9],["s0n2",2],["s0n2",10]]}}'
+        )
