@@ -208,12 +208,8 @@ class ServeClient:
         self._recv_dead = True
         self._fail_outstanding(reason)
         if self._writer is not None:
-            transport = self._writer.transport
             try:
-                if transport is not None:
-                    transport.abort()
-                else:  # pragma: no cover - defensive
-                    self._writer.close()
+                self._writer.transport.abort()
             except RuntimeError:
                 pass
 

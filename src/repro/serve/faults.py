@@ -23,7 +23,7 @@ Faults are chosen per frame by a :class:`WireFaultPlan` — seeded, so a chaos
 campaign is reproducible fault-for-fault — or injected manually through
 :meth:`ChaosProxy.cut_all` / :meth:`ChaosProxy.stall_all` for targeted
 tests.  The proxy is frame-aware (it splits the byte stream with the
-server's own :class:`~repro.serve.wire.FrameReader`) but never decodes a
+the wire's :class:`~repro.serve.wire.FrameReader`) but never decodes a
 body; verdicts are still per frame.
 """
 
@@ -206,10 +206,6 @@ class ChaosProxy:
                 except (asyncio.CancelledError, Exception):
                     pass
         self._links.clear()
-
-    @property
-    def live_links(self) -> int:
-        return sum(1 for link in self._links if not link.closed)
 
     # -- manual fault verbs ------------------------------------------------
 

@@ -14,7 +14,7 @@ Execution model
 
 The object space runs on the deterministic simulator; the wire runs on
 asyncio.  The server bridges them with a *batch cycle*: requests that
-arrive while a cycle is in flight accumulate, then one flush issues
+arrive while a cycle is in flight accumulate, then one cycle issues
 every queued write through the session layer (grouped per shard) and
 drives the simulator to quiescence **once** for the whole batch.  The
 simulator drive is the expensive part, so batching amortises it across
@@ -28,26 +28,29 @@ session with a covered floor is answered on the spot, without a cycle;
 any other get rides its cycle and is served during the drive, behind the
 session's earlier operations and ahead of its later ones.
 
-Frames move in batches at this edge too.  A connection's *turn* is one
-read of its socket: every complete frame the read holds is parsed and
-dispatched in order, and the replies the turn earns leave in one
-``write``; a batch cycle likewise answers each connection it touched
-with one ``write``.  Counters are added per turn and per cycle.
+The server is callbacks, not coroutines.  Each connection is an
+:class:`asyncio.Protocol`; every callback is one synchronous step of the
+server, stamped with the loop's clock.  The frames one read holds are
+dispatched in order and their replies leave in one ``write``; a batch
+cycle answers each connection it touched with one ``write``.  The first
+op queued schedules the cycle with ``call_soon``, so every frame read
+before it runs joins it.  Given a stand-in for the loop's ``time`` /
+``call_soon`` and a transport that records writes, the semantics run
+with no event loop (``tests/serve/test_callbacks.py``).
 
-Flow control, both directions:
+Flow control is ``pause_reading``.  **Admission**: the op that would
+pass ``max_inflight`` unanswered requests on its connection parks, with
+the frames read behind it, and the connection is not read until a cycle
+frees a slot — TCP backpressure reaches the client before memory does.
+**Slow clients**: a connection past its transport's high-water mark
+(``pause_writing``) is not read until it drains.  Cycles only write,
+never wait on a socket, so a client that stopped reading cannot wedge
+the cycle for everyone else.
 
-* **admission** — at most ``max_inflight`` unanswered requests per
-  connection; past that the turn flushes what it has answered and parks
-  until the pipeline drains below the cap, reading nothing more from the
-  socket, so TCP backpressure reaches the client before memory does;
-* **slow clients** — each turn ends in one ``writer.drain()``, so a
-  client that stops reading parks its own connection (and stops being
-  read); batch cycles only write, never wait on a socket, so it cannot
-  wedge the cycle for everyone else.
-
-Shutdown is a graceful drain: stop accepting, answer everything already
-admitted, say ``bye`` on every connection, then (optionally) heal the
-cluster — restart crashed replicas and run repair rounds to convergence.
+Shutdown waits on no peer: stop accepting, run the queued cycles, say
+``bye`` on every connection and close it — aborting one whose ``bye``
+cannot flush — then (optionally) heal the cluster: restart crashed
+replicas and run repair rounds to convergence.
 
 Every operation that takes effect is recorded per session, by its
 ``Session``, in the cluster's ledger (:mod:`repro.shard.ledger`), which
@@ -61,8 +64,8 @@ assert exactly that.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Set, Tuple
+from collections import OrderedDict, deque
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.invariants import Violation
 from repro.errors import ProtocolError
@@ -71,9 +74,9 @@ from repro.serve.wire import (
     DEFAULT_OVERLOAD_RETRY_AFTER,
     FRAME_OVERLOAD,
     SERVE_WIRE_VERSION,
-    FrameReader,
     decode_frame,
     encode_frame,
+    split_frames,
 )
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import Served, Session
@@ -87,33 +90,51 @@ MAX_INFLIGHT = 64
 REPAIR_INTERVAL = 0.25
 
 
-class _Connection:
-    """Per-connection state: session binding, admission, replies, liveness.
-
-    Replies are queued by :meth:`send` and leave by :meth:`flush`: one
-    ``write`` for everything a dispatch turn or a batch cycle earned.
+class _Connection(asyncio.Protocol):
+    """One connection: asyncio's callbacks, and what the server keeps for
+    it.  Each callback is one synchronous step of :class:`ServeServer`;
+    replies are queued by :meth:`send` and leave by :meth:`flush`, one
+    ``write`` for everything a read or a batch cycle earned.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        counters: Dict[str, int],
-    ) -> None:
-        self.frames = FrameReader(reader)
-        self.writer = writer
+    def __init__(self, server: "ServeServer") -> None:
+        self.server = server
+        self.transport: Any = None
         self.session: Optional[Session] = None
         self.inflight = 0
-        self.can_admit = asyncio.Event()
-        self.can_admit.set()
         self.closed = False
+        #: Bytes received but not yet split: the tail of one frame.
+        self.buffer = bytearray()
+        #: The dispatched op waiting for a slot under ``max_inflight``,
+        #: the frame bodies read behind it, and when they were read.
+        self.parked: Optional[_PendingOp] = None
+        self.backlog: Deque[bytes] = deque()
+        self.read_at = 0.0
+        self.write_paused = False
         self._out: List[bytes] = []
-        self._counters = counters
+        self._counters = server.metrics.counters
 
-    def release(self) -> None:
-        self.inflight -= 1
-        if not self.can_admit.is_set():
-            self.can_admit.set()
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.server._opened(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.server._received(self, data, self.server._loop.time())
+
+    def eof_received(self) -> None:
+        self.server._eof(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.parked is None:
+            self.transport.resume_reading()
 
     def send(self, document: Dict[str, Any]) -> None:
         if not self.closed:
@@ -121,23 +142,13 @@ class _Connection:
 
     def flush(self) -> None:
         out = self._out
-        if not out:
+        if not out or self.closed:
             return
         self._out = []
-        if self.closed:
-            return
         self._counters["frames_out"] += len(out)
         self._counters["wire_writes"] += 1
         try:
-            self.writer.write(b"".join(out))
-        except (ConnectionError, RuntimeError):
-            self.close()
-
-    async def drain(self) -> None:
-        if self.closed:
-            return
-        try:
-            await self.writer.drain()
+            self.transport.write(b"".join(out))
         except (ConnectionError, RuntimeError):
             self.close()
 
@@ -145,11 +156,9 @@ class _Connection:
         if self.closed:
             return
         self.closed = True
+        self.server._connections.discard(self)
         self._counters["connections_closed"] += 1
-        try:
-            self.writer.close()
-        except RuntimeError:
-            pass
+        self.transport.close()
 
 
 #: Sentinel recorded under an opid before its put issues — an opid whose
@@ -248,8 +257,10 @@ class ServeServer:
         #: overtake them.
         self._session_pending: Dict[str, int] = {}
         self._pending: List[_PendingOp] = []
-        self._flush_task: Optional[asyncio.Task] = None
-        self._repair_task: Optional[asyncio.Task] = None
+        #: What the server asks of the event loop: ``time``, ``call_soon``
+        #: and (for repair) ``call_later``.  Bound by :meth:`start`.
+        self._loop: Any = None
+        self._repair_handle: Optional[asyncio.TimerHandle] = None
         self._connections: Set[_Connection] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
@@ -259,12 +270,15 @@ class ServeServer:
 
     async def start(self) -> None:
         """Bind and start accepting; resolves ``self.port`` if it was 0."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.repair_interval > 0:
-            self._repair_task = asyncio.ensure_future(self._repair_loop())
+            self._repair_handle = self._loop.call_later(
+                self.repair_interval, self._repair_tick
+            )
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "start() first"
@@ -274,31 +288,32 @@ class ServeServer:
     async def shutdown(self, *, heal: bool = True) -> None:
         """Graceful drain: answer admitted work, bye, optionally heal.
 
-        With ``heal=True`` every crashed in-view replica is restarted and
-        repair rounds run to convergence; liveness failures land in
-        ``self.heal_violations`` instead of raising, so callers can fold
-        them into their own report.
+        No step waits on a peer.  With ``heal=True`` every crashed in-view
+        replica is restarted and repair rounds run to convergence;
+        liveness failures land in ``self.heal_violations`` instead of
+        raising, so callers can fold them into their own report.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        while self._pending or (
-            self._flush_task is not None and not self._flush_task.done()
-        ):
-            await asyncio.sleep(0.005)
-        if self._repair_task is not None:
-            self._repair_task.cancel()
+        if self._repair_handle is not None:
+            self._repair_handle.cancel()
+            self._repair_handle = None
+        # Each cycle frees slots, and a parked op it admits queues the
+        # next; frames behind it are refused, so this ends.
+        while self._pending:
             try:
-                await self._repair_task
-            except asyncio.CancelledError:
-                pass
-            self._repair_task = None
+                self._cycle()
+            except Exception as exc:  # noqa: BLE001 - answered in _cycle
+                self._loop.call_exception_handler(
+                    {"message": "batch cycle failed", "exception": exc}
+                )
         for conn in list(self._connections):
-            conn.send({"t": "bye"})
-            conn.flush()
-            await conn.drain()
-            self._close_connection(conn)
+            self._say_bye(conn)
+        if self._server is not None:
+            # Since Python 3.12.1 this also waits for every connection
+            # to be gone: all were just closed or aborted.
+            await self._server.wait_closed()
         if heal:
             for group in self.cluster.groups.values():
                 group.revive()
@@ -307,11 +322,12 @@ class ServeServer:
 
     # -- background repair -------------------------------------------------
 
-    async def _repair_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.repair_interval)
-            if not self._pending:
-                self._repair_round()
+    def _repair_tick(self) -> None:
+        self._repair_handle = self._loop.call_later(
+            self.repair_interval, self._repair_tick
+        )
+        if not self._pending:
+            self._repair_round()
 
     def _repair_round(self) -> None:
         """One anti-entropy + gossip round at every up replica.
@@ -325,43 +341,50 @@ class ServeServer:
         self.cluster.router.kick()
         self.cluster.drain()
 
-    # -- connection handling -----------------------------------------------
+    # -- connections: one synchronous step per transport callback ----------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(reader, writer, self.metrics.counters)
+    def _opened(self, conn: _Connection) -> None:
         self._connections.add(conn)
         self.metrics.bump("connections_opened")
-        try:
-            while True:
-                bodies = await conn.frames.read()
-                if bodies is None or not await self._turn(conn, bodies):
-                    break
-        except ProtocolError as exc:
-            self._send_error(conn, None, str(exc))
-        except ConnectionError:
-            pass
-        finally:
-            conn.flush()
-            self._close_connection(conn)
+        if self._draining:
+            self._say_bye(conn)  # accepted after the bye round
 
-    async def _turn(self, conn: _Connection, bodies: List[bytes]) -> bool:
-        """Dispatch one read's frames in order; answer them in one write.
+    def _received(self, conn: _Connection, data: bytes, now: float) -> None:
+        conn.buffer += data
+        if conn.parked is None:
+            conn.read_at = now
+            self._pump(conn)
 
-        False once the peer said ``bye``: the frames behind it are not
-        dispatched.  Every op of the turn is stamped with the turn's
-        start, the moment its frame was read.
+    def _pump(self, conn: _Connection) -> None:
+        """Dispatch ``conn``'s frames in order; the replies leave in one
+        write.  Stops at a ``bye`` (the frames behind it are not
+        dispatched) and at an op that would pass ``max_inflight``: it
+        parks and reading pauses until a cycle frees a slot and pumps
+        again.  Ops are stamped with ``conn.read_at``, when their frame
+        was read.
         """
-        loop = asyncio.get_event_loop()
-        started = loop.time()
-        self.metrics.counters["frames_in"] += len(bodies)
-        direct = 0  # gets answered on the spot, counted when the turn ends
+        backlog = conn.backlog
+        started = conn.read_at
+        direct = 0  # gets answered on the spot, counted when the pump ends
+        closing = False
         try:
-            for body in bodies:
-                frame = decode_frame(body)
+            if conn.parked is not None:
+                self._admit(conn.parked)
+                conn.parked = None
+                if not conn.write_paused:
+                    conn.transport.resume_reading()
+            while True:
+                if not backlog:
+                    bodies = split_frames(conn.buffer)
+                    if not bodies:
+                        break
+                    self.metrics.counters["frames_in"] += len(bodies)
+                    backlog.extend(bodies)
+                frame = decode_frame(backlog.popleft())
                 if frame.get("t") == "bye":
-                    return False
+                    backlog.clear()
+                    closing = True
+                    break
                 op = self._dispatch(conn, frame, started)
                 if op is None:
                     continue
@@ -369,31 +392,45 @@ class ServeServer:
                     direct += 1
                     continue
                 if conn.inflight >= self.max_inflight:
-                    await self._admit(conn)
-                conn.inflight += 1
-                self.metrics.inflight += 1
-                self._enqueue(op)
+                    conn.parked = op
+                    self.metrics.bump("admission_waits")
+                    conn.transport.pause_reading()
+                    break
+                self._admit(op)
+        except ProtocolError as exc:
+            backlog.clear()
+            closing = True
+            self._send_error(conn, None, str(exc))
         finally:
-            if direct:
-                self._count_direct_gets(
-                    direct, (loop.time() - started) * 1000.0
-                )
+            if direct:  # they leave in this pump's write
+                counters = self.metrics.counters
+                counters["ops"] += direct
+                counters["gets"] += direct
+                counters["gets_direct"] += direct
+                samples = [(self._loop.time() - started) * 1000.0] * direct
+                self.metrics.record_latencies("get", samples)
+                self.metrics.record_latencies("op", samples)
         conn.flush()
-        await conn.drain()
-        return True
+        if closing:
+            conn.close()
 
-    async def _admit(self, conn: _Connection) -> None:
-        """Admission control: stop reading this socket until the pipeline
-        drains below the cap — the client feels it as TCP backpressure,
-        not an error.  What the turn answered so far leaves first."""
+    def _admit(self, op: _PendingOp) -> None:
+        op.conn.inflight += 1
+        self.metrics.inflight += 1
+        self._enqueue(op)
+
+    def _eof(self, conn: _Connection) -> None:
+        if conn.buffer:
+            self._send_error(conn, None, "connection closed mid-frame")
         conn.flush()
-        while conn.inflight >= self.max_inflight:
-            self.metrics.bump("admission_waits")
-            conn.can_admit.clear()
-            await conn.can_admit.wait()
+        conn.close()
 
-    def _close_connection(self, conn: _Connection) -> None:
-        self._connections.discard(conn)
+    def _say_bye(self, conn: _Connection) -> None:
+        conn.send({"t": "bye"})
+        conn.flush()
+        if conn.transport.get_write_buffer_size():
+            # The peer is not reading: ``close`` would wait for it.
+            conn.transport.abort()
         conn.close()
 
     def _send_error(
@@ -600,16 +637,6 @@ class ServeServer:
             "token": op.session.export_token(),
         }
 
-    def _count_direct_gets(self, count: int, millis: float) -> None:
-        """Count one turn's on-the-spot gets; they left in one write."""
-        counters = self.metrics.counters
-        counters["ops"] += count
-        counters["gets"] += count
-        counters["gets_direct"] += count
-        samples = [millis] * count
-        self.metrics.record_latencies("get", samples)
-        self.metrics.record_latencies("op", samples)
-
     # -- the batch cycle ---------------------------------------------------
 
     def _enqueue(self, op: _PendingOp) -> None:
@@ -617,12 +644,15 @@ class ServeServer:
         name = op.session.name
         self._session_pending[name] = self._session_pending.get(name, 0) + 1
         self.metrics.queue_depth = len(self._pending)
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = asyncio.ensure_future(self._flush())
+        if len(self._pending) == 1:
+            # The first op queued schedules the cycle, and every frame
+            # read before it runs joins it — this is where pipelining
+            # turns into batching.
+            self._loop.call_soon(self._cycle)
 
     def _op_done(self, op: _PendingOp) -> None:
         """Release one batch op's admission slot and pipeline count."""
-        op.conn.release()
+        op.conn.inflight -= 1
         self.metrics.inflight -= 1
         name = op.session.name
         count = self._session_pending.get(name, 0)
@@ -631,32 +661,35 @@ class ServeServer:
         else:
             self._session_pending.pop(name, None)
 
-    async def _flush(self) -> None:
-        # Yield once so every request already parsed in this loop tick
-        # joins the same cycle — this is where pipelining turns into
-        # batching.
-        await asyncio.sleep(0)
-        while self._pending:
-            batch, self._pending = self._pending, []
-            self.metrics.queue_depth = 0
-            try:
-                self._run_cycle(batch)
-            except Exception as exc:  # noqa: BLE001 - cycle must not die silently
-                # A failed cycle still answers (with errors) and still
-                # releases admission slots — a wedged pipeline would
-                # otherwise deadlock every client on the connection.
-                for op in batch:
-                    self._op_done(op)
-                    self._send_error(
-                        op.conn, op.frame.get("rid"), f"server error: {exc}"
-                    )
-                for conn in dict.fromkeys(op.conn for op in batch):
-                    conn.flush()
-                raise
+    def _cycle(self) -> None:
+        """One batch cycle over every op queued since the last one."""
+        batch, self._pending = self._pending, []
+        if not batch:
+            return  # shutdown ran it already
+        self.metrics.queue_depth = 0
+        try:
+            self._run_cycle(batch, self._loop.time())
+        except Exception as exc:  # noqa: BLE001 - cycle must not die silently
+            # A failed cycle still answers (with errors) and still
+            # releases admission slots — a wedged pipeline would
+            # otherwise deadlock every client on the connection.
+            for op in batch:
+                self._op_done(op)
+                self._send_error(
+                    op.conn, op.frame.get("rid"), f"server error: {exc}"
+                )
+            raise
+        finally:
+            # Each connection's replies leave in one write.  Slots are
+            # free: an op parked on the cap is admitted and the frames
+            # read behind it are dispatched.
+            for conn in dict.fromkeys(op.conn for op in batch):
+                conn.flush()
+                if conn.parked and conn.inflight < self.max_inflight:
+                    self._pump(conn)
 
-    def _run_cycle(self, batch: List[_PendingOp]) -> None:
+    def _run_cycle(self, batch: List[_PendingOp], now: float) -> None:
         per_shard: Dict[int, int] = {}
-        now = asyncio.get_event_loop().time()
         for op in batch:
             frame = op.frame
             kind = frame.get("t")
@@ -719,23 +752,19 @@ class ServeServer:
         # aborts), every delivery lands.
         self.cluster.drain()
         # Every reply is built now, so the cycle's ops share one clock
-        # read; each connection gets its replies in one write, and
-        # nothing here waits on a socket — a client that stopped reading
-        # parks its own turn, never the cycle.
-        ended = asyncio.get_event_loop().time()
+        # read; they leave in one write a connection, and nothing waits
+        # on a socket — a client that stopped reading stops being read,
+        # never stalls the cycle.
+        ended = self._loop.time()
         self.metrics.counters["ops"] += len(batch)
         latencies: Dict[str, List[float]] = {}
-        touched = []
         for op in batch:
             reply = self._build_reply(op)
             latencies.setdefault(op.frame.get("t", "op"), []).append(
                 (ended - op.started) * 1000.0
             )
             op.conn.send(reply)
-            touched.append(op.conn)
             self._op_done(op)
-        for conn in dict.fromkeys(touched):
-            conn.flush()
         for kind, samples in latencies.items():
             self.metrics.record_latencies(kind, samples)
             self.metrics.record_latencies("op", samples)
@@ -781,45 +810,34 @@ class ServeServer:
         if op.error is not None:
             self.metrics.bump("errors")
             return {"t": "error", "rid": rid, "error": op.error}
-        if kind == "put" and op.dup:
-            # The opid was applied before (possibly in this very batch):
-            # answer with the original's label, apply nothing twice.
-            applied = self._applied_puts.get(session.name, {})
-            recorded = applied.get(op.opid)
-            if recorded is _PUT_PENDING or recorded is None:
-                self.metrics.bump("puts_dropped")
-                self.metrics.bump("errors")
-                return {
-                    "t": "error", "rid": rid,
-                    "error": "put was dropped (shard unreachable)",
-                }
-            counters["puts"] += 1
-            return {
-                "t": "reply", "rid": rid, "ok": True,
-                "label": recorded, "deduped": True,
-                "token": session.export_token(),
-            }
         if kind == "put":
-            counters["puts"] += 1
-            if op.label is None:
-                if op.opid is not None:
+            label = op.label
+            if op.dup:
+                # The opid was applied before (possibly in this very
+                # batch): answer with the original's label, apply nothing
+                # twice.
+                label = self._applied_puts.get(session.name, {}).get(op.opid)
+                label = None if label is _PUT_PENDING else label
+            else:
+                counters["puts"] += 1
+                if label is None and op.opid is not None:
                     # Nothing was applied, so forget the opid: a retry
                     # of this put must be a real re-attempt, not a
                     # replay of this failure.
-                    applied = self._applied_puts.get(session.name)
-                    if applied is not None:
-                        applied.pop(op.opid, None)
+                    self._applied_puts.get(session.name, {}).pop(op.opid, None)
+            if label is None:
                 self.metrics.bump("puts_dropped")
                 self.metrics.bump("errors")
                 return {
                     "t": "error", "rid": rid,
                     "error": "put was dropped (shard unreachable)",
                 }
-            return {
-                "t": "reply", "rid": rid, "ok": True,
-                "label": op.label,
-                "token": session.export_token(),
-            }
+            reply = {"t": "reply", "rid": rid, "ok": True, "label": label}
+            if op.dup:
+                counters["puts"] += 1
+                reply["deduped"] = True
+            reply["token"] = session.export_token()
+            return reply
         if kind == "get":
             counters["gets"] += 1
             if op.served is not None:

@@ -17,9 +17,10 @@ member that served it.
 The frame length is bounded (:data:`MAX_FRAME`): a malformed or
 malicious length prefix must not make the server allocate gigabytes.
 
-Frames move in batches.  :class:`FrameReader` splits each ``read`` of a
-stream into every complete frame it holds, so a pipelined burst is
-parsed in one turn; a frame's values take the codec's structural walk
+Frames move in batches.  :func:`split_frames` takes every complete frame
+out of what one read brought — the server's ``data_received`` and the
+client's :class:`FrameReader` share it — so a pipelined burst is parsed
+in one step; a frame's values take the codec's structural walk
 only when they are not plain JSON scalars, and the bytes are the same
 either way.  Bodies are written and parsed by the standard library's C
 JSON encoder and scanner, built once (:mod:`repro.compact_json`): one C
@@ -47,8 +48,7 @@ _LENGTH_BYTES = 4
 _PREFIX = struct.Struct(">I")
 
 #: Bytes one :meth:`FrameReader.read` asks its stream for: the default
-#: ``asyncio.StreamReader`` limit, so a connection holds at most one
-#: read's worth of parsed, undispatched frames.
+#: ``asyncio.StreamReader`` limit.
 READ_CHUNK = 64 * 1024
 
 #: Value types that cross as themselves.  Exact types: a ``MessageId``
@@ -172,16 +172,39 @@ def decode_frame(body: bytes) -> Dict[str, Any]:
     return document
 
 
-class FrameReader:
-    """Every complete frame body a stream's next read holds, in order.
+def split_frames(buffer: bytearray) -> List[bytes]:
+    """Remove every complete frame at the head of ``buffer``; their bodies.
 
-    One :meth:`read` parses every whole frame already received, so a
-    pipelined burst costs one read and one turn, not one per frame.
-    What it holds between reads is the tail of one frame; an oversized
-    length prefix is refused as soon as it arrives, before its body is
-    buffered.  A frame larger than :data:`READ_CHUNK` is read whole
-    once its length is known.
+    What stays behind is the tail of one frame.  An oversized length
+    prefix raises :class:`ProtocolError` as soon as its four bytes are
+    in, before its body is buffered — unless complete frames precede it:
+    they are returned first, and the next call raises.
     """
+    size = len(buffer)
+    bodies: List[bytes] = []
+    start = 0
+    while size - start >= _LENGTH_BYTES:
+        (length,) = _PREFIX.unpack_from(buffer, start)
+        if length > MAX_FRAME:
+            if bodies:
+                break  # refused on the next call, after these
+            raise ProtocolError(
+                f"incoming frame of {length} bytes exceeds "
+                f"MAX_FRAME={MAX_FRAME}"
+            )
+        end = start + _LENGTH_BYTES + length
+        if end > size:
+            break
+        bodies.append(bytes(buffer[start + _LENGTH_BYTES:end]))
+        start = end
+    if start:
+        del buffer[:start]
+    return bodies
+
+
+class FrameReader:
+    """Every complete frame body a stream's next read holds, in order:
+    :func:`split_frames` over an :class:`asyncio.StreamReader`."""
 
     def __init__(self, reader: asyncio.StreamReader) -> None:
         self._reader = reader
@@ -196,49 +219,15 @@ class FrameReader:
         """
         buffer = self._buffer
         while True:
-            bodies = self._split()
+            bodies = split_frames(buffer)
             if bodies:
                 return bodies
-            if len(buffer) >= _LENGTH_BYTES:
-                # The head frame's length is known and checked: wait for
-                # exactly the rest of it.
-                (length,) = _PREFIX.unpack_from(buffer)
-                try:
-                    buffer += await self._reader.readexactly(
-                        _LENGTH_BYTES + length - len(buffer)
-                    )
-                except asyncio.IncompleteReadError as exc:
-                    raise ProtocolError("connection closed mid-frame") from exc
-                continue
             data = await self._reader.read(READ_CHUNK)
             if not data:
                 if buffer:
                     raise ProtocolError("connection closed mid-frame")
                 return None
             buffer += data
-
-    def _split(self) -> List[bytes]:
-        buffer = self._buffer
-        size = len(buffer)
-        bodies: List[bytes] = []
-        start = 0
-        while size - start >= _LENGTH_BYTES:
-            (length,) = _PREFIX.unpack_from(buffer, start)
-            if length > MAX_FRAME:
-                if bodies:
-                    break  # refused on the next read, after these
-                raise ProtocolError(
-                    f"incoming frame of {length} bytes exceeds "
-                    f"MAX_FRAME={MAX_FRAME}"
-                )
-            end = start + _LENGTH_BYTES + length
-            if end > size:
-                break
-            bodies.append(bytes(buffer[start + _LENGTH_BYTES:end]))
-            start = end
-        if start:
-            del buffer[:start]
-        return bodies
 
 
 async def read_frame(

@@ -305,7 +305,7 @@ class TestThroughTheServer:
                         and conn.session.name == "slow"
                     ]
                     # Its replies wait in its own buffer.
-                    assert slow.writer.transport.get_write_buffer_size() > 0
+                    assert slow.transport.get_write_buffer_size() > 0
                     await fast.close()
 
         run(scenario)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 from contextlib import asynccontextmanager
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.serve import ServeClient, ServeError, ServeServer, reconnect
 from repro.serve.server import _PendingOp
 from repro.serve.wire import encode_frame, read_frame, write_frame
@@ -508,6 +510,65 @@ class TestGracefulDrain:
             with pytest.raises(ServeError):
                 await cli.put_wait("k", 2)
             await cli.close()
+
+        run(scenario)
+
+    def test_a_client_that_stopped_reading_does_not_hang_shutdown(self):
+        """``shutdown`` used to await ``drain()`` on each connection in
+        turn: one stalled reader blocked the ``bye`` to everyone after it,
+        and the heal.  Its ``bye`` cannot flush, so it is aborted."""
+
+        async def scenario():
+            srv = ServeServer(shards=2, members_per_shard=3, seed=5)
+            await srv.start()
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", srv.port)
+            )
+            reader, writer = await asyncio.open_connection(sock=sock)
+            writer.write(
+                encode_frame({"t": "hello", "rid": 0, "session": "slow"})
+            )
+            assert (await read_frame(reader))["ok"]
+            writer.write(encode_frame(
+                {"t": "put", "rid": 1, "key": "big", "value": "x" * 262144}
+            ))
+            assert (await read_frame(reader))["ok"]
+            writer.transport.pause_reading()
+            # ~15 MB of replies owed to a client that reads none of them.
+            writer.write(
+                encode_frame({"t": "put", "rid": 2, "key": "k", "value": 1})
+                + b"".join(
+                    encode_frame({"t": "get", "rid": rid, "key": "big"})
+                    for rid in range(3, 63)
+                )
+            )
+            await writer.drain()
+            normal = ServeClient("127.0.0.1", srv.port, "normal")
+            await normal.connect()
+            await normal.put_wait("j", 1)
+            await asyncio.wait_for(srv.shutdown(), 5.0)
+            for _ in range(50):
+                if normal.server_said_bye:
+                    break
+                await asyncio.sleep(0.01)
+            assert normal.server_said_bye
+            assert srv.heal_violations == []
+            await normal.close()
+            # Aborted, not closed: what the server still buffered for it
+            # (the rest of the replies, then its bye) is dropped, and the
+            # stream ends after what the kernels already held.
+            writer.transport.resume_reading()
+            kinds = []
+            try:
+                while frame := await asyncio.wait_for(read_frame(reader), 5):
+                    kinds.append(frame["t"])
+            except ProtocolError:
+                pass  # ended mid-frame
+            assert "bye" not in kinds and len(kinds) < 60
+            writer.transport.abort()
 
         run(scenario)
 

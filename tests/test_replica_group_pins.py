@@ -403,3 +403,16 @@ class TestLayering:
         ):
             assert not hasattr(cluster, name), name
         assert cluster.graph is cluster.ledger.graph
+
+    def test_the_server_is_callbacks_not_coroutines(self):
+        """Only the lifecycle awaits; every connection, cycle and repair
+        step is a synchronous callback (asyncio's Protocol seam)."""
+        source = (SRC / "serve" / "server.py").read_text()
+        assert re.findall(r"async def (\w+)", source) == [
+            "start", "serve_forever", "shutdown",
+        ]
+        for needle in (
+            "asyncio.Event", "ensure_future", "create_task", "asyncio.sleep",
+            "StreamReader", "StreamWriter",
+        ):
+            assert needle not in source, needle
