@@ -12,9 +12,13 @@ Two scenarios:
 * ``cbcast-chain`` — vector-clock stamps (threshold-keyed wakes), where
   group size also scales the per-evaluation clock-comparison cost.
 
+The package has only the indexed engine; the naive receiver is built
+with ``naive(cls)`` from ``tests/broadcast/naive_drain.py``, the test
+suite's reference for the engine's delivery order.
+
 Run as a script (or via ``make bench-quick``) to write
-``BENCH_drain_scale.json``; ``make perf-guard`` replays the sweep and
-compares against the committed baseline.  Ops/sec numbers are
+``BENCH_drain_scale.json``; ``make perf-guard`` replays the indexed
+cases and compares against the committed baseline.  Ops/sec numbers are
 machine-relative — only the naive/indexed *speedup* is portable.
 """
 
@@ -26,7 +30,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-from repro.broadcast.base import BroadcastProtocol
 from repro.broadcast.cbcast import CbcastBroadcast
 from repro.broadcast.osend import OSendBroadcast
 from repro.graph.predicates import OccursAfter
@@ -37,10 +40,14 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
 from repro.types import Envelope, Message, MessageId
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT))  # the rescan reference lives under tests/
+from tests.broadcast.naive_drain import naive  # noqa: E402
+
 DEPTHS = (100, 250, 500, 1000)
 MEMBER_COUNTS = (3, 8)
 REPEATS = 3
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_drain_scale.json"
+REPORT_PATH = ROOT / "BENCH_drain_scale.json"
 
 SENDER = "sender"
 
@@ -82,9 +89,10 @@ SCENARIOS: Dict[str, tuple] = {
 
 
 def run_case(
-    scenario: str, members_count: int, depth: int, drain_mode: str
+    scenario: str, members_count: int, depth: int, engine: str
 ) -> float:
-    """One timed injection; returns deliveries per second."""
+    """One timed injection into an ``engine`` ("indexed" or "naive")
+    receiver; returns deliveries per second."""
     protocol_cls, build = SCENARIOS[scenario]
     members = _members(members_count)
     envelopes = build(depth, members)
@@ -93,8 +101,9 @@ def run_case(
         scheduler, rng=RngRegistry(0), trace=TraceRecorder(enabled=False)
     )
     membership = GroupMembership(members)
+    if engine == "naive":
+        protocol_cls = naive(protocol_cls)
     receiver = protocol_cls("receiver", membership)
-    receiver.drain_mode = drain_mode
     net.register(receiver)
     start = time.perf_counter()
     for envelope in envelopes:
@@ -102,7 +111,7 @@ def run_case(
     elapsed = time.perf_counter() - start
     if receiver.delivered_count != depth:
         raise AssertionError(
-            f"{scenario} x{members_count} depth={depth} ({drain_mode}): "
+            f"{scenario} x{members_count} depth={depth} ({engine}): "
             f"delivered {receiver.delivered_count}/{depth}"
         )
     return depth / elapsed

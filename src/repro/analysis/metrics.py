@@ -150,44 +150,6 @@ def hold_durations(trace: TraceRecorder) -> SummaryStats:
     return SummaryStats.of(durations)
 
 
-@dataclass(frozen=True)
-class DrainEfficiency:
-    """How much predicate work the hold-back drain performed.
-
-    ``evaluations_per_delivery`` is the headline number: the naive
-    rescan-everything drain pays O(pending) evaluations per delivery
-    (quadratic over a deep queue), while the indexed wakeup engine pays
-    ~1 — each envelope is evaluated once when it arrives runnable and
-    once per unblocking event thereafter.
-    """
-
-    predicate_evaluations: int
-    deliveries: int
-
-    @property
-    def evaluations_per_delivery(self) -> float:
-        if self.deliveries == 0:
-            return 0.0
-        return self.predicate_evaluations / self.deliveries
-
-
-def drain_efficiency(*protocols: object) -> DrainEfficiency:
-    """Aggregate drain work across one or more protocol stacks.
-
-    Accepts any objects exposing ``predicate_evaluations`` and
-    ``delivered_count`` (i.e. ``BroadcastProtocol`` instances, in either
-    drain mode).
-    """
-    evaluations = 0
-    deliveries = 0
-    for protocol in protocols:
-        evaluations += getattr(protocol, "predicate_evaluations", 0)
-        deliveries += getattr(protocol, "delivered_count", 0)
-    return DrainEfficiency(
-        predicate_evaluations=evaluations, deliveries=deliveries
-    )
-
-
 # ---------------------------------------------------------------------------
 # Message cost
 # ---------------------------------------------------------------------------

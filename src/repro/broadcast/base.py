@@ -23,36 +23,31 @@ paper's Sections 3, 5 and 6 make qualitatively.
 Delivery engine
 ---------------
 
-The chassis offers two drain implementations selected by ``drain_mode``:
+One engine delivers for every protocol: an event-driven wakeup index.
+On arrival each envelope declares the *wake conditions* still blocking
+it (:meth:`BroadcastProtocol._blockers`) — discrete events ("label X
+delivered", "epoch 3 closed") or monotone thresholds ("next seqno from s
+reached 7").  The chassis keeps a reverse index from condition to
+waiting envelopes, so a delivery (or receive-time state change) wakes
+exactly the envelopes it unblocks; the hold-back queue is a dict, so
+removal is O(1).  Each unblocking event costs one predicate evaluation
+instead of a full queue rescan.  An arrival whose predicate already
+holds, with no drain running and nothing runnable ahead of it, is
+delivered on arrival and never enters the queue at all — the common
+case when a sender's envelopes arrive in send order.
 
-``"indexed"`` (default)
-    An event-driven wakeup engine.  On arrival each envelope declares the
-    *wake conditions* still blocking it (:meth:`BroadcastProtocol._blockers`)
-    — discrete events ("label X delivered", "epoch 3 closed") or monotone
-    thresholds ("next seqno from s reached 7").  The chassis keeps a
-    reverse index from condition to waiting envelopes, so a delivery (or
-    receive-time state change) wakes exactly the envelopes it unblocks;
-    the hold-back queue is a dict, so removal is O(1).  Each unblocking
-    event costs one predicate evaluation instead of a full queue rescan.
-    An arrival whose predicate already holds, with no drain running and
-    nothing runnable ahead of it, is delivered on arrival and never
-    enters the queue at all — the common case when a sender's envelopes
-    arrive in send order.
-
-``"naive"``
-    The original reference drain: rescan the whole queue until no
-    predicate fires.  Kept as the executable specification; the indexed
-    engine must reproduce its delivery order bit-for-bit (see
-    ``tests/broadcast/test_drain_equivalence.py``).
-
-Both drains implement the same deterministic order: repeated passes over
-the queue in arrival order, delivering every envelope whose predicate
-holds when the scan cursor reaches it.  An envelope unblocked at cursor
-position ``c`` is delivered in the current pass iff it arrived after
-position ``c``, otherwise in the next pass — the indexed engine emulates
+The delivery order it implements is that of the obvious drain: repeated
+passes over the queue in arrival order, delivering every envelope whose
+predicate holds when the scan cursor reaches it.  An envelope unblocked
+at cursor position ``c`` is delivered in the current pass iff it arrived
+after position ``c``, otherwise in the next pass — the engine emulates
 this by routing wakeups into a current-pass or next-pass heap based on
-the arrival index of the envelope being delivered.  ``docs/PERFORMANCE.md``
-describes the design and its invariants.
+the arrival index of the envelope being delivered.  That rescan is the
+executable specification, kept outside the package: ``naive(cls)`` in
+``tests/broadcast/naive_drain.py`` builds it, and
+``tests/broadcast/test_drain_equivalence.py`` holds every protocol to its
+schedule bit for bit.  ``docs/PERFORMANCE.md`` describes the design and
+its invariants.
 """
 
 from __future__ import annotations
@@ -135,11 +130,6 @@ class BroadcastProtocol(SimNode):
     #: this to ``False``.
     crash_eligible = True
 
-    #: Delivery engine: "indexed" (event-driven wakeups) or "naive"
-    #: (reference full-rescan drain).  May be overridden per class or per
-    #: instance *before* any traffic is processed.
-    drain_mode = "indexed"
-
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id)
         self.group = group
@@ -158,7 +148,6 @@ class BroadcastProtocol(SimNode):
         self._delivery_times: List[float] = []
         self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
-        self._send_times: Dict[MessageId, float] = {}
         self._recovery: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
         # stable-skip hooks), and the one that consumes each control
@@ -167,10 +156,10 @@ class BroadcastProtocol(SimNode):
         self._owners: Dict[str, Any] = {}
         self.duplicates_discarded = 0
         self.max_holdback = 0
-        #: `_deliverable` calls made by the drain (both modes) — the
-        #: indexed engine's budget is one per unblocking event.
+        #: `_deliverable` calls made by the drain — one per unblocking
+        #: event.
         self.predicate_evaluations = 0
-        # -- wakeup index (indexed mode only) ------------------------------
+        # -- wakeup index -------------------------------------------------
         self._arrival: Dict[MessageId, int] = {}
         self._arrival_counter = 0
         # Unmet wake conditions per held-back envelope.
@@ -221,7 +210,6 @@ class BroadcastProtocol(SimNode):
         """
         message = Message(self._allocator.next_id(), operation, payload)
         envelope = self._stamp(Envelope(message), **options)
-        self._send_times[message.msg_id] = self.now
         # Keep our own stamped copy: if every network copy (including the
         # self-delivery hop) is lost, retransmission must still be possible.
         self._envelopes_by_id[message.msg_id] = envelope
@@ -443,7 +431,6 @@ class BroadcastProtocol(SimNode):
         self._delivered_envelopes.clear()
         self._delivery_times.clear()
         self._envelopes_by_id.clear()
-        self._send_times.clear()
         self._arrival.clear()
         self._blocked_on.clear()
         self._event_waiters.clear()
@@ -510,9 +497,17 @@ class BroadcastProtocol(SimNode):
                 msg_id=msg_id,
                 queue=held,
             )
+        self._accept(envelope, msg_id, arrival)
+        if self._recovery is not None and self._pending:
+            self._recovery.notify_blocked()
+
+    def _accept(
+        self, envelope: Envelope, msg_id: MessageId, arrival: int
+    ) -> None:
+        """Deliver a fresh arrival on the spot, or hold it back, index it
+        and drain."""
         if (
-            self.drain_mode == "indexed"
-            and not self._draining
+            not self._draining
             and not self._ready
             and self._deliverable(envelope)
         ):
@@ -521,7 +516,7 @@ class BroadcastProtocol(SimNode):
             # would reach it next — skip the hold-back queue, the wakeup
             # index and the heap.  With `_cursor` at its arrival index,
             # whatever its delivery wakes (all earlier arrivals) lands in
-            # the next pass, exactly where the naive scan delivers it.
+            # the next pass, exactly where the rescan delivers it.
             self._draining = True
             self._cursor = arrival
             try:
@@ -534,11 +529,8 @@ class BroadcastProtocol(SimNode):
         else:
             self._pending[msg_id] = envelope
             self._arrival[msg_id] = arrival
-            if self.drain_mode == "indexed":
-                self._index(envelope)
+            self._index(envelope)
             self._drain()
-        if self._recovery is not None and self._pending:
-            self._recovery.notify_blocked()
 
     # -- wakeup index --------------------------------------------------------
 
@@ -571,9 +563,7 @@ class BroadcastProtocol(SimNode):
             self._enqueue_runnable(msg_id, from_wake=False)
 
     def _signal_event(self, token: Hashable) -> None:
-        """Mark discrete wake condition ``token`` satisfied (indexed mode)."""
-        if self.drain_mode != "indexed":
-            return
+        """Mark discrete wake condition ``token`` satisfied."""
         waiters = self._event_waiters.pop(token, None)
         if waiters:
             key = (_EVT, token)
@@ -581,9 +571,7 @@ class BroadcastProtocol(SimNode):
                 self._resolve_key(msg_id, key)
 
     def _advance_watermark(self, dimension: Hashable, value: float) -> None:
-        """Advance monotone counter ``dimension`` to ``value`` (indexed mode)."""
-        if self.drain_mode != "indexed":
-            return
+        """Advance monotone counter ``dimension`` to ``value``."""
         current = self._watermarks.get(dimension)
         if current is not None and value <= current:
             return
@@ -608,8 +596,8 @@ class BroadcastProtocol(SimNode):
         """Queue an envelope whose wake conditions are all satisfied.
 
         During a drain, an envelope woken by a delivery joins the current
-        pass iff it arrived after the delivering envelope (the naive
-        drain's scan cursor has not passed it yet); everything else —
+        pass iff it arrived after the delivering envelope (the rescan's
+        cursor has not passed it yet); everything else —
         including fresh arrivals — waits for the next pass.
         """
         if msg_id not in self._pending or msg_id in self._queued:
@@ -625,14 +613,6 @@ class BroadcastProtocol(SimNode):
 
     def _drain(self) -> None:
         """Deliver queued envelopes until no predicate is satisfied."""
-        if self.drain_mode == "naive":
-            self._drain_naive()
-            return
-        if self.drain_mode != "indexed":
-            raise ProtocolError(
-                f"unknown drain_mode {self.drain_mode!r}; "
-                "expected 'indexed' or 'naive'"
-            )
         if self._draining:
             return  # the outer drain's pass loop will pick up new arrivals
         self._draining = True
@@ -647,7 +627,7 @@ class BroadcastProtocol(SimNode):
         self._cursor = -1
 
     def _run_passes(self) -> None:
-        """The indexed drain's pass loop (caller holds ``_draining``)."""
+        """The drain's pass loop (caller holds ``_draining``)."""
         while self._ready:
             # One pass: everything runnable so far, in arrival order.
             self._current = self._ready
@@ -676,28 +656,6 @@ class BroadcastProtocol(SimNode):
                             f"{self.protocol_name}: wakeup index cannot "
                             f"explain why {msg_id} is blocked"
                         )
-
-    def _drain_naive(self) -> None:
-        """Reference drain: rescan the queue until no predicate fires.
-
-        Each pass scans the queue in arrival order, so among
-        simultaneously-deliverable envelopes the earliest-received goes
-        first — deterministic given the scheduler's determinism.  The
-        indexed engine reproduces this order exactly.
-        """
-        progress = True
-        while progress:
-            progress = False
-            for envelope in list(self._pending.values()):
-                msg_id = envelope.msg_id
-                if msg_id not in self._pending:
-                    continue  # delivered by a nested drain
-                self.predicate_evaluations += 1
-                if self._deliverable(envelope):
-                    del self._pending[msg_id]
-                    self._arrival.pop(msg_id, None)
-                    self._deliver(envelope)
-                    progress = True
 
     def _deliver(self, envelope: Envelope) -> None:
         msg_id = envelope.msg_id
@@ -779,10 +737,6 @@ class BroadcastProtocol(SimNode):
         ``missing_for`` ask before naming a label missing.
         """
         return msg_id in self._delivered_ids or msg_id in self._pending
-
-    def send_time(self, msg_id: MessageId) -> Optional[float]:
-        """When this member broadcast ``msg_id`` (None if not ours)."""
-        return self._send_times.get(msg_id)
 
 
 def make_group(

@@ -140,11 +140,6 @@ class OSendBroadcast(BroadcastProtocol):
         blocked = self._predicate_of(envelope).missing(self._delivered_ids)
         return frozenset(l for l in blocked if not self.has_seen(l))
 
-    @staticmethod
-    def cross_deps_of(envelope: Envelope) -> frozenset[MessageId]:
-        """Cross-group causal ancestors stamped on ``envelope`` (if any)."""
-        return envelope.metadata.get("cross_deps", frozenset())
-
     # -- the extracted graph -------------------------------------------------
 
     @property

@@ -55,10 +55,10 @@ class RecoveryAgent:
         Minimum time between successive NACKs for the same label.
     max_nacks_per_label:
         Give-up bound per label.
-    min_hold_age:
-        How long a label must have been missing before the first NACK —
-        prevents chasing messages that are merely still in flight.
-        Defaults to ``scan_interval``.
+
+    A label must have been missing for one ``scan_interval`` before its
+    first NACK, so messages that are merely still in flight are not
+    chased.
     """
 
     operations = (NACK_OPERATION, DIGEST_OPERATION)
@@ -69,7 +69,6 @@ class RecoveryAgent:
         scan_interval: float = 2.0,
         nack_backoff: float = 4.0,
         max_nacks_per_label: int = 10,
-        min_hold_age: Optional[float] = None,
     ) -> None:
         if scan_interval <= 0 or nack_backoff <= 0:
             raise ConfigurationError(
@@ -84,9 +83,6 @@ class RecoveryAgent:
         self.scan_interval = scan_interval
         self.nack_backoff = nack_backoff
         self.max_nacks_per_label = max_nacks_per_label
-        self.min_hold_age = (
-            scan_interval if min_hold_age is None else min_hold_age
-        )
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!rec")
         # label -> (last nack time, attempts).  Its labels are a subset
         # of `_first_missing`'s, which is therefore empty iff nothing is
@@ -160,7 +156,7 @@ class RecoveryAgent:
     def _maybe_nack(self, label: MessageId, now: float) -> bool:
         """NACK ``label`` if due; returns whether it is still worth chasing."""
         first = self._first_missing.setdefault(label, now)
-        if now - first < self.min_hold_age:
+        if now - first < self.scan_interval:
             return True  # too young: probably still in flight
         last, attempts = self._nack_state.get(label, (-float("inf"), 0))
         if attempts >= self.max_nacks_per_label:

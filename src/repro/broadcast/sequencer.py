@@ -161,8 +161,6 @@ class SequencerTotalOrder(BroadcastProtocol):
 
     def _rewake(self, label: MessageId) -> None:
         """Re-index a held data envelope whose bound position changed."""
-        if self.drain_mode != "indexed":
-            return
         envelope = self._pending.get(label)
         if envelope is None or label in self._queued:
             return

@@ -57,7 +57,3 @@ class InconsistencyDetected(ReproError):
     updates) and either discard them or raise this error, depending on the
     configured policy.
     """
-
-
-class AgreementError(ReproError):
-    """Replicas failed to agree on a value at a synchronization point."""

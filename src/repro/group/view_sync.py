@@ -52,6 +52,11 @@ from repro.types import Envelope, EntityId, Message, MessageIdAllocator
 VCHG_OPERATION = "__vchg__"
 FLUSH_OK_OPERATION = "__flushok__"
 
+#: FLUSH_OK re-broadcast: the gap between copies (sim time) and how many
+#: copies follow the first before the member stops resending.
+FLUSH_RESEND_INTERVAL = 3.0
+MAX_FLUSH_RESENDS = 25
+
 
 @dataclass(frozen=True)
 class ViewChange:
@@ -103,15 +108,8 @@ class ViewSyncAgent:
 
     operations = (VCHG_OPERATION, FLUSH_OK_OPERATION)
 
-    def __init__(
-        self,
-        protocol: "BroadcastProtocol",
-        flush_resend_interval: float = 3.0,
-        max_flush_resends: int = 25,
-    ) -> None:
+    def __init__(self, protocol: "BroadcastProtocol") -> None:
         self.protocol = protocol
-        self.flush_resend_interval = flush_resend_interval
-        self.max_flush_resends = max_flush_resends
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!vs")
         self.frozen = False
         self._pending_change: Optional[ViewChange] = None
@@ -314,7 +312,7 @@ class ViewSyncAgent:
         if self.protocol.holdback_size == 0:
             self._sent_flush_ok = True
             self._send_flush_ok(
-                self._pending_change, resends_left=self.max_flush_resends
+                self._pending_change, resends_left=MAX_FLUSH_RESENDS
             )
 
     def _send_flush_ok(self, change: ViewChange, resends_left: int) -> None:
@@ -340,7 +338,7 @@ class ViewSyncAgent:
         )
         if resends_left > 0:
             self.protocol.call_in(
-                self.flush_resend_interval,
+                FLUSH_RESEND_INTERVAL,
                 self._send_flush_ok,
                 change,
                 resends_left - 1,

@@ -22,10 +22,10 @@ the recovery loop the inner client deliberately does not have —
 
 Every verb resolves or raises within a bounded time: per-attempt
 deadlines come from the inner client, and the attempt budget
-(``op_attempts``) bounds the healing loop.  The wrapper is one-op-at-a-
-time by design — pipelining plus transparent replay is a recipe for
-reordering writes; callers that want pipelining use ``ServeClient``
-directly and do their own bookkeeping.
+(``DEFAULT_OP_ATTEMPTS``) bounds the healing loop.  The wrapper is
+one-op-at-a-time by design — pipelining plus transparent replay is a
+recipe for reordering writes; callers that want pipelining use
+``ServeClient`` directly and do their own bookkeeping.
 
 If a :class:`~repro.analysis.wire_history.WireRecorder` is attached, the
 client records exactly what it *observed*: puts on ack only (a put whose
@@ -47,10 +47,10 @@ from repro.serve.client import (
     ServeOverload,
 )
 
-#: Default attempt budget per operation (first try + retries).
+#: Attempt budget per operation (first try + retries).
 DEFAULT_OP_ATTEMPTS = 6
 
-#: Default backoff base / cap, in seconds.
+#: Reconnect backoff base / cap, in seconds.
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 
@@ -70,9 +70,6 @@ class ResilientClient:
         *,
         token: Optional[str] = None,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-        op_attempts: int = DEFAULT_OP_ATTEMPTS,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         seed: Optional[int] = None,
         recorder: Optional[Any] = None,
     ) -> None:
@@ -80,9 +77,6 @@ class ResilientClient:
         self.port = port
         self.session = session
         self.request_timeout = request_timeout
-        self.op_attempts = op_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.recorder = recorder
         self._token = token
         self._inner: Optional[ServeClient] = None
@@ -148,7 +142,7 @@ class ResilientClient:
                 await inner.close()
                 self._inner = None
             last_error: Optional[Exception] = None
-            for attempt in range(self.op_attempts):
+            for attempt in range(DEFAULT_OP_ATTEMPTS):
                 fresh = ServeClient(
                     self.host, self.port, self.session,
                     token=self._token,
@@ -170,13 +164,15 @@ class ResilientClient:
                 self._ever_connected = True
                 return fresh
             raise GaveUp(
-                f"could not reconnect after {self.op_attempts} attempts: "
+                f"could not reconnect after {DEFAULT_OP_ATTEMPTS} attempts: "
                 f"{last_error}"
             )
 
     async def _backoff(self, attempt: int) -> None:
         """Exponential backoff with full jitter, capped."""
-        ceiling = min(self.backoff_cap, self.backoff_base * (2 ** attempt))
+        ceiling = min(
+            DEFAULT_BACKOFF_CAP, DEFAULT_BACKOFF_BASE * (2 ** attempt)
+        )
         self.counters["backoffs"] += 1
         await asyncio.sleep(self._rng.uniform(ceiling / 2, ceiling))
 
@@ -191,7 +187,7 @@ class ResilientClient:
         backs off for the server-suggested interval (jittered).
         """
         last_error: Optional[Exception] = None
-        for attempt in range(self.op_attempts):
+        for attempt in range(DEFAULT_OP_ATTEMPTS):
             self.counters["attempts"] += 1
             try:
                 inner = await self._ensure_connected()
@@ -220,7 +216,7 @@ class ResilientClient:
                 await self._backoff(attempt)
         self.counters["errors"] += 1
         raise GaveUp(
-            f"{describe}: gave up after {self.op_attempts} attempts "
+            f"{describe}: gave up after {DEFAULT_OP_ATTEMPTS} attempts "
             f"({last_error})"
         )
 

@@ -27,14 +27,6 @@ class TestSendPath:
         with pytest.raises(ProtocolError):
             stacks["a"].bcast("op", nonsense=True)
 
-    def test_send_time_recorded(self):
-        scheduler, _, stacks = build_group(UnorderedBroadcast)
-        scheduler.call_at(3.0, stacks["a"].bcast, "op")
-        scheduler.run()
-        label = stacks["a"].delivered[0]
-        assert stacks["a"].send_time(label) == 3.0
-        assert stacks["b"].send_time(label) is None
-
 
 class TestReceivePath:
     def test_duplicates_discarded(self):

@@ -4,7 +4,9 @@ The indexed engine must reproduce the naive drain's delivery schedule
 exactly — same labels, same order, same simulation times — because the
 naive pass semantics (snapshot the queue, scan in arrival order, repeat
 while progress) are the *specification* of the deterministic tie-break.
-These tests run every protocol through both drains on identical seeded
+The naive drain lives beside these tests (``naive_drain.py``):
+``naive(cls)`` is the protocol class with the rescan in place of the
+index.  These tests run every protocol both ways on identical seeded
 scenarios (random latencies, drops, duplicates) and compare:
 
 * the full per-member delivery log (labels, positions, times),
@@ -22,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,7 @@ from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.types import EntityId, Envelope, Message, MessageId
+from tests.broadcast.naive_drain import naive
 
 
 def osend_envelope(label: MessageId, deps=None) -> Envelope:
@@ -53,19 +55,21 @@ def osend_envelope(label: MessageId, deps=None) -> Envelope:
 
 MEMBERS = ("a", "b", "c")
 
+#: OSend through each drain, for the hand-injected cases below.
+OSEND_DRAINS = (("indexed", OSendBroadcast), ("naive", naive(OSendBroadcast)))
+
 Snapshot = Dict[EntityId, dict]
 
 
 def _run(
     protocol_cls,
-    drain_mode: str,
     seed: int,
     traffic: Callable[[Dict[EntityId, BroadcastProtocol], random.Random], None],
     drop: float = 0.0,
     duplicate: float = 0.0,
     **protocol_kwargs,
 ) -> Snapshot:
-    """One seeded scenario under the given drain mode."""
+    """One seeded scenario run by ``protocol_cls``."""
     scheduler = Scheduler()
     net = Network(
         scheduler,
@@ -77,7 +81,6 @@ def _run(
     stacks: Dict[EntityId, BroadcastProtocol] = {}
     for member in MEMBERS:
         stack = protocol_cls(member, membership, **protocol_kwargs)
-        stack.drain_mode = drain_mode
         net.register(stack)
         stacks[member] = stack
     traffic(stacks, random.Random(seed))
@@ -96,9 +99,9 @@ def _run(
 
 
 def assert_equivalent(protocol_cls, seed, traffic, **kwargs) -> None:
-    indexed = _run(protocol_cls, "indexed", seed, traffic, **kwargs)
-    naive = _run(protocol_cls, "naive", seed, traffic, **kwargs)
-    assert indexed == naive
+    indexed = _run(protocol_cls, seed, traffic, **kwargs)
+    rescan = _run(naive(protocol_cls), seed, traffic, **kwargs)
+    assert indexed == rescan
 
 
 # -- traffic shapes ----------------------------------------------------------
@@ -268,12 +271,11 @@ def test_pass_boundary_tie_break():
     its cursor-routing rule, not the naive scan.
     """
     a, b, c, d = (MessageId("b", i) for i in range(4))
-    for mode in ("indexed", "naive"):
+    for mode, cls in OSEND_DRAINS:
         scheduler = Scheduler()
         net = Network(scheduler, rng=RngRegistry(0))
         membership = GroupMembership(MEMBERS)
-        stack = OSendBroadcast("a", membership)
-        stack.drain_mode = mode
+        stack = cls("a", membership)
         net.register(stack)
         # Hand-deliver receives to control arrival order precisely.
         stack.on_receive("b", osend_envelope(a, [b]))
@@ -296,12 +298,11 @@ def test_indexed_drain_never_rescans_bystanders():
     """
     n = 60
     counts = {}
-    for mode in ("indexed", "naive"):
+    for mode, cls in OSEND_DRAINS:
         scheduler = Scheduler()
         net = Network(scheduler, rng=RngRegistry(0))
         membership = GroupMembership(("a", "b"))
-        receiver = OSendBroadcast("a", membership)
-        receiver.drain_mode = mode
+        receiver = cls("a", membership)
         net.register(receiver)
         labels = [MessageId("b", i) for i in range(n)]
         envelopes = [

@@ -16,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.broadcast.recovery import RecoveryAgent
 from repro.chaos import ChaosCluster, random_campaign
 from repro.chaos.cluster import CHAOS_PROTOCOLS
 from repro.group.replica_group import ReplicaGroup
+from repro.group.view_sync import ViewSyncAgent
+from repro.serve.resilient import ResilientClient
 from repro.shard import ShardedCluster, sharded_campaign
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -416,3 +419,26 @@ class TestLayering:
             "StreamReader", "StreamWriter",
         ):
             assert needle not in source, needle
+
+    def test_the_chassis_has_one_delivery_engine(self):
+        """The rescan drain is a test-side reference
+        (``tests/broadcast/naive_drain.py``), not a mode of the chassis."""
+        offenders = [
+            f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1
+            )
+            if "drain_mode" in line or "_drain_naive" in line
+        ]
+        assert offenders == []
+
+    @pytest.mark.parametrize("cls, removed", [
+        (ViewSyncAgent, ("flush_resend_interval", "max_flush_resends")),
+        (RecoveryAgent, ("min_hold_age",)),
+        (ResilientClient, ("op_attempts", "backoff_base", "backoff_cap")),
+    ])
+    def test_options_no_caller_set_are_constants(self, cls, removed):
+        parameters = inspect.signature(cls.__init__).parameters
+        for name in removed:
+            assert name not in parameters, name
