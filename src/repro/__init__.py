@@ -18,6 +18,10 @@ from the bottom up:
   generators (:mod:`repro.workload`) and the example applications from the
   paper's motivation (:mod:`repro.apps`).
 
+The package re-exports the main names of each layer lazily
+(:mod:`repro.lazy`): importing it loads none of its subpackages, and
+each name loads the module that defines it on first use.
+
 Quickstart::
 
     from repro import StablePointSystem, counter_machine, counter_spec
@@ -32,60 +36,64 @@ Quickstart::
     assert len(set(system.states().values())) == 1
 """
 
-from repro.broadcast import (
-    ASendTotalOrder,
-    BroadcastProtocol,
-    CbcastBroadcast,
-    FifoBroadcast,
-    LamportTotalOrder,
-    OSendBroadcast,
-    RecoveryAgent,
-    RstBroadcast,
-    SequencerTotalOrder,
-    UnorderedBroadcast,
-    make_group,
-    protect_group,
-)
-from repro.clocks import LamportClock, MatrixClock, Timestamp, VectorClock
-from repro.core import (
-    CausalActivity,
-    CausalSystem,
-    CommutativitySpec,
-    DataAccessSystem,
-    FrontEndManager,
-    Replica,
-    StablePoint,
-    StablePointDetector,
-    StablePointSystem,
-    StateMachine,
-    TotalOrderSystem,
-    counter_machine,
-    counter_spec,
-    registry_machine,
-    registry_spec,
-)
-from repro.errors import (
-    CausalityViolationError,
-    ConfigurationError,
-    DependencyError,
-    InconsistencyDetected,
-    MembershipError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from repro.graph import DependencyGraph, OccursAfter
-from repro.group import GroupMembership, GroupView, HeartbeatFailureDetector
-from repro.net import (
-    ConstantLatency,
-    FaultPlan,
-    LognormalLatency,
-    Network,
-    PerPairLatency,
-    UniformLatency,
-)
-from repro.sim import RngRegistry, Scheduler, TraceRecorder
-from repro.types import Envelope, EntityId, Message, MessageId
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "broadcast": (
+        "ASendTotalOrder",
+        "BroadcastProtocol",
+        "CbcastBroadcast",
+        "FifoBroadcast",
+        "LamportTotalOrder",
+        "OSendBroadcast",
+        "RecoveryAgent",
+        "RstBroadcast",
+        "SequencerTotalOrder",
+        "UnorderedBroadcast",
+        "make_group",
+        "protect_group",
+    ),
+    "clocks": ("LamportClock", "MatrixClock", "Timestamp", "VectorClock"),
+    "core": (
+        "CausalActivity",
+        "CausalSystem",
+        "CommutativitySpec",
+        "DataAccessSystem",
+        "FrontEndManager",
+        "Replica",
+        "StablePoint",
+        "StablePointDetector",
+        "StablePointSystem",
+        "StateMachine",
+        "TotalOrderSystem",
+        "counter_machine",
+        "counter_spec",
+        "registry_machine",
+        "registry_spec",
+    ),
+    "errors": (
+        "CausalityViolationError",
+        "ConfigurationError",
+        "DependencyError",
+        "InconsistencyDetected",
+        "MembershipError",
+        "ProtocolError",
+        "ReproError",
+        "SimulationError",
+    ),
+    "graph": ("DependencyGraph", "OccursAfter"),
+    "group": ("GroupMembership", "GroupView", "HeartbeatFailureDetector"),
+    "net": (
+        "ConstantLatency",
+        "FaultPlan",
+        "LognormalLatency",
+        "Network",
+        "PerPairLatency",
+        "UniformLatency",
+    ),
+    "sim": ("RngRegistry", "Scheduler", "TraceRecorder"),
+    "types": ("Envelope", "EntityId", "Message", "MessageId"),
+})
 
 __version__ = "1.0.0"
 

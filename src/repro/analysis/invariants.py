@@ -49,23 +49,11 @@ order (``cross-shard-causal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.types import Envelope, EntityId, MessageId
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant breach at (usually) one member."""
-
-    invariant: str
-    member: Optional[EntityId]
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial formatting
-        where = f" at {self.member!r}" if self.member is not None else ""
-        return f"[{self.invariant}]{where}: {self.detail}"
+# `Violation` lives with the value types so the data plane can report a
+# livelock without loading this module; it is re-exported from here.
+from repro.types import Envelope, EntityId, MessageId, Violation
 
 
 def iter_incarnations(

@@ -1,29 +1,20 @@
 """Example applications from the paper's motivation sections."""
 
-from repro.apps.card_game import CardGame, CardPlayer
-from repro.apps.conference import (
-    ConferenceSystem,
-    document_machine,
-    document_spec,
-)
-from repro.apps.file_service import FileService, file_machine, file_spec
-from repro.apps.counter import (
-    CounterService,
-    multi_counter_machine,
-    multi_counter_spec,
-)
-from repro.apps.kvstore import (
-    KeyedFrontEnd,
-    KVStoreSystem,
-    kv_machine,
-    kv_spec,
-)
-from repro.apps.lock_service import LockMember, LockService
-from repro.apps.name_service import (
-    NameServiceMember,
-    NameServiceSystem,
-    QueryAnswer,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "card_game": ("CardGame", "CardPlayer"),
+    "conference": ("ConferenceSystem", "document_machine", "document_spec"),
+    "file_service": ("FileService", "file_machine", "file_spec"),
+    "counter": (
+        "CounterService",
+        "multi_counter_machine",
+        "multi_counter_spec",
+    ),
+    "kvstore": ("KeyedFrontEnd", "KVStoreSystem", "kv_machine", "kv_spec"),
+    "lock_service": ("LockMember", "LockService"),
+    "name_service": ("NameServiceMember", "NameServiceSystem", "QueryAnswer"),
+})
 
 __all__ = [
     "CardGame",

@@ -14,17 +14,21 @@ chassis (hold-back queue + delivery predicate):
 ===========================  ====================================================
 """
 
-from repro.broadcast.asend import ASendTotalOrder
-from repro.broadcast.base import BroadcastProtocol, make_group
-from repro.broadcast.recovery import RecoveryAgent, protect_group
-from repro.broadcast.gc import StabilityTracker, track_group
-from repro.broadcast.rst import RstBroadcast
-from repro.broadcast.cbcast import CbcastBroadcast
-from repro.broadcast.fifo import FifoBroadcast
-from repro.broadcast.lamport_total import LamportTotalOrder
-from repro.broadcast.osend import OSendBroadcast
-from repro.broadcast.sequencer import SequencerTotalOrder
-from repro.broadcast.unordered import UnorderedBroadcast
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "asend": ("ASendTotalOrder",),
+    "base": ("BroadcastProtocol", "make_group"),
+    "recovery": ("RecoveryAgent", "protect_group"),
+    "gc": ("StabilityTracker", "track_group"),
+    "rst": ("RstBroadcast",),
+    "cbcast": ("CbcastBroadcast",),
+    "fifo": ("FifoBroadcast",),
+    "lamport_total": ("LamportTotalOrder",),
+    "osend": ("OSendBroadcast",),
+    "sequencer": ("SequencerTotalOrder",),
+    "unordered": ("UnorderedBroadcast",),
+})
 
 __all__ = [
     "ASendTotalOrder",

@@ -477,6 +477,12 @@ class BroadcastProtocol(SimNode):
         if recovery is not None and recovery._first_missing:
             # Something is being chased: this may be it.
             recovery.arrived(msg_id)
+        # This dedupe is what lets `StabilityTracker._compact` resume
+        # where its last sweep stopped: a label below an origin's stable
+        # frontier is in `_delivered_ids` (the frontier never passes our
+        # delivered prefix), so it never re-enters the store until a
+        # restart wipes both.  Whatever truncates `_delivered_ids` must
+        # keep that true (tests/broadcast/test_gc_equivalence.py).
         if self.has_seen(msg_id):
             self.duplicates_discarded += 1
             return

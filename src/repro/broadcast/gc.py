@@ -42,6 +42,9 @@ class StabilityTracker:
         # anti-entropy layer advertises it so receivers skip what this
         # member can no longer serve, and the invariant monitor audits it.
         self._applied_frontier: Dict[EntityId, int] = {}
+        # origin -> seqno below which the store holds none of its bodies:
+        # compaction resumes there instead of rescanning the store.
+        self._swept: Dict[EntityId, int] = {}
         self.envelopes_reclaimed = 0
         protocol.add_interceptor(self)
         # Let the recovery layer find us (it advertises our frontiers).
@@ -115,24 +118,35 @@ class StabilityTracker:
         return frontier
 
     def _compact(self) -> None:
-        store = self.protocol._envelopes_by_id
-        droppable = []
-        frontiers: Dict[EntityId, int] = {}
-        for label in store:
-            if not self.protocol.compactable_origin(label.sender):
-                continue  # exempt namespace (e.g. sequencer order bindings)
-            frontier = frontiers.get(label.sender)
-            if frontier is None:
-                frontier = self.stable_frontier(label.sender)
-                frontiers[label.sender] = frontier
-            if label.seqno < frontier:
-                droppable.append(label)
-        for label in droppable:
-            del store[label]
-            applied = self._applied_frontier.get(label.sender, 0)
-            if label.seqno + 1 > applied:
-                self._applied_frontier[label.sender] = label.seqno + 1
-        self.envelopes_reclaimed += len(droppable)
+        """Drop every stored body below its origin's stable frontier.
+
+        Per origin, only the seqnos from the last sweep up to the new
+        frontier are visited: nothing below a sweep ever re-enters the
+        store in this incarnation, because the frontier never passes our
+        own delivered prefix and a delivered label is deduplicated on
+        arrival.  Only an origin we delivered from can have a positive
+        frontier.  (``tests/broadcast/full_compaction.py`` keeps the
+        whole-store scan this replaces, and holds it store for store.)
+        """
+        protocol = self.protocol
+        store = protocol._envelopes_by_id
+        swept = self._swept
+        for origin in self._own_prefix:
+            start = swept.get(origin, 0)
+            frontier = self.stable_frontier(origin)
+            if frontier <= start or not protocol.compactable_origin(origin):
+                continue  # nothing new is stable, or an exempt namespace
+            swept[origin] = frontier
+            top = -1
+            dropped = 0
+            for seqno in range(start, frontier):
+                # A label is the tuple (sender, seqno): look it up as one.
+                if store.pop((origin, seqno), None) is not None:
+                    dropped += 1
+                    top = seqno
+            self.envelopes_reclaimed += dropped
+            if top + 1 > self._applied_frontier.get(origin, 0):
+                self._applied_frontier[origin] = top + 1
 
     def advertised_frontiers(self) -> Dict[EntityId, int]:
         """Per-origin frontiers below which this member cannot serve.
@@ -169,6 +183,7 @@ class StabilityTracker:
         self._delivered_seqnos.clear()
         self._own_prefix.clear()
         self._applied_frontier.clear()
+        self._swept.clear()
 
     def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         """Count a skipped stable prefix as settled in our own prefix.

@@ -270,8 +270,14 @@ class RecoveryAgent:
                 # settle instead of chasing (no-op unless we are behind it,
                 # i.e. an amnesiac rejoiner).
                 self.protocol.note_stable_prefix(origin, frontier)
+        tracker = getattr(self.protocol, "stability_tracker", None)
         for origin, seqnos in payload.get("labels", {}).items():
+            # Our contiguous delivered prefix is seen by definition: a
+            # caught-up member looks at nothing it already holds.
+            prefix = tracker.local_prefix(origin) if tracker is not None else 0
             for seqno in seqnos:
+                if seqno < prefix:
+                    continue
                 label = MessageId(origin, seqno)
                 if not self.protocol.has_seen(label):
                     self.nacks_sent += 1

@@ -13,36 +13,18 @@ every run.  See ``docs/ROBUSTNESS.md`` for the fault model and the
 campaign rules under which liveness is guaranteed.
 """
 
-from repro.chaos.campaign import (
-    DISTURBANCES,
-    ChaosCampaign,
-    ChaosEvent,
-    random_campaign,
-)
-from repro.chaos.cluster import (
-    CHAOS_PROTOCOLS,
-    CampaignResult,
-    ChaosCluster,
-)
+from repro.lazy import lazy_exports
 
-#: Lazily re-exported from :mod:`repro.chaos.wire` — importing it
-#: eagerly here would close an import cycle (wire -> serve.server ->
-#: shard -> chaos.campaign -> this package).
-_WIRE_EXPORTS = (
-    "WIRE_CAMPAIGNS",
-    "WireCampaignResult",
-    "run_wire_campaign",
-    "run_wire_campaigns",
-)
-
-
-def __getattr__(name):
-    if name in _WIRE_EXPORTS:
-        from repro.chaos import wire
-
-        return getattr(wire, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": ("DISTURBANCES", "ChaosCampaign", "ChaosEvent", "random_campaign"),
+    "cluster": ("CHAOS_PROTOCOLS", "CampaignResult", "ChaosCluster"),
+    "wire": (
+        "WIRE_CAMPAIGNS",
+        "WireCampaignResult",
+        "run_wire_campaign",
+        "run_wire_campaigns",
+    ),
+})
 
 __all__ = [
     "CHAOS_PROTOCOLS",

@@ -18,26 +18,21 @@ import argparse
 import sys
 from typing import Callable, Dict, List
 
-from repro.analysis.convergence import stable_points_agree, states_agree
-from repro.analysis.metrics import latency_summary
-from repro.analysis.reporting import format_table
-from repro.apps.card_game import CardGame
-from repro.apps.lock_service import LockService
-from repro.apps.name_service import NameServiceSystem
-from repro.broadcast.osend import OSendBroadcast
-from repro.core.access_protocol import StablePointSystem
-from repro.core.commutativity import counter_spec
-from repro.core.state_machine import counter_machine
-from repro.graph.render import to_ascii, to_dot
-from repro.group.membership import GroupMembership
-from repro.net.latency import UniformLatency
-from repro.net.network import Network
-from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import Scheduler
+
+# Each subcommand imports what it runs when it runs: `repro serve` loads
+# the serving path and nothing of the demos, the applications or the
+# analysis batteries.
 
 
 def demo_counter(args: argparse.Namespace) -> int:
     """Replicated counter with a deferred read at a stable point."""
+    from repro.analysis.convergence import stable_points_agree
+    from repro.analysis.reporting import format_table
+    from repro.core.access_protocol import StablePointSystem
+    from repro.core.commutativity import counter_spec
+    from repro.core.state_machine import counter_machine
+    from repro.net.latency import UniformLatency
+
     members = [f"r{i}" for i in range(args.members)]
     system = StablePointSystem(
         members, counter_machine, counter_spec(),
@@ -65,6 +60,10 @@ def demo_counter(args: argparse.Namespace) -> int:
 
 def demo_lock(args: argparse.Namespace) -> int:
     """LOCK/TFR arbitration (Figure 5)."""
+    from repro.analysis.reporting import format_table
+    from repro.apps.lock_service import LockService
+    from repro.net.latency import UniformLatency
+
     members = [chr(ord("A") + i) for i in range(args.members)]
     service = LockService(
         members, cycles=args.cycles, access_time=0.5,
@@ -84,6 +83,10 @@ def demo_lock(args: argparse.Namespace) -> int:
 
 def demo_cardgame(args: argparse.Namespace) -> int:
     """Relaxed turn ordering (Section 5.1)."""
+    from repro.analysis.reporting import format_table
+    from repro.apps.card_game import CardGame
+    from repro.net.latency import UniformLatency
+
     rows = []
     players = [f"p{i}" for i in range(args.members)]
     for distance in range(1, args.members + 1):
@@ -106,6 +109,11 @@ def demo_cardgame(args: argparse.Namespace) -> int:
 def demo_nameservice(args: argparse.Namespace) -> int:
     """Causal vs total engines for spontaneous qry/upd traffic (§5.2)."""
     import random
+
+    from repro.analysis.metrics import latency_summary
+    from repro.analysis.reporting import format_table
+    from repro.apps.name_service import NameServiceSystem
+    from repro.net.latency import UniformLatency
 
     rows = []
     for engine in ("causal", "total"):
@@ -144,12 +152,18 @@ def demo_nameservice(args: argparse.Namespace) -> int:
     return 0
 
 
-def demo_graph(args: argparse.Namespace) -> int:
-    """Run the Figure 2 scenario and render the extracted graph."""
+def _figure2(seed: int):
+    """Run the Figure 2 scenario: its network, stacks and labels."""
+    from repro.broadcast.osend import OSendBroadcast
+    from repro.group.membership import GroupMembership
+    from repro.net.latency import UniformLatency
+    from repro.net.network import Network
+    from repro.sim.rng import RngRegistry
+    from repro.sim.scheduler import Scheduler
+
     scheduler = Scheduler()
     network = Network(
-        scheduler, latency=UniformLatency(0.2, 3.0),
-        rng=RngRegistry(args.seed),
+        scheduler, latency=UniformLatency(0.2, 3.0), rng=RngRegistry(seed),
     )
     membership = GroupMembership(["ai", "aj", "ak"])
     stacks = {
@@ -161,6 +175,14 @@ def demo_graph(args: argparse.Namespace) -> int:
     mj = stacks["aj"].osend("mj", occurs_after=mk)
     ml = stacks["ai"].osend("ml", occurs_after=[mi, mj])
     scheduler.run()
+    return network, stacks, ml
+
+
+def demo_graph(args: argparse.Namespace) -> int:
+    """Run the Figure 2 scenario and render the extracted graph."""
+    from repro.graph.render import to_ascii, to_dot
+
+    _network, stacks, ml = _figure2(args.seed)
     graph = stacks["ai"].graph
     if args.dot:
         print(to_dot(graph, title="Figure 2", highlight={ml}))
@@ -175,21 +197,7 @@ def demo_timeline(args: argparse.Namespace) -> int:
     """Run the Figure 2 scenario and draw its space-time diagram."""
     from repro.analysis.timeline import render_timeline
 
-    scheduler = Scheduler()
-    network = Network(
-        scheduler, latency=UniformLatency(0.2, 3.0),
-        rng=RngRegistry(args.seed),
-    )
-    membership = GroupMembership(["ai", "aj", "ak"])
-    stacks = {
-        m: network.register(OSendBroadcast(m, membership))
-        for m in ("ai", "aj", "ak")
-    }
-    mk = stacks["ak"].osend("mk")
-    mi = stacks["ai"].osend("mi", occurs_after=mk)
-    mj = stacks["aj"].osend("mj", occurs_after=mk)
-    stacks["ai"].osend("ml", occurs_after=[mi, mj])
-    scheduler.run()
+    network, _stacks, _ml = _figure2(args.seed)
     print("Figure 2 scenario — space-time diagram:\n")
     print(render_timeline(network.trace))
     return 0
@@ -288,14 +296,15 @@ def run_shard(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def run_serve(args: argparse.Namespace) -> int:
+def run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Serve the sharded object space to real TCP clients."""
     import asyncio
     import signal
 
+    from repro.errors import ConfigurationError
     from repro.serve import ServeServer
 
-    async def main() -> int:
+    try:
         server = ServeServer(
             shards=args.shards,
             members_per_shard=args.members,
@@ -303,6 +312,11 @@ def run_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
         )
+    except ConfigurationError as exc:
+        # The cluster's constructors own the shard and member bounds.
+        parser.error(f"serve: {exc}")
+
+    async def main() -> int:
         await server.start()
         # Explicit handlers: a backgrounded shell job inherits SIGINT as
         # ignored, so the default KeyboardInterrupt path never fires.
@@ -411,6 +425,14 @@ def run_chaos_wire(args: argparse.Namespace) -> int:
     return asyncio.run(main())
 
 
+def port_number(text: str) -> int:
+    """An argparse type: a TCP port, 0 (ephemeral) through 65535."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {port}")
+    return port
+
+
 DEMOS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "counter": demo_counter,
     "lock": demo_lock,
@@ -506,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=7411,
+        "--port", type=port_number, default=7411,
         help="listen port (0 picks an ephemeral port)",
     )
     serve.add_argument("--shards", type=int, default=2)
@@ -523,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="drive a running serve instance with pipelined load"
     )
     loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=7411)
+    loadgen.add_argument("--port", type=port_number, default=7411)
     loadgen.add_argument("--clients", type=int, default=8)
     loadgen.add_argument(
         "--ops", type=int, default=100, help="operations per client"
@@ -608,7 +630,7 @@ def main(argv: List[str] | None = None) -> int:
     if args.command == "shard":
         return run_shard(args)
     if args.command == "serve":
-        return run_serve(args)
+        return run_serve(args, parser)
     if args.command == "loadgen":
         return run_loadgen(args)
     if args.command == "chaos-wire":

@@ -1,8 +1,12 @@
 """Logical clocks: Lamport scalar, vector, and matrix clocks."""
 
-from repro.clocks.lamport import LamportClock, Timestamp
-from repro.clocks.matrix import MatrixClock
-from repro.clocks.vector import VectorClock, cbcast_deliverable
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "lamport": ("LamportClock", "Timestamp"),
+    "matrix": ("MatrixClock",),
+    "vector": ("VectorClock", "cbcast_deliverable"),
+})
 
 __all__ = [
     "LamportClock",

@@ -1,32 +1,28 @@
 """The paper's core model: activities, stable points, replicas, protocols."""
 
-from repro.core.access_protocol import (
-    CausalSystem,
-    DataAccessSystem,
-    StablePointSystem,
-    TotalOrderSystem,
-)
-from repro.core.activity import CausalActivity
-from repro.core.commutativity import (
-    CommutativitySpec,
-    counter_spec,
-    registry_spec,
-)
-from repro.core.frontend import FrontEndManager
-from repro.core.replica import Replica
-from repro.core.stable_points import StablePoint, StablePointDetector
-from repro.core.state_transfer import (
-    Snapshot,
-    bootstrap_joiner,
-    install_snapshot,
-    replayable_envelopes,
-    take_snapshot,
-)
-from repro.core.state_machine import (
-    StateMachine,
-    counter_machine,
-    registry_machine,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "access_protocol": (
+        "CausalSystem",
+        "DataAccessSystem",
+        "StablePointSystem",
+        "TotalOrderSystem",
+    ),
+    "activity": ("CausalActivity",),
+    "commutativity": ("CommutativitySpec", "counter_spec", "registry_spec"),
+    "frontend": ("FrontEndManager",),
+    "replica": ("Replica",),
+    "stable_points": ("StablePoint", "StablePointDetector"),
+    "state_transfer": (
+        "Snapshot",
+        "bootstrap_joiner",
+        "install_snapshot",
+        "replayable_envelopes",
+        "take_snapshot",
+    ),
+    "state_machine": ("StateMachine", "counter_machine", "registry_machine"),
+})
 
 __all__ = [
     "CausalActivity",

@@ -1,15 +1,19 @@
 """Message dependency graphs, Occurs-After predicates, stability analysis."""
 
-from repro.graph.antichain import chain_cover_size, maximum_antichain, width
-from repro.graph.depgraph import DependencyGraph
-from repro.graph.render import depth_levels, to_ascii, to_dot
-from repro.graph.predicates import OccursAfter
-from repro.graph.stability import (
-    commutativity_guarantees_stability,
-    concurrent_pairs,
-    is_transition_preserving,
-    run_sequence,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "antichain": ("chain_cover_size", "maximum_antichain", "width"),
+    "depgraph": ("DependencyGraph",),
+    "render": ("depth_levels", "to_ascii", "to_dot"),
+    "predicates": ("OccursAfter",),
+    "stability": (
+        "commutativity_guarantees_stability",
+        "concurrent_pairs",
+        "is_transition_preserving",
+        "run_sequence",
+    ),
+})
 
 __all__ = [
     "DependencyGraph",

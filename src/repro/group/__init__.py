@@ -1,9 +1,13 @@
 """Group membership, views, failure detection, view-synchronous changes."""
 
-from repro.group.auto_membership import MembershipManager, manage_membership
-from repro.group.failure_detector import HeartbeatFailureDetector
-from repro.group.membership import GroupMembership, GroupView
-from repro.group.view_sync import ViewChange, ViewSyncAgent, attach_view_sync
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "auto_membership": ("MembershipManager", "manage_membership"),
+    "failure_detector": ("HeartbeatFailureDetector",),
+    "membership": ("GroupMembership", "GroupView"),
+    "view_sync": ("ViewChange", "ViewSyncAgent", "attach_view_sync"),
+})
 
 __all__ = [
     "GroupMembership",

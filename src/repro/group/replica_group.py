@@ -12,16 +12,14 @@ partitions and loss, membership churn, and the one repair loop.
 It records no ground truth and runs no campaign.  Which labels are
 application data, and what they depended on, is the caller's knowledge:
 :class:`~repro.chaos.cluster.ChaosCluster` keeps it per send,
-:class:`~repro.shard.cluster.ShardedCluster` in its ledger.  The module
-sits above :mod:`repro.broadcast`, which imports :mod:`repro.group`, so
-the package ``__init__`` cannot re-export it.
+:class:`~repro.shard.cluster.ShardedCluster` in its ledger.  Import it
+from this module; the :mod:`repro.group` package does not re-export it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.invariants import Violation
 from repro.broadcast import (
     ASendTotalOrder,
     CbcastBroadcast,
@@ -49,7 +47,7 @@ from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecorder
-from repro.types import EntityId, MessageId
+from repro.types import EntityId, MessageId, Violation
 
 #: Every protocol the repo ships, by name.  A group can only be built on
 #: one that declares ``crash_eligible`` (its members get crashed and

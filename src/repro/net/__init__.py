@@ -1,14 +1,18 @@
 """Simulated network substrate: latency models, faults, transport."""
 
-from repro.net.faults import RELIABLE, FaultPlan
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LognormalLatency,
-    PerPairLatency,
-    UniformLatency,
-)
-from repro.net.network import Network
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": ("RELIABLE", "FaultPlan"),
+    "latency": (
+        "ConstantLatency",
+        "LatencyModel",
+        "LognormalLatency",
+        "PerPairLatency",
+        "UniformLatency",
+    ),
+    "network": ("Network",),
+})
 
 __all__ = [
     "RELIABLE",

@@ -12,28 +12,32 @@ the session's causal floor.  A pipelined client and a closed/open-loop
 load generator ride along; see ``docs/SERVING.md``.
 """
 
-from repro.serve.client import (
-    DEFAULT_REQUEST_TIMEOUT,
-    ServeClient,
-    ServeError,
-    ServeOverload,
-    reconnect,
-)
-from repro.serve.faults import ChaosProxy, WireFaultPlan
-from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.metrics import ServeMetrics, percentile
-from repro.serve.resilient import GaveUp, ResilientClient
-from repro.serve.server import ServeServer
-from repro.serve.wire import (
-    DEFAULT_OVERLOAD_RETRY_AFTER,
-    FRAME_OVERLOAD,
-    MAX_FRAME,
-    SERVE_WIRE_VERSION,
-    decode_frame,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": (
+        "DEFAULT_REQUEST_TIMEOUT",
+        "ServeClient",
+        "ServeError",
+        "ServeOverload",
+        "reconnect",
+    ),
+    "faults": ("ChaosProxy", "WireFaultPlan"),
+    "loadgen": ("LoadReport", "run_load"),
+    "metrics": ("ServeMetrics", "percentile"),
+    "resilient": ("GaveUp", "ResilientClient"),
+    "server": ("ServeServer",),
+    "wire": (
+        "DEFAULT_OVERLOAD_RETRY_AFTER",
+        "FRAME_OVERLOAD",
+        "MAX_FRAME",
+        "SERVE_WIRE_VERSION",
+        "decode_frame",
+        "encode_frame",
+        "read_frame",
+        "write_frame",
+    ),
+})
 
 __all__ = [
     "ChaosProxy",

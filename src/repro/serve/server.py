@@ -67,7 +67,6 @@ import asyncio
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.invariants import Violation
 from repro.errors import ProtocolError
 from repro.serve.metrics import ServeMetrics
 from repro.serve.wire import (
@@ -80,7 +79,7 @@ from repro.serve.wire import (
 )
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import Served, Session
-from repro.types import EntityId, MessageId
+from repro.types import EntityId, MessageId, Violation
 
 #: Default cap on unanswered requests per connection.
 MAX_INFLIGHT = 64

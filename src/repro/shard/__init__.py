@@ -7,13 +7,17 @@ consistent multi-shard reads ride stable-point barriers (Section 4), and
 slot rebalancing reuses the state-transfer machinery.
 """
 
-from repro.shard.barrier import BarrierRead, StablePointBarrier
-from repro.shard.campaign import SHARDED_DISTURBANCES, sharded_campaign
-from repro.shard.cluster import ShardedCluster, ShardedResult
-from repro.shard.ledger import DATA_KINDS, Ledger, OpRecord
-from repro.shard.map import ShardMap
-from repro.shard.rebalance import MoveRecord, Rebalancer
-from repro.shard.router import Session, ShardRouter
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "barrier": ("BarrierRead", "StablePointBarrier"),
+    "campaign": ("SHARDED_DISTURBANCES", "sharded_campaign"),
+    "cluster": ("ShardedCluster", "ShardedResult"),
+    "ledger": ("DATA_KINDS", "Ledger", "OpRecord"),
+    "map": ("ShardMap",),
+    "rebalance": ("MoveRecord", "Rebalancer"),
+    "router": ("Session", "ShardRouter"),
+})
 
 __all__ = [
     "BarrierRead",

@@ -18,16 +18,16 @@ both edge kinds.  On top of that ride the barrier reads
 and the post-campaign audit, all derived from the ledger: one
 :class:`~repro.analysis.invariants.InvariantMonitor` battery per group
 plus the cross-shard causal-consistency check
-(:class:`~repro.analysis.invariants.CrossShardChecker`).
+(:class:`~repro.analysis.invariants.CrossShardChecker`).  The audit
+batteries load when an audit runs, not with the cluster: a serving
+process pays for them only at its drain audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.invariants import InvariantMonitor, Violation
-from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 from repro.errors import ConfigurationError, ProtocolError
 from repro.group.replica_group import ReplicaGroup, drive, settle
 from repro.shard.frontier import FrontierTracker
@@ -36,7 +36,10 @@ from repro.shard.map import ShardMap
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import ShardRouter
 from repro.sim.scheduler import Scheduler
-from repro.types import EntityId, MessageId
+from repro.types import EntityId, MessageId, Violation
+
+if TYPE_CHECKING:  # pragma: no cover - the chaos harness is not data plane
+    from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 
 
 @dataclass
@@ -532,6 +535,8 @@ class ShardedCluster:
 
     def check_invariants(self) -> List[Violation]:
         """Per-group batteries, cross-shard CC, snapshot and routing audits."""
+        from repro.analysis.invariants import InvariantMonitor
+
         violations: List[Violation] = []
         for shard, group in self.groups.items():
             # The single-group battery, fed from the ledger: a record's

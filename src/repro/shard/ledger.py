@@ -16,6 +16,8 @@ one log per session.  Two surfaces (tabulated in ``docs/SHARDING.md``):
   can be truncated.
 * **audit questions** — what the invariant batteries and the white-box
   session-guarantee audit ask after the fact: they judge a *history*.
+  Their checkers (:mod:`repro.analysis`) load when an audit runs, not
+  with the ledger.
 """
 
 from __future__ import annotations
@@ -23,17 +25,12 @@ from __future__ import annotations
 from itertools import islice
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.analysis.invariants import CrossShardChecker, Violation
-from repro.analysis.session_guarantees import (
-    GuaranteeViolation,
-    SessionOp,
-    check_all_session_guarantees,
-)
 from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
-from repro.types import EntityId, MessageId
+from repro.types import EntityId, MessageId, Violation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - cycle guard, and audits load on use
+    from repro.analysis.session_guarantees import GuaranteeViolation, SessionOp
     from repro.shard.barrier import BarrierRead
     from repro.shard.rebalance import MoveRecord
 
@@ -301,6 +298,8 @@ class Ledger:
     def check_cross_shard(
         self, protocols: Dict[EntityId, object], shard_of_member: Dict[EntityId, int]
     ) -> List[Violation]:
+        from repro.analysis.invariants import CrossShardChecker
+
         ops = self.ops
         return CrossShardChecker(
             protocols,
@@ -383,6 +382,8 @@ class Ledger:
         foreign write, not a session operation, so shoehorning it into
         ``SessionOp`` would fabricate anchor edges.
         """
+        from repro.analysis.session_guarantees import SessionOp
+
         all_writes = {
             entry
             for log in self.history.values()
@@ -413,6 +414,8 @@ class Ledger:
         below the session's causal context, i.e. the eligibility gate
         failed.
         """
+        from repro.analysis.session_guarantees import GuaranteeViolation
+
         ops = self.ops
         violations: List[GuaranteeViolation] = []
         for name, log in self.history.items():
@@ -452,6 +455,8 @@ class Ledger:
         replica-served gets get their own per-key freshness audit
         (:meth:`get_violations`), appended to the same list.
         """
+        from repro.analysis.session_guarantees import check_all_session_guarantees
+
         results = check_all_session_guarantees(self.graph, self.session_logs())
         classic = [v for found in results.values() for v in found]
         return classic + self.get_violations()

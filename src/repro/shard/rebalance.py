@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.state_transfer import Snapshot, restrict_snapshot
+from repro.shard.barrier import BarrierRead, StablePointBarrier
 from repro.types import MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.barrier import BarrierRead
+    from repro.core.state_transfer import Snapshot
     from repro.shard.cluster import ShardedCluster
 
 #: One-second retries for the cutover broadcast before the move aborts.
@@ -80,8 +80,6 @@ class Rebalancer:
 
     def move_slot(self, slot: int, dest: int) -> MoveRecord:
         """Begin moving ``slot`` to shard ``dest`` (asynchronous)."""
-        from repro.shard.barrier import StablePointBarrier
-
         cluster = self.cluster
         source = cluster.shard_map.shard_for_slot(slot)
         record = MoveRecord(
@@ -112,6 +110,10 @@ class Rebalancer:
             record.phase = "aborted"
             cluster.router.unfreeze_slot(record.slot)
             return
+        # State transfer runs only when a slot moves; a serving process
+        # that never rebalances never loads it.
+        from repro.core.state_transfer import Snapshot, restrict_snapshot
+
         record.phase = "transfer"
         full = Snapshot(
             state=dict(read.value),

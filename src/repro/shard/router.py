@@ -34,10 +34,10 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Option
 
 from repro.compact_json import dumps
 from repro.errors import ProtocolError
+from repro.shard.barrier import BarrierRead, StablePointBarrier
 from repro.types import EntityId, MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.barrier import BarrierRead
     from repro.shard.cluster import ShardedCluster
 
 #: One-second retries an operation survives before being dropped — the
@@ -306,8 +306,6 @@ class Session:
         shards: Optional[Sequence[int]],
         callback: Optional[Callable[["BarrierRead"], None]],
     ) -> None:
-        from repro.shard.barrier import StablePointBarrier
-
         cluster = self.router.cluster
         touched = tuple(shards) if shards is not None else cluster.shard_ids
         self._reading = True

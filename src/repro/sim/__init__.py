@@ -11,10 +11,14 @@ small:
 * :class:`~repro.sim.node.SimNode` — base class for protocol endpoints.
 """
 
-from repro.sim.node import SimNode
-from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import EventHandle, Scheduler
-from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "node": ("SimNode",),
+    "rng": ("RngRegistry",),
+    "scheduler": ("EventHandle", "Scheduler"),
+    "trace": ("TraceEvent", "TraceRecorder"),
+})
 
 __all__ = [
     "EventHandle",

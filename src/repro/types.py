@@ -10,7 +10,10 @@ containers every other subsystem builds on:
 * :class:`Envelope` — a message in flight, carrying protocol metadata such
   as ``Occurs-After`` ancestor labels or a vector clock,
 * :class:`DeliveryRecord` — what a replica observed, used by the analysis
-  and consistency-checking layers.
+  and consistency-checking layers,
+* :class:`Violation` — one invariant breach, as the data plane reports a
+  livelock or non-convergence and the audit batteries
+  (:mod:`repro.analysis.invariants`, which re-exports it) report the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Any, Hashable, Mapping, NamedTuple, NoReturn, Tuple
+from typing import Any, Hashable, Mapping, NamedTuple, NoReturn, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -160,6 +163,19 @@ class DeliveryRecord:
     msg_id: MessageId
     position: int
     time: float
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One invariant breach at (usually) one member."""
+
+    invariant: str
+    member: Optional[EntityId]
+    detail: str
+
+    def __str__(self) -> str:  # pragma: no cover - trivial formatting
+        where = f" at {self.member!r}" if self.member is not None else ""
+        return f"[{self.invariant}]{where}: {self.detail}"
 
 
 def freeze_ancestors(ancestors: Any) -> frozenset[MessageId]:

@@ -13,6 +13,12 @@ the test says so.  Only ``shutdown``, a coroutine, runs under
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from repro.serve import ServeServer
@@ -299,3 +305,52 @@ def test_same_seed_same_callbacks_same_bytes():
     assert first == second
     written = [b"".join(e[1] for e in log if e[0] == "write") for log in first]
     assert all(len(blob) > 1000 for blob in written)
+
+
+def test_every_verb_runs_on_what_was_loaded_before_the_first_hello():
+    # A module imported by a verb's first use would be imported inside
+    # the first timed wave that uses it.  A fresh interpreter, since
+    # this process has long since loaded everything.
+    repo = Path(__file__).resolve().parents[2]
+    script = textwrap.dedent("""
+        import json, sys
+        from tests.serve.test_callbacks import connect, frames, put, serving
+
+        srv, loop = serving()
+        before = set(sys.modules)
+        conn, transport = connect(srv, "a")
+        conn.data_received(frames(
+            put(1, "k", "v"), {"t": "get", "rid": 2, "key": "k"},
+        ))
+        loop.run_soon()  # a get served during its cycle's drive
+        conn.data_received(frames(
+            {"t": "get", "rid": 3, "key": "k"},  # served on the spot
+            {"t": "read", "rid": 4},
+            {"t": "token", "rid": 5},
+        ))
+        loop.run_soon()
+        replies = transport.replies()
+        token = next(r["token"] for r in replies if r["rid"] == 5)
+        other, other_transport = connect(srv, "b")
+        other.data_received(frames(
+            {"t": "hello", "rid": 6, "session": "b", "token": token},
+            {"t": "stats", "rid": 7},
+            {"t": "chaos", "rid": 8, "action": "crash", "shard": 0, "member": "s0n1"},
+            {"t": "chaos", "rid": 9, "action": "restart", "shard": 0, "member": "s0n1"},
+        ))
+        replies += other_transport.replies()
+        print(json.dumps({
+            "ok": sorted(r["rid"] for r in replies if r.get("ok")),
+            "loaded": sorted(set(sys.modules) - before),
+        }))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join((str(repo / "src"), str(repo)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=str(repo),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["ok"] == list(range(1, 10))
+    assert result["loaded"] == []

@@ -131,6 +131,28 @@ class TestServeCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--port", "lots"])
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["--shards", "0"], "needs >= 1 shard"),
+        (["--members", "1"], "needs >= 2 members"),
+        (["--port", "99999"], "port must be 0-65535"),
+        (["--port", "-1"], "port must be 0-65535"),
+    ])
+    def test_serve_reports_bad_arguments_as_usage_errors(
+        self, argv, complaint, capsys
+    ):
+        # A usage error (exit 2, one line on stderr) before anything
+        # binds, not a ConfigurationError / OverflowError traceback.
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", *argv])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert complaint in err and "Traceback" not in err
+
+    def test_port_bounds_are_inclusive(self):
+        for port in ("0", "65535"):
+            args = build_parser().parse_args(["serve", "--port", port])
+            assert args.port == int(port)
+
     def test_chaos_wire_parser_defaults(self):
         args = build_parser().parse_args(["chaos-wire"])
         assert args.campaigns == "disconnects,stalls,truncations,overload"
