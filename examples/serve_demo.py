@@ -44,11 +44,9 @@ from repro.analysis.wire_history import (
 )
 from repro.serve import (
     ChaosProxy,
-    ResilientClient,
     ServeClient,
     ServeServer,
     WireFaultPlan,
-    reconnect,
     run_load,
 )
 
@@ -132,7 +130,7 @@ async def main() -> None:
 
     # Reconnect with the causal token: the new connection's first get
     # still observes alice's own writes — the token carries the session.
-    alice = await reconnect(alice)
+    await alice.reconnect()
     assert await alice.get("demo3") == "v3", "token lost read-your-writes"
     print("token reconnect: read-your-writes preserved across connections")
     await alice.close()
@@ -175,18 +173,19 @@ async def wire_chaos_pass() -> None:
         name = f"wchaos{index}"
         recorder = WireRecorder(name)
         recorders.append(recorder)
-        client = ResilientClient(
-            "127.0.0.1", proxy.port, name,
-            request_timeout=2.0, seed=index,
-            recorder=recorder,
+        client = ServeClient(
+            "127.0.0.1", proxy.port, name, request_timeout=2.0, heal=True,
         )
         await client.connect()
+        # Record what the client observed: a put on its ack, a get on
+        # its answer.
         for i in range(12):
             key = f"wkey{i % 3}"
             if i % 3 == 2:
-                await client.get(key)
+                recorder.get(key, await client.get(key))
             else:
-                await client.put(key, f"{name}:{i}")
+                await client.put_wait(key, f"{name}:{i}")
+                recorder.put(key, f"{name}:{i}")
         await client.close()
         healing = {k: v for k, v in client.counters.items() if v}
         print(f"  {name}: {healing}")

@@ -10,14 +10,14 @@ audits with nothing but what clients observed:
 2. put a :class:`~repro.serve.faults.ChaosProxy` in front of it with a
    seeded :class:`~repro.serve.faults.WireFaultPlan` (cuts mid-frame,
    stalls, delays, duplicated frames, truncated frames);
-3. drive :class:`~repro.serve.resilient.ResilientClient` sessions
+3. drive healing :class:`~repro.serve.client.ServeClient` sessions
    through the proxy while (depending on the campaign) also crashing
    and restarting replicas via the in-simulator chaos verbs, or
    squeezing the server's batch queue until it sheds;
 4. after the dust settles, merge every client's recorded observations
-   and run the black-box CC/CCv checker
-   (:func:`repro.analysis.wire_history.check_wire_history`) — no
-   simulator stamps, no server cooperation, exactly what the paper
+   (a put on its ack, a read on its answer) and run the black-box
+   CC/CCv checker (:func:`repro.analysis.wire_history.check_wire_history`)
+   — no simulator stamps, no server cooperation, exactly what the paper
    promises *clients* see.
 
 A campaign passes only if there were **zero CC/CCv violations and zero
@@ -39,9 +39,8 @@ from repro.analysis.wire_history import (
     WireRecorder,
     check_wire_history,
 )
-from repro.serve.client import ServeError
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.faults import ChaosProxy, WireFaultPlan
-from repro.serve.resilient import GaveUp, ResilientClient
 from repro.serve.server import ServeServer
 
 #: The campaign kinds ``run_wire_campaign`` understands.
@@ -133,17 +132,19 @@ async def _drive_session(
     result: WireCampaignResult,
     recorders: List[WireRecorder],
 ) -> None:
-    """One resilient session's worth of campaign traffic."""
+    """One healing session's worth of campaign traffic.  A put whose
+    reply never arrived may or may not have happened, so it is not
+    recorded."""
     rng = random.Random(seed)
     recorder = WireRecorder(name)
     recorders.append(recorder)
-    client = ResilientClient(
+    client = ServeClient(
         "127.0.0.1", proxy.port, name,
-        request_timeout=request_timeout, seed=seed, recorder=recorder,
+        request_timeout=request_timeout, heal=True,
     )
     try:
         await client.connect()
-    except (GaveUp, ServeError, ConnectionError, OSError):
+    except (ServeError, ConnectionError, OSError):
         result.failed_ops += ops
         return
     try:
@@ -151,15 +152,19 @@ async def _drive_session(
             roll = rng.random()
             try:
                 if roll < 0.45:
-                    await client.put(
-                        rng.choice(keys), f"{name}:{index}"
-                    )
+                    key, value = rng.choice(keys), f"{name}:{index}"
+                    await client.put_wait(key, value)
+                    recorder.put(key, value)
                 elif roll < 0.9:
-                    await client.get(rng.choice(keys))
+                    key = rng.choice(keys)
+                    value = await client.get(key)
+                    recorder.get(key, value)
                 else:
-                    await client.read()
+                    values = (await client.read()).get("value")
+                    if isinstance(values, dict):
+                        recorder.read(values)
                 result.ops += 1
-            except (GaveUp, ServeError, ConnectionError, OSError):
+            except (ServeError, ConnectionError, OSError):
                 # Budget exhausted or a definitive refusal — a *failure*,
                 # not a hang: the op raised within bounded time.
                 result.failed_ops += 1
@@ -252,9 +257,9 @@ async def run_wire_campaign(
             # restart it.  Client-visible answers must stay causally
             # consistent throughout.
             wave_task = asyncio.ensure_future(wave)
-            control = ResilientClient(
+            control = ServeClient(
                 "127.0.0.1", server.port, f"wc-{kind}-{seed}-control",
-                request_timeout=request_timeout,
+                request_timeout=request_timeout, heal=True,
             )
             member: Optional[str] = None
             try:
@@ -263,13 +268,13 @@ async def run_wire_campaign(
                 reply = await control.chaos("crash", 0)
                 member = reply.get("member")
                 await asyncio.sleep(0.3)
-            except (GaveUp, ServeError, ConnectionError, OSError):
+            except (ServeError, ConnectionError, OSError):
                 pass
             finally:
                 if member is not None:
                     try:
                         await control.chaos("restart", 0, member)
-                    except (GaveUp, ServeError, ConnectionError, OSError):
+                    except (ServeError, ConnectionError, OSError):
                         pass
                 try:
                     await control.close()

@@ -433,6 +433,26 @@ def port_number(text: str) -> int:
     return port
 
 
+def count_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer count of at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+    return count
+
+
+def positive_rate(text: str) -> float:
+    """An argparse type: an open-loop rate in ops/s, above 0."""
+    rate = float(text)
+    if not rate > 0:
+        raise argparse.ArgumentTypeError(f"rate must be > 0, got {text}")
+    return rate
+
+
 DEMOS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "counter": demo_counter,
     "lock": demo_lock,
@@ -546,28 +566,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=port_number, default=7411)
-    loadgen.add_argument("--clients", type=int, default=8)
+    loadgen.add_argument("--clients", type=count_at_least(1), default=8)
     loadgen.add_argument(
-        "--ops", type=int, default=100, help="operations per client"
+        "--ops", type=count_at_least(1), default=100,
+        help="operations per client",
     )
     loadgen.add_argument(
-        "--pipeline", type=int, default=8,
+        "--pipeline", type=count_at_least(1), default=8,
         help="writes kept in flight per connection",
     )
     loadgen.add_argument(
-        "--read-every", type=int, default=10,
+        "--read-every", type=count_at_least(0), default=10,
         help="every Nth op is a consistent barrier read (0 disables)",
     )
     loadgen.add_argument(
-        "--get-every", type=int, default=0,
+        "--get-every", type=count_at_least(0), default=0,
         help="every Nth op is a causally gated replica get (0 disables)",
     )
     loadgen.add_argument(
-        "--reconnect-every", type=int, default=0,
+        "--reconnect-every", type=count_at_least(0), default=0,
         help="reconnect with the causal token every N ops (0 disables)",
     )
     loadgen.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=positive_rate, default=None,
         help="open-loop target ops/s per client (default: closed loop)",
     )
     loadgen.add_argument("--seed", type=int, default=0)
@@ -589,12 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_wire.add_argument("--seed", type=int, default=1, help="first seed")
     chaos_wire.add_argument(
-        "--runs", type=int, default=1,
+        "--runs", type=count_at_least(1), default=1,
         help="repeat the campaign list this many times with shifted seeds",
     )
-    chaos_wire.add_argument("--clients", type=int, default=4)
+    chaos_wire.add_argument("--clients", type=count_at_least(1), default=4)
     chaos_wire.add_argument(
-        "--ops", type=int, default=20, help="operations per client session"
+        "--ops", type=count_at_least(1), default=20,
+        help="operations per client session",
     )
 
     experiment = subparsers.add_parser(

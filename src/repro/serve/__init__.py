@@ -8,8 +8,9 @@ per-cycle write batching, admission control, causal *session tokens*
 that let a client reconnect anywhere without losing read-your-writes or
 monotonic causal order, and ``get`` as a session verb: served in the
 session's issue order by any shard member whose settled prefix covers
-the session's causal floor.  A pipelined client and a closed/open-loop
-load generator ride along; see ``docs/SERVING.md``.
+the session's causal floor.  A pipelined client that heals itself on
+request and a closed/open-loop load generator ride along; see
+``docs/SERVING.md``.
 """
 
 from repro.lazy import lazy_exports
@@ -17,15 +18,14 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "client": (
         "DEFAULT_REQUEST_TIMEOUT",
+        "GaveUp",
         "ServeClient",
         "ServeError",
         "ServeOverload",
-        "reconnect",
     ),
     "faults": ("ChaosProxy", "WireFaultPlan"),
     "loadgen": ("LoadReport", "run_load"),
     "metrics": ("ServeMetrics", "percentile"),
-    "resilient": ("GaveUp", "ResilientClient"),
     "server": ("ServeServer",),
     "wire": (
         "DEFAULT_OVERLOAD_RETRY_AFTER",
@@ -47,7 +47,6 @@ __all__ = [
     "GaveUp",
     "LoadReport",
     "MAX_FRAME",
-    "ResilientClient",
     "SERVE_WIRE_VERSION",
     "ServeClient",
     "ServeError",
@@ -59,7 +58,6 @@ __all__ = [
     "encode_frame",
     "percentile",
     "read_frame",
-    "reconnect",
     "run_load",
     "write_frame",
 ]

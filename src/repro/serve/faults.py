@@ -192,9 +192,10 @@ class ChaosProxy:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        # Links close first: from Python 3.12.1 on ``wait_closed`` waits
+        # for every accepted connection, so it could not return before.
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for link in list(self._links):
             link.close()
             for task in link.tasks:
@@ -206,6 +207,8 @@ class ChaosProxy:
                 except (asyncio.CancelledError, Exception):
                     pass
         self._links.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- manual fault verbs ------------------------------------------------
 
@@ -257,6 +260,10 @@ class ChaosProxy:
                 client_writer.close()
             except RuntimeError:
                 pass
+            return
+        if not self._server.is_serving():  # stop() began while we dialled
+            client_writer.close()
+            server_writer.close()
             return
         link = _Link(
             self._next_link, client_reader, client_writer,

@@ -16,7 +16,9 @@ pipelined causally gated ``get`` of a previously written key — the
 replica-routed read path.  With ``reconnect_every`` set, a client
 periodically drains its pipeline, disconnects, and reconnects presenting
 its causal token — exercising exactly the session-continuity path the
-tokens exist for.
+tokens exist for.  The clients do not heal: a dropped connection costs
+its in-flight ops as errors and one in-place reconnect, and a client
+whose reconnect fails counts its remaining ops as errors and stops.
 
 Latencies are measured client-side (request write to reply dispatch) and
 reported as p50/p99 over all clients; the report also folds in the
@@ -37,7 +39,6 @@ from repro.serve.client import (
     ServeClient,
     ServeError,
     ServeOverload,
-    reconnect,
 )
 from repro.serve.metrics import percentile
 
@@ -128,8 +129,20 @@ async def _drive_client(
             except ServeError:
                 report.errors += 1
 
+    async def reopen() -> bool:
+        await reap(0)
+        try:
+            await client.reconnect()
+        except (ServeError, ConnectionError, OSError):
+            report.errors += ops - issued
+            return False
+        report.reconnects += 1
+        return True
+
     try:
         while issued < ops:
+            if not client.connected and not await reopen():
+                break
             issued += 1
             if read_every and issued % read_every == 0:
                 # A barrier read is a session sync point: drain the
@@ -147,31 +160,32 @@ async def _drive_client(
                     report.overloads += 1
                 except ServeError:
                     report.errors += 1
-            elif get_every and issued % get_every == 0 and written:
-                # A causally gated get of a key this session wrote —
-                # pipelined like a put; the replica routing serves it.
-                key = rng.choice(written)
-                future = client.get_submit(key)
-                future._lg_started = time.perf_counter()  # type: ignore[attr-defined]
-                future._lg_get = True  # type: ignore[attr-defined]
-                outstanding.append(future)
-                await reap(pipeline - 1)
             else:
-                key = f"k{rng.randrange(key_space)}"
-                written.append(key)
-                future = client.put(key, f"{name}:{issued}")
-                future._lg_started = time.perf_counter()  # type: ignore[attr-defined]
-                outstanding.append(future)
-                await reap(pipeline - 1)
-            if reconnect_every and issued % reconnect_every == 0:
-                await reap(0)
-                client = await reconnect(client)
-                report.reconnects += 1
+                try:
+                    if get_every and issued % get_every == 0 and written:
+                        # A causally gated get of a key this session
+                        # wrote — pipelined like a put; the replica
+                        # routing serves it.
+                        future = client.get_submit(rng.choice(written))
+                        future._lg_get = True  # type: ignore[attr-defined]
+                    else:
+                        key = f"k{rng.randrange(key_space)}"
+                        future = client.put(key, f"{name}:{issued}")
+                        written.append(key)
+                except ServeError:
+                    report.errors += 1  # never sent: the connection died
+                else:
+                    future._lg_started = time.perf_counter()  # type: ignore[attr-defined]
+                    outstanding.append(future)
+                    await reap(pipeline - 1)
+            if reconnect_every and issued % reconnect_every == 0 \
+                    and not await reopen():
+                break
             if rate is not None and rate > 0:
                 await asyncio.sleep(rng.expovariate(rate))
         await reap(0)
     finally:
-        report.timeouts += client.timeouts
+        report.timeouts += client.counters["timeouts"]
         await client.close()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 from contextlib import asynccontextmanager
 
-from repro.serve import ServeClient, ServeServer, reconnect
+from repro.serve import ServeClient, ServeServer
 from repro.serve.wire import read_frame, write_frame
 
 
@@ -107,7 +107,7 @@ class TestReconnect:
                 await cli.connect()
                 try:
                     await cli.put_wait("mine", "before-reconnect")
-                    cli = await reconnect(cli)
+                    await cli.reconnect()
                     assert cli.token is not None
                     # Read-your-writes survives the reconnect: the new
                     # connection presented the old session's token.

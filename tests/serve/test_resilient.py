@@ -1,4 +1,5 @@
-"""Self-healing client + server-side degradation machinery.
+"""The healing client (``ServeClient(heal=True)``) + server-side
+degradation machinery.
 
 Covers the recovery contract end to end: mid-pipeline disconnects with
 token-carrying reconnect and opid replay (no put applied twice), load
@@ -9,14 +10,14 @@ the ``ttl`` field, and opid dedupe across connections.
 from __future__ import annotations
 
 import asyncio
+import socket
 from contextlib import asynccontextmanager
 
 import pytest
 
 from repro.serve import ServeClient, ServeError, ServeServer
-from repro.serve.client import ServeOverload
+from repro.serve.client import DEFAULT_OP_ATTEMPTS, GaveUp, ServeOverload
 from repro.serve.faults import CLIENTWARD, ChaosProxy
-from repro.serve.resilient import DEFAULT_OP_ATTEMPTS, GaveUp, ResilientClient
 from repro.serve.wire import FRAME_OVERLOAD
 
 
@@ -46,6 +47,13 @@ async def proxied_server(**kwargs):
 
 def run(coro_fn):
     return asyncio.run(coro_fn())
+
+
+def free_port() -> int:
+    """A localhost port nobody listens on (bound once, then released)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class TestMidPipelineDisconnect:
@@ -108,12 +116,13 @@ class TestMidPipelineDisconnect:
     def test_resilient_client_replays_through_repeated_cuts(self):
         async def scenario():
             async with proxied_server() as (srv, proxy):
-                cli = ResilientClient(
-                    "127.0.0.1", proxy.port, "chop", request_timeout=5.0
+                cli = ServeClient(
+                    "127.0.0.1", proxy.port, "chop", request_timeout=5.0,
+                    heal=True,
                 )
                 await cli.connect()
                 for i in range(6):
-                    await cli.put(f"k{i % 2}", f"v{i}")
+                    await cli.put_wait(f"k{i % 2}", f"v{i}")
                     if i % 2 == 1:
                         proxy.cut_all()
                         await asyncio.sleep(0.02)
@@ -174,12 +183,13 @@ class TestOverload:
             async with server(
                 max_queue=0, overload_retry_after=0.01
             ) as srv:
-                cli = ResilientClient(
-                    "127.0.0.1", srv.port, "stampede", request_timeout=5.0
+                cli = ServeClient(
+                    "127.0.0.1", srv.port, "stampede", request_timeout=5.0,
+                    heal=True,
                 )
                 await cli.connect()
                 with pytest.raises(GaveUp):
-                    await asyncio.wait_for(cli.put("k", "v"), 30)
+                    await asyncio.wait_for(cli.put_wait("k", "v"), 30)
                 assert cli.counters["overloads"] == DEFAULT_OP_ATTEMPTS
                 assert cli.counters["backoffs"] >= DEFAULT_OP_ATTEMPTS
                 await cli.close()
@@ -269,5 +279,107 @@ class TestOpidDedupe:
                 ]
                 assert len(writes) == 2
                 assert srv.metrics.counters["puts_deduped"] == 0
+
+        run(scenario)
+
+
+class TestHealFlag:
+    def test_without_heal_awaited_verbs_fail_on_the_first_fault(self):
+        """``heal=False``: one frame, one answer, no retry and no sleep —
+        for an overload, an error reply and a dead connection alike."""
+
+        async def scenario():
+            async with server(max_queue=0) as srv:
+                cli = ServeClient("127.0.0.1", srv.port, "plain")
+                await cli.connect()
+                before = srv.metrics.counters["frames_in"]
+                with pytest.raises(ServeOverload):
+                    await cli.put_wait("k", "v")
+                assert srv.metrics.counters["frames_in"] - before == 1
+                assert srv.metrics.counters["sheds"] == 1
+                before = srv.metrics.counters["frames_in"]
+                with pytest.raises(ServeError, match="unknown shard"):
+                    await cli.chaos("crash", 99)
+                assert srv.metrics.counters["frames_in"] - before == 1
+                assert srv.metrics.counters["errors"] == 1
+                assert cli.counters["attempts"] == 0
+                assert cli.counters["backoffs"] == 0
+                await cli.close()
+            async with proxied_server() as (srv, proxy):
+                cli = ServeClient("127.0.0.1", proxy.port, "plain")
+                await cli.connect()
+                proxy.cut_all()
+                await asyncio.sleep(0.02)
+                with pytest.raises(ServeError, match="not connected"):
+                    await cli.get("k")
+                assert proxy.counters["connections"] == 1
+                assert cli.counters["reconnects"] == 0
+                assert cli.counters["backoffs"] == 0
+                await cli.close()
+
+        run(scenario)
+
+    def test_healing_connect_to_a_dead_port_gives_up_on_budget(self):
+        async def scenario():
+            cli = ServeClient("127.0.0.1", free_port(), "nobody", heal=True)
+            with pytest.raises(GaveUp):
+                await asyncio.wait_for(cli.connect(), 30)
+            assert cli.counters["backoffs"] == DEFAULT_OP_ATTEMPTS
+            assert not cli.connected
+            await cli.close()
+
+        run(scenario)
+
+    def test_a_refused_hello_is_not_retried(self):
+        """The server answered ``hello`` with an error: the token is the
+        fault, so healing raises at once instead of backing off."""
+
+        async def scenario():
+            async with server() as srv:
+                writer = ServeClient("127.0.0.1", srv.port, "w")
+                await writer.connect()
+                label = (await writer.put_wait("k", "v"))["label"]
+                home = srv.cluster.ledger.shard_of(label)
+                forged = (
+                    '{"v":1,"session":"forger","frontier":{'
+                    f'"{1 - home}":[["{label.sender}",{label.seqno}]]}}}}'
+                )
+                forger = ServeClient(
+                    "127.0.0.1", srv.port, "forger", token=forged, heal=True
+                )
+                with pytest.raises(ServeError, match="belongs to shard") \
+                        as refused:
+                    await asyncio.wait_for(forger.connect(), 30)
+                assert not isinstance(refused.value, GaveUp)
+                assert srv.metrics.counters["errors"] == 1  # one hello
+                assert forger.counters["backoffs"] == 0
+                assert not forger.connected
+                await forger.close()
+                await writer.close()
+
+        run(scenario)
+
+    def test_reconnect_is_in_place(self):
+        """The object, its counters and its rid sequence survive a
+        reconnect, and so does the session's read-your-writes."""
+
+        async def scenario():
+            async with server() as srv:
+                cli = ServeClient("127.0.0.1", srv.port, "inplace")
+                await cli.connect()
+                counters = cli.counters
+                first = await cli.put_wait("k", "mine")
+                hello = await cli.reconnect()
+                assert hello is cli.hello_reply
+                assert hello["token_labels_dropped"] == 0
+                assert cli.counters is counters
+                assert counters["reconnects"] == 1
+                assert srv.metrics.counters["tokens_imported"] == 1
+                # rid 0 hello, 1 put, 2 token, 3 hello, 4 this get.
+                reply = await cli.get_submit("k")
+                assert (first["rid"], reply["rid"]) == (1, 4)
+                assert reply["value"] == "mine"
+                await cli.close()
+                assert srv.session_guarantee_violations() == []
 
         run(scenario)

@@ -9,7 +9,7 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.errors import ProtocolError
-from repro.serve import ServeClient, ServeError, ServeServer, reconnect
+from repro.serve import ServeClient, ServeError, ServeServer
 from repro.serve.server import _PendingOp
 from repro.serve.wire import encode_frame, read_frame, write_frame
 
@@ -269,7 +269,7 @@ class TestSessionTokens:
                 cli = ServeClient("127.0.0.1", srv.port, "alice")
                 await cli.connect()
                 await cli.put_wait("k", "mine")
-                cli = await reconnect(cli)
+                await cli.reconnect()
                 assert await cli.get("k") == "mine"
                 assert cli.hello_reply["token_labels_dropped"] == 0
                 await cli.close()

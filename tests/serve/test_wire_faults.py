@@ -16,7 +16,6 @@ import pytest
 
 from repro.serve import ServeClient, ServeError, ServeServer
 from repro.serve.faults import CLIENTWARD, ChaosProxy, WireFaultPlan
-from repro.serve.resilient import ResilientClient
 
 
 @asynccontextmanager
@@ -77,11 +76,12 @@ class TestCut:
     def test_resilient_client_survives_cut(self):
         async def scenario():
             async with proxied_server() as (srv, proxy):
-                cli = ResilientClient(
-                    "127.0.0.1", proxy.port, "heal", request_timeout=5.0
+                cli = ServeClient(
+                    "127.0.0.1", proxy.port, "heal", request_timeout=5.0,
+                    heal=True,
                 )
                 await cli.connect()
-                await cli.put("k", "v1")
+                await cli.put_wait("k", "v1")
                 proxy.cut_all()
                 await asyncio.sleep(0.02)
                 # The next op reconnects (token-carrying) and succeeds;
@@ -107,7 +107,7 @@ class TestStallAndDeadline:
                 proxy.stall_all(CLIENTWARD)
                 with pytest.raises(ServeError, match="deadline"):
                     await asyncio.wait_for(cli.put_wait("k", "v"), 5)
-                assert cli.timeouts == 1
+                assert cli.counters["timeouts"] == 1
                 with pytest.raises(ServeError, match="not connected"):
                     cli.put("k", "again")
                 proxy.resume_all()
@@ -118,11 +118,12 @@ class TestStallAndDeadline:
     def test_resilient_client_rides_out_stall(self):
         async def scenario():
             async with proxied_server() as (srv, proxy):
-                cli = ResilientClient(
-                    "127.0.0.1", proxy.port, "ride", request_timeout=0.3
+                cli = ServeClient(
+                    "127.0.0.1", proxy.port, "ride", request_timeout=0.3,
+                    heal=True,
                 )
                 await cli.connect()
-                await cli.put("k", "v1")
+                await cli.put_wait("k", "v1")
                 proxy.stall_all(CLIENTWARD)
                 asyncio.get_event_loop().call_later(0.5, proxy.resume_all)
                 # First attempt times out; a later attempt (after the

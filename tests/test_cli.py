@@ -153,6 +153,47 @@ class TestServeCommands:
             args = build_parser().parse_args(["serve", "--port", port])
             assert args.port == int(port)
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["loadgen", "--read-every", "-1"], "must be >= 0"),
+        (["loadgen", "--get-every", "-2"], "must be >= 0"),
+        (["loadgen", "--reconnect-every", "-3"], "must be >= 0"),
+        (["loadgen", "--rate", "-5"], "rate must be > 0"),
+        (["loadgen", "--rate", "0"], "rate must be > 0"),
+        (["loadgen", "--clients", "-1"], "must be >= 1"),
+        (["loadgen", "--ops", "0"], "must be >= 1"),
+        (["loadgen", "--pipeline", "0"], "must be >= 1"),
+        (["chaos-wire", "--runs", "0"], "must be >= 1"),
+        (["chaos-wire", "--clients", "0"], "must be >= 1"),
+        (["chaos-wire", "--ops", "0"], "must be >= 1"),
+    ])
+    def test_load_counts_that_make_no_sense_are_usage_errors(
+        self, argv, complaint, capsys
+    ):
+        # These used to run: a negative cadence as a positive one (or,
+        # for reads, every op a barrier), a negative rate as closed
+        # loop, and zero runs or clients as "all clean".
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert complaint in err and "Traceback" not in err
+
+    def test_load_count_bounds_are_inclusive(self):
+        args = build_parser().parse_args([
+            "loadgen", "--clients", "1", "--ops", "1", "--pipeline", "1",
+            "--read-every", "0", "--get-every", "0",
+            "--reconnect-every", "0", "--rate", "0.5",
+        ])
+        assert (args.clients, args.ops, args.pipeline) == (1, 1, 1)
+        assert (args.read_every, args.get_every, args.reconnect_every) == (
+            0, 0, 0
+        )
+        assert args.rate == 0.5
+        args = build_parser().parse_args([
+            "chaos-wire", "--runs", "1", "--clients", "1", "--ops", "1",
+        ])
+        assert (args.runs, args.clients, args.ops) == (1, 1, 1)
+
     def test_chaos_wire_parser_defaults(self):
         args = build_parser().parse_args(["chaos-wire"])
         assert args.campaigns == "disconnects,stalls,truncations,overload"

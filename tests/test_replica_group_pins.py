@@ -21,7 +21,7 @@ from repro.chaos import ChaosCluster, random_campaign
 from repro.chaos.cluster import CHAOS_PROTOCOLS
 from repro.group.replica_group import ReplicaGroup
 from repro.group.view_sync import ViewSyncAgent
-from repro.serve.resilient import ResilientClient
+from repro.serve.client import ServeClient
 from repro.shard import ShardedCluster, sharded_campaign
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -436,7 +436,7 @@ class TestLayering:
     @pytest.mark.parametrize("cls, removed", [
         (ViewSyncAgent, ("flush_resend_interval", "max_flush_resends")),
         (RecoveryAgent, ("min_hold_age",)),
-        (ResilientClient, ("op_attempts", "backoff_base", "backoff_cap")),
+        (ServeClient, ("op_attempts", "backoff_base", "backoff_cap")),
     ])
     def test_options_no_caller_set_are_constants(self, cls, removed):
         parameters = inspect.signature(cls.__init__).parameters

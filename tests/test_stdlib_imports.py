@@ -83,7 +83,7 @@ def test_the_serving_process_loads_only_the_serving_path():
     )
     modules = {
         "repro.serve.client", "repro.serve.faults", "repro.serve.loadgen",
-        "repro.serve.resilient", "repro.graph.antichain",
+        "repro.graph.antichain",
         "repro.graph.render", "repro.graph.stability",
     }
     strays = [
