@@ -62,7 +62,7 @@ def osend_chain(depth: int, members: List[str]) -> List[Envelope]:
     envelopes = [
         Envelope(
             Message(labels[i], "op", None),
-            {"occurs_after": OccursAfter.after([labels[i - 1]] if i else None)},
+            occurs_after=OccursAfter.after([labels[i - 1]] if i else None),
         )
         for i in range(depth)
     ]

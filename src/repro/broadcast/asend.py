@@ -43,6 +43,9 @@ from repro.types import Envelope, EntityId, MessageId
 
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
+#: The predicate of an envelope stamped with none.
+_NULL = OccursAfter.null()
+
 
 class ASendTotalOrder(BroadcastProtocol):
     """Epoch-batched deterministic total order (the paper's ``ASend``).
@@ -105,7 +108,7 @@ class ASendTotalOrder(BroadcastProtocol):
             predicate = occurs_after
         else:
             predicate = OccursAfter.after(occurs_after)  # type: ignore[arg-type]
-        return envelope.with_metadata(epoch=epoch, occurs_after=predicate)
+        return Envelope(envelope.message, {"epoch": epoch}, predicate)
 
     # -- receiving ---------------------------------------------------------
 
@@ -161,7 +164,7 @@ class ASendTotalOrder(BroadcastProtocol):
         if not self.epoch_closed(epoch):
             return False
         # 3. Declared causal ancestors delivered.
-        predicate = envelope.metadata.get("occurs_after", OccursAfter.null())
+        predicate = envelope.occurs_after or _NULL
         if not predicate.satisfied_by(self._delivered_ids):
             return False
         # 4. Every epoch-mate sorting before us is delivered.
@@ -183,7 +186,7 @@ class ASendTotalOrder(BroadcastProtocol):
             yield after_threshold("epoch", epoch)
         if not self.epoch_closed(epoch):
             yield after_event(("closed", epoch))
-        predicate = envelope.metadata.get("occurs_after", OccursAfter.null())
+        predicate = envelope.occurs_after or _NULL
         for ancestor in predicate.ancestors:
             if ancestor not in self._delivered_ids:
                 yield after_event(("delivered", ancestor))

@@ -32,7 +32,7 @@ from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.graph.predicates import OccursAfter
 from repro.group.membership import GroupMembership
-from repro.types import Envelope, EntityId, MessageId, freeze_ancestors
+from repro.types import Envelope, EntityId, MessageId
 
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
@@ -56,29 +56,25 @@ class OSendBroadcast(BroadcastProtocol):
         operation: str,
         payload: object = None,
         occurs_after: AncestorSpec = None,
-        cross_deps: AncestorSpec = None,
     ) -> MessageId:
         """Broadcast ``operation`` constrained by ``Occurs-After``.
 
         ``occurs_after`` may be ``None`` (spontaneous message), a single
         label, an iterable of labels (AND dependency, relation (3)), or a
-        prebuilt :class:`OccursAfter`.
+        prebuilt :class:`OccursAfter`; it travels as the envelope's
+        ``occurs_after`` field.
 
-        ``cross_deps`` declares causal ancestors that live in *other*
-        replication groups (``repro.shard``): they are stamped onto the
-        envelope for observation and audit, but the local delivery
-        predicate ignores them — a foreign label is never delivered in
-        this group, so the sender must discharge such precedence before
-        issuing the send (by projecting the foreign ancestor's in-group
-        causal past into ``occurs_after``; see ``docs/SHARDING.md``).
+        Only in-group ancestors belong here: a foreign label is never
+        delivered in this group.  A sharded sender discharges cross-group
+        precedence before it sends, by projecting the foreign ancestors'
+        in-group causal past into ``occurs_after``, and files the foreign
+        labels themselves in its ledger for audit — they never ride on
+        the envelope (see ``docs/SHARDING.md``).
         """
-        return self.bcast(
-            operation, payload, occurs_after=occurs_after, cross_deps=cross_deps
-        )
+        return self.bcast(operation, payload, occurs_after=occurs_after)
 
     def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
         occurs_after = options.pop("occurs_after", None)
-        cross_deps = freeze_ancestors(options.pop("cross_deps", None))
         if options:
             raise ProtocolError(f"unknown OSend options: {options}")
         if isinstance(occurs_after, OccursAfter):
@@ -89,22 +85,12 @@ class OSendBroadcast(BroadcastProtocol):
             raise ProtocolError(
                 f"{envelope.msg_id} cannot occur after itself"
             )
-        if cross_deps & predicate.ancestors:
-            raise ProtocolError(
-                "a label cannot be both an in-group Occurs-After ancestor "
-                f"and a cross-group dependency: "
-                f"{sorted(map(str, cross_deps & predicate.ancestors))}"
-            )
-        if cross_deps:
-            return envelope.with_metadata(
-                occurs_after=predicate, cross_deps=cross_deps
-            )
-        return envelope.with_metadata(occurs_after=predicate)
+        return Envelope(envelope.message, envelope.metadata, predicate)
 
     # -- receiving ---------------------------------------------------------
 
     def _predicate_of(self, envelope: Envelope) -> OccursAfter:
-        predicate = envelope.metadata.get("occurs_after")
+        predicate = envelope.occurs_after
         if not isinstance(predicate, OccursAfter):
             raise ProtocolError(
                 f"envelope {envelope.msg_id} lacks an Occurs-After predicate"

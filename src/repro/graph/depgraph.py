@@ -38,6 +38,16 @@ from repro.types import MessageId, freeze_ancestors
 
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
+#: A node's direct ancestors as stored: one frozenset, or two disjoint
+#: ones kept apart (``add``'s ``cross_deps``).  Either way they are the
+#: caller's own objects — the graph builds no union per node.
+Direct = Union[FrozenSet[MessageId], Tuple[FrozenSet[MessageId], FrozenSet[MessageId]]]
+
+
+def _parts(direct: Direct) -> Tuple[FrozenSet[MessageId], ...]:
+    """A stored entry as a tuple of its frozensets."""
+    return direct if type(direct) is tuple else (direct,)
+
 
 #: byte value -> offsets of its set bits (``labels_of``'s scan table).
 _BYTE_BITS = tuple(
@@ -83,7 +93,7 @@ class DependencyGraph:
     """
 
     def __init__(self) -> None:
-        self._ancestors: Dict[MessageId, FrozenSet[MessageId]] = {}
+        self._ancestors: Dict[MessageId, Direct] = {}
         # Children per referenced ancestor, append-only: `add` registers
         # each (ancestor, child) pair once and nothing tests membership,
         # so a list (a third of a set's size) is enough.
@@ -98,7 +108,12 @@ class DependencyGraph:
 
     # -- construction -----------------------------------------------------
 
-    def add(self, msg_id: MessageId, occurs_after: AncestorSpec = None) -> None:
+    def add(
+        self,
+        msg_id: MessageId,
+        occurs_after: AncestorSpec = None,
+        cross_deps: Optional[Iterable[MessageId]] = None,
+    ) -> None:
         """Add ``msg_id`` with its ``Occurs-After`` ancestors.
 
         Ancestors need not be present yet (a member may learn of a
@@ -106,43 +121,67 @@ class DependencyGraph:
         *dangling* ancestors are materialised as root nodes when they are
         later added, and :meth:`dangling` reports them meanwhile.
 
+        ``cross_deps`` are further direct ancestors — the sharded
+        ledger's foreign labels — that the graph keeps beside
+        ``occurs_after`` instead of merged into it, so a node costs no
+        frozenset of its own; :meth:`ancestors_of` unions them when
+        asked.  Both are read as :func:`~repro.types.freeze_ancestors`
+        reads them: a frozenset as it is, anything else label by label.
+
         Raises
         ------
         DependencyError
             If ``msg_id`` was already added, depends on itself, or the new
             edges would create a cycle among known nodes.
+        TypeError
+            If an iterated ancestor set holds something other than a
+            :class:`MessageId` (a plain ``(sender, seqno)`` tuple would
+            otherwise read as two labels).
         """
         known = self._ancestors
         if msg_id in known:
             raise DependencyError(f"duplicate message label: {msg_id}")
         if isinstance(occurs_after, OccursAfter):
-            ancestors = occurs_after.ancestors
-        else:
-            ancestors = freeze_ancestors(occurs_after)
-        if msg_id in ancestors:
-            raise DependencyError(f"{msg_id} cannot occur after itself")
+            occurs_after = occurs_after.ancestors
+        ancestors = freeze_ancestors(occurs_after)
+        direct: Direct = ancestors
+        if cross_deps:
+            cross = freeze_ancestors(cross_deps)
+            if not ancestors:
+                direct = cross
+            elif ancestors.isdisjoint(cross):
+                direct = (ancestors, cross)
+            else:
+                # Kept apart, an overlap would register a child twice
+                # below the same ancestor.
+                direct = ancestors | cross
+        parts = _parts(direct)
+        for part in parts:
+            if msg_id in part:
+                raise DependencyError(f"{msg_id} cannot occur after itself")
         descendants = self._descendants
         below = descendants.get(msg_id)
         if below:
-            self._check_acyclic(msg_id, ancestors, below)
+            self._check_acyclic(msg_id, parts, below)
         bit = self._bit
         labels = self._labels
-        for label in ancestors:
-            if label not in bit:
-                bit[label] = len(labels)
-                labels.append(label)
-            children = descendants.get(label)
-            if children is None:
-                descendants[label] = [msg_id]
-            else:
-                children.append(msg_id)
+        for part in parts:
+            for label in part:
+                if label not in bit:
+                    bit[label] = len(labels)
+                    labels.append(label)
+                children = descendants.get(label)
+                if children is None:
+                    descendants[label] = [msg_id]
+                else:
+                    children.append(msg_id)
         position = bit.get(msg_id)
         if position is None:
             position = bit[msg_id] = len(labels)
             labels.append(msg_id)
-        known[msg_id] = ancestors
+        known[msg_id] = direct
         self._added_mask |= 1 << position
-        if below and ancestors and self._reach:
+        if below and direct and self._reach:
             # msg_id materialised with ancestry: descendants' memoised
             # closures hold its bit as a bare endpoint and miss what lies
             # above it.  (Without ancestry they stay exact — the added
@@ -152,7 +191,7 @@ class DependencyGraph:
     def _check_acyclic(
         self,
         msg_id: MessageId,
-        ancestors: FrozenSet[MessageId],
+        parts: Tuple[FrozenSet[MessageId], ...],
         below: List[MessageId],
     ) -> None:
         """Raise if an edge ``ancestor -> msg_id`` would close a cycle.
@@ -167,14 +206,14 @@ class DependencyGraph:
         chain below) linear.
         """
         known = self._ancestors
-        if not any(label in known for label in ancestors):
+        if not any(label in known for part in parts for label in part):
             return
         descendants = self._descendants
         seen = set(below)
         stack = list(below)
         while stack:
             node = stack.pop()
-            if node in ancestors:
+            if any(node in part for part in parts):
                 raise DependencyError(
                     f"edge {node} -> {msg_id} would create a cycle"
                 )
@@ -198,17 +237,21 @@ class DependencyGraph:
         stack = [node]
         while stack:
             current = stack[-1]
-            direct = known[current]
-            pending = [a for a in direct if a in known and a not in memo]
+            parts = _parts(known[current])
+            pending = [
+                a for part in parts for a in part
+                if a in known and a not in memo
+            ]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
             mask = 0
-            for ancestor in direct:
-                mask |= 1 << bit[ancestor]
-                if ancestor in known:
-                    mask |= memo[ancestor]
+            for part in parts:
+                for ancestor in part:
+                    mask |= 1 << bit[ancestor]
+                    if ancestor in known:
+                        mask |= memo[ancestor]
             memo[current] = mask
         return memo[node]
 
@@ -328,11 +371,16 @@ class DependencyGraph:
         return list(self._ancestors)
 
     def ancestors_of(self, msg_id: MessageId) -> FrozenSet[MessageId]:
-        """Direct ancestors (the ``Occurs-After`` set) of ``msg_id``."""
+        """Direct ancestors (the ``Occurs-After`` set) of ``msg_id``.
+
+        With ``cross_deps`` given at :meth:`add`, the union of both parts,
+        built here: the graph stores none.
+        """
         try:
-            return self._ancestors[msg_id]
+            direct = self._ancestors[msg_id]
         except KeyError:
             raise DependencyError(f"unknown message label: {msg_id}") from None
+        return direct[0] | direct[1] if type(direct) is tuple else direct
 
     def descendants_of(self, msg_id: MessageId) -> FrozenSet[MessageId]:
         """Direct descendants of ``msg_id`` among added nodes."""
@@ -344,15 +392,15 @@ class DependencyGraph:
         """Added nodes with no *added* ancestors (spontaneous messages)."""
         return [
             m
-            for m, ancestors in self._ancestors.items()
-            if not any(a in self._ancestors for a in ancestors)
+            for m in self._ancestors
+            if not any(a in self._ancestors for a in self.ancestors_of(m))
         ]
 
     def dangling(self) -> FrozenSet[MessageId]:
         """Labels referenced as ancestors but not themselves added."""
         referenced: Set[MessageId] = set()
-        for ancestors in self._ancestors.values():
-            referenced |= ancestors
+        for node in self._ancestors:
+            referenced |= self.ancestors_of(node)
         return frozenset(referenced - self._ancestors.keys())
 
     # -- causal relations -------------------------------------------------------
@@ -410,7 +458,7 @@ class DependencyGraph:
         while chain[-1] != earlier:
             chain.append(min(
                 label
-                for label in self._ancestors[chain[-1]]
+                for label in self.ancestors_of(chain[-1])
                 if label == earlier or self.precedes(earlier, label)
             ))
         return chain
@@ -452,8 +500,10 @@ class DependencyGraph:
         """
         insertion_index = {n: i for i, n in enumerate(self._ancestors)}
         indegree: Dict[MessageId, int] = {}
-        for node, ancestors in self._ancestors.items():
-            indegree[node] = sum(1 for a in ancestors if a in self._ancestors)
+        for node in self._ancestors:
+            indegree[node] = sum(
+                1 for a in self.ancestors_of(node) if a in self._ancestors
+            )
         ready = [n for n in self._ancestors if indegree[n] == 0]
         order: List[MessageId] = []
         position = 0
@@ -484,7 +534,7 @@ class DependencyGraph:
         """
         nodes = list(self._ancestors)
         ancestors = {
-            n: {a for a in self._ancestors[n] if a in self._ancestors}
+            n: {a for a in self.ancestors_of(n) if a in self._ancestors}
             for n in nodes
         }
         yielded = 0
@@ -529,7 +579,7 @@ class DependencyGraph:
         """
         reduced = DependencyGraph()
         for node in self.topological_order():
-            direct = {a for a in self._ancestors[node] if a in self._ancestors}
+            direct = {a for a in self.ancestors_of(node) if a in self._ancestors}
             keep = set()
             for candidate in direct:
                 implied = any(
@@ -541,7 +591,7 @@ class DependencyGraph:
             # Preserve dangling ancestors verbatim: we cannot reason about
             # paths through labels we have not seen.
             keep |= {
-                a for a in self._ancestors[node] if a not in self._ancestors
+                a for a in self.ancestors_of(node) if a not in self._ancestors
             }
             reduced.add(node, keep)
         return reduced
@@ -551,9 +601,9 @@ class DependencyGraph:
         sub = DependencyGraph()
         for node in self._ancestors:
             if node in labels:
-                sub.add(node, self._ancestors[node] & labels)
+                sub.add(node, self.ancestors_of(node) & labels)
         return sub
 
     def edge_count(self) -> int:
         """Number of ancestor references (metadata size proxy for OSend)."""
-        return sum(len(a) for a in self._ancestors.values())
+        return sum(len(self.ancestors_of(node)) for node in self._ancestors)

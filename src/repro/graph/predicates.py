@@ -12,8 +12,8 @@ where the predicate takes one of three shapes:
 * ``Occurs-After(m1 ∧ m2 ∧ ...)`` — an AND dependency on several ancestors
   (relation (3): "Msg can be processed after *all* messages in {m}").
 
-:class:`OccursAfter` is the value object carried in envelope metadata; the
-delivery rule is simply "all ancestors already delivered" — see
+:class:`OccursAfter` is the value object an envelope carries as its
+``occurs_after`` field; the delivery rule is simply "all ancestors already delivered" — see
 :meth:`OccursAfter.satisfied_by`.
 """
 

@@ -6,8 +6,9 @@ own ``OSend`` causal-broadcast group with recovery, GC, view-sync and
 auto-membership, on its own network — all sharing a single
 :class:`~repro.sim.scheduler.Scheduler`.  No ordering machinery spans
 groups: cross-shard causality travels only as explicit ``Occurs-After``
-ancestors injected by the session layer (:mod:`repro.shard.router`) and
-as audit-only ``cross_deps`` stamps, which is exactly the paper's bet —
+ancestors injected by the session layer (:mod:`repro.shard.router`), with
+the foreign labels themselves filed as audit-only ``cross_deps`` in the
+ledger, never on an envelope — which is exactly the paper's bet:
 application-declared precedence needs no system-wide clocks.
 
 The groups hold replicas and nothing else; the cluster's ledger
@@ -234,7 +235,7 @@ class ShardedCluster:
         for member in order:
             try:
                 label = group.stacks[member].bcast(
-                    kind, payload, occurs_after=deps, cross_deps=cross
+                    kind, payload, occurs_after=deps
                 )
             except ProtocolError:
                 # Flush-frozen: try the next member.

@@ -45,8 +45,9 @@ Fold = Dict[str, Tuple[int, object]]
 class OpRecord(NamedTuple):
     """One issued operation, as recorded at send time.
 
-    ``deps`` is the in-group ``Occurs-After`` AND-dependency the envelope
-    carries; ``cross_deps`` the foreign labels stamped for audit (their
+    ``deps`` is the in-group ``Occurs-After`` AND-dependency — the very
+    frozenset the envelope's predicate carries; ``cross_deps`` the
+    foreign labels, filed here for audit and on no envelope (their
     in-group projections were already folded into ``deps`` by the
     router — see ``docs/SHARDING.md``).  ``index`` is the global issue
     ordinal; every dependency points at a lower index.
@@ -116,7 +117,9 @@ class Ledger:
         """File one broadcast operation: ``fields`` are the
         :class:`OpRecord` fields besides ``label`` and ``index``."""
         record = OpRecord(label=label, index=len(self.ops), **fields)
-        self.graph.add(label, record.deps | record.cross_deps)
+        # Both stamps go in as they are: the graph shares the record's
+        # frozensets instead of building their union.
+        self.graph.add(label, record.deps, record.cross_deps)
         self.ops[label] = record
         shard = record.shard
         self._shard_labels[shard].add(label)

@@ -7,10 +7,15 @@ projects onto each shard — and stamps every write with:
 
 * ``occurs_after`` = the frontier of the destination shard (in-group
   labels the group's own delivery predicate can enforce), plus the
-  slot's migration-handoff label if the key's slot ever moved;
+  slot's migration-handoff label if the key's slot ever moved — the
+  envelope's predicate;
 * ``cross_deps``   = the frontiers of every *other* shard (foreign
-  labels; stamped for observation and audit — their in-group projection
-  is what ``occurs_after`` already carries).
+  labels; filed in the ledger for audit, never on the envelope — their
+  in-group projection is what ``occurs_after`` already carries).
+
+Each is the frontier's own frozenset whenever no handoff or third shard
+has to be folded in: one put's stamp is built once and shared by the
+session, the ledger and the envelope.
 
 Observing a label (the session's own write, or a barrier label from a
 completed read) *absorbs* its full transitive causal past into the
@@ -50,6 +55,9 @@ PUT_ATTEMPTS = 240
 #: rather than silently misreading a newer layout.
 TOKEN_VERSION = 1
 
+
+#: The frontier of a shard the session has no causal past on.
+_NO_LABELS: FrozenSet[MessageId] = frozenset()
 
 #: What a served get hands its callback: (value, label of the write it
 #: came from — ``None`` for a never-written key —, serving member, shard).
@@ -264,23 +272,33 @@ class Session:
         if self.router.slot_frozen(slot):
             return None
         shard = self.router.map.shard_for_slot(slot)
-        deps: Set[MessageId] = set(self.frontier.get(shard, ()))
+        # The stamp is the frontier itself: every frozenset in it is an
+        # antichain already (`maximal()` made it, or it is one label), so
+        # the common put shares it with the ledger and the envelope and
+        # prunes nothing.  Only a real combination — a handoff, or two
+        # or more other shards' frontiers — pays for a `maximal()`.
+        frontier = self.frontier
+        deps = frontier.get(shard, _NO_LABELS)
         handoff = self.router.handoff_dep(slot)
         if handoff is not None:
             # The slot moved here at some point: every later write must
             # follow the migration record, or an uninvolved session's
             # write could be delivered before the state it overwrites.
-            deps.add(handoff)
-        cross: Set[MessageId] = set()
-        for other, labels in self.frontier.items():
-            if other != shard:
-                cross |= labels
+            deps = cluster.maximal(deps | {handoff})
+        others = [
+            labels for other, labels in frontier.items()
+            if other != shard and labels
+        ]
+        if len(others) > 1:
+            cross = cluster.maximal(_NO_LABELS.union(*others))
+        else:
+            cross = others[0] if others else _NO_LABELS
         label = cluster.shard_send(
             shard,
             "put",
             {"key": key, "value": value},
-            occurs_after=cluster.maximal(deps),
-            cross_deps=cluster.maximal(cross),
+            occurs_after=deps,
+            cross_deps=cross,
             session=self.name,
             key=key,
             slot=slot,

@@ -7,8 +7,8 @@ containers every other subsystem builds on:
 
 * :class:`EntityId` / :class:`MessageId` — hashable identifiers,
 * :class:`Message` — an application-level message (operation + payload),
-* :class:`Envelope` — a message in flight, carrying protocol metadata such
-  as ``Occurs-After`` ancestor labels or a vector clock,
+* :class:`Envelope` — a message in flight, carrying its ``Occurs-After``
+  predicate or protocol metadata such as a vector clock,
 * :class:`DeliveryRecord` — what a replica observed, used by the analysis
   and consistency-checking layers,
 * :class:`Violation` — one invariant breach, as the data plane reports a
@@ -22,7 +22,10 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Any, Hashable, Mapping, NamedTuple, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, NamedTuple, NoReturn, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - predicates import this module
+    from repro.graph.predicates import OccursAfter
 
 # ---------------------------------------------------------------------------
 # Identifiers
@@ -116,23 +119,28 @@ NO_METADATA: Mapping[str, Any] = MappingProxyType({})
 
 
 class Envelope(NamedTuple):
-    """A message in flight, together with protocol metadata.
+    """A message in flight, together with its protocol stamp.
 
-    ``metadata`` is a protocol-specific mapping.  The causal broadcast
-    protocols of :mod:`repro.broadcast` use (among others):
+    ``occurs_after`` is the paper's ``Occurs-After`` AND-dependency
+    (relation (3)): an :class:`~repro.graph.predicates.OccursAfter`
+    naming the message's causal ancestors, stamped by ``OSend`` and
+    ``ASend`` (``None`` for protocols that order by other means).  It is
+    a field, not a metadata key, so a stamp costs no mapping of its own.
 
-    ``"occurs_after"``
-        A frozenset of ancestor :class:`MessageId` labels (the paper's
-        ``Occurs-After`` AND-dependency, relation (3)).
+    ``metadata`` is a protocol-specific mapping for everything else:
+
     ``"vclock"``
         A vector clock snapshot (CBCAST).
+    ``"epoch"``
+        The totally ordered batch an ``ASend`` message belongs to
+        (Section 5.2).
     ``"total_seq"``
-        A total-order sequence number assigned by the ordering layer
-        (``ASend``, Section 5.2).
+        A total-order sequence number assigned by the ordering layer.
     """
 
     message: Message
     metadata: Mapping[str, Any] = NO_METADATA
+    occurs_after: Optional["OccursAfter"] = None
 
     msg_id = property(attrgetter("message.msg_id"), doc="The message's label.")
 
@@ -140,13 +148,24 @@ class Envelope(NamedTuple):
         """Return a copy of this envelope with additional metadata keys."""
         merged = dict(self.metadata)
         merged.update(extra)
-        return Envelope(self.message, merged)
+        return Envelope(self.message, merged, self.occurs_after)
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # NO_METADATA cannot be pickled; the default restores it.
-        if self.metadata is NO_METADATA:
-            return (Envelope, (self.message,))
-        return (Envelope, (self.message, self.metadata))
+        # NO_METADATA cannot be pickled; `_envelope` restores it.
+        metadata = None if self.metadata is NO_METADATA else self.metadata
+        return (_envelope, (self.message, metadata, self.occurs_after))
+
+
+def _envelope(
+    message: Message,
+    metadata: Optional[Mapping[str, Any]],
+    occurs_after: Optional["OccursAfter"],
+) -> Envelope:
+    """Unpickle an :class:`Envelope`; ``None`` metadata is the shared
+    empty mapping."""
+    return Envelope(
+        message, NO_METADATA if metadata is None else metadata, occurs_after
+    )
 
 
 @dataclass(frozen=True)
@@ -182,13 +201,27 @@ def freeze_ancestors(ancestors: Any) -> frozenset[MessageId]:
     """Normalise an ``Occurs-After`` specification to a frozenset of labels.
 
     Accepts ``None`` (no constraint — the paper's ``Occurs-After(NULL)``),
-    a single :class:`MessageId`, or any iterable of them.
+    a single :class:`MessageId`, or any iterable of them.  A frozenset is
+    taken as it is, in O(1) — the data path's stamps are frozensets of
+    labels already.  Anything else is iterated, and a member that is not
+    a :class:`MessageId` raises ``TypeError``: a plain ``(sender,
+    seqno)`` tuple iterates as the two "labels" ``sender`` and
+    ``seqno``, a predicate nothing can satisfy.
     """
     if ancestors is None:
         return frozenset()
+    if type(ancestors) is frozenset:
+        return ancestors
     if isinstance(ancestors, MessageId):
         return frozenset((ancestors,))
-    return frozenset(ancestors)
+    labels = frozenset(ancestors)
+    for label in labels:
+        if not isinstance(label, MessageId):
+            raise TypeError(
+                f"an Occurs-After set holds message labels, not {label!r}: "
+                "wrap a (sender, seqno) pair in MessageId"
+            )
+    return labels
 
 
 def is_hashable(value: Any) -> bool:

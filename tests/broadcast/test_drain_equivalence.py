@@ -50,7 +50,7 @@ def osend_envelope(label: MessageId, deps=None) -> Envelope:
     """A hand-built OSend envelope, for direct on_receive injection."""
     return Envelope(
         Message(label, "op", None),
-        {"occurs_after": OccursAfter.after(deps)},
+        occurs_after=OccursAfter.after(deps),
     )
 
 MEMBERS = ("a", "b", "c")

@@ -85,6 +85,93 @@ class TestConstruction:
         graph = diamond()
         assert graph.roots() == [mid("root")]
 
+    def test_a_plain_pair_is_refused_and_leaves_the_graph_alone(self):
+        graph = DependencyGraph()
+        graph.add(mid("a", 1))
+        for occurs_after, cross_deps in (
+            (("a", 1), None), ([("a", 1)], None), (mid("a", 1), ("c", 2)),
+        ):
+            with pytest.raises(TypeError, match="MessageId"):
+                graph.add(mid("b"), occurs_after, cross_deps)
+        assert graph.nodes == [mid("a", 1)] and graph.dangling() == frozenset()
+
+
+class TestTwoPartAncestors:
+    """``add(label, occurs_after, cross_deps)`` keeps the two sets apart."""
+
+    def test_the_parts_are_stored_as_given_and_unioned_when_asked(self):
+        graph = DependencyGraph()
+        graph.add(mid("a"))
+        graph.add(mid("x"))
+        deps, cross = frozenset({mid("a")}), frozenset({mid("x")})
+        graph.add(mid("b"), deps, cross)
+        stored = graph._ancestors[mid("b")]
+        assert stored[0] is deps and stored[1] is cross
+        assert graph.ancestors_of(mid("b")) == {mid("a"), mid("x")}
+        assert graph.causal_past(mid("b")) == {mid("a"), mid("x")}
+        assert graph.descendants_of(mid("x")) == {mid("b")}
+        assert graph.edge_count() == 2
+
+    def test_an_empty_part_stores_the_other_alone(self):
+        graph = DependencyGraph()
+        cross = frozenset({mid("x")})
+        graph.add(mid("b"), None, cross)
+        assert graph._ancestors[mid("b")] is cross
+        graph.add(mid("c"), cross, frozenset())
+        assert graph._ancestors[mid("c")] is cross
+
+    def test_overlapping_parts_count_each_edge_once(self):
+        graph = DependencyGraph()
+        graph.add(mid("a"))
+        graph.add(mid("b"), [mid("a")], [mid("a")])
+        assert graph.ancestors_of(mid("b")) == {mid("a")}
+        assert graph.descendants_of(mid("a")) == {mid("b")}
+        assert graph.edge_count() == 1
+        assert graph.topological_order() == [mid("a"), mid("b")]
+
+    def test_self_dependency_and_cycles_through_the_second_part(self):
+        graph = DependencyGraph()
+        with pytest.raises(DependencyError):
+            graph.add(mid("a"), None, [mid("a")])
+        graph.add(mid("b"), None, [mid("a")])
+        with pytest.raises(DependencyError, match="cycle"):
+            graph.add(mid("a"), [mid("root")], [mid("b")])
+
+    @given(data=st.data())
+    def test_any_split_answers_as_the_union_does(self, data):
+        size = data.draw(st.integers(1, 8), label="size")
+        labels = [mid("n", i) for i in range(size)]
+        edges = [
+            data.draw(st.sets(st.sampled_from(labels[:i]), max_size=3), label=f"anc{i}")
+            if i else set()
+            for i in range(size)
+        ]
+        order = data.draw(st.permutations(range(size)), label="order")
+        split, union = DependencyGraph(), DependencyGraph()
+        for i in order:
+            first = data.draw(st.sets(st.sampled_from(labels)), label=f"first{i}") & edges[i]
+            second = edges[i] - first | (
+                data.draw(st.sets(st.sampled_from(labels)), label=f"dup{i}") & first
+            )
+            split.add(labels[i], first, second)
+            union.add(labels[i], edges[i])
+        assert split.nodes == union.nodes
+        assert split.roots() == union.roots()
+        assert split.dangling() == union.dangling()
+        assert split.edge_count() == union.edge_count()
+        assert split.topological_order() == union.topological_order()
+        for a in labels:
+            if a in union:
+                assert split.ancestors_of(a) == union.ancestors_of(a)
+                assert split.descendants_of(a) == union.descendants_of(a)
+                assert split.causal_past(a) == union.causal_past(a)
+            for b in labels:
+                assert split.precedes(a, b) == union.precedes(a, b)
+        assert split.maximal_elements(labels) == union.maximal_elements(labels)
+        reduced = split.transitive_reduction()
+        for a in union.nodes:
+            assert reduced.ancestors_of(a) == union.transitive_reduction().ancestors_of(a)
+
 
 class TestCausalRelations:
     def test_direct_precedence(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.graph.predicates import OccursAfter
 from repro.types import MessageId
 
@@ -31,6 +33,14 @@ class TestConstruction:
     def test_after_deduplicates(self):
         predicate = OccursAfter.after([mid("a", 0), mid("a", 0)])
         assert len(predicate) == 1
+
+    def test_a_plain_pair_is_refused_not_read_as_two_labels(self):
+        # It used to become OccursAfter(1 ∧ a): a predicate no delivery
+        # can ever satisfy, so the message would be held back forever.
+        with pytest.raises(TypeError, match="MessageId"):
+            OccursAfter.after(("a", 1))
+        with pytest.raises(TypeError, match="MessageId"):
+            OccursAfter.after([mid("a", 0), ("b", 1)])
 
 
 class TestSatisfaction:

@@ -7,10 +7,13 @@ about 11 MB, and a member's graph — which nobody queries on the serving
 path — is not even built: it is a view derived when somebody asks.
 
 What a put leaves behind at a member is a log entry — the envelope, its
-delivery time, its label in ``_delivered_ids`` — so a pipelined put
-retains ≤ 3.4 kB under ``tracemalloc`` (5.3 kB before PR 23, when each
-member also kept a graph node, a ``DeliveryRecord`` and a ``_seen``
-entry per delivery).
+delivery time, its label in ``_delivered_ids`` — and its stamp is one
+frozenset shared by the session, the ledger and the envelope, so a
+pipelined put retains ≤ 2.5 kB under ``tracemalloc``.  It was 5.3 kB
+while each member also kept a graph node, a ``DeliveryRecord`` and a
+``_seen`` entry per delivery, and 2.7–2.9 kB while each put also kept
+two ``maximal()`` copies of its stamp, the ledger graph's union of them
+and a metadata dict on its envelope.
 
 And a barrier read must not retain its cut: a completed read keeps its
 barrier labels and its value, so what ``shard/barrier.py`` allocates and
@@ -34,8 +37,9 @@ KEYS = 64
 WINDOW = 32
 RETAINED_LIMIT_MB = 40
 #: What one pipelined put may leave behind, ledger and three members
-#: together (measured 3.06 kB; the parent of PR 23 measured 5.31).
-PUT_RETAINED_LIMIT_KB = 3.4
+#: together (measured 2.17 / 2.18 / 2.30 kB on Python 3.12 / 3.11 / 3.10;
+#: 2.72 / 2.73 / 2.90 while a put's stamp was copied three times).
+PUT_RETAINED_LIMIT_KB = 2.5
 #: What one completed barrier read may keep of `shard/barrier.py`'s
 #: allocations: the `BarrierRead`, its labels and a 64-key value dict.
 READ_RETAINED_LIMIT_KB = 6

@@ -174,6 +174,25 @@ class TestEnvelope:
                 assert type(clone.msg_id) is MessageId
         assert pickle.loads(pickle.dumps(bare)).metadata is NO_METADATA
 
+    def test_occurs_after_is_a_field_that_pickles_and_survives_metadata(self):
+        from repro.graph.predicates import OccursAfter
+
+        predicate = OccursAfter.after([MessageId("a", 0), MessageId("b", 2)])
+        stamped = Envelope(
+            Message(MessageId("a", 1), "op"), occurs_after=predicate
+        )
+        assert stamped.metadata is NO_METADATA
+        assert Envelope(Message(MessageId("a", 1), "op")).occurs_after is None
+        both = stamped.with_metadata(epoch=3)
+        assert both.occurs_after is predicate and both.metadata == {"epoch": 3}
+        for envelope in (stamped, both):
+            for clone in (
+                pickle.loads(pickle.dumps(envelope)), copy.deepcopy(envelope)
+            ):
+                assert clone == envelope
+                assert clone.occurs_after == predicate
+        assert pickle.loads(pickle.dumps(stamped)).metadata is NO_METADATA
+
     def test_msg_id_and_sender_shortcuts_agree(self):
         envelope = Envelope(Message(MessageId("b", 9), "op"))
         assert envelope.msg_id is envelope.message.msg_id
@@ -195,6 +214,16 @@ class TestHelpers:
     def test_freeze_ancestors_generator(self):
         result = freeze_ancestors(MessageId("a", i) for i in range(3))
         assert len(result) == 3
+
+    def test_freeze_ancestors_refuses_what_is_not_a_label(self):
+        # A plain (sender, seqno) tuple iterates as two "labels".
+        for spec in (("a", 1), ["a"], {MessageId("a", 0), ("b", 1)}):
+            with pytest.raises(TypeError, match="MessageId"):
+                freeze_ancestors(spec)
+
+    def test_freeze_ancestors_returns_a_frozenset_as_itself(self):
+        labels = frozenset({MessageId("a", 0), MessageId("b", 1)})
+        assert freeze_ancestors(labels) is labels
 
     def test_is_hashable(self):
         assert is_hashable("text")
