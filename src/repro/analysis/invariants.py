@@ -42,18 +42,20 @@ the full battery.
 Sharded clusters (:mod:`repro.shard`) additionally run
 :class:`CrossShardChecker` — the causal-consistency check of Bouajjani,
 Enea, Guerraoui & Hamza (*On Verifying Causal Consistency*): the
-happens-before order generated by session order and the declared
-dependency edges must embed into every member's per-shard delivery
+ledger's stamp order must embed into every member's per-shard delivery
 order (``cross-shard-causal``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 # `Violation` lives with the value types so the data plane can report a
 # livelock without loading this module; it is re-exported from here.
 from repro.types import Envelope, EntityId, MessageId, Violation
+
+if TYPE_CHECKING:  # pragma: no cover - the ledger imports this lazily
+    from repro.shard.ledger import Ledger
 
 
 def iter_incarnations(
@@ -414,108 +416,59 @@ class CrossShardChecker:
     """Cross-shard causal consistency (the ``cross-shard-causal`` check).
 
     Following Bouajjani et al. (*On Verifying Causal Consistency*), an
-    execution is causally consistent iff the happens-before relation —
-    the transitive closure of session order and read-from/dependency
-    edges — embeds into each replica's local serialization.  Here the
-    happens-before generators are explicit and recorded at issue time:
-
-    * *session order*: consecutive issue-order batches of one session
-      (a write is a singleton batch; a read's barrier labels form one
-      concurrent batch — every label of batch *i* precedes every label
-      of batch *i+1*);
-    * *dependency edges*: each operation's in-group ``Occurs-After`` set
-      **and** its cross-group ``cross_deps`` stamp.
+    execution is causally consistent iff happens-before embeds into each
+    replica's local serialization.  Here happens-before is the ledger's
+    stamp graph: each operation's in-group ``Occurs-After`` set and its
+    cross-group ``cross_deps``, recorded at issue time.  Session order is
+    no separate generator — :meth:`Ledger.session_order_violations
+    <repro.shard.ledger.Ledger.session_order_violations>` checks that it
+    already lies inside the stamps.
 
     The check: for every member, every incarnation, every delivered
-    ledger label must come after each of its happens-before ancestors
-    *from the member's own shard* — delivered earlier in that
-    incarnation, or settled via a stable-prefix skip.  Ancestors living
-    on other shards are never delivered here and impose no local
-    obligation; they constrain this member only through their projected
-    same-shard descendants, which is exactly what the transitive closure
-    supplies.
-
-    Every edge points from a lower global issue index to a higher one
-    (dependencies can only name already-issued labels), so the closure
-    is computed by one dynamic-programming pass in issue order.
+    ledger label's causal past *on the member's own shard* must be
+    settled before it — delivered earlier in that incarnation, or
+    skipped as stable prefix.  Ancestors on other shards are never
+    delivered here and impose no local obligation; they constrain this
+    member only through their same-shard descendants, which the graph's
+    closure supplies.  :meth:`Ledger.delivery_gaps
+    <repro.shard.ledger.Ledger.delivery_gaps>` walks each incarnation
+    once; a label delivered again is judged at its first delivery
+    (``duplicate-delivery`` reports the repeat).
     """
 
     def __init__(
         self,
         protocols: Dict[EntityId, object],
-        *,
+        ledger: "Ledger",
         shard_of_member: Dict[EntityId, int],
-        shard_of_label: Dict[MessageId, int],
-        dependencies: Dict[MessageId, frozenset],
-        cross_dependencies: Dict[MessageId, frozenset],
-        session_batches: Dict[str, List[List[MessageId]]],
-        issue_order: Sequence[MessageId],
     ) -> None:
         self.protocols = protocols
+        self.ledger = ledger
         self.shard_of_member = shard_of_member
-        self.shard_of_label = shard_of_label
-        self.dependencies = dependencies
-        self.cross_dependencies = cross_dependencies
-        self.session_batches = session_batches
-        self.issue_order = list(issue_order)
-
-    def happens_before(self) -> Dict[MessageId, Set[MessageId]]:
-        """Transitive happens-before ancestors per ledger label."""
-        direct: Dict[MessageId, Set[MessageId]] = {
-            label: set() for label in self.issue_order
-        }
-        for label in self.issue_order:
-            direct[label] |= set(self.dependencies.get(label, ()))
-            direct[label] |= set(self.cross_dependencies.get(label, ()))
-        for batches in self.session_batches.values():
-            for earlier, later in zip(batches, batches[1:]):
-                for label in later:
-                    direct[label] |= set(earlier)
-        ancestors: Dict[MessageId, Set[MessageId]] = {}
-        for label in self.issue_order:
-            closure: Set[MessageId] = set()
-            for dep in direct[label]:
-                closure.add(dep)
-                closure |= ancestors.get(dep, ())
-            ancestors[label] = closure
-        return ancestors
 
     def check(self) -> List[Violation]:
         violations: List[Violation] = []
-        ancestors = self.happens_before()
-        ledger = set(self.shard_of_label)
         for member, protocol in sorted(self.protocols.items()):
             shard = self.shard_of_member[member]
             for incarnation, envelopes, skipped in iter_incarnations(
                 protocol
             ):
-                log = [
-                    e.msg_id for e in envelopes if e.msg_id in ledger
-                ]
-                position: Dict[MessageId, int] = {}
-                for index, label in enumerate(log):
-                    position.setdefault(label, index)
-                for label in log:
-                    for dep in ancestors.get(label, ()):
-                        if self.shard_of_label.get(dep) != shard:
-                            continue
-                        if dep in skipped:
-                            continue
-                        dep_position = position.get(dep)
-                        if dep_position is None:
-                            violations.append(Violation(
-                                "cross-shard-causal",
-                                member,
-                                f"{label} delivered in incarnation "
-                                f"{incarnation} without its happens-before "
-                                f"ancestor {dep}",
-                            ))
-                        elif dep_position >= position[label]:
-                            violations.append(Violation(
-                                "cross-shard-causal",
-                                member,
-                                f"{label} delivered before its "
-                                f"happens-before ancestor {dep} in "
-                                f"incarnation {incarnation}",
-                            ))
+                log = [e.msg_id for e in envelopes]
+                for label, dep, later in self.ledger.delivery_gaps(
+                    log, skipped, shard
+                ):
+                    if later:
+                        detail = (
+                            f"{label} delivered before its happens-before "
+                            f"ancestor {dep} in incarnation {incarnation}"
+                        )
+                    else:
+                        detail = (
+                            f"{label} delivered in incarnation "
+                            f"{incarnation} without its happens-before "
+                            f"ancestor {dep}"
+                        )
+                    violations.append(
+                        Violation("cross-shard-causal", member, detail)
+                    )
         return violations

@@ -300,6 +300,7 @@ def run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Serve the sharded object space to real TCP clients."""
     import asyncio
     import signal
+    import time
 
     from repro.errors import ConfigurationError
     from repro.serve import ServeServer
@@ -342,9 +343,14 @@ def run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             pass
         if args.stats:
             print(server.metrics.render())
+        started = time.perf_counter()
         violations = server.check_invariants()
+        seconds = time.perf_counter() - started
         status = "clean" if not violations else f"{len(violations)} VIOLATION(S)"
-        print(f"drained; audit: {status}")
+        print(
+            f"drained; audit: {status} "
+            f"({len(server.cluster.ledger)} labels in {seconds:.2f} s)"
+        )
         for violation in violations:
             print(f"    {violation}")
         return 1 if violations else 0

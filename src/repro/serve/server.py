@@ -53,12 +53,13 @@ cannot flush — then (optionally) heal the cluster: restart crashed
 replicas and run repair rounds to convergence.
 
 Every operation that takes effect is recorded per session, by its
-``Session``, in the cluster's ledger (:mod:`repro.shard.ledger`), which
-checks that history against the four session guarantees
-(:mod:`repro.analysis.session_guarantees`) — over a causal broadcast
-substrate with correct ``Occurs-After`` stamping, all four hold even
-with replicas crashing mid-run, and the serve test suite and CI smoke
-assert exactly that.
+``Session``, in the cluster's ledger (:mod:`repro.shard.ledger`).  Its
+stamps are the one causal order the drain audit checks: session order
+must lie inside it (then all four session guarantees hold) and every
+replica's delivery must embed it — over a causal broadcast substrate
+with correct ``Occurs-After`` stamping both hold even with replicas
+crashing mid-run, and the serve test suite and CI smoke assert exactly
+that.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ class ServeServer:
         No step waits on a peer.  With ``heal=True`` every crashed in-view
         replica is restarted and repair rounds run to convergence;
         liveness failures land in ``self.heal_violations`` instead of
-        raising, so callers can fold them into their own report.
+        raising, and :meth:`check_invariants` reports them first.
         """
         self._draining = True
         if self._server is not None:
@@ -875,10 +876,11 @@ class ServeServer:
         return self.cluster.ledger.session_guarantee_violations()
 
     def check_invariants(self) -> List[Violation]:
-        """Full cluster battery + cross-shard audit + wire guarantees."""
-        violations = list(self.cluster.check_invariants())
+        """The heal's liveness verdict + full cluster battery (session
+        order included) + get freshness."""
+        violations = self.heal_violations + self.cluster.check_invariants()
         violations.extend(
             Violation("session-guarantee", None, str(v))
-            for v in self.session_guarantee_violations()
+            for v in self.cluster.ledger.get_violations()
         )
         return violations

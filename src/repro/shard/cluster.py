@@ -535,8 +535,9 @@ class ShardedCluster:
     # -- auditing ----------------------------------------------------------
 
     def check_invariants(self) -> List[Violation]:
-        """Per-group batteries, cross-shard CC, snapshot and routing audits."""
-        from repro.analysis.invariants import InvariantMonitor
+        """Per-group batteries, session order, cross-shard CC, snapshot
+        and routing audits."""
+        from repro.analysis.invariants import CrossShardChecker, InvariantMonitor
 
         violations: List[Violation] = []
         for shard, group in self.groups.items():
@@ -554,7 +555,13 @@ class ShardedCluster:
             m: s for g in self.groups.values() for m, s in g.stacks.items()
         }
         ledger = self.ledger
-        violations.extend(ledger.check_cross_shard(protocols, self.shard_of_member))
+        violations.extend(
+            Violation("session-guarantee", None, str(v))
+            for v in ledger.session_order_violations()
+        )
+        violations.extend(
+            CrossShardChecker(protocols, ledger, self.shard_of_member).check()
+        )
         violations.extend(ledger.check_snapshot_closure())
         violations.extend(ledger.check_routing(self.rebalancer.moves))
         return violations

@@ -15,9 +15,12 @@ one log per session.  Two surfaces (tabulated in ``docs/SHARDING.md``):
   6.1), so these answers must move to the replicas before anything here
   can be truncated.
 * **audit questions** — what the invariant batteries and the white-box
-  session-guarantee audit ask after the fact: they judge a *history*.
-  Their checkers (:mod:`repro.analysis`) load when an audit runs, not
-  with the ledger.
+  session audit ask after the fact: they judge a *history*.  The graph's
+  stamps are the audit's one causal order, checked in two linear
+  passes: :meth:`Ledger.session_order_violations` (session order lies
+  inside it) and :class:`~repro.analysis.invariants.CrossShardChecker`
+  (every replica's delivery embeds it).  The checkers
+  (:mod:`repro.analysis`) load when an audit runs, not with the ledger.
 """
 
 from __future__ import annotations
@@ -27,16 +30,26 @@ from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, N
 
 from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
-from repro.types import EntityId, MessageId, Violation
+from repro.types import MessageId, Violation
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard, and audits load on use
-    from repro.analysis.session_guarantees import GuaranteeViolation, SessionOp
+    from repro.analysis.session_guarantees import GuaranteeViolation
     from repro.shard.barrier import BarrierRead
     from repro.shard.rebalance import MoveRecord
 
 #: Operation kinds that carry object-space data.  ``barrier`` is control
 #: traffic: it synchronises but writes nothing.
 DATA_KINDS = frozenset({"put", "migrate"})
+
+#: (earlier kind, later kind) -> the session guarantee a missing
+#: session-order edge between a session's two ops breaks (a barrier is a
+#: read's label, anything else a write's).
+SESSION_ORDER = {
+    ("put", "put"): "monotonic-writes",
+    ("put", "barrier"): "read-your-writes",
+    ("barrier", "barrier"): "monotonic-reads",
+    ("barrier", "put"): "writes-follow-reads",
+}
 
 #: key -> (issue index, value): a cut's last-writer-wins fold.
 Fold = Dict[str, Tuple[int, object]]
@@ -298,22 +311,6 @@ class Ledger:
             for session, log in self.history.items()
         }
 
-    def check_cross_shard(
-        self, protocols: Dict[EntityId, object], shard_of_member: Dict[EntityId, int]
-    ) -> List[Violation]:
-        from repro.analysis.invariants import CrossShardChecker
-
-        ops = self.ops
-        return CrossShardChecker(
-            protocols,
-            shard_of_member=shard_of_member,
-            shard_of_label={l: r.shard for l, r in ops.items()},
-            dependencies={l: r.deps for l, r in ops.items()},
-            cross_dependencies={l: r.cross_deps for l, r in ops.items()},
-            session_batches=self.session_batches(),
-            issue_order=self.issue_order,
-        ).check()
-
     def check_snapshot_closure(self) -> List[Violation]:
         """Every completed barrier read is a causally closed snapshot.
 
@@ -373,37 +370,32 @@ class Ledger:
                     ))
         return violations
 
-    def session_logs(self) -> Dict[str, List[SessionOp]]:
-        """The session logs as session-guarantee checker input.
+    def session_order_violations(self) -> List[GuaranteeViolation]:
+        """Session order inside stamp order: the §6.1 front-end's promise.
 
-        A write is its label.  A read is anchored at its first barrier
-        label (every barrier label of a read carries the session's whole
-        frontier as ``Occurs-After``/``cross_deps``, so any one of them
-        witnesses the session-order edge); its observed set is the data
-        the snapshot covered, restricted to writes.  Gets are audited by
-        index floors in :meth:`get_violations` — a served label is a
-        foreign write, not a session operation, so shoehorning it into
-        ``SessionOp`` would fabricate anchor edges.
+        Every label of a batch in :meth:`session_batches` must follow
+        every label of the session's batch before it in the ledger graph.
+        Then a path runs from each earlier op to each later one — and
+        from each write an earlier read observed, which lies in the past
+        of that read's barrier labels — so all four session guarantees
+        hold.  A missing edge is named after the guarantee its pair of
+        kinds breaks (``SESSION_ORDER``).
         """
-        from repro.analysis.session_guarantees import SessionOp
+        from repro.analysis.session_guarantees import GuaranteeViolation
 
-        all_writes = {
-            entry
-            for log in self.history.values()
-            for kind, entry in log
-            if kind == "write"
-        }
-
-        def session_op(kind: str, entry) -> SessionOp:
-            if kind == "write":
-                return SessionOp("write", entry)
-            anchor = min(entry.barriers(), key=self.index_of)
-            return SessionOp("read", anchor, frozenset(entry.labels & all_writes))
-
-        return {
-            name: [session_op(kind, e) for kind, e in log if kind != "get"]
-            for name, log in self.history.items()
-        }
+        ops = self.ops
+        precedes = self.graph.precedes
+        violations: List[GuaranteeViolation] = []
+        for name, batches in self.session_batches().items():
+            for earlier, later in zip(batches, batches[1:]):
+                for after in later:
+                    for before in earlier:
+                        if not precedes(before, after):
+                            pair = (ops[before].kind, ops[after].kind)
+                            violations.append(GuaranteeViolation(
+                                SESSION_ORDER[pair], name, after, before
+                            ))
+        return violations
 
     def get_violations(self) -> List[GuaranteeViolation]:
         """Audit replica-served gets for per-key session monotonicity.
@@ -415,14 +407,18 @@ class Ledger:
         write at or above the floor — returning an older value (or no
         value where the floor names one) means some replica answered
         below the session's causal context, i.e. the eligibility gate
-        failed.
+        failed.  A read entitles the session only to the writes its cuts
+        add to what its earlier reads observed, so each write is decoded
+        at most once per session.
         """
         from repro.analysis.session_guarantees import GuaranteeViolation
 
         ops = self.ops
+        labels_of = self.graph.labels_of
         violations: List[GuaranteeViolation] = []
         for name, log in self.history.items():
             floor: Dict[str, OpRecord] = {}
+            observed = 0
 
             def entitle(label: MessageId, only: Optional[str] = None) -> None:
                 record = ops.get(label)
@@ -436,8 +432,13 @@ class Ledger:
                 if kind == "write":
                     entitle(entry)
                 elif kind == "read":
-                    for label in entry.labels:
+                    cut = 0
+                    for part in entry.cuts().values():
+                        cut |= part
+                    # x ^ (x & y) is x & ~y without the negative big int.
+                    for label in labels_of(cut ^ (cut & observed)):
                         entitle(label)
+                    observed |= cut
                 else:
                     key, _shard, label, _member = entry
                     held = floor.get(key)
@@ -451,15 +452,39 @@ class Ledger:
                         entitle(label, key)
         return violations
 
-    def session_guarantee_violations(self) -> List[GuaranteeViolation]:
-        """Check the session logs against all four guarantees.
+    def delivery_gaps(
+        self, log: Sequence[MessageId], skipped: Collection[MessageId], shard: int
+    ) -> List[Tuple[MessageId, MessageId, bool]]:
+        """Where one incarnation's delivery ``log`` leaves stamp order.
 
-        The four classic checkers run over writes and barrier reads;
-        replica-served gets get their own per-key freshness audit
-        (:meth:`get_violations`), appended to the same list.
+        Every delivered ledger label's causal past on ``shard`` must be
+        settled before it: delivered earlier in ``log`` or ``skipped`` as
+        stable prefix.  One pass with a running mask of what is settled;
+        a label delivered again is judged at its first delivery.  Returns
+        ``(label, ancestor, ancestor delivered later)`` per gap — the
+        flag is false when ``log`` lacks the ancestor altogether.
         """
-        from repro.analysis.session_guarantees import check_all_session_guarantees
+        graph = self.graph
+        own = self._label_mask[shard]
+        log = [label for label in log if label in self.ops]
+        delivered = graph.mask_of(log)
+        settled = graph.mask_of(skipped)
+        done = 0
+        gaps: List[Tuple[MessageId, MessageId, bool]] = []
+        for label in log:
+            bit = graph.bit_of(label)
+            if done & bit:
+                continue
+            done |= bit
+            need = graph.past_mask(label) & own
+            gap = need ^ (need & settled)
+            settled |= bit
+            for dep in sorted(graph.labels_of(gap), key=self.index_of):
+                gaps.append((label, dep, bool(delivered & graph.bit_of(dep))))
+        return gaps
 
-        results = check_all_session_guarantees(self.graph, self.session_logs())
-        classic = [v for found in results.values() for v in found]
-        return classic + self.get_violations()
+    def session_guarantee_violations(self) -> List[GuaranteeViolation]:
+        """The white-box session audit: :meth:`session_order_violations`
+        over writes and barrier reads, then :meth:`get_violations` over
+        replica-served gets, in one list."""
+        return self.session_order_violations() + self.get_violations()

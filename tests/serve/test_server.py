@@ -513,6 +513,28 @@ class TestGracefulDrain:
 
         run(scenario)
 
+    def test_the_heals_liveness_verdict_is_part_of_the_audit(self):
+        """A heal that cannot converge (a partition it does not mend)
+        stores its verdict in ``heal_violations``; the drain audit used
+        to drop it and report only the members' ``convergence`` rows."""
+
+        async def scenario():
+            srv = ServeServer(shards=2, members_per_shard=3, seed=5)
+            await srv.start()
+            group = srv.cluster.groups[0]
+            group.partition(group.members[:1], group.members[1:])
+            async with client(srv) as cli:
+                await asyncio.gather(*(cli.put(f"k{i}", i) for i in range(20)))
+            await srv.shutdown(heal=True)
+            (liveness,) = srv.heal_violations
+            assert liveness.invariant == "liveness"
+            assert "shard 0 not converged" in liveness.detail
+            found = srv.check_invariants()
+            assert found[0] == liveness
+            assert "convergence" in {v.invariant for v in found[1:]}
+
+        run(scenario)
+
     def test_a_client_that_stopped_reading_does_not_hang_shutdown(self):
         """``shutdown`` used to await ``drain()`` on each connection in
         turn: one stalled reader blocked the ``bye`` to everyone after it,

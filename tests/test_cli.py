@@ -108,6 +108,58 @@ class TestServeCommands:
         assert (args.shards, args.members) == (2, 3)
         assert args.stats is False
 
+    def test_serve_reports_what_its_drain_audit_cost(self):
+        """The drained line carries the verdict, the ledger's label count
+        and the audit's seconds; ``audit: clean`` stays a substring, for
+        the scripts that search for it."""
+        import asyncio
+        import os
+        import re
+        import selectors
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.serve import ServeClient
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1"),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(server.stdout, selectors.EVENT_READ)
+                if not selector.select(timeout=60):
+                    pytest.fail("repro serve printed no banner within 60 s")
+            banner = server.stdout.readline()
+            assert banner, f"repro serve exited with {server.wait()}"
+            port = int(re.search(r":(\d+)\s", banner).group(1))
+
+            async def five_puts():
+                cli = ServeClient("127.0.0.1", port, "c")
+                await cli.connect()
+                for i in range(5):
+                    await cli.put_wait(f"k{i}", i)
+                await cli.close()
+
+            asyncio.run(five_puts())
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0, out
+        (line,) = [l for l in out.splitlines() if l.startswith("drained;")]
+        assert "audit: clean" in line
+        assert re.fullmatch(
+            r"drained; audit: clean \(5 labels in \d+\.\d\d s\)", line
+        ), line
+
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert (args.clients, args.ops, args.pipeline) == (8, 100, 8)
