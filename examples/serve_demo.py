@@ -148,7 +148,8 @@ async def main() -> None:
     batches = server.metrics.counters["batches"]
     events = sum(len(entries) for entries in server.history.values())
     print(f"drained; {ops} wire ops in {batches} batch cycles, "
-          f"{events} history events across {len(server.history)} sessions")
+          f"{events} logged writes and reads across "
+          f"{len(server.history)} sessions (gets are audited as served)")
     print("session-guarantee audit over the full wire history: OK "
           "(zero violations)")
 

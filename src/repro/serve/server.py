@@ -868,7 +868,8 @@ class ServeServer:
 
     @property
     def history(self) -> Dict[str, List[Tuple[str, object]]]:
-        """session name -> its log in the ledger (the live lists)."""
+        """session name -> its log in the ledger (the live lists): its
+        writes and barrier reads; gets are audited as served, not logged."""
         return self.cluster.ledger.history
 
     def session_guarantee_violations(self) -> list:

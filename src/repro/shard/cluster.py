@@ -403,8 +403,11 @@ class ShardedCluster:
         factor: about 30 when cycles are full, 1 at depth 1);
         ``holdback_peak`` is the deepest hold-back queue any member has
         seen; ``read_misses`` counts the gets `read_replica` found no
-        member for, one per attempt.  Walks each cache: meant for a
-        ``stats`` request, not for the per-op path.
+        member for, one per attempt; ``stale_gets`` the served gets the
+        ledger's get audit has flagged so far (it judges each get as it
+        is served, so a stale one shows here before any drain).  Walks
+        each cache: meant for a ``stats`` request, not for the per-op
+        path.
         """
         groups = self.groups.values()
         stacks = [stack for g in groups for stack in g.stacks.values()]
@@ -417,6 +420,7 @@ class ShardedCluster:
             "net_envelopes": sum(g.network.hops_sent for g in groups),
             "holdback_peak": max(stack.max_holdback for stack in stacks),
             "read_misses": self.read_misses,
+            "stale_gets": len(self.ledger.get_violations()),
         }
 
     # -- campaign execution ------------------------------------------------

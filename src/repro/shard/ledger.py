@@ -6,8 +6,9 @@ about the traffic it carries.  :class:`Ledger` is the sharded cluster's
 only ground truth and the single owner of everything retained per issued
 operation: one :class:`OpRecord` per label in global issue order, the
 dependency graph over both edge kinds, the per-shard label sets, masks
-and key index, the barrier cut folds, the completed barrier reads and
-one log per session.  Two surfaces (tabulated in ``docs/SHARDING.md``):
+and key index, the barrier cut folds, the completed barrier reads, one
+log of writes and reads per session and each session's running get
+audit.  Two surfaces (tabulated in ``docs/SHARDING.md``):
 
 * **data-plane questions** — what the router, the barrier, the
   rebalancer and the cluster's read path ask while serving.  The paper's
@@ -19,8 +20,10 @@ one log per session.  Two surfaces (tabulated in ``docs/SHARDING.md``):
   stamps are the audit's one causal order, checked in two linear
   passes: :meth:`Ledger.session_order_violations` (session order lies
   inside it) and :class:`~repro.analysis.invariants.CrossShardChecker`
-  (every replica's delivery embeds it).  The checkers
-  (:mod:`repro.analysis`) load when an audit runs, not with the ledger.
+  (every replica's delivery embeds it).  One audit runs online instead:
+  :meth:`Ledger.audit_get` judges each get as its session serves it, so
+  a get is never logged.  The checkers (:mod:`repro.analysis`) load when
+  an audit runs or a stale get is found, not with the ledger.
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ class OpRecord(NamedTuple):
         return ()
 
 
+class _GetAudit:
+    """One session's get-freshness audit, advanced at each served get:
+    how far into the session's log it has read, the per-key floor, the
+    cut mask its reads observed, and the stale gets found."""
+
+    __slots__ = ("cursor", "floor", "observed", "violations")
+
+    def __init__(self) -> None:
+        self.cursor = 0
+        self.floor: Dict[str, OpRecord] = {}
+        self.observed = 0
+        self.violations: List[GuaranteeViolation] = []
+
+
 class Ledger:
     """Everything retained per issued operation, behind two surfaces."""
 
@@ -120,9 +137,11 @@ class Ledger:
         self.barrier_reads: List["BarrierRead"] = []
         #: session -> its log, appended once an operation by its ``Session``
         #: the moment it takes effect in session order: ("write", label)
-        #: when a put issues, ("read", BarrierRead) when a read completes,
-        #: ("get", (key, shard, served label | None, member)) when served.
+        #: when a put issues, ("read", BarrierRead) when a read completes.
+        #: A get is audited as it is served (`audit_get`) and logs nothing.
         self.history: Dict[str, List[Tuple[str, object]]] = {}
+        #: session -> its get-freshness audit so far (`audit_get`).
+        self._get_audits: Dict[str, _GetAudit] = {}
 
     # == data-plane questions ==============================================
 
@@ -173,6 +192,11 @@ class Ledger:
         """The shard ``label`` is filed under; ``None`` if it never was."""
         record = self.ops.get(label)
         return None if record is None else record.shard
+
+    def session_of(self, label: MessageId) -> Optional[str]:
+        """The session that issued ``label``; ``None`` if none did."""
+        record = self.ops.get(label)
+        return None if record is None else record.session
 
     def index_of(self, label: MessageId) -> int:
         """``label``'s global issue ordinal."""
@@ -301,12 +325,11 @@ class Ledger:
     def session_batches(self) -> Dict[str, List[List[MessageId]]]:
         """session -> issue-order batches of the labels it broadcast: a
         write is a singleton batch, a read's barrier labels form one batch
-        (they are concurrent), a get broadcasts nothing."""
+        (they are concurrent)."""
         return {
             session: [
                 [entry] if kind == "write" else entry.barriers()
                 for kind, entry in log
-                if kind != "get"
             ]
             for session, log in self.history.items()
         }
@@ -397,60 +420,78 @@ class Ledger:
                             ))
         return violations
 
-    def get_violations(self) -> List[GuaranteeViolation]:
-        """Audit replica-served gets for per-key session monotonicity.
+    def audit_get(
+        self,
+        session: str,
+        key: str,
+        shard: int,
+        label: Optional[MessageId],
+        member: object,
+    ) -> None:
+        """Judge one get as it is served: per-key session monotonicity.
 
-        Walking each session's log in order, a key's *floor* is the
-        newest (by issue index) write of that key the session is
-        entitled to: its own puts, writes observed by its barrier reads,
-        and writes served by its earlier gets.  Every get must return a
-        write at or above the floor — returning an older value (or no
-        value where the floor names one) means some replica answered
-        below the session's causal context, i.e. the eligibility gate
-        failed.  A read entitles the session only to the writes its cuts
-        add to what its earlier reads observed, so each write is decoded
-        at most once per session.
+        A key's *floor* is the newest (by issue index) write of that key
+        the session is entitled to: its own puts, writes observed by its
+        barrier reads, and writes served by its earlier gets.  The get
+        (``key`` answered with ``label`` by ``member`` of ``shard``) must
+        return a write at or above the floor — an older value, or none
+        where the floor names one, means some replica answered below the
+        session's causal context, i.e. the eligibility gate failed.
+
+        The floor catches up lazily: the log entries the session added
+        since its last get are folded in here, so a put or a read pays
+        nothing on its own path.  A read entitles only the writes its cuts
+        add to what the session's earlier reads observed, so each write is
+        decoded at most once per session.  Nothing about the get itself
+        is kept unless it is stale.
         """
-        from repro.analysis.session_guarantees import GuaranteeViolation
-
+        audit = self._get_audits.get(session)
+        if audit is None:
+            audit = self._get_audits[session] = _GetAudit()
+        log = self.history.setdefault(session, [])
         ops = self.ops
-        labels_of = self.graph.labels_of
-        violations: List[GuaranteeViolation] = []
-        for name, log in self.history.items():
-            floor: Dict[str, OpRecord] = {}
-            observed = 0
+        floor = audit.floor
 
-            def entitle(label: MessageId, only: Optional[str] = None) -> None:
-                record = ops.get(label)
-                for key, _value in record.writes() if record else ():
-                    if only in (None, key) and (
-                        key not in floor or floor[key].index < record.index
-                    ):
-                        floor[key] = record
+        def entitle(label: MessageId, only: Optional[str] = None) -> None:
+            record = ops.get(label)
+            for key, _value in record.writes() if record else ():
+                if only in (None, key) and (
+                    key not in floor or floor[key].index < record.index
+                ):
+                    floor[key] = record
 
-            for kind, entry in log:
-                if kind == "write":
-                    entitle(entry)
-                elif kind == "read":
-                    cut = 0
-                    for part in entry.cuts().values():
-                        cut |= part
-                    # x ^ (x & y) is x & ~y without the negative big int.
-                    for label in labels_of(cut ^ (cut & observed)):
-                        entitle(label)
-                    observed |= cut
-                else:
-                    key, _shard, label, _member = entry
-                    held = floor.get(key)
-                    if held is not None and (
-                        label is None or ops[label].index < held.index
-                    ):
-                        violations.append(GuaranteeViolation(
-                            "get-freshness", name, label or held.label, held.label
-                        ))
-                    if label is not None:
-                        entitle(label, key)
-        return violations
+        for kind, entry in islice(log, audit.cursor, None):
+            if kind == "write":
+                entitle(entry)
+            else:
+                cut = 0
+                for part in entry.cuts().values():
+                    cut |= part
+                # x ^ (x & y) is x & ~y without the negative big int.
+                for covered in self.graph.labels_of(cut ^ (cut & audit.observed)):
+                    entitle(covered)
+                audit.observed |= cut
+        audit.cursor = len(log)
+        held = floor.get(key)
+        if held is not None and (label is None or ops[label].index < held.index):
+            from repro.analysis.session_guarantees import GuaranteeViolation
+
+            audit.violations.append(GuaranteeViolation(
+                "get-freshness", session, label or held.label, held.label
+            ))
+        if label is not None:
+            entitle(label, key)
+
+    def get_violations(self) -> List[GuaranteeViolation]:
+        """Every stale get :meth:`audit_get` found, session by session in
+        the order the sessions were opened, each in serving order."""
+        audits = self._get_audits
+        return [
+            violation
+            for name in self.history
+            if name in audits
+            for violation in audits[name].violations
+        ]
 
     def delivery_gaps(
         self, log: Sequence[MessageId], skipped: Collection[MessageId], shard: int

@@ -82,7 +82,8 @@ class Session:
         self.ops_skipped = 0
         self.reads_failed = 0
         #: This session's log in the ledger, appended here and nowhere
-        #: else, the moment an operation takes effect in session order.
+        #: else, the moment a write or a read takes effect in session
+        #: order.  A served get is audited on the spot and logs nothing.
         self.log = router.cluster.ledger.history.setdefault(name, [])
 
     # -- public API --------------------------------------------------------
@@ -363,7 +364,7 @@ class Session:
             # The session now depends on what it saw: monotonic reads
             # and writes-follow-reads hold by construction.
             self.observe(label)
-        self.log.append(("get", (key, shard, label, member)))
+        cluster.ledger.audit_get(self.name, key, shard, label, member)
         return value, label, member, shard
 
     def read_floor(
@@ -394,9 +395,14 @@ class Session:
         ``label``'s value: from then on the session's reads and writes
         must stay causally after it (monotonic reads / writes-follow-
         reads by construction).  Cheap no-op when the frontier already
-        dominates the label.
+        dominates the label — always so for a label this session issued:
+        a put replaces its shard's frontier with a label stamped after it,
+        and every other change keeps the maximal elements of a superset,
+        so the frontier only ever moves causally forward.
         """
         ledger = self.router.cluster.ledger
+        if ledger.session_of(label) == self.name:
+            return
         shard = ledger.shard_of(label)
         if shard is not None:
             current = self.frontier.get(shard, ())

@@ -368,10 +368,25 @@ class TestGetAudit:
                 # Fabricate the bug the audit exists for: a get answered
                 # with the older write after the session issued a newer
                 # one.
-                srv.history["c"].append(("get", ("k", shard, first, "s0n0")))
+                srv.cluster.ledger.audit_get("c", "k", shard, first, "s0n0")
                 violations = srv.cluster.ledger.get_violations()
                 assert len(violations) == 1
                 assert violations[0].guarantee == "get-freshness"
                 assert violations[0].session == "c"
+
+        run(scenario)
+
+    def test_a_stale_get_shows_in_stats_before_any_drain(self):
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", "v1")
+                await cli.put_wait("k", "v2")
+                assert await cli.get("k") == "v2"
+                assert (await cli.stats())["stale_gets"] == 0
+                first, _second = srv.cluster.ledger.issue_order
+                (shard,) = srv.cluster.groups
+                srv.cluster.ledger.audit_get("c", "k", shard, first, "s0n0")
+                assert (await cli.stats())["stale_gets"] == 1
+                assert "stale_gets" in srv.metrics.render()
 
         run(scenario)

@@ -9,7 +9,9 @@ causal order — kept as the oracle the new audit is held to.
   of Python sets, built from five dicts — in-group and cross stamps plus
   explicit session-order edges — embedded into every member's delivery;
 * :func:`get_violations`: the get-freshness audit entitling a barrier
-  read by decoding every label it covers.
+  read by decoding every label it covers, over each session's log with
+  its served gets in place — the log the ledger kept while gets were
+  logged, rebuilt here by :func:`record_gets` around ``Ledger.audit_get``.
 
 ``tests/shard/test_audit_equivalence.py`` holds the ledger's audit to
 these verdicts; ``tests/shard/test_catch_set.py`` tabulates both against
@@ -18,7 +20,8 @@ planted faults.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import weakref
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.invariants import iter_incarnations
 from repro.analysis.session_guarantees import (
@@ -53,7 +56,7 @@ def session_logs(ledger: Ledger) -> Dict[str, List[SessionOp]]:
         return SessionOp("read", anchor, frozenset(entry.labels & all_writes))
 
     return {
-        name: [session_op(kind, e) for kind, e in log if kind != "get"]
+        name: [session_op(kind, e) for kind, e in log]
         for name, log in ledger.history.items()
     }
 
@@ -64,11 +67,53 @@ def session_violations(ledger: Ledger) -> List[GuaranteeViolation]:
     return [v for found in results.values() for v in found]
 
 
+#: ledger -> session -> (position in its log, get) for every served get,
+#: in serving order.
+_SERVED: "weakref.WeakKeyDictionary[Ledger, Dict[str, List[Tuple[int, tuple]]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def record_gets(ledger: Ledger) -> None:
+    """From now on, note where in its session's log each get
+    ``ledger.audit_get`` judges was served."""
+    served: Dict[str, List[Tuple[int, tuple]]] = {}
+    _SERVED[ledger] = served
+    audit_get = ledger.audit_get
+
+    def recording(session, key, shard, label, member) -> None:
+        position = len(ledger.history.get(session, ()))
+        served.setdefault(session, []).append(
+            (position, (key, shard, label, member))
+        )
+        audit_get(session, key, shard, label, member)
+
+    ledger.audit_get = recording
+
+
+def interleaved_logs(ledger: Ledger) -> Dict[str, List[Tuple[str, object]]]:
+    """Each session's log with ``("get", (key, shard, label, member))``
+    entries where :func:`record_gets` saw them served."""
+    served = _SERVED[ledger]
+    logs: Dict[str, List[Tuple[str, object]]] = {}
+    for name, log in ledger.history.items():
+        merged: List[Tuple[str, object]] = []
+        start = 0
+        for position, get in served.get(name, ()):
+            merged.extend(log[start:position])
+            merged.append(("get", get))
+            start = position
+        logs[name] = merged + log[start:]
+    return logs
+
+
 def get_violations(ledger: Ledger) -> List[GuaranteeViolation]:
-    """Per-key get freshness, entitling a read label by label."""
+    """Per-key get freshness, entitling a read label by label.  The
+    ledger's gets must have been recorded from the start
+    (:func:`record_gets`)."""
     ops = ledger.ops
     violations: List[GuaranteeViolation] = []
-    for name, log in ledger.history.items():
+    for name, log in interleaved_logs(ledger).items():
         floor: Dict[str, OpRecord] = {}
 
         def entitle(label: MessageId, only: Optional[str] = None) -> None:

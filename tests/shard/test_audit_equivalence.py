@@ -9,7 +9,8 @@ optional planted fault from the catch-set table
   ``CrossShardChecker`` and ``Ledger.get_violations``;
 * the references in :mod:`tests.shard.audit_reference`: the four
   white-box session checkers, the set-closure cross-shard checker with
-  its session edges, and the label-decoding get audit.
+  its session edges, and the label-decoding get audit over each
+  session's log with its gets recorded in place.
 
 One is clean exactly when the other is, the two get audits agree item
 for item, and while session order lies inside the stamps the two
@@ -18,7 +19,7 @@ cross-shard checkers report the same violations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 from unittest import mock
 
 from hypothesis import given, settings
@@ -122,25 +123,36 @@ def plant_after(
         shard = cluster.ledger.shard_of(writes[-1])
         older = cluster.ledger.key_writes[shard].get("stale", [])
         if len(older) >= 2:
-            session.log.append(("get", ("stale", shard, older[0], "planted")))
-        # And one get anywhere in some session's log, answered with any
-        # write of its key, or with nothing.
-        log = sessions[salt % len(sessions)].log
-        key = f"k{salt % KEYS}"
-        shard = cluster.shard_map.shard_of(key)
-        writes = cluster.ledger.key_writes[shard].get(key, [])
-        label = writes[salt % len(writes)] if salt % 4 and writes else None
-        log.insert(salt % (len(log) + 1), ("get", (key, shard, label, "planted")))
+            cluster.ledger.audit_get(
+                session.name, "stale", shard, older[0], "planted"
+            )
+
+
+def plant_get(cluster: ShardedCluster, sessions, salt: int) -> None:
+    """Some session is served a get of some key, answered with any write
+    of it so far, or with nothing."""
+    key = f"k{salt % KEYS}"
+    shard = cluster.shard_map.shard_of(key)
+    writes = cluster.ledger.key_writes[shard].get(key, [])
+    label = writes[salt % len(writes)] if salt % 4 and writes else None
+    cluster.ledger.audit_get(
+        sessions[salt % len(sessions)].name, key, shard, label, "planted"
+    )
 
 
 def run_history(
-    shards: int, ops, fault: Optional[str], salt: int = 0
+    shards: int, ops, fault: Optional[str], salt: int = 0,
+    after_step: Callable[[ShardedCluster, list], None] = lambda c, s: None,
 ) -> ShardedCluster:
     cluster = ShardedCluster(shards=shards, members_per_shard=3, hop_events="off")
+    reference.record_gets(cluster.ledger)
     sessions = [cluster.router.session(f"s{n}") for n in range(3)]
     keys = [f"k{n}" for n in range(KEYS)]
     planted = False
-    for op, key, number in ops:
+    for step, (op, key, number) in enumerate(ops):
+        if fault == "stale-get" and step == salt % len(ops):
+            # One get at some step, before that step's operation.
+            plant_get(cluster, sessions, salt)
         session = sessions[number % len(sessions)]
         group = cluster.groups[number % shards]
         if op == "put":
@@ -165,6 +177,7 @@ def run_history(
             cluster.rebalancer.move_slot(slot, number % shards)
         elif op == "drain":
             cluster.drain()
+        after_step(cluster, sessions)
     cluster.drain()
     for group in cluster.groups.values():
         group.revive()

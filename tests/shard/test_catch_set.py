@@ -84,6 +84,7 @@ def small_run(plant: Callable = lambda cluster, step: None) -> ShardedCluster:
     """Two sessions over two shards; ``plant(cluster, step)`` runs at
     each named step."""
     cluster = quiet_cluster()
+    reference.record_gets(cluster.ledger)
     k0, k1 = key_for(cluster, 0), key_for(cluster, 1)
     a, b = cluster.router.session("a"), cluster.router.session("b")
     plant(cluster, "start")
@@ -149,7 +150,7 @@ def get_below_floor(cluster, step):
         envelopes, i, _j = ordered_puts(cluster)
         older = envelopes[i].msg_id
         key = cluster.ledger.ops[older].key
-        cluster.ledger.history["a"].append(("get", (key, 0, older, "s0n0")))
+        cluster.ledger.audit_get("a", key, 0, older, "s0n0")
 
 
 def unclosed_barrier_read(monkeypatch) -> ShardedCluster:
@@ -158,6 +159,7 @@ def unclosed_barrier_read(monkeypatch) -> ShardedCluster:
         StablePointBarrier, "_check_closure", StablePointBarrier._complete
     )
     cluster = ShardedCluster(shards=2, members_per_shard=3, seed=17)
+    reference.record_gets(cluster.ledger)
     cluster.run_campaign(sharded_campaign(
         cluster.shard_map,
         {s: g.members for s, g in cluster.groups.items()},

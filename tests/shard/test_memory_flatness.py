@@ -158,3 +158,45 @@ def test_a_completed_barrier_read_retains_the_same_at_any_history_length():
     assert short <= READ_RETAINED_LIMIT_KB * 1000, f"{short:.0f} B a read"
     assert long <= READ_RETAINED_LIMIT_KB * 1000, f"{long:.0f} B a read"
     assert abs(long - short) <= 0.10 * short, (short, long)
+
+
+#: What one served get may leave behind: nothing it allocates outlives it
+#: (about 250 B a get while each was logged for a drain-time audit).
+GET_RETAINED_LIMIT_B = 16
+
+
+def own_key_gets(cluster, sessions, rounds):
+    """``rounds`` gets of every key each session wrote, served at once."""
+    served = []
+    for _round in range(rounds):
+        for number, session in enumerate(sessions):
+            for key in range(KEYS):
+                session.get(f"c{number}:k{key}", served.append)
+        assert len(served) == len(sessions) * KEYS and all(served)
+        served.clear()
+
+
+def test_a_served_get_leaves_nothing_behind():
+    """Gets audit as they are served and never memoise a closure: a get
+    of the session's own write is already under its frontier."""
+    cluster = ShardedCluster(shards=2, members_per_shard=3, hop_events="off")
+    sessions = [cluster.router.session(f"client-{n}") for n in range(SESSIONS)]
+    for round in range(4):  # warm-up puts: 4 writes of every key
+        for number, session in enumerate(sessions):
+            for key in range(KEYS):
+                session.put(f"c{number}:k{key}", round)
+        cluster.drain()
+    own_key_gets(cluster, sessions, rounds=2)  # warm-up gets
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        own_key_gets(cluster, sessions, rounds=20)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = (after - before) / (SESSIONS * KEYS * 20)
+    assert retained <= GET_RETAINED_LIMIT_B, f"{retained:.0f} B a get"
+    assert cluster.graph.closure_footprint() == (0, 0)
+    assert cluster.ledger.get_violations() == []
