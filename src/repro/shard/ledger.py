@@ -163,6 +163,17 @@ class Ledger:
             for key, _value in record.writes():
                 by_key.setdefault(key, []).append(label)
 
+    def slot_writes(self, shard: int, slot: int) -> List[MessageId]:
+        """Every write to ``slot``'s keys issued on ``shard`` so far."""
+        ops = self.ops
+        return [
+            label
+            for labels in self.key_writes[shard].values()
+            # A key's writes all carry its slot.
+            if ops[labels[0]].slot == slot
+            for label in labels
+        ]
+
     def check_stamp(
         self, shard: int, occurs_after: FrozenSet[MessageId],
         cross_deps: FrozenSet[MessageId],

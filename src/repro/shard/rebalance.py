@@ -7,7 +7,9 @@ consistency takes three phases:
     The router freezes the slot — sessions whose head operation targets
     it wait in place (preserving session order) — and a single-shard
     :class:`~repro.shard.barrier.StablePointBarrier` runs on the source
-    group.  Its stable point fences every write the move must carry.
+    group.  Its stable point fences every write the move must carry:
+    what the contact has delivered, and every write to the slot already
+    issued there — a put still in flight to the contact included.
 
 ``transfer``
     The barrier's snapshot is restricted to the moving slot through
@@ -99,6 +101,9 @@ class Rebalancer:
                 record, read
             ),
             session=f"rebalance-{slot}.{len(self.moves)}",
+            # A put issued before the freeze may not have reached the
+            # contact yet; the snapshot must carry it all the same.
+            baseline={source: cluster.ledger.slot_writes(source, slot)},
         ).start()
         return record
 

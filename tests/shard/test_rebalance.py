@@ -54,6 +54,30 @@ class TestMoveSlot:
         settle(cluster)
         assert reader.reads[0].value[key] == "carried"
 
+    def test_a_put_issued_just_before_the_move_reaches_the_new_home(self):
+        """Regression: the source barrier was stamped only after what the
+        contact had delivered, so a put still in flight to it was left
+        out of the snapshot — the migrate record carried ``{}`` and the
+        new home served the session ``None``."""
+        cluster = ShardedCluster(shards=2, members_per_shard=3)
+        session = cluster.router.session("s")
+        session.put("k3", "v")
+        slot = cluster.shard_map.slot_of("k3")
+        source = cluster.shard_map.shard_for_slot(slot)
+        record = cluster.rebalancer.move_slot(slot, 1 - source)
+        cluster.drain()
+        assert record.phase == "done"
+        assert cluster.ledger.ops[record.migrate_label].value["entries"] == {
+            "k3": "v"
+        }
+        served = []
+        session.get("k3", served.append)
+        cluster.drain()
+        value, label, _member, shard = served[0]
+        assert (value, shard) == ("v", 1 - source)
+        assert label == record.migrate_label
+        assert cluster.ledger.get_violations() == []
+
     def test_post_move_writes_route_to_dest_with_handoff(self):
         cluster = quiet_cluster()
         key = key_for(cluster, 0)
