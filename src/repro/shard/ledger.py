@@ -104,6 +104,18 @@ class _GetAudit:
         self.observed = 0
         self.violations: List[GuaranteeViolation] = []
 
+    def entitle(
+        self, record: Optional[OpRecord], only: Optional[str] = None
+    ) -> None:
+        """Raise the floor to ``record``'s writes (to key ``only`` alone,
+        if given); a label the ledger never filed entitles nothing."""
+        floor = self.floor
+        for key, _value in record.writes() if record else ():
+            if only in (None, key) and (
+                key not in floor or floor[key].index < record.index
+            ):
+                floor[key] = record
+
 
 class Ledger:
     """Everything retained per issued operation, behind two surfaces."""
@@ -461,29 +473,19 @@ class Ledger:
             audit = self._get_audits[session] = _GetAudit()
         log = self.history.setdefault(session, [])
         ops = self.ops
-        floor = audit.floor
-
-        def entitle(label: MessageId, only: Optional[str] = None) -> None:
-            record = ops.get(label)
-            for key, _value in record.writes() if record else ():
-                if only in (None, key) and (
-                    key not in floor or floor[key].index < record.index
-                ):
-                    floor[key] = record
-
-        for kind, entry in islice(log, audit.cursor, None):
+        for kind, entry in log[audit.cursor:]:
             if kind == "write":
-                entitle(entry)
+                audit.entitle(ops.get(entry))
             else:
                 cut = 0
                 for part in entry.cuts().values():
                     cut |= part
                 # x ^ (x & y) is x & ~y without the negative big int.
                 for covered in self.graph.labels_of(cut ^ (cut & audit.observed)):
-                    entitle(covered)
+                    audit.entitle(ops.get(covered))
                 audit.observed |= cut
         audit.cursor = len(log)
-        held = floor.get(key)
+        held = audit.floor.get(key)
         if held is not None and (label is None or ops[label].index < held.index):
             from repro.analysis.session_guarantees import GuaranteeViolation
 
@@ -491,7 +493,7 @@ class Ledger:
                 "get-freshness", session, label or held.label, held.label
             ))
         if label is not None:
-            entitle(label, key)
+            audit.entitle(ops.get(label), key)
 
     def get_violations(self) -> List[GuaranteeViolation]:
         """Every stale get :meth:`audit_get` found, session by session in

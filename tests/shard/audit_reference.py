@@ -20,7 +20,6 @@ planted faults.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.invariants import iter_incarnations
@@ -67,34 +66,34 @@ def session_violations(ledger: Ledger) -> List[GuaranteeViolation]:
     return [v for found in results.values() for v in found]
 
 
-#: ledger -> session -> (position in its log, get) for every served get,
-#: in serving order.
-_SERVED: "weakref.WeakKeyDictionary[Ledger, Dict[str, List[Tuple[int, tuple]]]]" = (
-    weakref.WeakKeyDictionary()
-)
+class GetRecorder:
+    """Stands in for a ledger's ``audit_get``: notes where in its
+    session's log each get was served, then has the ledger audit it."""
+
+    def __init__(self, ledger: Ledger) -> None:
+        self.history = ledger.history
+        self.audit_get = ledger.audit_get
+        #: session -> (position in its log, get) per served get, in order.
+        self.served: Dict[str, List[Tuple[int, tuple]]] = {}
+
+    def __call__(self, session, key, shard, label, member) -> None:
+        position = len(self.history.get(session, ()))
+        self.served.setdefault(session, []).append(
+            (position, (key, shard, label, member))
+        )
+        self.audit_get(session, key, shard, label, member)
 
 
 def record_gets(ledger: Ledger) -> None:
-    """From now on, note where in its session's log each get
-    ``ledger.audit_get`` judges was served."""
-    served: Dict[str, List[Tuple[int, tuple]]] = {}
-    _SERVED[ledger] = served
-    audit_get = ledger.audit_get
-
-    def recording(session, key, shard, label, member) -> None:
-        position = len(ledger.history.get(session, ()))
-        served.setdefault(session, []).append(
-            (position, (key, shard, label, member))
-        )
-        audit_get(session, key, shard, label, member)
-
-    ledger.audit_get = recording
+    """From now on, note where each get ``ledger.audit_get`` judges was
+    served."""
+    ledger.audit_get = GetRecorder(ledger)
 
 
 def interleaved_logs(ledger: Ledger) -> Dict[str, List[Tuple[str, object]]]:
     """Each session's log with ``("get", (key, shard, label, member))``
     entries where :func:`record_gets` saw them served."""
-    served = _SERVED[ledger]
+    served = ledger.audit_get.served
     logs: Dict[str, List[Tuple[str, object]]] = {}
     for name, log in ledger.history.items():
         merged: List[Tuple[str, object]] = []
