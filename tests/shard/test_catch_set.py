@@ -153,6 +153,20 @@ def get_below_floor(cluster, step):
         cluster.ledger.audit_get("a", key, 0, older, "s0n0")
 
 
+def get_below_read(cluster, step):
+    """A session whose only past is a read is served a write older than
+    one the read observed."""
+    if step == "settled":
+        envelopes, i, _j = ordered_puts(cluster)
+        older = envelopes[i].msg_id
+        reader = cluster.router.session("reader")
+        reader.read()
+        cluster.drain()
+        cluster.ledger.audit_get(
+            "reader", cluster.ledger.ops[older].key, 0, older, "s0n0"
+        )
+
+
 def unclosed_barrier_read(monkeypatch) -> ShardedCluster:
     """PR 22's seed-17 campaign with the barrier's closure check off."""
     monkeypatch.setattr(
@@ -183,6 +197,8 @@ RUNS: Dict[str, Callable] = {
         lambda _monkeypatch: small_run(duplicated_delivery),
     "a get answered below the session's floor":
         lambda _monkeypatch: small_run(get_below_floor),
+    "a get answered below what the session's read observed":
+        lambda _monkeypatch: small_run(get_below_read),
     "a barrier read completed without its closure check":
         unclosed_barrier_read,
 }
@@ -205,6 +221,9 @@ CATCH_SET: Dict[str, Tuple[str, ...]] = {
     ),
     "a duplicated delivery": ("InvariantMonitor",),
     "a get answered below the session's floor": (
+        "get-freshness", "get-freshness (reference)",
+    ),
+    "a get answered below what the session's read observed": (
         "get-freshness", "get-freshness (reference)",
     ),
     "a barrier read completed without its closure check": (
