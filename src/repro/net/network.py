@@ -11,8 +11,10 @@ ordering protocols above must repair.
 A hop carries a *frame*: one envelope normally, or — when a burst of sends
 was corked (:meth:`Network.cork`) — everything one source sent one
 destination, in send order.  A frame is late, lost or duplicated as a
-unit; the paper's ordering comes from ``Occurs-After``, not from the
-transport, so the transport is free to coalesce.
+unit, and lands whole: the destination node takes it in one call
+(:meth:`~repro.sim.node.SimNode.on_frame`).  The paper's ordering comes
+from ``Occurs-After``, not from the transport, so the transport is free
+to coalesce.
 """
 
 from __future__ import annotations
@@ -230,37 +232,40 @@ class Network:
         destination: EntityId,
         envelopes: Sequence[Envelope],
     ) -> None:
-        """A frame lands: the node takes its envelopes in send order."""
+        """A frame lands: the node takes it whole, in send order.
+
+        One crash check and one node lookup a frame, then the whole frame
+        goes to :meth:`SimNode.on_frame <repro.sim.node.SimNode.on_frame>`,
+        which takes the envelopes one by one (a protocol stack delivers a
+        run of them in one pass) and stops at a crash mid-frame: the rest
+        are dropped, as hops to a crashed node are.  With a positive
+        ``service_time`` each envelope queues for the node on its own and
+        lands as a frame of one.
+        """
+        if not self.service_time:
+            self._process(source, destination, envelopes)
+            return
         for envelope in envelopes:
-            if self.service_time:
-                now = self.scheduler.now
-                start = max(now, self._node_free_at.get(destination, 0.0))
-                done = start + self.service_time
-                self._node_free_at[destination] = done
-                self.scheduler.call_at(
-                    done, self._process, source, destination, envelope
-                )
-            else:
-                self._process(source, destination, envelope)
+            now = self.scheduler.now
+            start = max(now, self._node_free_at.get(destination, 0.0))
+            done = start + self.service_time
+            self._node_free_at[destination] = done
+            self.scheduler.call_at(
+                done, self._process, source, destination, (envelope,)
+            )
 
     def _process(
-        self, source: EntityId, destination: EntityId, envelope: Envelope
+        self,
+        source: EntityId,
+        destination: EntityId,
+        envelopes: Sequence[Envelope],
     ) -> None:
         node = self._nodes.get(destination)
         if node is None or node.crashed:
             # Destination departed (or is down) while the hop was in
             # flight: crash-stop nodes receive nothing.
-            self.hops_dropped += 1
+            self.hops_dropped += len(envelopes)
             return
-        self.hops_delivered += 1
-        # Per-hop events dominate tracing cost at scale; a disabled
-        # recorder skips the dict build.
-        if self.trace.enabled:
-            self.trace.record(
-                self.scheduler.now,
-                "receive",
-                source=source,
-                destination=destination,
-                msg_id=envelope.msg_id,
-            )
-        node.on_receive(source, envelope)
+        taken = node.on_frame(source, envelopes)
+        self.hops_delivered += taken
+        self.hops_dropped += len(envelopes) - taken

@@ -118,12 +118,15 @@ class ServeMetrics:
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-compatible dict with every counter, gauge and quantile."""
+        return self._snapshot(self._sampled_gauges())
+
+    def _snapshot(self, gauges: Dict[str, int]) -> Dict[str, object]:
         sizes = list(self._batch_sizes)
         return {
             **self.counters,
             "inflight": self.inflight,
             "queue_depth": self.queue_depth,
-            **self._sampled_gauges(),
+            **gauges,
             "batch_mean": (sum(sizes) / len(sizes)) if sizes else None,
             "batch_max": max(sizes) if sizes else None,
             "latency": {
@@ -133,15 +136,19 @@ class ServeMetrics:
         }
 
     def render(self) -> str:
-        """Human-readable multi-line summary (``repro serve --stats``)."""
-        snap = self.snapshot()
+        """Human-readable multi-line summary (``repro serve --stats``).
+
+        Samples the gauges once, like :meth:`snapshot`.
+        """
+        gauges = self._sampled_gauges()
+        snap = self._snapshot(gauges)
         lines: List[str] = ["serve metrics:"]
         for key in sorted(self.counters):
             lines.append(f"  {key:<22} {self.counters[key]}")
         lines.append(f"  {'inflight':<22} {snap['inflight']}")
         lines.append(f"  {'queue_depth':<22} {snap['queue_depth']}")
-        for key in sorted(self._sampled_gauges()):
-            lines.append(f"  {key:<22} {snap[key]}")
+        for key in sorted(gauges):
+            lines.append(f"  {key:<22} {gauges[key]}")
         if snap["batch_mean"] is not None:
             lines.append(
                 f"  {'batch size':<22} mean={snap['batch_mean']:.1f} "

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.graph.depgraph import DependencyGraph
 from repro.group.replica_group import ReplicaGroup, drive, settle
 from repro.shard.frontier import FrontierTracker
 from repro.shard.ledger import Ledger
@@ -116,7 +117,6 @@ class ShardedCluster:
         #: The ground truth: every issued operation and everything derived
         #: from it (see repro.shard.ledger).
         self.ledger = Ledger(self.shard_ids)
-        self.graph = self.ledger.graph
         #: label -> callbacks fired on its first delivery anywhere.
         self._watchers: Dict[MessageId, List[Callable[[EntityId], None]]] = {}
         #: member -> running maximal frontier of its settled ledger
@@ -153,6 +153,12 @@ class ShardedCluster:
         self.reads_failed = 0
         #: Set when a drain trips the event cap (see ``drive``).
         self.livelock: Optional[str] = None
+
+    @property
+    def graph(self) -> DependencyGraph:
+        """The ledger's dependency graph, caught up by the read
+        (:attr:`Ledger.graph <repro.shard.ledger.Ledger.graph>`)."""
+        return self.ledger.graph
 
     # -- delivery plumbing -------------------------------------------------
 
@@ -393,11 +399,16 @@ class ShardedCluster:
     def gauges(self) -> Dict[str, int]:
         """What the ``stats`` verb samples on demand: graph and transport.
 
-        ``graph_nodes`` (the ledger's dependency graph) grows with the
-        ops served; ``graph_closures`` / ``graph_closure_kb`` count its
-        memoised reachability closures and what they hold.  The members'
-        graphs are not sampled: each is a view derived when asked, and a
-        probe must not be what builds six of them.  ``net_envelopes`` and
+        ``graph_nodes`` counts the ledger's records — the nodes its
+        dependency graph has once built — and grows with the ops served;
+        ``graph_closures`` / ``graph_closure_kb`` count the memoised
+        reachability closures of the graph as built so far and what they
+        hold; ``graph_catchups`` counts the catch-ups that filed records
+        into it, one per question that found it behind (a put-only
+        server reads 0).  Sampling builds no graph: the ledger's is a
+        view caught up by the questions that need it, and each member's
+        is a view derived when asked — a probe must not be what builds
+        them.  ``net_envelopes`` and
         ``net_frames`` are the envelopes sent over every group's network
         and the hops that carried them (their ratio is the packing
         factor: about 30 when cycles are full, 1 at depth 1);
@@ -411,16 +422,18 @@ class ShardedCluster:
         """
         groups = self.groups.values()
         stacks = [stack for g in groups for stack in g.stacks.values()]
-        closures, closure_bytes = self.graph.closure_footprint()
+        ledger = self.ledger
+        closures, closure_bytes = ledger.closure_footprint()
         return {
-            "graph_nodes": len(self.graph),
+            "graph_nodes": len(ledger),
             "graph_closures": closures,
             "graph_closure_kb": closure_bytes // 1024,
+            "graph_catchups": ledger.catchups,
             "net_frames": sum(g.network.frames_sent for g in groups),
             "net_envelopes": sum(g.network.hops_sent for g in groups),
             "holdback_peak": max(stack.max_holdback for stack in stacks),
             "read_misses": self.read_misses,
-            "stale_gets": len(self.ledger.get_violations()),
+            "stale_gets": len(ledger.get_violations()),
         }
 
     # -- campaign execution ------------------------------------------------

@@ -8,7 +8,13 @@ operation: one :class:`OpRecord` per label in global issue order, the
 dependency graph over both edge kinds, the per-shard label sets, masks
 and key index, the barrier cut folds, the completed barrier reads, one
 log of writes and reads per session and each session's running get
-audit.  Two surfaces (tabulated in ``docs/SHARDING.md``):
+audit.  Filing a put (:meth:`Ledger.record`) stores the record, its
+shard's label set and key index, and nothing else: the graph and the
+per-shard masks are a view, caught up from the records filed since the
+last catch-up, in issue order, by the first question that needs them —
+so a put nobody asks about never reaches the graph, and the view equals
+what filing each record into it at once would have built, bit for bit.
+Two surfaces (tabulated in ``docs/SHARDING.md``):
 
 * **data-plane questions** — what the router, the barrier, the
   rebalancer and the cluster's read path ask while serving.  The paper's
@@ -121,7 +127,15 @@ class Ledger:
     """Everything retained per issued operation, behind two surfaces."""
 
     def __init__(self, shard_ids: Sequence[int]) -> None:
-        self.graph = DependencyGraph()
+        #: The graph view over both edge kinds (see `graph`): it holds the
+        #: records filed before `_unbuilt`'s, in issue order.
+        self._graph = DependencyGraph()
+        #: Records filed since the last catch-up, in issue order.
+        self._unbuilt: List[OpRecord] = []
+        #: Catch-ups that filed at least one record into the graph: how
+        #: often a question needed the graph (the ``graph_catchups``
+        #: gauge).
+        self.catchups = 0
         #: label -> record, in global issue order (``OpRecord.index`` is
         #: the label's position).
         self.ops: Dict[MessageId, OpRecord] = {}
@@ -131,7 +145,8 @@ class Ledger:
         #: shard -> mask (over ``graph``'s bits) of every ledger label it
         #: carries, and of its data-carrying ones (``DATA_KINDS``) alone:
         #: `project` restricts a causal past to a shard, and the barrier
-        #: a causal cut to a shard's writes, with one big-int AND.
+        #: a causal cut to a shard's writes, with one big-int AND.  Part
+        #: of the graph view: caught up with it.
         self._label_mask: Dict[int, int] = dict.fromkeys(shard_ids, 0)
         self._write_mask: Dict[int, int] = dict.fromkeys(shard_ids, 0)
         #: shard -> key -> its writes in issue order (puts, plus the
@@ -159,21 +174,56 @@ class Ledger:
 
     def record(self, label: MessageId, **fields: object) -> None:
         """File one broadcast operation: ``fields`` are the
-        :class:`OpRecord` fields besides ``label`` and ``index``."""
+        :class:`OpRecord` fields besides ``label`` and ``index``.
+
+        The record, its shard's label set and its key index only; the
+        graph view catches up when a question needs it (`graph`).
+        """
         record = OpRecord(label=label, index=len(self.ops), **fields)
-        # Both stamps go in as they are: the graph shares the record's
-        # frozensets instead of building their union.
-        self.graph.add(label, record.deps, record.cross_deps)
         self.ops[label] = record
+        self._unbuilt.append(record)
         shard = record.shard
         self._shard_labels[shard].add(label)
-        bit = self.graph.bit_of(label)
-        self._label_mask[shard] |= bit
         if record.kind in DATA_KINDS:
-            self._write_mask[shard] |= bit
             by_key = self.key_writes[shard]
             for key, _value in record.writes():
                 by_key.setdefault(key, []).append(label)
+
+    @property
+    def graph(self) -> DependencyGraph:
+        """The dependency graph over every filed label, both edge kinds.
+
+        A view: reading it first files the records filed since the last
+        read into it and into the per-shard masks, in issue order — the
+        order eager filing used — so every bit position, mask and answer
+        is the one filing each put at once gives.  Ledger labels never
+        dangle (a stamp names only filed labels), so no add runs a cycle
+        check.
+        """
+        if self._unbuilt:
+            self._catch_up()
+        return self._graph
+
+    def _catch_up(self) -> None:
+        graph = self._graph
+        add, bit_of = graph.add, graph.bit_of
+        label_mask, write_mask = self._label_mask, self._write_mask
+        for record in self._unbuilt:
+            label, shard = record.label, record.shard
+            # Both stamps go in as they are: the graph shares the
+            # record's frozensets instead of building their union.
+            add(label, record.deps, record.cross_deps)
+            bit = bit_of(label)
+            label_mask[shard] |= bit
+            if record.kind in DATA_KINDS:
+                write_mask[shard] |= bit
+        self._unbuilt = []
+        self.catchups += 1
+
+    def closure_footprint(self) -> Tuple[int, int]:
+        """The graph view's memoised closures as ``(entries, bytes)``,
+        without catching it up: what the ``stats`` gauges sample."""
+        return self._graph.closure_footprint()
 
     def slot_writes(self, shard: int, slot: int) -> List[MessageId]:
         """Every write to ``slot``'s keys issued on ``shard`` so far."""
@@ -229,7 +279,11 @@ class Ledger:
         return self.ops[label].slot
 
     def precedes(self, earlier: MessageId, later: MessageId) -> bool:
-        return self.graph.precedes(earlier, later)
+        # The frontier tracker asks this per delivery at an active
+        # contact: the catch-up test is inlined.
+        if self._unbuilt:
+            self._catch_up()
+        return self._graph.precedes(earlier, later)
 
     def maximal(self, labels: Iterable[MessageId]) -> FrozenSet[MessageId]:
         """Prune ``labels`` to its maximal elements under the graph."""

@@ -33,6 +33,7 @@ from repro.broadcast.cbcast import CbcastBroadcast
 from repro.broadcast.fifo import FifoBroadcast
 from repro.broadcast.lamport_total import LamportTotalOrder
 from repro.broadcast.osend import OSendBroadcast
+from repro.broadcast.recovery import RecoveryAgent
 from repro.broadcast.rst import RstBroadcast
 from repro.broadcast.sequencer import SequencerTotalOrder
 from repro.graph.predicates import OccursAfter
@@ -343,3 +344,197 @@ def test_wakeup_evaluations_bounded_by_unblocking_events():
         arrivals = deliveries + stack.holdback_size
         # one eval per arrival + at most one per (pending envelope, delivery)
         assert stack.predicate_evaluations <= arrivals + deliveries * arrivals
+
+
+# -- whole frames: the frame step against the per-envelope rescan -----------
+#
+# A frame lands at `BroadcastProtocol.on_frame`, which delivers a run of
+# envelopes in one pass while nothing is held back.  `naive(cls)` takes a
+# frame one envelope at a time through the rescan, so these cases judge
+# the frame step against the specification, not against itself.
+
+#: A label no frame ever carries: an ancestor that never arrives.
+FOREIGN = MessageId("z", 0)
+
+
+class _Sidecar:
+    """Owns the control operation ``ctl`` and logs what it consumed."""
+
+    operations = ("ctl",)
+
+    def __init__(self):
+        self.consumed = []
+
+    def intercept(self, sender, envelope):
+        self.consumed.append(envelope.msg_id)
+
+
+@st.composite
+def frame_plans(draw):
+    """Labels ``b:0..n-1`` with random ``Occurs-After`` sets, and frames.
+
+    An ancestor is lower (a run in order), higher (uncovered when its
+    descendant lands — maybe later in the same frame) or foreign (never
+    arrives).  A frame draws labels with replacement (duplicates), a few
+    as control operations.  Before a frame, recovery may start chasing a
+    label; during it, delivering a chosen label may crash the member,
+    which restarts before the next frame.
+    """
+    n = draw(st.integers(1, 8))
+    deps = [
+        draw(st.lists(
+            st.integers(-1, n - 1).filter(lambda j, i=i: j != i), max_size=2
+        ))
+        for i in range(n)
+    ]
+    item = st.tuples(
+        st.integers(0, n - 1), st.sampled_from(("op", "op", "op", "ctl"))
+    )
+    frames = draw(st.lists(
+        st.tuples(
+            st.lists(item, min_size=1, max_size=8),
+            st.one_of(st.none(), st.integers(0, n - 1)),
+            st.one_of(st.none(), st.integers(0, n - 1)),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    return deps, frames
+
+
+def _frame_run(cls, plan):
+    """Hand ``plan``'s frames to one member; what it did after each, the
+    trace it left, and how many envelopes the frame step delivered."""
+    deps, frames = plan
+    labels = [MessageId("b", i) for i in range(len(deps))]
+
+    def envelope(i, operation):
+        ancestors = [FOREIGN if j < 0 else labels[j] for j in deps[i]]
+        return Envelope(
+            Message(labels[i], operation, None),
+            occurs_after=OccursAfter.after(ancestors),
+        )
+
+    net = Network(Scheduler(), rng=RngRegistry(0))
+    stack = cls("a", GroupMembership(MEMBERS))
+    net.register(stack)
+    sidecar = _Sidecar()
+    stack.add_interceptor(sidecar)
+    # Never started: it chases only what the plan plants.
+    recovery = RecoveryAgent(stack)
+    crash_at = [None]
+
+    def crash(delivered):
+        if delivered.msg_id == crash_at[0] and not stack.crashed:
+            stack.crash()
+
+    stack.on_deliver(crash)
+    steps = []
+    for items, chase, crash_on in frames:
+        if stack.crashed:
+            stack.restart()
+        if chase is not None:
+            recovery._first_missing.setdefault(labels[chase], 0.0)
+        crash_at[0] = None if crash_on is None else labels[crash_on]
+        taken = stack.on_frame("b", [envelope(i, op) for i, op in items])
+        steps.append((
+            taken,
+            stack.crashed,
+            stack.delivered,
+            stack.holdback_ids,
+            stack.duplicates_discarded,
+            stack.max_holdback,
+            list(sidecar.consumed),
+            sorted(recovery._first_missing),
+        ))
+    trace = [(event.kind, dict(event.details)) for event in net.trace]
+    return steps, trace, stack.frame_deliveries
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=frame_plans())
+def test_frame_step_equivalence(plan):
+    """Broken runs, foreign and uncovered ancestors mid-frame,
+    duplicates, control operations, frames landing on a non-empty
+    hold-back queue, recovery chasing a label and a crash mid-frame: the
+    frame step leaves the state, the trace and the delivery order the
+    per-envelope rescan leaves, frame by frame."""
+    steps, trace, _ = _frame_run(OSendBroadcast, plan)
+    reference, reference_trace, never = _frame_run(
+        naive(OSendBroadcast), plan
+    )
+    assert never == 0
+    assert steps == reference
+    assert trace == reference_trace
+
+
+def test_frame_step_delivers_a_run_and_steps_aside_at_a_gap():
+    """An in-order frame is delivered by the frame step whole.  An
+    envelope whose ancestor is uncovered is held back; the envelopes
+    after it take `on_receive` until the hold-back queue is empty again,
+    and the frame step delivers the rest."""
+    chain = ([], [0], [1], [2], [3], [4])
+    in_order = [([(i, "op") for i in range(6)], None, None)]
+    steps, _, fast = _frame_run(OSendBroadcast, (chain, in_order))
+    assert (steps[-1][0], fast) == (6, 6)
+    gap = [([(i, "op") for i in (0, 1, 3, 2, 4, 5)], None, None)]
+    steps, _, fast = _frame_run(OSendBroadcast, (chain, gap))
+    assert steps[-1][2] == [MessageId("b", i) for i in range(6)]
+    # 0, 1, 4 and 5 by the frame step; 3 held, then 2 and 3 by on_receive.
+    assert fast == 4
+
+
+def _bursts(send, sends: Sequence[Tuple[str, float]]):
+    """At each planned time the member sends 1-4 messages corked: one
+    frame per destination."""
+
+    def drive(stacks, rng):
+        def burst(stack):
+            stack.network.cork()
+            for _ in range(rng.randint(1, 4)):
+                send(stack, rng)
+
+        for sender, at in sends:
+            stack = stacks[sender]
+            stack.scheduler.call_in(at, lambda s=stack: burst(s))
+
+    return drive
+
+
+def _osend_burst():
+    issued: List[MessageId] = []
+
+    def send(stack, rng):
+        k = rng.randint(0, min(3, len(issued)))
+        deps = rng.sample(issued, k) if k else None
+        issued.append(stack.osend("op", occurs_after=deps))
+
+    return send
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    count=st.integers(1, 8),
+    protocol=st.sampled_from(("osend", "cbcast", "fifo", "rst", "sequencer", "lamport")),
+    drop=st.sampled_from([0.0, 0.2]),
+    duplicate=st.sampled_from([0.0, 0.2]),
+)
+def test_corked_frames_equivalence(seed, count, protocol, drop, duplicate):
+    """Every protocol, fed multi-envelope frames over a lossy network,
+    delivers what the per-envelope rescan delivers."""
+    plan = _send_plan(random.Random(seed * 47 + 23), count)
+    classes = {
+        "osend": OSendBroadcast, "cbcast": CbcastBroadcast,
+        "fifo": FifoBroadcast, "rst": RstBroadcast,
+        "sequencer": SequencerTotalOrder, "lamport": LamportTotalOrder,
+    }
+    if protocol == "osend":
+        traffic = lambda stacks, rng: _bursts(_osend_burst(), plan)(stacks, rng)
+    elif protocol == "lamport":
+        traffic = _bursts(lambda s, _rng: s.total_send("op"), plan)
+    else:
+        traffic = _bursts(lambda s, _rng: s.bcast("op"), plan)
+    assert_equivalent(
+        classes[protocol], seed, traffic, drop=drop, duplicate=duplicate
+    )

@@ -91,3 +91,19 @@ class TestServeMetrics:
     def test_empty_render_has_no_latency_lines(self):
         text = ServeMetrics().render()
         assert "latency" not in text
+
+    def test_render_samples_the_gauges_once(self):
+        """A gauge walks caches (the closure cache, every member stack):
+        one `render()` pays for one sample, as one `snapshot()` does."""
+        calls = []
+
+        def gauges():
+            calls.append(1)
+            return {"graph_nodes": 7}
+
+        metrics = ServeMetrics(gauges=gauges)
+        text = metrics.render()
+        assert "graph_nodes" in text and "7" in text
+        assert len(calls) == 1
+        metrics.snapshot()
+        assert len(calls) == 2

@@ -155,6 +155,28 @@ class TestBasics:
 
         run(scenario)
 
+    def test_stats_leave_the_ledger_graph_unbuilt(self):
+        """A put files a ledger record and nothing else; the graph is a
+        view that the first question needing it catches up.  `stats`
+        counts the records without being that question, and
+        `graph_catchups` counts the questions that were."""
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                ledger = srv.cluster.ledger
+                await asyncio.gather(*(cli.put(f"k{i}", i) for i in range(40)))
+                stats = await cli.stats()
+                assert (stats["graph_nodes"], stats["graph_catchups"]) == (40, 0)
+                assert len(ledger._graph) == 0
+                srv.metrics.render()
+                assert len(ledger._graph) == 0
+                await cli.read()
+                stats = await cli.stats()
+                assert stats["graph_catchups"] >= 1
+                assert len(ledger._graph) == len(ledger) == stats["graph_nodes"]
+
+        run(scenario)
+
     def test_stats_report_transport_gauges(self):
         """`stats` carries the packing factor and the hold-back peak.
 
