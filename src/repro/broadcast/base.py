@@ -156,9 +156,6 @@ class BroadcastProtocol(SimNode):
         self._owners: Dict[str, Any] = {}
         self.duplicates_discarded = 0
         self.max_holdback = 0
-        #: Envelopes the whole-frame step (`on_frame`) delivered on
-        #: arrival; the rest of `delivered_count` took `on_receive`.
-        self.frame_deliveries = 0
         #: `_deliverable` calls made by the drain — one per unblocking
         #: event.
         self.predicate_evaluations = 0
@@ -467,78 +464,6 @@ class BroadcastProtocol(SimNode):
 
     # -- receive path -------------------------------------------------------------
 
-    def on_frame(self, sender: EntityId, envelopes: Sequence[Envelope]) -> int:
-        """Take a frame that landed: ``envelopes`` in send order.
-
-        The whole-frame step.  An envelope is delivered on the spot when
-        all of these hold: nothing is held back or queued, no drain is
-        running, it is a fresh data envelope (no sidecar owns its
-        operation, and it was never settled here), recovery is chasing
-        nothing, and its predicate holds.  That is :meth:`on_receive`'s
-        deliver-on-arrival case exactly, with the per-frame lookups made
-        once.  An envelope that fails a test goes through
-        :meth:`on_receive` itself, as does every envelope that lands
-        while one is held back.  A crash mid-frame drops the rest.  Trace records and
-        delivery callbacks are the per-envelope path's, in its order.  A
-        class (or a spy) that replaces :meth:`on_receive` gets every
-        envelope through it.  Returns how many envelopes were taken.
-        """
-        if type(self).on_receive is not _ON_RECEIVE:
-            return SimNode.on_frame(self, sender, envelopes)
-        network = self._network
-        trace = network.trace
-        tracing = trace.enabled
-        owners = self._owners
-        recovery = self._recovery
-        pending = self._pending
-        delivered = self._delivered_ids
-        taken = fast = 0
-        for envelope in envelopes:
-            if self._crashed:
-                break
-            taken += 1
-            message = envelope.message
-            msg_id = message.msg_id
-            if tracing:
-                now = network.scheduler.now
-                trace.record(
-                    now, "receive",
-                    source=sender, destination=self.entity_id, msg_id=msg_id,
-                )
-            if (
-                pending
-                or self._ready
-                or self._draining
-                or message.operation in owners
-                or msg_id in delivered
-                or (recovery is not None and recovery._first_missing)
-            ):
-                self.on_receive(sender, envelope)
-                continue
-            self._envelopes_by_id[msg_id] = envelope
-            self._on_received(sender, envelope)
-            arrival = self._arrival_counter
-            self._arrival_counter = arrival + 1
-            if not self.max_holdback:
-                self.max_holdback = 1
-            if tracing:
-                trace.record(
-                    now, "hold", entity=self.entity_id, msg_id=msg_id, queue=1,
-                )
-            if (
-                not self._draining
-                and not self._ready
-                and self._deliverable(envelope)
-            ):
-                self._deliver_on_arrival(envelope, msg_id, arrival)
-                fast += 1
-            else:
-                self._hold(envelope, msg_id, arrival)
-            if recovery is not None and pending:
-                recovery.notify_blocked()
-        self.frame_deliveries += fast
-        return taken
-
     def on_receive(self, sender: EntityId, envelope: Envelope) -> None:
         message = envelope.message
         # `intercept` is looked up per call, not bound at registration,
@@ -592,39 +517,26 @@ class BroadcastProtocol(SimNode):
             and not self._ready
             and self._deliverable(envelope)
         ):
-            self._deliver_on_arrival(envelope, msg_id, arrival)
-        else:
-            self._hold(envelope, msg_id, arrival)
-
-    def _deliver_on_arrival(
-        self, envelope: Envelope, msg_id: MessageId, arrival: int
-    ) -> None:
-        """Deliver an arrival whose predicate holds with nothing runnable
-        ahead of it.
-
-        The drain's first pass would reach it next, so it skips the
-        hold-back queue, the wakeup index and the heap.  With `_cursor`
-        at its arrival index, whatever its delivery wakes (all earlier
-        arrivals) lands in the next pass, exactly where the rescan
-        delivers it.
-        """
-        self._draining = True
-        self._cursor = arrival
-        try:
-            self.predicate_evaluations += 1
-            self._deliver(envelope)
-            if self._event_waiters:
+            # Deliver on arrival: nothing is runnable ahead of this
+            # envelope and its predicate holds, so the drain's first pass
+            # would reach it next — skip the hold-back queue, the wakeup
+            # index and the heap.  With `_cursor` at its arrival index,
+            # whatever its delivery wakes (all earlier arrivals) lands in
+            # the next pass, exactly where the rescan delivers it.
+            self._draining = True
+            self._cursor = arrival
+            try:
+                self.predicate_evaluations += 1
+                self._deliver(envelope)
                 self._signal_event(("delivered", msg_id))
-            self._run_passes()
-        finally:
-            self._end_drain()
-
-    def _hold(self, envelope: Envelope, msg_id: MessageId, arrival: int) -> None:
-        """Hold an arrival back, index its wake conditions and drain."""
-        self._pending[msg_id] = envelope
-        self._arrival[msg_id] = arrival
-        self._index(envelope)
-        self._drain()
+                self._run_passes()
+            finally:
+                self._end_drain()
+        else:
+            self._pending[msg_id] = envelope
+            self._arrival[msg_id] = arrival
+            self._index(envelope)
+            self._drain()
 
     # -- wakeup index --------------------------------------------------------
 
@@ -831,11 +743,6 @@ class BroadcastProtocol(SimNode):
         ``missing_for`` ask before naming a label missing.
         """
         return msg_id in self._delivered_ids or msg_id in self._pending
-
-
-#: The chassis's own receive path: `on_frame` takes its whole-frame step
-#: only while a stack's class still uses it.
-_ON_RECEIVE = BroadcastProtocol.on_receive
 
 
 def make_group(

@@ -220,10 +220,28 @@ class Network:
                     blocked=blocked,
                 )
             return
+        # With no service time a frame is taken the moment it lands.
+        land = self._queue if self.service_time else self._arrive
         for _ in range(copies):
             delay = self.latency.sample(source, destination, self._latency_rng)
-            self.scheduler.call_in(
-                delay, self._arrive, source, destination, envelopes
+            self.scheduler.call_in(delay, land, source, destination, envelopes)
+
+    def _queue(
+        self,
+        source: EntityId,
+        destination: EntityId,
+        envelopes: Sequence[Envelope],
+    ) -> None:
+        """A frame lands at a node with a positive ``service_time``: each
+        envelope queues for the node on its own and arrives as a frame of
+        one."""
+        for envelope in envelopes:
+            now = self.scheduler.now
+            start = max(now, self._node_free_at.get(destination, 0.0))
+            done = start + self.service_time
+            self._node_free_at[destination] = done
+            self.scheduler.call_at(
+                done, self._arrive, source, destination, (envelope,)
             )
 
     def _arrive(
@@ -236,30 +254,9 @@ class Network:
 
         One crash check and one node lookup a frame, then the whole frame
         goes to :meth:`SimNode.on_frame <repro.sim.node.SimNode.on_frame>`,
-        which takes the envelopes one by one (a protocol stack delivers a
-        run of them in one pass) and stops at a crash mid-frame: the rest
-        are dropped, as hops to a crashed node are.  With a positive
-        ``service_time`` each envelope queues for the node on its own and
-        lands as a frame of one.
+        which takes the envelopes one by one and stops at a crash
+        mid-frame: the rest are dropped, as hops to a crashed node are.
         """
-        if not self.service_time:
-            self._process(source, destination, envelopes)
-            return
-        for envelope in envelopes:
-            now = self.scheduler.now
-            start = max(now, self._node_free_at.get(destination, 0.0))
-            done = start + self.service_time
-            self._node_free_at[destination] = done
-            self.scheduler.call_at(
-                done, self._process, source, destination, (envelope,)
-            )
-
-    def _process(
-        self,
-        source: EntityId,
-        destination: EntityId,
-        envelopes: Sequence[Envelope],
-    ) -> None:
         node = self._nodes.get(destination)
         if node is None or node.crashed:
             # Destination departed (or is down) while the hop was in

@@ -161,7 +161,7 @@ class SimNode:
         rest are lost with the crash).  Returns how many envelopes were
         taken, so the network can count the rest dropped.
         """
-        network = self.network
+        network = self._network
         trace = network.trace
         taken = 0
         for envelope in envelopes:

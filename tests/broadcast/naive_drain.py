@@ -12,9 +12,7 @@ the rescan the index replaces.
 
 The reference never delivers on arrival: the index's shortcut for an
 arrival that is deliverable at once must be shown to land where the
-rescan puts it, so the reference cannot take it too.  Nor does it take
-the chassis's whole-frame step: a frame reaches it one envelope at a
-time, through ``on_receive`` and the rescan.
+rescan puts it, so the reference cannot take it too.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from functools import lru_cache
 from typing import Type, TypeVar
 
 from repro.broadcast.base import BroadcastProtocol
-from repro.sim.node import SimNode
 from repro.types import Envelope, MessageId
 
 P = TypeVar("P", bound=BroadcastProtocol)
@@ -31,10 +28,6 @@ P = TypeVar("P", bound=BroadcastProtocol)
 
 class NaiveDrain:
     """Mixin: every arrival is held back, and the drain rescans."""
-
-    def on_frame(self, sender, envelopes) -> int:
-        """A frame one envelope at a time, each through ``on_receive``."""
-        return SimNode.on_frame(self, sender, envelopes)
 
     def _accept(
         self, envelope: Envelope, msg_id: MessageId, arrival: int

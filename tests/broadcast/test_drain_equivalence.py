@@ -346,12 +346,13 @@ def test_wakeup_evaluations_bounded_by_unblocking_events():
         assert stack.predicate_evaluations <= arrivals + deliveries * arrivals
 
 
-# -- whole frames: the frame step against the per-envelope rescan -----------
+# -- whole frames: delivery on arrival against the per-envelope rescan ------
 #
-# A frame lands at `BroadcastProtocol.on_frame`, which delivers a run of
-# envelopes in one pass while nothing is held back.  `naive(cls)` takes a
-# frame one envelope at a time through the rescan, so these cases judge
-# the frame step against the specification, not against itself.
+# A frame lands at `SimNode.on_frame`, which hands its envelopes to
+# `on_receive` in send order; each is delivered on the spot while nothing
+# is held back and its predicate holds.  `naive(cls)` holds every arrival
+# and rescans, so these cases judge frame arrival against the
+# specification, not against itself.
 
 #: A label no frame ever carries: an ancestor that never arrives.
 FOREIGN = MessageId("z", 0)
@@ -403,8 +404,8 @@ def frame_plans(draw):
 
 
 def _frame_run(cls, plan):
-    """Hand ``plan``'s frames to one member; what it did after each, the
-    trace it left, and how many envelopes the frame step delivered."""
+    """Hand ``plan``'s frames to one member; what it did after each and
+    the trace it left."""
     deps, frames = plan
     labels = [MessageId("b", i) for i in range(len(deps))]
 
@@ -448,40 +449,39 @@ def _frame_run(cls, plan):
             sorted(recovery._first_missing),
         ))
     trace = [(event.kind, dict(event.details)) for event in net.trace]
-    return steps, trace, stack.frame_deliveries
+    return steps, trace
 
 
 @settings(max_examples=200, deadline=None)
 @given(plan=frame_plans())
-def test_frame_step_equivalence(plan):
+def test_frame_arrival_equivalence(plan):
     """Broken runs, foreign and uncovered ancestors mid-frame,
     duplicates, control operations, frames landing on a non-empty
-    hold-back queue, recovery chasing a label and a crash mid-frame: the
-    frame step leaves the state, the trace and the delivery order the
+    hold-back queue, recovery chasing a label and a crash mid-frame: a
+    frame leaves the state, the trace and the delivery order the
     per-envelope rescan leaves, frame by frame."""
-    steps, trace, _ = _frame_run(OSendBroadcast, plan)
-    reference, reference_trace, never = _frame_run(
-        naive(OSendBroadcast), plan
-    )
-    assert never == 0
+    steps, trace = _frame_run(OSendBroadcast, plan)
+    reference, reference_trace = _frame_run(naive(OSendBroadcast), plan)
     assert steps == reference
     assert trace == reference_trace
 
 
-def test_frame_step_delivers_a_run_and_steps_aside_at_a_gap():
-    """An in-order frame is delivered by the frame step whole.  An
-    envelope whose ancestor is uncovered is held back; the envelopes
-    after it take `on_receive` until the hold-back queue is empty again,
-    and the frame step delivers the rest."""
+def test_a_frame_delivers_a_run_on_arrival_and_holds_at_a_gap():
+    """An in-order frame is delivered envelope by envelope as it lands,
+    with nothing ever held back.  An envelope whose ancestor is uncovered
+    is held back until the ancestor lands later in the frame."""
     chain = ([], [0], [1], [2], [3], [4])
     in_order = [([(i, "op") for i in range(6)], None, None)]
-    steps, _, fast = _frame_run(OSendBroadcast, (chain, in_order))
-    assert (steps[-1][0], fast) == (6, 6)
+    steps, _ = _frame_run(OSendBroadcast, (chain, in_order))
+    taken, _, delivered, held, _, peak, _, _ = steps[-1]
+    assert (taken, held, peak) == (6, [], 1)
+    assert delivered == [MessageId("b", i) for i in range(6)]
     gap = [([(i, "op") for i in (0, 1, 3, 2, 4, 5)], None, None)]
-    steps, _, fast = _frame_run(OSendBroadcast, (chain, gap))
-    assert steps[-1][2] == [MessageId("b", i) for i in range(6)]
-    # 0, 1, 4 and 5 by the frame step; 3 held, then 2 and 3 by on_receive.
-    assert fast == 4
+    steps, _ = _frame_run(OSendBroadcast, (chain, gap))
+    taken, _, delivered, held, _, peak, _, _ = steps[-1]
+    # 3 waits for 2, so 2 lands on a queue of one.
+    assert (taken, held, peak) == (6, [], 2)
+    assert delivered == [MessageId("b", i) for i in range(6)]
 
 
 def _bursts(send, sends: Sequence[Tuple[str, float]]):
