@@ -123,8 +123,8 @@ def latency_summary(
 def holdback_summary(trace: TraceRecorder) -> SummaryStats:
     """Summary of hold-back queue sizes sampled at each enqueue.
 
-    A group built with ``hop_events="off"`` has a disabled recorder that
-    keeps no events, so this summary is empty.
+    A replica group's network has a disabled recorder that keeps no
+    events, so over one this summary is empty.
     """
     sizes = [float(e.get("queue", 0)) for e in trace.of_kind("hold")]
     return SummaryStats.of(sizes)
@@ -134,8 +134,8 @@ def hold_durations(trace: TraceRecorder) -> SummaryStats:
     """How long messages sat in hold-back queues before delivery.
 
     Matches ``hold`` events to ``deliver`` events per (entity, message).
-    A group built with ``hop_events="off"`` keeps no events, so no
-    message contributes a duration.
+    A replica group's network keeps no events, so over one no message
+    contributes a duration.
     """
     held_at: Dict[Tuple[EntityId, MessageId], float] = {}
     durations: List[float] = []

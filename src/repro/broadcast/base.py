@@ -150,10 +150,11 @@ class BroadcastProtocol(SimNode):
         self._callbacks: List[DeliveryCallback] = []
         self._recovery: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
-        # stable-skip hooks), and the one that consumes each control
-        # operation.
+        # stable-skip hooks), the one that consumes each control
+        # operation, and those that may refuse an application send.
         self._interceptors: List[Any] = []
         self._owners: Dict[str, Any] = {}
+        self._send_guards: List[Any] = []
         self.duplicates_discarded = 0
         self.max_holdback = 0
         #: `_deliverable` calls made by the drain — one per unblocking
@@ -206,8 +207,11 @@ class BroadcastProtocol(SimNode):
 
         ``options`` are protocol-specific (e.g. ``occurs_after=`` for
         :class:`~repro.broadcast.osend.OSendBroadcast`).  Returns the new
-        message's label.
+        message's label.  A sidecar's ``guard_send`` may refuse the send
+        first, by raising, before a label is allocated.
         """
+        for agent in self._send_guards:
+            agent.guard_send()
         message = Message(self._allocator.next_id(), operation, payload)
         envelope = self._stamp(Envelope(message), **options)
         # Keep our own stamped copy: if every network copy (including the
@@ -327,7 +331,8 @@ class BroadcastProtocol(SimNode):
         ``agent.intercept(sender, envelope)`` before ordering-protocol
         processing, and to nothing else; every other envelope (all data)
         meets no agent.  An operation has one owner: a second agent for
-        it is refused with :class:`ConfigurationError`.
+        it is refused with :class:`ConfigurationError`.  An agent with a
+        ``guard_send()`` is also asked before every :meth:`bcast`.
         """
         for operation in agent.operations:
             owner = self._owners.get(operation)
@@ -339,6 +344,8 @@ class BroadcastProtocol(SimNode):
         for operation in agent.operations:
             self._owners[operation] = agent
         self._interceptors.append(agent)
+        if hasattr(agent, "guard_send"):
+            self._send_guards.append(agent)
 
     def attach_recovery(self, agent: Any) -> None:
         """Route recovery's operations to ``agent`` and tell it of every

@@ -39,6 +39,9 @@ from repro.types import EntityId
 #: Disturbance kinds `random_campaign` can draw from.
 DISTURBANCES = ("crash", "partition", "loss", "dup", "churn")
 
+#: Application sends `random_campaign` sprinkles per member.
+SENDS_PER_MEMBER = 6
+
 _ACTIONS = frozenset(
     ("send", "crash", "restart", "remove", "rejoin",
      "partition", "heal", "loss", "dup",
@@ -105,7 +108,6 @@ def random_campaign(
     members: Sequence[EntityId],
     seed: int,
     disturbances: Sequence[str] = DISTURBANCES,
-    sends_per_member: int = 6,
     overlap: bool = False,
 ) -> ChaosCampaign:
     """Generate a seeded random campaign over ``members``.
@@ -230,7 +232,7 @@ def random_campaign(
                 cursor += phase + rng.uniform(4.0, 7.0)
     tail = max([cursor] + [event.time for event in events])
     duration = tail + 8.0
-    for _ in range(sends_per_member * len(members)):
+    for _ in range(SENDS_PER_MEMBER * len(members)):
         when = round(rng.uniform(0.5, duration - 6.0), 2)
         events.append(ChaosEvent(when, "send", rng.choice(list(members))))
     ordered = tuple(

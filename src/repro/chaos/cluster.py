@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.invariants import InvariantMonitor, Violation
 from repro.errors import ConfigurationError, ProtocolError
 from repro.group.replica_group import PROTOCOLS, ReplicaGroup, settle
-from repro.sim.scheduler import Scheduler
 from repro.types import EntityId, MessageId
 
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
@@ -64,6 +63,10 @@ CHAOS_PROTOCOLS = {n: c for n, c in PROTOCOLS.items() if c.crash_eligible}
 
 #: Protocols that opted out (a group built on one is refused).
 CHAOS_EXCLUDED = {n: c for n, c in PROTOCOLS.items() if not c.crash_eligible}
+
+#: Repair rounds a campaign gets to converge; the liveness violation
+#: prints the count.
+SETTLE_ROUNDS = 60
 
 
 @dataclass
@@ -126,13 +129,8 @@ class ChaosCluster(ReplicaGroup):
         seed: int = 0,
         overlap: bool = False,
         auto_membership: bool = True,
-        scheduler: Optional[Scheduler] = None,
-        hop_events: str = "full",
     ) -> None:
-        super().__init__(
-            protocol, members, seed, overlap, auto_membership, scheduler,
-            hop_events,
-        )
+        super().__init__(protocol, members, seed, overlap, auto_membership)
         # Ground-truth bookkeeping (see module docstring).
         self.data_labels: Set[MessageId] = set()
         self.dependencies: Dict[MessageId, frozenset] = {}
@@ -235,12 +233,7 @@ class ChaosCluster(ReplicaGroup):
         else:
             self.apply_fault(event.action, event.arg)
 
-    def run_campaign(
-        self,
-        campaign: ChaosCampaign,
-        max_settle_rounds: int = 60,
-        check_invariants: bool = True,
-    ) -> CampaignResult:
+    def run_campaign(self, campaign: ChaosCampaign) -> CampaignResult:
         """Execute ``campaign``, drive repair to convergence, audit."""
         for manager in self.managers.values():
             manager.start(campaign.duration)
@@ -252,9 +245,8 @@ class ChaosCluster(ReplicaGroup):
         self.drain()
         self.revive()
         self.drain()
-        violations, rounds = self.settle(max_settle_rounds)
-        if check_invariants:
-            violations = violations + self.check_invariants()
+        violations, rounds = self.settle()
+        violations = violations + self.check_invariants()
         return CampaignResult(
             protocol=self.protocol_name,
             campaign=campaign.name,
@@ -331,15 +323,15 @@ class ChaosCluster(ReplicaGroup):
     def converged(self) -> bool:
         return super().converged(self.data_labels)
 
-    def settle(self, max_rounds: int = 60) -> Tuple[List[Violation], int]:
-        """Run repair rounds until convergence or the round budget.
+    def settle(self) -> Tuple[List[Violation], int]:
+        """Run repair rounds until convergence or ``SETTLE_ROUNDS``.
 
         Each round first repairs membership (restarts crashed in-view
         members, re-proposes joins for members a late-installing leave
         evicted), then drives one anti-entropy digest exchange and one
         stability-gossip round at every up member (see ``settle``).
         """
-        return settle(self, max_rounds, self.converged, self._repair)
+        return settle(self, SETTLE_ROUNDS, self.converged, self._repair)
 
     def _repair(self) -> None:
         self.repair_membership()

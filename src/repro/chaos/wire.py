@@ -214,8 +214,6 @@ async def run_wire_campaign(
     *,
     clients: int = 4,
     ops_per_client: int = 20,
-    shards: int = 2,
-    members_per_shard: int = 3,
 ) -> WireCampaignResult:
     """Run one seeded chaos-over-the-wire campaign end to end."""
     if kind not in WIRE_CAMPAIGNS:
@@ -227,10 +225,7 @@ async def run_wire_campaign(
     # batch window shed the second — guarantees the campaign actually
     # exercises the overload frames and the clients' backoff.
     max_queue = 1 if kind == "overload" else None
-    server = ServeServer(
-        shards=shards, members_per_shard=members_per_shard,
-        seed=seed, max_queue=max_queue,
-    )
+    server = ServeServer(seed=seed, max_queue=max_queue)
     await server.start()
     proxy = ChaosProxy(
         "127.0.0.1", server.port, plan=_plan_for(kind, seed)

@@ -60,7 +60,6 @@ class MembershipManager:
         view_sync: ViewSyncAgent,
         heartbeat_interval: float = 1.0,
         suspicion_timeout: float = 4.0,
-        fallback_delay: Optional[float] = None,
     ) -> None:
         if heartbeat_interval <= 0:
             raise ProtocolError("heartbeat_interval must be positive")
@@ -69,9 +68,7 @@ class MembershipManager:
         self.heartbeat_interval = heartbeat_interval
         # How long a live member at fallback rank r waits before checking
         # whether the removal it expected has happened (r × delay).
-        self.fallback_delay = (
-            fallback_delay if fallback_delay is not None else suspicion_timeout
-        )
+        self.fallback_delay = suspicion_timeout
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!hb")
         others = [
             m
@@ -247,7 +244,6 @@ def manage_membership(
     view_sync_agents: Dict[EntityId, ViewSyncAgent],
     heartbeat_interval: float = 1.0,
     suspicion_timeout: float = 4.0,
-    fallback_delay: Optional[float] = None,
 ) -> Dict[EntityId, MembershipManager]:
     """One manager per member (does not start them)."""
     return {
@@ -256,7 +252,6 @@ def manage_membership(
             view_sync_agents[entity],
             heartbeat_interval=heartbeat_interval,
             suspicion_timeout=suspicion_timeout,
-            fallback_delay=fallback_delay,
         )
         for entity, protocol in protocols.items()
     }

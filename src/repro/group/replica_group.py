@@ -66,6 +66,10 @@ PROTOCOLS = {
     )
 }
 
+#: How many times a membership proposal, or a rejoining member's wake-up,
+#: is retried one simulated second apart before it is given up.
+MEMBERSHIP_RETRIES = 60
+
 #: Safety cap per scheduler drain.  The event-driven protocol timers all
 #: disarm themselves (recovery scans stop when nothing is chaseable,
 #: flush checks ride delivery hooks), so a queue that does not empty
@@ -130,7 +134,6 @@ class ReplicaGroup:
         overlap: bool = False,
         auto_membership: bool = True,
         scheduler: Optional[Scheduler] = None,
-        hop_events: str = "full",
     ) -> None:
         protocol_cls = PROTOCOLS.get(protocol)
         if protocol_cls is None:
@@ -144,10 +147,6 @@ class ReplicaGroup:
             )
         if len(members) < 2:
             raise ConfigurationError("a replica group needs >= 2 members")
-        if hop_events not in ("full", "off"):
-            raise ValueError(
-                f"hop_events must be 'full' or 'off', got {hop_events!r}"
-            )
         self.protocol_name = protocol
         self.members: Tuple[EntityId, ...] = tuple(members)
         # An external scheduler lets several groups share one simulated
@@ -155,16 +154,15 @@ class ReplicaGroup:
         # network (`repro.shard` runs one group per shard this way).
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.faults = FaultPlan()
-        # `hop_events` switches the trace: analysis runs want "full";
-        # serving-path groups pass "off" and retain no trace at all —
-        # nothing there reads one, and a put would otherwise leave a send
-        # and three deliver events behind forever.
+        # A group records no trace: campaigns are judged from protocol
+        # state and ground truth, the server reads none, and every hop
+        # would otherwise leave events behind that nothing reads.
         self.network = Network(
             self.scheduler,
             latency=UniformLatency(0.2, 1.8),
             faults=self.faults,
             rng=RngRegistry(seed),
-            trace=TraceRecorder(enabled=hop_events == "full"),
+            trace=TraceRecorder(enabled=False),
         )
         self.group = GroupMembership(self.members)
         self.stacks: Dict[EntityId, "BroadcastProtocol"] = {}
@@ -240,14 +238,12 @@ class ReplicaGroup:
             for agent in self.view_syncs.values()
         )
 
-    def propose_with_retry(
-        self, kind: str, entity: EntityId, attempts: int = 60
-    ) -> None:
+    def propose_with_retry(self, kind: str, entity: EntityId) -> None:
         """Propose ``kind``/``entity``, retrying while a flush is busy.
 
         Proposal goes through the first up-and-in-view member (other than
         ``entity``) with no pending change; if none qualifies right now,
-        retry after a delay until ``attempts`` runs out.
+        retry after a delay, up to ``MEMBERSHIP_RETRIES`` times.
         """
 
         def attempt(remaining: int) -> None:
@@ -275,7 +271,7 @@ class ReplicaGroup:
             if remaining > 0:
                 self.scheduler.call_in(1.0, attempt, remaining - 1)
 
-        attempt(attempts)
+        attempt(MEMBERSHIP_RETRIES)
 
     def remove(self, member: EntityId) -> None:
         """Crash ``member`` and propose its removal from the view."""
@@ -283,7 +279,7 @@ class ReplicaGroup:
             self.crash(member)
         self.propose_with_retry("leave", member)
 
-    def rejoin(self, member: EntityId, attempts: int = 60) -> None:
+    def rejoin(self, member: EntityId) -> None:
         """Propose re-adding ``member``; restart it once the join installs.
 
         The restart is deliberately deferred until the member is back in
@@ -302,7 +298,7 @@ class ReplicaGroup:
             if remaining > 0:
                 self.scheduler.call_in(1.0, wake, remaining - 1)
 
-        self.scheduler.call_in(1.0, wake, attempts)
+        self.scheduler.call_in(1.0, wake, MEMBERSHIP_RETRIES)
 
     # -- scripted faults -----------------------------------------------------
 

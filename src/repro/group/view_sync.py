@@ -194,8 +194,9 @@ class ViewSyncAgent:
     def guard_send(self) -> None:
         """Raise if application sends are frozen mid-flush.
 
-        Applications integrate by calling this before ``bcast``; see
-        :func:`attach_view_sync`.
+        The chassis calls this at the top of every ``bcast``, before a
+        label is allocated (the agent registers through
+        ``add_interceptor``); ``send_logged`` is not guarded.
         """
         if self.frozen:
             raise ProtocolError(
@@ -527,16 +528,9 @@ class ViewSyncAgent:
 def attach_view_sync(
     protocols: Dict[EntityId, "BroadcastProtocol"],
 ) -> Dict[EntityId, ViewSyncAgent]:
-    """One agent per stack, with sends guarded during flushes."""
-    agents = {}
-    for entity, protocol in protocols.items():
-        agent = ViewSyncAgent(protocol)
-        agents[entity] = agent
-        original_bcast = protocol.bcast
-
-        def guarded(operation, payload=None, _agent=agent, _orig=original_bcast, **options):
-            _agent.guard_send()
-            return _orig(operation, payload, **options)
-
-        protocol.bcast = guarded  # type: ignore[method-assign]
-    return agents
+    """One agent per stack; each stack's ``bcast`` asks its agent's
+    :meth:`~ViewSyncAgent.guard_send` first."""
+    return {
+        entity: ViewSyncAgent(protocol)
+        for entity, protocol in protocols.items()
+    }

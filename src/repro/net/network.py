@@ -210,15 +210,16 @@ class Network:
         )
         if copies == 0:
             self.hops_dropped += len(envelopes)
-            for envelope in envelopes:
-                self.trace.record(
-                    self.scheduler.now,
-                    "drop",
-                    source=source,
-                    destination=destination,
-                    msg_id=envelope.msg_id,
-                    blocked=blocked,
-                )
+            if self.trace.enabled:
+                for envelope in envelopes:
+                    self.trace.record(
+                        self.scheduler.now,
+                        "drop",
+                        source=source,
+                        destination=destination,
+                        msg_id=envelope.msg_id,
+                        blocked=blocked,
+                    )
             return
         # With no service time a frame is taken the moment it lands.
         land = self._queue if self.service_time else self._arrive

@@ -218,7 +218,6 @@ class ServeServer:
 
     def __init__(
         self,
-        cluster: Optional[ShardedCluster] = None,
         *,
         shards: int = 2,
         members_per_shard: int = 3,
@@ -230,12 +229,8 @@ class ServeServer:
         max_queue: Optional[int] = None,
         overload_retry_after: float = DEFAULT_OVERLOAD_RETRY_AFTER,
     ) -> None:
-        # Serving-path clusters skip per-hop trace events: nothing on
-        # the serve path reads them, and the hot delivery loop would pay
-        # for assembling one per network hop.
-        self.cluster = cluster if cluster is not None else ShardedCluster(
-            shards=shards, members_per_shard=members_per_shard, seed=seed,
-            hop_events="off",
+        self.cluster = ShardedCluster(
+            shards=shards, members_per_shard=members_per_shard, seed=seed
         )
         self.host = host
         self.port = port

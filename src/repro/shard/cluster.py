@@ -43,6 +43,10 @@ from repro.types import EntityId, MessageId, Violation
 if TYPE_CHECKING:  # pragma: no cover - the chaos harness is not data plane
     from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 
+#: Repair rounds a campaign (and a serving drain's heal) gets to
+#: converge; the liveness violation prints the count.
+SETTLE_ROUNDS = 80
+
 
 @dataclass
 class ShardedResult:
@@ -81,7 +85,13 @@ class ShardedResult:
 
 
 class ShardedCluster:
-    """A sharded object space over independent causal-broadcast groups."""
+    """A sharded object space over independent causal-broadcast groups.
+
+    Its groups record no trace (see
+    :class:`~repro.group.replica_group.ReplicaGroup`).  ``hop_events``
+    accepts only ``"off"``: ``bench/replay.py`` still passes it, and the
+    keyword goes when that caller drops it (ROADMAP 9(c)).
+    """
 
     def __init__(
         self,
@@ -89,10 +99,12 @@ class ShardedCluster:
         members_per_shard: int = 3,
         seed: int = 0,
         *,
-        hop_events: str = "full",
+        hop_events: str = "off",
     ) -> None:
         if shards < 1:
             raise ConfigurationError("a sharded cluster needs >= 1 shard")
+        if hop_events != "off":
+            raise ValueError(f"hop_events must be 'off', got {hop_events!r}")
         self.scheduler = Scheduler()
         self.shard_map = ShardMap(shards, num_slots=16)
         self.shard_ids: Tuple[int, ...] = tuple(range(shards))
@@ -109,7 +121,6 @@ class ShardedCluster:
                 members=members,
                 seed=seed * 1_000_003 + shard,
                 scheduler=self.scheduler,
-                hop_events=hop_events,
             )
             self.groups[shard] = group
             for member in members:
@@ -453,12 +464,7 @@ class ShardedCluster:
             shard, arg = event.arg
             self.groups[shard].apply_fault(action, arg)
 
-    def run_campaign(
-        self,
-        campaign: ChaosCampaign,
-        max_settle_rounds: int = 80,
-        check_invariants: bool = True,
-    ) -> ShardedResult:
+    def run_campaign(self, campaign: ChaosCampaign) -> ShardedResult:
         """Execute ``campaign``, drive repair to convergence, audit."""
         for group in self.groups.values():
             for manager in group.managers.values():
@@ -473,9 +479,8 @@ class ShardedCluster:
         for group in self.groups.values():
             group.revive()
         self.drain()
-        violations, rounds = self.settle(max_settle_rounds)
-        if check_invariants:
-            violations = violations + self.check_invariants()
+        violations, rounds = self.settle()
+        violations = violations + self.check_invariants()
         sessions = self.router.sessions.values()
         moves = self.rebalancer.moves
         return ShardedResult(
@@ -514,7 +519,9 @@ class ShardedCluster:
             return False
         return True
 
-    def settle(self, max_rounds: int = 80) -> Tuple[List[Violation], int]:
+    def settle(
+        self, max_rounds: int = SETTLE_ROUNDS
+    ) -> Tuple[List[Violation], int]:
         """Repair rounds (per group) until global convergence.
 
         Convergence additionally requires the session layer to be idle:

@@ -75,6 +75,21 @@ class TestFlushProtocol:
         with pytest.raises(ProtocolError):
             stacks["a"].bcast("op")
 
+    def test_a_frozen_bcast_raises_before_allocating_a_label(self):
+        scheduler, _, membership, stacks, agents = make_group()
+        from repro.types import MessageId
+
+        stacks["c"].osend("blocked", occurs_after=MessageId("ghost", 0))
+        agents["a"].propose("leave", "b")
+        scheduler.run_until(5.0)
+        assert agents["a"].frozen
+        # The guard is a chassis hook, not a patched instance method.
+        assert "bcast" not in vars(stacks["a"])
+        with pytest.raises(ProtocolError):
+            stacks["a"].bcast("op")
+        agents["a"].reset_volatile()  # unfreeze
+        assert stacks["a"].bcast("op") == MessageId("a", 0)
+
     def test_unfrozen_after_install(self):
         scheduler, _, membership, stacks, agents = make_group()
         agents["a"].propose("leave", "c")

@@ -13,6 +13,7 @@ from repro.net.network import Network
 from repro.sim.node import SimNode
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
+from repro.sim.trace import TraceRecorder
 from repro.types import Envelope, Message, MessageId
 
 
@@ -135,6 +136,29 @@ class TestFaults:
         assert receiver.received == []
         assert net.hops_dropped == 2
         assert len(net.trace.of_kind("drop")) == 2
+
+    def test_a_disabled_recorder_is_not_called_for_drops(self):
+        # Hop-path producers test `enabled` before building an event.
+        class CountingRecorder(TraceRecorder):
+            calls = 0
+
+            def record(self, time, kind, **details):
+                CountingRecorder.calls += 1
+
+        sched = Scheduler()
+        net = Network(
+            sched,
+            latency=ConstantLatency(1.0),
+            faults=FaultPlan(drop_probability=1.0),
+            rng=RngRegistry(0),
+            trace=CountingRecorder(enabled=False),
+        )
+        net.register(RecordingNode("a"))
+        net.register(RecordingNode("b"))
+        net.broadcast("a", envelope())
+        sched.run()
+        assert net.hops_dropped == 2
+        assert CountingRecorder.calls == 0
 
     def test_duplication_delivers_twice(self):
         sched = Scheduler()

@@ -68,7 +68,7 @@ def test_option_surface_is_pinned():
     """The read path takes no options: one rule, nothing to select."""
     parameters = list(inspect.signature(ServeServer.__init__).parameters)
     assert parameters == [
-        "self", "cluster", "shards", "members_per_shard", "seed", "host",
+        "self", "shards", "members_per_shard", "seed", "host",
         "port", "max_inflight", "repair_interval", "max_queue",
         "overload_retry_after",
     ]

@@ -10,6 +10,7 @@ no campaign code, no reach into its privates.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -19,8 +20,11 @@ import pytest
 from repro.broadcast.recovery import RecoveryAgent
 from repro.chaos import ChaosCluster, random_campaign
 from repro.chaos.cluster import CHAOS_PROTOCOLS
+from repro.chaos.wire import run_wire_campaign
+from repro.group.auto_membership import MembershipManager, manage_membership
 from repro.group.replica_group import ReplicaGroup
 from repro.group.view_sync import ViewSyncAgent
+from repro.serve import ServeServer
 from repro.serve.client import ServeClient
 from repro.shard import ShardedCluster, sharded_campaign
 
@@ -334,12 +338,21 @@ class TestOptionSurface:
             ("hop_events", inspect.Parameter.KEYWORD_ONLY),
         ]
 
+    GROUP_OPTIONS = {
+        ChaosCluster: (
+            "protocol", "members", "seed", "overlap", "auto_membership",
+        ),
+        ReplicaGroup: (
+            "protocol", "members", "seed", "overlap", "auto_membership",
+            "scheduler",
+        ),
+    }
+
     @pytest.mark.parametrize("cls", [ChaosCluster, ReplicaGroup])
     def test_group_options(self, cls):
-        assert [name for name, _kind in self.parameters(cls)] == [
-            "protocol", "members", "seed", "overlap", "auto_membership",
-            "scheduler", "hop_events",
-        ]
+        assert tuple(
+            name for name, _kind in self.parameters(cls)
+        ) == self.GROUP_OPTIONS[cls]
 
     def test_replica_group_has_no_restart_hook(self):
         # Its one user was the barrier snapshot cache's invalidation.
@@ -436,12 +449,76 @@ class TestLayering:
         ]
         assert offenders == []
 
-    @pytest.mark.parametrize("cls, removed", [
+    @pytest.mark.parametrize("call, removed", [
         (ViewSyncAgent, ("flush_resend_interval", "max_flush_resends")),
         (RecoveryAgent, ("min_hold_age",)),
         (ServeClient, ("op_attempts", "backoff_base", "backoff_cap")),
+        (ServeServer, ("cluster",)),
+        (ReplicaGroup, ("hop_events",)),
+        (ChaosCluster, ("hop_events", "scheduler")),
+        (ChaosCluster.run_campaign, ("max_settle_rounds", "check_invariants")),
+        (ChaosCluster.settle, ("max_rounds",)),
+        (ShardedCluster.run_campaign, (
+            "max_settle_rounds", "check_invariants",
+        )),
+        (random_campaign, ("sends_per_member",)),
+        (ReplicaGroup.propose_with_retry, ("attempts",)),
+        (ReplicaGroup.rejoin, ("attempts",)),
+        (MembershipManager, ("fallback_delay",)),
+        (manage_membership, ("fallback_delay",)),
+        (run_wire_campaign, ("shards", "members_per_shard")),
     ])
-    def test_options_no_caller_set_are_constants(self, cls, removed):
-        parameters = inspect.signature(cls.__init__).parameters
+    def test_options_no_caller_set_are_constants(self, call, removed):
+        parameters = inspect.signature(call).parameters
         for name in removed:
             assert name not in parameters, name
+
+    @staticmethod
+    def method_assignments(source: str):
+        """``obj.name = f`` or ``setattr(obj, name, f)`` in a function, where
+        ``f`` is a lambda or a function the module defines that no
+        parameter shadows: an instance's method replaced."""
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        tree = ast.parse(source)
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, functions)}
+        hits = set()
+        for scope in (n for n in ast.walk(tree) if isinstance(n, functions)):
+            parameters = {
+                a.arg for a in ast.walk(scope) if isinstance(a, ast.arg)
+            }
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Attribute) for t in node.targets
+                ):
+                    value = node.value
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr"
+                    and len(node.args) == 3
+                ):
+                    value = node.args[2]
+                else:
+                    continue
+                if isinstance(value, ast.Lambda) or (
+                    isinstance(value, ast.Name)
+                    and value.id in defined - parameters
+                ):
+                    hits.add((node.lineno, ast.unparse(node)))
+        return sorted(hits)
+
+    def test_no_instance_method_is_assigned(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{line}: {text}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line, text in self.method_assignments(path.read_text())
+        ]
+        assert offenders == []
+        # Not vacuous: the patch this replaced is caught.
+        assert self.method_assignments(
+            "def attach(protocol):\n"
+            "    original = protocol.bcast\n"
+            "    def guarded(*args):\n"
+            "        return original(*args)\n"
+            "    protocol.bcast = guarded\n"
+        )
