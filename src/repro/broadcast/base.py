@@ -36,6 +36,17 @@ holds, with no drain running and nothing runnable ahead of it, is
 delivered on arrival and never enters the queue at all — the common
 case when a sender's envelopes arrive in send order.
 
+Runs
+----
+
+A frame lands whole, and :meth:`BroadcastProtocol._take` is its one
+intake (``on_receive`` hands it a frame of one).  Consecutive envelopes
+that delivery on arrival would take one by one, with nothing held back,
+form a *run*, delivered with one bookkeeping step and one call per run
+hook (``on_deliver(callback, run=...)``).  A plain callback, a hook
+that is not ``quiet``, the trace, or a class that overrides a delivery
+step keeps envelopes on the per-envelope path.
+
 The delivery order it implements is that of the obvious drain: repeated
 passes over the queue in arrival order, delivering every envelope whose
 predicate holds when the scan cursor reaches it.  An envelope unblocked
@@ -79,6 +90,7 @@ from repro.types import (
 )
 
 DeliveryCallback = Callable[[Envelope], None]
+RunHook = Callable[[List[Envelope]], None]
 
 # A wake condition is a tagged tuple; see `after_event` / `after_threshold`.
 WakeKey = Tuple[Any, ...]
@@ -130,6 +142,18 @@ class BroadcastProtocol(SimNode):
     #: this to ``False``.
     crash_eligible = True
 
+    _takes_runs = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A class that overrides a step a run stands in for takes every
+        # envelope on its own.
+        cls._takes_runs = all(
+            getattr(cls, step) is getattr(BroadcastProtocol, step)
+            for step in ("on_receive", "_accept", "_drain", "_deliver",
+                         "_on_received", "_on_delivered", "_is_control")
+        )
+
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id)
         self.group = group
@@ -148,6 +172,9 @@ class BroadcastProtocol(SimNode):
         self._delivery_times: List[float] = []
         self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
+        # The callbacks' run forms, or None once a callback has none.
+        self._run_hooks: Optional[List[RunHook]] = []
+        self._quiet_checks: List[Callable[[], bool]] = []
         self._recovery: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
         # stable-skip hooks), the one that consumes each control
@@ -160,6 +187,8 @@ class BroadcastProtocol(SimNode):
         #: `_deliverable` calls made by the drain — one per unblocking
         #: event.
         self.predicate_evaluations = 0
+        #: Deliveries made by the run path (`_deliver_run`).
+        self.run_deliveries = 0
         # -- wakeup index -------------------------------------------------
         self._arrival: Dict[MessageId, int] = {}
         self._arrival_counter = 0
@@ -198,9 +227,25 @@ class BroadcastProtocol(SimNode):
 
     # -- public API ----------------------------------------------------------
 
-    def on_deliver(self, callback: DeliveryCallback) -> None:
-        """Register an application upcall invoked at each delivery."""
+    def on_deliver(
+        self,
+        callback: DeliveryCallback,
+        run: Optional[RunHook] = None,
+        quiet: Optional[Callable[[], bool]] = None,
+    ) -> None:
+        """Register an upcall invoked at each delivery.
+
+        ``run``, if given, is called once with a run, in place of
+        ``callback`` on each of its envelopes.  A run starts only while
+        every callback has a run form and every ``quiet()`` holds.
+        """
         self._callbacks.append(callback)
+        if run is None:
+            self._run_hooks = None
+        elif self._run_hooks is not None:
+            self._run_hooks.append(run)
+        if quiet is not None:
+            self._quiet_checks.append(quiet)
 
     def bcast(self, operation: str, payload: Any = None, **options: Any) -> MessageId:
         """Broadcast an application operation to the group.
@@ -471,48 +516,126 @@ class BroadcastProtocol(SimNode):
 
     # -- receive path -------------------------------------------------------------
 
+    def on_frame(self, sender: EntityId, envelopes: Sequence[Envelope]) -> int:
+        """The whole frame goes to `_take`; with the trace on (per-hop
+        events), or for a class that overrides a delivery step, each
+        envelope goes to `on_receive`."""
+        if self._network.trace.enabled or not self._takes_runs:
+            return super().on_frame(sender, envelopes)
+        return self._take(sender, envelopes)
+
     def on_receive(self, sender: EntityId, envelope: Envelope) -> None:
-        message = envelope.message
-        # `intercept` is looked up per call, not bound at registration,
-        # so a wrapper installed on the agent's class later sees it.
-        owner = self._owners.get(message.operation)
-        if owner is not None:
-            owner.intercept(sender, envelope)
-            return
-        msg_id = message.msg_id
+        self._take(sender, (envelope,))
+
+    def _take(self, sender: EntityId, envelopes: Sequence[Envelope]) -> int:
+        """Each envelope, in send order, goes to its control agent, is
+        dropped as a duplicate, joins a run or is taken on its own.
+        Stops at a crash; returns how many were taken."""
+        owners = self._owners
         recovery = self._recovery
-        if recovery is not None and recovery._first_missing:
-            # Something is being chased: this may be it.
-            recovery.arrived(msg_id)
-        # This dedupe is what lets `StabilityTracker._compact` resume
-        # where its last sweep stopped: a label below an origin's stable
-        # frontier is in `_delivered_ids` (the frontier never passes our
-        # delivered prefix), so it never re-enters the store until a
-        # restart wipes both.  Whatever truncates `_delivered_ids` must
-        # keep that true (tests/broadcast/test_gc_equivalence.py).
-        if self.has_seen(msg_id):
-            self.duplicates_discarded += 1
-            return
-        self._envelopes_by_id[msg_id] = envelope
-        self._on_received(sender, envelope)
-        arrival = self._arrival_counter
-        self._arrival_counter = arrival + 1
-        held = len(self._pending) + 1
-        if held > self.max_holdback:
-            self.max_holdback = held
-        network = self._network
-        trace = network.trace
-        if trace.enabled:
-            trace.record(
-                network.scheduler.now,
-                "hold",
-                entity=self.entity_id,
-                msg_id=msg_id,
-                queue=held,
-            )
-        self._accept(envelope, msg_id, arrival)
-        if self._recovery is not None and self._pending:
-            self._recovery.notify_blocked()
+        delivered = self._delivered_ids
+        pending = self._pending
+        runs = (
+            self._takes_runs
+            and self._run_hooks is not None
+            and not self._network.trace.enabled
+        )
+        run: List[Envelope] = []
+        taken = 0
+        for envelope in envelopes:
+            if self._crashed:
+                break
+            taken += 1
+            message = envelope.message
+            # `intercept` is looked up per call, not bound at
+            # registration, so a wrapper installed on the agent's class
+            # later sees it.
+            owner = owners.get(message.operation)
+            if owner is not None:
+                if run:
+                    self._deliver_run(run)
+                    run = []
+                owner.intercept(sender, envelope)
+                continue
+            msg_id = message.msg_id
+            if recovery is not None and recovery._first_missing:
+                # Something is being chased: this may be it.
+                recovery.arrived(msg_id)
+            # `has_seen`.  This dedupe is what lets
+            # `StabilityTracker._compact` resume where its last sweep
+            # stopped: a label below an origin's stable frontier is in
+            # `_delivered_ids` (the frontier never passes our delivered
+            # prefix), so it never re-enters the store until a restart
+            # wipes both.  Whatever truncates `_delivered_ids` must keep
+            # that true (tests/broadcast/test_gc_equivalence.py).
+            if msg_id in delivered or msg_id in pending:
+                self.duplicates_discarded += 1
+                continue
+            self._envelopes_by_id[msg_id] = envelope
+            if (
+                runs
+                and not pending
+                and not self._draining
+                and not self._ready
+                and (run or self._runs_open())
+                and self._deliverable(envelope)
+            ):
+                delivered.add(msg_id)
+                run.append(envelope)
+                continue
+            if run:
+                self._deliver_run(run)
+                run = []
+            self._on_received(sender, envelope)
+            arrival = self._arrival_counter
+            self._arrival_counter = arrival + 1
+            held = len(pending) + 1
+            if held > self.max_holdback:
+                self.max_holdback = held
+            network = self._network
+            trace = network.trace
+            if trace.enabled:
+                trace.record(
+                    network.scheduler.now,
+                    "hold",
+                    entity=self.entity_id,
+                    msg_id=msg_id,
+                    queue=held,
+                )
+            self._accept(envelope, msg_id, arrival)
+            if recovery is not None and pending:
+                recovery.notify_blocked()
+        if run:
+            self._deliver_run(run)
+        return taken
+
+    def _runs_open(self) -> bool:
+        if self._run_hooks is None:
+            return False
+        for quiet in self._quiet_checks:
+            if not quiet():
+                return False
+        return True
+
+    def _deliver_run(self, run: List[Envelope]) -> None:
+        """Deliver what `_accept` would deliver on arrival envelope by
+        envelope, nothing held back: one bookkeeping step, one call per
+        run hook.  The labels are in `_delivered_ids` already."""
+        count = len(run)
+        self._arrival_counter += count
+        if not self.max_holdback:
+            self.max_holdback = 1
+        self.predicate_evaluations += count
+        self.run_deliveries += count
+        self._delivered_envelopes.extend(run)
+        self._delivery_times.extend([self._network.scheduler.now] * count)
+        for hook in self._run_hooks:  # type: ignore[union-attr]
+            hook(run)
+        if self._event_waiters:
+            # Nothing is held back, so every waiter is stale; drop them
+            # as a delivery on arrival does.
+            for envelope in run:
+                self._signal_event(("delivered", envelope.msg_id))
 
     def _accept(
         self, envelope: Envelope, msg_id: MessageId, arrival: int

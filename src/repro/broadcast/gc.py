@@ -20,7 +20,7 @@ no repair.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.broadcast.base import BroadcastProtocol
 from repro.types import Envelope, EntityId, Message, MessageIdAllocator
@@ -49,7 +49,7 @@ class StabilityTracker:
         protocol.add_interceptor(self)
         # Let the recovery layer find us (it advertises our frontiers).
         protocol.stability_tracker = self  # type: ignore[attr-defined]
-        protocol.on_deliver(self._on_delivery)
+        protocol.on_deliver(self._on_delivery, run=self._on_run)
         # Track contiguity of our own deliveries per origin; seed with any
         # deliveries that happened before the tracker was attached.
         self._delivered_seqnos: Dict[EntityId, Set[int]] = {}
@@ -76,6 +76,24 @@ class StabilityTracker:
             seqnos.discard(prefix)
             prefix += 1
         self._own_prefix[origin] = prefix
+
+    def _on_run(self, run: List[Envelope]) -> None:
+        """`_on_delivery` on each envelope of a run, in one step when the
+        run continues its origin's prefix with nothing parked above it."""
+        first = run[0].msg_id
+        origin, start = first[0], first[1]
+        if (
+            start == self._own_prefix.get(origin, 0)
+            and not self._delivered_seqnos.get(origin)
+            and (
+                len(run) == 1
+                or all(e.msg_id == (origin, s) for s, e in enumerate(run, start))
+            )
+        ):
+            self._own_prefix[origin] = start + len(run)
+            return
+        for envelope in run:
+            self._on_delivery(envelope)
 
     def local_prefix(self, origin: EntityId) -> int:
         """Our contiguous delivered prefix from ``origin``."""

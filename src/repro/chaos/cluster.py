@@ -53,9 +53,6 @@ from repro.types import EntityId, MessageId
 
 from repro.chaos.campaign import ChaosCampaign, ChaosEvent
 
-#: Every protocol the repo ships; eligibility is read off the classes.
-_CANDIDATE_PROTOCOLS = tuple(PROTOCOLS.values())
-
 #: The protocols chaos campaigns run against — derived from the
 #: ``crash_eligible`` marker each class declares, so protocols opt in or
 #: out at the definition site.

@@ -128,8 +128,11 @@ class ShardedCluster:
         #: The ground truth: every issued operation and everything derived
         #: from it (see repro.shard.ledger).
         self.ledger = Ledger(self.shard_ids)
-        #: label -> callbacks fired on its first delivery anywhere.
-        self._watchers: Dict[MessageId, List[Callable[[EntityId], None]]] = {}
+        #: shard -> label -> callbacks fired on the label's first
+        #: delivery anywhere.
+        self._watchers: Dict[
+            int, Dict[MessageId, List[Callable[[EntityId], None]]]
+        ] = {shard: {} for shard in self.shard_ids}
         #: member -> running maximal frontier of its settled ledger
         #: labels, maintained incrementally by the delivery hook (via
         #: :class:`~repro.shard.frontier.FrontierTracker`) so
@@ -153,7 +156,8 @@ class ShardedCluster:
                     self.ledger.precedes, self.ledger.index_of
                 )
                 self._frontier_sync[member] = stack._settled_version
-                stack.on_deliver(self._delivery_hook(member, shard))
+                hook, run_hook, quiet = self._delivery_hooks(member, shard)
+                stack.on_deliver(hook, run=run_hook, quiet=quiet)
         self.router = ShardRouter(self)
         self.rebalancer = Rebalancer(self)
         #: shard -> round-robin cursor of `read_replica`.
@@ -173,10 +177,14 @@ class ShardedCluster:
 
     # -- delivery plumbing -------------------------------------------------
 
-    def _delivery_hook(self, member: EntityId, shard: int):
+    def _delivery_hooks(self, member: EntityId, shard: int):
+        """The member's delivery hook, its run form, and the ``quiet``
+        check that holds runs to one envelope while a watcher waits on
+        a label of the shard."""
         tracker = self._frontiers[member]
         data_labels = self.ledger.labels(shard)
         active = self._frontier_active
+        watching = self._watchers[shard]
 
         def hook(envelope) -> None:
             label = envelope.msg_id
@@ -188,12 +196,18 @@ class ShardedCluster:
                 # cross-shard edge (see repro.shard.frontier for why the
                 # issue-index guard makes this sound).
                 tracker.note(label)
-            watchers = self._watchers.pop(label, None)
+            watchers = watching.pop(label, None)
             if watchers:
                 for watcher in watchers:
                     watcher(member)
 
-        return hook
+        def run_hook(run) -> None:
+            if member in active:
+                for envelope in run:
+                    if envelope.msg_id in data_labels:
+                        tracker.note(envelope.msg_id)
+
+        return hook, run_hook, lambda: not watching
 
     def watch(
         self, label: MessageId, callback: Callable[[EntityId], None]
@@ -208,7 +222,7 @@ class ShardedCluster:
             if label in stack._delivered_ids:
                 callback(member)
                 return
-        self._watchers.setdefault(label, []).append(callback)
+        self._watchers[shard].setdefault(label, []).append(callback)
 
     # -- sending -----------------------------------------------------------
 
@@ -423,6 +437,8 @@ class ShardedCluster:
         ``net_frames`` are the envelopes sent over every group's network
         and the hops that carried them (their ratio is the packing
         factor: about 30 when cycles are full, 1 at depth 1);
+        ``run_deliveries`` the deliveries made a run at a time (see
+        ``repro.broadcast.base``);
         ``holdback_peak`` is the deepest hold-back queue any member has
         seen; ``read_misses`` counts the gets `read_replica` found no
         member for, one per attempt; ``stale_gets`` the served gets the
@@ -442,6 +458,7 @@ class ShardedCluster:
             "graph_catchups": ledger.catchups,
             "net_frames": sum(g.network.frames_sent for g in groups),
             "net_envelopes": sum(g.network.hops_sent for g in groups),
+            "run_deliveries": sum(stack.run_deliveries for stack in stacks),
             "holdback_peak": max(stack.max_holdback for stack in stacks),
             "read_misses": self.read_misses,
             "stale_gets": len(ledger.get_violations()),

@@ -34,7 +34,7 @@ Two surfaces (tabulated in ``docs/SHARDING.md``):
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError
@@ -416,13 +416,57 @@ class Ledger:
 
         A gap means the read returned a write and not one it causally
         follows — the ``WriteCOInitRead`` pattern of arXiv:1611.00580.
+        The causal pasts are the records' stamps, walked as sets, not
+        :meth:`closure_gaps` or the graph's closures: the barrier closes
+        its cuts with those, so a fault in them must not blind the
+        audit.  The graph only encodes what each read covers (its cuts)
+        and names the path in a report.
+
+        A walk starts at each covered label and goes down through the
+        labels outside the snapshot; a touched shard's write it meets is
+        a gap.  Where the session's previous clean read of the same
+        shards lies inside this one, the walk skips what that read
+        covered and what its walks passed: their pasts lie inside it.
         """
+        ops = self.ops
         graph = self.graph
+        bit_of = graph.bit_of
         violations: List[Violation] = []
+        #: session -> the cuts of its newest clean read, and the labels
+        #: outside them its walks passed.
+        clean: Dict[Optional[str], Tuple[Dict[int, int], Set[MessageId]]] = {}
         for read in self.barrier_reads:
             cuts = read.cuts()
-            for shard, gap in sorted(self.closure_gaps(cuts).items()):
-                missing = min(graph.labels_of(gap), key=self.index_of)
+            base, passed = clean.get(read.session, (None, set()))
+            if base is None or base.keys() != cuts.keys() or not all(
+                base[shard] & cut == base[shard] for shard, cut in cuts.items()
+            ):
+                base, passed = dict.fromkeys(cuts, 0), set()
+            stack = [
+                label
+                for shard, cut in cuts.items()
+                # x ^ (x & y) is x & ~y without the negative big int.
+                for label in graph.labels_of(cut ^ (cut & base[shard]))
+            ]
+            seen = set(stack)
+            gaps: Dict[int, List[MessageId]] = {}
+            while stack:
+                record = ops[stack.pop()]
+                for dep in chain(record.deps, record.cross_deps):
+                    if dep in seen or dep in passed:
+                        continue
+                    shard = ops[dep].shard
+                    if cuts.get(shard, 0) & bit_of(dep):
+                        continue  # covered: walked from, or by the base
+                    seen.add(dep)
+                    stack.append(dep)
+                    if shard in cuts and ops[dep].kind in DATA_KINDS:
+                        gaps.setdefault(shard, []).append(dep)
+            if not gaps:
+                passed |= seen
+                clean[read.session] = (cuts, passed)
+            for shard, gap in sorted(gaps.items()):
+                missing = min(gap, key=self.index_of)
                 covering = min(
                     (
                         label

@@ -96,6 +96,22 @@ class TestBadPatterns:
         ])
         assert "write-co-read" in patterns(h)
 
+    def test_stale_read_before_a_later_write_of_the_key(self):
+        # The overwrite (x=2) is not the key's last write: x=3 follows
+        # the read, outside its causal past.
+        h = history(a=[
+            ("put", "x", 1), ("put", "x", 2), ("get", "x", 1),
+            ("put", "x", 3),
+        ])
+        assert "write-co-read" in patterns(h, levels=("CC",))
+
+    def test_initial_value_read_before_a_later_write_of_the_key(self):
+        # The write in the read's past (x=1) is not the key's last.
+        h = history(a=[
+            ("put", "x", 1), ("get", "x", None), ("put", "x", 2),
+        ])
+        assert "write-co-init-read" in patterns(h, levels=("CC",))
+
     def test_stale_read_across_sessions(self):
         # b observes x=2 (which causally follows x=1) then reads x=1.
         h = history(
@@ -210,6 +226,29 @@ class TestMutations:
             v.pattern in ("write-co-init-read", "write-hb-init-read")
             for v in found
         )
+
+    def clean_with_later_writes(self):
+        """Each session writes its keys again after the reads that
+        `corrupt_stale_read` and `corrupt_lost_put` rewrite, so the
+        write a rewritten read must see is not its key's last."""
+        h = history(
+            alice=[
+                ("put", "x", "a1"), ("get", "x", "a1"),
+                ("put", "x", "a2"), ("get", "x", "a2"),
+                ("put", "x", "a3"),
+            ],
+            bob=[("put", "y", "b1"), ("get", "y", "b1"), ("put", "y", "b2")],
+        )
+        assert check_wire_history(h) == []
+        return h
+
+    def test_stale_read_before_a_later_write_is_flagged(self):
+        mutated = corrupt_stale_read(self.clean_with_later_writes())
+        assert "write-co-read" in patterns(mutated, levels=("CC",))
+
+    def test_lost_put_before_a_later_write_is_flagged(self):
+        mutated = corrupt_lost_put(self.clean_with_later_writes())
+        assert "write-co-init-read" in patterns(mutated, levels=("CC",))
 
     def test_violation_strings_are_informative(self):
         mutated = corrupt_stale_read(self.clean())

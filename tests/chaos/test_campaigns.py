@@ -77,18 +77,19 @@ class TestClusterConstruction:
         # the harness: every class advertising crash_eligible=True is
         # torturable, every opt-out is rejected with a dedicated error.
         from repro.broadcast import ASendTotalOrder, SequencerTotalOrder
-        from repro.chaos.cluster import _CANDIDATE_PROTOCOLS, CHAOS_EXCLUDED
+        from repro.chaos.cluster import CHAOS_EXCLUDED
+        from repro.group.replica_group import PROTOCOLS
 
         assert ASendTotalOrder.crash_eligible is False
         assert SequencerTotalOrder.crash_eligible is True
         assert set(CHAOS_PROTOCOLS) == {
             cls.protocol_name
-            for cls in _CANDIDATE_PROTOCOLS
+            for cls in PROTOCOLS.values()
             if cls.crash_eligible
         }
         assert set(CHAOS_EXCLUDED) == {
             cls.protocol_name
-            for cls in _CANDIDATE_PROTOCOLS
+            for cls in PROTOCOLS.values()
             if not cls.crash_eligible
         }
         assert "sequencer" in CHAOS_PROTOCOLS

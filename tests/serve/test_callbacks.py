@@ -252,6 +252,19 @@ class TestOneStepAtATime:
         assert srv.metrics.counters["puts_deduped"] == 1
         assert [kind for kind, _ in srv.history["s"]] == ["write"]
 
+    def test_a_put_burst_is_delivered_a_run_at_a_time(self):
+        """A cycle's puts reach each member as one frame per sender, and
+        each frame is delivered as one run: every delivery of the burst
+        takes the run path."""
+        srv, loop = serving()
+        conn, transport = connect(srv, "s")
+        conn.data_received(frames(*(put(i, f"k{i}", i) for i in range(64))))
+        loop.run_soon()
+        assert all(reply["ok"] for reply in transport.replies())
+        gauges = srv.cluster.gauges()
+        assert gauges["run_deliveries"] == 3 * 64
+        assert gauges["holdback_peak"] == 1
+
     def test_shutdown_answers_queued_work_then_byes_without_waiting(self):
         srv, _loop = serving()
         a, a_transport = connect(srv, "a")

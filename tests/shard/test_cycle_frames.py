@@ -205,3 +205,27 @@ class TestBurstLoss:
         violations, _rounds = cluster.settle()
         assert violations == []
         assert cluster.check_invariants() == []
+
+
+
+class TestRunsPerShard:
+    def test_a_watcher_holds_only_its_own_shards_runs(self):
+        """A watcher waiting on a label keeps its own group's arrivals on
+        the per-envelope path, so it sees the label's delivered state;
+        the other group still takes each frame as one run."""
+        cluster = build()
+        issue_cycle(cluster, 0)
+        label = cluster.ledger.issue_order[0]
+        watched = cluster.ledger.shard_of(label)
+        group = cluster.groups[watched]
+        for member in group.members:
+            group.crash(member)  # the label stays undelivered
+        fired = []
+        cluster.watch(label, fired.append)
+        cluster.drain()
+        assert fired == []
+        (other,) = set(cluster.groups) - {watched}
+        stacks = cluster.groups[other].stacks.values()
+        delivered = sum(stack.delivered_count for stack in stacks)
+        assert delivered > 0
+        assert sum(stack.run_deliveries for stack in stacks) == delivered

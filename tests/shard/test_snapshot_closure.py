@@ -11,6 +11,8 @@ that was missing; the planted gaps prove it is not vacuous.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from repro.apps.kvstore import fold_ledger
@@ -20,6 +22,8 @@ from repro.shard import (
     StablePointBarrier,
     sharded_campaign,
 )
+
+from repro.shard.ledger import Ledger
 
 from tests.shard.test_router import key_for, quiet_cluster
 
@@ -134,6 +138,26 @@ class TestClosureAuditIsNotVacuous:
         ]
         assert flagged
         assert all("sess" in v.detail for v in flagged)
+
+
+class TestAuditIsIndependentOfTheBarrier:
+    def test_a_closure_gaps_that_reads_one_cut_is_caught(self, monkeypatch):
+        """The barrier closes its cuts with `Ledger.closure_gaps`.  If
+        that reads only the first shard's cut, the barrier returns
+        snapshots that are not causally closed; the audit walks the
+        covered labels' stamps itself, so the campaign reports them."""
+        closure_gaps = Ledger.closure_gaps
+
+        def first_cut_only(ledger, cuts):
+            return closure_gaps(ledger, dict(islice(cuts.items(), 1)))
+
+        monkeypatch.setattr(Ledger, "closure_gaps", first_cut_only)
+        cluster, result = run_campaign(0)
+        flagged = [
+            v for v in result.violations if v.invariant == "snapshot-closure"
+        ]
+        assert flagged
+        assert all("which it causally follows" in v.detail for v in flagged)
 
 
 class TestOneFold:
