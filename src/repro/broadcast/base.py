@@ -42,10 +42,15 @@ Runs
 A frame lands whole, and :meth:`BroadcastProtocol._take` is its one
 intake (``on_receive`` hands it a frame of one).  Consecutive envelopes
 that delivery on arrival would take one by one, with nothing held back,
-form a *run*, delivered with one bookkeeping step and one call per run
-hook (``on_deliver(callback, run=...)``).  A plain callback, a hook
-that is not ``quiet``, the trace, or a class that overrides a delivery
-step keeps envelopes on the per-envelope path.
+form a *run*, delivered with one bookkeeping step and no callback.  A
+run starts only while every callback's ``quiet()`` promises that the
+callback would do nothing (``on_deliver(callback, quiet=...)``).  A
+callback with no ``quiet`` check or one that is not quiet, the trace,
+or a class that overrides a delivery step keeps envelopes on the
+per-envelope path.  What a sidecar derives from deliveries (the
+stability tracker's prefixes, the sharded cluster's frontiers) is a
+view of the delivery log, caught up when it is read, so it needs no
+callback.
 
 The delivery order it implements is that of the obvious drain: repeated
 passes over the queue in arrival order, delivering every envelope whose
@@ -90,7 +95,6 @@ from repro.types import (
 )
 
 DeliveryCallback = Callable[[Envelope], None]
-RunHook = Callable[[List[Envelope]], None]
 
 # A wake condition is a tagged tuple; see `after_event` / `after_threshold`.
 WakeKey = Tuple[Any, ...]
@@ -172,9 +176,8 @@ class BroadcastProtocol(SimNode):
         self._delivery_times: List[float] = []
         self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
-        # The callbacks' run forms, or None once a callback has none.
-        self._run_hooks: Optional[List[RunHook]] = []
-        self._quiet_checks: List[Callable[[], bool]] = []
+        # The callbacks' quiet checks, or None once a callback has none.
+        self._quiet_checks: Optional[List[Callable[[], bool]]] = []
         self._recovery: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
         # stable-skip hooks), the one that consumes each control
@@ -230,21 +233,18 @@ class BroadcastProtocol(SimNode):
     def on_deliver(
         self,
         callback: DeliveryCallback,
-        run: Optional[RunHook] = None,
         quiet: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Register an upcall invoked at each delivery.
 
-        ``run``, if given, is called once with a run, in place of
-        ``callback`` on each of its envelopes.  A run starts only while
-        every callback has a run form and every ``quiet()`` holds.
+        ``quiet()``, if given, promises that ``callback`` would do
+        nothing now.  A run starts only while every callback has a
+        ``quiet`` check and every check holds; a run calls no callback.
         """
         self._callbacks.append(callback)
-        if run is None:
-            self._run_hooks = None
-        elif self._run_hooks is not None:
-            self._run_hooks.append(run)
-        if quiet is not None:
+        if quiet is None:
+            self._quiet_checks = None
+        elif self._quiet_checks is not None:
             self._quiet_checks.append(quiet)
 
     def bcast(self, operation: str, payload: Any = None, **options: Any) -> MessageId:
@@ -537,7 +537,7 @@ class BroadcastProtocol(SimNode):
         pending = self._pending
         runs = (
             self._takes_runs
-            and self._run_hooks is not None
+            and self._quiet_checks is not None
             and not self._network.trace.enabled
         )
         run: List[Envelope] = []
@@ -610,17 +610,15 @@ class BroadcastProtocol(SimNode):
         return taken
 
     def _runs_open(self) -> bool:
-        if self._run_hooks is None:
-            return False
-        for quiet in self._quiet_checks:
+        for quiet in self._quiet_checks:  # type: ignore[union-attr]
             if not quiet():
                 return False
         return True
 
     def _deliver_run(self, run: List[Envelope]) -> None:
         """Deliver what `_accept` would deliver on arrival envelope by
-        envelope, nothing held back: one bookkeeping step, one call per
-        run hook.  The labels are in `_delivered_ids` already."""
+        envelope, nothing held back, in one bookkeeping step; every
+        callback is quiet.  The labels are in `_delivered_ids` already."""
         count = len(run)
         self._arrival_counter += count
         if not self.max_holdback:
@@ -629,8 +627,6 @@ class BroadcastProtocol(SimNode):
         self.run_deliveries += count
         self._delivered_envelopes.extend(run)
         self._delivery_times.extend([self._network.scheduler.now] * count)
-        for hook in self._run_hooks:  # type: ignore[union-attr]
-            hook(run)
         if self._event_waiters:
             # Nothing is held back, so every waiter is stale; drop them
             # as a delivery on arrival does.

@@ -10,7 +10,9 @@ delivered prefix* (delivered seqnos ``0..k-1`` with no holes).  The
 minimum prefix across all members is the stable frontier per origin;
 envelope bodies below it are dropped from the protocol's repair store.
 Gossip rounds are explicitly scheduled (like anti-entropy in
-:mod:`repro.broadcast.recovery`) so simulations terminate.
+:mod:`repro.broadcast.recovery`) so simulations terminate.  The member's
+own prefixes are a view of the protocol's delivery log, caught up when
+they are read: the tracker registers no delivery callback.
 
 The tracker composes with :class:`~repro.broadcast.recovery.RecoveryAgent`
 as another control-plane sidecar of the chassis; dropping only *stable*
@@ -20,7 +22,7 @@ no repair.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.broadcast.base import BroadcastProtocol
 from repro.types import Envelope, EntityId, Message, MessageIdAllocator
@@ -49,15 +51,26 @@ class StabilityTracker:
         protocol.add_interceptor(self)
         # Let the recovery layer find us (it advertises our frontiers).
         protocol.stability_tracker = self  # type: ignore[attr-defined]
-        protocol.on_deliver(self._on_delivery, run=self._on_run)
-        # Track contiguity of our own deliveries per origin; seed with any
-        # deliveries that happened before the tracker was attached.
+        # Contiguity of our own deliveries per origin, folded from the
+        # delivery log up to `_logged` (`_catch_up`).
         self._delivered_seqnos: Dict[EntityId, Set[int]] = {}
         self._own_prefix: Dict[EntityId, int] = {}
-        for envelope in protocol.delivered_envelopes:
-            self._on_delivery(envelope)
+        self._logged = 0
 
     # -- local prefix maintenance ------------------------------------------------
+
+    def _catch_up(self) -> None:
+        """Fold the deliveries logged since the last catch-up, in log
+        order.  Control deliveries are not counted (ROADMAP 6(d))."""
+        protocol = self.protocol
+        log = protocol._delivered_envelopes
+        if self._logged == len(log):
+            return
+        is_control = protocol._is_control
+        for envelope in log[self._logged:]:
+            if not is_control(envelope):
+                self._on_delivery(envelope)
+        self._logged = len(log)
 
     def _on_delivery(self, envelope: Envelope) -> None:
         label = envelope.msg_id
@@ -77,32 +90,16 @@ class StabilityTracker:
             prefix += 1
         self._own_prefix[origin] = prefix
 
-    def _on_run(self, run: List[Envelope]) -> None:
-        """`_on_delivery` on each envelope of a run, in one step when the
-        run continues its origin's prefix with nothing parked above it."""
-        first = run[0].msg_id
-        origin, start = first[0], first[1]
-        if (
-            start == self._own_prefix.get(origin, 0)
-            and not self._delivered_seqnos.get(origin)
-            and (
-                len(run) == 1
-                or all(e.msg_id == (origin, s) for s, e in enumerate(run, start))
-            )
-        ):
-            self._own_prefix[origin] = start + len(run)
-            return
-        for envelope in run:
-            self._on_delivery(envelope)
-
     def local_prefix(self, origin: EntityId) -> int:
         """Our contiguous delivered prefix from ``origin``."""
+        self._catch_up()
         return self._own_prefix.get(origin, 0)
 
     # -- gossip --------------------------------------------------------------------
 
     def gossip_round(self) -> None:
         """Broadcast our delivered prefixes to the group."""
+        self._catch_up()
         message = Message(
             self._allocator.next_id(),
             GC_VECTOR_OPERATION,
@@ -120,6 +117,7 @@ class StabilityTracker:
     def intercept(self, sender: EntityId, envelope: Envelope) -> None:
         """Consume a peer's gossiped prefixes and compact against them."""
         self._prefixes[sender] = dict(envelope.message.payload)
+        self._catch_up()
         self._compact()
 
     # -- compaction ------------------------------------------------------------------
@@ -174,6 +172,7 @@ class StabilityTracker:
         settle anything below these instead of NACKing this member for
         bodies it no longer has.
         """
+        self._catch_up()
         frontiers = dict(self._applied_frontier)
         for origin in self._own_prefix:
             estimate = self.stable_frontier(origin)
@@ -200,6 +199,7 @@ class StabilityTracker:
         self._prefixes.clear()
         self._delivered_seqnos.clear()
         self._own_prefix.clear()
+        self._logged = 0
         self._applied_frontier.clear()
         self._swept.clear()
 
@@ -210,6 +210,7 @@ class StabilityTracker:
         them keeps the group frontier from collapsing to zero whenever an
         amnesiac member rejoins (which would stall compaction forever).
         """
+        self._catch_up()
         if self._own_prefix.get(origin, 0) >= frontier:
             return
         prefix = frontier

@@ -15,7 +15,7 @@ commutative labels ``{Cid}`` issued since; ordering rules::
 which realises the cycle ``Ncid(r-1) ≺ ‖{Cid}(r) ≺ Ncid(r)``.
 
 With several front-ends, each also *observes* the group's deliveries to
-keep its ``Ncid``/``{Cid}`` knowledge current (``track_remote=True``).
+keep its ``Ncid``/``{Cid}`` knowledge current.
 Two managers issuing non-commutative requests truly concurrently will
 produce concurrent sync messages — the case the paper routes to the
 total-ordering layer instead (Section 5.2); see
@@ -39,7 +39,6 @@ class FrontEndManager:
         self,
         protocol: OSendBroadcast,
         spec: CommutativitySpec,
-        track_remote: bool = True,
     ) -> None:
         self._protocol = protocol
         self._spec = spec
@@ -47,8 +46,7 @@ class FrontEndManager:
         self._cset: List[MessageId] = []
         self.requests_sent = 0
         self.cycles_opened = 0
-        if track_remote:
-            protocol.on_deliver(self._on_group_delivery)
+        protocol.on_deliver(self._on_group_delivery)
 
     # -- issuing requests ----------------------------------------------------
 

@@ -137,12 +137,10 @@ class ViewSyncAgent:
         # off them.  A poll timer here would re-arm forever while a flush
         # is blocked on in-flight repair, livelocking any run-to-quiescence
         # driver (the scheduler's queue would never empty).
-        # A run is delivered only outside a flush, where a delivery has
-        # nothing to progress.
+        # Outside a flush a delivery has nothing to progress: runs may
+        # pass it by.
         protocol.on_deliver(
-            self._on_delivery,
-            run=lambda _run: None,
-            quiet=lambda: self._pending_change is None,
+            self._on_delivery, quiet=lambda: self._pending_change is None
         )
         # The membership object is shared across the simulated group, so a
         # peer completing the flush first advances our view out from under

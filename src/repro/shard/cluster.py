@@ -27,7 +27,7 @@ process pays for them only at its drain audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.depgraph import DependencyGraph
@@ -133,31 +133,20 @@ class ShardedCluster:
         self._watchers: Dict[
             int, Dict[MessageId, List[Callable[[EntityId], None]]]
         ] = {shard: {} for shard in self.shard_ids}
-        #: member -> running maximal frontier of its settled ledger
-        #: labels, maintained incrementally by the delivery hook (via
-        #: :class:`~repro.shard.frontier.FrontierTracker`) so
-        #: `delivered_frontier` is O(frontier) instead of a maximal scan
-        #: over the member's whole delivered history.
+        #: member -> maximal frontier of its settled ledger labels
+        #: (:class:`~repro.shard.frontier.FrontierTracker`): a view of the
+        #: member's delivery log, caught up by `delivered_frontier`.
         self._frontiers: Dict[EntityId, FrontierTracker] = {}
-        #: member -> `_settled_version` the frontier was last synced at; a
-        #: mismatch means `_delivered_ids` mutated outside delivery
-        #: (restart wipe, stable-prefix skip, state transfer) and the
-        #: frontier must be rebuilt from scratch.
-        self._frontier_sync: Dict[EntityId, int] = {}
-        #: Members whose frontier is maintained incrementally by the
-        #: delivery hook.  Only queried members (the per-shard contacts,
-        #: in practice) pay the per-delivery frontier update; the rest
-        #: join on their first `delivered_frontier` query with one
-        #: rebuild from their settled set.
-        self._frontier_active: Set[EntityId] = set()
+        #: member -> (`_settled_version`, delivery-log length) at the
+        #: frontier's last catch-up.
+        self._frontier_sync: Dict[EntityId, Tuple[int, int]] = {}
         for shard, group in self.groups.items():
             for member, stack in group.stacks.items():
                 self._frontiers[member] = FrontierTracker(
                     self.ledger.precedes, self.ledger.index_of
                 )
-                self._frontier_sync[member] = stack._settled_version
-                hook, run_hook, quiet = self._delivery_hooks(member, shard)
-                stack.on_deliver(hook, run=run_hook, quiet=quiet)
+                hook, quiet = self._watcher_hook(member, shard)
+                stack.on_deliver(hook, quiet=quiet)
         self.router = ShardRouter(self)
         self.rebalancer = Rebalancer(self)
         #: shard -> round-robin cursor of `read_replica`.
@@ -177,37 +166,19 @@ class ShardedCluster:
 
     # -- delivery plumbing -------------------------------------------------
 
-    def _delivery_hooks(self, member: EntityId, shard: int):
-        """The member's delivery hook, its run form, and the ``quiet``
-        check that holds runs to one envelope while a watcher waits on
+    def _watcher_hook(self, member: EntityId, shard: int):
+        """The member's delivery hook, which fires the watchers of the
+        label it delivers, and its ``quiet`` check: no watcher waits on
         a label of the shard."""
-        tracker = self._frontiers[member]
-        data_labels = self.ledger.labels(shard)
-        active = self._frontier_active
         watching = self._watchers[shard]
 
         def hook(envelope) -> None:
-            label = envelope.msg_id
-            if label in data_labels and member in active:
-                # Incremental maximal: causal delivery means no in-group
-                # ancestor of `label` arrives after it, so `label` either
-                # shadows frontier members (via its global causal past) or
-                # is itself shadowed by one that got here first through a
-                # cross-shard edge (see repro.shard.frontier for why the
-                # issue-index guard makes this sound).
-                tracker.note(label)
-            watchers = watching.pop(label, None)
+            watchers = watching.pop(envelope.msg_id, None)
             if watchers:
                 for watcher in watchers:
                     watcher(member)
 
-        def run_hook(run) -> None:
-            if member in active:
-                for envelope in run:
-                    if envelope.msg_id in data_labels:
-                        tracker.note(envelope.msg_id)
-
-        return hook, run_hook, lambda: not watching
+        return hook, lambda: not watching
 
     def watch(
         self, label: MessageId, callback: Callable[[EntityId], None]
@@ -395,30 +366,38 @@ class ShardedCluster:
     def delivered_frontier(
         self, shard: int, member: EntityId
     ) -> FrozenSet[MessageId]:
-        """Maximal ledger labels ``member`` has settled in its group."""
+        """Maximal ledger labels ``member`` has settled in its group.
+
+        The ledger labels the member delivered since the last query are
+        noted in delivery order: causal delivery means no in-group
+        ancestor of a label is delivered after it, so each either
+        shadows frontier members (via its global causal past) or is
+        itself shadowed by one that got here first through a cross-shard
+        edge (see repro.shard.frontier for why the issue-index guard
+        makes this sound).  The first query, and any after
+        `_delivered_ids` mutated outside delivery (restart wipe,
+        stable-prefix skip, state transfer: `_settled_version` moved),
+        rebuilds from the full settled set — delivered ∪ skip-settled —
+        instead: `maximal` is one mask scan, and the tracker adopts its
+        result as-is.
+        """
         stack = self.groups[shard].stacks[member]
         tracker = self._frontiers[member]
         version = stack._settled_version
-        if member not in self._frontier_active:
-            # First query for this member: the delivery hook has been
-            # skipping its frontier, so activate it and force a rebuild.
-            self._frontier_active.add(member)
-            self._frontier_sync[member] = version - 1
-        if self._frontier_sync[member] != version:
-            # `_delivered_ids` mutated outside delivery (restart wipe,
-            # stable-prefix skip, state transfer) or the member was just
-            # activated: the incremental frontier is stale, so rebuild it
-            # from the full settled set — delivered ∪ skip-settled — and
-            # resync.  `maximal` is one mask scan; the tracker adopts its
-            # result as-is.
-            ledger = self.ledger
+        log = stack._delivered_envelopes
+        ledger = self.ledger
+        labels = ledger.labels(shard)
+        synced, logged = self._frontier_sync.get(member, (None, 0))
+        if synced != version:
             tracker.reset({
                 label: ledger.index_of(label)
-                for label in ledger.maximal(
-                    stack._delivered_ids & ledger.labels(shard)
-                )
+                for label in ledger.maximal(stack._delivered_ids & labels)
             })
-            self._frontier_sync[member] = version
+        else:
+            for envelope in log[logged:]:
+                if envelope.msg_id in labels:
+                    tracker.note(envelope.msg_id)
+        self._frontier_sync[member] = (version, len(log))
         return tracker.labels()
 
     def gauges(self) -> Dict[str, int]:

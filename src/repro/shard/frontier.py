@@ -2,12 +2,13 @@
 
 A member's *delivered frontier* is the maximal antichain of the data
 labels it has causally delivered — the heads of its local causal past.
-:class:`~repro.shard.cluster.ShardedCluster` maintains one per queried
-member so that barrier issue and replica-read gating never rescan the
-whole ledger.  The algorithm lives here, separated from the cluster, so
-it can be property-tested on its own (``tests/shard/test_frontier.py``
-pins the incremental path label-for-label against the full rebuild
-across all six broadcast protocols).
+:class:`~repro.shard.cluster.ShardedCluster` keeps one per member,
+caught up from the member's delivery log at each query, so that barrier
+issue and slot moves never rescan the whole ledger.  The algorithm lives
+here, separated from the cluster, so it can be property-tested on its
+own (``tests/shard/test_frontier.py`` pins the incremental path
+label-for-label against the full rebuild across all six broadcast
+protocols, and every cluster query against a rebuild).
 
 Two facts make the incremental step sound, and both are invariants of
 the surrounding system rather than of this class:
@@ -27,8 +28,8 @@ the surrounding system rather than of this class:
 
 Anything that invalidates the delivered set wholesale — a restart wiping
 volatile state, an anti-entropy stable-prefix skip settling labels that
-were never individually delivered, a member whose maintenance starts
-late (lazy activation) — must go through :meth:`FrontierTracker.rebuild`
+were never individually delivered, a member's first query — must go
+through :meth:`FrontierTracker.rebuild`
 (or :meth:`FrontierTracker.reset` with an externally computed antichain)
 instead of replaying deliveries.
 """

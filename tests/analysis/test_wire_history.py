@@ -145,7 +145,15 @@ class TestBadPatterns:
             s=[("get", "x", 3), ("get", "x", 1)],
             t=[("get", "x", 2), ("get", "x", 3)],
         ),
-    ], ids=["two-writers", "causal-then-id"])
+        # Two writers, and the key is written again after the reads
+        # that order them: neither `cf` edge is on the key's last write.
+        dict(
+            a=[("put", "x", 1)],
+            b=[("put", "x", 2)],
+            c=[("get", "x", 1), ("get", "x", 2)],
+            d=[("get", "x", 2), ("get", "x", 1), ("put", "x", 3)],
+        ),
+    ], ids=["two-writers", "causal-then-id", "cf-below-a-later-write"])
     def test_cyclic_cf_needs_ccv(self, sessions):
         h = history(**sessions)
         assert patterns(h, levels=("CC",)) == set()

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.gc import StabilityTracker, track_group
+from repro.broadcast.gc import (
+    GC_VECTOR_OPERATION,
+    StabilityTracker,
+    track_group,
+)
 from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import protect_group
+from repro.graph.predicates import OccursAfter
+from repro.group.replica_group import ReplicaGroup
 from repro.net.faults import FaultPlan
 from repro.net.latency import UniformLatency
 from repro.group.membership import GroupMembership
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
+from repro.sim.trace import TraceRecorder
 from repro.types import Envelope, Message, MessageId
+from tests.broadcast.eager_tracker import EagerTracker
 from tests.conftest import build_group
 
 
@@ -177,3 +186,175 @@ class TestInOrderFastPath:
             tracker._on_delivery(Envelope(Message(MessageId("b", seqno), "op")))
         assert tracker.local_prefix("b") == 5
         assert tracker._delivered_seqnos == {}
+
+
+class WithControl(OSendBroadcast):
+    """OSend whose ``ctl`` deliveries are control: no callback sees them.
+    Overriding `_is_control` keeps it off the run path."""
+
+    def _is_control(self, envelope):
+        return envelope.message.operation == "ctl"
+
+
+class _Recording(Network):
+    """Keeps what `gossip_round` broadcasts instead of sending it."""
+
+    def __init__(self):
+        super().__init__(
+            Scheduler(), rng=RngRegistry(0), trace=TraceRecorder(enabled=False)
+        )
+        self.gossip = []
+
+    def broadcast(self, source, envelope):
+        self.gossip.append(list(envelope.message.payload.items()))
+
+
+@st.composite
+def tracker_steps(draw):
+    """Frames of ``b`` / ``c`` labels (gaps, duplicates and ``ctl``
+    envelopes included), stable skips, restarts, peers' gossip and our
+    own, the steps after which the trackers are read, and the step at
+    which they attach."""
+    frame = st.tuples(
+        st.just("frame"),
+        st.sampled_from(["b", "c"]),
+        st.lists(
+            st.tuples(st.integers(0, 9), st.booleans()),
+            min_size=1, max_size=8,
+        ),
+    )
+    step = st.one_of(
+        frame, frame, frame,
+        st.tuples(st.just("skip"), st.sampled_from(["b", "c"]), st.integers(0, 10)),
+        st.tuples(st.just("restart")),
+        st.tuples(
+            st.just("gossip"), st.sampled_from(["b", "c"]),
+            st.integers(0, 10), st.integers(0, 10),
+        ),
+        st.tuples(st.just("out")),
+    )
+    return (
+        draw(st.sampled_from([OSendBroadcast, WithControl])),
+        draw(st.integers(0, 4)),
+        # Each step says whether the trackers are read after it.
+        draw(st.lists(st.tuples(step, st.booleans()), max_size=24)),
+    )
+
+
+def envelope(origin, seqno, operation="op"):
+    return Envelope(
+        Message(MessageId(origin, seqno), operation),
+        occurs_after=OccursAfter.after(()),
+    )
+
+
+class TestLogFedTracker:
+    """The tracker's prefixes are a view of the delivery log: they match
+    a tracker fed by a delivery callback at every step."""
+
+    @staticmethod
+    def observe(tracker):
+        own = [tracker.local_prefix(origin) for origin in ("b", "c")]
+        return (
+            own,
+            list(tracker._own_prefix.items()),
+            {o: sorted(s) for o, s in tracker._delivered_seqnos.items()},
+            tracker.store_size,
+            tracker.envelopes_reclaimed,
+            list(tracker.advertised_frontiers().items()),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(tracker_steps())
+    def test_the_view_matches_the_eager_tracker_at_every_step(self, case):
+        cls, attach_at, steps = case
+        membership = GroupMembership(["a", "b", "c"])
+        stacks, networks = [], []
+        for _ in range(2):
+            network = _Recording()
+            networks.append(network)
+            stacks.append(network.register(cls("a", membership)))
+        trackers = []
+        gossip = [0]
+        for at, (step, read) in enumerate(steps + [(("out",), True)]):
+            if at == attach_at:
+                trackers = [
+                    StabilityTracker(stacks[0]), EagerTracker(stacks[1])
+                ]
+            kind = step[0]
+            for stack, tracker in zip(stacks, trackers or [None] * 2):
+                if kind == "frame":
+                    _, origin, labels = step
+                    stack.on_frame(origin, [
+                        envelope(origin, seqno, "ctl" if ctl else "op")
+                        for seqno, ctl in labels
+                    ])
+                elif kind == "skip":
+                    stack.note_stable_prefix(step[1], step[2])
+                elif kind == "restart":
+                    stack.crash()
+                    stack.restart()
+                elif kind == "gossip" and tracker is not None:
+                    _, sender, b, c = step
+                    stack.on_frame(sender, [Envelope(Message(
+                        MessageId(f"{sender}!gc", gossip[0]),
+                        GC_VECTOR_OPERATION,
+                        {"b": b, "c": c},
+                    ))])
+                elif tracker is not None:
+                    tracker.gossip_round()
+            gossip[0] += 1
+            if trackers and read:
+                assert self.observe(trackers[0]) == self.observe(trackers[1])
+            assert stacks[0].delivered == stacks[1].delivered
+        assert networks[0].gossip == networks[1].gossip
+
+    def test_a_run_is_folded_when_the_prefix_is_read(self):
+        stack = OSendBroadcast("a", GroupMembership(["a", "b", "c"]))
+        _Recording().register(stack)
+        tracker = StabilityTracker(stack)
+        assert stack._callbacks == []
+        stack.on_frame("b", [envelope("b", seqno) for seqno in range(5)])
+        assert stack.run_deliveries == 5
+        assert tracker._own_prefix == {}  # nothing folded yet
+        assert tracker.local_prefix("b") == 5
+
+    def test_control_deliveries_are_not_counted(self):
+        stack = WithControl("a", GroupMembership(["a", "b", "c"]))
+        _Recording().register(stack)
+        tracker = StabilityTracker(stack)
+        stack.on_frame("b", [
+            envelope("b", 0), envelope("b", 1, "ctl"), envelope("b", 2)
+        ])
+        assert stack.delivered_count == 3
+        assert tracker.local_prefix("b") == 1
+        assert tracker._delivered_seqnos == {"b": {2}}
+
+
+class TestLamportCompaction:
+    """The tracker counts no control delivery (ROADMAP 6(d))."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP 6(d): on lamport_total each member's acks ride its "
+            "own label stream and the tracker counts no control delivery, "
+            "so every origin's prefix stops at its first ack and nothing "
+            "after it is compacted"
+        ),
+    )
+    def test_repair_rounds_empty_the_store(self):
+        group = ReplicaGroup(
+            protocol="lamport_total", members=("n0", "n1", "n2"), seed=0
+        )
+        for _batch in range(3):
+            for member in group.members:
+                for value in range(20):
+                    group.stacks[member].bcast("op", value)
+            group.drain()
+            for _round in range(3):
+                group.repair_round()
+                group.drain()
+        # Measured: 480 bodies a member after the third batch, with
+        # `envelopes_reclaimed` stuck at 60 since the first.
+        assert [t.store_size for t in group.trackers.values()] == [0, 0, 0]

@@ -2,10 +2,11 @@
 
 `BroadcastProtocol._take` delivers consecutive envelopes of a frame
 that would each be delivered on arrival, with nothing held back, as one
-*run*: one bookkeeping step and one call per run hook.  These tests hand
-the same frames to three OSend stacks that carry the replica group's
-sidecars (stability tracker, view-sync agent, recovery) and a frontier
-hook with a watcher gate, as ``ShardedCluster`` registers one:
+*run*: one bookkeeping step and no callback.  These tests hand the same
+frames to three OSend stacks that carry the replica group's sidecars
+(stability tracker, view-sync agent, recovery), a watcher hook with its
+``quiet`` check and a frontier caught up from the delivery log, as
+``ShardedCluster`` registers and keeps them:
 
 * ``OSendBroadcast``, which takes runs;
 * ``PerEnvelope``, which re-states ``_accept`` and so takes every
@@ -16,7 +17,8 @@ Frames mix in-order runs, gaps, duplicates, uncovered and foreign
 ancestors, a second origin, control envelopes owned by the tracker or
 the view-sync agent, a watched label and a crash mid-frame.  After every
 frame all three must agree on the delivery log, the counters, the
-tracker's prefixes and the frontier's heads.
+tracker's prefixes (caught up before they are read) and the frontier's
+heads.
 """
 
 from __future__ import annotations
@@ -151,29 +153,37 @@ def _run(cls, plan):
     recovery = RecoveryAgent(stack)
     precedes, index_of = _precedes(labels, deps)
     frontier = FrontierTracker(precedes, index_of)
+    synced = [None, 0]  # settled version and log length at the catch-up
+
+    def catch_up():
+        """The frontier as ``ShardedCluster.delivered_frontier`` keeps
+        it: the log since the last catch-up, or a rebuild once the
+        settled set moved outside delivery."""
+        log = stack._delivered_envelopes
+        if synced[0] != stack._settled_version:
+            frontier.rebuild(stack._delivered_ids & set(labels))
+        else:
+            for envelope in log[synced[1]:]:
+                frontier.note(envelope.msg_id)
+        synced[:] = stack._settled_version, len(log)
+
     watchers: Dict[MessageId, int] = {}
     fired: List[tuple] = []
 
-    def note(envelope):
+    def watch(envelope):
         label = envelope.msg_id
-        frontier.note(label)
         if watchers.pop(label, None) is not None:
+            catch_up()
             fired.append((label, stack.delivered_count, len(frontier.heads)))
 
-    def note_run(run):
-        for envelope in run:
-            frontier.note(envelope.msg_id)
-
-    stack.on_deliver(note, run=note_run, quiet=lambda: not watchers)
+    stack.on_deliver(watch, quiet=lambda: not watchers)
     crash_at = [None]
 
     def crash(envelope):
         if envelope.msg_id == crash_at[0] and not stack.crashed:
             stack.crash()
 
-    stack.on_deliver(
-        crash, run=lambda run: None, quiet=lambda: crash_at[0] is None
-    )
+    stack.on_deliver(crash, quiet=lambda: crash_at[0] is None)
     control = [0]
     sent = [0]  # the next `b` label a "next" segment sends
 
@@ -221,6 +231,8 @@ def _run(cls, plan):
         if watch is not None:
             watchers[labels[watch]] = 1
         taken = stack.on_frame("b", frame_of(segments))
+        tracker._catch_up()
+        catch_up()
         steps.append((
             taken,
             stack.crashed,

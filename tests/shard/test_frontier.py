@@ -28,6 +28,7 @@ import pytest
 
 from repro.chaos import CHAOS_PROTOCOLS, ChaosCluster
 from repro.graph.depgraph import DependencyGraph
+from repro.shard import ShardedCluster, sharded_campaign
 from repro.shard.frontier import FrontierTracker
 from repro.types import MessageId
 
@@ -233,3 +234,87 @@ class TestProtocolIntegration:
         send("a")
         cluster.drain()
         checkpoint()
+
+
+class CheckedCluster(ShardedCluster):
+    """Holds every `delivered_frontier` answer to a full rebuild, and
+    counts which way each query went."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rebuilds = 0
+        self.catch_ups = 0
+
+    def delivered_frontier(self, shard, member):
+        stack = self.groups[shard].stacks[member]
+        synced = self._frontier_sync.get(member, (None, 0))[0]
+        if synced == stack._settled_version:
+            self.catch_ups += 1
+        else:
+            self.rebuilds += 1
+        frontier = super().delivered_frontier(shard, member)
+        ledger = self.ledger
+        settled = stack._delivered_ids & ledger.labels(shard)
+        assert frontier == ledger.maximal(settled), (shard, member)
+        return frontier
+
+
+class TestClusterFrontierIsALogView:
+    """``ShardedCluster.delivered_frontier`` notes what the member's
+    delivery log gained since the last query, and rebuilds once the
+    settled set moved outside delivery; either way it answers what a
+    full rebuild answers, at every query."""
+
+    def query_all(self, cluster):
+        for shard, group in cluster.groups.items():
+            for member in group.members:
+                cluster.delivered_frontier(shard, member)
+
+    def test_every_query_matches_a_rebuild_across_restarts_and_skips(self):
+        cluster = CheckedCluster(shards=2, members_per_shard=3, seed=1)
+        sessions = [cluster.router.session(f"s{n}") for n in range(2)]
+
+        def puts(first, count):
+            for op in range(first, first + count):
+                for n, session in enumerate(sessions):
+                    session.put(f"k{(op * 5 + n) % 12}", op)
+                if op % 3 == 0:
+                    cluster.drain()
+                    self.query_all(cluster)
+            cluster.drain()
+
+        puts(0, 12)
+        self.query_all(cluster)
+        group = cluster.groups[0]
+        for _ in range(3):  # compact everywhere
+            group.repair_round()
+            cluster.drain()
+        group.crash("s0n1")
+        puts(12, 6)
+        self.query_all(cluster)
+        group.restart("s0n1")
+        self.query_all(cluster)  # the restart wiped the settled set
+        violations, _ = cluster.settle()
+        assert violations == []
+        stack = group.stacks["s0n1"]
+        assert stack._skipped_stable  # anti-entropy skip-settled history
+        self.query_all(cluster)
+        puts(18, 6)
+        self.query_all(cluster)
+        # Beyond each member's first query: the restart and the skips.
+        assert cluster.rebuilds > len(cluster.shard_of_member)
+        assert cluster.catch_ups > cluster.rebuilds
+
+    @pytest.mark.parametrize("seed", [0, 3, 12, 17])
+    def test_every_barrier_and_move_query_matches_a_rebuild(self, seed):
+        """Seeded campaigns query frontiers from barrier reads and slot
+        moves, between crashes, restarts and repair."""
+        cluster = CheckedCluster(shards=2, members_per_shard=3, seed=seed)
+        campaign = sharded_campaign(
+            cluster.shard_map,
+            {s: g.members for s, g in cluster.groups.items()},
+            seed=seed,
+        )
+        result = cluster.run_campaign(campaign)
+        assert cluster.rebuilds and cluster.catch_ups
+        assert result.crashes >= 1

@@ -17,11 +17,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.broadcast.base import BroadcastProtocol
+from repro.broadcast.gc import StabilityTracker
+from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import RecoveryAgent
 from repro.chaos import ChaosCluster, random_campaign
 from repro.chaos.cluster import CHAOS_PROTOCOLS
 from repro.chaos.wire import run_wire_campaign
+from repro.core.frontend import FrontEndManager
 from repro.group.auto_membership import MembershipManager, manage_membership
+from repro.group.membership import GroupMembership
 from repro.group.replica_group import ReplicaGroup
 from repro.group.view_sync import ViewSyncAgent
 from repro.serve import ServeServer
@@ -371,6 +376,23 @@ class TestLayering:
             ):
                 assert not hasattr(group, name), name
 
+    def test_a_member_registers_two_quiet_delivery_callbacks(self):
+        """View sync's and the watchers'; the stability tracker's
+        prefixes and the member's frontier are views of the delivery
+        log, so neither registers a callback."""
+        cluster = ShardedCluster(shards=2, members_per_shard=3, seed=0)
+        for group in cluster.groups.values():
+            for member, stack in group.stacks.items():
+                view_sync, watchers = stack._callbacks
+                assert view_sync.__self__ is group.view_syncs[member]
+                assert watchers.__qualname__.startswith(
+                    "ShardedCluster._watcher_hook."
+                )
+                assert len(stack._quiet_checks) == 2
+        stack = OSendBroadcast("a", GroupMembership(["a", "b"]))
+        StabilityTracker(stack)
+        assert stack._callbacks == [] and stack._quiet_checks == []
+
     def test_no_reach_into_a_groups_privates(self):
         reach_in = re.compile(r"group\._[a-z]|groups\[[^]]*\]\._")
         offenders = [
@@ -467,6 +489,8 @@ class TestLayering:
         (MembershipManager, ("fallback_delay",)),
         (manage_membership, ("fallback_delay",)),
         (run_wire_campaign, ("shards", "members_per_shard")),
+        (BroadcastProtocol.on_deliver, ("run",)),
+        (FrontEndManager, ("track_remote",)),
     ])
     def test_options_no_caller_set_are_constants(self, call, removed):
         parameters = inspect.signature(call).parameters
