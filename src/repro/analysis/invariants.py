@@ -144,12 +144,6 @@ class InvariantMonitor:
 
     # -- incarnation plumbing ------------------------------------------------
 
-    def _incarnations(
-        self, protocol
-    ) -> Iterator[Tuple[int, List[Envelope], Set[MessageId]]]:
-        """Yield ``(incarnation, delivered_envelopes, skipped)`` per life."""
-        return iter_incarnations(protocol)
-
     def _data_log(self, envelopes: Sequence[Envelope]) -> List[MessageId]:
         return [
             e.msg_id for e in envelopes if e.msg_id in self.data_labels
@@ -169,7 +163,7 @@ class InvariantMonitor:
     def check_duplicate_deliveries(self) -> List[Violation]:
         violations = []
         for member, protocol in self.protocols.items():
-            for incarnation, envelopes, _skipped in self._incarnations(protocol):
+            for incarnation, envelopes, _skipped in iter_incarnations(protocol):
                 log = self._data_log(envelopes)
                 seen: Set[MessageId] = set()
                 for label in log:
@@ -186,7 +180,7 @@ class InvariantMonitor:
     def check_causal_order(self) -> List[Violation]:
         violations = []
         for member, protocol in self.protocols.items():
-            for incarnation, envelopes, skipped in self._incarnations(protocol):
+            for incarnation, envelopes, skipped in iter_incarnations(protocol):
                 log = self._data_log(envelopes)
                 position: Dict[MessageId, int] = {}
                 for i, label in enumerate(log):

@@ -67,6 +67,14 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _first_sends(trace: TraceRecorder) -> Dict[MessageId, float]:
+    """Each label's earliest ``send`` time."""
+    send_times: Dict[MessageId, float] = {}
+    for event in trace.of_kind("send"):
+        send_times.setdefault(event.get("msg_id"), event.time)
+    return send_times
+
+
 def delivery_latencies(
     trace: TraceRecorder,
 ) -> Dict[Tuple[MessageId, EntityId], float]:
@@ -76,11 +84,7 @@ def delivery_latencies(
     sequencer, do not reset the clock) and the ``deliver`` event per
     member.
     """
-    send_times: Dict[MessageId, float] = {}
-    for event in trace.of_kind("send"):
-        msg_id = event.get("msg_id")
-        if msg_id not in send_times:
-            send_times[msg_id] = event.time
+    send_times = _first_sends(trace)
     latencies: Dict[Tuple[MessageId, EntityId], float] = {}
     for event in trace.of_kind("deliver"):
         msg_id = event.get("msg_id")
@@ -100,11 +104,7 @@ def latency_summary(
     used to exclude control traffic (acks, order bindings) from
     application-latency comparisons.
     """
-    send_times: Dict[MessageId, float] = {}
-    for event in trace.of_kind("send"):
-        msg_id = event.get("msg_id")
-        if msg_id not in send_times:
-            send_times[msg_id] = event.time
+    send_times = _first_sends(trace)
     samples: List[float] = []
     for event in trace.of_kind("deliver"):
         if operations is not None and event.get("operation") not in operations:

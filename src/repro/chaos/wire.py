@@ -288,14 +288,9 @@ async def run_wire_campaign(
         result.counters[f"proxy_{key}"] = value
     history = WireHistory.merge(recorders)
     result.history = history
-    result.violations = [
-        str(v) for v in check_wire_history(history, levels=("CC", "CCv"))
-    ]
-    cm_only = [
-        v for v in check_wire_history(history)
-        if v.level == "CM"
-    ]
-    result.cm_violations = [str(v) for v in cm_only]
+    for v in check_wire_history(history):
+        verdicts = result.cm_violations if v.level == "CM" else result.violations
+        verdicts.append(str(v))
     server_verdicts = server.session_guarantee_violations()
     result.server_violations = [str(v) for v in server_verdicts]
     return result

@@ -733,6 +733,11 @@ class ServeServer:
                 ):
                     op.error = f"read names unknown shards: {shards!r}"
                     continue
+                if shards == []:
+                    # A barrier over no shard would never complete and
+                    # would hold the session's later operations forever.
+                    op.error = "read names no shards"
+                    continue
                 session.read(
                     shards=shards,
                     callback=lambda read, op=op: setattr(op, "read", read),

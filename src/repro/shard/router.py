@@ -126,8 +126,15 @@ class Session:
         shards: Optional[Sequence[int]] = None,
         callback: Optional[Callable[["BarrierRead"], None]] = None,
     ) -> None:
-        """Queue a consistent multi-shard read (all shards by default)."""
+        """Queue a consistent multi-shard read (all shards by default).
+
+        An empty selection raises :class:`ValueError`: a barrier over no
+        shard never completes, and the session's later operations would
+        wait behind it forever.
+        """
         chosen = tuple(shards) if shards is not None else None
+        if chosen == ():
+            raise ValueError("a read needs at least one shard")
         self._enqueue(["read", (chosen,), callback])
 
     @property
@@ -202,7 +209,13 @@ class Session:
         for shard_key, pairs in frontier.items():
             try:
                 shard = int(shard_key)
-                labels = {MessageId(sender, seqno) for sender, seqno in pairs}
+                labels = set()
+                for sender, seqno in pairs:
+                    # JSON's 0.0 and true compare equal to the seqno 0
+                    # and 1, and would be re-exported as they came.
+                    if not isinstance(sender, str) or type(seqno) is not int:
+                        raise ValueError(f"bad label {[sender, seqno]!r}")
+                    labels.add(MessageId(sender, seqno))
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(
                     f"malformed session token frontier: {exc}"

@@ -175,6 +175,34 @@ class TestBadPatterns:
         )
         assert "write-co-read" in patterns(h) or "cyclic-hb" in patterns(h)
 
+    def test_write_hb_init_read_is_judged_over_the_causal_past(self):
+        # y=1 ->po x=1 ->hb x=2 ->po b's get y: c read x=1 then x=2, so
+        # every convergent order puts x=1 first.  c's put z=1, read by
+        # b, brings c's reads into the causal past of b's final op.
+        h = history(
+            a=[("put", "y", 1), ("put", "x", 1)],
+            b=[("put", "x", 2), ("get", "y", None), ("get", "z", 1)],
+            c=[("get", "x", 1), ("get", "x", 2), ("put", "z", 1)],
+        )
+        assert patterns(h, levels=("CC",)) == set()
+        assert patterns(h, levels=("CC", "CCv")) == set()
+        assert patterns(h) == {"write-hb-init-read"}
+
+    def test_write_hb_init_read_after_two_closure_rounds(self):
+        # Round one orders x=a before x=b (c read both); only then does
+        # e's get of y=2 have y=1 happened-before it, which orders y=1
+        # before y=2, and z=1 ->po y=1 ->hb y=2 ->wr b's get z.
+        h = history(
+            a=[("put", "z", 1), ("put", "y", 1), ("put", "x", "a")],
+            c=[("get", "x", "a"), ("get", "x", "b"), ("put", "w", 1)],
+            d=[("put", "y", 2)],
+            e=[("put", "x", "b"), ("get", "y", 2), ("put", "u", 1)],
+            b=[("get", "y", 2), ("get", "z", None), ("get", "w", 1),
+               ("get", "u", 1)],
+        )
+        assert patterns(h, levels=("CC", "CCv")) == set()
+        assert patterns(h) == {"write-hb-init-read"}
+
     def test_cyclic_co(self):
         # a reads b's value before b wrote anything b could only write
         # after reading a's — needs hand-built po that contradicts wr.

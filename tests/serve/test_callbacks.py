@@ -252,6 +252,37 @@ class TestOneStepAtATime:
         assert srv.metrics.counters["puts_deduped"] == 1
         assert [kind for kind, _ in srv.history["s"]] == ["write"]
 
+    def test_a_read_of_no_shards_is_refused_and_the_session_goes_on(self):
+        srv, loop = serving()
+        conn, transport = connect(srv, "a")
+        conn.data_received(frames(
+            {"t": "read", "rid": 1, "shards": []}, put(2, "k", "v"),
+        ))
+        loop.run_soon()
+        refused, stored = transport.replies()
+        assert refused["t"] == "error" and refused["rid"] == 1
+        assert stored["ok"] and stored["label"] is not None
+        assert srv.cluster.router.session("a").idle
+
+    def test_a_hello_token_with_a_float_seqno_is_refused(self):
+        srv, loop = serving()
+        conn, transport = connect(srv, "a")
+        conn.data_received(frames(put(1, "k", "v")))
+        loop.run_soon()
+        document = json.loads(transport.replies()[0]["token"])
+        for pairs in document["frontier"].values():
+            for pair in pairs:
+                pair[1] = float(pair[1])
+        other, other_transport = _Connection(srv), FakeTransport()
+        other.connection_made(other_transport)
+        other.data_received(frames({
+            "t": "hello", "rid": 0, "session": "b",
+            "token": json.dumps(document),
+        }))
+        (refused,) = other_transport.replies()
+        assert refused["t"] == "error" and "bad label" in refused["error"]
+        assert other.session is None
+
     def test_a_put_burst_is_delivered_a_run_at_a_time(self):
         """A cycle's puts reach each member as one frame per sender, and
         each frame is delivered as one run: every delivery of the burst

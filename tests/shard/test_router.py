@@ -120,6 +120,20 @@ class TestReads:
         assert session.idle
 
 
+    def test_a_read_of_no_shards_is_refused_before_it_queues(self):
+        import pytest
+
+        cluster = quiet_cluster()
+        session = cluster.router.session("s")
+        with pytest.raises(ValueError, match="at least one shard"):
+            session.read(shards=())
+        assert session.idle
+        labels = []
+        session.put(key_for(cluster, 0), "v", on_issued=labels.append)
+        cluster.drain()
+        assert labels and labels[0] is not None
+
+
 class TestGets:
     """``Session.get``: the third FIFO verb, served by a covering replica."""
 
@@ -412,6 +426,31 @@ class TestSessionTokens:
         forged.put(key_for(cluster, 0), "still works")
         cluster.drain()
         assert cluster.check_invariants() == []
+
+    def test_a_label_must_be_a_string_and_an_int(self):
+        """JSON's ``0.0`` and ``true`` equal the seqnos 0 and 1; merged,
+        they would be re-exported as they came in every reply token."""
+        import pytest
+
+        from repro.errors import ProtocolError
+
+        cluster = quiet_cluster()
+        writer = cluster.router.session("w")
+        writer.put(key_for(cluster, 0), "v0")
+        writer.put(key_for(cluster, 0, salt=1), "v1")
+        cluster.drain()
+        first, second = cluster.ledger.issue_order
+        assert (first.seqno, second.seqno) == (0, 1)
+        for pair in (
+            f'["{first.sender}", 0.0]', f'["{second.sender}", true]',
+            f'["{first.sender}", "0"]', "[7, 0]",
+        ):
+            session = cluster.router.session("s")
+            with pytest.raises(ProtocolError, match="bad label"):
+                session.import_token(
+                    '{"v":1,"session":"s","frontier":{"0":[' + pair + "]}}"
+                )
+            assert session.frontier == {}
 
     def test_unknown_labels_dropped_and_reported(self):
         cluster = quiet_cluster()
