@@ -73,8 +73,12 @@ chaos-quick:
 # and on 3 shards (~2 s each), under two interpreter hash seeds; the two
 # outputs must be byte-identical.  The gate is the diff, not the exit
 # status: five campaigns fail their audits today (ROADMAP 6(a), kept as
-# strict xfails in tier-1), so the sweep itself exits non-zero.  The
-# outputs stay in sweep-out/.
+# strict xfails in tier-1), so the sweep itself exits non-zero.  Then the
+# single-group sweep, serial and overlapping, gated the same way: every
+# protocol over 12 seeds (~3 s each), whose failing campaigns are strict
+# xfails too (ROADMAP 6(g)).  12, not 40: the sequencer aborts the runner
+# on serial seed 22 and overlap seed 15 (6(g)); the count rises once that
+# crash is fixed.  The outputs stay in sweep-out/.
 chaos-sweep:
 	@mkdir -p sweep-out
 	@for shards in 2 3; do \
@@ -85,6 +89,16 @@ chaos-sweep:
 	  done; \
 	  diff sweep-out/shards$$shards-h0.txt sweep-out/shards$$shards-h1.txt || exit 1; \
 	  tail -n 1 sweep-out/shards$$shards-h0.txt; \
+	done
+	@for mode in serial overlap; do \
+	  case $$mode in overlap) flag=--overlap;; *) flag=;; esac; \
+	  for hash in 0 1; do \
+	    PYTHONHASHSEED=$$hash PYTHONPATH=src python -m repro chaos \
+	      --protocol all --seeds 12 $$flag > sweep-out/chaos-$$mode-h$$hash.txt; \
+	    grep -q "^chaos: 84 " sweep-out/chaos-$$mode-h$$hash.txt || exit 1; \
+	  done; \
+	  diff sweep-out/chaos-$$mode-h0.txt sweep-out/chaos-$$mode-h1.txt || exit 1; \
+	  tail -n 1 sweep-out/chaos-$$mode-h0.txt; \
 	done
 
 examples:

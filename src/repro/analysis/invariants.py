@@ -261,7 +261,7 @@ class InvariantMonitor:
         members = sorted(tables)
         for i, first in enumerate(members):
             for second in members[i + 1:]:
-                for seq in tables[first].keys() & tables[second].keys():
+                for seq in sorted(tables[first].keys() & tables[second].keys()):
                     if tables[first][seq] != tables[second][seq]:
                         violations.append(Violation(
                             "sequencer-epoch",
@@ -278,7 +278,8 @@ class InvariantMonitor:
         members = sorted(positions)
         for i, first in enumerate(members):
             for second in members[i + 1:]:
-                for label in (
+                # Sorted: a set of labels iterates in hash order.
+                for label in sorted(
                     positions[first].keys() & positions[second].keys()
                 ):
                     if positions[first][label] != positions[second][label]:

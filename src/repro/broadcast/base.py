@@ -174,6 +174,8 @@ class BroadcastProtocol(SimNode):
         # order.  `delivery_log` / `delivered` are views of these two.
         self._delivered_envelopes: List[Envelope] = []
         self._delivery_times: List[float] = []
+        # The repair store: every body this member can serve.  Its own
+        # streams' entries are also its stable storage (`_on_restart`).
         self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
         # The callbacks' quiet checks, or None once a callback has none.
@@ -215,13 +217,6 @@ class BroadcastProtocol(SimNode):
         # rejoiner fast-forwards past them instead of NACKing forever.
         self._skipped_stable: Set[MessageId] = set()
         self._stable_floor: Dict[EntityId, int] = {}
-        # Durable write-ahead log of every envelope we originated into our
-        # own label stream (data via `bcast`, in-stream control via
-        # `send_logged`).  Stable storage: without it, a sender that
-        # crashes after an unreplicated send leaves a permanent FIFO gap
-        # in its own stream that no surviving member can fill.  Restart
-        # replays it (see `_on_restart`).
-        self._outbox: Dict[MessageId, Envelope] = {}
         #: Delivery history of previous incarnations, archived at restart:
         #: ``(delivered_envelopes, skipped_stable)`` per lost life.
         self.incarnation_archive: List[
@@ -258,25 +253,19 @@ class BroadcastProtocol(SimNode):
         for agent in self._send_guards:
             agent.guard_send()
         message = Message(self._allocator.next_id(), operation, payload)
-        envelope = self._stamp(Envelope(message), **options)
-        # Keep our own stamped copy: if every network copy (including the
-        # self-delivery hop) is lost, retransmission must still be possible.
-        self._envelopes_by_id[message.msg_id] = envelope
-        self._outbox[message.msg_id] = envelope
-        self.broadcast(envelope)
+        self.send_logged(self._stamp(Envelope(message), **options))
         return message.msg_id
 
     def send_logged(self, envelope: Envelope) -> None:
-        """Send an in-stream control envelope with stable-storage logging.
+        """Send into one of our own label streams: `bcast` data and
+        in-stream control (Lamport acks, sequencer order bindings).
 
-        For protocol control messages that occupy the sender's own label
-        stream (Lamport acks, sequencer order bindings): logged to the
-        durable outbox and kept in the repair store exactly like `bcast`
-        data, so a crash between send and first remote receipt cannot
-        orphan the stream position.
+        Filed in the repair store first, so retransmission can serve it
+        if every network copy (the self-delivery hop included) is lost,
+        and a restart replays it until it is stable: a crash between
+        send and first remote receipt cannot orphan the stream position.
         """
         self._envelopes_by_id[envelope.msg_id] = envelope
-        self._outbox[envelope.msg_id] = envelope
         self.broadcast(envelope)
 
     # -- hooks for subclasses ---------------------------------------------------
@@ -456,33 +445,43 @@ class BroadcastProtocol(SimNode):
     # -- crash-stop lifecycle ----------------------------------------------------
 
     def _on_restart(self) -> None:
-        """Model volatile-state loss: wipe everything but durable identity.
+        """Model volatile-state loss: wipe everything but durable state.
 
         Durable across incarnations: the label allocator (labels are never
-        reused), the outbox (stable-storage log of own sends), the shared
-        group membership, registered callbacks and interceptors, and
-        cumulative diagnostics.  Everything else — the hold-back queue,
-        delivered state, repair store and the wakeup index — is volatile
-        and lost with the crash.  The previous life's delivery
-        history is archived for post-hoc analysis.
+        reused), the repair store's entries of our own label streams (our
+        sends not yet compacted as stable), the shared group membership,
+        registered callbacks and interceptors, and cumulative
+        diagnostics.  Everything else is volatile and lost with the
+        crash.  The previous life's delivery history is archived.
 
-        After the wipe the outbox is replayed: every logged send is
-        re-received locally (rebuilding our own stream as a recovering
-        process replays its log) and re-broadcast to the group (peers
-        dedup known labels; the ones only we ever held fill their FIFO
-        gaps).  Without this, a send whose every network copy was lost
-        before the crash would leave a permanently unfillable gap in our
-        stream, stalling all our post-restart traffic behind it.
+        After the wipe the kept sends are replayed: each is re-received
+        locally (as a recovering process replays its log) and
+        re-broadcast (peers dedup known labels; the ones only we held
+        fill their FIFO gaps).  A stable send needs no replay: a digest's
+        frontier settles it by stable-prefix skip.
         """
-        self.incarnation_archive.append(
-            (list(self._delivered_envelopes), frozenset(self._skipped_stable))
+        own = self.entity_id
+        store = self._envelopes_by_id
+        replay = sorted(
+            # Our streams: our id and its "<id>!..." namespaces.
+            (e for label, e in store.items()
+             if label.sender.partition("!")[0] == own),
+            # Control namespaces (e.g. the sequencer's order stream)
+            # replay before the main stream: a replayed binding must be
+            # in place before the data it binds, or the recovering
+            # sequencer would mistake its own old data for unbound
+            # traffic and re-issue orders for it.
+            key=lambda e: (e.msg_id.sender == own, e.msg_id),
         )
+        self.incarnation_archive.append(
+            (self._delivered_envelopes, frozenset(self._skipped_stable))
+        )
+        self._delivered_envelopes = []
         self._pending.clear()
         self._delivered_ids.clear()
         self._settled_version += 1
-        self._delivered_envelopes.clear()
         self._delivery_times.clear()
-        self._envelopes_by_id.clear()
+        store.clear()
         self._arrival.clear()
         self._blocked_on.clear()
         self._event_waiters.clear()
@@ -500,18 +499,8 @@ class BroadcastProtocol(SimNode):
             reset = getattr(agent, "reset_volatile", None)
             if reset is not None:
                 reset()
-        replay = sorted(
-            self._outbox,
-            # Control namespaces (e.g. the sequencer's order stream)
-            # replay before the main stream: a replayed binding must be
-            # in place before the data it binds, or the recovering
-            # sequencer would mistake its own old data for unbound
-            # traffic and re-issue orders for it.
-            key=lambda label: (label.sender == self.entity_id, label),
-        )
-        for label in replay:
-            envelope = self._outbox[label]
-            self.on_receive(self.entity_id, envelope)
+        for envelope in replay:
+            self.on_receive(own, envelope)  # files it in the store again
             self.broadcast(envelope)
 
     # -- receive path -------------------------------------------------------------

@@ -107,9 +107,9 @@ class LamportTotalOrder(BroadcastProtocol):
         ack = Message(self._allocator.next_id(), self.ACK_OPERATION, data_label)
         stamped = self._stamp(Envelope(ack))
         # Acks ride the main label stream, so a lost ack is a FIFO gap
-        # every member stalls on.  Log it like `bcast` data (durable
-        # outbox + repair store) so it survives every network copy being
-        # dropped and survives our own crash.
+        # every member stalls on.  Log it like `bcast` data (in the
+        # repair store, whose own-stream entries a restart keeps) so it
+        # survives every network copy being dropped and our own crash.
         self.send_logged(stamped)
 
     # -- delivery -----------------------------------------------------------------

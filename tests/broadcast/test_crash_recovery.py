@@ -1,6 +1,6 @@
 """Regressions for crash-recovery across GC, anti-entropy and RST accounting.
 
-Pins three bugs found by the chaos campaigns:
+Pins three bugs found by the chaos campaigns, and one waste:
 
 * anti-entropy used to advertise every *seen* label, including bodies the
   stability tracker had compacted away — an amnesiac rejoiner then NACKed
@@ -9,7 +9,9 @@ Pins three bugs found by the chaos campaigns:
   grew without bound because nothing purged entries for labels that had
   settled;
 * RST counted raw deliveries per origin, so a rejoiner's own post-restart
-  traffic "paid off" pre-crash history it never actually delivered.
+  traffic "paid off" pre-crash history it never actually delivered;
+* a restart replayed every send the member had ever made, stable or not,
+  from a second store of own sends that nothing truncated.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import protect_group
 from repro.broadcast.rst import RstBroadcast
 from repro.group.membership import GroupMembership
+from repro.group.replica_group import ReplicaGroup
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
@@ -116,6 +119,72 @@ class TestRejoinViaStableFrontier:
         # Skipped history counts as settled, so group-wide stability does
         # not collapse to zero whenever an amnesiac member rejoins.
         assert trackers["b"].local_prefix("a") == 4
+
+
+class TestRestartReplaysTheUnstableWindow:
+    """A restart keeps and replays only the sender's unstable sends.
+
+    Failing-before: the chassis kept every own send in a durable outbox
+    that nothing truncated, and a restart re-received and re-broadcast all
+    of it — 3 hops per send ever made (600 after 200 sends, 2 400 after
+    800).  A stable send was delivered at every member, so the restarted
+    sender settles it by stable-prefix skip instead.
+    """
+
+    MEMBERS = ("n0", "n1", "n2")
+
+    def restart_after(self, sends: int):
+        """``n0`` sends, with a repair round every 10 sends, then crashes
+        and restarts; returns the group, the labels and the hops the
+        restart sent."""
+        group = ReplicaGroup(protocol="osend", members=self.MEMBERS, seed=0)
+        labels = []
+        for count in range(1, sends + 1):
+            labels.append(group.stacks["n0"].bcast("op", count))
+            if count % 10 == 0:
+                group.repair_round()
+                group.drain()
+        group.crash("n0")
+        before = group.network.hops_sent
+        group.restart("n0")
+        return group, labels, group.network.hops_sent - before
+
+    @staticmethod
+    def converge(group: ReplicaGroup, labels) -> None:
+        group.drain()
+        for _ in range(5):
+            if group.converged(labels):
+                break
+            group.repair_round()
+            group.drain()
+        assert group.converged(labels)
+        assert group.settled("n0", labels) == set(labels)
+
+    def test_restart_cost_does_not_grow_with_history(self):
+        hops = []
+        for sends in (200, 800):
+            group, labels, sent = self.restart_after(sends)
+            hops.append(sent)
+            self.converge(group, labels)
+        assert hops[0] == hops[1]
+
+    def test_a_send_lost_on_every_hop_is_replayed(self):
+        group = ReplicaGroup(protocol="osend", members=self.MEMBERS, seed=0)
+        labels = [group.stacks["n0"].bcast("op", n) for n in range(10)]
+        group.drain()
+        group.repair_round()
+        group.drain()
+        assert group.trackers["n0"].store_size == 0  # all ten stable
+        group.set_loss(1.0)
+        labels.append(group.stacks["n0"].bcast("op", 10))
+        group.crash("n0")
+        group.clear_faults()
+        before = group.network.hops_sent
+        group.restart("n0")
+        # Only the lost send is replayed: one broadcast to three members.
+        assert group.network.hops_sent - before == 3
+        self.converge(group, labels)
+        assert labels[-1] in group.stacks["n1"].delivered
 
 
 class TestChaseStatePurge:

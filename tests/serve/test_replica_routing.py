@@ -123,7 +123,7 @@ class TestDirectGets:
                 await cli.put_wait("k", "v")
                 (shard, group), = srv.cluster.groups.items()
                 # Not the write's origin: a restarted origin replays its
-                # outbox and would cover the floor again at once.
+                # unstable sends and would cover the floor again at once.
                 named = group.members[1]
                 if hint == "unknown":
                     named = "no-such-member"
@@ -265,8 +265,8 @@ class TestIssueOrder:
 def orphan_the_write(srv):
     """Leave no up replica covering the session's floor.
 
-    The write's origin goes down (its outbox replay would self-recover
-    it); the other two members restart amnesiac — up, in view, but with
+    The write's origin goes down (replaying its unstable sends would
+    self-recover it); the other two members restart amnesiac — up, in view, but with
     empty settled prefixes that cover nothing.
     """
     (group,) = srv.cluster.groups.values()
@@ -293,8 +293,8 @@ class TestUncoveredFloor:
                 assert (await cli.stats())["read_misses"] >= 1
                 # The refusal is per-op: the connection stays usable.
                 assert (await cli.put_wait("k2", "w"))["ok"]
-                # Recovery: the origin comes back, replays its outbox,
-                # and anti-entropy refills the amnesiacs.
+                # Recovery: the origin comes back, replays its unstable
+                # sends, and anti-entropy refills the amnesiacs.
                 group.restart(origin)
                 srv._repair_round()
                 reply = await cli.get_submit("k")

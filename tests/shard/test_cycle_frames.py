@@ -153,7 +153,7 @@ class TestCrashes:
             for stack in group.stacks.values()
             for label in labels
         )
-        group.restart(sender)  # the outbox replays what was parked
+        group.restart(sender)  # the repair store replays what was parked
         cluster.drain()
         violations, _rounds = cluster.settle()
         assert violations == []

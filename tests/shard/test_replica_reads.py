@@ -132,8 +132,8 @@ class TestReadMembers:
 class TestAmnesiacContact:
     """Regression: ``contact`` picked a just-restarted, empty replica.
 
-    A restarted member replays its own outbox (so a write's *origin*
-    self-recovers immediately); the amnesiac shape is a restarted member
+    A restarted member replays its own unstable sends (so a write's
+    *origin* self-recovers immediately); the amnesiac shape is a restarted member
     that only ever received — its settled prefix stays empty until
     anti-entropy refills it, so these tests route the write through a
     different member via ``shard_send(..., preferred=)``.
