@@ -217,6 +217,9 @@ class BroadcastProtocol(SimNode):
         # rejoiner fast-forwards past them instead of NACKing forever.
         self._skipped_stable: Set[MessageId] = set()
         self._stable_floor: Dict[EntityId, int] = {}
+        # Durable: per own stream, the seqno below which its bodies were
+        # compacted as stable (`StabilityTracker._compact`; `_on_restart`).
+        self._own_floors: Dict[EntityId, int] = {}
         #: Delivery history of previous incarnations, archived at restart:
         #: ``(delivered_envelopes, skipped_stable)`` per lost life.
         self.incarnation_archive: List[
@@ -343,6 +346,10 @@ class BroadcastProtocol(SimNode):
         so fresh traffic is not blocked behind irrecoverable history.
         """
 
+    def _owns_stream(self, origin: EntityId) -> bool:
+        """Is ``origin`` our id or one of its ``"<id>!..."`` namespaces?"""
+        return origin.partition("!")[0] == self.entity_id
+
     def compactable_origin(self, origin: EntityId) -> bool:
         """Whether the stability tracker may compact ``origin``'s bodies.
 
@@ -449,23 +456,23 @@ class BroadcastProtocol(SimNode):
 
         Durable across incarnations: the label allocator (labels are never
         reused), the repair store's entries of our own label streams (our
-        sends not yet compacted as stable), the shared group membership,
-        registered callbacks and interceptors, and cumulative
-        diagnostics.  Everything else is volatile and lost with the
-        crash.  The previous life's delivery history is archived.
+        sends not yet compacted as stable) and each own stream's
+        compaction floor, the shared group membership, registered
+        callbacks and interceptors, and cumulative diagnostics.
+        Everything else is volatile and lost with the crash.  The
+        previous life's delivery history is archived.
 
-        After the wipe the kept sends are replayed: each is re-received
-        locally (as a recovering process replays its log) and
-        re-broadcast (peers dedup known labels; the ones only we held
-        fill their FIFO gaps).  A stable send needs no replay: a digest's
-        frontier settles it by stable-prefix skip.
+        After the wipe each own stream is settled up to its floor by
+        stable-prefix skip (after a group-wide restart we may be the only
+        member that knows those sends are stable), and the kept sends are
+        replayed: each is re-received locally (a recovering process
+        replaying its log) and re-broadcast (peers dedup known labels;
+        the ones only we held fill their FIFO gaps).
         """
         own = self.entity_id
         store = self._envelopes_by_id
         replay = sorted(
-            # Our streams: our id and its "<id>!..." namespaces.
-            (e for label, e in store.items()
-             if label.sender.partition("!")[0] == own),
+            (e for e in store.values() if self._owns_stream(e.msg_id.sender)),
             # Control namespaces (e.g. the sequencer's order stream)
             # replay before the main stream: a replayed binding must be
             # in place before the data it binds, or the recovering
@@ -499,6 +506,8 @@ class BroadcastProtocol(SimNode):
             reset = getattr(agent, "reset_volatile", None)
             if reset is not None:
                 reset()
+        for origin, floor in sorted(self._own_floors.items()):
+            self.note_stable_prefix(origin, floor)
         for envelope in replay:
             self.on_receive(own, envelope)  # files it in the store again
             self.broadcast(envelope)

@@ -163,6 +163,8 @@ class StabilityTracker:
             self.envelopes_reclaimed += dropped
             if top + 1 > self._applied_frontier.get(origin, 0):
                 self._applied_frontier[origin] = top + 1
+            if protocol._owns_stream(origin):
+                protocol._own_floors[origin] = frontier
 
     def advertised_frontiers(self) -> Dict[EntityId, int]:
         """Per-origin frontiers below which this member cannot serve.
@@ -194,7 +196,9 @@ class StabilityTracker:
 
         The rejoiner re-learns peers' prefixes from gossip and rebuilds
         its own from post-restart deliveries and stable-prefix skips.
-        ``envelopes_reclaimed`` stays cumulative.
+        ``envelopes_reclaimed`` stays cumulative.  The applied frontiers
+        of our own streams come back when the restart settles them up to
+        their durable compaction floors (:meth:`on_stable_skip`).
         """
         self._prefixes.clear()
         self._delivered_seqnos.clear()
@@ -210,6 +214,13 @@ class StabilityTracker:
         them keeps the group frontier from collapsing to zero whenever an
         amnesiac member rejoins (which would stall compaction forever).
         """
+        if frontier <= self.protocol._own_floors.get(origin, 0) and (
+            frontier > self._applied_frontier.get(origin, 0)
+        ):
+            # A restart settling our own stream up to its compaction
+            # floor: its bodies are gone from the store, and after a
+            # group-wide restart only our digests can tell the others.
+            self._applied_frontier[origin] = self._swept[origin] = frontier
         self._catch_up()
         if self._own_prefix.get(origin, 0) >= frontier:
             return

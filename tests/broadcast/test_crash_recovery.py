@@ -186,6 +186,38 @@ class TestRestartReplaysTheUnstableWindow:
         self.converge(group, labels)
         assert labels[-1] in group.stacks["n1"].delivered
 
+    def test_a_group_wide_restart_keeps_the_stable_prefix(self):
+        """Failing-before: a compacted send was settled only by a peer's
+        digest frontier, and no restarted member knows one.  With every
+        member restarted after compaction, no member held the bodies and
+        none could advertise the frontier: the ten labels were never
+        settled again.  The sender's compaction floor is durable."""
+        group = ReplicaGroup(protocol="osend", members=self.MEMBERS, seed=0)
+        labels = [group.stacks["n0"].bcast("op", n) for n in range(10)]
+        group.drain()
+        group.repair_round()
+        group.drain()
+        assert group.trackers["n0"].store_size == 0  # all ten stable
+        group.crash("n0")
+        for member in ("n1", "n2"):
+            group.crash(member)
+            group.restart(member)
+        group.restart("n0")
+        # The sender settles its own stable prefix at once...
+        assert group.settled("n0", labels) == set(labels)
+        # ...and its first digest settles it at the amnesiac peers.
+        self.converge(group, labels)
+        for member in self.MEMBERS:
+            assert group.settled(member, labels) == set(labels)
+        # The floor outlives a second restart, before any gossip.
+        group.crash("n0")
+        group.restart("n0")
+        assert group.settled("n0", labels) == set(labels)
+        fresh = group.stacks["n0"].bcast("op", 10)
+        group.drain()
+        for member in self.MEMBERS:
+            assert fresh in group.stacks[member].delivered
+
 
 class TestChaseStatePurge:
     """S4: chase state must shrink back to the set of labels still missing."""

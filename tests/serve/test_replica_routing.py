@@ -304,6 +304,27 @@ class TestUncoveredFloor:
 
         run(scenario)
 
+    def test_a_compacted_write_survives_a_group_wide_restart(self):
+        """Failing-before: with a repair round between the write and the
+        orphaning, the write's body is compacted everywhere, and only its
+        origin's durable compaction floor still knows it was stable.
+        Without that floor the get was refused for good."""
+
+        async def scenario():
+            async with server() as srv, client(srv) as cli:
+                await cli.put_wait("k", "v")
+                srv._repair_round()
+                srv.cluster.drain()
+                group, origin = orphan_the_write(srv)
+                assert group.trackers[origin].store_size == 0
+                group.restart(origin)
+                srv._repair_round()
+                reply = await cli.get_submit("k")
+                assert reply["value"] == "v"
+                assert srv.session_guarantee_violations() == []
+
+        run(scenario)
+
 
 class TestReadMisses:
     def test_in_cycle_miss_is_counted(self):
