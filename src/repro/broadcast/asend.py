@@ -39,7 +39,7 @@ from repro.broadcast.base import (
 from repro.errors import ProtocolError
 from repro.graph.predicates import OccursAfter
 from repro.group.membership import GroupMembership
-from repro.types import Envelope, EntityId, MessageId
+from repro.types import Envelope, EntityId, Message, MessageId
 
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
@@ -97,7 +97,7 @@ class ASendTotalOrder(BroadcastProtocol):
             operation, payload, epoch=epoch, occurs_after=occurs_after
         )
 
-    def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
+    def _stamp(self, message: Message, **options: object) -> Envelope:
         epoch = options.pop("epoch", 0)
         occurs_after = options.pop("occurs_after", None)
         if options:
@@ -108,7 +108,7 @@ class ASendTotalOrder(BroadcastProtocol):
             predicate = occurs_after
         else:
             predicate = OccursAfter.after(occurs_after)  # type: ignore[arg-type]
-        return Envelope(envelope.message, {"epoch": epoch}, predicate)
+        return Envelope(message, {"epoch": epoch}, predicate)
 
     # -- receiving ---------------------------------------------------------
 

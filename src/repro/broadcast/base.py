@@ -82,7 +82,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.group.membership import GroupMembership
 from repro.sim.node import SimNode
 from repro.types import (
@@ -256,30 +256,37 @@ class BroadcastProtocol(SimNode):
         for agent in self._send_guards:
             agent.guard_send()
         message = Message(self._allocator.next_id(), operation, payload)
-        self.send_logged(self._stamp(Envelope(message), **options))
+        self.send_logged(self._stamp(message, **options))
         return message.msg_id
 
     def send_logged(self, envelope: Envelope) -> None:
         """Send into one of our own label streams: `bcast` data and
-        in-stream control (Lamport acks, sequencer order bindings).
+        in-stream control (Lamport acks, sequencer order bindings).  The
+        one path that files a send.
 
         Filed in the repair store first, so retransmission can serve it
         if every network copy (the self-delivery hop included) is lost,
         and a restart replays it until it is stable: a crash between
         send and first remote receipt cannot orphan the stream position.
+        Then every node gets a copy, this one too: the paper's access
+        message is "seen by all entities", the sender's replica alike.
         """
         self._envelopes_by_id[envelope.msg_id] = envelope
-        self.broadcast(envelope)
+        if self._crashed:
+            raise SimulationError(
+                f"{self.entity_id!r} is crashed and cannot send"
+            )
+        self.network.broadcast(self.entity_id, envelope)
 
     # -- hooks for subclasses ---------------------------------------------------
 
-    def _stamp(self, envelope: Envelope, **options: Any) -> Envelope:
-        """Attach protocol metadata to an outgoing envelope."""
+    def _stamp(self, message: Message, **options: Any) -> Envelope:
+        """The envelope ``message`` leaves in: protocol metadata attached."""
         if options:
             raise ProtocolError(
                 f"{self.protocol_name} does not accept options: {options}"
             )
-        return envelope
+        return Envelope(message)
 
     def _deliverable(self, envelope: Envelope) -> bool:
         """Whether ``envelope`` may be delivered now.  Subclasses override."""
@@ -510,7 +517,7 @@ class BroadcastProtocol(SimNode):
             self.note_stable_prefix(origin, floor)
         for envelope in replay:
             self.on_receive(own, envelope)  # files it in the store again
-            self.broadcast(envelope)
+            self.network.broadcast(own, envelope)
 
     # -- receive path -------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
 from repro.clocks.vector import VectorClock, cbcast_deliverable
 from repro.errors import ProtocolError
 from repro.group.membership import GroupMembership
-from repro.types import Envelope, EntityId, MessageId
+from repro.types import Envelope, EntityId, Message, MessageId
 
 
 class CbcastBroadcast(BroadcastProtocol):
@@ -51,14 +51,14 @@ class CbcastBroadcast(BroadcastProtocol):
         """This member's delivered-state vector clock."""
         return self._clock
 
-    def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
+    def _stamp(self, message: Message, **options: object) -> Envelope:
         if options:
             raise ProtocolError(f"cbcast does not accept options: {options}")
         self._sent += 1
         send_clock = self._clock.merge(
             VectorClock({self.entity_id: self._sent})
         )
-        return envelope.with_metadata(vclock=send_clock)
+        return Envelope(message, {"vclock": send_clock})
 
     def _deliverable(self, envelope: Envelope) -> bool:
         msg_clock = envelope.metadata.get("vclock")

@@ -61,13 +61,13 @@ class LamportTotalOrder(BroadcastProtocol):
         """Broadcast ``operation`` for totally ordered delivery."""
         return self.bcast(operation, payload)
 
-    def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
+    def _stamp(self, message: Message, **options: object) -> Envelope:
         if options:
             raise ProtocolError(
                 f"lamport_total does not accept options: {options}"
             )
         stamp = self._clock.tick()
-        return envelope.with_metadata(lamport=stamp)
+        return Envelope(message, {"lamport": stamp})
 
     # -- FIFO metadata processing ------------------------------------------------
 
@@ -105,7 +105,7 @@ class LamportTotalOrder(BroadcastProtocol):
     def _send_ack(self, data_label: MessageId) -> None:
         self.acks_sent += 1
         ack = Message(self._allocator.next_id(), self.ACK_OPERATION, data_label)
-        stamped = self._stamp(Envelope(ack))
+        stamped = self._stamp(ack)
         # Acks ride the main label stream, so a lost ack is a FIFO gap
         # every member stalls on.  Log it like `bcast` data (in the
         # repair store, whose own-stream entries a restart keeps) so it

@@ -32,7 +32,7 @@ from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.graph.predicates import OccursAfter
 from repro.group.membership import GroupMembership
-from repro.types import Envelope, EntityId, MessageId
+from repro.types import NO_METADATA, Envelope, EntityId, Message, MessageId
 
 AncestorSpec = Union[None, MessageId, Iterable[MessageId], OccursAfter]
 
@@ -73,19 +73,21 @@ class OSendBroadcast(BroadcastProtocol):
         """
         return self.bcast(operation, payload, occurs_after=occurs_after)
 
-    def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
+    def _stamp(self, message: Message, **options: object) -> Envelope:
         occurs_after = options.pop("occurs_after", None)
         if options:
             raise ProtocolError(f"unknown OSend options: {options}")
-        if isinstance(occurs_after, OccursAfter):
+        if type(occurs_after) is frozenset:  # taken as it is
+            predicate = OccursAfter(occurs_after)
+        elif isinstance(occurs_after, OccursAfter):
             predicate = occurs_after
         else:
             predicate = OccursAfter.after(occurs_after)  # type: ignore[arg-type]
-        if envelope.msg_id in predicate.ancestors:
+        if message.msg_id in predicate.ancestors:
             raise ProtocolError(
-                f"{envelope.msg_id} cannot occur after itself"
+                f"{message.msg_id} cannot occur after itself"
             )
-        return Envelope(envelope.message, envelope.metadata, predicate)
+        return Envelope(message, NO_METADATA, predicate)
 
     # -- receiving ---------------------------------------------------------
 
@@ -98,7 +100,10 @@ class OSendBroadcast(BroadcastProtocol):
         return predicate
 
     def _deliverable(self, envelope: Envelope) -> bool:
-        return self._predicate_of(envelope).satisfied_by(self._delivered_ids)
+        predicate = envelope.occurs_after
+        if type(predicate) is not OccursAfter:  # `_predicate_of` vets it
+            predicate = self._predicate_of(envelope)
+        return predicate.ancestors <= self._delivered_ids
 
     def _reset_volatile(self) -> None:
         # The extracted graph is re-derived from what this incarnation

@@ -21,7 +21,7 @@ from typing import Dict, Iterator
 from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
 from repro.errors import ProtocolError
 from repro.group.membership import GroupMembership
-from repro.types import Envelope, EntityId, MessageId
+from repro.types import Envelope, EntityId, Message, MessageId
 
 SentMatrix = Dict[EntityId, Dict[EntityId, int]]
 
@@ -75,7 +75,7 @@ class RstBroadcast(BroadcastProtocol):
 
     # -- protocol hooks -----------------------------------------------------------
 
-    def _stamp(self, envelope: Envelope, **options: object) -> Envelope:
+    def _stamp(self, message: Message, **options: object) -> Envelope:
         if options:
             raise ProtocolError(f"rst does not accept options: {options}")
         snapshot = _copy_matrix(self._sent)
@@ -83,7 +83,7 @@ class RstBroadcast(BroadcastProtocol):
         # snapshotting: the constraint applies to *prior* traffic).
         for member in self.group.view.members:
             self._bump(self._sent, self.entity_id, member)
-        return envelope.with_metadata(sent_matrix=snapshot)
+        return Envelope(message, {"sent_matrix": snapshot})
 
     def _deliverable(self, envelope: Envelope) -> bool:
         matrix = envelope.metadata.get("sent_matrix")

@@ -18,7 +18,7 @@ from this module; the :mod:`repro.group` package does not re-export it.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.broadcast import (
     ASendTotalOrder,
@@ -363,8 +363,20 @@ class ReplicaGroup:
 
     def serving(self) -> List[EntityId]:
         """The members that are up and in the current view."""
+        return [stack.entity_id for stack in self.senders()]
+
+    def senders(
+        self, preferred: Optional[EntityId] = None
+    ) -> Iterator["BroadcastProtocol"]:
+        """The stacks of the `serving` members, ``preferred`` first if it
+        serves, lazily: a send the first one takes looks at no other."""
         view = self.group.view.members
-        return [m for m in self.up_members() if m in view]
+        first = self.stacks.get(preferred)  # type: ignore[arg-type]
+        if first is not None and preferred in view and not first.crashed:
+            yield first
+        for member, stack in self.stacks.items():
+            if member != preferred and member in view and not stack.crashed:
+                yield stack
 
     def _restart_in_view(self) -> None:
         for member, stack in self.stacks.items():

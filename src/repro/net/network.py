@@ -136,7 +136,10 @@ class Network:
         """Queue one hop from ``source`` to ``destination``."""
         if destination not in self._nodes:
             raise MembershipError(f"unknown destination: {destination!r}")
-        self._send(source, destination, envelope)
+        if self._parked is None:
+            self._transmit(source, destination, (envelope,))
+        else:
+            self._parked.setdefault((source, destination), []).append(envelope)
 
     def broadcast(self, source: EntityId, envelope: Envelope) -> None:
         """Queue one hop to every registered node, including the sender.
@@ -152,8 +155,12 @@ class Network:
                 msg_id=envelope.msg_id,
                 operation=envelope.message.operation,
             )
+        parked = self._parked
         for destination in self._nodes:
-            self._send(source, destination, envelope)
+            if parked is None:
+                self._transmit(source, destination, (envelope,))
+            else:
+                parked.setdefault((source, destination), []).append(envelope)
 
     def cork(self) -> None:
         """Park sends until the scheduler's next event, then frame them.
@@ -175,14 +182,6 @@ class Network:
         if parked:
             for (source, destination), envelopes in parked.items():
                 self._transmit(source, destination, envelopes)
-
-    def _send(
-        self, source: EntityId, destination: EntityId, envelope: Envelope
-    ) -> None:
-        if self._parked is None:
-            self._transmit(source, destination, (envelope,))
-        else:
-            self._parked.setdefault((source, destination), []).append(envelope)
 
     def _transmit(
         self,

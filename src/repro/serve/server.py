@@ -212,6 +212,15 @@ class _PendingOp:
         #: answer from the idempotency record instead of re-applying.
         self.dup = False
 
+    def issued(self, label: Optional[MessageId]) -> None:
+        """A put's ``on_issued``: keep its label (``None``: dropped) and
+        file it under its opid, over `_register_opid`'s sentinel."""
+        self.label = label
+        if label is not None and self.opid is not None:
+            applied = self.conn.server._applied_puts.get(self.session.name)
+            if applied is not None and self.opid in applied:
+                applied[self.opid] = label
+
 
 class ServeServer:
     """Asyncio TCP server over a :class:`ShardedCluster`."""
@@ -678,13 +687,14 @@ class ServeServer:
             # Each connection's replies leave in one write.  Slots are
             # free: an op parked on the cap is admitted and the frames
             # read behind it are dispatched.
-            for conn in dict.fromkeys(op.conn for op in batch):
+            for conn in {op.conn: None for op in batch}:
                 conn.flush()
                 if conn.parked and conn.inflight < self.max_inflight:
                     self._pump(conn)
 
     def _run_cycle(self, batch: List[_PendingOp], now: float) -> None:
         per_shard: Dict[int, int] = {}
+        shard_map = self.cluster.shard_map
         for op in batch:
             frame = op.frame
             kind = frame.get("t")
@@ -715,13 +725,9 @@ class ServeServer:
                         "(use scalars, tuples, or labels — not dicts/lists)"
                     )
                     continue
-                shard = self.cluster.shard_map.shard_of(key)
+                shard = shard_map.assignment[shard_map.slot_of(key)]
                 per_shard[shard] = per_shard.get(shard, 0) + 1
-                session.put(
-                    key,
-                    frame.get("value"),
-                    on_issued=lambda label, op=op: self._put_issued(op, label),
-                )
+                session.put(key, frame.get("value"), on_issued=op.issued)
             elif kind == "read":
                 shards = frame.get("shards")
                 if shards is not None and (
@@ -779,7 +785,7 @@ class ServeServer:
 
         The pending sentinel goes in *before* ``session.put`` so a
         duplicate in the same batch (e.g. a duplicated frame) dedupes
-        too; :meth:`_put_issued` overwrites it with the real label.
+        too; :meth:`_PendingOp.issued` overwrites it with the real label.
         """
         session = op.session
         applied = self._applied_puts.setdefault(session.name, OrderedDict())
@@ -791,13 +797,6 @@ class ServeServer:
         while len(applied) > self.OPID_MEMORY:
             applied.popitem(last=False)
         return False
-
-    def _put_issued(self, op: _PendingOp, label: Optional[MessageId]) -> None:
-        op.label = label
-        if label is not None and op.opid is not None:
-            applied = self._applied_puts.get(op.session.name)
-            if applied is not None and op.opid in applied:
-                applied[op.opid] = label
 
     def _build_reply(self, op: _PendingOp) -> Dict[str, Any]:
         frame = op.frame

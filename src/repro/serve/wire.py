@@ -133,16 +133,18 @@ def encode_frame_body(document: Dict[str, Any]) -> bytes:
     """Serialize a frame document to body bytes (no length prefix).
 
     Byte-identical to encoding every value with :func:`encode_value`:
-    only the values that walk would change are sent through it.
+    only the values that walk would change take it, a label tagged here.
     """
-    for value in document.values():
+    encoded = document
+    for key, value in document.items():
         if type(value) not in _PLAIN:
-            document = {
-                key: value if type(value) in _PLAIN else encode_value(value)
-                for key, value in document.items()
-            }
-            break
-    return dumps(document).encode("utf-8")
+            if encoded is document:
+                encoded = dict(document)
+            encoded[key] = (
+                {"__mid__": [value[0], value[1]]} if type(value) is MessageId
+                else encode_value(value)
+            )
+    return dumps(encoded).encode("utf-8")
 
 
 def encode_frame(document: Dict[str, Any]) -> bytes:

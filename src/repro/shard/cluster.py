@@ -212,9 +212,12 @@ class ShardedCluster:
     ) -> Optional[MessageId]:
         """Broadcast one operation in ``shard``'s group and record it.
 
-        Tries each up, in-view member (``preferred`` first) until one
-        accepts the send; returns ``None`` if none can right now (all
-        crashed, evicted, or flush-frozen) — callers retry on a timer.
+        The one issuing entry (puts, barriers, migrations): checks the
+        stamp, tries each up, in-view member (``preferred`` first; see
+        ``ReplicaGroup.senders``) until one's ``bcast`` — stamp, then
+        ``send_logged`` — takes it, and records the label in the ledger.
+        Returns ``None`` if none can right now (all crashed, evicted, or
+        flush-frozen) — callers retry on a timer.
 
         Issued while the scheduler is idle (a serving cycle's puts, an
         example's or a test's, back to back before one ``drain()``), the
@@ -230,15 +233,9 @@ class ShardedCluster:
         deps = frozenset(occurs_after)
         cross = frozenset(cross_deps)
         self.ledger.check_stamp(shard, deps, cross)
-        order = group.serving()
-        if preferred in order:
-            order.remove(preferred)
-            order.insert(0, preferred)
-        for member in order:
+        for stack in group.senders(preferred):
             try:
-                label = group.stacks[member].bcast(
-                    kind, payload, occurs_after=deps
-                )
+                label = stack.bcast(kind, payload, occurs_after=deps)
             except ProtocolError:
                 # Flush-frozen: try the next member.
                 continue

@@ -172,22 +172,28 @@ class Ledger:
 
     # == data-plane questions ==============================================
 
-    def record(self, label: MessageId, **fields: object) -> None:
-        """File one broadcast operation: ``fields`` are the
+    def record(
+        self, label: MessageId, *, shard: int, kind: str, key: Optional[str],
+        slot: Optional[int], value: object, deps: FrozenSet[MessageId],
+        cross_deps: FrozenSet[MessageId], session: Optional[str],
+    ) -> None:
+        """File one broadcast operation: the keywords are the
         :class:`OpRecord` fields besides ``label`` and ``index``.
 
         The record, its shard's label set and its key index only; the
         graph view catches up when a question needs it (`graph`).
         """
-        record = OpRecord(label=label, index=len(self.ops), **fields)
+        record = OpRecord(label, shard, kind, key, slot, value, deps,
+                          cross_deps, session, len(self.ops))
         self.ops[label] = record
         self._unbuilt.append(record)
-        shard = record.shard
         self._shard_labels[shard].add(label)
-        if record.kind in DATA_KINDS:
+        if kind == "put":  # one key: what `writes()` yields, unwalked
+            self.key_writes[shard].setdefault(value["key"], []).append(label)
+        elif kind in DATA_KINDS:
             by_key = self.key_writes[shard]
-            for key, _value in record.writes():
-                by_key.setdefault(key, []).append(label)
+            for written, _value in record.writes():
+                by_key.setdefault(written, []).append(label)
 
     @property
     def graph(self) -> DependencyGraph:

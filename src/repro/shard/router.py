@@ -100,8 +100,18 @@ class Session:
         label when the write broadcasts, or with ``None`` if the write
         exhausts its retry budget and is dropped.  The serving layer uses
         it to answer wire requests with the label the put became.
+        An idle session issues it at once; a first attempt that fails
+        waits at the head of the queue, charged as :meth:`pump` charges.
         """
-        self._enqueue(["put", (key, value), on_issued, PUT_ATTEMPTS])
+        entry = ["put", (key, value), on_issued, PUT_ATTEMPTS]
+        if self._queue or self._reading:
+            self._queue.append(entry)  # `pump` issues it in its turn
+            return
+        label = self._issue_put(key, value)
+        if label is None and self._charge(entry):
+            self._queue.append(entry)
+        elif on_issued is not None:
+            on_issued(label)
 
     def get(
         self, key: str, on_served: Callable[[Optional[Served]], None]
@@ -269,23 +279,30 @@ class Session:
                 return
             attempt = self._issue_put if kind == "put" else self._serve_get
             outcome = attempt(*args)
-            if outcome is None:
-                entry[3] -= 1
-                if entry[3] > 0:
-                    self._arm_retry()
-                    return
-                if kind == "put":
-                    self.ops_skipped += 1
+            if outcome is None and self._charge(entry):
+                return
             self._queue.popleft()
             if callback is not None:
                 callback(outcome)
 
+    def _charge(self, entry: list) -> bool:
+        """Charge a failed attempt to ``entry``'s budget: True if it waits
+        for the retry this arms, False if it is dropped (spent)."""
+        entry[3] -= 1
+        if entry[3] > 0:
+            self._arm_retry()
+            return True
+        if entry[0] == "put":
+            self.ops_skipped += 1
+        return False
+
     def _issue_put(self, key: str, value: object) -> Optional[MessageId]:
-        cluster = self.router.cluster
-        slot = self.router.map.slot_of(key)
-        if self.router.slot_frozen(slot):
+        router = self.router
+        cluster = router.cluster
+        slot = cluster.shard_map.slot_of(key)
+        if slot in router._frozen:
             return None
-        shard = self.router.map.shard_for_slot(slot)
+        shard = cluster.shard_map.assignment[slot]
         # The stamp is the frontier itself: every frozenset in it is an
         # antichain already (`maximal()` made it, or it is one label), so
         # the common put shares it with the ledger and the envelope and
@@ -293,20 +310,17 @@ class Session:
         # or more other shards' frontiers — pays for a `maximal()`.
         frontier = self.frontier
         deps = frontier.get(shard, _NO_LABELS)
-        handoff = self.router.handoff_dep(slot)
+        handoff = router._handoff.get(slot)
         if handoff is not None:
             # The slot moved here at some point: every later write must
             # follow the migration record, or an uninvolved session's
             # write could be delivered before the state it overwrites.
             deps = cluster.maximal(deps | {handoff})
-        others = [
-            labels for other, labels in frontier.items()
-            if other != shard and labels
-        ]
-        if len(others) > 1:
-            cross = cluster.maximal(_NO_LABELS.union(*others))
-        else:
-            cross = others[0] if others else _NO_LABELS
+        cross = _NO_LABELS
+        for other, labels in frontier.items():
+            if other != shard and labels:
+                # A second other shard's frontier: prune the union.
+                cross = cluster.maximal(cross | labels) if cross else labels
         label = cluster.shard_send(
             shard,
             "put",
@@ -393,8 +407,8 @@ class Session:
         session guarantee (the replica-read eligibility rule; see
         docs/SERVING.md).
         """
-        slot = self.router.map.slot_of(key)
-        shard = self.router.map.shard_for_slot(slot)
+        slot = self.router.cluster.shard_map.slot_of(key)
+        shard = self.router.cluster.shard_map.shard_for_slot(slot)
         floor = self.frontier.get(shard) or frozenset()
         handoff = self.router.handoff_dep(slot)
         if handoff is not None:
@@ -449,7 +463,8 @@ class Session:
 
 
 class ShardRouter:
-    """Routes session traffic onto shard groups; owns slot freezes."""
+    """Routes session traffic onto shard groups; owns slot freezes and
+    handoffs, which a session's put reads directly."""
 
     def __init__(self, cluster: "ShardedCluster") -> None:
         self.cluster = cluster
@@ -457,10 +472,6 @@ class ShardRouter:
         self._frozen: Set[int] = set()
         #: slot -> migration record every post-cutover write must follow.
         self._handoff: Dict[int, MessageId] = {}
-
-    @property
-    def map(self):
-        return self.cluster.shard_map
 
     def session(self, name: str) -> Session:
         if name not in self._sessions:

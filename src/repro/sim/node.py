@@ -3,7 +3,7 @@
 A :class:`SimNode` is an application entity (``a_i`` in the paper) attached
 to a scheduler and a network.  Subclasses — broadcast protocol stacks,
 replicas, clients — override :meth:`on_receive` to process incoming
-envelopes and use :meth:`send`/:meth:`broadcast` via the attached network.
+envelopes and use :meth:`send` or the attached network's ``broadcast``.
 The network hands a node each arriving frame whole (:meth:`on_frame`);
 the default feeds :meth:`on_receive` one envelope at a time.
 
@@ -137,19 +137,6 @@ class SimNode:
                 f"{self.entity_id!r} is crashed and cannot send"
             )
         self.network.unicast(self.entity_id, destination, envelope)
-
-    def broadcast(self, envelope: Envelope) -> None:
-        """Send ``envelope`` to every registered node (including self).
-
-        Self-delivery goes through the network like any other copy so that
-        protocols treat the local replica uniformly — matching the paper's
-        model where a member's own access message is "seen by all entities".
-        """
-        if self._crashed:
-            raise SimulationError(
-                f"{self.entity_id!r} is crashed and cannot send"
-            )
-        self.network.broadcast(self.entity_id, envelope)
 
     # -- receiving ------------------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 :class:`ServeServer` is driven here the way asyncio drives it: through
 its connections' ``asyncio.Protocol`` callbacks, each a synchronous
-step.  A :class:`FakeTransport` records what the server writes and when
-it pauses or resumes reading; a :class:`FakeLoop` stands in for what
-the server asks of the event loop when it is not started: ``time``,
-which the test sets, and ``call_soon``, whose callbacks run only when
-the test says so.  Only ``shutdown``, a coroutine, runs under
+step, by the loop-free driver (:mod:`repro.serve.driver`).  A
+:class:`FakeTransport` records what the server writes and when it
+pauses or resumes reading; a :class:`FakeLoop` stands in for what the
+server asks of the event loop when it is not started: ``time``, which
+the test sets, and ``call_soon``, whose callbacks run only when the
+test says so.  Only ``shutdown``, a coroutine, runs under
 ``asyncio.run``.
 """
 
@@ -19,91 +20,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.serve import ServeServer
+from repro.serve.driver import FakeLoop, FakeTransport, connect, frames, serving
 from repro.serve.server import _Connection
-from repro.serve.wire import (
-    MAX_FRAME, decode_frame, encode_frame, split_frames,
-)
-
-
-class FakeLoop:
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.soon: List[Tuple[Any, tuple]] = []
-
-    def time(self) -> float:
-        return self.now
-
-    def call_soon(self, callback, *args) -> None:
-        self.soon.append((callback, args))
-
-    def run_soon(self) -> None:
-        """Run the scheduled callbacks, and any they schedule."""
-        while self.soon:
-            callback, args = self.soon.pop(0)
-            callback(*args)
-
-
-class FakeTransport:
-    def __init__(self) -> None:
-        #: ("write", bytes) / ("pause",) / ("resume",) / ("close",) /
-        #: ("abort",), in call order.
-        self.log: List[tuple] = []
-        self.buffered = 0
-        self._read = 0
-
-    def write(self, data: bytes) -> None:
-        self.log.append(("write", data))
-
-    def pause_reading(self) -> None:
-        self.log.append(("pause",))
-
-    def resume_reading(self) -> None:
-        self.log.append(("resume",))
-
-    def get_write_buffer_size(self) -> int:
-        return self.buffered
-
-    def close(self) -> None:
-        self.log.append(("close",))
-
-    def abort(self) -> None:
-        self.log.append(("abort",))
-
-    def events(self) -> List[str]:
-        return [entry[0] for entry in self.log]
-
-    def replies(self) -> List[Dict[str, Any]]:
-        """Every frame written since the last call, decoded."""
-        blob = bytearray(b"".join(
-            entry[1] for entry in self.log[self._read:] if entry[0] == "write"
-        ))
-        self._read = len(self.log)
-        frames = [decode_frame(body) for body in split_frames(blob)]
-        assert not blob, "a write ended mid-frame"
-        return frames
-
-
-def serving(**kwargs) -> Tuple[ServeServer, FakeLoop]:
-    srv = ServeServer(shards=2, members_per_shard=3, seed=5, **kwargs)
-    loop = srv._loop = FakeLoop()
-    return srv, loop
-
-
-def connect(
-    srv: ServeServer, session: str
-) -> Tuple[_Connection, FakeTransport]:
-    conn, transport = _Connection(srv), FakeTransport()
-    conn.connection_made(transport)
-    conn.data_received(frames({"t": "hello", "rid": 0, "session": session}))
-    assert transport.replies()[0]["ok"]
-    return conn, transport
-
-
-def frames(*documents: Dict[str, Any]) -> bytes:
-    return b"".join(encode_frame(document) for document in documents)
+from repro.serve.wire import MAX_FRAME, encode_frame
 
 
 def put(rid: int, key: str, value: Any, **extra: Any) -> Dict[str, Any]:

@@ -256,11 +256,20 @@ class TestSlotFreeze:
         for member in cluster.groups[0].members:
             cluster.groups[0].crash(member)
         session = cluster.router.session("s")
-        session.put(key_for(cluster, 0), "v")
+        fired = []
+        session.put(
+            key_for(cluster, 0), "v",
+            on_issued=lambda label: fired.append(
+                (label, cluster.scheduler.now)
+            ),
+        )
         cluster.drain()  # 240 one-second retries, then the op is dropped
         assert session.ops_issued == 0
         assert session.ops_skipped == 1
         assert session.idle
+        # The idle session's first attempt, at once, is one of the 240:
+        # the last retry falls at t=239 and drops the put, once.
+        assert fired == [(None, 239.0)]
 
 
 class TestSessionTokens:
