@@ -79,6 +79,13 @@ class ASendTotalOrder(BroadcastProtocol):
                 f"expected_per_epoch must be >= 1, got {expected_per_epoch}"
             )
         self._expected = expected_per_epoch
+
+    def _init_volatile(self) -> None:
+        # NOTE: epoch membership counts cannot be reconstructed by an
+        # amnesiac rejoiner (closure is anonymous — see `missing_for` in
+        # the base class); the chaos campaigns exclude this protocol from
+        # crash schedules for that reason.
+        super()._init_volatile()
         self._received_by_epoch: Dict[int, Set[MessageId]] = {}
         self._delivered_by_epoch: Dict[int, Set[MessageId]] = {}
         self._next_epoch_to_finish = 0
@@ -203,15 +210,6 @@ class ASendTotalOrder(BroadcastProtocol):
         if self._epoch_fully_delivered(epoch):
             self._next_epoch_to_finish = epoch + 1
             self._advance_watermark("epoch", self._next_epoch_to_finish)
-
-    def _reset_volatile(self) -> None:
-        # NOTE: epoch membership counts cannot be reconstructed by an
-        # amnesiac rejoiner (closure is anonymous — see `missing_for` in
-        # the base class); the chaos campaigns exclude this protocol from
-        # crash schedules for that reason.
-        self._received_by_epoch.clear()
-        self._delivered_by_epoch.clear()
-        self._next_epoch_to_finish = 0
 
     # -- introspection -----------------------------------------------------
 

@@ -160,23 +160,16 @@ class BroadcastProtocol(SimNode):
 
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id)
+        # Durable: everything assigned here outside `_init_volatile`
+        # (docs/ROBUSTNESS.md, "The crash-stop fault model", names it per
+        # class).
         self.group = group
         self._allocator = MessageIdAllocator(entity_id)
-        # Hold-back queue: insertion order == arrival order, O(1) removal.
-        self._pending: Dict[MessageId, Envelope] = {}
-        self._delivered_ids: Set[MessageId] = set()
         #: Bumped whenever ``_delivered_ids`` mutates outside `_deliver`
-        #: (stable-prefix skip, restart wipe, state transfer) — lets
-        #: callers that cache views of the delivered set detect that the
-        #: set changed without a delivery callback firing.
+        #: (stable-prefix skip, restart, state transfer) — lets callers
+        #: that cache views of the delivered set detect that the set
+        #: changed without a delivery callback firing.
         self._settled_version = 0
-        # The delivery log: what was delivered and when, in delivery
-        # order.  `delivery_log` / `delivered` are views of these two.
-        self._delivered_envelopes: List[Envelope] = []
-        self._delivery_times: List[float] = []
-        # The repair store: every body this member can serve.  Its own
-        # streams' entries are also its stable storage (`_on_restart`).
-        self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         self._callbacks: List[DeliveryCallback] = []
         # The callbacks' quiet checks, or None once a callback has none.
         self._quiet_checks: Optional[List[Callable[[], bool]]] = []
@@ -194,9 +187,43 @@ class BroadcastProtocol(SimNode):
         self.predicate_evaluations = 0
         #: Deliveries made by the run path (`_deliver_run`).
         self.run_deliveries = 0
+        self._arrival_counter = 0
+        # Per own stream, the seqno below which its bodies were compacted
+        # as stable (`StabilityTracker._compact`; `_on_restart`).
+        self._own_floors: Dict[EntityId, int] = {}
+        #: Delivery history of previous incarnations, archived at restart:
+        #: ``(delivered_envelopes, skipped_stable)`` per lost life.
+        self.incarnation_archive: List[
+            Tuple[List[Envelope], frozenset]
+        ] = []
+        self._init_volatile()
+
+    def _init_volatile(self) -> None:
+        """Build the state a crash loses; ``__init__`` and the restart
+        both call it, so each volatile field is assigned here only.
+
+        A subclass with volatile state extends it and calls
+        ``super()._init_volatile()`` first.  It runs inside the base
+        ``__init__``, so a durable field it reads (the sequencer's
+        assignment floors) is assigned before that runs.  *Send-side*
+        counters that mirror the durable label allocator — CBCAST's
+        own-broadcast count, RST's own row — stay out of it, or
+        post-restart stamps would contradict the labels they carry.
+        Containers are rebuilt, not cleared: nothing keeps an alias to
+        one beyond a method call.
+        """
+        # Hold-back queue: insertion order == arrival order, O(1) removal.
+        self._pending: Dict[MessageId, Envelope] = {}
+        self._delivered_ids: Set[MessageId] = set()
+        # The delivery log: what was delivered and when, in delivery
+        # order.  `delivery_log` / `delivered` are views of these two.
+        self._delivered_envelopes: List[Envelope] = []
+        self._delivery_times: List[float] = []
+        # The repair store: every body this member can serve.  Its own
+        # streams' entries are also its stable storage (`_on_restart`).
+        self._envelopes_by_id: Dict[MessageId, Envelope] = {}
         # -- wakeup index -------------------------------------------------
         self._arrival: Dict[MessageId, int] = {}
-        self._arrival_counter = 0
         # Unmet wake conditions per held-back envelope.
         self._blocked_on: Dict[MessageId, Set[WakeKey]] = {}
         # Reverse index: event token -> waiting labels.
@@ -211,20 +238,12 @@ class BroadcastProtocol(SimNode):
         self._queued: Set[MessageId] = set()
         self._draining = False
         self._cursor = -1
-        # -- stable-prefix skip + crash bookkeeping ------------------------
+        # -- stable-prefix skip -------------------------------------------
         # Labels settled without local delivery: stable (delivered at every
         # member) but unservable after store compaction.  An amnesiac
         # rejoiner fast-forwards past them instead of NACKing forever.
         self._skipped_stable: Set[MessageId] = set()
         self._stable_floor: Dict[EntityId, int] = {}
-        # Durable: per own stream, the seqno below which its bodies were
-        # compacted as stable (`StabilityTracker._compact`; `_on_restart`).
-        self._own_floors: Dict[EntityId, int] = {}
-        #: Delivery history of previous incarnations, archived at restart:
-        #: ``(delivered_envelopes, skipped_stable)`` per lost life.
-        self.incarnation_archive: List[
-            Tuple[List[Envelope], frozenset]
-        ] = []
 
     # -- public API ----------------------------------------------------------
 
@@ -332,16 +351,6 @@ class BroadcastProtocol(SimNode):
         ASend epoch) report nothing.
         """
         return frozenset()
-
-    def _reset_volatile(self) -> None:
-        """Drop protocol-specific volatile state after a restart.
-
-        Subclasses clear delivered-state clocks, cursors, reassembly
-        buffers and extracted graphs here.  *Send-side* counters that
-        mirror the (durable) label allocator — e.g. CBCAST's own-broadcast
-        count — must survive, or post-restart stamps would contradict the
-        labels they carry.
-        """
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         """Advance per-origin delivery cursors past a skipped stable prefix.
@@ -459,17 +468,17 @@ class BroadcastProtocol(SimNode):
     # -- crash-stop lifecycle ----------------------------------------------------
 
     def _on_restart(self) -> None:
-        """Model volatile-state loss: wipe everything but durable state.
+        """Model volatile-state loss: rebuild everything but durable state.
 
-        Durable across incarnations: the label allocator (labels are never
-        reused), the repair store's entries of our own label streams (our
-        sends not yet compacted as stable) and each own stream's
-        compaction floor, the shared group membership, registered
-        callbacks and interceptors, and cumulative diagnostics.
-        Everything else is volatile and lost with the crash.  The
-        previous life's delivery history is archived.
+        What is durable is what ``__init__`` assigns outside
+        :meth:`_init_volatile` (``docs/ROBUSTNESS.md`` names it per
+        class); among it the repair store's entries of our own label
+        streams (our sends not yet compacted as stable), which are kept
+        for replay.  The previous life's delivery history is archived,
+        each sidecar rebuilds its own volatile state, and one that does
+        more at a restart does it in its ``reset_volatile`` hook.
 
-        After the wipe each own stream is settled up to its floor by
+        Then each own stream is settled up to its compaction floor by
         stable-prefix skip (after a group-wide restart we may be the only
         member that knows those sends are stable), and the kept sends are
         replayed: each is re-received locally (a recovering process
@@ -477,9 +486,12 @@ class BroadcastProtocol(SimNode):
         the ones only we held fill their FIFO gaps).
         """
         own = self.entity_id
-        store = self._envelopes_by_id
         replay = sorted(
-            (e for e in store.values() if self._owns_stream(e.msg_id.sender)),
+            (
+                e
+                for e in self._envelopes_by_id.values()
+                if self._owns_stream(e.msg_id.sender)
+            ),
             # Control namespaces (e.g. the sequencer's order stream)
             # replay before the main stream: a replayed binding must be
             # in place before the data it binds, or the recovering
@@ -490,29 +502,13 @@ class BroadcastProtocol(SimNode):
         self.incarnation_archive.append(
             (self._delivered_envelopes, frozenset(self._skipped_stable))
         )
-        self._delivered_envelopes = []
-        self._pending.clear()
-        self._delivered_ids.clear()
         self._settled_version += 1
-        self._delivery_times.clear()
-        store.clear()
-        self._arrival.clear()
-        self._blocked_on.clear()
-        self._event_waiters.clear()
-        self._threshold_waiters.clear()
-        self._watermarks.clear()
-        self._ready.clear()
-        self._current.clear()
-        self._queued.clear()
-        self._draining = False
-        self._cursor = -1
-        self._skipped_stable = set()
-        self._stable_floor.clear()
-        self._reset_volatile()
+        self._init_volatile()
         for agent in self._interceptors:
-            reset = getattr(agent, "reset_volatile", None)
-            if reset is not None:
-                reset()
+            for hook in ("_init_volatile", "reset_volatile"):
+                step = getattr(agent, hook, None)
+                if step is not None:
+                    step()
         for origin, floor in sorted(self._own_floors.items()):
             self.note_stable_prefix(origin, floor)
         for envelope in replay:

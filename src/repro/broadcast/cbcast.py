@@ -40,11 +40,16 @@ class CbcastBroadcast(BroadcastProtocol):
 
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id, group)
-        self._clock = VectorClock.zero()
         # Number of our own broadcasts.  Kept separately from the delivered
         # clock so that two sends racing ahead of our own self-delivery get
-        # distinct (and correctly ordered) stamps.
+        # distinct (and correctly ordered) stamps.  Durable: it mirrors
+        # the label allocator (label seqno = own component - 1), or
+        # post-restart stamps would contradict their labels.
         self._sent = 0
+
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
+        self._clock = VectorClock.zero()
 
     @property
     def clock(self) -> VectorClock:
@@ -89,13 +94,6 @@ class CbcastBroadcast(BroadcastProtocol):
         # Only components present in the delivered stamp can have grown.
         for entity, _ in msg_clock.items():
             self._advance_watermark(("vc", entity), self._clock[entity])
-
-    def _reset_volatile(self) -> None:
-        # The delivered-state clock is volatile; `_sent` mirrors the
-        # durable label allocator (label seqno = own component - 1) and
-        # must survive, or post-restart stamps would contradict their
-        # labels.
-        self._clock = VectorClock.zero()
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         if self._clock[origin] < frontier:

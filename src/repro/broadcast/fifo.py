@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, Iterator
 
 from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
-from repro.group.membership import GroupMembership
 from repro.types import Envelope, EntityId, MessageId
 
 
@@ -19,8 +18,8 @@ class FifoBroadcast(BroadcastProtocol):
 
     protocol_name = "fifo"
 
-    def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
-        super().__init__(entity_id, group)
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
         self._next_from: Dict[EntityId, int] = {}
 
     def _deliverable(self, envelope: Envelope) -> bool:
@@ -39,9 +38,6 @@ class FifoBroadcast(BroadcastProtocol):
         sender = envelope.msg_id.sender
         self._next_from[sender] = envelope.msg_id.seqno + 1
         self._advance_watermark(("seq", sender), self._next_from[sender])
-
-    def _reset_volatile(self) -> None:
-        self._next_from.clear()
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         if self._next_from.get(origin, 0) < frontier:

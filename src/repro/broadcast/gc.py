@@ -38,6 +38,21 @@ class StabilityTracker:
     def __init__(self, protocol: BroadcastProtocol) -> None:
         self.protocol = protocol
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!gc")
+        self.envelopes_reclaimed = 0
+        self._init_volatile()
+        protocol.add_interceptor(self)
+        # Let the recovery layer find us (it advertises our frontiers).
+        protocol.stability_tracker = self  # type: ignore[attr-defined]
+
+    def _init_volatile(self) -> None:
+        """Delivered-prefix knowledge, lost with a restart of the stack.
+
+        The rejoiner re-learns peers' prefixes from gossip and rebuilds
+        its own from post-restart deliveries and stable-prefix skips.
+        The applied frontiers of our own streams come back when the
+        restart settles them up to their durable compaction floors
+        (:meth:`on_stable_skip`).
+        """
         # member -> origin -> contiguous delivered prefix length.
         self._prefixes: Dict[EntityId, Dict[EntityId, int]] = {}
         # origin -> highest frontier ever used to drop bodies; the
@@ -47,10 +62,6 @@ class StabilityTracker:
         # origin -> seqno below which the store holds none of its bodies:
         # compaction resumes there instead of rescanning the store.
         self._swept: Dict[EntityId, int] = {}
-        self.envelopes_reclaimed = 0
-        protocol.add_interceptor(self)
-        # Let the recovery layer find us (it advertises our frontiers).
-        protocol.stability_tracker = self  # type: ignore[attr-defined]
         # Contiguity of our own deliveries per origin, folded from the
         # delivery log up to `_logged` (`_catch_up`).
         self._delivered_seqnos: Dict[EntityId, Set[int]] = {}
@@ -190,22 +201,6 @@ class StabilityTracker:
         }
 
     # -- crash-stop integration --------------------------------------------------
-
-    def reset_volatile(self) -> None:
-        """Drop delivered-prefix knowledge after the stack restarts.
-
-        The rejoiner re-learns peers' prefixes from gossip and rebuilds
-        its own from post-restart deliveries and stable-prefix skips.
-        ``envelopes_reclaimed`` stays cumulative.  The applied frontiers
-        of our own streams come back when the restart settles them up to
-        their durable compaction floors (:meth:`on_stable_skip`).
-        """
-        self._prefixes.clear()
-        self._delivered_seqnos.clear()
-        self._own_prefix.clear()
-        self._logged = 0
-        self._applied_frontier.clear()
-        self._swept.clear()
 
     def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         """Count a skipped stable prefix as settled in our own prefix.

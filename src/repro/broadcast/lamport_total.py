@@ -44,7 +44,13 @@ class LamportTotalOrder(BroadcastProtocol):
 
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
         super().__init__(entity_id, group)
+        # Durable: post-restart stamps must stay monotone so peers'
+        # heard-clock thresholds from pre-crash stamps still close.
         self._clock = LamportClock(entity_id)
+        self.acks_sent = 0
+
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
         # Highest Lamport counter heard from each member, FIFO-processed.
         self._latest_heard: Dict[EntityId, int] = {}
         # FIFO reassembly buffers: sender -> seqno -> envelope.
@@ -53,7 +59,6 @@ class LamportTotalOrder(BroadcastProtocol):
         # Data messages whose metadata has been processed: label -> stamp.
         self._stamps: Dict[MessageId, Timestamp] = {}
         self._undelivered_data: Dict[MessageId, Timestamp] = {}
-        self.acks_sent = 0
 
     # -- sending --------------------------------------------------------------
 
@@ -164,15 +169,6 @@ class LamportTotalOrder(BroadcastProtocol):
 
     def _on_delivered(self, envelope: Envelope) -> None:
         self._undelivered_data.pop(envelope.msg_id, None)
-
-    def _reset_volatile(self) -> None:
-        # `_clock` is durable: post-restart stamps must stay monotone so
-        # peers' heard-clock thresholds from pre-crash stamps still close.
-        self._latest_heard.clear()
-        self._fifo_buffer.clear()
-        self._fifo_next.clear()
-        self._stamps.clear()
-        self._undelivered_data.clear()
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         next_seq = max(self._fifo_next.get(origin, 0), frontier)

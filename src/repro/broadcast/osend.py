@@ -42,10 +42,14 @@ class OSendBroadcast(BroadcastProtocol):
 
     protocol_name = "osend"
 
-    def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
-        super().__init__(entity_id, group)
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
         # The extracted graph is a view (see `graph`): what was derived
-        # so far, and how much of the delivery log it already covers.
+        # so far, and how much of the delivery log it already covers.  A
+        # restart re-derives it from what the new incarnation observes;
+        # the stable-prefix skip needs no cursor work here because
+        # skipped labels enter `_delivered_ids`, which the predicate
+        # consults.
         self._graph = DependencyGraph()
         self._graph_cursor = 0
 
@@ -104,15 +108,6 @@ class OSendBroadcast(BroadcastProtocol):
         if type(predicate) is not OccursAfter:  # `_predicate_of` vets it
             predicate = self._predicate_of(envelope)
         return predicate.ancestors <= self._delivered_ids
-
-    def _reset_volatile(self) -> None:
-        # The extracted graph is re-derived from what this incarnation
-        # observes (the delivery log restarts empty, so must the cursor
-        # into it); the stable-prefix skip needs no cursor work here
-        # because skipped labels enter `_delivered_ids`, which the
-        # predicate consults.
-        self._graph = DependencyGraph()
-        self._graph_cursor = 0
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
         # The Occurs-After ancestor index: one wake per undelivered

@@ -84,16 +84,20 @@ class RecoveryAgent:
         self.nack_backoff = nack_backoff
         self.max_nacks_per_label = max_nacks_per_label
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!rec")
+        self._running = False
+        self.nacks_sent = 0
+        self.repairs_sent = 0
+        self._init_volatile()
+        protocol.attach_recovery(self)
+
+    def _init_volatile(self) -> None:
+        """Chase state, forgotten when the protected stack restarts."""
         # label -> (last nack time, attempts).  Its labels are a subset
         # of `_first_missing`'s, which is therefore empty iff nothing is
         # chased: the chassis tests it on every arrival.
         self._nack_state: Dict[MessageId, Tuple[float, int]] = {}
         self._first_missing: Dict[MessageId, float] = {}
-        self._running = False
         self._scan_scheduled = False
-        self.nacks_sent = 0
-        self.repairs_sent = 0
-        protocol.attach_recovery(self)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -287,14 +291,6 @@ class RecoveryAgent:
                     self.protocol.network.unicast(
                         self.protocol.entity_id, holder, Envelope(nack)
                     )
-
-    # -- crash-stop integration ---------------------------------------------------
-
-    def reset_volatile(self) -> None:
-        """Forget chase state after the protected stack restarts."""
-        self._nack_state.clear()
-        self._first_missing.clear()
-        self._scan_scheduled = False
 
     # -- diagnostics -------------------------------------------------------------
 

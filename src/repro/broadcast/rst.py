@@ -39,8 +39,8 @@ class RstBroadcast(BroadcastProtocol):
     #: (same rationale as :class:`~repro.broadcast.cbcast.CbcastBroadcast`).
     MISSING_ENUMERATION_CAP = 128
 
-    def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
-        super().__init__(entity_id, group)
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
         self._sent: SentMatrix = {}
         # Contiguous *settled prefix* per origin — not a raw delivery
         # count.  The two coincide in crash-free runs (a message's matrix
@@ -132,11 +132,6 @@ class RstBroadcast(BroadcastProtocol):
         for member in self.group.view.members:
             if self._get(self._sent, origin, member) < floor:
                 self._sent.setdefault(origin, {})[member] = floor
-
-    def _reset_volatile(self) -> None:
-        self._sent = {}
-        self._delivered_from = {}
-        self._delivered_seqnos = {}
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         self._advance_prefix(origin, floor=frontier)

@@ -78,23 +78,13 @@ class SequencerTotalOrder(BroadcastProtocol):
     ORD_SUFFIX = "!ord"
 
     def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
-        super().__init__(entity_id, group)
-        # Bindings learned so far: global seq -> (epoch, data label).
-        self._bindings: Dict[int, Tuple[int, MessageId]] = {}
-        # Reverse map: data label -> positions currently bound to it.
-        self._label_seqs: Dict[MessageId, Set[int]] = {}
-        # Position each data label was actually delivered at (volatile,
-        # exposed to the sequencer-epoch invariant).
-        self._delivered_at_seq: Dict[MessageId, int] = {}
-        self._next_to_deliver = 0
-        # Sequencer-side assignment counter (volatile; resynced from the
-        # durable floors below on restart / handoff).
-        self._next_seq_to_assign = 0
         # Durable: highest position this member ever assigned, and the
         # highest counter baseline it ever adopted at a handoff.  Together
         # they guarantee a restarted sequencer never re-uses a position.
+        # Assigned first: `_init_volatile` derives the counter from them.
         self._assigned_high = -1
         self._adopted_floor = 0
+        super().__init__(entity_id, group)
         # Durable: order labels live in their own namespace so the data
         # stream's seqnos stay contiguous for GC accounting.
         self._ord_allocator = MessageIdAllocator(f"{entity_id}{self.ORD_SUFFIX}")
@@ -104,6 +94,25 @@ class SequencerTotalOrder(BroadcastProtocol):
         self.handoffs: List[dict] = []
         self._known_rank0: EntityId = group.view.members[0]
         group.subscribe(self._on_view_change)
+
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
+        # Bindings learned so far: global seq -> (epoch, data label).
+        self._bindings: Dict[int, Tuple[int, MessageId]] = {}
+        # Reverse map: data label -> positions currently bound to it.
+        self._label_seqs: Dict[MessageId, Set[int]] = {}
+        # Position each data label was actually delivered at (exposed to
+        # the sequencer-epoch invariant).
+        self._delivered_at_seq: Dict[MessageId, int] = {}
+        self._next_to_deliver = 0
+        # Sequencer-side assignment counter: never re-use a position this
+        # member assigned (`_assigned_high`) nor one below a baseline it
+        # adopted at a handoff (`_adopted_floor`); bindings themselves are
+        # re-learned through recovery, which the never-compacted order
+        # namespace makes always possible.
+        self._next_seq_to_assign = max(
+            self._assigned_high + 1, self._adopted_floor
+        )
 
     # -- roles -------------------------------------------------------------
 
@@ -329,20 +338,6 @@ class SequencerTotalOrder(BroadcastProtocol):
         # position (data labels can be skipped via stable frontiers;
         # positions cannot).
         return not origin.endswith(self.ORD_SUFFIX)
-
-    def _reset_volatile(self) -> None:
-        self._bindings.clear()
-        self._label_seqs.clear()
-        self._delivered_at_seq.clear()
-        self._next_to_deliver = 0
-        # Counter resync: never re-use a position this member assigned
-        # (durable `_assigned_high`) nor one below a baseline it adopted
-        # at a handoff (`_adopted_floor`); bindings themselves are
-        # re-learned through recovery, which the never-compacted order
-        # namespace makes always possible.
-        self._next_seq_to_assign = max(
-            self._assigned_high + 1, self._adopted_floor
-        )
 
     def missing_for(self, envelope: Envelope) -> frozenset:
         """Data messages with known bindings below our delivery horizon.

@@ -111,25 +111,12 @@ class ViewSyncAgent:
     def __init__(self, protocol: "BroadcastProtocol") -> None:
         self.protocol = protocol
         self._allocator = MessageIdAllocator(f"{protocol.entity_id}!vs")
-        self.frozen = False
-        self._pending_change: Optional[ViewChange] = None
-        # Same-view proposals that lost the tie-break; re-proposed against
-        # the new view after the winner installs.
-        self._deferred: List[ViewChange] = []
-        self._flush_acks: Set[EntityId] = set()
-        self._digests: Dict[EntityId, frozenset] = {}
-        self._old_members: Tuple[EntityId, ...] = ()
-        self._sent_flush_ok = False
         self._listeners: List[InstallListener] = []
         self.changes_installed = 0
-        # Delivered-set snapshot taken at install time (diagnostics).
-        self.flush_snapshot: Optional[frozenset] = None
-        # When this member first froze for the currently pending flush
-        # chain (rival adoptions keep the original start time).
-        self._flush_started: Optional[float] = None
         # Durable audit log: survives restarts so post-mortem invariant
         # checks can reconstruct what each incarnation installed.
         self.install_history: List[InstallRecord] = []
+        self._init_volatile()
         protocol.add_interceptor(self)
         # Event-driven flush progress: the hold-back queue shrinks only on
         # delivery or stable-prefix skip, and the digest union likewise
@@ -147,6 +134,25 @@ class ViewSyncAgent:
         # a still-pending change; finalize it instead of waiting forever
         # for FLUSH_OK re-broadcasts the installers have stopped sending.
         protocol.group.subscribe(self._on_view_installed)
+
+    def _init_volatile(self) -> None:
+        """The flush state, abandoned when the member restarts: survivors
+        make progress by excluding us (a ``leave`` proposal) or by
+        re-sending FLUSH_OK until we catch up."""
+        self.frozen = False
+        self._pending_change: Optional[ViewChange] = None
+        # Same-view proposals that lost the tie-break; re-proposed against
+        # the new view after the winner installs.
+        self._deferred: List[ViewChange] = []
+        self._flush_acks: Set[EntityId] = set()
+        self._digests: Dict[EntityId, frozenset] = {}
+        self._old_members: Tuple[EntityId, ...] = ()
+        self._sent_flush_ok = False
+        # Delivered-set snapshot taken at install time (diagnostics).
+        self.flush_snapshot: Optional[frozenset] = None
+        # When this member first froze for the currently pending flush
+        # chain (rival adoptions keep the original start time).
+        self._flush_started: Optional[float] = None
 
     # -- API --------------------------------------------------------------
 
@@ -508,25 +514,6 @@ class ViewSyncAgent:
             self.protocol.network.broadcast(
                 self.protocol.entity_id, Envelope(message)
             )
-
-    # -- crash-stop integration ---------------------------------------------
-
-    def reset_volatile(self) -> None:
-        """Abandon any in-progress flush after the member restarts.
-
-        The flush state is volatile — survivors make progress by excluding
-        us (a ``leave`` proposal) or by re-sending FLUSH_OK until we catch
-        up.  ``install_history`` is durable audit data and survives.
-        """
-        self._pending_change = None
-        self._deferred.clear()
-        self._flush_acks = set()
-        self._digests = {}
-        self._old_members = ()
-        self._sent_flush_ok = False
-        self.frozen = False
-        self.flush_snapshot = None
-        self._flush_started = None
 
 
 def attach_view_sync(

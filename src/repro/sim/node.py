@@ -101,7 +101,9 @@ class SimNode:
         """Hook invoked when the node goes down."""
 
     def _on_restart(self) -> None:
-        """Hook invoked on restart; subclasses drop volatile state here."""
+        """Hook invoked on restart; a subclass rebuilds its volatile state
+        here (``docs/ROBUSTNESS.md``'s durable/volatile table names it per
+        class)."""
 
     # -- guarded timers --------------------------------------------------------
 

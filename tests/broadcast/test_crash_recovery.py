@@ -101,7 +101,7 @@ class TestRejoinViaStableFrontier:
         compact_everywhere(scheduler, stacks, trackers)
         assert trackers["a"].advertised_frontiers().get("a", 0) == 4
         assert trackers["a"].applied_frontier.get("a", 0) == 4
-        trackers["a"].reset_volatile()
+        trackers["a"]._init_volatile()
         assert trackers["a"].advertised_frontiers() == {}
         assert trackers["a"].applied_frontier == {}
 
@@ -267,12 +267,12 @@ class TestChaseStatePurge:
         assert agent._nack_state == {}
         assert agent._first_missing == {}
 
-    def test_reset_volatile_clears_chase_state(self):
+    def test_init_volatile_clears_chase_state(self):
         scheduler, stacks, _, agents = guarded_group()
         agent = agents["b"]
         agent._nack_state[mid("a", 7)] = (0.0, 1)
         agent._first_missing[mid("a", 7)] = 0.0
-        agent.reset_volatile()
+        agent._init_volatile()
         assert agent._nack_state == {}
         assert agent._first_missing == {}
         assert agent.outstanding_labels == []

@@ -9,12 +9,13 @@ still maintains all three eagerly, at the places the chassis used to,
 must agree with the derived views over seeded ``ReplicaGroup`` runs with
 loss, duplication, a crash/restart and held-back envelopes.
 
-Mutation check (done by hand when this file was written): dropping
-``self._graph_cursor = 0`` from ``OSendBroadcast._reset_volatile`` fails
-the "asked only between drains" test on every seed and the "asked at
-every step" test on two — the restarted member's cursor points past its
-emptied delivery log, so its new incarnation's first deliveries never
-reach the view.
+Mutation check (done by hand when this file was written): making
+``_graph_cursor`` survive a restart (it is built in
+``OSendBroadcast._init_volatile``; the check dropped its reset from the
+restart path) fails the "asked only between drains" test on every seed
+and the "asked at every step" test on two — the restarted member's
+cursor points past its emptied delivery log, so its new incarnation's
+first deliveries never reach the view.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class EagerOSend(OSendBroadcast):
 
     on_step = None
 
-    def __init__(self, entity_id, group):
-        super().__init__(entity_id, group)
-        self.eager_graph = DependencyGraph()
-        self.eager_seen = set()
-        self.eager_log = []
-
     def _on_received(self, sender, envelope):
         self.eager_seen.add(envelope.msg_id)
         self.eager_graph.add(envelope.msg_id, self._predicate_of(envelope))
@@ -61,8 +56,8 @@ class EagerOSend(OSendBroadcast):
             self.eager_seen.add(MessageId(origin, seqno))
         super().note_stable_prefix(origin, frontier)
 
-    def _reset_volatile(self):
-        super()._reset_volatile()
+    def _init_volatile(self):
+        super()._init_volatile()
         self.eager_graph = DependencyGraph()
         self.eager_seen = set()
         self.eager_log = []

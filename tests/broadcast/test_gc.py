@@ -172,8 +172,8 @@ class TestInOrderFastPath:
                 slow.on_stable_skip(origin, number)
             else:
                 delivered.clear()
-                fast.reset_volatile()
-                slow.reset_volatile()
+                fast._init_volatile()
+                slow._init_volatile()
             assert fast._own_prefix == slow._own_prefix, (action, origin, number)
             for each in ("a", "b"):
                 assert fast.local_prefix(each) == slow.local_prefix(each)

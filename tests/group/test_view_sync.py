@@ -87,7 +87,7 @@ class TestFlushProtocol:
         assert "bcast" not in vars(stacks["a"])
         with pytest.raises(ProtocolError):
             stacks["a"].bcast("op")
-        agents["a"].reset_volatile()  # unfreeze
+        agents["a"]._init_volatile()  # unfreeze
         assert stacks["a"].bcast("op") == MessageId("a", 0)
 
     def test_unfrozen_after_install(self):
@@ -216,14 +216,14 @@ class TestStaleFlushFinalization:
         assert membership.view.view_id == 2
         assert all(not agent.frozen for agent in agents.values())
 
-    def test_reset_volatile_abandons_flush(self):
+    def test_init_volatile_abandons_flush(self):
         from repro.group.view_sync import ViewChange
 
         _, __, ___, ____, agents = make_group()
         agent = agents["a"]
         agent._consider(ViewChange("leave", "c", old_view_id=0))
         assert agent.frozen
-        agent.reset_volatile()
+        agent._init_volatile()
         assert not agent.frozen
         assert agent._pending_change is None
         assert agent._deferred == []
