@@ -39,9 +39,22 @@ class RstBroadcast(BroadcastProtocol):
     #: (same rationale as :class:`~repro.broadcast.cbcast.CbcastBroadcast`).
     MISSING_ENUMERATION_CAP = 128
 
+    def __init__(self, entity_id: EntityId, group: GroupMembership) -> None:
+        # Durable: our own row of the matrix, the broadcasts we made
+        # visible to each member.  Like CBCAST's `_sent` it mirrors the
+        # label allocator: were it lost with a crash, our next stamps
+        # would claim we sent nothing before it, and receivers could
+        # deliver our new sends ahead of our old ones.  Assigned first:
+        # `_init_volatile` files it in the matrix.
+        self._own_row: Dict[EntityId, int] = {}
+        super().__init__(entity_id, group)
+
     def _init_volatile(self) -> None:
         super()._init_volatile()
-        self._sent: SentMatrix = {}
+        # The other rows are what our deliveries taught us.
+        self._sent: SentMatrix = (
+            {self.entity_id: self._own_row} if self._own_row else {}
+        )
         # Contiguous *settled prefix* per origin — not a raw delivery
         # count.  The two coincide in crash-free runs (a message's matrix
         # owes every receiver all lower seqnos from its origin, so
@@ -58,14 +71,27 @@ class RstBroadcast(BroadcastProtocol):
     def _get(self, matrix: SentMatrix, row: EntityId, col: EntityId) -> int:
         return matrix.get(row, {}).get(col, 0)
 
-    def _bump(self, matrix: SentMatrix, row: EntityId, col: EntityId) -> None:
-        matrix.setdefault(row, {})[col] = self._get(matrix, row, col) + 1
+    def _row(self, origin: EntityId) -> Dict[EntityId, int]:
+        """Our matrix's row for ``origin``; our own is the durable one."""
+        row = self._sent.get(origin)
+        if row is None:
+            row = self._own_row if origin == self.entity_id else {}
+            self._sent[origin] = row
+        return row
 
-    def _merge(self, into: SentMatrix, other: SentMatrix) -> None:
+    def _merge(self, other: SentMatrix) -> None:
         for row, cols in other.items():
             for col, count in cols.items():
-                if count > self._get(into, row, col):
-                    into.setdefault(row, {})[col] = count
+                if count > self._get(self._sent, row, col):
+                    self._row(row)[col] = count
+
+    def _raise_to_prefix(self, origin: EntityId) -> None:
+        """What we settled from ``origin`` was broadcast to the group:
+        count it as sent to every member of the view."""
+        floor = self._delivered_from.get(origin, 0)
+        for member in self.group.view.members:
+            if self._get(self._sent, origin, member) < floor:
+                self._row(origin)[member] = floor
 
     def matrix_entries(self) -> int:
         """Non-zero matrix entries currently held (metadata size proxy)."""
@@ -81,8 +107,9 @@ class RstBroadcast(BroadcastProtocol):
         snapshot = _copy_matrix(self._sent)
         # Record this broadcast as sent to every current member (after
         # snapshotting: the constraint applies to *prior* traffic).
+        own = self._row(self.entity_id)
         for member in self.group.view.members:
-            self._bump(self._sent, self.entity_id, member)
+            own[member] = own.get(member, 0) + 1
         return Envelope(message, {"sent_matrix": snapshot})
 
     def _deliverable(self, envelope: Envelope) -> bool:
@@ -124,23 +151,15 @@ class RstBroadcast(BroadcastProtocol):
             envelope.msg_id.seqno
         )
         self._advance_prefix(origin)
-        matrix = envelope.metadata["sent_matrix"]
-        self._merge(self._sent, matrix)
+        self._merge(envelope.metadata["sent_matrix"])
         # The delivered message itself is now known sent to us and (by the
         # broadcast) to every member of the sender's view.
-        floor = self._delivered_from.get(origin, 0)
-        for member in self.group.view.members:
-            if self._get(self._sent, origin, member) < floor:
-                self._sent.setdefault(origin, {})[member] = floor
+        self._raise_to_prefix(origin)
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         self._advance_prefix(origin, floor=frontier)
-        # Mirror the delivered floor kept by `_on_delivered`: skipped
-        # prefixes were broadcast to the whole group.
-        floor = self._delivered_from.get(origin, 0)
-        for member in self.group.view.members:
-            if self._get(self._sent, origin, member) < floor:
-                self._sent.setdefault(origin, {})[member] = floor
+        # Skipped prefixes were broadcast to the whole group too.
+        self._raise_to_prefix(origin)
 
     def _gap_labels(self, envelope: Envelope) -> Iterator[MessageId]:
         """Lazily yield unseen labels the owed counts imply we lack."""

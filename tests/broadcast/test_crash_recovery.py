@@ -316,6 +316,28 @@ class TestRstPrefixAccounting:
         assert stacks["a"]._delivered_seqnos == {}
         assert stacks["a"]._sent == {}
 
+    def test_restart_keeps_the_own_row(self):
+        # The own row mirrors the durable label allocator: the first
+        # stamp after a restart still owes every member the k sends made
+        # before the crash, so none can deliver the new send first.  The
+        # replayed sends cannot rebuild it: each owes b:0, which the
+        # amnesiac member has lost, so they wait in its hold-back queue.
+        scheduler, _, stacks = build_group(RstBroadcast)
+        stacks["b"].bcast("op")
+        scheduler.run()
+        k = 3
+        for _ in range(k):
+            stacks["a"].bcast("op")
+        scheduler.run()
+        stacks["a"].crash()
+        stacks["a"].restart()
+        scheduler.run()
+        label = stacks["a"].bcast("op")
+        stamp = stacks["a"].envelope_of(label).metadata["sent_matrix"]
+        assert {m: stamp.get("a", {}).get(m, 0) for m in "abc"} == {
+            m: k for m in "abc"
+        }
+
     def test_stable_skip_fast_forwards_prefix(self):
         _, _, stacks = build_group(RstBroadcast)
         stack = stacks["a"]

@@ -104,8 +104,13 @@ class TestClusterConstruction:
             ChaosCluster(protocol="cbcast", members=("solo",))
 
 
-@pytest.mark.parametrize("protocol", sorted(CHAOS_PROTOCOLS))
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "seed,protocol",
+    [(seed, protocol) for seed in (1, 2) for protocol in sorted(CHAOS_PROTOCOLS)]
+    # A restarted RST sender whose stamps forgot its pre-crash sends:
+    # receivers delivered its new sends ahead of its old ones.
+    + [(25, "rst"), (29, "rst")],
+)
 class TestSeededCampaigns:
     def test_campaign_has_zero_violations(self, protocol, seed):
         cluster = ChaosCluster(protocol=protocol, members=MEMBERS, seed=seed)

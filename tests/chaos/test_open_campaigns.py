@@ -43,8 +43,6 @@ class TestOpenUnsafeCampaigns:
             # sequencer-epoch (seed 4 also total-order)
             ("sequencer", 4, False),
             ("sequencer", 11, False),
-            # causal-order
-            ("rst", 7, True),
         ],
     )
     def test_campaign_ends_safe(self, protocol, seed, overlap, capsys):
