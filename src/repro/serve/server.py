@@ -693,8 +693,6 @@ class ServeServer:
                     self._pump(conn)
 
     def _run_cycle(self, batch: List[_PendingOp], now: float) -> None:
-        per_shard: Dict[int, int] = {}
-        shard_map = self.cluster.shard_map
         for op in batch:
             frame = op.frame
             kind = frame.get("t")
@@ -725,8 +723,6 @@ class ServeServer:
                         "(use scalars, tuples, or labels — not dicts/lists)"
                     )
                     continue
-                shard = shard_map.assignment[shard_map.slot_of(key)]
-                per_shard[shard] = per_shard.get(shard, 0) + 1
                 session.put(key, frame.get("value"), on_issued=op.issued)
             elif kind == "read":
                 shards = frame.get("shards")
@@ -751,8 +747,6 @@ class ServeServer:
             elif kind == "get" and not op.handed:
                 self._hand_get(op)
         self.metrics.record_batch(len(batch))
-        for shard, count in sorted(per_shard.items()):
-            self.metrics.bump(f"shard{shard}_batch_puts", count)
         # One simulator drive for the whole cycle: every queued write
         # issues (or exhausts its retries), every barrier completes (or
         # aborts), every delivery lands.

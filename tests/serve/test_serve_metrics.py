@@ -37,9 +37,9 @@ class TestServeMetrics:
         metrics = ServeMetrics()
         metrics.bump("puts")
         metrics.bump("puts", 2)
-        metrics.bump("shard0_batch_puts", 5)
+        metrics.bump("ad_hoc", 5)
         assert metrics.counters["puts"] == 3
-        assert metrics.counters["shard0_batch_puts"] == 5
+        assert metrics.counters["ad_hoc"] == 5
 
     def test_batch_recording_feeds_snapshot(self):
         metrics = ServeMetrics()
