@@ -9,13 +9,12 @@ still maintains all three eagerly, at the places the chassis used to,
 must agree with the derived views over seeded ``ReplicaGroup`` runs with
 loss, duplication, a crash/restart and held-back envelopes.
 
-Mutation check (done by hand when this file was written): making
-``_graph_cursor`` survive a restart (it is built in
-``OSendBroadcast._init_volatile``; the check dropped its reset from the
-restart path) fails the "asked only between drains" test on every seed
-and the "asked at every step" test on two — the restarted member's
-cursor points past its emptied delivery log, so its new incarnation's
-first deliveries never reach the view.
+Mutation check (done by hand when this file was written): keeping
+``_graph_cursor`` across a restart (it is built in
+``OSendBroadcast._init_volatile``) fails the "asked only between drains"
+test on every seed and the "asked at every step" test on two — the
+restarted member's cursor points past its emptied delivery log, so its
+new incarnation's first deliveries never reach the view.
 """
 
 from __future__ import annotations
