@@ -15,6 +15,7 @@ time (:meth:`ServeMetrics.record_latencies`).
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
@@ -81,6 +82,8 @@ class ServeMetrics:
         #: live gauges, maintained by the server.
         self.inflight = 0
         self.queue_depth = 0
+        #: Collections of each generation before these metrics existed.
+        self._collections = [g["collections"] for g in gc.get_stats()]
 
     # -- recording ---------------------------------------------------------
 
@@ -106,6 +109,22 @@ class ServeMetrics:
 
     def _sampled_gauges(self) -> Dict[str, int]:
         return self._gauges() if self._gauges is not None else {}
+
+    def collector(self) -> Dict[str, object]:
+        """The process's cyclic collector: ``gc_frozen`` objects frozen
+        now, ``gc_collections`` the collections of each generation since
+        these metrics were built (a serving server's reclaims included).
+
+        Process state, not a function of the requests served, so the wire
+        ``stats`` reply (:meth:`snapshot`) leaves it out — a seeded run
+        writes the same bytes twice in one process — and :meth:`render`
+        prints it.
+        """
+        built = zip(gc.get_stats(), self._collections)
+        return {
+            "gc_frozen": gc.get_freeze_count(),
+            "gc_collections": [g["collections"] - n for g, n in built],
+        }
 
     def latency_quantiles(self, kind: str = "op") -> Dict[str, Optional[float]]:
         samples = list(self._latency.get(kind, ()))
@@ -138,7 +157,8 @@ class ServeMetrics:
     def render(self) -> str:
         """Human-readable multi-line summary (``repro serve --stats``).
 
-        Samples the gauges once, like :meth:`snapshot`.
+        Samples the gauges once, like :meth:`snapshot`, then the
+        :meth:`collector`.
         """
         gauges = self._sampled_gauges()
         snap = self._snapshot(gauges)
@@ -149,6 +169,8 @@ class ServeMetrics:
         lines.append(f"  {'queue_depth':<22} {snap['queue_depth']}")
         for key in sorted(gauges):
             lines.append(f"  {key:<22} {gauges[key]}")
+        for key, value in self.collector().items():
+            lines.append(f"  {key:<22} {value}")
         if snap["batch_mean"] is not None:
             lines.append(
                 f"  {'batch size':<22} mean={snap['batch_mean']:.1f} "

@@ -65,6 +65,7 @@ that.
 from __future__ import annotations
 
 import asyncio
+import gc
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
@@ -159,6 +160,8 @@ class _Connection(asyncio.Protocol):
         self.server._connections.discard(self)
         self._counters["connections_closed"] += 1
         self.transport.close()
+        if not self.server._connections:  # once asyncio lets go of it
+            self.server._loop.call_soon(self.server._reclaim)
 
 
 #: Sentinel recorded under an opid before its put issues — an opid whose
@@ -223,7 +226,8 @@ class _PendingOp:
 
 
 class ServeServer:
-    """Asyncio TCP server over a :class:`ShardedCluster`."""
+    """Asyncio TCP server over a :class:`ShardedCluster`.  It owns its
+    process's cyclic collector (``docs/SERVING.md``, "The collector")."""
 
     def __init__(
         self,
@@ -323,6 +327,13 @@ class ServeServer:
                 group.revive()
             self.cluster.drain()
             self.heal_violations, _rounds = self.cluster.settle()
+        gc.unfreeze()
+
+    def _reclaim(self) -> None:
+        """With no client left, collect what the cycles froze."""
+        if not self._connections:
+            gc.unfreeze()
+            gc.collect()
 
     # -- background repair -------------------------------------------------
 
@@ -691,6 +702,7 @@ class ServeServer:
                 conn.flush()
                 if conn.parked and conn.inflight < self.max_inflight:
                     self._pump(conn)
+            gc.freeze()  # the served path makes no reference cycles
 
     def _run_cycle(self, batch: List[_PendingOp], now: float) -> None:
         for op in batch:

@@ -73,7 +73,11 @@ class Scheduler:
         self._tiebreak = itertools.count()
         self._stopped = False
         self._events_processed = 0
-        self._running = False
+        #: Whether a :meth:`run` / :meth:`run_until` drive is in progress.
+        #: False while the scheduler is *idle*: whoever schedules now does
+        #: so from outside the simulation, between two drives.  A plain
+        #: attribute, read on every put (``ShardedCluster.shard_send``).
+        self.running = False
 
     # -- clock ------------------------------------------------------------
 
@@ -86,15 +90,6 @@ class Scheduler:
     def events_processed(self) -> int:
         """Total number of events fired so far."""
         return self._events_processed
-
-    @property
-    def running(self) -> bool:
-        """Whether a :meth:`run` / :meth:`run_until` drive is in progress.
-
-        False while the scheduler is *idle*: whoever schedules now does so
-        from outside the simulation, between two drives.
-        """
-        return self._running
 
     @property
     def pending(self) -> int:
@@ -170,7 +165,7 @@ class Scheduler:
             of hanging.
         """
         fired = 0
-        was_running, self._running = self._running, True
+        was_running, self.running = self.running, True
         try:
             while self.step():
                 fired += 1
@@ -180,7 +175,7 @@ class Scheduler:
                         "likely a livelocked protocol"
                     )
         finally:
-            self._running = was_running
+            self.running = was_running
         return fired
 
     def run_until(self, deadline: float, max_events: Optional[int] = None) -> int:
@@ -194,7 +189,7 @@ class Scheduler:
                 f"deadline {deadline} is before now={self._now}"
             )
         fired = 0
-        was_running, self._running = self._running, True
+        was_running, self.running = self.running, True
         try:
             while self._queue:
                 time, _, handle = self._queue[0]
@@ -212,7 +207,7 @@ class Scheduler:
                         f"run_until() exceeded max_events={max_events}"
                     )
         finally:
-            self._running = was_running
+            self.running = was_running
         self._now = deadline
         return fired
 

@@ -23,8 +23,9 @@ WARM_CYCLES = 20
 COUNTED_CYCLES = 10
 
 #: Calls a put may make.  The layered path made 76; the lean pass
-#: makes 45.
-MAX_CALLS_PER_PUT = 50
+#: makes 42.92 on 3.10 and 3.11 and 42.88 on 3.12 (a put corks its
+#: network with one call), and the bound is the largest plus 2.
+MAX_CALLS_PER_PUT = 44.92
 
 
 def put_frames(cycle: int, session: int) -> bytes:
