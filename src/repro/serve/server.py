@@ -160,8 +160,14 @@ class _Connection(asyncio.Protocol):
         self.server._connections.discard(self)
         self._counters["connections_closed"] += 1
         self.transport.close()
-        if not self.server._connections:  # once asyncio lets go of it
-            self.server._loop.call_soon(self.server._reclaim)
+        server = self.server
+        server._unreclaimed += 1
+        # The frozen heap holds closed transports (a cycle each on 3.10 /
+        # 3.11) until a reclaim, so that runs once they outnumber the
+        # open connections, after asyncio lets go of this one.
+        if server._unreclaimed > len(server._connections):
+            server._unreclaimed = 0
+            server._loop.call_soon(server._reclaim)
 
 
 #: Sentinel recorded under an opid before its put issues — an opid whose
@@ -270,6 +276,8 @@ class ServeServer:
         self._loop: Any = None
         self._repair_handle: Optional[asyncio.TimerHandle] = None
         self._connections: Set[_Connection] = set()
+        #: Closes since the last :meth:`_reclaim` was scheduled.
+        self._unreclaimed = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
         self.heal_violations: List[Violation] = []
@@ -330,10 +338,9 @@ class ServeServer:
         gc.unfreeze()
 
     def _reclaim(self) -> None:
-        """With no client left, collect what the cycles froze."""
-        if not self._connections:
-            gc.unfreeze()
-            gc.collect()
+        """Collect what the cycles froze, closed transports included."""
+        gc.unfreeze()
+        gc.collect()
 
     # -- background repair -------------------------------------------------
 
