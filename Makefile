@@ -69,16 +69,17 @@ chaos-quick:
 	PYTHONPATH=src python -m repro shard --seeds 2
 	PYTHONPATH=src python -m repro shard --shards 2 --seed 12 --seeds 6
 
-# The 40-seed sharded sweep as a determinism check: every campaign on 2
-# and on 3 shards (~2 s each), under two interpreter hash seeds; the two
-# outputs must be byte-identical.  The gate is the diff, not the exit
-# status: five campaigns fail their audits today (ROADMAP 6(a), kept as
-# strict xfails in tier-1), so the sweep itself exits non-zero.  Then the
-# single-group sweep, serial and overlapping, gated the same way: every
-# protocol over 12 seeds (~3 s each), whose failing campaigns are strict
-# xfails too (ROADMAP 6(g)).  12, not 40: the sequencer aborts the runner
-# on serial seed 22 and overlap seed 15 (6(g)); the count rises once that
-# crash is fixed.  The outputs stay in sweep-out/.
+# The 40-seed sharded sweep on 2 and 3 shards (~2 s a campaign), then
+# the single-group sweep, serial and overlapping: every protocol over 12
+# seeds (~3 s each), each under two interpreter hash seeds.  Two gates
+# per sweep: the two outputs must be byte-identical, and the sweep's
+# verdict lines (campaign, OK or N VIOLATION(S), the invariants named)
+# must match the ones committed in tests/chaos/verdicts/, so a
+# campaign that flips either way fails the target.  Some campaigns fail
+# their audits today (ROADMAP 6(a) and 6(g), strict xfails in tier-1), so
+# the sweeps themselves exit non-zero.  12, not 40: the sequencer aborts
+# the runner on serial seed 22 and overlap seed 15 (6(g)); the count
+# rises once that crash is fixed.  The outputs stay in sweep-out/.
 chaos-sweep:
 	@mkdir -p sweep-out
 	@for shards in 2 3; do \
@@ -88,6 +89,8 @@ chaos-sweep:
 	    grep -q "^shard: 40 campaign" sweep-out/shards$$shards-h$$hash.txt || exit 1; \
 	  done; \
 	  diff sweep-out/shards$$shards-h0.txt sweep-out/shards$$shards-h1.txt || exit 1; \
+	  python tests/chaos/sweep_verdicts.py sweep-out/shards$$shards-h0.txt \
+	    | diff tests/chaos/verdicts/shards$$shards.txt - || exit 1; \
 	  tail -n 1 sweep-out/shards$$shards-h0.txt; \
 	done
 	@for mode in serial overlap; do \
@@ -98,6 +101,8 @@ chaos-sweep:
 	    grep -q "^chaos: 84 " sweep-out/chaos-$$mode-h$$hash.txt || exit 1; \
 	  done; \
 	  diff sweep-out/chaos-$$mode-h0.txt sweep-out/chaos-$$mode-h1.txt || exit 1; \
+	  python tests/chaos/sweep_verdicts.py sweep-out/chaos-$$mode-h0.txt \
+	    | diff tests/chaos/verdicts/chaos-$$mode.txt - || exit 1; \
 	  tail -n 1 sweep-out/chaos-$$mode-h0.txt; \
 	done
 

@@ -174,6 +174,9 @@ class BroadcastProtocol(SimNode):
         # The callbacks' quiet checks, or None once a callback has none.
         self._quiet_checks: Optional[List[Callable[[], bool]]] = []
         self._recovery: Optional[Any] = None
+        #: The member's `StabilityTracker`, filed by the tracker itself;
+        #: recovery advertises its frontiers and reads its prefixes.
+        self.stability_tracker: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
         # stable-skip hooks), the one that consumes each control
         # operation, and those that may refuse an application send.

@@ -6,13 +6,15 @@ This is the classic matrix-clock application — each member needs to know
 "how much everyone else has delivered from everyone".
 
 :class:`StabilityTracker` gossips, per origin, the member's *contiguous
-delivered prefix* (delivered seqnos ``0..k-1`` with no holes).  The
-minimum prefix across all members is the stable frontier per origin;
-envelope bodies below it are dropped from the protocol's repair store.
-Gossip rounds are explicitly scheduled (like anti-entropy in
+settled prefix* (seqnos ``0..k-1`` with no holes).  The minimum prefix
+across all members is the stable frontier per origin; envelope bodies
+below it are dropped from the protocol's repair store.  Gossip rounds
+are explicitly scheduled (like anti-entropy in
 :mod:`repro.broadcast.recovery`) so simulations terminate.  The member's
-own prefixes are a view of the protocol's delivery log, caught up when
-they are read: the tracker registers no delivery callback.
+own prefixes are read off the protocol's settled set (``_delivered_ids``:
+delivered, control deliveries included, skip-settled or installed from a
+snapshot) and advanced when they are read; the tracker keeps no
+contiguity record of its own and registers no delivery callback.
 
 The tracker composes with :class:`~repro.broadcast.recovery.RecoveryAgent`
 as another control-plane sidecar of the chassis; dropping only *stable*
@@ -22,7 +24,7 @@ no repair.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
 from repro.broadcast.base import BroadcastProtocol
 from repro.types import Envelope, EntityId, Message, MessageIdAllocator
@@ -42,16 +44,15 @@ class StabilityTracker:
         self._init_volatile()
         protocol.add_interceptor(self)
         # Let the recovery layer find us (it advertises our frontiers).
-        protocol.stability_tracker = self  # type: ignore[attr-defined]
+        protocol.stability_tracker = self
 
     def _init_volatile(self) -> None:
         """Delivered-prefix knowledge, lost with a restart of the stack.
 
-        The rejoiner re-learns peers' prefixes from gossip and rebuilds
-        its own from post-restart deliveries and stable-prefix skips.
-        The applied frontiers of our own streams come back when the
-        restart settles them up to their durable compaction floors
-        (:meth:`on_stable_skip`).
+        The rejoiner re-learns peers' prefixes from gossip and reads its
+        own off the protocol's rebuilt settled set.  The applied
+        frontiers of our own streams come back when the restart settles
+        them up to their durable compaction floors (:meth:`on_stable_skip`).
         """
         # member -> origin -> contiguous delivered prefix length.
         self._prefixes: Dict[EntityId, Dict[EntityId, int]] = {}
@@ -62,49 +63,34 @@ class StabilityTracker:
         # origin -> seqno below which the store holds none of its bodies:
         # compaction resumes there instead of rescanning the store.
         self._swept: Dict[EntityId, int] = {}
-        # Contiguity of our own deliveries per origin, folded from the
-        # delivery log up to `_logged` (`_catch_up`).
-        self._delivered_seqnos: Dict[EntityId, Set[int]] = {}
+        # Our own prefix per origin as last read, in the order the
+        # origins were first delivered (up to `_logged`) or skip-settled.
         self._own_prefix: Dict[EntityId, int] = {}
         self._logged = 0
 
-    # -- local prefix maintenance ------------------------------------------------
+    # -- local prefix ------------------------------------------------------------
 
     def _catch_up(self) -> None:
-        """Fold the deliveries logged since the last catch-up, in log
-        order.  Control deliveries are not counted (ROADMAP 6(d))."""
-        protocol = self.protocol
-        log = protocol._delivered_envelopes
-        if self._logged == len(log):
-            return
-        is_control = protocol._is_control
+        """Register the origins delivered since the last catch-up, in log
+        order."""
+        log = self.protocol._delivered_envelopes
         for envelope in log[self._logged:]:
-            if not is_control(envelope):
-                self._on_delivery(envelope)
+            self._own_prefix.setdefault(envelope.msg_id.sender, 0)
         self._logged = len(log)
 
-    def _on_delivery(self, envelope: Envelope) -> None:
-        label = envelope.msg_id
-        origin = label.sender
-        prefix = self._own_prefix.get(origin, 0)
-        seqnos = self._delivered_seqnos.get(origin)
-        if label.seqno == prefix and not seqnos:
-            # In order with nothing parked above the prefix — every
-            # delivery of a loss-free run: no set is touched.
-            self._own_prefix[origin] = prefix + 1
-            return
-        if seqnos is None:
-            seqnos = self._delivered_seqnos[origin] = set()
-        seqnos.add(label.seqno)
-        while prefix in seqnos:
-            seqnos.discard(prefix)
-            prefix += 1
-        self._own_prefix[origin] = prefix
-
     def local_prefix(self, origin: EntityId) -> int:
-        """Our contiguous delivered prefix from ``origin``."""
+        """Our contiguous settled prefix from ``origin``: its labels the
+        protocol delivered (control ones too), skip-settled or installed
+        from a snapshot.  Advanced here, over the settled set."""
         self._catch_up()
-        return self._own_prefix.get(origin, 0)
+        prefixes = self._own_prefix
+        prefix = prefixes.get(origin, 0)
+        settled = self.protocol._delivered_ids
+        while (origin, prefix) in settled:
+            prefix += 1
+        if origin in prefixes:
+            prefixes[origin] = prefix
+        return prefix
 
     # -- gossip --------------------------------------------------------------------
 
@@ -114,7 +100,7 @@ class StabilityTracker:
         message = Message(
             self._allocator.next_id(),
             GC_VECTOR_OPERATION,
-            dict(self._own_prefix),
+            {origin: self.local_prefix(origin) for origin in self._own_prefix},
         )
         self.protocol.network.broadcast(
             self.protocol.entity_id, Envelope(message)
@@ -150,9 +136,9 @@ class StabilityTracker:
         Per origin, only the seqnos from the last sweep up to the new
         frontier are visited: nothing below a sweep ever re-enters the
         store in this incarnation, because the frontier never passes our
-        own delivered prefix and a delivered label is deduplicated on
-        arrival.  Only an origin we delivered from can have a positive
-        frontier.  (``tests/broadcast/full_compaction.py`` keeps the
+        own settled prefix and a settled label is deduplicated on
+        arrival.  Only the origins we delivered from or skip-settled are
+        swept.  (``tests/broadcast/full_compaction.py`` keeps the
         whole-store scan this replaces, and holds it store for store.)
         """
         protocol = self.protocol
@@ -203,11 +189,12 @@ class StabilityTracker:
     # -- crash-stop integration --------------------------------------------------
 
     def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        """Count a skipped stable prefix as settled in our own prefix.
+        """Report ``origin`` from now on: its skipped prefix is settled.
 
-        Skipped labels are delivered-at-every-member history; reporting
-        them keeps the group frontier from collapsing to zero whenever an
-        amnesiac member rejoins (which would stall compaction forever).
+        Skipped labels are delivered-at-every-member history, and the
+        chassis has filed them in its settled set; reporting them keeps
+        the group frontier from collapsing to zero whenever an amnesiac
+        member rejoins (which would stall compaction forever).
         """
         if frontier <= self.protocol._own_floors.get(origin, 0) and (
             frontier > self._applied_frontier.get(origin, 0)
@@ -217,14 +204,7 @@ class StabilityTracker:
             # group-wide restart only our digests can tell the others.
             self._applied_frontier[origin] = self._swept[origin] = frontier
         self._catch_up()
-        if self._own_prefix.get(origin, 0) >= frontier:
-            return
-        prefix = frontier
-        seqnos = self._delivered_seqnos.setdefault(origin, set())
-        while prefix in seqnos:
-            seqnos.discard(prefix)
-            prefix += 1
-        self._own_prefix[origin] = prefix
+        self._own_prefix.setdefault(origin, 0)
 
     @property
     def applied_frontier(self) -> Dict[EntityId, int]:

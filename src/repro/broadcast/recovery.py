@@ -221,7 +221,7 @@ class RecoveryAgent:
         servable: Dict[EntityId, set] = {}
         for label in self.protocol._envelopes_by_id:
             servable.setdefault(label.sender, set()).add(label.seqno)
-        tracker = getattr(self.protocol, "stability_tracker", None)
+        tracker = self.protocol.stability_tracker
         frontiers: Dict[EntityId, int] = (
             tracker.advertised_frontiers() if tracker is not None else {}
         )
@@ -274,7 +274,7 @@ class RecoveryAgent:
                 # settle instead of chasing (no-op unless we are behind it,
                 # i.e. an amnesiac rejoiner).
                 self.protocol.note_stable_prefix(origin, frontier)
-        tracker = getattr(self.protocol, "stability_tracker", None)
+        tracker = self.protocol.stability_tracker
         for origin, seqnos in payload.get("labels", {}).items():
             # Our contiguous delivered prefix is seen by definition: a
             # caught-up member looks at nothing it already holds.

@@ -278,6 +278,8 @@ class ServeServer:
         self._connections: Set[_Connection] = set()
         #: Closes since the last :meth:`_reclaim` was scheduled.
         self._unreclaimed = 0
+        #: Whether a cycle froze the heap since the last release.
+        self._frozen = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
         self.heal_violations: List[Violation] = []
@@ -336,9 +338,16 @@ class ServeServer:
             self.cluster.drain()
             self.heal_violations, _rounds = self.cluster.settle()
         gc.unfreeze()
+        self._frozen = False
 
     def _reclaim(self) -> None:
-        """Collect what the cycles froze, closed transports included."""
+        """Collect what the cycles froze, closed transports included.
+        With nothing frozen since the last release, the collector walks
+        the heap on its own schedule and a collection here finds nothing
+        it would not."""
+        if not self._frozen:
+            return
+        self._frozen = False
         gc.unfreeze()
         gc.collect()
 
@@ -710,6 +719,7 @@ class ServeServer:
                 if conn.parked and conn.inflight < self.max_inflight:
                     self._pump(conn)
             gc.freeze()  # the served path makes no reference cycles
+            self._frozen = True
 
     def _run_cycle(self, batch: List[_PendingOp], now: float) -> None:
         for op in batch:

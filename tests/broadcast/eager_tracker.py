@@ -1,37 +1,75 @@
-"""The stability tracker fed one delivery callback at a time — a test reference.
+"""The stability tracker with a contiguity record of its own — a test reference.
 
-:class:`~repro.broadcast.gc.StabilityTracker` keeps its own delivered
-prefixes as a view of the protocol's delivery log, caught up when they
-are read.  Before that it registered ``_on_delivery`` as a delivery
-callback and seeded itself from the deliveries made before it was
-attached.  :class:`EagerTracker` is that tracker, kept test-side as
-``naive_drain.py`` keeps the rescan drain, so
-``tests/broadcast/test_gc.py`` can hold the log-fed view to it step by
-step.
+:class:`~repro.broadcast.gc.StabilityTracker` reads its own delivered
+prefixes off the protocol's settled set (``_delivered_ids``) when they
+are asked for.  Before that it kept a second record: per origin, the
+seqnos delivered above a contiguous prefix, folded from the deliveries
+and fast-forwarded by each stable-prefix skip.  :class:`EagerTracker`
+keeps that record, folded as each delivery happens, so
+``tests/broadcast/test_gc.py`` can hold the settled-set read to it step
+by step.
 
-Two differences from the old code, both on purpose: the seeding loop
-skips control deliveries, as the callback always did (the old loop
-counted them, which only a tracker attached after a control delivery
-could see), and there is no run form — a plain callback keeps its stack
-on the per-envelope path, and the run path delivers the same schedule
-(``tests/broadcast/test_run_delivery.py``).
+It counts control deliveries, as the settled set does.  A delivery
+callback sees none, so the stack's two delivery steps (``_deliver`` and
+the run path's ``_deliver_run``) are wrapped instead.  It sees no
+snapshot install: labels installed that way enter the settled set with
+no delivery, and ``test_gc.py`` covers them on their own.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Set
+
 from repro.broadcast.base import BroadcastProtocol
 from repro.broadcast.gc import StabilityTracker
+from repro.types import Envelope, EntityId
 
 
 class EagerTracker(StabilityTracker):
-    """Folds each delivery as it happens; nothing is left to catch up."""
+    """Folds each delivery as it happens; nothing is read off the
+    settled set."""
 
     def __init__(self, protocol: BroadcastProtocol) -> None:
         super().__init__(protocol)
-        protocol.on_deliver(self._on_delivery)
+        self._floor.update(protocol._stable_floor)
         for envelope in protocol.delivered_envelopes:
-            if not protocol._is_control(envelope):
-                self._on_delivery(envelope)
+            self._fold(envelope)
+        deliver, deliver_run = protocol._deliver, protocol._deliver_run
+
+        def folding(envelope: Envelope) -> None:
+            self._fold(envelope)
+            deliver(envelope)
+
+        def folding_run(run: List[Envelope]) -> None:
+            for envelope in run:
+                self._fold(envelope)
+            deliver_run(run)
+
+        protocol._deliver = folding  # type: ignore[method-assign]
+        protocol._deliver_run = folding_run  # type: ignore[method-assign]
+
+    def _init_volatile(self) -> None:
+        super()._init_volatile()
+        # origin -> seqnos delivered; origin -> highest skipped frontier.
+        self._seqnos: Dict[EntityId, Set[int]] = {}
+        self._floor: Dict[EntityId, int] = {}
+
+    def _fold(self, envelope: Envelope) -> None:
+        label = envelope.msg_id
+        self._seqnos.setdefault(label.sender, set()).add(label.seqno)
+        self._own_prefix.setdefault(label.sender, 0)
 
     def _catch_up(self) -> None:
         pass
+
+    def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
+        super().on_stable_skip(origin, frontier)
+        self._floor[origin] = max(frontier, self._floor.get(origin, 0))
+
+    def local_prefix(self, origin: EntityId) -> int:
+        # Everything below the floor is settled; above it, deliveries.
+        prefix = self._floor.get(origin, 0)
+        seqnos = self._seqnos.get(origin, ())
+        while prefix in seqnos:
+            prefix += 1
+        return prefix

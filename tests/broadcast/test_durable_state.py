@@ -53,8 +53,6 @@ NAME = re.compile(r"`([A-Za-z_]\w*)`")
 SIDECARS = (StabilityTracker, RecoveryAgent, ViewSyncAgent, MembershipManager)
 # Moved by the restart itself, never rebuilt.
 RESTART_COUNTERS = ("_incarnation", "_settled_version")
-# Filed on the protocol by its stability tracker (wiring).
-WIRED_IN = {"stability_tracker"}
 
 
 def _protocol_classes() -> List[type]:
@@ -230,7 +228,7 @@ def _check(obj: object, then: dict, fresh: object) -> None:
     """``obj`` as rebuilt, against its pre-crash self and a fresh one."""
     now = {k: v for k, v in vars(obj).items() if k != "_init_volatile"}
     survive, volatile = declared(obj)
-    undeclared = set(now) - survive - volatile - WIRED_IN
+    undeclared = set(now) - survive - volatile
     assert not undeclared, (type(obj).__name__, undeclared)
     for name in volatile:
         assert _state(now[name]) == _state(vars(fresh)[name]), (

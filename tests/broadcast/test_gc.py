@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +12,10 @@ from repro.broadcast.gc import (
 )
 from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import protect_group
+from repro.core.commutativity import counter_spec
+from repro.core.replica import Replica
+from repro.core.state_machine import counter_machine
+from repro.core.state_transfer import Snapshot, install_snapshot
 from repro.graph.predicates import OccursAfter
 from repro.group.replica_group import ReplicaGroup
 from repro.net.faults import FaultPlan
@@ -122,72 +125,6 @@ class TestCompaction:
         assert all(t.store_size == 0 for t in trackers.values())
 
 
-class _ReferenceTracker(StabilityTracker):
-    """`_on_delivery` as it was before the in-order fast path (PR 23)."""
-
-    def _on_delivery(self, envelope):
-        origin = envelope.msg_id.sender
-        seqnos = self._delivered_seqnos.setdefault(origin, set())
-        seqnos.add(envelope.msg_id.seqno)
-        prefix = self._own_prefix.get(origin, 0)
-        while prefix in seqnos:
-            seqnos.discard(prefix)
-            prefix += 1
-        self._own_prefix[origin] = prefix
-
-
-class TestInOrderFastPath:
-    """The fast path is an optimisation of the set walk, nothing else."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["deliver", "deliver", "deliver", "skip", "reset"]),
-                st.sampled_from(["a", "b"]),
-                st.integers(min_value=0, max_value=12),
-            ),
-            max_size=60,
-        )
-    )
-    def test_prefixes_match_the_set_walk_at_every_step(self, steps):
-        membership = GroupMembership(["a", "b"])
-        fast = StabilityTracker(OSendBroadcast("a", membership))
-        slow = _ReferenceTracker(OSendBroadcast("a", membership))
-        delivered = set()
-        for action, origin, number in steps:
-            if action == "deliver":
-                # A label is delivered at most once, and never below a
-                # prefix a stable skip already settled.
-                if (origin, number) in delivered or number < max(
-                    fast.local_prefix(origin), slow.local_prefix(origin)
-                ):
-                    continue
-                delivered.add((origin, number))
-                envelope = Envelope(Message(MessageId(origin, number), "op"))
-                fast._on_delivery(envelope)
-                slow._on_delivery(envelope)
-            elif action == "skip":
-                fast.on_stable_skip(origin, number)
-                slow.on_stable_skip(origin, number)
-            else:
-                delivered.clear()
-                fast._init_volatile()
-                slow._init_volatile()
-            assert fast._own_prefix == slow._own_prefix, (action, origin, number)
-            for each in ("a", "b"):
-                assert fast.local_prefix(each) == slow.local_prefix(each)
-
-    def test_in_order_deliveries_touch_no_set(self):
-        tracker = StabilityTracker(
-            OSendBroadcast("a", GroupMembership(["a", "b"]))
-        )
-        for seqno in range(5):
-            tracker._on_delivery(Envelope(Message(MessageId("b", seqno), "op")))
-        assert tracker.local_prefix("b") == 5
-        assert tracker._delivered_seqnos == {}
-
-
 class WithControl(OSendBroadcast):
     """OSend whose ``ctl`` deliveries are control: no callback sees them.
     Overriding `_is_control` keeps it off the run path."""
@@ -248,17 +185,99 @@ def envelope(origin, seqno, operation="op"):
     )
 
 
+def settled_prefix(stack, origin):
+    """The contiguous prefix of ``origin``'s labels in the settled set,
+    counted from scratch."""
+    prefix = 0
+    while MessageId(origin, prefix) in stack._delivered_ids:
+        prefix += 1
+    return prefix
+
+
+def play(stack, step, tracker=None, gossip_seqno=0):
+    """Apply one `tracker_steps` step to ``stack``."""
+    kind = step[0]
+    if kind == "frame":
+        _, origin, labels = step
+        stack.on_frame(origin, [
+            envelope(origin, seqno, "ctl" if ctl else "op")
+            for seqno, ctl in labels
+        ])
+    elif kind == "skip":
+        stack.note_stable_prefix(step[1], step[2])
+    elif kind == "restart":
+        stack.crash()
+        stack.restart()
+    elif kind == "gossip" and tracker is not None:
+        _, sender, b, c = step
+        stack.on_frame(sender, [Envelope(Message(
+            MessageId(f"{sender}!gc", gossip_seqno),
+            GC_VECTOR_OPERATION,
+            {"b": b, "c": c},
+        ))])
+    elif tracker is not None:
+        tracker.gossip_round()
+
+
+class TestSettledPrefix:
+    """The tracker's own prefix is the contiguous prefix of the
+    protocol's settled set, and it keeps no record of its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tracker_steps())
+    def test_the_prefix_is_the_settled_sets_at_every_step(self, case):
+        cls, attach_at, steps = case
+        network = _Recording()
+        stack = network.register(cls("a", GroupMembership(["a", "b", "c"])))
+        tracker = None
+        for at, (step, read) in enumerate(steps + [(("out",), True)]):
+            if at == attach_at:
+                tracker = StabilityTracker(stack)
+            play(stack, step, tracker, at)
+            if tracker is not None and read:
+                for origin in ("b", "c"):
+                    assert tracker.local_prefix(origin) == settled_prefix(
+                        stack, origin
+                    ), (at, step, origin)
+
+    def test_control_deliveries_count(self):
+        stack = WithControl("a", GroupMembership(["a", "b", "c"]))
+        _Recording().register(stack)
+        tracker = StabilityTracker(stack)
+        stack.on_frame("b", [
+            envelope("b", 0), envelope("b", 1, "ctl"), envelope("b", 2)
+        ])
+        assert stack.delivered_count == 3
+        assert tracker.local_prefix("b") == 3
+
+    def test_labels_installed_from_a_snapshot_count(self):
+        membership = GroupMembership(["a", "b", "c"])
+        stack = OSendBroadcast("a", membership)
+        _Recording().register(stack)
+        tracker = StabilityTracker(stack)
+        replica = Replica(stack, counter_machine(), counter_spec())
+        covered = frozenset(MessageId("b", seqno) for seqno in (0, 1, 2, 4))
+        install_snapshot(replica, Snapshot(
+            state=3, covered=covered, donor="b", stable_index=0
+        ))
+        assert stack.delivered == []
+        assert tracker.local_prefix("b") == 3
+        # A later delivery fills the gap the snapshot left.
+        stack.on_frame("b", [Envelope(
+            Message(MessageId("b", 3), "inc", {"item": "x", "amount": 1}),
+            occurs_after=OccursAfter.after(()),
+        )])
+        assert tracker.local_prefix("b") == 5
+
+
 class TestLogFedTracker:
-    """The tracker's prefixes are a view of the delivery log: they match
-    a tracker fed by a delivery callback at every step."""
+    """The settled-set read matches a tracker that folds each delivery
+    and each stable skip into its own record as it happens."""
 
     @staticmethod
     def observe(tracker):
-        own = [tracker.local_prefix(origin) for origin in ("b", "c")]
         return (
-            own,
-            list(tracker._own_prefix.items()),
-            {o: sorted(s) for o, s in tracker._delivered_seqnos.items()},
+            [tracker.local_prefix(origin) for origin in ("b", "c")],
             tracker.store_size,
             tracker.envelopes_reclaimed,
             list(tracker.advertised_frontiers().items()),
@@ -275,35 +294,13 @@ class TestLogFedTracker:
             networks.append(network)
             stacks.append(network.register(cls("a", membership)))
         trackers = []
-        gossip = [0]
         for at, (step, read) in enumerate(steps + [(("out",), True)]):
             if at == attach_at:
                 trackers = [
                     StabilityTracker(stacks[0]), EagerTracker(stacks[1])
                 ]
-            kind = step[0]
             for stack, tracker in zip(stacks, trackers or [None] * 2):
-                if kind == "frame":
-                    _, origin, labels = step
-                    stack.on_frame(origin, [
-                        envelope(origin, seqno, "ctl" if ctl else "op")
-                        for seqno, ctl in labels
-                    ])
-                elif kind == "skip":
-                    stack.note_stable_prefix(step[1], step[2])
-                elif kind == "restart":
-                    stack.crash()
-                    stack.restart()
-                elif kind == "gossip" and tracker is not None:
-                    _, sender, b, c = step
-                    stack.on_frame(sender, [Envelope(Message(
-                        MessageId(f"{sender}!gc", gossip[0]),
-                        GC_VECTOR_OPERATION,
-                        {"b": b, "c": c},
-                    ))])
-                elif tracker is not None:
-                    tracker.gossip_round()
-            gossip[0] += 1
+                play(stack, step, tracker, at)
             if trackers and read:
                 assert self.observe(trackers[0]) == self.observe(trackers[1])
             assert stacks[0].delivered == stacks[1].delivered
@@ -316,33 +313,14 @@ class TestLogFedTracker:
         assert stack._callbacks == []
         stack.on_frame("b", [envelope("b", seqno) for seqno in range(5)])
         assert stack.run_deliveries == 5
-        assert tracker._own_prefix == {}  # nothing folded yet
         assert tracker.local_prefix("b") == 5
-
-    def test_control_deliveries_are_not_counted(self):
-        stack = WithControl("a", GroupMembership(["a", "b", "c"]))
-        _Recording().register(stack)
-        tracker = StabilityTracker(stack)
-        stack.on_frame("b", [
-            envelope("b", 0), envelope("b", 1, "ctl"), envelope("b", 2)
-        ])
-        assert stack.delivered_count == 3
-        assert tracker.local_prefix("b") == 1
-        assert tracker._delivered_seqnos == {"b": {2}}
 
 
 class TestLamportCompaction:
-    """The tracker counts no control delivery (ROADMAP 6(d))."""
+    """Acks count: on lamport_total they ride each member's own label
+    stream, and a prefix that stopped at the first one would compact
+    nothing after it."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "ROADMAP 6(d): on lamport_total each member's acks ride its "
-            "own label stream and the tracker counts no control delivery, "
-            "so every origin's prefix stops at its first ack and nothing "
-            "after it is compacted"
-        ),
-    )
     def test_repair_rounds_empty_the_store(self):
         group = ReplicaGroup(
             protocol="lamport_total", members=("n0", "n1", "n2"), seed=0
@@ -355,6 +333,7 @@ class TestLamportCompaction:
             for _round in range(3):
                 group.repair_round()
                 group.drain()
-        # Measured: 480 bodies a member after the third batch, with
-        # `envelopes_reclaimed` stuck at 60 since the first.
+        # A tracker that counted no control delivery kept 480 bodies a
+        # member after the third batch, with `envelopes_reclaimed` stuck
+        # at 60 since the first.
         assert [t.store_size for t in group.trackers.values()] == [0, 0, 0]

@@ -231,7 +231,6 @@ def _run(cls, plan):
         if watch is not None:
             watchers[labels[watch]] = 1
         taken = stack.on_frame("b", frame_of(segments))
-        tracker._catch_up()
         catch_up()
         steps.append((
             taken,
@@ -241,8 +240,7 @@ def _run(cls, plan):
             stack.duplicates_discarded,
             stack.max_holdback,
             stack._arrival_counter,
-            dict(tracker._own_prefix),
-            {o: sorted(s) for o, s in tracker._delivered_seqnos.items()},
+            {origin: tracker.local_prefix(origin) for origin in ("b", "c")},
             tracker.store_size,
             dict(frontier.heads),
             list(fired),
@@ -279,7 +277,7 @@ def test_an_in_order_frame_is_one_run():
     (step,) = steps
     assert step[0] == 32 and len(step[2]) == 32
     assert step[5] == 1  # nothing was ever held back
-    assert step[7] == {"b": 32}
+    assert step[7] == {"b": 32, "c": 0}
     assert evaluated == run_deliveries == 32
 
 
@@ -297,7 +295,7 @@ def test_a_gossip_mid_frame_compacts_against_the_run_before_it():
     steps, _, run_deliveries = _run(
         OSendBroadcast, (labels, deps, [(frame, None, None, None)])
     )
-    assert steps[-1][9] == 2  # b:0..3 were stable when the gossip landed
+    assert steps[-1][8] == 2  # b:0..3 were stable when the gossip landed
     assert run_deliveries == 6
 
 
@@ -307,7 +305,7 @@ def test_a_watcher_holds_runs_to_one_envelope_until_it_fires():
     labels, deps = _chain(8)
     plan = (labels, deps, [([("run", 0, 8)], None, None, 3)])
     steps, _, run_deliveries = _run(OSendBroadcast, plan)
-    assert steps[-1][11] == [(labels[3], 4, 1)]
+    assert steps[-1][10] == [(labels[3], 4, 1)]
     assert run_deliveries == 4
 
 

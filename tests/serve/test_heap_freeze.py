@@ -8,7 +8,8 @@ only ever walks what the current cycle allocated.  Nothing frozen is
 ever collected, so two release points give the heap back — a close
 once the closes since the last reclaim outnumber the open connections
 (``gc.unfreeze(); gc.collect()`` after asyncio has let go of the
-transport, which on 3.10 / 3.11 is a reference cycle) and
+transport, which on 3.10 / 3.11 is a reference cycle, skipped when no
+cycle froze anything since the last one) and
 :meth:`ServeServer.shutdown`.  The fixture in ``conftest.py`` unfreezes
 after each test.
 """
@@ -142,6 +143,35 @@ def test_stats_report_the_collector():
     rendered = srv.metrics.render()
     assert re.search(r"^ +gc_frozen +0$", rendered, re.MULTILINE)
     assert "gc_collections" in rendered
+
+
+def test_a_reclaim_collects_only_after_a_freeze():
+    """One cycle, then two closes: the first close reclaims what the
+    cycle froze; nothing was frozen since, so the second collects
+    nothing (a full collection there cost 21-25 ms at each
+    ``serial_crash`` wave end, and found nothing)."""
+    gc.disable()
+    srv, loop = serving()
+    collections: List[int] = []
+
+    def count(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start" and info["generation"] == 2:
+            collections.append(1)
+
+    conn, _transport = connect(srv, "a")
+    conn.data_received(put_frames(0, 0))
+    gc.callbacks.append(count)
+    try:
+        loop.run_soon()  # the cycle freezes the heap
+        for session in "ab":
+            if session != "a":
+                conn, _transport = connect(srv, session)
+            conn.connection_lost(None)
+            loop.run_soon()
+    finally:
+        gc.callbacks.remove(count)
+    assert srv._connections == set()
+    assert len(collections) == 1
 
 
 def test_the_served_path_makes_no_reference_cycles_over_real_sockets():
