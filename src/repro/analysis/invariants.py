@@ -48,6 +48,7 @@ order (``cross-shard-causal``).
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 # `Violation` lives with the value types so the data plane can report a
@@ -69,7 +70,7 @@ def iter_incarnations(
     yield (
         protocol.incarnation,
         list(protocol._delivered_envelopes),
-        set(protocol._skipped_stable),
+        set(protocol.skipped_stable),
     )
 
 
@@ -151,12 +152,9 @@ class InvariantMonitor:
 
     def _settled_data(self, protocol) -> Set[MessageId]:
         """Data labels the stack's *current* incarnation has settled."""
-        delivered = {
-            e.msg_id
-            for e in protocol._delivered_envelopes
-            if e.msg_id in self.data_labels
-        }
-        return delivered | (set(protocol._skipped_stable) & self.data_labels)
+        delivered = (e.msg_id for e in protocol._delivered_envelopes)
+        labels = itertools.chain(delivered, protocol.skipped_stable)
+        return {label for label in labels if label in self.data_labels}
 
     # -- individual checks ---------------------------------------------------
 

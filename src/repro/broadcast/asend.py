@@ -172,7 +172,7 @@ class ASendTotalOrder(BroadcastProtocol):
             return False
         # 3. Declared causal ancestors delivered.
         predicate = envelope.occurs_after or _NULL
-        if not predicate.satisfied_by(self._delivered_ids):
+        if not all(map(self.has_settled, predicate.ancestors)):
             return False
         # 4. Every epoch-mate sorting before us is delivered.
         received = self._received_by_epoch[epoch]
@@ -195,7 +195,7 @@ class ASendTotalOrder(BroadcastProtocol):
             yield after_event(("closed", epoch))
         predicate = envelope.occurs_after or _NULL
         for ancestor in predicate.ancestors:
-            if ancestor not in self._delivered_ids:
+            if not self.has_settled(ancestor):
                 yield after_event(("delivered", ancestor))
         received = self._received_by_epoch.get(epoch, ())
         delivered = self._delivered_by_epoch.get(epoch, set())

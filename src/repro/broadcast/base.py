@@ -10,11 +10,17 @@ Every protocol in this package is the same machine with a different
 3. a delivery loop that repeatedly releases queued envelopes whose
    predicate is satisfied, in deterministic order.
 
-What a delivery leaves behind is one log entry — the envelope, its
-delivery time, its label in the delivered set.  ``delivery_log``,
-``delivered`` and ``has_seen`` (delivered or held back) are views derived
-from that log and the hold-back queue when somebody asks; nothing else is
-kept per delivery.
+What a delivery leaves behind is one log entry — the envelope and its
+delivery time.  ``delivery_log`` and ``delivered`` are views derived from
+that log when somebody asks; nothing else is kept per delivery.
+
+A label is *settled* once delivered (control deliveries too),
+skip-settled (:meth:`note_stable_prefix`) or installed from a snapshot.
+The settled set is kept as per origin a contiguous prefix (``_prefix``,
+origins in the order first settled) plus the few labels settled above it
+(``_above``).  Only this package knows that form: ``_take``, ``_deliver``
+and OSend's predicate inline its test and update; everything else asks
+:meth:`has_settled`, :meth:`settles_any` or :meth:`settled_labels`.
 
 Keeping the chassis identical means measured differences between
 protocols are exactly their ordering semantics — the comparison the
@@ -48,9 +54,8 @@ callback would do nothing (``on_deliver(callback, quiet=...)``).  A
 callback with no ``quiet`` check or one that is not quiet, the trace,
 or a class that overrides a delivery step keeps envelopes on the
 per-envelope path.  What a sidecar derives from deliveries (the
-stability tracker's prefixes, the sharded cluster's frontiers) is a
-view of the delivery log, caught up when it is read, so it needs no
-callback.
+stability tracker's prefixes, the sharded cluster's frontiers) is the
+settled set or a view of the delivery log, so it needs no callback.
 
 The delivery order it implements is that of the obvious drain: repeated
 passes over the queue in arrival order, delivering every envelope whose
@@ -72,7 +77,9 @@ import heapq
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -165,17 +172,17 @@ class BroadcastProtocol(SimNode):
         # class).
         self.group = group
         self._allocator = MessageIdAllocator(entity_id)
-        #: Bumped whenever ``_delivered_ids`` mutates outside `_deliver`
-        #: (stable-prefix skip, restart, state transfer) — lets callers
-        #: that cache views of the delivered set detect that the set
-        #: changed without a delivery callback firing.
+        #: Bumped whenever the settled set changes outside `_deliver`
+        #: (a stable-prefix skip that settles, restart, state transfer)
+        #: — lets callers that cache views of it detect the change
+        #: without a delivery callback firing.
         self._settled_version = 0
         self._callbacks: List[DeliveryCallback] = []
         # The callbacks' quiet checks, or None once a callback has none.
         self._quiet_checks: Optional[List[Callable[[], bool]]] = []
         self._recovery: Optional[Any] = None
         #: The member's `StabilityTracker`, filed by the tracker itself;
-        #: recovery advertises its frontiers and reads its prefixes.
+        #: recovery advertises its frontiers.
         self.stability_tracker: Optional[Any] = None
         # Control-plane sidecars, in registration order (restart and
         # stable-skip hooks), the one that consumes each control
@@ -194,11 +201,9 @@ class BroadcastProtocol(SimNode):
         # Per own stream, the seqno below which its bodies were compacted
         # as stable (`StabilityTracker._compact`; `_on_restart`).
         self._own_floors: Dict[EntityId, int] = {}
-        #: Delivery history of previous incarnations, archived at restart:
-        #: ``(delivered_envelopes, skipped_stable)`` per lost life.
-        self.incarnation_archive: List[
-            Tuple[List[Envelope], frozenset]
-        ] = []
+        # Previous incarnations' delivery logs and skipped ranges, as a
+        # restart left them (`incarnation_archive` derives the labels).
+        self._archive: List[Tuple[List[Envelope], Dict]] = []
         self._init_volatile()
 
     def _init_volatile(self) -> None:
@@ -217,7 +222,9 @@ class BroadcastProtocol(SimNode):
         """
         # Hold-back queue: insertion order == arrival order, O(1) removal.
         self._pending: Dict[MessageId, Envelope] = {}
-        self._delivered_ids: Set[MessageId] = set()
+        # The settled set (module docstring).
+        self._prefix: Dict[EntityId, int] = {}
+        self._above: Set[MessageId] = set()
         # The delivery log: what was delivered and when, in delivery
         # order.  `delivery_log` / `delivered` are views of these two.
         self._delivered_envelopes: List[Envelope] = []
@@ -242,10 +249,11 @@ class BroadcastProtocol(SimNode):
         self._draining = False
         self._cursor = -1
         # -- stable-prefix skip -------------------------------------------
-        # Labels settled without local delivery: stable (delivered at every
-        # member) but unservable after store compaction.  An amnesiac
-        # rejoiner fast-forwards past them instead of NACKing forever.
-        self._skipped_stable: Set[MessageId] = set()
+        # Labels settled without local delivery, as ``[start, stop)``
+        # seqno ranges per origin: stable (delivered at every member) but
+        # unservable after store compaction.  An amnesiac rejoiner
+        # fast-forwards past them instead of NACKing forever.
+        self._skipped_stable: Dict[EntityId, List[Tuple[int, int]]] = {}
         self._stable_floor: Dict[EntityId, int] = {}
 
     # -- public API ----------------------------------------------------------
@@ -360,9 +368,10 @@ class BroadcastProtocol(SimNode):
 
         Called by :meth:`note_stable_prefix` after labels
         ``origin:0..frontier-1`` have been marked settled.  Protocols with
-        per-origin counters (FIFO next-seqno, vector-clock components,
-        RST delivered counts, Lamport FIFO streams) fast-forward them here
-        so fresh traffic is not blocked behind irrecoverable history.
+        per-origin counters or watermarks (vector-clock components, the
+        prefixes FIFO and RST wait on, Lamport FIFO streams) fast-forward
+        them here so fresh traffic is not blocked behind irrecoverable
+        history.
         """
 
     def _owns_stream(self, origin: EntityId) -> bool:
@@ -427,35 +436,27 @@ class BroadcastProtocol(SimNode):
         served again, and chasing it would NACK forever.  A member that
         has not delivered it (in practice: an amnesiac rejoiner whose
         delivered state was lost in a crash) treats it as settled history
-        instead: the label is counted delivered — for predicate purposes
+        instead: the label is counted settled — for predicate purposes
         and for :meth:`has_seen`, so stray copies dedup away — and the
         protocol's per-origin cursors fast-forward
         (:meth:`_on_stable_skip`).
 
-        At a healthy member the frontier never exceeds its own delivered
+        At a healthy member the frontier never exceeds its own settled
         prefix (the frontier is a group-wide minimum that includes the
-        member's own reports), so this is a no-op outside rejoin.
+        member's own reports), so this settles nothing outside rejoin.
+        But the early return is keyed on the skip floor, not the prefix:
+        the hooks and the drain below still run, and some view-change
+        flushes complete only there.  The prefix rises in one step
+        (:meth:`_skip`); no label is built.
         """
         floor = self._stable_floor.get(origin, 0)
         if frontier <= floor:
             return
         self._stable_floor[origin] = frontier
-        self._settled_version += 1
-        for seqno in range(floor, frontier):
-            label = MessageId(origin, seqno)
-            if label in self._delivered_ids:
-                continue
-            self._delivered_ids.add(label)
-            self._skipped_stable.add(label)
-            if label in self._pending:
-                # A held copy whose predecessors were compacted: it is
-                # stable too, so settle it rather than deliver it out of
-                # what would be a torn prefix.
-                del self._pending[label]
-                self._arrival.pop(label, None)
-                self._queued.discard(label)
-                self._blocked_on.pop(label, None)
-            self._signal_event(("delivered", label))
+        top = self._prefix.get(origin, 0)
+        if frontier > top:
+            self._settled_version += 1
+            self._skip(origin, top, frontier)
         self._on_stable_skip(origin, frontier)
         for agent in self._interceptors:
             hook = getattr(agent, "on_stable_skip", None)
@@ -463,10 +464,46 @@ class BroadcastProtocol(SimNode):
                 hook(origin, frontier)
         self._drain()
 
+    def _skip(self, origin: EntityId, top: int, frontier: int) -> None:
+        """Raise ``origin``'s prefix from ``top`` past ``frontier``; file
+        what it skips as ranges, drop held copies and wake their waiters."""
+        above = self._above
+        ranges = self._skipped_stable.setdefault(origin, [])
+        for seqno in sorted(
+            l[1] for l in above if l[0] == origin and l[1] < frontier
+        ):
+            if seqno > top:
+                ranges.append((top, seqno))
+            top = seqno + 1
+            above.remove((origin, seqno))
+        if frontier > top:
+            ranges.append((top, frontier))
+        self._fold(origin, frontier)
+        frontier = self._prefix[origin]
+        # A held copy whose predecessors were compacted is stable too:
+        # settle it rather than deliver it out of a torn prefix.
+        for label in [l for l in self._pending if l[0] == origin]:
+            if label[1] < frontier:
+                del self._pending[label]
+                self._arrival.pop(label, None)
+                self._queued.discard(label)
+                self._blocked_on.pop(label, None)
+        for token in [t for t in self._event_waiters if t[0] == "delivered"]:
+            if token[1][0] == origin and token[1][1] < frontier:
+                self._signal_event(token)
+
+    def _fold(self, origin: EntityId, top: int) -> None:
+        """Set ``origin``'s prefix to ``top``, then past ``_above``'s."""
+        above = self._above
+        while (origin, top) in above:
+            above.remove((origin, top))
+            top += 1
+        self._prefix[origin] = top
+
     @property
-    def skipped_stable(self) -> frozenset:
+    def skipped_stable(self) -> FrozenSet[MessageId]:
         """Labels settled via stable-prefix skip (never delivered here)."""
-        return frozenset(self._skipped_stable)
+        return _labels_in(self._skipped_stable)
 
     # -- crash-stop lifecycle ----------------------------------------------------
 
@@ -502,9 +539,7 @@ class BroadcastProtocol(SimNode):
             # traffic and re-issue orders for it.
             key=lambda e: (e.msg_id.sender == own, e.msg_id),
         )
-        self.incarnation_archive.append(
-            (self._delivered_envelopes, frozenset(self._skipped_stable))
-        )
+        self._archive.append((self._delivered_envelopes, self._skipped_stable))
         self._settled_version += 1
         self._init_volatile()
         for agent in self._interceptors:
@@ -537,7 +572,8 @@ class BroadcastProtocol(SimNode):
         Stops at a crash; returns how many were taken."""
         owners = self._owners
         recovery = self._recovery
-        delivered = self._delivered_ids
+        prefix = self._prefix
+        above = self._above
         pending = self._pending
         runs = (
             self._takes_runs
@@ -565,14 +601,17 @@ class BroadcastProtocol(SimNode):
             if recovery is not None and recovery._first_missing:
                 # Something is being chased: this may be it.
                 recovery.arrived(msg_id)
-            # `has_seen`.  This dedupe is what lets
-            # `StabilityTracker._compact` resume where its last sweep
-            # stopped: a label below an origin's stable frontier is in
-            # `_delivered_ids` (the frontier never passes our delivered
-            # prefix), so it never re-enters the store until a restart
-            # wipes both.  Whatever truncates `_delivered_ids` must keep
-            # that true (tests/broadcast/test_gc_equivalence.py).
-            if msg_id in delivered or msg_id in pending:
+            # `has_seen`.  This dedupe lets `StabilityTracker._compact`
+            # resume where its last sweep stopped: a label below a stable
+            # frontier is below our prefix, so it never re-enters the
+            # store (tests/broadcast/test_gc_equivalence.py).
+            origin = msg_id[0]
+            top = prefix.get(origin, 0)
+            if (
+                msg_id[1] < top
+                or (above and msg_id in above)
+                or msg_id in pending
+            ):
                 self.duplicates_discarded += 1
                 continue
             self._envelopes_by_id[msg_id] = envelope
@@ -584,7 +623,17 @@ class BroadcastProtocol(SimNode):
                 and (run or self._runs_open())
                 and self._deliverable(envelope)
             ):
-                delivered.add(msg_id)
+                # Settled on admission, so the run's later envelopes see
+                # it; `_deliver` files a label the same way.
+                if msg_id[1] == top:
+                    top += 1
+                    while above and (origin, top) in above:
+                        above.remove((origin, top))
+                        top += 1
+                    prefix[origin] = top
+                else:
+                    prefix.setdefault(origin, 0)
+                    above.add(msg_id)
                 run.append(envelope)
                 continue
             if run:
@@ -622,7 +671,7 @@ class BroadcastProtocol(SimNode):
     def _deliver_run(self, run: List[Envelope]) -> None:
         """Deliver what `_accept` would deliver on arrival envelope by
         envelope, nothing held back, in one bookkeeping step; every
-        callback is quiet.  The labels are in `_delivered_ids` already."""
+        callback is quiet.  The labels are settled already."""
         count = len(run)
         self._arrival_counter += count
         if not self.max_holdback:
@@ -795,9 +844,19 @@ class BroadcastProtocol(SimNode):
 
     def _deliver(self, envelope: Envelope) -> None:
         msg_id = envelope.msg_id
-        if msg_id in self._delivered_ids:
+        origin = msg_id[0]
+        prefix, above = self._prefix, self._above
+        top = prefix.setdefault(origin, 0)
+        if msg_id[1] == top:
+            top += 1
+            while above and (origin, top) in above:
+                above.remove((origin, top))
+                top += 1
+            prefix[origin] = top
+        elif msg_id[1] < top or msg_id in above:
             raise ProtocolError(f"double delivery of {msg_id}")
-        self._delivered_ids.add(msg_id)
+        else:
+            above.add(msg_id)
         position = len(self._delivered_envelopes)
         network = self._network
         now = network.scheduler.now
@@ -859,20 +918,72 @@ class BroadcastProtocol(SimNode):
         """Held-back envelopes, in arrival order."""
         return list(self._pending.values())
 
-    def has_delivered(self, msg_id: MessageId) -> bool:
-        return msg_id in self._delivered_ids
+    def has_settled(self, msg_id: MessageId) -> bool:
+        """Whether ``msg_id`` was delivered, skip-settled or installed."""
+        return (
+            msg_id[1] < self._prefix.get(msg_id[0], 0)
+            or msg_id in self._above
+        )
 
     def has_seen(self, msg_id: MessageId) -> bool:
-        """Whether a copy of ``msg_id`` is settled or held here.
+        """Whether ``msg_id`` is settled or held back here: the dedup test
+        of :meth:`on_receive`, and what recovery and the protocols'
+        ``missing_for`` ask before naming a label missing."""
+        return self.has_settled(msg_id) or msg_id in self._pending
 
-        "Seen" is not separate state: a label is seen iff it was
-        delivered (or settled by a stable-prefix skip or an installed
-        snapshot — both enter ``_delivered_ids``) or its envelope waits
-        in the hold-back queue.  This is the dedup test of
-        :meth:`on_receive` and what recovery and the protocols'
-        ``missing_for`` ask before naming a label missing.
-        """
-        return msg_id in self._delivered_ids or msg_id in self._pending
+    def settles_any(self, labels: Collection[MessageId]) -> bool:
+        """Whether any of ``labels`` is settled here: a walk of the settled
+        set that stops at its first label in ``labels``."""
+        return any(
+            (origin, seqno) in labels
+            for origin, top in self._prefix.items() for seqno in range(top)
+        ) or not self._above.isdisjoint(labels)
+
+    def settled_labels(self) -> FrozenSet[MessageId]:
+        """Every settled label, built when asked."""
+        spans = {origin: [(0, top)] for origin, top in self._prefix.items()}
+        return _labels_in(spans).union(self._above)
+
+    def install_settled(self, labels: Iterable[MessageId]) -> None:
+        """Settle ``labels`` without delivery (a snapshot's covered set)."""
+        for label in sorted(labels):
+            top = self._prefix.setdefault(label[0], 0)
+            if label[1] >= top:
+                self._above.add(label)
+                self._fold(label[0], top)
+        self._settled_version += 1
+
+    @property
+    def incarnation_archive(self) -> List[Tuple[List[Envelope], FrozenSet]]:
+        """``(delivered_envelopes, skipped_stable)`` of each previous
+        incarnation, as its restart left them."""
+        return [(log, _labels_in(ranges)) for log, ranges in self._archive]
+
+
+def covering(
+    stacks: Iterable[BroadcastProtocol], labels: Collection[MessageId]
+) -> List[BroadcastProtocol]:
+    """The ``stacks`` that have settled every label in ``labels``: the
+    replica-read question, asked of a whole group in one call."""
+    found = []
+    for stack in stacks:
+        prefix, above = stack._prefix, stack._above
+        for label in labels:
+            if label[1] >= prefix.get(label[0], 0) and label not in above:
+                break
+        else:
+            found.append(stack)
+    return found
+
+
+def _labels_in(ranges: Dict[EntityId, List[Tuple[int, int]]]) -> FrozenSet:
+    """The labels of per-origin ``[start, stop)`` seqno ranges."""
+    return frozenset(
+        MessageId(origin, seqno)
+        for origin, spans in ranges.items()
+        for start, stop in spans
+        for seqno in range(start, stop)
+    )
 
 
 def make_group(

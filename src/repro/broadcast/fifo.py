@@ -7,47 +7,41 @@ may still be reordered — the anomaly causal broadcast exists to fix.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Iterator
 
 from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
 from repro.types import Envelope, EntityId, MessageId
 
 
 class FifoBroadcast(BroadcastProtocol):
-    """Deliver each sender's messages in send order."""
+    """Deliver each sender's messages in send order: the next one due
+    is the sender's settled prefix (``_prefix``)."""
 
     protocol_name = "fifo"
 
-    def _init_volatile(self) -> None:
-        super()._init_volatile()
-        self._next_from: Dict[EntityId, int] = {}
-
     def _deliverable(self, envelope: Envelope) -> bool:
         sender = envelope.msg_id.sender
-        return envelope.msg_id.seqno == self._next_from.get(sender, 0)
+        return envelope.msg_id.seqno == self._prefix.get(sender, 0)
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
         # Per-sender next-seqno index: wake when the sender's delivered
         # prefix reaches this seqno (it can never overshoot — a smaller
         # seqno for this label would mean it was already delivered).
         sender = envelope.msg_id.sender
-        if self._next_from.get(sender, 0) < envelope.msg_id.seqno:
+        if self._prefix.get(sender, 0) < envelope.msg_id.seqno:
             yield after_threshold(("seq", sender), envelope.msg_id.seqno)
 
     def _on_delivered(self, envelope: Envelope) -> None:
         sender = envelope.msg_id.sender
-        self._next_from[sender] = envelope.msg_id.seqno + 1
-        self._advance_watermark(("seq", sender), self._next_from[sender])
+        self._advance_watermark(("seq", sender), self._prefix[sender])
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        if self._next_from.get(origin, 0) < frontier:
-            self._next_from[origin] = frontier
-            self._advance_watermark(("seq", origin), frontier)
+        self._advance_watermark(("seq", origin), self._prefix[origin])
 
     def missing_for(self, envelope: Envelope) -> frozenset:
         """The sender's sequence gap below this envelope."""
         sender = envelope.msg_id.sender
-        next_expected = self._next_from.get(sender, 0)
+        next_expected = self._prefix.get(sender, 0)
         return frozenset(
             MessageId(sender, seqno)
             for seqno in range(next_expected, envelope.msg_id.seqno)

@@ -11,10 +11,10 @@ across all members is the stable frontier per origin; envelope bodies
 below it are dropped from the protocol's repair store.  Gossip rounds
 are explicitly scheduled (like anti-entropy in
 :mod:`repro.broadcast.recovery`) so simulations terminate.  The member's
-own prefixes are read off the protocol's settled set (``_delivered_ids``:
-delivered, control deliveries included, skip-settled or installed from a
-snapshot) and advanced when they are read; the tracker keeps no
-contiguity record of its own and registers no delivery callback.
+own prefixes are the protocol's: its settled set *is* a per-origin
+prefix plus the few labels above it (see :mod:`repro.broadcast.base`),
+so the tracker reads them as they are, keeps no contiguity record and
+registers no delivery callback.
 
 The tracker composes with :class:`~repro.broadcast.recovery.RecoveryAgent`
 as another control-plane sidecar of the chassis; dropping only *stable*
@@ -47,13 +47,9 @@ class StabilityTracker:
         protocol.stability_tracker = self
 
     def _init_volatile(self) -> None:
-        """Delivered-prefix knowledge, lost with a restart of the stack.
-
-        The rejoiner re-learns peers' prefixes from gossip and reads its
-        own off the protocol's rebuilt settled set.  The applied
-        frontiers of our own streams come back when the restart settles
-        them up to their durable compaction floors (:meth:`on_stable_skip`).
-        """
+        """Peers' prefixes (re-learned from gossip) and what was compacted
+        (our own streams' come back with the restart's stable skips,
+        :meth:`on_stable_skip`), lost with a restart of the stack."""
         # member -> origin -> contiguous delivered prefix length.
         self._prefixes: Dict[EntityId, Dict[EntityId, int]] = {}
         # origin -> highest frontier ever used to drop bodies; the
@@ -61,46 +57,23 @@ class StabilityTracker:
         # member can no longer serve, and the invariant monitor audits it.
         self._applied_frontier: Dict[EntityId, int] = {}
         # origin -> seqno below which the store holds none of its bodies:
-        # compaction resumes there instead of rescanning the store.
+        # compaction resumes there instead of rescanning the store.  Not
+        # a chassis value: the skip floor and the applied frontier both
+        # stay behind it when the store held nothing near the frontier.
         self._swept: Dict[EntityId, int] = {}
-        # Our own prefix per origin as last read, in the order the
-        # origins were first delivered (up to `_logged`) or skip-settled.
-        self._own_prefix: Dict[EntityId, int] = {}
-        self._logged = 0
-
-    # -- local prefix ------------------------------------------------------------
-
-    def _catch_up(self) -> None:
-        """Register the origins delivered since the last catch-up, in log
-        order."""
-        log = self.protocol._delivered_envelopes
-        for envelope in log[self._logged:]:
-            self._own_prefix.setdefault(envelope.msg_id.sender, 0)
-        self._logged = len(log)
 
     def local_prefix(self, origin: EntityId) -> int:
-        """Our contiguous settled prefix from ``origin``: its labels the
-        protocol delivered (control ones too), skip-settled or installed
-        from a snapshot.  Advanced here, over the settled set."""
-        self._catch_up()
-        prefixes = self._own_prefix
-        prefix = prefixes.get(origin, 0)
-        settled = self.protocol._delivered_ids
-        while (origin, prefix) in settled:
-            prefix += 1
-        if origin in prefixes:
-            prefixes[origin] = prefix
-        return prefix
+        """Our contiguous settled prefix from ``origin``: the protocol's."""
+        return self.protocol._prefix.get(origin, 0)
 
     # -- gossip --------------------------------------------------------------------
 
     def gossip_round(self) -> None:
         """Broadcast our delivered prefixes to the group."""
-        self._catch_up()
         message = Message(
             self._allocator.next_id(),
             GC_VECTOR_OPERATION,
-            {origin: self.local_prefix(origin) for origin in self._own_prefix},
+            dict(self.protocol._prefix),
         )
         self.protocol.network.broadcast(
             self.protocol.entity_id, Envelope(message)
@@ -114,7 +87,6 @@ class StabilityTracker:
     def intercept(self, sender: EntityId, envelope: Envelope) -> None:
         """Consume a peer's gossiped prefixes and compact against them."""
         self._prefixes[sender] = dict(envelope.message.payload)
-        self._catch_up()
         self._compact()
 
     # -- compaction ------------------------------------------------------------------
@@ -137,14 +109,14 @@ class StabilityTracker:
         frontier are visited: nothing below a sweep ever re-enters the
         store in this incarnation, because the frontier never passes our
         own settled prefix and a settled label is deduplicated on
-        arrival.  Only the origins we delivered from or skip-settled are
-        swept.  (``tests/broadcast/full_compaction.py`` keeps the
-        whole-store scan this replaces, and holds it store for store.)
+        arrival.  Only the origins we settled anything from are swept.
+        (``tests/broadcast/full_compaction.py`` keeps the whole-store scan
+        this replaces, and holds it store for store.)
         """
         protocol = self.protocol
         store = protocol._envelopes_by_id
         swept = self._swept
-        for origin in self._own_prefix:
+        for origin in protocol._prefix:
             start = swept.get(origin, 0)
             frontier = self.stable_frontier(origin)
             if frontier <= start or not protocol.compactable_origin(origin):
@@ -171,9 +143,8 @@ class StabilityTracker:
         settle anything below these instead of NACKing this member for
         bodies it no longer has.
         """
-        self._catch_up()
         frontiers = dict(self._applied_frontier)
-        for origin in self._own_prefix:
+        for origin in self.protocol._prefix:
             estimate = self.stable_frontier(origin)
             if estimate > frontiers.get(origin, 0):
                 frontiers[origin] = estimate
@@ -189,13 +160,9 @@ class StabilityTracker:
     # -- crash-stop integration --------------------------------------------------
 
     def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        """Report ``origin`` from now on: its skipped prefix is settled.
-
-        Skipped labels are delivered-at-every-member history, and the
-        chassis has filed them in its settled set; reporting them keeps
-        the group frontier from collapsing to zero whenever an amnesiac
-        member rejoins (which would stall compaction forever).
-        """
+        """Note a restart settling our own stream up to its floor.  (The
+        chassis raised the prefix, so our gossip reports the skipped
+        history and the group frontier does not collapse to zero.)"""
         if frontier <= self.protocol._own_floors.get(origin, 0) and (
             frontier > self._applied_frontier.get(origin, 0)
         ):
@@ -203,8 +170,6 @@ class StabilityTracker:
             # floor: its bodies are gone from the store, and after a
             # group-wide restart only our digests can tell the others.
             self._applied_frontier[origin] = self._swept[origin] = frontier
-        self._catch_up()
-        self._own_prefix.setdefault(origin, 0)
 
     @property
     def applied_frontier(self) -> Dict[EntityId, int]:

@@ -48,8 +48,7 @@ class OSendBroadcast(BroadcastProtocol):
         # so far, and how much of the delivery log it already covers.  A
         # restart re-derives it from what the new incarnation observes;
         # the stable-prefix skip needs no cursor work here because
-        # skipped labels enter `_delivered_ids`, which the predicate
-        # consults.
+        # skipped labels are settled, which is what the predicate asks.
         self._graph = DependencyGraph()
         self._graph_cursor = 0
 
@@ -107,14 +106,19 @@ class OSendBroadcast(BroadcastProtocol):
         predicate = envelope.occurs_after
         if type(predicate) is not OccursAfter:  # `_predicate_of` vets it
             predicate = self._predicate_of(envelope)
-        return predicate.ancestors <= self._delivered_ids
+        # `has_settled`, inlined: this runs once per envelope.
+        prefix, above = self._prefix, self._above
+        for label in predicate.ancestors:
+            if label[1] >= prefix.get(label[0], 0) and label not in above:
+                return False
+        return True
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
-        # The Occurs-After ancestor index: one wake per undelivered
+        # The Occurs-After ancestor index: one wake per unsettled
         # ancestor, resolved by the chassis's own delivered events.
-        predicate = self._predicate_of(envelope)
-        for ancestor in predicate.unmet(self._delivered_ids):
-            yield after_event(("delivered", ancestor))
+        for ancestor in self._predicate_of(envelope).ancestors:
+            if not self.has_settled(ancestor):
+                yield after_event(("delivered", ancestor))
 
     def missing_for(self, envelope: Envelope) -> frozenset[MessageId]:
         """Ancestors named by Occurs-After that have not been received.
@@ -123,8 +127,8 @@ class OSendBroadcast(BroadcastProtocol):
         are excluded — NACKing them would be useless; their own blockers
         will be reported instead.
         """
-        blocked = self._predicate_of(envelope).missing(self._delivered_ids)
-        return frozenset(l for l in blocked if not self.has_seen(l))
+        ancestors = self._predicate_of(envelope).ancestors
+        return frozenset(itertools.filterfalse(self.has_seen, ancestors))
 
     # -- the extracted graph -------------------------------------------------
 
@@ -162,7 +166,8 @@ class OSendBroadcast(BroadcastProtocol):
         envelope = self._pending.get(msg_id)
         if envelope is None:
             return frozenset()
-        return self._predicate_of(envelope).missing(self._delivered_ids)
+        ancestors = self._predicate_of(envelope).ancestors
+        return frozenset(itertools.filterfalse(self.has_settled, ancestors))
 
     def last_delivered(self) -> Optional[MessageId]:
         """Label of the most recently delivered message, if any."""

@@ -274,11 +274,11 @@ class RecoveryAgent:
                 # settle instead of chasing (no-op unless we are behind it,
                 # i.e. an amnesiac rejoiner).
                 self.protocol.note_stable_prefix(origin, frontier)
-        tracker = self.protocol.stability_tracker
+        prefixes = self.protocol._prefix
         for origin, seqnos in payload.get("labels", {}).items():
-            # Our contiguous delivered prefix is seen by definition: a
+            # Our contiguous settled prefix is seen by definition: a
             # caught-up member looks at nothing it already holds.
-            prefix = tracker.local_prefix(origin) if tracker is not None else 0
+            prefix = prefixes.get(origin, 0)
             for seqno in seqnos:
                 if seqno < prefix:
                     continue

@@ -51,20 +51,13 @@ class RstBroadcast(BroadcastProtocol):
 
     def _init_volatile(self) -> None:
         super()._init_volatile()
-        # The other rows are what our deliveries taught us.
+        # The other rows are what our deliveries taught us.  What we
+        # delivered from an origin is its settled prefix (`_prefix`), not
+        # a raw count: an amnesiac's post-restart delivery must not pay
+        # off history it never settled.
         self._sent: SentMatrix = (
             {self.entity_id: self._own_row} if self._own_row else {}
         )
-        # Contiguous *settled prefix* per origin — not a raw delivery
-        # count.  The two coincide in crash-free runs (a message's matrix
-        # owes every receiver all lower seqnos from its origin, so
-        # deliveries per origin happen in seqno order), but differ at an
-        # amnesiac rejoiner: delivering the origin's *new* post-restart
-        # send must not count toward pre-crash history it never settled,
-        # or held messages owing that history unlock out of causal order.
-        self._delivered_from: Dict[EntityId, int] = {}
-        # Out-of-prefix delivered seqnos awaiting contiguity.
-        self._delivered_seqnos: Dict[EntityId, set] = {}
 
     # -- matrix helpers -------------------------------------------------------
 
@@ -88,7 +81,7 @@ class RstBroadcast(BroadcastProtocol):
     def _raise_to_prefix(self, origin: EntityId) -> None:
         """What we settled from ``origin`` was broadcast to the group:
         count it as sent to every member of the view."""
-        floor = self._delivered_from.get(origin, 0)
+        floor = self._prefix.get(origin, 0)
         for member in self.group.view.members:
             if self._get(self._sent, origin, member) < floor:
                 self._row(origin)[member] = floor
@@ -121,7 +114,7 @@ class RstBroadcast(BroadcastProtocol):
         me = self.entity_id
         for origin in matrix:
             owed = self._get(matrix, origin, me)
-            if self._delivered_from.get(origin, 0) < owed:
+            if self._prefix.get(origin, 0) < owed:
                 return False
         return True
 
@@ -132,32 +125,19 @@ class RstBroadcast(BroadcastProtocol):
         me = self.entity_id
         for origin in matrix:
             owed = self._get(matrix, origin, me)
-            if self._delivered_from.get(origin, 0) < owed:
+            if self._prefix.get(origin, 0) < owed:
                 yield after_threshold(("from", origin), owed)
-
-    def _advance_prefix(self, origin: EntityId, floor: int = 0) -> None:
-        seqnos = self._delivered_seqnos.setdefault(origin, set())
-        prefix = max(self._delivered_from.get(origin, 0), floor)
-        while prefix in seqnos:
-            seqnos.discard(prefix)
-            prefix += 1
-        if prefix > self._delivered_from.get(origin, 0):
-            self._delivered_from[origin] = prefix
-            self._advance_watermark(("from", origin), prefix)
 
     def _on_delivered(self, envelope: Envelope) -> None:
         origin = envelope.msg_id.sender
-        self._delivered_seqnos.setdefault(origin, set()).add(
-            envelope.msg_id.seqno
-        )
-        self._advance_prefix(origin)
+        self._advance_watermark(("from", origin), self._prefix[origin])
         self._merge(envelope.metadata["sent_matrix"])
         # The delivered message itself is now known sent to us and (by the
         # broadcast) to every member of the sender's view.
         self._raise_to_prefix(origin)
 
     def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        self._advance_prefix(origin, floor=frontier)
+        self._advance_watermark(("from", origin), self._prefix[origin])
         # Skipped prefixes were broadcast to the whole group too.
         self._raise_to_prefix(origin)
 
@@ -167,7 +147,7 @@ class RstBroadcast(BroadcastProtocol):
         me = self.entity_id
         for origin in matrix:
             owed = self._get(matrix, origin, me)
-            for seqno in range(self._delivered_from.get(origin, 0), owed):
+            for seqno in range(self._prefix.get(origin, 0), owed):
                 label = MessageId(origin, seqno)
                 if not self.has_seen(label):
                     yield label

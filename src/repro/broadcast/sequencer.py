@@ -185,7 +185,7 @@ class SequencerTotalOrder(BroadcastProtocol):
         """
         while True:
             binding = self._bindings.get(self._next_to_deliver)
-            if binding is None or binding[1] not in self._delivered_ids:
+            if binding is None or not self.has_settled(binding[1]):
                 break
             self._next_to_deliver += 1
 
@@ -262,7 +262,7 @@ class SequencerTotalOrder(BroadcastProtocol):
                 seqs.discard(seq)
                 if not seqs:
                     del self._label_seqs[label]
-            if label in self._delivered_ids or self._label_seqs.get(label):
+            if self.has_settled(label) or self._label_seqs.get(label):
                 continue  # settled, or still bound below the gap
             if label not in reissue:
                 reissue.append(label)

@@ -136,8 +136,7 @@ def install_snapshot(replica: Replica, snapshot: Snapshot) -> None:
     replica._state = snapshot.state
     replica._stable_fold_state = snapshot.state
     replica._stable_fold_labels = set(snapshot.covered)
-    protocol._delivered_ids |= snapshot.covered
-    protocol._settled_version += 1
+    protocol.install_settled(snapshot.covered)
     graph = getattr(protocol, "graph", None)
     if graph is not None:
         for label in snapshot.covered:

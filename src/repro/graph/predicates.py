@@ -20,7 +20,7 @@ where the predicate takes one of three shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Union
+from typing import AbstractSet, Iterable, Union
 
 from repro.types import MessageId, freeze_ancestors
 
@@ -63,16 +63,6 @@ class OccursAfter:
     def missing(self, delivered: AbstractSet[MessageId]) -> frozenset[MessageId]:
         """The ancestors still blocking delivery."""
         return self.ancestors - delivered
-
-    def unmet(self, delivered: AbstractSet[MessageId]) -> Iterator[MessageId]:
-        """Lazily yield the ancestors not in ``delivered``.
-
-        Allocation-free variant of :meth:`missing` for hot paths that only
-        iterate the gap (the hold-back wakeup index) and never keep it.
-        """
-        for ancestor in self.ancestors:
-            if ancestor not in delivered:
-                yield ancestor
 
     def __len__(self) -> int:
         return len(self.ancestors)

@@ -431,13 +431,7 @@ class ReplicaGroup:
         self, member: EntityId, labels: Collection[MessageId]
     ) -> Set[MessageId]:
         """Which of ``labels`` ``member`` delivered or skip-settled."""
-        stack = self.stacks[member]
-        delivered = {
-            e.msg_id
-            for e in stack._delivered_envelopes
-            if e.msg_id in labels
-        }
-        return delivered | {l for l in stack._skipped_stable if l in labels}
+        return set(filter(self.stacks[member].has_settled, labels))
 
     def converged(self, labels: Collection[MessageId]) -> bool:
         """Full view, nobody down or flushing, and every member has

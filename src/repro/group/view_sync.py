@@ -292,15 +292,6 @@ class ViewSyncAgent:
         if change not in self._deferred:
             self._deferred.append(change)
 
-    def _known_labels(self) -> frozenset:
-        """Every application label this member knows exists."""
-        protocol = self.protocol
-        return frozenset().union(
-            protocol._delivered_ids,
-            protocol._pending,
-            protocol._envelopes_by_id,
-        )
-
     def _on_delivery(self, _envelope: Envelope) -> None:
         # Outside a flush a delivery has nothing to progress.
         if self._pending_change is not None:
@@ -335,14 +326,15 @@ class ViewSyncAgent:
         """
         if self._pending_change != change:
             return  # installed meanwhile, or a rival won the tie-break
+        # The digest: every label this member knows exists.
+        protocol = self.protocol
+        known = protocol.settled_labels().union(
+            protocol._pending, protocol._envelopes_by_id
+        )
         message = Message(
             self._allocator.next_id(),
             FLUSH_OK_OPERATION,
-            (
-                self.protocol.entity_id,
-                change,
-                self._known_labels(),
-            ),
+            (protocol.entity_id, change, known),
         )
         self.protocol.network.broadcast(
             self.protocol.entity_id, Envelope(message)
@@ -392,21 +384,19 @@ class ViewSyncAgent:
             return
         if not self._required_ackers() <= self._flush_acks:
             return
+        self._install_if_settled()
+
+    def _install_if_settled(self) -> None:
+        """Install once every digest label is settled here (skipped
+        ones too: a rejoiner's digest may name compacted history); until
+        then old-view traffic is in flight or under repair, and each
+        delivery re-checks."""
         target: Set = set()
         for digest in self._digests.values():
             target |= digest
-        # Stable-prefix skips count as settled: a rejoiner's digest may
-        # name compacted history no member can (or need) re-deliver.
-        settled = set(self.protocol.delivered) | set(
-            self.protocol.skipped_stable
-        )
-        if not target <= settled:
-            # Old-view traffic still in flight (or being repaired by the
-            # recovery layer); the per-delivery hook re-checks when it
-            # lands.
-            return
-        self.flush_snapshot = frozenset(settled)
-        self._install(frozenset(target))
+        if all(map(self.protocol.has_settled, target)):
+            self.flush_snapshot = self.protocol.settled_labels()
+            self._install(frozenset(target))
 
     def _install(self, digest_union: frozenset) -> None:
         change = self._pending_change
@@ -420,12 +410,7 @@ class ViewSyncAgent:
                 membership.leave(change.entity)
         view = membership.view
         started = self._flush_started
-        self._pending_change = None
-        self._flush_acks = set()
-        self._digests = {}
-        self._sent_flush_ok = False
-        self.frozen = False
-        self._flush_started = None
+        self._end_flush()
         self.changes_installed += 1
         self.install_history.append(
             InstallRecord(
@@ -475,24 +460,19 @@ class ViewSyncAgent:
         )
         if not satisfied:
             self._defer(change)
-            self._pending_change = None
-            self._flush_acks = set()
-            self._digests = {}
-            self._sent_flush_ok = False
-            self.frozen = False
-            self._flush_started = None
+            self._end_flush()
             self._repropose_deferred(view)
             return
-        target: Set = set()
-        for digest in self._digests.values():
-            target |= digest
-        settled = set(self.protocol.delivered) | set(
-            self.protocol.skipped_stable
-        )
-        if not target <= settled:
-            return  # old-view traffic still being repaired; stay frozen
-        self.flush_snapshot = frozenset(settled)
-        self._install(frozenset(target))
+        self._install_if_settled()
+
+    def _end_flush(self) -> None:
+        """Leave the flush: nothing pending, sends thawed."""
+        self._pending_change = None
+        self._flush_acks = set()
+        self._digests = {}
+        self._sent_flush_ok = False
+        self.frozen = False
+        self._flush_started = None
 
     def _repropose_deferred(self, view: GroupView) -> None:
         """Re-propose tie-break losers against the freshly installed view.

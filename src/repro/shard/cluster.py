@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.broadcast.base import covering
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.group.replica_group import ReplicaGroup, drive, settle
@@ -190,7 +191,7 @@ class ShardedCluster:
         """
         shard = self.ledger.shard_of(label)
         for member, stack in self.groups[shard].stacks.items():
-            if label in stack._delivered_ids:
+            if stack.has_settled(label):
                 callback(member)
                 return
         self._watchers[shard].setdefault(label, []).append(callback)
@@ -261,20 +262,13 @@ class ShardedCluster:
     def _lagging(self, shard: int, member: EntityId) -> bool:
         """Is ``member`` an amnesiac — settled prefix empty of data?
 
-        A just-restarted replica whose state transfer has not landed yet
-        has wiped `_delivered_ids`; until anti-entropy refills it, the
-        member has delivered *none* of the group's data labels.  The
-        `isdisjoint` is O(1) expected for a healthy member (its first
-        settled label hits) and cheap for an amnesiac (small settled
-        set scanned against the data-label set).  A reference question,
-        kept for ``contact`` and ``bench/replay.py``: the server's rule
-        is `read_replica`, which decides it inline.
+        A just-restarted replica has wiped its settled set; until
+        anti-entropy refills it, the member has settled *none* of the
+        group's data labels.
         """
         labels = self.ledger.labels(shard)
-        if not labels:
-            return False
         stack = self.groups[shard].stacks[member]
-        return stack._delivered_ids.isdisjoint(labels)
+        return bool(labels) and not stack.settles_any(labels)
 
     def contact(self, shard: int) -> Optional[EntityId]:
         """The first up, in-view, non-amnesiac member of ``shard``, if any.
@@ -296,7 +290,7 @@ class ShardedCluster:
         is amnesiac they are all returned (the coverage gate still
         protects correctness — an empty settled set covers nothing).  A
         reference question, kept for ``bench/replay.py``: the server's
-        rule is `read_replica`, which decides it inline.
+        rule is `read_replica`.
         """
         serving = self.groups[shard].serving()
         fresh = [m for m in serving if not self._lagging(shard, m)]
@@ -309,21 +303,18 @@ class ShardedCluster:
 
         The replica-read eligibility gate: a member may serve a session's
         read of a shard iff it has delivered the session frontier's
-        projection onto that shard (plus any migration handoff).  Checked
-        against the raw settled set — no frontier activation, no closure
-        walks — so probing many members stays cheap.  A reference
-        question, kept for ``bench/replay.py``: the server's rule is
-        `read_replica`, which decides it inline.
+        projection onto that shard (plus any migration handoff).  A
+        reference question, kept for ``bench/replay.py``: the server's
+        rule is `read_replica`, which asks the whole group at once.
         """
-        delivered = self.groups[shard].stacks[member]._delivered_ids
-        return all(label in delivered for label in labels)
+        return all(map(self.groups[shard].stacks[member].has_settled, labels))
 
     def member_read(
         self, shard: int, member: EntityId, key: str
     ) -> Tuple[Optional[object], Optional[MessageId]]:
         """``key``'s newest write ``member`` has settled, as (value, label)."""
         return self.ledger.newest_settled_write(
-            shard, key, self.groups[shard].stacks[member]._delivered_ids
+            shard, key, self.groups[shard].stacks[member].has_settled
         )
 
     def read_replica(
@@ -338,21 +329,14 @@ class ShardedCluster:
         miss) while no up member covers the floor.
         """
         group = self.groups[shard]
-        view, labels = group.group.view.members, self.ledger.labels(shard)
-        eligible: List[EntityId] = []
-        amnesiacs: List[EntityId] = []
-        fresh = False
-        for member, stack in group.stacks.items():
-            if stack.crashed or member not in view:
-                continue
-            settled = stack._delivered_ids
-            amnesiac = labels and settled.isdisjoint(labels)
-            fresh = fresh or not amnesiac
-            if settled.issuperset(floor):
-                (amnesiacs if amnesiac else eligible).append(member)
-        if not fresh:
-            # Every up, in-view member is amnesiac: any that covers serves.
-            eligible = amnesiacs
+        view = group.group.view.members
+        # Covering a floor means settling one of the shard's labels, so
+        # only an empty floor leaves amnesia to `read_members`.
+        eligible = [
+            stack.entity_id
+            for stack in covering(group.stacks.values(), floor)
+            if not stack.crashed and stack.entity_id in view
+        ] if floor else self.read_members(shard)
         if not eligible:
             self.read_misses += 1
             return None
@@ -371,12 +355,12 @@ class ShardedCluster:
         shadows frontier members (via its global causal past) or is
         itself shadowed by one that got here first through a cross-shard
         edge (see repro.shard.frontier for why the issue-index guard
-        makes this sound).  The first query, and any after
-        `_delivered_ids` mutated outside delivery (restart wipe,
-        stable-prefix skip, state transfer: `_settled_version` moved),
-        rebuilds from the full settled set — delivered ∪ skip-settled —
-        instead: `maximal` is one mask scan, and the tracker adopts its
-        result as-is.
+        makes this sound).  The first query, and any after the settled
+        set changed outside delivery (restart wipe, stable-prefix skip,
+        state transfer: `_settled_version` moved), rebuilds from the
+        shard's settled labels — delivered ∪ skip-settled — instead:
+        `maximal` is one mask scan, and the tracker adopts its result
+        as-is.
         """
         stack = self.groups[shard].stacks[member]
         tracker = self._frontiers[member]
@@ -388,7 +372,7 @@ class ShardedCluster:
         if synced != version:
             tracker.reset({
                 label: ledger.index_of(label)
-                for label in ledger.maximal(stack._delivered_ids & labels)
+                for label in ledger.maximal(filter(stack.has_settled, labels))
             })
         else:
             for envelope in log[logged:]:

@@ -35,7 +35,7 @@ Two surfaces (tabulated in ``docs/SHARDING.md``):
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
@@ -375,16 +375,16 @@ class Ledger:
         return folded
 
     def newest_settled_write(
-        self, shard: int, key: str, settled: Collection[MessageId]
+        self, shard: int, key: str, settled: Callable[[MessageId], bool]
     ) -> Tuple[Optional[object], Optional[MessageId]]:
-        """``key``'s newest write inside ``settled``, as (value, label).
+        """``key``'s newest write ``settled`` holds for, as (value, label).
 
         Walks the key's per-shard write history newest-first — the exact
-        value a last-writer-wins fold of ``settled`` would produce for
-        the key, without folding anything.
+        value a last-writer-wins fold of the settled labels would produce
+        for the key, without folding anything.
         """
         for label in reversed(self.key_writes[shard].get(key, ())):
-            if label in settled:
+            if settled(label):
                 for written, value in self.ops[label].writes():
                     if written == key:
                         return value, label

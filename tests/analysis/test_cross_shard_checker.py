@@ -34,7 +34,7 @@ class StubProtocol:
         ]
         self.incarnation = len(self.incarnation_archive)
         self._delivered_envelopes = [_env(label) for label in delivered]
-        self._skipped_stable = set(skipped)
+        self.skipped_stable = frozenset(skipped)
 
 
 def _env(label: MessageId) -> Envelope:

@@ -70,7 +70,7 @@ class TestReceivePath:
         scheduler, _, stacks = build_group(UnorderedBroadcast)
         label = stacks["a"].bcast("op")
         scheduler.run()
-        assert stacks["c"].has_delivered(label)
+        assert stacks["c"].has_settled(label)
 
     def test_trace_records_hold_and_deliver(self):
         scheduler, net, stacks = build_group(UnorderedBroadcast)

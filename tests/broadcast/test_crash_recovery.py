@@ -11,10 +11,14 @@ Pins three bugs found by the chaos campaigns, and one waste:
 * RST counted raw deliveries per origin, so a rejoiner's own post-restart
   traffic "paid off" pre-crash history it never actually delivered;
 * a restart replayed every send the member had ever made, stable or not,
-  from a second store of own sends that nothing truncated.
+  from a second store of own sends that nothing truncated;
+* a restart then settled the member's compacted own prefix one label at a
+  time, so its cost still grew with the member's history.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.broadcast.gc import track_group
 from repro.broadcast.osend import OSendBroadcast
@@ -25,6 +29,7 @@ from repro.group.replica_group import ReplicaGroup
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
+from repro.shard.cluster import ShardedCluster
 from repro.sim.scheduler import Scheduler
 from repro.types import Envelope, Message, MessageId
 from tests.conftest import build_group, mid
@@ -219,6 +224,53 @@ class TestRestartReplaysTheUnstableWindow:
             assert fresh in group.stacks[member].delivered
 
 
+class TestRestartSettlesItsStreamsPerOrigin:
+    """Failing-before: a restart settled the member's compacted own
+    prefix by building, filing and signalling each of its labels, so the
+    restart of ``s0n0`` made 503 Python calls after 400 puts and 1 783
+    after 2 000.  The settled set is a prefix per origin, and the restart
+    raises each of its own streams' prefixes in one step."""
+
+    @staticmethod
+    def restart_calls(puts: int) -> int:
+        """The history of ``docs/ROBUSTNESS.md``'s restart measurement:
+        one session puts ``k0``…``k9`` in turn, each put drained, with a
+        repair round before every 10th; then ``s0n0`` crashes, and the
+        Python calls its restart makes are counted."""
+        cluster = ShardedCluster(shards=2, members_per_shard=3)
+        session = cluster.router.session("s0")
+        for op in range(puts):
+            if op % 10 == 0:
+                for group in cluster.groups.values():
+                    group.repair_round()
+                cluster.drain()
+            session.put(f"k{op % 10}", op)
+            cluster.drain()
+        group = cluster.groups[0]
+        group.crash("s0n0")
+        calls = 0
+
+        def profile(_frame, event, _arg) -> None:
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            group.restart("s0n0")
+        finally:
+            sys.setprofile(None)
+        cluster.drain()
+        for each in cluster.groups.values():
+            each.repair_round()
+        cluster.drain()
+        assert cluster.converged()
+        return calls
+
+    def test_the_restart_does_not_grow_with_the_compacted_prefix(self):
+        assert self.restart_calls(400) == self.restart_calls(2000)
+
+
 class TestChaseStatePurge:
     """S4: chase state must shrink back to the set of labels still missing."""
 
@@ -294,26 +346,26 @@ class TestRstPrefixAccounting:
         self._inject(stack, "b", 2)  # no deps claimed: delivered immediately
         assert mid("b", 2) in stack.delivered
         # The raw count is 1, but the contiguous settled prefix is still 0.
-        assert stack._delivered_from.get("b", 0) == 0
-        assert stack._delivered_seqnos["b"] == {2}
+        assert stack._prefix.get("b", 0) == 0
+        assert stack._above == {mid("b", 2)}
 
     def test_prefix_advances_once_contiguous(self):
         _, _, stacks = build_group(RstBroadcast)
         stack = stacks["a"]
         for seqno in (2, 0, 1):
             self._inject(stack, "b", seqno)
-        assert stack._delivered_from["b"] == 3
-        assert stack._delivered_seqnos["b"] == set()
+        assert stack._prefix["b"] == 3
+        assert stack._above == set()
 
     def test_restart_resets_prefix_accounting(self):
         scheduler, _, stacks = build_group(RstBroadcast)
         stacks["b"].bcast("op")
         scheduler.run()
-        assert stacks["a"]._delivered_from["b"] == 1
+        assert stacks["a"]._prefix["b"] == 1
         stacks["a"].crash()
         stacks["a"].restart()
-        assert stacks["a"]._delivered_from == {}
-        assert stacks["a"]._delivered_seqnos == {}
+        assert stacks["a"]._prefix == {}
+        assert stacks["a"]._above == set()
         assert stacks["a"]._sent == {}
 
     def test_restart_keeps_the_own_row(self):
@@ -344,5 +396,5 @@ class TestRstPrefixAccounting:
         self._inject(stack, "b", 3)  # buffered beyond the skip frontier
         stack.note_stable_prefix("b", 3)
         # The skip settles 0..2 and absorbs the buffered 3.
-        assert stack._delivered_from["b"] == 4
-        assert stack._delivered_seqnos["b"] == set()
+        assert stack._prefix["b"] == 4
+        assert stack._above == set()

@@ -16,10 +16,11 @@ per class with state.
   fresh instance's, and everything else is the very object it was
   before the crash; only the restart counters move.
 
-Mutation check (done by hand when this file was written): assigning
-``FifoBroadcast._next_from`` in ``__init__`` instead of
-``_init_volatile`` fails the ``[FifoBroadcast]`` and ``[fifo]`` cases —
-the restarted member keeps its pre-crash cursors.
+Mutation check (done by hand): assigning ``CbcastBroadcast._clock`` in
+``__init__`` instead of ``_init_volatile`` fails the ``[CbcastBroadcast]``
+and ``[cbcast]`` cases — the restarted member keeps its pre-crash clock.
+(``FifoBroadcast`` keeps no state of its own: its cursor is the
+chassis's settled prefix.)
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _check(obj: object, then: dict, fresh: object) -> None:
 class TestARestartRebuildsTheVolatileState:
     def test_volatile_is_fresh_and_the_rest_is_kept(self, protocol):
         stack, sidecars = _group(protocol)
-        assert stack._delivered_ids
+        assert stack.settled_labels()
         fresh = _fresh(stack)
         objects = [stack, *sidecars]
         rebuilt: List[object] = []

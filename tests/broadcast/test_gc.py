@@ -189,7 +189,7 @@ def settled_prefix(stack, origin):
     """The contiguous prefix of ``origin``'s labels in the settled set,
     counted from scratch."""
     prefix = 0
-    while MessageId(origin, prefix) in stack._delivered_ids:
+    while stack.has_settled(MessageId(origin, prefix)):
         prefix += 1
     return prefix
 

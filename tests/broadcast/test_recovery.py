@@ -10,14 +10,20 @@ from repro.broadcast.cbcast import CbcastBroadcast
 from repro.broadcast.fifo import FifoBroadcast
 from repro.broadcast.lamport_total import LamportTotalOrder
 from repro.broadcast.osend import OSendBroadcast
-from repro.broadcast.recovery import RecoveryAgent, protect_group
+from repro.broadcast.recovery import (
+    DIGEST_OPERATION,
+    RecoveryAgent,
+    protect_group,
+)
 from repro.errors import ConfigurationError
 from repro.group.membership import GroupMembership
+from repro.group.view_sync import ViewSyncAgent
 from repro.net.faults import FaultPlan
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
+from repro.types import Envelope, Message, MessageId
 
 
 def lossy_group(protocol_cls, drop: float, seed: int = 0, members=("a", "b", "c")):
@@ -171,3 +177,50 @@ class TestTermination:
             RecoveryAgent(stack, scan_interval=0.0)
         with pytest.raises(ConfigurationError):
             RecoveryAgent(stack, max_nacks_per_label=0)
+
+
+class TestDigestFrontierBelowThePrefix:
+    """A digest frontier at or below the receiver's settled prefix settles
+    nothing, but one above its skip floor still runs the stable-skip
+    hooks and a drain: the view-sync agent re-checks flush progress
+    there, and some flushes complete only through that call (campaigns
+    on ``lamport_total`` failed ``liveness`` without it)."""
+
+    def test_the_view_sync_hook_and_the_drain_still_run(self, monkeypatch):
+        scheduler, _net, _faults, stacks, agents = lossy_group(
+            OSendBroadcast, 0.0
+        )
+        ViewSyncAgent(stacks["c"])
+        for _ in range(5):
+            stacks["b"].osend("op")
+        scheduler.run()
+        stack = stacks["c"]
+        assert MessageId("b", 4) in stack.delivered
+        skips = []
+        hook = ViewSyncAgent.on_stable_skip
+
+        def spy(self, origin, frontier):
+            skips.append((origin, frontier))
+            hook(self, origin, frontier)
+
+        monkeypatch.setattr(ViewSyncAgent, "on_stable_skip", spy)
+        drains = []
+        drain = stack._drain
+
+        def counting():
+            drains.append(True)
+            drain()
+
+        monkeypatch.setattr(stack, "_drain", counting)
+        digest = {"labels": {}, "frontiers": {"b": 3}}
+        stack.on_frame("a", [Envelope(
+            Message(MessageId("a!rec", 99), DIGEST_OPERATION, digest)
+        )])
+        assert skips == [("b", 3)]
+        assert drains
+        assert stack.skipped_stable == frozenset()
+        # The same frontier again is below the skip floor: nothing runs.
+        stack.on_frame("a", [Envelope(
+            Message(MessageId("a!rec", 100), DIGEST_OPERATION, digest)
+        )])
+        assert skips == [("b", 3)]

@@ -161,7 +161,7 @@ def _run(cls, plan):
         settled set moved outside delivery."""
         log = stack._delivered_envelopes
         if synced[0] != stack._settled_version:
-            frontier.rebuild(stack._delivered_ids & set(labels))
+            frontier.rebuild(stack.settled_labels() & set(labels))
         else:
             for envelope in log[synced[1]:]:
                 frontier.note(envelope.msg_id)

@@ -43,7 +43,7 @@ class FakeStack:
         ]
         self.incarnation = len(self.incarnation_archive)
         self._delivered_envelopes = [env(l) for l in delivered]
-        self._skipped_stable = set(skipped)
+        self.skipped_stable = frozenset(skipped)
         self.holdback_envelopes = [env(l) for l in holdback]
         self.group = FakeGroup(members)
 

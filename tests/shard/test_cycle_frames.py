@@ -118,7 +118,7 @@ class TestNothingStaysParked:
         else:
             cluster.scheduler.run()
         assert all(
-            stack.has_delivered(labels[0]) for stack in group.stacks.values()
+            stack.has_settled(labels[0]) for stack in group.stacks.values()
         )
 
     def test_sends_inside_a_drive_are_not_corked(self):
@@ -149,7 +149,7 @@ class TestCrashes:
         # Nothing left the crashed sender: its frames were never sent.
         assert group.network.frames_sent == 0
         assert not any(
-            stack.has_delivered(label)
+            stack.has_settled(label)
             for stack in group.stacks.values()
             for label in labels
         )
@@ -178,7 +178,7 @@ class TestCrashes:
         group.restart(victim)
         violations, _rounds = cluster.settle()
         assert violations == []
-        assert all(group.stacks[victim].has_delivered(l) for l in labels)
+        assert all(group.stacks[victim].has_settled(l) for l in labels)
         assert cluster.check_invariants() == []
 
 

@@ -185,7 +185,7 @@ class TestProtocolIntegration:
                     active.add(member)
                     synced[member] = -1
                 stack = cluster.stacks[member]
-                settled = stack._delivered_ids & cluster.data_labels
+                settled = stack.settled_labels() & cluster.data_labels
                 if synced[member] != stack._settled_version:
                     # The settled set mutated outside delivery (restart
                     # wipe, stable-prefix skip) or the member was just
@@ -254,7 +254,7 @@ class CheckedCluster(ShardedCluster):
             self.rebuilds += 1
         frontier = super().delivered_frontier(shard, member)
         ledger = self.ledger
-        settled = stack._delivered_ids & ledger.labels(shard)
+        settled = stack.settled_labels() & ledger.labels(shard)
         assert frontier == ledger.maximal(settled), (shard, member)
         return frontier
 
@@ -297,7 +297,7 @@ class TestClusterFrontierIsALogView:
         violations, _ = cluster.settle()
         assert violations == []
         stack = group.stacks["s0n1"]
-        assert stack._skipped_stable  # anti-entropy skip-settled history
+        assert stack.skipped_stable  # anti-entropy skip-settled history
         self.query_all(cluster)
         puts(18, 6)
         self.query_all(cluster)

@@ -6,16 +6,18 @@ memoised by member graphs on the receive path alone); masks retain
 about 11 MB, and a member's graph — which nobody queries on the serving
 path — is not even built: it is a view derived when somebody asks.
 
-What a put leaves behind at a member is a log entry — the envelope, its
-delivery time, its label in ``_delivered_ids`` — and its stamp is one
-frozenset shared by the session, the ledger and the envelope; the ledger
-files its record and builds no graph node until a question needs one.
-So a pipelined put retains ≤ 2.0 kB under ``tracemalloc``.  It was
-5.3 kB while each member also kept a graph node, a ``DeliveryRecord``
-and a ``_seen`` entry per delivery, 2.7–2.9 kB while each put also kept
-two ``maximal()`` copies of its stamp, the ledger graph's union of them
-and a metadata dict on its envelope, and 2.2–2.3 kB while the ledger
-filed every put into its graph and masks at once.
+What a put leaves behind at a member is a log entry — the envelope and
+its delivery time; the member's settled set only raises its origin's
+prefix — and its stamp is one frozenset shared by the session, the
+ledger and the envelope; the ledger files its record and builds no
+graph node until a question needs one.  So a pipelined put retains
+≤ 1.8 kB under ``tracemalloc``.  It was 5.3 kB while each member also
+kept a graph node, a ``DeliveryRecord`` and a ``_seen`` entry per
+delivery, 2.7–2.9 kB while each put also kept two ``maximal()`` copies
+of its stamp, the ledger graph's union of them and a metadata dict on
+its envelope, 2.2–2.3 kB while the ledger filed every put into its
+graph and masks at once, and 1.7–1.8 kB while each member's settled
+set kept every label.
 
 And a barrier read must not retain its cut: a completed read keeps its
 barrier labels and its value, so what ``shard/barrier.py`` allocates and
@@ -39,10 +41,11 @@ KEYS = 64
 WINDOW = 32
 RETAINED_LIMIT_MB = 40
 #: What one pipelined put may leave behind, ledger and three members
-#: together (measured 1.76 / 1.78 / 1.90 kB on Python 3.12 / 3.11 / 3.10;
+#: together (measured 1.48 / 1.50 / 1.62 kB on Python 3.12 / 3.11 / 3.10;
+#: 1.69 / 1.70 / 1.82 while each member's settled set kept every label,
 #: 2.17 / 2.18 / 2.30 while the ledger graph was built at each put, and
 #: 2.72 / 2.73 / 2.90 while a put's stamp was copied three times).
-PUT_RETAINED_LIMIT_KB = 2.0
+PUT_RETAINED_LIMIT_KB = 1.8
 #: What one completed barrier read may keep of `shard/barrier.py`'s
 #: allocations: the `BarrierRead`, its labels and a 64-key value dict.
 READ_RETAINED_LIMIT_KB = 6
@@ -126,6 +129,8 @@ def test_a_pipelined_put_leaves_a_log_entry_behind_not_seven_containers():
     for group in cluster.groups.values():
         for member, stack in group.stacks.items():
             assert len(stack._graph) == 0, member
+            # Every label it settled is below its origin's prefix.
+            assert not stack._above, member
     # Nobody asked the ledger a graph question either: its graph is
     # unbuilt, and complete once asked.
     ledger = cluster.ledger

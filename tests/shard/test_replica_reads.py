@@ -259,7 +259,7 @@ def apply_event(cluster, step: int, event: str, shard: int, index: int):
         # A gossiped stable frontier: the peers' contiguous prefix of
         # each origin, skip-settled here without delivery.
         donor = set().union(
-            *(group.stacks[m]._delivered_ids for m in others)
+            *(group.stacks[m].settled_labels() for m in others)
         )
         for origin in group.members:
             prefix = 0
@@ -269,7 +269,7 @@ def apply_event(cluster, step: int, event: str, shard: int, index: int):
     elif event == "transfer" and not stack.crashed and not stack.delivered:
         donor = others[0]
         labels = cluster.ledger.labels(shard)
-        covered = group.stacks[donor]._delivered_ids & labels
+        covered = group.stacks[donor].settled_labels() & labels
         install_snapshot(
             SimpleNamespace(protocol=stack),
             Snapshot(state={}, covered=frozenset(covered), donor=donor,
@@ -382,7 +382,7 @@ class TestOnePassEquivalence:
         assert cluster.read_replica(0, {label}) is None
         apply_event(cluster, 4, "barrier", 0, 0)
         barriers = cluster.ledger.labels(0) - {label}
-        settled = group.stacks[first]._delivered_ids & cluster.ledger.labels(0)
+        settled = group.stacks[first].settled_labels() & cluster.ledger.labels(0)
         assert barriers and settled == barriers
         assert not cluster._lagging(0, first)
         apply_event(cluster, 5, "skip", 0, 2)
