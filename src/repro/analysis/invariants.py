@@ -294,6 +294,8 @@ class InvariantMonitor:
         violations = []
         for member, agent in self.view_syncs.items():
             for record in agent.install_history:
+                if record.snapshot >= record.digest_union:
+                    continue
                 missing = set(record.digest_union) - set(record.snapshot)
                 if self.data_labels:
                     missing &= self.data_labels

@@ -20,7 +20,9 @@ The settled set is kept as per origin a contiguous prefix (``_prefix``,
 origins in the order first settled) plus the few labels settled above it
 (``_above``).  Only this package knows that form: ``_take``, ``_deliver``
 and OSend's predicate inline its test and update; everything else asks
-:meth:`has_settled`, :meth:`settles_any` or :meth:`settled_labels`.
+:meth:`has_settled`, :meth:`settles_any` or :meth:`settles_all`, or takes
+the set as a :class:`~repro.broadcast.cut.Cut` (:meth:`cut`,
+:meth:`known_cut`).
 
 Keeping the chassis identical means measured differences between
 protocols are exactly their ordering semantics — the comparison the
@@ -89,6 +91,7 @@ from typing import (
     Tuple,
 )
 
+from repro.broadcast.cut import Cut
 from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.group.membership import GroupMembership
 from repro.sim.node import SimNode
@@ -905,6 +908,11 @@ class BroadcastProtocol(SimNode):
         return len(self._delivered_envelopes)
 
     @property
+    def store_size(self) -> int:
+        """Envelope bodies currently kept for repair."""
+        return len(self._envelopes_by_id)
+
+    @property
     def holdback_size(self) -> int:
         """Envelopes received but not yet deliverable."""
         return len(self._pending)
@@ -939,10 +947,29 @@ class BroadcastProtocol(SimNode):
             for origin, top in self._prefix.items() for seqno in range(top)
         ) or not self._above.isdisjoint(labels)
 
+    def settles_all(self, cut: Cut) -> bool:
+        """Whether every label of ``cut`` is settled here: one prefix
+        test per origin, one label test per label above it."""
+        prefix = self._prefix
+        return all(
+            prefix.get(origin, 0) >= top for origin, top in cut._prefix.items()
+        ) and all(map(self.has_settled, cut._above))
+
+    def cut(self) -> Cut:
+        """The settled set, in O(origins + above)."""
+        return Cut(self._prefix, self._above)
+
+    def known_cut(self) -> Cut:
+        """Every label this member knows exists: the settled set, the
+        held-back labels and the stored ones above their origin's prefix
+        (its own sends among them)."""
+        return Cut(
+            self._prefix, [*self._above, *self._pending, *self._envelopes_by_id]
+        )
+
     def settled_labels(self) -> FrozenSet[MessageId]:
         """Every settled label, built when asked."""
-        spans = {origin: [(0, top)] for origin, top in self._prefix.items()}
-        return _labels_in(spans).union(self._above)
+        return frozenset(self.cut())
 
     def install_settled(self, labels: Iterable[MessageId]) -> None:
         """Settle ``labels`` without delivery (a snapshot's covered set)."""

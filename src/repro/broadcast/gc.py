@@ -179,7 +179,7 @@ class StabilityTracker:
     @property
     def store_size(self) -> int:
         """Envelope bodies currently retained for repair."""
-        return len(self.protocol._envelopes_by_id)
+        return self.protocol.store_size
 
 
 def track_group(

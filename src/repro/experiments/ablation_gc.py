@@ -49,7 +49,7 @@ def run_workload(messages: int, gossip: bool, seed: int = 6) -> dict:
             for tracker in trackers.values():
                 tracker.gossip_round()
             scheduler.run()
-    store_total = sum(len(s._envelopes_by_id) for s in stacks.values())
+    store_total = sum(s.store_size for s in stacks.values())
     reclaimed = sum(t.envelopes_reclaimed for t in trackers.values())
     gossip_sends = sum(
         1

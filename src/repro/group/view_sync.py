@@ -13,13 +13,15 @@ The flush protocol here is the classic one:
 1. any member proposes a change by broadcasting ``VCHG(change)``;
 2. on delivering the proposal, each member **freezes** its application
    sending and waits for its hold-back queue to drain;
-3. once drained, it broadcasts ``FLUSH_OK`` carrying a *digest* of every
-   old-view application label it knows exists (delivered, held, or sent
-   by itself) — senders always know their own broadcasts, so the union
-   of all digests covers the complete old-view traffic;
+3. once drained, it broadcasts ``FLUSH_OK`` carrying a *digest*: the cut
+   (:class:`~repro.broadcast.cut.Cut`, a prefix per origin plus the
+   labels above it) of every label it knows exists — settled, held, or
+   stored, its own sends among them.  Senders always know their own
+   broadcasts, so the cut union of all digests covers the complete
+   old-view traffic;
 4. when a member has collected ``FLUSH_OK`` from every old-view member
-   *and* has itself settled the digest union, it installs the new
-   view, unfreezes, and notifies listeners.
+   *and* has itself settled the cut union (a prefix test per origin),
+   it installs the new view, unfreezes, and notifies listeners.
 
 Step 4's delivery condition is what makes the change view-synchronous:
 every member delivers exactly the same old-view message set before the
@@ -40,8 +42,11 @@ recovery layer's, so it composes with every ordering protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.broadcast.cut import Cut
 from repro.errors import MembershipError, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
@@ -75,15 +80,16 @@ class ViewChange:
 class InstallRecord:
     """Audit trail of one installed view (for the invariant monitor).
 
-    ``snapshot`` is the member's settled label set (delivered plus
-    stable-prefix skips) at install time; view synchrony requires
-    ``digest_union <= snapshot``.
+    ``snapshot`` is the member's settled set at install time and
+    ``digest_union`` the cut union of the FLUSH_OK digests, both cuts
+    (O(origins + above) each); view synchrony requires
+    ``snapshot >= digest_union``.
     """
 
     view_id: int
     change: ViewChange
-    snapshot: frozenset
-    digest_union: frozenset
+    snapshot: Cut
+    digest_union: Cut
     incarnation: int
     time: float
     #: How long this member was frozen before the install (from first
@@ -144,12 +150,13 @@ class ViewSyncAgent:
         # Same-view proposals that lost the tie-break; re-proposed against
         # the new view after the winner installs.
         self._deferred: List[ViewChange] = []
-        self._flush_acks: Set[EntityId] = set()
-        self._digests: Dict[EntityId, frozenset] = {}
+        # Each acker's latest digest, and their cut union.
+        self._digests: Dict[EntityId, Cut] = {}
+        self._digest_union = Cut()
         self._old_members: Tuple[EntityId, ...] = ()
         self._sent_flush_ok = False
-        # Delivered-set snapshot taken at install time (diagnostics).
-        self.flush_snapshot: Optional[frozenset] = None
+        # Settled-set cut taken at install time (diagnostics).
+        self.flush_snapshot: Optional[Cut] = None
         # When this member first froze for the currently pending flush
         # chain (rival adoptions keep the original start time).
         self._flush_started: Optional[float] = None
@@ -280,8 +287,8 @@ class ViewSyncAgent:
     def _adopt(self, change: ViewChange) -> None:
         self._pending_change = change
         self._old_members = self.protocol.group.view.members
-        self._flush_acks = set()
         self._digests = {}
+        self._digest_union = Cut()
         self._sent_flush_ok = False
         self.frozen = True
         if self._flush_started is None:
@@ -328,13 +335,10 @@ class ViewSyncAgent:
             return  # installed meanwhile, or a rival won the tie-break
         # The digest: every label this member knows exists.
         protocol = self.protocol
-        known = protocol.settled_labels().union(
-            protocol._pending, protocol._envelopes_by_id
-        )
         message = Message(
             self._allocator.next_id(),
             FLUSH_OK_OPERATION,
-            (protocol.entity_id, change, known),
+            (protocol.entity_id, change, protocol.known_cut()),
         )
         self.protocol.network.broadcast(
             self.protocol.entity_id, Envelope(message)
@@ -347,9 +351,7 @@ class ViewSyncAgent:
                 resends_left - 1,
             )
 
-    def _on_flush_ok(
-        self, payload: Tuple[EntityId, ViewChange, frozenset]
-    ) -> None:
+    def _on_flush_ok(self, payload: Tuple[EntityId, ViewChange, Cut]) -> None:
         member, change, digest = payload
         # A FLUSH_OK can overtake its VCHG (reordering) or name a rival
         # proposal we have not heard: run it through the same adoption
@@ -357,8 +359,8 @@ class ViewSyncAgent:
         self._consider(change)
         if self._pending_change != change:
             return
-        self._flush_acks.add(member)
         self._digests[member] = digest
+        self._digest_union = reduce(or_, self._digests.values())
         self._try_install()
 
     def _required_ackers(self) -> Set[EntityId]:
@@ -382,23 +384,20 @@ class ViewSyncAgent:
     def _try_install(self) -> None:
         if self._pending_change is None:
             return
-        if not self._required_ackers() <= self._flush_acks:
+        if not self._required_ackers() <= self._digests.keys():
             return
         self._install_if_settled()
 
     def _install_if_settled(self) -> None:
-        """Install once every digest label is settled here (skipped
-        ones too: a rejoiner's digest may name compacted history); until
-        then old-view traffic is in flight or under repair, and each
-        delivery re-checks."""
-        target: Set = set()
-        for digest in self._digests.values():
-            target |= digest
-        if all(map(self.protocol.has_settled, target)):
-            self.flush_snapshot = self.protocol.settled_labels()
-            self._install(frozenset(target))
+        """Install once the digests' cut union is settled here (skipped
+        labels too: a rejoiner's digest may name compacted history);
+        until then old-view traffic is in flight or under repair, and
+        each delivery re-checks."""
+        if self.protocol.settles_all(self._digest_union):
+            self.flush_snapshot = self.protocol.cut()
+            self._install(self._digest_union)
 
-    def _install(self, digest_union: frozenset) -> None:
+    def _install(self, digest_union: Cut) -> None:
         change = self._pending_change
         assert change is not None
         membership = self.protocol.group
@@ -416,7 +415,7 @@ class ViewSyncAgent:
             InstallRecord(
                 view_id=view.view_id,
                 change=change,
-                snapshot=self.flush_snapshot or frozenset(),
+                snapshot=self.flush_snapshot,
                 digest_union=digest_union,
                 incarnation=self.protocol.incarnation,
                 time=self.protocol.now,
@@ -468,8 +467,8 @@ class ViewSyncAgent:
     def _end_flush(self) -> None:
         """Leave the flush: nothing pending, sends thawed."""
         self._pending_change = None
-        self._flush_acks = set()
         self._digests = {}
+        self._digest_union = Cut()
         self._sent_flush_ok = False
         self.frozen = False
         self._flush_started = None

@@ -4,11 +4,15 @@ Random steps drive one stack and the plain-set reference beside it
 (``plain_settled.py``): frames of labels from three origins — gaps,
 duplicates, labels waiting on their predecessor, control deliveries and
 a stability-gossip envelope among them — taken whole (as runs) or one
-envelope at a time; stable-prefix skips; snapshot installs; restarts.
+envelope at a time; stable-prefix skips; snapshot installs; restarts;
+sends whose own copy never comes back (stored, neither settled nor
+held).
 After every step each question the chassis answers about its settled
 set must be the reference's: ``has_settled``, ``has_seen``,
-``settles_any``, the labels, the tracker's ``local_prefix``, the origin
-order the tracker gossips in, the skipped labels and the archive.
+``settles_any``, ``settles_all``, the labels, the settled set as a cut
+and the FLUSH_OK cut (settled, held or stored), the tracker's
+``local_prefix``, the origin order the tracker gossips in, the skipped
+labels and the archive.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.broadcast.cut import Cut
 from repro.broadcast.gc import GC_VECTOR_OPERATION, StabilityTracker
 from repro.broadcast.osend import OSendBroadcast
 from repro.core.state_transfer import Snapshot, install_snapshot
@@ -75,6 +80,7 @@ def settled_steps(draw):
         st.tuples(st.just("skip"), origins, frontiers),
         st.tuples(st.just("snapshot"), st.lists(st.tuples(origins, seqnos))),
         st.tuples(st.just("restart")),
+        st.tuples(st.just("send")),
     )
     return (
         draw(st.sampled_from([OSendBroadcast, WithControl])),
@@ -90,7 +96,7 @@ def data(origin, seqno, control, chained):
     )
 
 
-def play(stack, reference, step, at):
+def play(stack, reference, step, at, sent):
     kind = step[0]
     if kind == "frame":
         _, origin, entries, whole, gossip = step
@@ -123,22 +129,34 @@ def play(stack, reference, step, at):
                 state={}, covered=covered, donor="b", stable_index=-1
             ))
         reference.install(covered)
+    elif kind == "send":
+        sent.add(stack.bcast("op"))
     else:
         stack.crash()
         stack.restart()
         reference.restart()
 
 
-def check(stack, tracker, reference, at):
+def check(stack, tracker, reference, at, sent):
     settled = reference.settled
     for label in UNIVERSE:
         assert stack.has_settled(label) == (label in settled), (at, label)
         assert stack.has_seen(label) == reference.has_seen(label), (at, label)
     assert stack.settled_labels() == settled, at
+    assert stack.cut() == settled, at
+    stored = {
+        l for l in (*UNIVERSE, *sent) if stack.envelope_of(l) is not None
+    }
+    assert stack.known_cut() == settled | set(stack.holdback_ids) | stored, at
     for origin in ORIGINS:
         assert tracker.local_prefix(origin) == reference.prefix(origin), at
         labels = {MessageId(origin, s) for s in range(1, SEQNOS, 2)}
         assert stack.settles_any(labels) == bool(labels & settled), at
+        assert stack.settles_all(Cut(above=labels)) == (labels <= settled), at
+        for top in range(SEQNOS + 1):
+            assert stack.settles_all(Cut({origin: top})) == (
+                reference.prefix(origin) >= top
+            ), at
     assert stack.settles_any(()) is False
     # The order the tracker gossips its prefixes in; and the form's own
     # invariant: a label above its origin's prefix is not contiguous
@@ -159,8 +177,9 @@ def test_the_settled_set_answers_as_a_plain_set(case):
     stack = _Quiet().register(cls("a", GroupMembership(list(ORIGINS))))
     tracker = StabilityTracker(stack)
     reference = PlainSettled(stack)
+    sent = set()
     for at, step in enumerate(steps):
         reference.catch_up()
-        play(stack, reference, step, at)
+        play(stack, reference, step, at, sent)
         reference.catch_up()
-        check(stack, tracker, reference, at)
+        check(stack, tracker, reference, at, sent)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.broadcast.osend import OSendBroadcast
@@ -10,6 +12,7 @@ from repro.group.membership import GroupMembership
 from repro.group.view_sync import ViewSyncAgent, attach_view_sync
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
+from repro.shard.cluster import ShardedCluster
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 
@@ -227,3 +230,84 @@ class TestStaleFlushFinalization:
         assert not agent.frozen
         assert agent._pending_change is None
         assert agent._deferred == []
+
+
+class TestAViewChangeCostsWhatTheViewsDifferBy:
+    """Failing-before: FLUSH_OK carried every label its sender had ever
+    settled, held or stored, each delivery during a flush rebuilt the
+    digest union and asked ``has_settled`` of every label in it, and
+    every ``InstallRecord`` kept two history-sized frozensets.  The
+    leave and rejoin of ``s0n0`` made 6 436 Python calls after 400 puts
+    and 22 053 after 2 000; the largest FLUSH_OK carried 160, then 800
+    labels.  Every view-change value is a cut now, sized by its origins
+    plus the labels above their prefix."""
+
+    @staticmethod
+    def leave_and_rejoin(puts: int):
+        """The history of ``docs/ROBUSTNESS.md``'s view-change
+        measurement: one session puts ``k0``…``k9`` in turn, each put
+        drained, with a repair round before every 10th.  Then the Python
+        calls of ``remove("s0n0")``, a drain, ``rejoin("s0n0")``, a
+        repair round and a drain are counted; the FLUSH_OK digests are
+        read off the profiled frames, so reading them costs no call."""
+        cluster = ShardedCluster(shards=2, members_per_shard=3)
+        session = cluster.router.session("s0")
+        for op in range(puts):
+            if op % 10 == 0:
+                for group in cluster.groups.values():
+                    group.repair_round()
+                cluster.drain()
+            session.put(f"k{op % 10}", op)
+            cluster.drain()
+        group = cluster.groups[0]
+        on_flush_ok = ViewSyncAgent._on_flush_ok.__code__
+        calls, digests = 0, []
+
+        def profile(frame, event, _arg) -> None:
+            nonlocal calls
+            if event == "call":
+                calls += 1
+                if frame.f_code is on_flush_ok:
+                    digests.append(frame.f_locals["payload"][2])
+
+        sys.setprofile(profile)
+        try:
+            group.remove("s0n0")
+            cluster.drain()
+            group.rejoin("s0n0")
+            for each in cluster.groups.values():
+                each.repair_round()
+            cluster.drain()
+        finally:
+            sys.setprofile(None)
+        assert cluster.converged()
+        records = [
+            record
+            for agent in group.view_syncs.values()
+            for record in agent.install_history
+        ]
+        return calls, digests, records
+
+    @staticmethod
+    def sizes(digests, records):
+        """The largest FLUSH_OK cut, and what ``install_history`` keeps,
+        each as origins plus labels above their prefix."""
+
+        def size(cut) -> int:
+            return len(cut.prefix) + len(cut.above)
+
+        return max(map(size, digests)), sum(
+            size(record.snapshot) + size(record.digest_union)
+            for record in records
+        )
+
+    def test_a_leave_and_rejoin_do_not_grow_with_the_history(self):
+        short_calls, *short = self.leave_and_rejoin(400)
+        long_calls, *long = self.leave_and_rejoin(2000)
+        # One FLUSH_OK resend and its hops are ~70 calls, ~3 % of the
+        # change: whether a flush outlasts a resend interval follows the
+        # latency draws the history left, not its length.
+        assert abs(long_calls - short_calls) <= 0.05 * short_calls, (
+            short_calls, long_calls
+        )
+        assert self.sizes(*short) == self.sizes(*long)
