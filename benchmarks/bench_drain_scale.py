@@ -76,7 +76,7 @@ def cbcast_chain(depth: int, members: List[str]) -> List[Envelope]:
     envelopes = []
     for i in range(depth):
         message = Message(MessageId(SENDER, i), "op", None)
-        envelopes.append(sender._stamp(Envelope(message)))
+        envelopes.append(sender._stamp(message))
         # The sender "delivers" its own message so successive stamps chain.
         sender._clock = envelopes[-1].metadata["vclock"]
     return list(reversed(envelopes))

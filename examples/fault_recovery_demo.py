@@ -74,13 +74,14 @@ def main() -> None:
         print(f"  {member}: delivered {len(stack.delivered)}/{MESSAGES}  "
               f"(nacks={agent.nacks_sent}, repairs served={agent.repairs_sent})")
 
-    # Garbage-collect the repair stores once everything is stable.
+    # Garbage-collect the repair stores once everything is stable: the
+    # digests carry each member's settled prefix to the trackers.
     trackers = track_group(stacks)
     for _ in range(2):
-        for tracker in trackers.values():
-            tracker.gossip_round()
+        for agent in agents.values():
+            agent.anti_entropy_round()
         scheduler.run()
-    print("\nAfter stability gossip:")
+    print("\nAfter two digest rounds with stability tracking:")
     for member, tracker in trackers.items():
         print(f"  {member}: repair store size {tracker.store_size} "
               f"(reclaimed {tracker.envelopes_reclaimed})")

@@ -5,21 +5,19 @@ member can ever need a retransmission, so stored copies can be discarded.
 This is the classic matrix-clock application — each member needs to know
 "how much everyone else has delivered from everyone".
 
-:class:`StabilityTracker` gossips, per origin, the member's *contiguous
-settled prefix* (seqnos ``0..k-1`` with no holes).  The minimum prefix
-across all members is the stable frontier per origin; envelope bodies
-below it are dropped from the protocol's repair store.  Gossip rounds
-are explicitly scheduled (like anti-entropy in
-:mod:`repro.broadcast.recovery`) so simulations terminate.  The member's
-own prefixes are the protocol's: its settled set *is* a per-origin
-prefix plus the few labels above it (see :mod:`repro.broadcast.base`),
-so the tracker reads them as they are, keeps no contiguity record and
-registers no delivery callback.
+:class:`StabilityTracker` learns, per origin, each peer's *contiguous
+settled prefix* (seqnos ``0..k-1`` with no holes) from the anti-entropy
+digests of :mod:`repro.broadcast.recovery`, so stability sends no message
+of its own.  The minimum prefix across all members is the stable frontier
+per origin; envelope bodies below it are dropped from the protocol's
+repair store.  The member's own prefixes are the protocol's: its settled
+set *is* a per-origin prefix plus the few labels above it (see
+:mod:`repro.broadcast.base`), so the tracker reads them as they are.
 
-The tracker composes with :class:`~repro.broadcast.recovery.RecoveryAgent`
-as another control-plane sidecar of the chassis; dropping only *stable*
-bodies never hurts recovery, because a stable message by definition needs
-no repair.
+The tracker owns no control operation: the recovery agent hands it each
+digest after comparing it, and it registers with the chassis only for
+its restart and stable-skip hooks.  Dropping only *stable* bodies never
+hurts recovery, because a stable message by definition needs no repair.
 """
 
 from __future__ import annotations
@@ -27,19 +25,16 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.broadcast.base import BroadcastProtocol
-from repro.types import Envelope, EntityId, Message, MessageIdAllocator
-
-GC_VECTOR_OPERATION = "__gcvec__"
+from repro.types import Envelope, EntityId
 
 
 class StabilityTracker:
-    """Gossips delivered prefixes; compacts the envelope store."""
+    """Records peers' settled prefixes; compacts the envelope store."""
 
-    operations = (GC_VECTOR_OPERATION,)
+    operations = ()
 
     def __init__(self, protocol: BroadcastProtocol) -> None:
         self.protocol = protocol
-        self._allocator = MessageIdAllocator(f"{protocol.entity_id}!gc")
         self.envelopes_reclaimed = 0
         self._init_volatile()
         protocol.add_interceptor(self)
@@ -47,7 +42,7 @@ class StabilityTracker:
         protocol.stability_tracker = self
 
     def _init_volatile(self) -> None:
-        """Peers' prefixes (re-learned from gossip) and what was compacted
+        """Peers' prefixes (re-learned from digests) and what was compacted
         (our own streams' come back with the restart's stable skips,
         :meth:`on_stable_skip`), lost with a restart of the stack."""
         # member -> origin -> contiguous delivered prefix length.
@@ -66,28 +61,15 @@ class StabilityTracker:
         """Our contiguous settled prefix from ``origin``: the protocol's."""
         return self.protocol._prefix.get(origin, 0)
 
-    # -- gossip --------------------------------------------------------------------
+    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
+        """Record the settled prefix a peer's digest carries and compact:
+        the recovery agent, which owns the digest, hands it on."""
+        self._prefixes[sender] = envelope.message.payload["prefix"]
+        self._compact()
 
     def gossip_round(self) -> None:
-        """Broadcast our delivered prefixes to the group."""
-        message = Message(
-            self._allocator.next_id(),
-            GC_VECTOR_OPERATION,
-            dict(self.protocol._prefix),
-        )
-        self.protocol.network.broadcast(
-            self.protocol.entity_id, Envelope(message)
-        )
-
-    def schedule_gossip(self, period: float, rounds: int) -> None:
-        """Crash-guarded: rounds do not fire while the node is down."""
-        for i in range(1, rounds + 1):
-            self.protocol.call_in(period * i, self.gossip_round)
-
-    def intercept(self, sender: EntityId, envelope: Envelope) -> None:
-        """Consume a peer's gossiped prefixes and compact against them."""
-        self._prefixes[sender] = dict(envelope.message.payload)
-        self._compact()
+        """Sends nothing: the prefix rides the digest.  Kept only for
+        ``bench/replay.py``, which wraps and calls it (ROADMAP item 21)."""
 
     # -- compaction ------------------------------------------------------------------
 
@@ -161,7 +143,7 @@ class StabilityTracker:
 
     def on_stable_skip(self, origin: EntityId, frontier: int) -> None:
         """Note a restart settling our own stream up to its floor.  (The
-        chassis raised the prefix, so our gossip reports the skipped
+        chassis raised the prefix, so our digests report the skipped
         history and the group frontier does not collapse to zero.)"""
         if frontier <= self.protocol._own_floors.get(origin, 0) and (
             frontier > self._applied_frontier.get(origin, 0)

@@ -209,9 +209,10 @@ class RecoveryAgent:
         member has seen but whose bodies the stability tracker compacted
         are *unservable*: advertising them would make receivers NACK this
         member forever while ``envelope_of`` returns ``None``.  Receivers
-        are instead told the gossiped stable frontier, below which they
-        may skip (a compacted label is by definition delivered at every
-        member that can still need it).
+        are instead told the stable frontier, below which they may skip
+        (a compacted label is by definition delivered at every member
+        that can still need it), and this member's settled prefix, from
+        which their stability trackers compute that frontier.
         """
         # Re-inject our own broadcasts whose every network copy (including
         # the self-delivery hop) was lost: they exist only in our store.
@@ -228,6 +229,7 @@ class RecoveryAgent:
         payload = {
             "labels": {o: frozenset(s) for o, s in servable.items()},
             "frontiers": frontiers,
+            "prefix": dict(self.protocol._prefix),
         }
         message = Message(self._allocator.next_id(), DIGEST_OPERATION, payload)
         self.protocol.network.broadcast(
@@ -246,7 +248,8 @@ class RecoveryAgent:
     # -- control-plane receive path ------------------------------------------------
 
     def intercept(self, sender: EntityId, envelope: Envelope) -> None:
-        """Consume a NACK (repair from our store) or a digest (compare)."""
+        """Consume a NACK (repair from our store) or a peer's digest
+        (compare, then hand it to the stability tracker)."""
         message = envelope.message
         if message.operation == NACK_OPERATION:
             wanted: MessageId = message.payload
@@ -258,6 +261,9 @@ class RecoveryAgent:
                 )
         elif sender != self.protocol.entity_id:
             self._compare_digest(sender, message.payload)
+            tracker = self.protocol.stability_tracker
+            if tracker is not None:  # the prefix after frontiers and labels
+                tracker.intercept(sender, envelope)
 
     def arrived(self, label: MessageId) -> None:
         """A label we may be chasing has arrived (normal copy or repair):

@@ -1,7 +1,9 @@
 """ABLATION-GC — stability tracking vs unbounded repair stores.
 
 Sweeps workload length; reports retained store sizes with and without
-delivered-prefix gossip, plus the gossip cost.
+stability tracking, plus its cost: the anti-entropy digests that carry
+each member's settled prefix.  Their recovery agents are never started,
+so they only send digests (stability without loss repair).
 """
 
 from __future__ import annotations
@@ -10,22 +12,23 @@ from typing import List
 
 from repro.broadcast.gc import track_group
 from repro.broadcast.osend import OSendBroadcast
+from repro.broadcast.recovery import DIGEST_OPERATION, RecoveryAgent
 from repro.group.membership import GroupMembership
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 
-TITLE = "ABLATION-GC — repair-store growth with/without stability gossip"
-HEADERS = ["messages", "gossip", "total store", "reclaimed", "gossip bcasts"]
+TITLE = "ABLATION-GC — repair-store growth with/without stability tracking"
+HEADERS = ["messages", "stability", "total store", "reclaimed", "digests", "nacks"]
 
 MEMBERS = ("a", "b", "c", "d")
-GOSSIP_EVERY = 10  # messages between gossip rounds
+ROUND_EVERY = 10  # messages between digest rounds
 LENGTHS = (20, 40, 80)
 
 
-def run_workload(messages: int, gossip: bool, seed: int = 6) -> dict:
-    """One chained workload with optional periodic stability gossip."""
+def run_workload(messages: int, stability: bool, seed: int = 6) -> dict:
+    """One chained workload with optional stability tracking."""
     scheduler = Scheduler()
     network = Network(
         scheduler, latency=UniformLatency(0.2, 1.5), rng=RngRegistry(seed)
@@ -34,47 +37,48 @@ def run_workload(messages: int, gossip: bool, seed: int = 6) -> dict:
     stacks = {
         m: network.register(OSendBroadcast(m, membership)) for m in MEMBERS
     }
-    trackers = track_group(stacks) if gossip else {}
+    trackers = track_group(stacks) if stability else {}
+    agents = [RecoveryAgent(s) for s in stacks.values()] if stability else []
+
+    def digest_round() -> None:
+        for agent in agents:
+            agent.anti_entropy_round()
+        scheduler.run()
+
     previous = None
     for i in range(messages):
         sender = MEMBERS[i % len(MEMBERS)]
         previous = stacks[sender].osend("op", occurs_after=previous)
         scheduler.run()
-        if gossip and (i + 1) % GOSSIP_EVERY == 0:
-            for tracker in trackers.values():
-                tracker.gossip_round()
-            scheduler.run()
-    if gossip:  # final settling rounds so the tail becomes stable too
-        for _ in range(2):
-            for tracker in trackers.values():
-                tracker.gossip_round()
-            scheduler.run()
-    store_total = sum(s.store_size for s in stacks.values())
-    reclaimed = sum(t.envelopes_reclaimed for t in trackers.values())
-    gossip_sends = sum(
-        1
-        for event in network.trace.of_kind("send")
-        if event.get("operation") == "__gcvec__"
-    )
+        if (i + 1) % ROUND_EVERY == 0:
+            digest_round()
+    for _ in range(2):  # final rounds so the tail becomes stable too
+        digest_round()
     return {
-        "store": store_total,
-        "reclaimed": reclaimed,
-        "gossip_sends": gossip_sends,
+        "store": sum(s.store_size for s in stacks.values()),
+        "reclaimed": sum(t.envelopes_reclaimed for t in trackers.values()),
+        "digests": sum(
+            1
+            for event in network.trace.of_kind("send")
+            if event.get("operation") == DIGEST_OPERATION
+        ),
+        "nacks": sum(agent.nacks_sent for agent in agents),
     }
 
 
 def rows() -> List[list]:
     result = []
     for messages in LENGTHS:
-        for gossip in (False, True):
-            r = run_workload(messages, gossip)
+        for stability in (False, True):
+            r = run_workload(messages, stability)
             result.append(
                 [
                     messages,
-                    "on" if gossip else "off",
+                    "on" if stability else "off",
                     r["store"],
                     r["reclaimed"],
-                    r["gossip_sends"],
+                    r["digests"],
+                    r["nacks"],
                 ]
             )
     return result

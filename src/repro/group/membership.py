@@ -12,7 +12,7 @@ on a departed member).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.errors import MembershipError
 from repro.types import EntityId
@@ -71,6 +71,8 @@ class GroupMembership:
             raise MembershipError("a group needs at least one member")
         self._view = GroupView(0, initial)
         self._listeners: List[ViewListener] = []
+        #: view id -> its installer's cut, opaque here, for late adopters.
+        self.install_cuts: Dict[int, object] = {}
 
     @property
     def view(self) -> GroupView:

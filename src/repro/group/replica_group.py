@@ -421,11 +421,10 @@ class ReplicaGroup:
                 self.rejoin(member)
 
     def repair_round(self) -> None:
-        """One anti-entropy digest exchange and one stability-gossip
-        round at every up member (the caller drains the scheduler)."""
+        """One anti-entropy digest, which carries the settled prefix too,
+        from every up member (the caller drains the scheduler)."""
         for member in self.up_members():
             self.recoveries[member].anti_entropy_round()
-            self.trackers[member].gossip_round()
 
     def settled(
         self, member: EntityId, labels: Collection[MessageId]

@@ -359,6 +359,9 @@ class ViewSyncAgent:
         self._consider(change)
         if self._pending_change != change:
             return
+        if change.old_view_id != self.protocol.group.view.view_id:
+            self._finalize_if_stale()  # applied already: settle its cut
+            return
         self._digests[member] = digest
         self._digest_union = reduce(or_, self._digests.values())
         self._try_install()
@@ -402,11 +405,13 @@ class ViewSyncAgent:
         assert change is not None
         membership = self.protocol.group
         if membership.view.view_id == change.old_view_id:
-            # First completed agent applies the (shared) change.
+            # First completed agent applies the (shared) change, and
+            # leaves its digest union for the members that adopt it late.
             if change.kind == "join":
                 membership.join(change.entity)
             else:
                 membership.leave(change.entity)
+            membership.install_cuts[membership.view.view_id] = digest_union
         view = membership.view
         started = self._flush_started
         self._end_flush()
@@ -440,10 +445,9 @@ class ViewSyncAgent:
 
         If the new view already reflects the change, a peer that
         collected the FLUSH_OKs first completed it — adopt the outcome
-        once this member has settled every digest label it saw (the
+        once this member has settled the installer's digest union (the
         recovery layer repairs the stragglers; each delivery re-runs this
-        check).  The installer's :class:`InstallRecord` carries the
-        authoritative digest union.  If the view changed some *other*
+        check), and file that union.  If the view changed some *other*
         way, the pending change lost a race it never saw; re-propose it
         against the new view.
         """
@@ -462,6 +466,9 @@ class ViewSyncAgent:
             self._end_flush()
             self._repropose_deferred(view)
             return
+        cut = self.protocol.group.install_cuts.get(change.old_view_id + 1)
+        if cut is not None:
+            self._digest_union = cut
         self._install_if_settled()
 
     def _end_flush(self) -> None:

@@ -1,13 +1,15 @@
 """The stability tracker with a contiguity record of its own — a test reference.
 
 :class:`~repro.broadcast.gc.StabilityTracker` reads its own delivered
-prefixes, and the order of the origins it gossips, off the protocol's
-settled set, which keeps them per origin.  Before that it kept a second
-record: per origin, the seqnos delivered above a contiguous prefix,
-folded from the deliveries and fast-forwarded by each stable-prefix skip.
-:class:`EagerTracker` keeps that record, folded as each delivery happens,
-and gossips from it, so ``tests/broadcast/test_gc.py`` can hold the
-chassis's prefixes to it step by step, payload for payload.
+prefixes off the protocol's settled set, which keeps them per origin, and
+the anti-entropy digest carries that record, origins in the order first
+settled.  Before that the tracker kept a second record: per origin, the
+seqnos delivered above a contiguous prefix, folded from the deliveries
+and fast-forwarded by each stable-prefix skip.  :class:`EagerTracker`
+keeps that record, folded as each delivery happens, and builds the
+prefix vector from it (:meth:`EagerTracker.prefix_vector`), so
+``tests/broadcast/test_gc.py`` can hold the chassis's prefixes to it step
+by step, digest for digest.
 
 It counts control deliveries, as the settled set does.  A delivery
 callback sees none, so the stack's two delivery steps (``_deliver`` and
@@ -22,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.broadcast.base import BroadcastProtocol
-from repro.broadcast.gc import GC_VECTOR_OPERATION, StabilityTracker
-from repro.types import Envelope, EntityId, Message
+from repro.broadcast.gc import StabilityTracker
+from repro.types import Envelope, EntityId
 
 
 class EagerTracker(StabilityTracker):
@@ -76,12 +78,6 @@ class EagerTracker(StabilityTracker):
             prefix += 1
         return prefix
 
-    def gossip_round(self) -> None:
-        message = Message(
-            self._allocator.next_id(),
-            GC_VECTOR_OPERATION,
-            {origin: self.local_prefix(origin) for origin in self._origins},
-        )
-        self.protocol.network.broadcast(
-            self.protocol.entity_id, Envelope(message)
-        )
+    def prefix_vector(self) -> Dict[EntityId, int]:
+        """The prefixes a digest of this member would carry, in order."""
+        return {origin: self.local_prefix(origin) for origin in self._origins}

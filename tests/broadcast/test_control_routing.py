@@ -2,16 +2,17 @@
 
 The chassis files each sidecar under the control operations it declares
 (``operations``).  A control envelope reaches its owner's ``intercept``
-and nothing else; a data envelope reaches no agent at all.  What used to
-ride on every data receive — recovery forgetting a chased label once it
-arrives — is a test of the chase set, made on arrival.
+and nothing else; a data envelope reaches no agent at all.  The stability
+tracker owns no operation: the recovery agent hands it each digest.  What
+used to ride on every data receive — recovery forgetting a chased label
+once it arrives — is a test of the chase set, made on arrival.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.broadcast.gc import GC_VECTOR_OPERATION, StabilityTracker
+from repro.broadcast.gc import StabilityTracker
 from repro.broadcast.osend import OSendBroadcast
 from repro.broadcast.recovery import (
     DIGEST_OPERATION,
@@ -41,7 +42,6 @@ AGENT_CLASSES = (RecoveryAgent, StabilityTracker, ViewSyncAgent, MembershipManag
 OWNER_CLASS = {
     NACK_OPERATION: RecoveryAgent,
     DIGEST_OPERATION: RecoveryAgent,
-    GC_VECTOR_OPERATION: StabilityTracker,
     VCHG_OPERATION: ViewSyncAgent,
     FLUSH_OK_OPERATION: ViewSyncAgent,
     HEARTBEAT_OPERATION: MembershipManager,
@@ -79,7 +79,6 @@ class TestOneOwnerPerOperation:
         stack = group.stacks["a"]
         owners = {
             RecoveryAgent: group.recoveries["a"],
-            StabilityTracker: group.trackers["a"],
             ViewSyncAgent: group.view_syncs["a"],
             MembershipManager: group.managers["a"],
         }
@@ -105,7 +104,7 @@ class TestOneOwnerPerOperation:
     def test_a_second_owner_is_refused(self, monkeypatch):
         group = ReplicaGroup(protocol="osend", members=("a", "b", "c"))
         stack = group.stacks["a"]
-        for make in (RecoveryAgent, StabilityTracker, ViewSyncAgent):
+        for make in (RecoveryAgent, ViewSyncAgent):
             with pytest.raises(ConfigurationError, match="already goes to"):
                 make(stack)
         # The refusals changed nothing: the first agents still own their
@@ -113,9 +112,9 @@ class TestOneOwnerPerOperation:
         assert stack._recovery is group.recoveries["a"]
         calls = spy_on_intercepts(monkeypatch, call_through=False)
         stack.on_receive(
-            "b", Envelope(Message(MessageId("b!gc", 0), GC_VECTOR_OPERATION))
+            "b", Envelope(Message(MessageId("b!rec", 0), DIGEST_OPERATION))
         )
-        assert calls == [(group.trackers["a"], GC_VECTOR_OPERATION)]
+        assert calls == [(group.recoveries["a"], DIGEST_OPERATION)]
 
 
 class TestNoInterceptsOnTheDataPath:
@@ -132,12 +131,15 @@ class TestNoInterceptsOnTheDataPath:
             cluster.drain()
         assert len(cluster.ledger) == 128
         assert calls == []
-        # Not vacuous: gossip is control traffic and does reach its owner.
+        # Not vacuous: a digest is control traffic and does reach its
+        # owner, which hands it on to the stability tracker.
         group = cluster.groups[0]
-        next(iter(group.trackers.values())).gossip_round()
+        next(iter(group.recoveries.values())).anti_entropy_round()
         cluster.drain()
-        assert calls
-        assert {op for _, op in calls} == {GC_VECTOR_OPERATION}
+        assert {op for _, op in calls} == {DIGEST_OPERATION}
+        assert {type(agent) for agent, _ in calls} == {
+            RecoveryAgent, StabilityTracker
+        }
 
 
 class TestChasedLabelArrival:

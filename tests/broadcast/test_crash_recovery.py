@@ -52,11 +52,11 @@ def guarded_group(seed: int = 0, members=("a", "b", "c")):
     return scheduler, stacks, trackers, agents
 
 
-def compact_everywhere(scheduler, stacks, trackers) -> None:
-    """Two gossip exchanges: everyone learns everyone's prefix, compacts."""
+def compact_everywhere(scheduler, agents) -> None:
+    """Two digest exchanges: everyone learns everyone's prefix, compacts."""
     for _ in range(2):
-        for tracker in trackers.values():
-            tracker.gossip_round()
+        for agent in agents.values():
+            agent.anti_entropy_round()
         scheduler.run()
 
 
@@ -68,7 +68,7 @@ class TestRejoinViaStableFrontier:
         for _ in range(4):
             stacks["a"].osend("op")
         scheduler.run()
-        compact_everywhere(scheduler, stacks, trackers)
+        compact_everywhere(scheduler, agents)
         assert trackers["a"].store_size == 0
         # An amnesiac rejoiner receives the digest...
         stacks["b"].crash()
@@ -84,7 +84,7 @@ class TestRejoinViaStableFrontier:
         scheduler, stacks, trackers, agents = guarded_group()
         old = [stacks["a"].osend("op") for _ in range(3)]
         scheduler.run()
-        compact_everywhere(scheduler, stacks, trackers)
+        compact_everywhere(scheduler, agents)
         stacks["b"].crash()
         stacks["b"].restart()
         # New traffic names a compacted ancestor: b must hold it until the
@@ -99,11 +99,11 @@ class TestRejoinViaStableFrontier:
         assert old[-1] in stacks["b"].skipped_stable
 
     def test_advertised_frontiers_and_volatile_reset(self):
-        scheduler, stacks, trackers, _ = guarded_group()
+        scheduler, stacks, trackers, agents = guarded_group()
         for _ in range(4):
             stacks["a"].osend("op")
         scheduler.run()
-        compact_everywhere(scheduler, stacks, trackers)
+        compact_everywhere(scheduler, agents)
         assert trackers["a"].advertised_frontiers().get("a", 0) == 4
         assert trackers["a"].applied_frontier.get("a", 0) == 4
         trackers["a"]._init_volatile()
@@ -115,7 +115,7 @@ class TestRejoinViaStableFrontier:
         for _ in range(4):
             stacks["a"].osend("op")
         scheduler.run()
-        compact_everywhere(scheduler, stacks, trackers)
+        compact_everywhere(scheduler, agents)
         stacks["b"].crash()
         stacks["b"].restart()
         assert trackers["b"].local_prefix("a") == 0
@@ -214,7 +214,7 @@ class TestRestartReplaysTheUnstableWindow:
         self.converge(group, labels)
         for member in self.MEMBERS:
             assert group.settled(member, labels) == set(labels)
-        # The floor outlives a second restart, before any gossip.
+        # The floor outlives a second restart, before any digest.
         group.crash("n0")
         group.restart("n0")
         assert group.settled("n0", labels) == set(labels)

@@ -5,13 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.gc import (
-    GC_VECTOR_OPERATION,
-    StabilityTracker,
-    track_group,
-)
+from repro.broadcast.gc import StabilityTracker, track_group
 from repro.broadcast.osend import OSendBroadcast
-from repro.broadcast.recovery import protect_group
+from repro.broadcast.recovery import DIGEST_OPERATION, RecoveryAgent
 from repro.core.commutativity import counter_spec
 from repro.core.replica import Replica
 from repro.core.state_machine import counter_machine
@@ -31,6 +27,9 @@ from tests.conftest import build_group
 
 
 def tracked_group(seed: int = 0, faults: FaultPlan | None = None):
+    """Three stacks, each with a tracker and a recovery agent that is not
+    started: it scans nothing and only sends the digests the trackers
+    learn their peers' prefixes from."""
     scheduler = Scheduler()
     net = Network(
         scheduler,
@@ -43,12 +42,22 @@ def tracked_group(seed: int = 0, faults: FaultPlan | None = None):
         m: net.register(OSendBroadcast(m, membership)) for m in ("a", "b", "c")
     }
     trackers = track_group(stacks)
-    return scheduler, stacks, trackers
+    agents = {
+        m: RecoveryAgent(stack, scan_interval=1.0, nack_backoff=2.0)
+        for m, stack in stacks.items()
+    }
+    return scheduler, stacks, trackers, agents
+
+
+def digest_round(scheduler, agents):
+    for agent in agents.values():
+        agent.anti_entropy_round()
+    scheduler.run()
 
 
 class TestPrefixes:
     def test_local_prefix_tracks_contiguous_deliveries(self):
-        scheduler, stacks, trackers = tracked_group()
+        scheduler, stacks, trackers, _ = tracked_group()
         for _ in range(3):
             stacks["a"].osend("op")
         scheduler.run()
@@ -56,7 +65,7 @@ class TestPrefixes:
         assert trackers["b"].local_prefix("c") == 0
 
     def test_frontier_is_zero_before_gossip(self):
-        scheduler, stacks, trackers = tracked_group()
+        scheduler, stacks, trackers, _ = tracked_group()
         stacks["a"].osend("op")
         scheduler.run()
         # Without hearing from others, nothing can be considered stable.
@@ -65,19 +74,15 @@ class TestPrefixes:
 
 class TestCompaction:
     def test_gossip_reclaims_stable_bodies(self):
-        scheduler, stacks, trackers = tracked_group()
+        scheduler, stacks, trackers, agents = tracked_group()
         for _ in range(4):
             stacks["a"].osend("op")
         scheduler.run()
         before = trackers["b"].store_size
         assert before >= 4
-        for tracker in trackers.values():
-            tracker.gossip_round()
-        scheduler.run()
+        digest_round(scheduler, agents)
         # One more exchange so everyone has everyone's vector.
-        for tracker in trackers.values():
-            tracker.gossip_round()
-        scheduler.run()
+        digest_round(scheduler, agents)
         for tracker in trackers.values():
             assert tracker.stable_frontier("a") == 4
             assert tracker.envelopes_reclaimed >= 4
@@ -85,40 +90,41 @@ class TestCompaction:
 
     def test_unstable_bodies_survive_compaction(self):
         faults = FaultPlan()
-        scheduler, stacks, trackers = tracked_group(faults=faults)
+        scheduler, stacks, trackers, agents = tracked_group(faults=faults)
         faults.partition({"a", "b"}, {"c"})
         stacks["a"].osend("op")  # never reaches c
         scheduler.run()
         faults.heal()
-        for tracker in trackers.values():
-            tracker.gossip_round()
-        scheduler.run()
-        # c's prefix for a is 0, so nothing may be reclaimed at a or b.
+        digest_round(scheduler, agents)
+        # c's digest reported 0 for a, so nothing may be reclaimed at a
+        # or b (the digests also got c its copy: it NACKed a for it).
         assert trackers["a"].stable_frontier("a") == 0
         assert trackers["a"].store_size >= 1
 
     def test_gc_composes_with_recovery(self):
         faults = FaultPlan()
-        scheduler, stacks, trackers = tracked_group(faults=faults)
-        agents = protect_group(stacks, scan_interval=1.0, nack_backoff=2.0)
+        scheduler, stacks, trackers, agents = tracked_group(faults=faults)
+        for agent in agents.values():
+            agent.start()
         faults.partition({"a", "b"}, {"c"})
         m1 = stacks["a"].osend("op")
         scheduler.run()
         faults.heal()
-        # GC ran but must not have dropped m1 (c still lacks it)...
-        for tracker in trackers.values():
-            tracker.gossip_round()
+        # c's digest reports nothing of a's: compaction must not drop m1
+        # (c still lacks it)...
+        agents["c"].anti_entropy_round()
         scheduler.run()
         assert stacks["a"].envelope_of(m1) is not None
+        assert m1 not in stacks["c"].delivered
         # ...so recovery can still repair c via anti-entropy.
         agents["a"].anti_entropy_round()
         scheduler.run()
         assert m1 in stacks["c"].delivered
 
     def test_scheduled_gossip(self):
-        scheduler, stacks, trackers = tracked_group()
-        for tracker in trackers.values():
-            tracker.schedule_gossip(period=2.0, rounds=3)
+        scheduler, stacks, trackers, agents = tracked_group()
+        for agent in agents.values():
+            agent.schedule_anti_entropy(period=2.0, rounds=3)
         stacks["a"].osend("op")
         scheduler.run()
         assert all(t.stable_frontier("a") == 1 for t in trackers.values())
@@ -134,22 +140,23 @@ class WithControl(OSendBroadcast):
 
 
 class _Recording(Network):
-    """Keeps what `gossip_round` broadcasts instead of sending it."""
+    """Keeps the prefix vector of each digest broadcast instead of
+    sending it."""
 
     def __init__(self):
         super().__init__(
             Scheduler(), rng=RngRegistry(0), trace=TraceRecorder(enabled=False)
         )
-        self.gossip = []
+        self.prefixes = []
 
     def broadcast(self, source, envelope):
-        self.gossip.append(list(envelope.message.payload.items()))
+        self.prefixes.append(list(envelope.message.payload["prefix"].items()))
 
 
 @st.composite
 def tracker_steps(draw):
     """Frames of ``b`` / ``c`` labels (gaps, duplicates and ``ctl``
-    envelopes included), stable skips, restarts, peers' gossip and our
+    envelopes included), stable skips, restarts, peers' digests and our
     own, the steps after which the trackers are read, and the step at
     which they attach."""
     frame = st.tuples(
@@ -165,7 +172,7 @@ def tracker_steps(draw):
         st.tuples(st.just("skip"), st.sampled_from(["b", "c"]), st.integers(0, 10)),
         st.tuples(st.just("restart")),
         st.tuples(
-            st.just("gossip"), st.sampled_from(["b", "c"]),
+            st.just("digest"), st.sampled_from(["b", "c"]),
             st.integers(0, 10), st.integers(0, 10),
         ),
         st.tuples(st.just("out")),
@@ -194,8 +201,9 @@ def settled_prefix(stack, origin):
     return prefix
 
 
-def play(stack, step, tracker=None, gossip_seqno=0):
-    """Apply one `tracker_steps` step to ``stack``."""
+def play(stack, step, agent=None, digest_seqno=0):
+    """Apply one `tracker_steps` step to ``stack``; ``agent`` is its
+    recovery agent, there once the tracker is."""
     kind = step[0]
     if kind == "frame":
         _, origin, labels = step
@@ -208,15 +216,15 @@ def play(stack, step, tracker=None, gossip_seqno=0):
     elif kind == "restart":
         stack.crash()
         stack.restart()
-    elif kind == "gossip" and tracker is not None:
+    elif kind == "digest" and agent is not None:
         _, sender, b, c = step
         stack.on_frame(sender, [Envelope(Message(
-            MessageId(f"{sender}!gc", gossip_seqno),
-            GC_VECTOR_OPERATION,
-            {"b": b, "c": c},
+            MessageId(f"{sender}!rec", digest_seqno),
+            DIGEST_OPERATION,
+            {"labels": {}, "frontiers": {}, "prefix": {"b": b, "c": c}},
         ))])
-    elif tracker is not None:
-        tracker.gossip_round()
+    elif agent is not None:
+        agent.anti_entropy_round()
 
 
 class TestSettledPrefix:
@@ -229,11 +237,11 @@ class TestSettledPrefix:
         cls, attach_at, steps = case
         network = _Recording()
         stack = network.register(cls("a", GroupMembership(["a", "b", "c"])))
-        tracker = None
+        tracker = agent = None
         for at, (step, read) in enumerate(steps + [(("out",), True)]):
             if at == attach_at:
-                tracker = StabilityTracker(stack)
-            play(stack, step, tracker, at)
+                tracker, agent = StabilityTracker(stack), RecoveryAgent(stack)
+            play(stack, step, agent, at)
             if tracker is not None and read:
                 for origin in ("b", "c"):
                     assert tracker.local_prefix(origin) == settled_prefix(
@@ -293,18 +301,23 @@ class TestLogFedTracker:
             network = _Recording()
             networks.append(network)
             stacks.append(network.register(cls("a", membership)))
-        trackers = []
+        trackers, agents = [], [None, None]
         for at, (step, read) in enumerate(steps + [(("out",), True)]):
             if at == attach_at:
                 trackers = [
                     StabilityTracker(stacks[0]), EagerTracker(stacks[1])
                 ]
-            for stack, tracker in zip(stacks, trackers or [None] * 2):
-                play(stack, step, tracker, at)
+                agents = [RecoveryAgent(stack) for stack in stacks]
+            for stack, agent in zip(stacks, agents):
+                play(stack, step, agent, at)
+            if trackers and step[0] == "out":
+                # The digest carries the eager record's vector, in order.
+                assert networks[0].prefixes[-1] == list(
+                    trackers[1].prefix_vector().items()
+                )
             if trackers and read:
                 assert self.observe(trackers[0]) == self.observe(trackers[1])
             assert stacks[0].delivered == stacks[1].delivered
-        assert networks[0].gossip == networks[1].gossip
 
     def test_a_run_is_folded_when_the_prefix_is_read(self):
         stack = OSendBroadcast("a", GroupMembership(["a", "b", "c"]))

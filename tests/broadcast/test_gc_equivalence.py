@@ -5,7 +5,7 @@ that skip what a member already holds.
 became stable since its last sweep; ``RecoveryAgent._compare_digest``
 skips every advertised seqno below the receiver's delivered prefix.
 Over seeded fault campaigns (crashes, restarts, partitions, loss,
-churn), every gossip's compaction must leave exactly the store — in
+churn), every digest's compaction must leave exactly the store — in
 order — the applied frontiers and the reclaimed count that the full
 scan (``tests/broadcast/full_compaction.py``) would.  The single-group
 campaigns' verdicts are held too: repair running mid-campaign must not
@@ -21,7 +21,6 @@ from repro.chaos import CHAOS_PROTOCOLS, ChaosCluster, random_campaign
 from repro.group.replica_group import ReplicaGroup
 from repro.shard.campaign import sharded_campaign
 from repro.shard.cluster import ShardedCluster
-from repro.types import MessageId
 from tests.broadcast.full_compaction import full_scan
 
 
@@ -48,26 +47,20 @@ def compactions(monkeypatch):
 
 
 def gossip_throughout(group) -> None:
-    """Gossip and anti-entropy all through a campaign, not only in its
-    repair rounds: compaction then runs across crashes, restarts,
-    partitions and loss (the timers are crash-guarded)."""
-    for tracker in group.trackers.values():
-        tracker.schedule_gossip(period=7.0, rounds=14)
+    """Anti-entropy digests, and so prefix gossip, all through a
+    campaign, not only in its repair rounds: compaction then runs across
+    crashes, restarts, partitions and loss (the timers are
+    crash-guarded)."""
     for agent in group.recoveries.values():
         agent.schedule_anti_entropy(period=9.0, rounds=10)
 
 
-#: The gossip-throughout campaigns that end with violations, and theirs.
-#: `lamport_total` overlap seed 2 is ROADMAP 6(d)'s open trade: ``n1``
-#: holds ``n3:8`` back, waiting on lower-stamped labels of its own stream
-#: that never arrive (a tracker that counted no Lamport ack failed serial
-#: seed 2 instead, a ``leave`` flush that never completed).
-GOSSIP_THROUGHOUT_FAILURES = {
-    ("lamport_total", 2, True): (
-        ["liveness", "convergence", "holdback-drained", "final-view"],
-        {"n1": [MessageId("n3", 8)]},
-    ),
-}
+#: The gossip-throughout campaigns that end with violations, and theirs:
+#: none.  While the prefix rode a message of its own (a second timer,
+#: every 7 s), `lamport_total` overlap seed 2 ended with ``n1`` holding
+#: ``n3:8`` back for good (ROADMAP 6(d)); a tracker that counted no
+#: Lamport ack failed serial seed 2 instead.
+GOSSIP_THROUGHOUT_FAILURES = {}
 
 
 @pytest.mark.parametrize("overlap", [False, True])

@@ -14,8 +14,9 @@ frames to three OSend stacks that carry the replica group's sidecars
 * ``naive(OSendBroadcast)``, the rescan drain, the specification.
 
 Frames mix in-order runs, gaps, duplicates, uncovered and foreign
-ancestors, a second origin, control envelopes owned by the tracker or
-the view-sync agent, a watched label and a crash mid-frame.  After every
+ancestors, a second origin, control envelopes (digests, whose prefix
+vectors reach the tracker, and view-change proposals), a watched label
+and a crash mid-frame.  After every
 frame all three must agree on the delivery log, the counters, the
 tracker's prefixes (caught up before they are read) and the frontier's
 heads.
@@ -28,9 +29,9 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.gc import GC_VECTOR_OPERATION, StabilityTracker
+from repro.broadcast.gc import StabilityTracker
 from repro.broadcast.osend import OSendBroadcast
-from repro.broadcast.recovery import RecoveryAgent
+from repro.broadcast.recovery import DIGEST_OPERATION, RecoveryAgent
 from repro.graph.predicates import OccursAfter
 from repro.group.membership import GroupMembership
 from repro.group.view_sync import VCHG_OPERATION, ViewChange, ViewSyncAgent
@@ -70,8 +71,8 @@ def plans(draw):
     up to two ancestors, lower, higher (uncovered when it lands) or
     foreign.  A frame is a list of segments — the ``b`` labels after the
     last one sent, a run of ``b`` labels from anywhere, one label of
-    either origin (a duplicate, a gap, a relayed ``c`` label), a tracker
-    gossip or a view-change proposal —
+    either origin (a duplicate, a gap, a relayed ``c`` label), a digest
+    or a view-change proposal —
     plus a label recovery starts chasing, one whose delivery crashes the
     member, and one a watcher waits for.
     """
@@ -145,7 +146,7 @@ def _run(cls, plan):
     stack = cls("a", membership)
     net.register(stack)
     tracker = StabilityTracker(stack)
-    # `c` reports everything delivered, so `b`'s gossip in a frame
+    # `c` reports everything delivered, so `b`'s digest in a frame
     # decides what is stable: against the prefix of the run before it.
     tracker._prefixes["c"] = {"b": n, "c": len(labels)}
     view_sync = ViewSyncAgent(stack)
@@ -208,8 +209,9 @@ def _run(cls, plan):
             else:
                 control[0] += 1
                 if kind == "gc":
-                    operation = GC_VECTOR_OPERATION
-                    payload = {"b": segment[1], "c": segment[2]}
+                    operation = DIGEST_OPERATION
+                    payload = {"labels": {}, "frontiers": {},
+                               "prefix": {"b": segment[1], "c": segment[2]}}
                 else:
                     operation = VCHG_OPERATION
                     payload = ViewChange(
@@ -295,7 +297,7 @@ def test_a_gossip_mid_frame_compacts_against_the_run_before_it():
     steps, _, run_deliveries = _run(
         OSendBroadcast, (labels, deps, [(frame, None, None, None)])
     )
-    assert steps[-1][8] == 2  # b:0..3 were stable when the gossip landed
+    assert steps[-1][8] == 2  # b:0..3 were stable when the digest landed
     assert run_deliveries == 6
 
 

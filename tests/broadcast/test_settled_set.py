@@ -3,7 +3,7 @@
 Random steps drive one stack and the plain-set reference beside it
 (``plain_settled.py``): frames of labels from three origins — gaps,
 duplicates, labels waiting on their predecessor, control deliveries and
-a stability-gossip envelope among them — taken whole (as runs) or one
+an anti-entropy digest among them — taken whole (as runs) or one
 envelope at a time; stable-prefix skips; snapshot installs; restarts;
 sends whose own copy never comes back (stored, neither settled nor
 held).
@@ -11,7 +11,7 @@ After every step each question the chassis answers about its settled
 set must be the reference's: ``has_settled``, ``has_seen``,
 ``settles_any``, ``settles_all``, the labels, the settled set as a cut
 and the FLUSH_OK cut (settled, held or stored), the tracker's
-``local_prefix``, the origin order the tracker gossips in, the skipped
+``local_prefix``, the origin order a digest carries prefixes in, the skipped
 labels and the archive.
 """
 
@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast.cut import Cut
-from repro.broadcast.gc import GC_VECTOR_OPERATION, StabilityTracker
+from repro.broadcast.gc import StabilityTracker
 from repro.broadcast.osend import OSendBroadcast
+from repro.broadcast.recovery import DIGEST_OPERATION, RecoveryAgent
 from repro.core.state_transfer import Snapshot, install_snapshot
 from repro.graph.predicates import OccursAfter
 from repro.group.membership import GroupMembership
@@ -68,7 +69,8 @@ frontiers = st.integers(0, SEQNOS)
 @st.composite
 def settled_steps(draw):
     """The class and the steps; a frame's labels are (seqno, control,
-    waits on its predecessor), and a frame may carry a gossip vector."""
+    waits on its predecessor), and a frame may carry a digest's prefix
+    vector."""
     entry = st.tuples(seqnos, st.booleans(), st.booleans())
     step = st.one_of(
         st.tuples(
@@ -99,14 +101,15 @@ def data(origin, seqno, control, chained):
 def play(stack, reference, step, at, sent):
     kind = step[0]
     if kind == "frame":
-        _, origin, entries, whole, gossip = step
+        _, origin, entries, whole, digest = step
         frame = [data(origin, *entry) for entry in entries]
-        if gossip is not None:
-            position, *reported = gossip
+        if digest is not None:
+            position, *reported = digest
             frame.insert(position, Envelope(Message(
-                MessageId(f"{origin}!gc", at),
-                GC_VECTOR_OPERATION,
-                dict(zip(ORIGINS, reported)),
+                MessageId(f"{origin}!rec", at),
+                DIGEST_OPERATION,
+                {"labels": {}, "frontiers": {},
+                 "prefix": dict(zip(ORIGINS, reported))},
             )))
         if whole:
             stack.on_frame(origin, frame)
@@ -158,7 +161,7 @@ def check(stack, tracker, reference, at, sent):
                 reference.prefix(origin) >= top
             ), at
     assert stack.settles_any(()) is False
-    # The order the tracker gossips its prefixes in; and the form's own
+    # The order a digest carries the prefixes in; and the form's own
     # invariant: a label above its origin's prefix is not contiguous
     # with it.
     assert list(stack._prefix) == list(reference.order), at
@@ -176,6 +179,7 @@ def test_the_settled_set_answers_as_a_plain_set(case):
     cls, steps = case
     stack = _Quiet().register(cls("a", GroupMembership(list(ORIGINS))))
     tracker = StabilityTracker(stack)
+    RecoveryAgent(stack)  # not started: it only hands digests on
     reference = PlainSettled(stack)
     sent = set()
     for at, step in enumerate(steps):

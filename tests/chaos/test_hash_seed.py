@@ -10,6 +10,8 @@ Failing-before regressions:
 * ``InvariantMonitor.check_sequencer_epochs`` walked the set of labels two
   members both delivered, so ``sequencer`` seed 4 printed its 24
   ``sequencer-epoch`` violations in a different order per hash seed.
+  Seed 4 ends safe since the digest carries the settled prefix; seed 11
+  still reports ``sequencer-epoch`` violations and stands in for it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def test_osend_seed_2_reads_the_same_under_two_hash_seeds():
 
 
 def test_sequencer_epoch_violations_read_the_same_under_two_hash_seeds():
-    # Seed 4 ends unsafe (ROADMAP 6(g)); the report must still be one text.
-    first, second = campaign(0, "sequencer", 4), campaign(1, "sequencer", 4)
+    # Seed 11 ends unsafe (ROADMAP 6(g)); the report must still be one text.
+    first, second = campaign(0, "sequencer", 11), campaign(1, "sequencer", 11)
     assert first.returncode == 1, first.stderr
-    assert first.stdout.count("[sequencer-epoch]") == 24
+    assert first.stdout.count("[sequencer-epoch]") == 4
     assert first.stdout == second.stdout

@@ -2,9 +2,9 @@
 
 Outside the two seeds CI runs: a sweep of ``repro chaos`` over serial
 seeds 1–21 and overlap seeds 1–14 finds these, identically under two
-interpreter hash seeds, and ``lamport_total`` serial seed 29 lies
-outside the swept range.  Strict, so that a fix turns them red until the
-marker goes; write-up in ``docs/ROBUSTNESS.md``, "Open".
+interpreter hash seeds, and ``sequencer`` overlap seed 15 lies outside
+the swept range.  Strict, so that a fix turns them red until the marker
+goes; write-up in ``docs/ROBUSTNESS.md``, "Open".
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ UNSAFE = [
     ("lamport_total", 17, False),
     ("lamport_total", 18, False),
     ("lamport_total", 19, False),
-    ("lamport_total", 29, False),
     ("lamport_total", 4, True),
     # liveness
     ("lamport_total", 12, False),
-    # sequencer-epoch (seed 4 also total-order)
-    ("sequencer", 4, False),
+    # sequencer-epoch and total-order (overlap 15 also liveness)
     ("sequencer", 11, False),
+    ("sequencer", 15, True),
 ]
 
 
@@ -60,13 +59,15 @@ class TestOpenSequencerWakeup:
     lowest bound position is now below the delivery cursor, so
     ``_deliverable`` refuses it and ``_blockers`` names nothing, and
     ``BroadcastProtocol._run_passes`` raises out of ``run_campaign``:
-    ``n1:1`` at ``n0`` on serial seed 22, ``n2:0`` at ``n1`` on overlap
-    seed 15.  ``repro chaos --protocol all --seeds 40`` stops there.
+    ``n2:4`` on serial seed 22.  ``repro chaos --protocol all --seeds 40``
+    stops there.  (Overlap seed 15 raised too, on ``n2:0`` at ``n1``,
+    until the digest carried the settled prefix; it now runs to an unsafe
+    verdict.)
     """
 
     @pytest.mark.xfail(
         strict=True, raises=ProtocolError, reason="open: ROADMAP 6(g)"
     )
-    @pytest.mark.parametrize("seed,overlap", [(22, False), (15, True)])
+    @pytest.mark.parametrize("seed,overlap", [(22, False)])
     def test_campaign_runs_to_its_verdict(self, seed, overlap):
         assert chaos("sequencer", seed, overlap) == 0

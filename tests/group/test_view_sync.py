@@ -219,6 +219,25 @@ class TestStaleFlushFinalization:
         assert membership.view.view_id == 2
         assert all(not agent.frozen for agent in agents.values())
 
+    def test_a_late_adopter_settles_and_files_the_installers_cut(self):
+        from repro.broadcast.cut import Cut
+        from repro.group.view_sync import ViewChange
+
+        scheduler, _, membership, stacks, agents = make_group()
+        agent = agents["a"]
+        agent._consider(ViewChange("leave", "c", old_view_id=0))
+        # The installer's union names a label `a` has not settled yet.
+        label = stacks["b"].bcast("w")
+        membership.leave("c")
+        membership.install_cuts[1] = Cut({"b": label.seqno + 1})
+        scheduler.run_until(0.1)  # hops take at least 0.2
+        assert agent.frozen
+        scheduler.run()
+        assert stacks["a"].has_settled(label)
+        assert not agent.frozen
+        (record,) = agent.install_history
+        assert record.digest_union == Cut({"b": label.seqno + 1})
+
     def test_init_volatile_abandons_flush(self):
         from repro.group.view_sync import ViewChange
 
@@ -311,3 +330,15 @@ class TestAViewChangeCostsWhatTheViewsDifferBy:
             short_calls, long_calls
         )
         assert self.sizes(*short) == self.sizes(*long)
+
+    def test_every_record_of_a_view_files_the_installers_union(self):
+        """Failing-before: a member that adopted the view from the shared
+        membership filed whatever digests it had collected, at 400 puts
+        none, so its record audited nothing."""
+        *_, records = self.leave_and_rejoin(400)
+        by_view = {}
+        for record in records:
+            by_view.setdefault(record.view_id, []).append(record.digest_union)
+        assert len(by_view) == 2
+        for unions in by_view.values():
+            assert all(union and union == unions[0] for union in unions)

@@ -116,10 +116,10 @@ def test_gc_runs_while_traffic_flows():
     rng = random.Random(9)
     issued = system.drive_cycles(cycles=2, f=3, rng=rng)
     system.settle(expected=issued)
-    # Gossip twice so every member knows every member's prefixes.
+    # Two digest rounds so every member knows every member's prefixes.
     for _ in range(2):
-        for tracker in system.trackers.values():
-            tracker.gossip_round()
+        for agent in system.agents.values():
+            agent.anti_entropy_round()
         system.scheduler.run()
     for tracker in system.trackers.values():
         assert tracker.store_size == 0

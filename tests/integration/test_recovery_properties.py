@@ -88,8 +88,9 @@ class TestRecoveryProperties:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 50_000), drop=st.floats(0.0, 0.3))
     def test_gc_never_breaks_recovery(self, seed, drop):
-        """Interleave gossip with repair: compaction must only ever drop
-        envelopes everyone already has, so recovery still completes."""
+        """Interleave digest rounds, and so compaction, with the traffic:
+        compaction must only ever drop envelopes everyone already has,
+        so recovery still completes."""
         scheduler, stacks, agents, trackers = build(drop, seed, with_gc=True)
         previous = None
         count = 9
@@ -98,16 +99,14 @@ class TestRecoveryProperties:
                 "op", occurs_after=previous
             )
             if i % 3 == 2:
-                for tracker in trackers.values():
-                    tracker.gossip_round()
+                for agent in agents.values():
+                    agent.anti_entropy_round()
         scheduler.run(max_events=1_000_000)
         for _ in range(60):
             if all(len(s.delivered) == count for s in stacks.values()):
                 break
             for agent in agents.values():
                 agent.anti_entropy_round()
-            for tracker in trackers.values():
-                tracker.gossip_round()
             scheduler.run(max_events=1_000_000)
         for stack in stacks.values():
             assert len(stack.delivered) == count
