@@ -77,8 +77,8 @@ def cbcast_chain(depth: int, members: List[str]) -> List[Envelope]:
     for i in range(depth):
         message = Message(MessageId(SENDER, i), "op", None)
         envelopes.append(sender._stamp(message))
-        # The sender "delivers" its own message so successive stamps chain.
-        sender._clock = envelopes[-1].metadata["vclock"]
+        # The sender settles its own message so successive stamps chain.
+        sender.install_settled([message.msg_id])
     return list(reversed(envelopes))
 
 

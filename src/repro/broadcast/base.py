@@ -15,14 +15,15 @@ delivery time.  ``delivery_log`` and ``delivered`` are views derived from
 that log when somebody asks; nothing else is kept per delivery.
 
 A label is *settled* once delivered (control deliveries too),
-skip-settled (:meth:`note_stable_prefix`) or installed from a snapshot.
-The settled set is kept as per origin a contiguous prefix (``_prefix``,
-origins in the order first settled) plus the few labels settled above it
-(``_above``).  Only this package knows that form: ``_take``, ``_deliver``
-and OSend's predicate inline its test and update; everything else asks
-:meth:`has_settled`, :meth:`settles_any` or :meth:`settles_all`, or takes
-the set as a :class:`~repro.broadcast.cut.Cut` (:meth:`cut`,
-:meth:`known_cut`).
+skip-settled (:meth:`note_stable_prefix`) or installed from a snapshot;
+the last two share one step (:meth:`_settle`).  The settled set is kept
+as per origin a contiguous prefix (``_prefix``, origins in the order
+first settled) plus the few labels settled above it (``_above``).  Only
+this package knows that form: ``_take``, ``_deliver`` and the predicates
+inline its test and update, and a predicate waits on a prefix with
+:func:`after_prefix`; everything else asks :meth:`has_settled`,
+:meth:`settles_any` or :meth:`settles_all`, or takes the set as a
+:class:`~repro.broadcast.cut.Cut` (:meth:`cut`, :meth:`known_cut`).
 
 Keeping the chassis identical means measured differences between
 protocols are exactly their ordering semantics — the comparison the
@@ -127,11 +128,17 @@ def after_threshold(dimension: Hashable, value: float) -> WakeKey:
     """Wake condition: monotone counter ``dimension`` has reached ``value``.
 
     Satisfied once :meth:`BroadcastProtocol._advance_watermark` has been
-    called with a value ``>= value`` for the dimension.  Used for
-    per-sender next-seqno indexes (FIFO, CBCAST), delivered-count frontiers
-    (RST), epoch frontiers (ASend) and heard-clock floors (Lamport).
+    called with a value ``>= value`` for the dimension.  Used for epoch
+    frontiers (ASend), sequencer positions and Lamport's stream positions
+    and heard-clock floors.
     """
     return (_TH, dimension, value)
+
+
+def after_prefix(origin: EntityId, count: int) -> WakeKey:
+    """Wake condition: ``origin``'s settled prefix has reached ``count``;
+    the chassis advances it wherever a prefix rises."""
+    return (_TH, ("prefix", origin), count)
 
 
 class BroadcastProtocol(SimNode):
@@ -366,16 +373,11 @@ class BroadcastProtocol(SimNode):
         """
         return frozenset()
 
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        """Advance per-origin delivery cursors past a skipped stable prefix.
-
-        Called by :meth:`note_stable_prefix` after labels
-        ``origin:0..frontier-1`` have been marked settled.  Protocols with
-        per-origin counters or watermarks (vector-clock components, the
-        prefixes FIFO and RST wait on, Lamport FIFO streams) fast-forward
-        them here so fresh traffic is not blocked behind irrecoverable
-        history.
-        """
+    def _on_stable_skip(self, origin: EntityId) -> None:
+        """Catch up with ``origin``'s labels settled without delivery
+        (:meth:`_settle`; also a skip that settles nothing new): state a
+        protocol derives from its deliveries fast-forwards here, so fresh
+        traffic is not blocked behind history it never saw."""
 
     def _owns_stream(self, origin: EntityId) -> bool:
         """Is ``origin`` our id or one of its ``"<id>!..."`` namespaces?"""
@@ -440,17 +442,16 @@ class BroadcastProtocol(SimNode):
         has not delivered it (in practice: an amnesiac rejoiner whose
         delivered state was lost in a crash) treats it as settled history
         instead: the label is counted settled — for predicate purposes
-        and for :meth:`has_seen`, so stray copies dedup away — and the
-        protocol's per-origin cursors fast-forward
-        (:meth:`_on_stable_skip`).
+        and for :meth:`has_seen`, so stray copies dedup away — filed in
+        the skipped ranges and settled by :meth:`_settle`.
 
         At a healthy member the frontier never exceeds its own settled
         prefix (the frontier is a group-wide minimum that includes the
         member's own reports), so this settles nothing outside rejoin.
         But the early return is keyed on the skip floor, not the prefix:
         the hooks and the drain below still run, and some view-change
-        flushes complete only there.  The prefix rises in one step
-        (:meth:`_skip`); no label is built.
+        flushes complete only there.  The prefix rises in one step; no
+        label is built.
         """
         floor = self._stable_floor.get(origin, 0)
         if frontier <= floor:
@@ -458,50 +459,63 @@ class BroadcastProtocol(SimNode):
         self._stable_floor[origin] = frontier
         top = self._prefix.get(origin, 0)
         if frontier > top:
-            self._settled_version += 1
-            self._skip(origin, top, frontier)
-        self._on_stable_skip(origin, frontier)
+            above = self._above
+            ranges = self._skipped_stable.setdefault(origin, [])
+            for seqno in sorted(
+                l[1] for l in above if l[0] == origin and l[1] < frontier
+            ):
+                if seqno > top:
+                    ranges.append((top, seqno))
+                top = seqno + 1
+                above.remove((origin, seqno))
+            if frontier > top:
+                ranges.append((top, frontier))
+            self._settle({origin: frontier})
+        else:
+            self._on_stable_skip(origin)
         for agent in self._interceptors:
             hook = getattr(agent, "on_stable_skip", None)
             if hook is not None:
                 hook(origin, frontier)
         self._drain()
 
-    def _skip(self, origin: EntityId, top: int, frontier: int) -> None:
-        """Raise ``origin``'s prefix from ``top`` past ``frontier``; file
-        what it skips as ranges, drop held copies and wake their waiters."""
-        above = self._above
-        ranges = self._skipped_stable.setdefault(origin, [])
-        for seqno in sorted(
-            l[1] for l in above if l[0] == origin and l[1] < frontier
-        ):
-            if seqno > top:
-                ranges.append((top, seqno))
-            top = seqno + 1
-            above.remove((origin, seqno))
-        if frontier > top:
-            ranges.append((top, frontier))
-        self._fold(origin, frontier)
-        frontier = self._prefix[origin]
-        # A held copy whose predecessors were compacted is stable too:
-        # settle it rather than deliver it out of a torn prefix.
-        for label in [l for l in self._pending if l[0] == origin]:
-            if label[1] < frontier:
-                del self._pending[label]
-                self._arrival.pop(label, None)
-                self._queued.discard(label)
-                self._blocked_on.pop(label, None)
-        for token in [t for t in self._event_waiters if t[0] == "delivered"]:
-            if token[1][0] == origin and token[1][1] < frontier:
-                self._signal_event(token)
+    def install_settled(self, labels: Iterable[MessageId]) -> None:
+        """Settle ``labels`` without delivery (a snapshot's covered set),
+        then deliver what they unblock."""
+        prefix, tops = self._prefix, {}
+        for label in sorted(labels):
+            tops[label[0]] = 0
+            if label[1] >= prefix.setdefault(label[0], 0):
+                self._above.add(label)
+        self._settle(tops)
+        self._drain()
 
-    def _fold(self, origin: EntityId, top: int) -> None:
-        """Set ``origin``'s prefix to ``top``, then past ``_above``'s."""
-        above = self._above
-        while (origin, top) in above:
-            above.remove((origin, top))
-            top += 1
-        self._prefix[origin] = top
+    def _settle(self, tops: Dict[EntityId, int]) -> None:
+        """Settle without delivery: raise each origin's prefix to at least
+        ``tops[origin]`` and past ``_above``, drop the held copies of what
+        is settled now (not delivered out of a torn prefix), wake their
+        waiters and tell the protocol."""
+        prefix, above, pending = self._prefix, self._above, self._pending
+        for origin, top in tops.items():
+            top = max(top, prefix.get(origin, 0))
+            while (origin, top) in above:
+                above.remove((origin, top))
+                top += 1
+            prefix[origin] = top
+            self._advance_watermark(("prefix", origin), top)
+        for label in [l for l in pending if self.has_settled(l)]:
+            del pending[label]
+            del self._arrival[label]
+            self._queued.discard(label)
+            self._blocked_on.pop(label, None)
+        for token in [
+            t for t in self._event_waiters
+            if t[0] == "delivered" and self.has_settled(t[1])
+        ]:
+            self._signal_event(token)
+        self._settled_version += 1
+        for origin in tops:
+            self._on_stable_skip(origin)
 
     @property
     def skipped_stable(self) -> FrozenSet[MessageId]:
@@ -683,9 +697,14 @@ class BroadcastProtocol(SimNode):
         self.run_deliveries += count
         self._delivered_envelopes.extend(run)
         self._delivery_times.extend([self._network.scheduler.now] * count)
+        # Nothing is held back, so every waiter is stale; drop them as a
+        # delivery on arrival does.
+        if self._threshold_waiters:
+            prefix = self._prefix
+            for envelope in run:
+                origin = envelope.msg_id[0]
+                self._advance_watermark(("prefix", origin), prefix[origin])
         if self._event_waiters:
-            # Nothing is held back, so every waiter is stale; drop them
-            # as a delivery on arrival does.
             for envelope in run:
                 self._signal_event(("delivered", envelope.msg_id))
 
@@ -856,6 +875,8 @@ class BroadcastProtocol(SimNode):
                 above.remove((origin, top))
                 top += 1
             prefix[origin] = top
+            if self._threshold_waiters:
+                self._advance_watermark(("prefix", origin), top)
         elif msg_id[1] < top or msg_id in above:
             raise ProtocolError(f"double delivery of {msg_id}")
         else:
@@ -970,15 +991,6 @@ class BroadcastProtocol(SimNode):
     def settled_labels(self) -> FrozenSet[MessageId]:
         """Every settled label, built when asked."""
         return frozenset(self.cut())
-
-    def install_settled(self, labels: Iterable[MessageId]) -> None:
-        """Settle ``labels`` without delivery (a snapshot's covered set)."""
-        for label in sorted(labels):
-            top = self._prefix.setdefault(label[0], 0)
-            if label[1] >= top:
-                self._above.add(label)
-                self._fold(label[0], top)
-        self._settled_version += 1
 
     @property
     def incarnation_archive(self) -> List[Tuple[List[Envelope], FrozenSet]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
+from repro.broadcast.base import BroadcastProtocol, WakeKey, after_prefix
 from repro.clocks.vector import VectorClock, cbcast_deliverable
 from repro.errors import ProtocolError
 from repro.group.membership import GroupMembership
@@ -47,20 +47,18 @@ class CbcastBroadcast(BroadcastProtocol):
         # post-restart stamps would contradict their labels.
         self._sent = 0
 
-    def _init_volatile(self) -> None:
-        super()._init_volatile()
-        self._clock = VectorClock.zero()
-
     @property
     def clock(self) -> VectorClock:
-        """This member's delivered-state vector clock."""
-        return self._clock
+        """This member's delivered-state vector clock: a view of the
+        settled prefixes.  CBCAST delivers each origin in send order, so
+        component ``e`` counts ``e``'s broadcasts settled here."""
+        return VectorClock(self._prefix)
 
     def _stamp(self, message: Message, **options: object) -> Envelope:
         if options:
             raise ProtocolError(f"cbcast does not accept options: {options}")
         self._sent += 1
-        send_clock = self._clock.merge(
+        send_clock = self.clock.merge(
             VectorClock({self.entity_id: self._sent})
         )
         return Envelope(message, {"vclock": send_clock})
@@ -72,40 +70,29 @@ class CbcastBroadcast(BroadcastProtocol):
                 f"envelope {envelope.msg_id} lacks a vector clock"
             )
         return cbcast_deliverable(
-            msg_clock, envelope.msg_id.sender, self._clock
+            msg_clock, envelope.msg_id.sender, self.clock
         )
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
         # Per-sender next-seqno index phrased as thresholds over the
-        # delivered-state clock: the message needs component `sender` to
-        # reach V[sender]-1 (it is then the next from that sender; it can
-        # never be *behind*, dedup removes already-delivered copies) and
-        # every other component to reach V[e].
+        # settled prefixes: the message needs `sender`'s prefix to reach
+        # V[sender]-1 (it is then the next from that sender; it can never
+        # be *behind*, dedup removes settled copies) and every other
+        # origin's to reach V[e].
         msg_clock: VectorClock = envelope.metadata["vclock"]
         sender = envelope.msg_id.sender
+        prefix = self._prefix
         for entity, count in msg_clock.items():
             needed = count - 1 if entity == sender else count
-            if self._clock[entity] < needed:
-                yield after_threshold(("vc", entity), needed)
-
-    def _on_delivered(self, envelope: Envelope) -> None:
-        msg_clock: VectorClock = envelope.metadata["vclock"]
-        self._clock = self._clock.merge(msg_clock)
-        # Only components present in the delivered stamp can have grown.
-        for entity, _ in msg_clock.items():
-            self._advance_watermark(("vc", entity), self._clock[entity])
-
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        if self._clock[origin] < frontier:
-            self._clock = self._clock.merge(VectorClock({origin: frontier}))
-            self._advance_watermark(("vc", origin), frontier)
+            if prefix.get(entity, 0) < needed:
+                yield after_prefix(entity, needed)
 
     def _gap_labels(self, envelope: Envelope) -> Iterator[MessageId]:
         """Lazily yield the unseen labels this stamp implies we lack."""
         msg_clock: VectorClock = envelope.metadata["vclock"]
         sender = envelope.msg_id.sender
         for entity, count in msg_clock.items():
-            have = self._clock[entity]
+            have = self._prefix.get(entity, 0)
             upto = count - 1 if entity == sender else count
             for broadcast_index in range(have, upto):
                 label = MessageId(entity, broadcast_index)

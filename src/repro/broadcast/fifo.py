@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
-from repro.types import Envelope, EntityId, MessageId
+from repro.broadcast.base import BroadcastProtocol, WakeKey, after_prefix
+from repro.types import Envelope, MessageId
 
 
 class FifoBroadcast(BroadcastProtocol):
@@ -24,19 +24,12 @@ class FifoBroadcast(BroadcastProtocol):
         return envelope.msg_id.seqno == self._prefix.get(sender, 0)
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
-        # Per-sender next-seqno index: wake when the sender's delivered
-        # prefix reaches this seqno (it can never overshoot — a smaller
-        # seqno for this label would mean it was already delivered).
+        # Wake when the sender's settled prefix reaches this seqno (it
+        # can never overshoot — a smaller seqno for this label would mean
+        # it was already settled).
         sender = envelope.msg_id.sender
         if self._prefix.get(sender, 0) < envelope.msg_id.seqno:
-            yield after_threshold(("seq", sender), envelope.msg_id.seqno)
-
-    def _on_delivered(self, envelope: Envelope) -> None:
-        sender = envelope.msg_id.sender
-        self._advance_watermark(("seq", sender), self._prefix[sender])
-
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        self._advance_watermark(("seq", origin), self._prefix[origin])
+            yield after_prefix(sender, envelope.msg_id.seqno)
 
     def missing_for(self, envelope: Envelope) -> frozenset:
         """The sender's sequence gap below this envelope."""

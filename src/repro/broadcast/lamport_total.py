@@ -77,12 +77,19 @@ class LamportTotalOrder(BroadcastProtocol):
     # -- FIFO metadata processing ------------------------------------------------
 
     def _on_received(self, sender: EntityId, envelope: Envelope) -> None:
-        origin = envelope.msg_id.sender
-        buffer = self._fifo_buffer.setdefault(origin, {})
-        buffer[envelope.msg_id.seqno] = envelope
-        next_seq = self._fifo_next.get(origin, 0)
-        while next_seq in buffer:
-            self._process_metadata(buffer.pop(next_seq))
+        label = envelope.msg_id
+        self._fifo_buffer.setdefault(label.sender, {})[label.seqno] = envelope
+        self._process_from(label.sender, self._fifo_next.get(label.sender, 0))
+
+    def _process_from(self, origin: EntityId, next_seq: int) -> None:
+        """Process ``origin``'s stream in order from ``next_seq``, passing
+        over labels settled without delivery (installed above a gap)."""
+        buffer = self._fifo_buffer.get(origin, {})
+        while True:
+            if next_seq in buffer:
+                self._process_metadata(buffer.pop(next_seq))
+            elif not self.has_settled(MessageId(origin, next_seq)):
+                break
             next_seq += 1
         self._fifo_next[origin] = next_seq
         self._advance_watermark(("fifo", origin), next_seq)
@@ -170,15 +177,16 @@ class LamportTotalOrder(BroadcastProtocol):
     def _on_delivered(self, envelope: Envelope) -> None:
         self._undelivered_data.pop(envelope.msg_id, None)
 
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        next_seq = max(self._fifo_next.get(origin, 0), frontier)
-        buffer = self._fifo_buffer.get(origin, {})
-        # Successors buffered behind the skipped prefix are contiguous now.
-        while next_seq in buffer:
-            self._process_metadata(buffer.pop(next_seq))
-            next_seq += 1
-        self._fifo_next[origin] = next_seq
-        self._advance_watermark(("fifo", origin), next_seq)
+    def _on_stable_skip(self, origin: EntityId) -> None:
+        # Successors buffered behind the settled prefix are contiguous now.
+        self._process_from(
+            origin, max(self._fifo_next.get(origin, 0), self._prefix[origin])
+        )
+        # A processed stamp settled without delivery orders nothing now:
+        # a later stamp must not wait on its delivery.
+        undelivered = self._undelivered_data
+        for label in [l for l in undelivered if self.has_settled(l)]:
+            del undelivered[label]
 
     def _is_control(self, envelope: Envelope) -> bool:
         return envelope.message.operation == self.ACK_OPERATION

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator
 
-from repro.broadcast.base import BroadcastProtocol, WakeKey, after_threshold
+from repro.broadcast.base import BroadcastProtocol, WakeKey, after_prefix
 from repro.errors import ProtocolError
 from repro.group.membership import GroupMembership
 from repro.types import Envelope, EntityId, Message, MessageId
@@ -120,25 +120,23 @@ class RstBroadcast(BroadcastProtocol):
 
     def _blockers(self, envelope: Envelope) -> Iterator[WakeKey]:
         # One threshold per origin still owing us broadcasts: wake when
-        # our delivered count from that origin reaches the owed count.
+        # our settled prefix of that origin reaches the owed count.
         matrix = envelope.metadata.get("sent_matrix", {})
         me = self.entity_id
         for origin in matrix:
             owed = self._get(matrix, origin, me)
             if self._prefix.get(origin, 0) < owed:
-                yield after_threshold(("from", origin), owed)
+                yield after_prefix(origin, owed)
 
     def _on_delivered(self, envelope: Envelope) -> None:
-        origin = envelope.msg_id.sender
-        self._advance_watermark(("from", origin), self._prefix[origin])
         self._merge(envelope.metadata["sent_matrix"])
         # The delivered message itself is now known sent to us and (by the
         # broadcast) to every member of the sender's view.
-        self._raise_to_prefix(origin)
+        self._raise_to_prefix(envelope.msg_id.sender)
 
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        self._advance_watermark(("from", origin), self._prefix[origin])
-        # Skipped prefixes were broadcast to the whole group too.
+    def _on_stable_skip(self, origin: EntityId) -> None:
+        # Skipped or installed prefixes were broadcast to the whole group
+        # too.
         self._raise_to_prefix(origin)
 
     def _gap_labels(self, envelope: Envelope) -> Iterator[MessageId]:

@@ -323,9 +323,9 @@ class SequencerTotalOrder(BroadcastProtocol):
         self._advance_past_consumed()
         self._advance_watermark("next_seq", self._next_to_deliver)
 
-    def _on_stable_skip(self, origin: EntityId, frontier: int) -> None:
-        # Skipped labels count as settled, so positions bound to them are
-        # consumed without delivery.
+    def _on_stable_skip(self, origin: EntityId) -> None:
+        # Skipped or installed labels count as settled, so positions
+        # bound to them are consumed without delivery.
         self._advance_past_consumed()
         self._advance_watermark("next_seq", self._next_to_deliver)
 

@@ -16,11 +16,12 @@ per class with state.
   fresh instance's, and everything else is the very object it was
   before the crash; only the restart counters move.
 
-Mutation check (done by hand): assigning ``CbcastBroadcast._clock`` in
-``__init__`` instead of ``_init_volatile`` fails the ``[CbcastBroadcast]``
-and ``[cbcast]`` cases — the restarted member keeps its pre-crash clock.
-(``FifoBroadcast`` keeps no state of its own: its cursor is the
-chassis's settled prefix.)
+Mutation check (done by hand): assigning ``RstBroadcast._sent`` in
+``__init__`` instead of ``_init_volatile`` fails the ``[RstBroadcast]``
+and ``[rst]`` cases — the restarted member keeps its pre-crash matrix.
+(``FifoBroadcast`` and ``CbcastBroadcast`` keep no volatile state of
+their own: FIFO's cursor and CBCAST's clock are the chassis's settled
+prefix.)
 """
 
 from __future__ import annotations

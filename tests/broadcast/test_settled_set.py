@@ -4,15 +4,16 @@ Random steps drive one stack and the plain-set reference beside it
 (``plain_settled.py``): frames of labels from three origins — gaps,
 duplicates, labels waiting on their predecessor, control deliveries and
 an anti-entropy digest among them — taken whole (as runs) or one
-envelope at a time; stable-prefix skips; snapshot installs; restarts;
-sends whose own copy never comes back (stored, neither settled nor
-held).
+envelope at a time; stable-prefix skips; snapshot installs, which may
+cover labels held back here; restarts; sends whose own copy never comes
+back (stored, neither settled nor held).
 After every step each question the chassis answers about its settled
 set must be the reference's: ``has_settled``, ``has_seen``,
 ``settles_any``, ``settles_all``, the labels, the settled set as a cut
 and the FLUSH_OK cut (settled, held or stored), the tracker's
 ``local_prefix``, the origin order a digest carries prefixes in, the skipped
-labels and the archive.
+labels and the archive.  And nothing is stranded: no held envelope's
+predicate holds.
 """
 
 from __future__ import annotations
@@ -120,11 +121,8 @@ def play(stack, reference, step, at, sent):
         stack.note_stable_prefix(step[1], step[2])
         reference.skip(step[1], step[2])
     elif kind == "snapshot":
-        # A snapshot covers history: not what is held back here.
-        covered = frozenset(
-            label for label in (MessageId(o, s) for o, s in step[1])
-            if label not in stack.holdback_ids
-        )
+        # What it covers may be held back here: it is settled, not held.
+        covered = frozenset(MessageId(o, s) for o, s in step[1])
         if stack.delivered:
             stack.install_settled(covered)
         else:
@@ -167,6 +165,8 @@ def check(stack, tracker, reference, at, sent):
     assert list(stack._prefix) == list(reference.order), at
     assert all(l[1] > stack._prefix[l[0]] for l in stack._above), at
     assert stack.skipped_stable == reference.skipped, at
+    # Nothing is stranded: what is still held back is not deliverable.
+    assert not any(map(stack._deliverable, stack.holdback_envelopes)), at
     assert [
         ([envelope.msg_id for envelope in log], skipped)
         for log, skipped in stack.incarnation_archive

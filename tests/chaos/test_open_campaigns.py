@@ -32,8 +32,6 @@ UNSAFE = [
     ("lamport_total", 18, False),
     ("lamport_total", 19, False),
     ("lamport_total", 4, True),
-    # liveness
-    ("lamport_total", 12, False),
     # sequencer-epoch and total-order (overlap 15 also liveness)
     ("sequencer", 11, False),
     ("sequencer", 15, True),
