@@ -13,11 +13,13 @@ cuts hold the same labels iff their forms are equal, and ``==``, ``<=``,
 ``>=`` and ``|`` between two cuts cost O(origins + above) and build no
 label.  Against any other collection of labels a cut is a
 :class:`collections.abc.Set` and compares by membership; what the mixins
-build (``&``, ``-``, ``|`` with a plain set) is a ``frozenset``.
+build (``&``, ``-``, ``|`` with a plain set) is a ``frozenset``;
+:meth:`Cut.beyond` walks what one cut has over another without touching
+what they share.
 
 Only :mod:`repro.broadcast` builds a cut from a member's state
-(``BroadcastProtocol.cut`` and ``known_cut``); view synchrony and the
-audits compare, join and iterate them.
+(``BroadcastProtocol.cut`` and ``known_cut``); view synchrony, the
+barrier reads and the audits compare, join and iterate them.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class Cut(Set):
         return self._above
 
     def __contains__(self, label: object) -> bool:
-        if not isinstance(label, tuple) or len(label) != 2:
+        if type(label) is not MessageId and (
+            not isinstance(label, tuple) or len(label) != 2
+        ):
             return False
         seqno = label[1]
         return (
@@ -88,6 +92,25 @@ class Cut(Set):
 
     def __len__(self) -> int:
         return sum(self._prefix.values()) + len(self._above)
+
+    def top(self, origin: EntityId) -> int:
+        """The seqno below which ``origin``'s whole stream is in: the
+        first of its labels that may be missing."""
+        return self._prefix.get(origin, 0)
+
+    def beyond(self, floor: "Cut") -> Iterator[MessageId]:
+        """The labels of this cut that ``floor`` lacks, in
+        O(origins + what differs): per origin the seqnos between the two
+        prefixes, then the labels above — never the shared history."""
+        tops, above = floor._prefix, floor._above
+        for origin, top in self._prefix.items():
+            for seqno in range(tops.get(origin, 0), top):
+                label = MessageId(origin, seqno)
+                if label not in above:
+                    yield label
+        for label in self._above:
+            if label not in floor:
+                yield label
 
     def __le__(self, other: Any) -> bool:
         if not isinstance(other, Cut):

@@ -77,9 +77,14 @@ def encode_value(value: Any) -> Any:
 
     Scalars pass through; ``MessageId``, sets, tuples and non-string-keyed
     dicts become tagged objects (``__mid__``/``__set__``/…).  Raises
-    :class:`ProtocolError` on anything JSON cannot carry.  A ``MessageId``
-    is a tuple, so it is tested first.
+    :class:`ProtocolError` on anything JSON cannot carry.  A plain scalar
+    returns first, and a plain scalar member of a dict or a list is
+    taken as it is instead of walked (a barrier read's value is a dict
+    of them); a ``MessageId`` is a tuple, so it is tested before tuples.
     """
+    plain = _PLAIN
+    if type(value) in plain:
+        return value
     if isinstance(value, MessageId):
         return {"__mid__": [value.sender, value.seqno]}
     if isinstance(value, (frozenset, set)):
@@ -89,13 +94,17 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {
             "__dict__": [
-                [encode_value(k), encode_value(v)] for k, v in value.items()
+                [
+                    k if type(k) in plain else encode_value(k),
+                    v if type(v) in plain else encode_value(v),
+                ]
+                for k, v in value.items()
             ]
         }
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     if isinstance(value, list):
-        return [encode_value(v) for v in value]
+        return [v if type(v) in plain else encode_value(v) for v in value]
+    if isinstance(value, (str, int, float)):
+        return value  # a scalar subclass (an enum member, say)
     raise ProtocolError(f"cannot encode payload value: {value!r}")
 
 

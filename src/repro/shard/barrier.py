@@ -11,46 +11,67 @@ settled in the same relative order at every member of that shard, so
 the cut is a legal read snapshot with no extra agreement traffic
 ("without requiring separate message exchanges", Section 7).
 
-One cut.  A read's state is one integer per touched shard, a mask over
-the ledger graph's bits: each barrier delivery ORs in the barrier's past
-restricted to the shard's writes (``Ledger.past_writes``).  Everything in
-a label's past was recorded before the label, so the cut is a pure
-function of the barrier labels: a completed :class:`BarrierRead` keeps
-only those, and derives ``covered`` / ``labels`` from the ledger on demand.
+One cut.  A read's state is one :class:`~repro.broadcast.cut.Cut` per
+touched shard: at each barrier issue, what the contact has settled
+(``ShardedCluster.settled_cut``) plus what the read's floor adds below
+it.  A label's causal past on its own shard is the closure of its
+in-group ``deps``, so that union *is* the barrier's causal past there —
+the cut of the paper's Section 4, taken from a member's record of what
+it processed, with no global graph.  The stamp is the maximal labels of
+the same set: the contact's heads (``delivered_frontier``) and the floor
+labels it has not settled, less every label the walk from those down to
+the contact's cut names in a ``deps``.  A completed :class:`BarrierRead`
+carries these cuts: its value, its ``covered`` labels and the session's
+absorb all come from them, and the snapshot-closure audit checks them
+against its own decode of the barriers' pasts from the ledger graph.
 
 One closure rule.  The barriers race, so one cut may hold a write whose
-causal past reaches a write another *touched* shard's cut missed.  With
-no barrier outstanding, the past of the cuts' maximal writes, restricted
-to each touched shard's writes, must lie inside that shard's cut
-(``Ledger.closure_gaps``); a gap issues a supplemental barrier there whose
-``Occurs-After`` names the gap's maximal labels, and the check repeats —
-bounded rounds, after which the snapshot is closed under the *whole*
-causal order: both edge kinds, through barrier labels and untouched
-shards.  Scanning covered writes' direct ``cross_deps`` is not enough: a
-session that absorbs its own barrier collapses its frontier onto it, so
-``d (shard t) ≺ barrier (shard s) ≺ w (shard s)`` leaves ``w`` with no
-cross-dependency on ``d`` to scan.
+causal past reaches a write another *touched* shard's cut missed.  A
+write's ``cross_deps`` are its session's whole frontier on every other
+shard, unpruned, and a session's frontier is its causal past's maximal
+labels per shard, so a write's past on another shard is the closure of
+its ``cross_deps`` there.  With no barrier outstanding, each cut's write
+heads — the writes reached from its barriers' stamps through non-writes
+— have their ``cross_deps`` on every other touched shard checked against
+that shard's cut; one outside is walked down its ``deps`` to the cut,
+and the writes met are the gap.  A gap issues a supplemental barrier
+there whose floor holds the gap, and the check repeats — bounded
+rounds, after which the snapshot is closed under the *whole* causal
+order: both edge kinds, through barrier labels and untouched shards.
+Scanning covered writes' direct ``cross_deps`` once pruned across shards
+was not enough: a session that absorbs its own barrier collapses its
+frontier onto it, so ``d (shard t) ≺ barrier (shard s) ≺ w (shard s)``
+left ``w`` naming only the barrier.
 
 One fold.  The read *value* is the issue-order fold of the covered
 writes from the cluster ledger, not any member's live state, so reads
 are insensitive to store compaction and crash amnesia.  Writes are
 last-writer-wins per key, so the fold is the max-index write of each
 key; the ledger keeps it per shard for the newest completed cut, and a
-read whose cut contains the fold it started from folds only the
-difference (any other — a lagging contact — folds from nothing).  A
-fold is a pure function of its mask: nothing ever invalidates it.
+read whose cut holds that fold's writes folds only what its cut has
+beyond it (any other — a lagging contact — folds from nothing).  A fold
+is a pure function of its cut's writes: nothing ever invalidates it.
+
+The graph computation all of this replaced is kept as the test oracle
+(``tests/shard/barrier_reference.py``); the audits judge the reads with
+their own walks over the ledger's stamps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.broadcast.cut import Cut
+from repro.shard.ledger import DATA_KINDS
 from repro.types import MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.cluster import ShardedCluster
     from repro.shard.ledger import Ledger
+
+_NO_CUT = Cut()
 
 #: One-second retries per barrier broadcast before the read aborts.
 BARRIER_ATTEMPTS = 240
@@ -69,6 +90,9 @@ class BarrierRead:
     shards: Tuple[int, ...]
     value: Dict[str, object]
     barrier_labels: Dict[int, Tuple[MessageId, ...]]
+    #: shard -> the cut ``value`` was folded from: the barriers' causal
+    #: past there.  ``covered`` and the session's absorb read it too.
+    cuts: Dict[int, Cut]
     rounds: int
     issued_at: float
     completed_at: float
@@ -79,20 +103,28 @@ class BarrierRead:
         """Every barrier label of the read, shard by shard."""
         return [l for labels in self.barrier_labels.values() for l in labels]
 
-    def cuts(self) -> Dict[int, int]:
-        """shard -> the snapshot's cut, as a mask over the ledger graph."""
+    def masks(self) -> Dict[int, int]:
+        """shard -> the writes of the barriers' causal past there, decoded
+        from the ledger graph as a mask: the audits' own view of the
+        snapshot, not the cut the read computed."""
         past_writes = self.ledger.past_writes
-        cuts = dict.fromkeys(self.shards, 0)
+        masks = dict.fromkeys(self.shards, 0)
         for shard, labels in self.barrier_labels.items():
             for label in labels:
-                cuts[shard] |= past_writes(label, shard)
-        return cuts
+                masks[shard] |= past_writes(label, shard)
+        return masks
 
     @property
     def covered(self) -> Dict[int, FrozenSet[MessageId]]:
         """shard -> the data labels the snapshot covers there."""
-        cut_labels = self.ledger.cut_labels
-        return {shard: cut_labels(cut) for shard, cut in self.cuts().items()}
+        ops = self.ledger.ops
+        return {
+            shard: frozenset(
+                label for label in cut
+                if label in ops and ops[label].kind in DATA_KINDS
+            )
+            for shard, cut in self.cuts.items()
+        }
 
     @property
     def labels(self) -> FrozenSet[MessageId]:
@@ -135,9 +167,9 @@ class StablePointBarrier:
             shard: frozenset(labels)
             for shard, labels in (cross or {}).items()
         }
-        #: shard -> the cut covered so far, as a mask over the ledger
-        #: graph's bits; all the read knows about its snapshot.
-        self._cut: Dict[int, int] = dict.fromkeys(self.shards, 0)
+        #: shard -> the cut covered so far: the union of its barriers'
+        #: causal pasts there; all the read knows about its snapshot.
+        self._cut: Dict[int, Cut] = dict.fromkeys(self.shards, _NO_CUT)
         #: The ledger's per-shard folds as this read found them — now,
         #: not at completion: reads in flight together end with
         #: incomparable cuts (each holds its own session's newest writes)
@@ -170,10 +202,13 @@ class StablePointBarrier:
         contact = cluster.contact(shard)
         label = None
         if contact is not None:
-            deps = cluster.maximal(
-                set(cluster.delivered_frontier(shard, contact))
-                | set(self.baseline[shard])
-                | set(extra)
+            ledger = cluster.ledger
+            heads = cluster.delivered_frontier(shard, contact)
+            cut = cluster.settled_cut(shard, contact)
+            # The floor's past the contact has not settled, and the heads
+            # and floor labels it shows to be below something else.
+            walked, named = ledger.past_outside(
+                chain(self.baseline[shard], extra), cut
             )
             cross: Set[MessageId] = set()
             for other, labels in self._cross_frontier.items():
@@ -183,11 +218,18 @@ class StablePointBarrier:
                 shard,
                 "barrier",
                 None,
-                occurs_after=deps,
-                cross_deps=cluster.maximal(cross),
+                occurs_after=(
+                    ledger.in_issue_order((heads | walked) - named) if walked else heads
+                ),
+                cross_deps=cross,
                 session=self.session,
                 preferred=contact,
             )
+            if label is not None:
+                if walked:
+                    cut = Cut(cut.prefix, cut.above | walked)
+                held = self._cut[shard]
+                self._cut[shard] = cut if held is _NO_CUT else held | cut
         if label is None:
             if attempts <= 0:
                 self._abort()
@@ -216,16 +258,13 @@ class StablePointBarrier:
         if self._done:
             return
         self._waiting.discard(label)
-        # The barrier label itself is control traffic, so the data cut is
-        # its causal past restricted to this shard's writes.
-        self._cut[shard] |= self.cluster.ledger.past_writes(label, shard)
         if not self._waiting and not self._retries:
             self._check_closure()
 
     # -- causal closure ----------------------------------------------------
 
     def _check_closure(self) -> None:
-        gaps = self.cluster.ledger.closure_gaps(self._cut)
+        gaps = self._closure_gaps()
         if not gaps:
             self._complete()
             return
@@ -233,11 +272,40 @@ class StablePointBarrier:
         if self._rounds > MAX_CLOSURE_ROUNDS:
             self._abort()
             return
-        ledger = self.cluster.ledger
         for shard, gap in sorted(gaps.items()):
-            self._issue(
-                shard, ledger.maximal(ledger.cut_labels(gap)), BARRIER_ATTEMPTS
-            )
+            self._issue(shard, frozenset(gap), BARRIER_ATTEMPTS)
+
+    def _closure_gaps(self) -> Dict[int, Set[MessageId]]:
+        """shard -> the writes its cut lacks for the cuts to be causally
+        closed: what the cuts' write heads' ``cross_deps`` reach on the
+        other touched shards, below the cut there."""
+        cuts = self._cut
+        ops = self.cluster.ledger.ops
+        roots: Dict[int, Set[MessageId]] = {}
+        for shard, labels in self._barrier_labels.items():
+            # Down from the barriers' stamps through non-writes: the
+            # writes met first are the cut's write heads.
+            stack = [dep for label in labels for dep in ops[label].deps]
+            seen = set(stack)
+            while stack:
+                record = ops[stack.pop()]
+                if record.kind in DATA_KINDS:
+                    for dep in record.cross_deps:
+                        other = ops[dep].shard
+                        if other in cuts and dep not in cuts[other]:
+                            roots.setdefault(other, set()).add(dep)
+                    continue
+                for dep in record.deps:
+                    if dep not in seen:
+                        seen.add(dep)
+                        stack.append(dep)
+        gaps: Dict[int, Set[MessageId]] = {}
+        for shard, labels in roots.items():
+            walked, _named = self.cluster.ledger.past_outside(labels, cuts[shard])
+            gap = {label for label in walked if ops[label].kind in DATA_KINDS}
+            if gap:
+                gaps[shard] = gap
+        return gaps
 
     # -- completion --------------------------------------------------------
 
@@ -262,6 +330,7 @@ class StablePointBarrier:
             barrier_labels={
                 s: tuple(labels) for s, labels in self._barrier_labels.items()
             },
+            cuts=dict(self._cut),
             rounds=self._rounds,
             issued_at=self.issued_at,
             completed_at=self.cluster.scheduler.now,

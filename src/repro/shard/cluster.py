@@ -27,13 +27,13 @@ process pays for them only at its drain audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.broadcast.base import covering
+from repro.broadcast.cut import Cut
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.group.replica_group import ReplicaGroup, drive, settle
-from repro.shard.frontier import FrontierTracker
 from repro.shard.ledger import Ledger
 from repro.shard.map import ShardMap
 from repro.shard.rebalance import Rebalancer
@@ -134,18 +134,17 @@ class ShardedCluster:
         self._watchers: Dict[
             int, Dict[MessageId, List[Callable[[EntityId], None]]]
         ] = {shard: {} for shard in self.shard_ids}
-        #: member -> maximal frontier of its settled ledger labels
-        #: (:class:`~repro.shard.frontier.FrontierTracker`): a view of the
-        #: member's delivery log, caught up by `delivered_frontier`.
-        self._frontiers: Dict[EntityId, FrontierTracker] = {}
+        #: member -> its settled ledger labels as (heads, holes): the
+        #: maximal ones, and the ledger labels below them it has not
+        #: settled — empty unless a stable-prefix skip or a snapshot
+        #: install settled a label without its past.  A view of the
+        #: member's settled set, caught up by `delivered_frontier`.
+        self._settled_views: Dict[EntityId, Tuple[Set[MessageId], Set[MessageId]]] = {}
         #: member -> (`_settled_version`, delivery-log length) at the
-        #: frontier's last catch-up.
+        #: view's last catch-up.
         self._frontier_sync: Dict[EntityId, Tuple[int, int]] = {}
         for shard, group in self.groups.items():
             for member, stack in group.stacks.items():
-                self._frontiers[member] = FrontierTracker(
-                    self.ledger.precedes, self.ledger.index_of
-                )
                 hook, quiet = self._watcher_hook(member, shard)
                 stack.on_deliver(hook, quiet=quiet)
         self.router = ShardRouter(self)
@@ -350,36 +349,70 @@ class ShardedCluster:
         """Maximal ledger labels ``member`` has settled in its group.
 
         The ledger labels the member delivered since the last query are
-        noted in delivery order: causal delivery means no in-group
-        ancestor of a label is delivered after it, so each either
-        shadows frontier members (via its global causal past) or is
-        itself shadowed by one that got here first through a cross-shard
-        edge (see repro.shard.frontier for why the issue-index guard
-        makes this sound).  The first query, and any after the settled
-        set changed outside delivery (restart wipe, stable-prefix skip,
-        state transfer: `_settled_version` moved), rebuilds from the
-        shard's settled labels — delivered ∪ skip-settled — instead:
-        `maximal` is one mask scan, and the tracker adopts its result
-        as-is.
+        noted in delivery order: causal delivery settles a label's
+        in-group ``deps`` before it, so a delivered label evicts exactly
+        the heads among its ``deps`` and becomes one — unless it was a
+        hole, below a head already.  The first query, and any after the
+        settled set changed outside delivery (restart wipe, stable-prefix
+        skip, state transfer: `_settled_version` moved), rebuilds from the
+        shard's settled labels — delivered ∪ skip-settled — instead: a
+        head is a settled label no settled label or hole names in its
+        ``deps``, and a hole is an unsettled label some settled label or
+        hole names there.  No question goes to the ledger's graph: a
+        label's causal past on its own shard is the closure of its
+        ``deps`` (``tests/shard/test_stamp_closure.py`` holds every
+        campaign to that).
         """
         stack = self.groups[shard].stacks[member]
-        tracker = self._frontiers[member]
         version = stack._settled_version
         log = stack._delivered_envelopes
-        ledger = self.ledger
-        labels = ledger.labels(shard)
+        ops = self.ledger.ops
         synced, logged = self._frontier_sync.get(member, (None, 0))
         if synced != version:
-            tracker.reset({
-                label: ledger.index_of(label)
-                for label in ledger.maximal(filter(stack.has_settled, labels))
-            })
-        else:
+            self._settled_views[member] = self._rebuild_view(shard, stack)
+        heads, holes = self._settled_views[member]
+        if synced == version:
             for envelope in log[logged:]:
-                if envelope.msg_id in labels:
-                    tracker.note(envelope.msg_id)
+                record = ops.get(envelope.msg_id)
+                if record is None:
+                    continue  # control traffic
+                label = record.label
+                if label in holes:
+                    holes.discard(label)
+                    continue
+                heads.difference_update(record.deps)
+                heads.add(label)
         self._frontier_sync[member] = (version, len(log))
-        return tracker.labels()
+        return self.ledger.in_issue_order(heads)
+
+    def _rebuild_view(
+        self, shard: int, stack
+    ) -> Tuple[Set[MessageId], Set[MessageId]]:
+        """``stack``'s (heads, holes) from its settled set: one pass over
+        the shard's labels, then a walk down from each hole."""
+        ops = self.ledger.ops
+        has_settled = stack.has_settled
+        settled = [label for label in self.ledger.labels(shard) if has_settled(label)]
+        below: Set[MessageId] = set()
+        for label in settled:
+            below.update(ops[label].deps)
+        walk = [label for label in below if not has_settled(label)]
+        holes = set(walk)
+        while walk:
+            for dep in ops[walk.pop()].deps:
+                below.add(dep)
+                if dep not in holes and not has_settled(dep):
+                    holes.add(dep)
+                    walk.append(dep)
+        return set(settled).difference(below), holes
+
+    def settled_cut(self, shard: int, member: EntityId) -> Cut:
+        """Everything ``member`` has settled, plus the holes below it: the
+        in-group closure of :meth:`delivered_frontier`, as of its last
+        answer (ask that first)."""
+        cut = self.groups[shard].stacks[member].cut()
+        holes = self._settled_views[member][1]
+        return Cut(cut.prefix, cut.above | holes) if holes else cut
 
     def gauges(self) -> Dict[str, int]:
         """What the ``stats`` verb samples on demand: graph and transport.

@@ -2,13 +2,15 @@
 
 A member's *delivered frontier* is the maximal antichain of the data
 labels it has causally delivered — the heads of its local causal past.
-:class:`~repro.shard.cluster.ShardedCluster` keeps one per member,
-caught up from the member's delivery log at each query, so that barrier
-issue and slot moves never rescan the whole ledger.  The algorithm lives
-here, separated from the cluster, so it can be property-tested on its
-own (``tests/shard/test_frontier.py`` pins the incremental path
-label-for-label against the full rebuild across all six broadcast
-protocols, and every cluster query against a rebuild).
+This tracker keeps one for any protocol, causal or not, by asking a
+``precedes`` oracle.  :class:`~repro.shard.cluster.ShardedCluster` no
+longer uses it: on its OSend groups a delivered label's in-group
+``deps`` are settled before it, so the cluster evicts exactly the heads
+among them and asks no oracle (``delivered_frontier``).  The tracker
+stays for what needs the general form — ``tests/shard/test_frontier.py``
+pins its incremental path label-for-label against the full rebuild
+across all six broadcast protocols, and ``bench/replay.py`` times
+``note`` by name.
 
 Two facts make the incremental step sound, and both are invariants of
 the surrounding system rather than of this class:

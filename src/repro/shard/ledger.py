@@ -8,7 +8,11 @@ operation: one :class:`OpRecord` per label in global issue order, the
 dependency graph over both edge kinds, the per-shard label sets, masks
 and key index, the barrier cut folds, the completed barrier reads, one
 log of writes and reads per session and each session's running get
-audit.  Filing a put (:meth:`Ledger.record`) stores the record, its
+audit.  A record's ``deps`` and ``cross_deps`` are enough to answer the
+serving path: a label's causal past on its own shard is the closure of
+its ``deps`` (:meth:`Ledger.past_outside` walks it down to a member's
+settled cut), and a write's on any other shard the closure of its
+``cross_deps`` there.  Filing a put (:meth:`Ledger.record`) stores the record, its
 shard's label set and key index, and nothing else: the graph and the
 per-shard masks are a view, caught up from the records filed since the
 last catch-up, in issue order, by the first question that needs them —
@@ -17,7 +21,8 @@ what filing each record into it at once would have built, bit for bit.
 Two surfaces (tabulated in ``docs/SHARDING.md``):
 
 * **data-plane questions** — what the router, the barrier, the
-  rebalancer and the cluster's read path ask while serving.  The paper's
+  rebalancer and the cluster's read path ask while serving; of these
+  only the rebalancer's cutover asks the graph.  The paper's
   front-end manager and replicas know only what messages carry (Section
   6.1), so these answers must move to the replicas before anything here
   can be truncated.
@@ -37,6 +42,7 @@ from __future__ import annotations
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.broadcast.cut import Cut
 from repro.errors import ProtocolError
 from repro.graph.depgraph import DependencyGraph
 from repro.types import MessageId, Violation
@@ -62,6 +68,8 @@ SESSION_ORDER = {
 
 #: key -> (issue index, value): a cut's last-writer-wins fold.
 Fold = Dict[str, Tuple[int, object]]
+
+_NO_CUT = Cut()
 
 
 class OpRecord(NamedTuple):
@@ -156,10 +164,12 @@ class Ledger:
         self.key_writes: Dict[int, Dict[str, List[MessageId]]] = {
             shard: {} for shard in shard_ids
         }
-        #: shard -> (cut mask, fold) of the newest completed barrier cut
-        #: there: what the next read extends when its cut contains this
-        #: one (see `fold`).
-        self._cut_folds: Dict[int, Tuple[int, Fold]] = {s: (0, {}) for s in shard_ids}
+        #: shard -> (cut, fold) of the newest completed barrier cut there:
+        #: what the next read extends when its cut holds this one's
+        #: writes (see `fold`).
+        self._cut_folds: Dict[int, Tuple[Cut, Fold]] = {
+            s: (_NO_CUT, {}) for s in shard_ids
+        }
         #: Every completed barrier read, sessions' and rebalancer's alike.
         self.barrier_reads: List["BarrierRead"] = []
         #: session -> its log, appended once an operation by its ``Session``
@@ -285,11 +295,7 @@ class Ledger:
         return self.ops[label].slot
 
     def precedes(self, earlier: MessageId, later: MessageId) -> bool:
-        # The frontier tracker asks this per delivery at an active
-        # contact: the catch-up test is inlined.
-        if self._unbuilt:
-            self._catch_up()
-        return self._graph.precedes(earlier, later)
+        return self.graph.precedes(earlier, later)
 
     def maximal(self, labels: Iterable[MessageId]) -> FrozenSet[MessageId]:
         """Prune ``labels`` to its maximal elements under the graph."""
@@ -321,51 +327,35 @@ class Ledger:
         """The labels filed under ``shard`` — the live set, not a copy."""
         return self._shard_labels[shard]
 
-    def past_writes(self, label: MessageId, shard: int) -> int:
-        """``label``'s causal past restricted to ``shard``'s writes: a cut,
-        i.e. a mask over the graph's bits that :meth:`cut_labels` decodes."""
-        return self.graph.past_mask(label) & self._write_mask[shard]
-
-    def cut_labels(self, cut: int) -> FrozenSet[MessageId]:
-        return self.graph.labels_of(cut)
-
-    def closure_gaps(self, cuts: Dict[int, int]) -> Dict[int, int]:
-        """shard -> the writes its cut lacks for ``cuts`` to be causally closed.
-
-        The past of the cuts' maximal writes is the past of every covered
-        write; each touched shard's share of it must lie inside its cut.
-        """
-        graph = self.graph
-        past = 0
-        for cut in cuts.values():
-            for head in graph.labels_of(graph.maximal_mask(cut)):
-                past |= graph.past_mask(head)
-        gaps: Dict[int, int] = {}
-        for shard, cut in cuts.items():
-            reached = past & self._write_mask[shard]
-            # x ^ (x & y) is x & ~y without the negative big int.
-            gap = reached ^ (reached & cut)
-            if gap:
-                gaps[shard] = gap
-        return gaps
-
-    def folds(self) -> Dict[int, Tuple[int, Fold]]:
+    def folds(self) -> Dict[int, Tuple[Cut, Fold]]:
         """shard -> (cut, fold) of the newest completed cut, as of now."""
         return dict(self._cut_folds)
 
-    def fold(self, shard: int, cut: int, base: Tuple[int, Fold]) -> Fold:
-        """key -> (issue index, value) of ``shard``'s ``cut``, newest per key.
+    def fold(self, shard: int, cut: Cut, base: Tuple[Cut, Fold]) -> Fold:
+        """key -> (issue index, value) of ``shard``'s writes in ``cut``,
+        newest per key.
 
-        Extends a copy of ``base`` (a pair :meth:`folds` handed out) if
-        the cut contains that fold's, starts from nothing otherwise, and
-        keeps the result for the reads that begin after this one.
+        Extends a copy of ``base`` (a pair :meth:`folds` handed out) by
+        the writes ``cut`` has beyond it (:meth:`Cut.beyond`, so the
+        shared history is never walked) if ``cut`` holds every write of
+        the base's cut, starts from nothing otherwise, and keeps the
+        result for the reads that begin after this one.  The new writes
+        are taken as the frozenset built in issue order, which fixes the
+        fold's key order — the order of the read's value and of its
+        reply — for a given hash seed.
         """
-        base_cut, folded = base
-        if base_cut & cut != base_cut:
-            base_cut, folded = 0, {}
-        folded = dict(folded)
         ops = self.ops
-        for label in self.graph.labels_of(cut ^ base_cut):
+        base_cut, folded = base
+        if any(
+            label in ops and ops[label].kind in DATA_KINDS
+            for label in base_cut.beyond(cut)
+        ):
+            base_cut, folded = _NO_CUT, {}
+        folded = dict(folded)
+        for label in self.in_issue_order(
+            label for label in cut.beyond(base_cut)
+            if label in ops and ops[label].kind in DATA_KINDS
+        ):
             record = ops[label]
             for key, value in record.writes():
                 held = folded.get(key)
@@ -373,6 +363,43 @@ class Ledger:
                     folded[key] = (record.index, value)
         self._cut_folds[shard] = (cut, folded)
         return folded
+
+    def in_issue_order(self, labels: Iterable[MessageId]) -> FrozenSet[MessageId]:
+        """``labels`` as the frozenset built in issue order, so that it
+        iterates the same for a given hash seed however it was computed:
+        every stamp and frontier the barrier and the sessions build, and
+        the writes a fold takes."""
+        pool = list(labels)
+        if len(pool) > 1:
+            ops = self.ops
+            pool.sort(key=lambda label: ops[label].index)
+        return frozenset(pool)
+
+    def past_outside(
+        self, roots: Iterable[MessageId], cut: Collection[MessageId]
+    ) -> Tuple[Set[MessageId], Set[MessageId]]:
+        """``roots``' in-group causal past outside ``cut``, roots included,
+        and every label the walked labels name in their ``deps``.
+
+        A label's past on its own shard is the closure of its ``deps``, so
+        the walk goes down ``deps`` and stops at ``cut``'s labels: when
+        ``cut`` is closed under ``deps`` it visits exactly what
+        ``roots`` add to it.  A label outside ``cut`` is below another
+        root or walked label iff the walk names it (a path between two
+        labels outside a closed cut never enters the cut).
+        """
+        ops = self.ops
+        walked = {label for label in roots if label not in cut}
+        stack = list(walked)
+        named: Set[MessageId] = set()
+        while stack:
+            deps = ops[stack.pop()].deps
+            named |= deps
+            for dep in deps:
+                if dep not in walked and dep not in cut:
+                    walked.add(dep)
+                    stack.append(dep)
+        return walked, named
 
     def newest_settled_write(
         self, shard: int, key: str, settled: Callable[[MessageId], bool]
@@ -396,6 +423,14 @@ class Ledger:
     def issue_order(self) -> List[MessageId]:
         """Every ledger label in global issue order (a copy)."""
         return list(self.ops)
+
+    def past_writes(self, label: MessageId, shard: int) -> int:
+        """``label``'s causal past restricted to ``shard``'s writes: a cut,
+        i.e. a mask over the graph's bits that :meth:`cut_labels` decodes."""
+        return self.graph.past_mask(label) & self._write_mask[shard]
+
+    def cut_labels(self, cut: int) -> FrozenSet[MessageId]:
+        return self.graph.labels_of(cut)
 
     def dependencies(self, shard: int) -> Dict[MessageId, FrozenSet[MessageId]]:
         """label -> in-group ``Occurs-After`` set, for ``shard``'s labels."""
@@ -422,38 +457,66 @@ class Ledger:
 
         A gap means the read returned a write and not one it causally
         follows — the ``WriteCOInitRead`` pattern of arXiv:1611.00580.
-        The causal pasts are the records' stamps, walked as sets, not
-        :meth:`closure_gaps` or the graph's closures: the barrier closes
-        its cuts with those, so a fault in them must not blind the
-        audit.  The graph only encodes what each read covers (its cuts)
-        and names the path in a report.
+        The causal pasts are the records' stamps, every edge of both
+        kinds walked from every covered label — not the barrier's closure
+        check, which reads only its write heads' ``cross_deps`` and
+        relies on them holding the writes' whole foreign past, so a
+        fault there must not blind the audit.  The graph only encodes
+        what each read covers (its cuts) and names the path in a
+        report.
 
         A walk starts at each covered label and goes down through the
         labels outside the snapshot; a touched shard's write it meets is
         a gap.  Where the session's previous clean read of the same
         shards lies inside this one, the walk skips what that read
         covered and what its walks passed: their pasts lie inside it.
+
+        The cut a read folded its value from (``BarrierRead.cuts``) must
+        hold exactly the writes of the graph's decode; a difference is a
+        ``snapshot-cut`` violation.  Against a clean base whose two
+        views agreed, only what each view adds to the base's is checked,
+        and the base's writes the read's cut lacks.
         """
         ops = self.ops
         graph = self.graph
         bit_of = graph.bit_of
         violations: List[Violation] = []
-        #: session -> the cuts of its newest clean read, and the labels
-        #: outside them its walks passed.
-        clean: Dict[Optional[str], Tuple[Dict[int, int], Set[MessageId]]] = {}
+        #: session -> the graph's cuts and the read's own of its newest
+        #: clean read, and the labels outside them its walks passed.
+        clean: Dict[
+            Optional[str], Tuple[Dict[int, int], Dict[int, Cut], Set[MessageId]]
+        ] = {}
         for read in self.barrier_reads:
-            cuts = read.cuts()
-            base, passed = clean.get(read.session, (None, set()))
+            cuts = read.masks()
+            base, held, passed = clean.get(read.session, (None, None, set()))
             if base is None or base.keys() != cuts.keys() or not all(
                 base[shard] & cut == base[shard] for shard, cut in cuts.items()
             ):
-                base, passed = dict.fromkeys(cuts, 0), set()
-            stack = [
-                label
-                for shard, cut in cuts.items()
+                base, held, passed = dict.fromkeys(cuts, 0), {}, set()
+            stack: List[MessageId] = []
+            differ: List[MessageId] = []
+            for shard, cut in cuts.items():
                 # x ^ (x & y) is x & ~y without the negative big int.
-                for label in graph.labels_of(cut ^ (cut & base[shard]))
-            ]
+                fresh = graph.labels_of(cut ^ (cut & base[shard]))
+                stack.extend(fresh)
+                own = read.cuts.get(shard, _NO_CUT)
+                floor = held.get(shard, _NO_CUT)
+                differ.extend(label for label in fresh if label not in own)
+                differ.extend(
+                    label
+                    for label in chain(own.beyond(floor), floor.beyond(own))
+                    if label in ops and ops[label].kind in DATA_KINDS
+                    and (label in own) != bool(cut & bit_of(label))
+                )
+            if differ:
+                violations.append(Violation(
+                    "snapshot-cut",
+                    None,
+                    f"session {read.session}'s read of shards {read.shards} "
+                    f"at t={read.completed_at:.2f} folded a cut that differs "
+                    f"from its barriers' causal past at "
+                    f"{', '.join(map(str, sorted(set(differ), key=self.index_of)))}",
+                ))
             seen = set(stack)
             gaps: Dict[int, List[MessageId]] = {}
             while stack:
@@ -468,9 +531,9 @@ class Ledger:
                     stack.append(dep)
                     if shard in cuts and ops[dep].kind in DATA_KINDS:
                         gaps.setdefault(shard, []).append(dep)
-            if not gaps:
+            if not gaps and not differ:
                 passed |= seen
-                clean[read.session] = (cuts, passed)
+                clean[read.session] = (cuts, read.cuts, passed)
             for shard, gap in sorted(gaps.items()):
                 missing = min(gap, key=self.index_of)
                 covering = min(
@@ -582,7 +645,7 @@ class Ledger:
                 audit.entitle(ops.get(entry))
             else:
                 cut = 0
-                for part in entry.cuts().values():
+                for part in entry.masks().values():
                     cut |= part
                 # x ^ (x & y) is x & ~y without the negative big int.
                 for covered in self.graph.labels_of(cut ^ (cut & audit.observed)):

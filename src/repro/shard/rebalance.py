@@ -20,8 +20,9 @@ consistency takes three phases:
 ``cutover``
     A non-commutative ``migrate`` operation is broadcast on the
     *destination* group carrying the slot's entries, with ``cross_deps``
-    = the moved labels (the migration is causally *after* everything it
-    carries; the stamp makes that auditable).  Then the shard map is
+    = its whole causal past on every other shard, moved labels included
+    (the migration is causally *after* everything it carries; the stamp
+    makes that auditable, and lets a barrier read close over it).  Then the shard map is
     bumped, and the router unfreezes the slot with the migrate label as
     its *handoff dependency*: every later write to the slot — from any
     session, involved in the move or not — names the migrate record in
@@ -36,7 +37,7 @@ is recorded as ``aborted`` for the audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.shard.barrier import BarrierRead, StablePointBarrier
 from repro.types import MessageId
@@ -151,6 +152,15 @@ class Rebalancer:
             # could deliver the migration before state it depends on.
             deps = set(cluster.delivered_frontier(record.dest, contact))
             deps |= cluster.project(moved.covered, record.dest)
+            deps = cluster.maximal(deps)
+            # The cross stamp is the record's whole causal past on every
+            # other shard, as a session's put's is: a barrier read's
+            # closure check reads a write's foreign past off its stamp.
+            past = deps | moved.covered
+            cross: Set[MessageId] = set()
+            for other in cluster.shard_ids:
+                if other != record.dest:
+                    cross |= cluster.project(past, other)
             label = cluster.shard_send(
                 record.dest,
                 "migrate",
@@ -159,8 +169,8 @@ class Rebalancer:
                     "entries": dict(moved.state),
                     "from": record.source,
                 },
-                occurs_after=cluster.maximal(deps),
-                cross_deps=cluster.maximal(moved.covered),
+                occurs_after=deps,
+                cross_deps=cross,
                 session=None,
                 slot=record.slot,
                 preferred=contact,

@@ -9,20 +9,26 @@ projects onto each shard — and stamps every write with:
   labels the group's own delivery predicate can enforce), plus the
   slot's migration-handoff label if the key's slot ever moved — the
   envelope's predicate;
-* ``cross_deps``   = the frontiers of every *other* shard (foreign
-  labels; filed in the ledger for audit, never on the envelope — their
-  in-group projection is what ``occurs_after`` already carries).
+* ``cross_deps``   = the frontiers of every *other* shard, unpruned
+  (foreign labels; filed in the ledger for audit, never on the envelope
+  — their in-group projection is what ``occurs_after`` already carries).
+  Since the frontier is the session's whole causal past, a write's past
+  on another shard is the closure of its ``cross_deps`` there: what a
+  barrier read's closure check reads off it.
 
-Each is the frontier's own frozenset whenever no handoff or third shard
-has to be folded in: one put's stamp is built once and shared by the
-session, the ledger and the envelope.
+Each is the frontier's own frozenset whenever no handoff or second other
+shard has to be folded in: one put's stamp is built once and shared by
+the session, the ledger and the envelope.
 
-Observing a label (the session's own write, or a barrier label from a
-completed read) *absorbs* its full transitive causal past into the
-frontier, projected per shard through the cluster's global dependency
-graph.  Projection is what makes the scheme sound: if ``put1(A)`` ≺
-``put2(B)`` ≺ ``barrier(B)`` was observed, a later write to shard A
-depends on ``put1`` even though the session never touched A before.
+Observing a label (a write a get returned, a token's labels, a barrier
+label from a completed read) *absorbs* its full transitive causal past
+into the frontier, per shard.  That is what makes the scheme sound: if
+``put1(A)`` ≺ ``put2(B)`` ≺ ``barrier(B)`` was observed, a later write to
+shard A depends on ``put1`` even though the session never touched A
+before.  The absorb walks the ledger's stamps, both edge kinds, down to
+the session's past — kept per shard as a :class:`~repro.broadcast.cut.Cut`
+— so it costs what the labels add, not the history, and asks the
+ledger's graph nothing.
 
 Sessions are FIFO: an operation is issued only after every earlier one
 (writes issue, gets are served, barrier reads complete).  A write whose
@@ -35,8 +41,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.broadcast.cut import Cut
 from repro.compact_json import dumps
 from repro.errors import ProtocolError
 from repro.shard.barrier import BarrierRead, StablePointBarrier
@@ -58,6 +66,8 @@ TOKEN_VERSION = 1
 
 #: The frontier of a shard the session has no causal past on.
 _NO_LABELS: FrozenSet[MessageId] = frozenset()
+_NO_CUT = Cut()
+_NO_CUTS: Mapping[int, Cut] = {}
 
 #: What a served get hands its callback: (value, label of the write it
 #: came from — ``None`` for a never-written key —, serving member, shard).
@@ -72,6 +82,10 @@ class Session:
         self.name = name
         #: shard -> maximal labels of this session's causal past there.
         self.frontier: Dict[int, FrozenSet[MessageId]] = {}
+        #: shard -> part of the closure of ``frontier`` there under
+        #: ``deps``, as the last absorb left it: where the walks of
+        #: `_absorbed` stop.  Puts since then are not in it.
+        self._past: Dict[int, Cut] = {}
         #: `export_token`'s last result; dropped wherever ``frontier`` is
         #: assigned, so the replies of one cycle share one encoding.
         self._token: Optional[str] = None
@@ -245,12 +259,10 @@ class Session:
                         f"session token files {label} under shard {shard}; "
                         f"it belongs to shard {ledger.shard_of(label)}"
                     )
-        # Nothing is merged until the whole token has been checked.
-        for shard, labels in known.items():
-            if labels:
-                merged = set(self.frontier.get(shard, ())) | labels
-                self.frontier[shard] = cluster.maximal(merged)
-                self._token = None
+        # Nothing is merged until the whole token has been checked.  The
+        # labels' causal pasts come along, so the frontier stays the
+        # session's whole past even where a token names less of it.
+        self._absorb(chain.from_iterable(known.values()))
         return frozenset(unknown)
 
     # -- engine ------------------------------------------------------------
@@ -304,23 +316,30 @@ class Session:
             return None
         shard = cluster.shard_map.assignment[slot]
         # The stamp is the frontier itself: every frozenset in it is an
-        # antichain already (`maximal()` made it, or it is one label), so
-        # the common put shares it with the ledger and the envelope and
-        # prunes nothing.  Only a real combination — a handoff, or two
-        # or more other shards' frontiers — pays for a `maximal()`.
+        # antichain already, and the cross stamp is the other shards'
+        # frontiers unpruned — the session's whole causal past there, so
+        # a read's closure check reads a write's past off its stamp.  The
+        # common put shares the frontier's frozensets with the ledger and
+        # the envelope and computes nothing.
         frontier = self.frontier
-        deps = frontier.get(shard, _NO_LABELS)
+        past = None
         handoff = router._handoff.get(slot)
         if handoff is not None:
             # The slot moved here at some point: every later write must
             # follow the migration record, or an uninvolved session's
             # write could be delivered before the state it overwrites.
-            deps = cluster.maximal(deps | {handoff})
+            # The record drags in causal past the session never observed
+            # (the migration follows the moved writes *and* the
+            # destination frontier, which reach other shards through
+            # cross-dependencies): the put is stamped as if the session
+            # had absorbed it, and the session absorbs it once it is sent.
+            changed, past = self._absorbed((handoff,))
+            frontier = {**frontier, **changed}
+        deps = frontier.get(shard, _NO_LABELS)
         cross = _NO_LABELS
         for other, labels in frontier.items():
             if other != shard and labels:
-                # A second other shard's frontier: prune the union.
-                cross = cluster.maximal(cross | labels) if cross else labels
+                cross = cross | labels if cross else labels
         label = cluster.shard_send(
             shard,
             "put",
@@ -333,16 +352,12 @@ class Session:
         )
         if label is None:
             return None
+        if past is not None:
+            self.frontier.update(changed)
+            self._past.update(past)
         # The new label dominates everything it was stamped with.
         self.frontier[shard] = frozenset({label})
         self._token = None
-        if handoff is not None:
-            # The handoff label drags in causal past the session never
-            # observed (the migration follows the moved writes *and* the
-            # destination frontier, which reach other shards through
-            # cross-dependencies).  Fold it in, or the session's next
-            # write to those shards under-declares its Occurs-After.
-            self._absorb(label)
         self.log.append(("write", label))
         self.ops_issued += 1
         return label
@@ -362,8 +377,7 @@ class Session:
                 self.reads_failed += 1
             else:
                 self.log.append(("read", read))
-                for label in read.barriers():
-                    self._absorb(label)
+                self._absorb(read.barriers(), read.cuts)
                 if callback is not None:
                     callback(read)
             self.pump()
@@ -431,24 +445,146 @@ class Session:
         if ledger.session_of(label) == self.name:
             return
         shard = ledger.shard_of(label)
-        if shard is not None:
-            current = self.frontier.get(shard, ())
-            if label in current:
-                return
-            for head in current:
-                if ledger.precedes(label, head):
-                    return
-        self._absorb(label)
+        if shard is None:
+            return  # never filed here: nothing to order it against
+        if label not in self.frontier.get(shard, ()):
+            self._absorb((label,))
 
-    def _absorb(self, label: MessageId) -> None:
-        """Fold ``label``'s transitive causal past into the frontier."""
+    def _absorb(
+        self, labels: Iterable[MessageId], cuts: Mapping[int, Cut] = _NO_CUTS
+    ) -> None:
+        """Fold ``labels``' transitive causal past into the frontier
+        (``cuts``: as `_absorbed` takes them)."""
+        changed, past = self._absorbed(labels, cuts)
+        if changed:
+            self.frontier.update(changed)
+            self._token = None
+        self._past.update(past)
+
+    def _absorbed(
+        self, labels: Iterable[MessageId], cuts: Mapping[int, Cut] = _NO_CUTS
+    ) -> Tuple[Dict[int, FrozenSet[MessageId]], Dict[int, Cut]]:
+        """The frontier of each shard that absorbing ``labels`` changes,
+        and the past cut of each shard whose cut grows.
+
+        ``cuts`` (a completed read's) maps shards to a cut of the labels'
+        causal past there that holds the session's past there, each of
+        its labels below one of ``labels``.
+
+        The session's causal past on a shard is the closure of its
+        frontier there: the last absorb's cut, plus the walk down from
+        the frontier to it (the session's own puts since), taken when
+        the walk below first reaches the shard — or, on a shard of
+        ``cuts``, that last cut joined with the given one.  The
+        walk goes down both edge kinds from ``labels``, and from the
+        foreign ``cross_deps`` of what a given cut adds to the session's,
+        and stops at that past: it visits exactly what the labels add
+        beyond the cuts.  A shard's new frontier is its old one, less
+        what a given cut holds, plus what the walk added there, less
+        every label an added one names in its ``deps`` — a label is
+        below another iff a chain of ``deps`` links them, and a chain
+        down from an added label to an old one passes only added labels.
+        Labels the ledger never filed add nothing.
+        """
         cluster = self.router.cluster
+        ledger = cluster.ledger
+        ops = ledger.ops
+        home = cluster.shard_of_member
+        frontier = self.frontier
+        base: Dict[int, Cut] = dict(self._past)
+        for shard, cut in cuts.items():
+            held = base.get(shard)
+            base[shard] = cut if held is None else held | cut
+        roots = [label for label in labels if label in ops]
+        if cuts:
+            # A label's cross_deps were issued before it, and each
+            # origin's labels are issued in seqno order
+            # (tests/shard/test_stamp_closure.py): a label issued before
+            # the first one missing from any shard's past names nothing
+            # outside it.
+            horizon = min(
+                (
+                    ops[first].index
+                    for shard in cluster.shard_ids
+                    for origin in cluster.groups[shard].members
+                    for first in (
+                        MessageId(origin, base.get(shard, _NO_CUT).top(origin)),
+                    )
+                    if first in ops
+                ),
+                default=len(ops),
+            )
+            for shard, cut in cuts.items():
+                old = self._past.get(shard, _NO_CUT)
+                for origin in cluster.groups[shard].members:
+                    # What the cut adds, newest first, down to the horizon.
+                    for seqno in range(cut.top(origin) - 1, old.top(origin) - 1, -1):
+                        record = ops.get(MessageId(origin, seqno))
+                        if record is None:
+                            continue
+                        if record.index <= horizon:
+                            break
+                        if record.label not in old:
+                            roots.extend(record.cross_deps)
+                for label in cut.above:
+                    record = ops.get(label)
+                    if (
+                        record is not None and record.index > horizon
+                        and label not in old
+                    ):
+                        roots.extend(record.cross_deps)
+        #: shard -> (its past cut, what the frontier walk adds to it),
+        #: synced when the walk first reaches the shard.
+        synced: Dict[int, Tuple[Cut, Set[MessageId]]] = {}
+
+        def sync(shard: int) -> Tuple[Cut, Set[MessageId]]:
+            cut = base.get(shard, _NO_CUT)
+            walked: Set[MessageId] = set()
+            if shard not in cuts:
+                walked, _named = ledger.past_outside(
+                    frontier.get(shard, _NO_LABELS), cut
+                )
+            synced[shard] = cut, walked
+            return cut, walked
+
+        added: Set[MessageId] = set()
+        stack = roots
+        while stack:
+            label = stack.pop()
+            if label in added:
+                continue
+            shard = home[label[0]]
+            cut, walked = synced.get(shard) or sync(shard)
+            if label in walked or label in cut:
+                continue
+            added.add(label)
+            record = ops[label]
+            stack.extend(record.deps)
+            stack.extend(record.cross_deps)
+        fresh: Dict[int, List[MessageId]] = {}
+        for label in added:
+            fresh.setdefault(home[label[0]], []).append(label)
+        changed: Dict[int, FrozenSet[MessageId]] = {}
+        past: Dict[int, Cut] = {}
         for shard in cluster.shard_ids:
-            projected = cluster.project((label,), shard)
-            if projected:
-                merged = set(self.frontier.get(shard, ())) | set(projected)
-                self.frontier[shard] = cluster.maximal(merged)
-                self._token = None
+            new = fresh.get(shard, ())
+            given = cuts.get(shard)
+            if new:
+                named: Set[MessageId] = set()
+                for label in new:
+                    named.update(ops[label].deps)
+                heads = set(new)
+                heads.update(
+                    label for label in frontier.get(shard, ())
+                    if given is None or label not in given
+                )
+                changed[shard] = ledger.in_issue_order(heads - named)
+            cut, walked = synced.get(shard) or (base.get(shard, _NO_CUT), ())
+            if new or walked:
+                past[shard] = Cut(cut.prefix, cut.above.union(new, walked))
+            elif given is not None:
+                past[shard] = cut
+        return changed, past
 
     def _arm_retry(self) -> None:
         if self._retry_armed:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.invariants import CrossShardChecker, iter_incarnations
+from repro.broadcast.cut import Cut
 from repro.shard.barrier import BarrierRead
 from repro.shard.ledger import Ledger
 from repro.types import Envelope, Message, MessageId
@@ -89,6 +90,13 @@ def log(built: Ledger, session: str, *batches) -> None:
             shards=tuple(shards),
             value={},
             barrier_labels={s: tuple(labels) for s, labels in shards.items()},
+            cuts={
+                s: Cut(above={
+                    dep for label in labels for dep in past(built, label)
+                    if built.shard_of(dep) == s
+                })
+                for s, labels in shards.items()
+            },
             rounds=0,
             issued_at=0.0,
             completed_at=0.0,

@@ -58,14 +58,14 @@ class TestOpenSequencerWakeup:
     ``_deliverable`` refuses it and ``_blockers`` names nothing, and
     ``BroadcastProtocol._run_passes`` raises out of ``run_campaign``:
     ``n2:4`` on serial seed 22.  ``repro chaos --protocol all --seeds 40``
-    stops there.  (Overlap seed 15 raised too, on ``n2:0`` at ``n1``,
-    until the digest carried the settled prefix; it now runs to an unsafe
-    verdict.)
+    stops there.  Overlap seed 21 raises the same way, on ``n0:0``.
+    (Overlap seed 15 raised too, on ``n2:0`` at ``n1``, until the digest
+    carried the settled prefix; it now runs to an unsafe verdict.)
     """
 
     @pytest.mark.xfail(
         strict=True, raises=ProtocolError, reason="open: ROADMAP 6(g)"
     )
-    @pytest.mark.parametrize("seed,overlap", [(22, False)])
+    @pytest.mark.parametrize("seed,overlap", [(22, False), (21, True)])
     def test_campaign_runs_to_its_verdict(self, seed, overlap):
         assert chaos("sequencer", seed, overlap) == 0

@@ -121,8 +121,9 @@ class TestBasics:
 
         The gauges count the ledger's graph only: a member's graph is a
         view derived when somebody asks, and a `stats` probe must not be
-        what builds it.  Puts alone memoise no reachability closure; the
-        first barrier read queries the ledger's graph (and only that one).
+        what builds it.  Neither puts nor a barrier read memoise a
+        reachability closure: the read takes its cuts from the members'
+        settled sets and asks no graph at all.
         """
 
         async def scenario():
@@ -145,7 +146,7 @@ class TestBasics:
                 )
                 await cli.read()
                 after_read = await cli.stats()
-                assert 0 < after_read["graph_closures"] <= 42
+                assert after_read["graph_closures"] == 0
                 assert all(
                     stack.graph.closure_footprint() == (0, 0)
                     for group in srv.cluster.groups.values()
@@ -157,9 +158,10 @@ class TestBasics:
 
     def test_stats_leave_the_ledger_graph_unbuilt(self):
         """A put files a ledger record and nothing else; the graph is a
-        view that the first question needing it catches up.  `stats`
-        counts the records without being that question, and
-        `graph_catchups` counts the questions that were."""
+        view that the first question needing it catches up — an audit's,
+        not a barrier read's.  `stats` counts the records without being
+        that question, and `graph_catchups` counts the questions that
+        were."""
 
         async def scenario():
             async with server() as srv, client(srv) as cli:
@@ -171,6 +173,9 @@ class TestBasics:
                 srv.metrics.render()
                 assert len(ledger._graph) == 0
                 await cli.read()
+                stats = await cli.stats()
+                assert (stats["graph_nodes"], stats["graph_catchups"]) == (42, 0)
+                assert srv.session_guarantee_violations() == []
                 stats = await cli.stats()
                 assert stats["graph_catchups"] >= 1
                 assert len(ledger._graph) == len(ledger) == stats["graph_nodes"]

@@ -284,6 +284,36 @@ class TestGoldenBytes:
         assert decode_frame(encode_frame(document)[4:]) == document
 
 
+def walked(value):
+    """The structural encoding walked all the way down, with no shortcut
+    for plain members: the reference :func:`encode_value` must equal."""
+    if isinstance(value, MessageId):
+        return {"__mid__": [value.sender, value.seqno]}
+    if isinstance(value, (frozenset, set)):
+        return {"__set__": [walked(v) for v in sorted(value)]}
+    if isinstance(value, tuple):
+        return {"__tuple__": [walked(v) for v in value]}
+    if isinstance(value, dict):
+        return {"__dict__": [[walked(k), walked(v)] for k, v in value.items()]}
+    if isinstance(value, list):
+        return [walked(v) for v in value]
+    return value
+
+
+class TestEncodeShortcut:
+    """Plain members of a dict or a list skip the walk, to the byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(value=frame_values | flat_values)
+    def test_the_encoding_is_the_full_walk(self, value):
+        assert json.dumps(encode_value(value)) == json.dumps(walked(value))
+
+    def test_a_barrier_read_value_keeps_its_key_order(self):
+        value = {f"k{i}": i if i % 2 else f"v{i}" for i in range(64, 0, -1)}
+        value["k0"] = None
+        assert encode_value(value) == walked(value)
+
+
 class TestValueRoundTrip:
     """The structural value encoding on its own, away from frames."""
 

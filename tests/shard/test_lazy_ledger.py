@@ -29,6 +29,7 @@ from tests.graph.test_reachability_cache import (
     naive_maximal,
     naive_precedes,
 )
+from tests.shard import barrier_reference as reference
 from tests.shard.eager_ledger import EagerLedger
 from tests.shard.test_audit_equivalence import operations, run_history
 
@@ -78,13 +79,14 @@ def ask(cluster: ShardedCluster, question, salt: int):
     if question == "cut_labels":
         return ledger.cut_labels(ledger.past_writes(newest, shard))
     if question == "closure_gaps":
-        return ledger.closure_gaps({
+        return reference.closure_gaps(ledger, {
             s: ledger.past_writes(picks[i % len(picks)], s)
             for i, s in enumerate(shards)
         })
     if question == "fold":
         cut = ledger.past_writes(newest, shard)
-        return ledger.fold(shard, cut, ledger.folds()[shard])
+        base = ledger.past_writes(picks[-1], shard)
+        return reference.fold(ledger, cut, (base, {}))
     if question == "delivery_gaps":
         stacks = sorted(cluster.groups[shard].stacks.items())
         _member, stack = stacks[salt % len(stacks)]

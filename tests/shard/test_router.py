@@ -369,6 +369,34 @@ class TestSessionTokens:
         record = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
         assert first in record.deps
 
+    def test_import_brings_the_named_labels_foreign_past(self):
+        """A token naming only ``w`` still carries ``w``'s causal past:
+        ``d`` on shard 1, which ``w`` names in its ``cross_deps``.  The
+        importer's next write to shard 1 must follow ``d`` in-group, or a
+        member could deliver it before the write it causally follows."""
+        import json
+
+        from repro.shard.router import TOKEN_VERSION
+
+        cluster = quiet_cluster()
+        writer = cluster.router.session("writer")
+        writer.put(key_for(cluster, 1), "d")
+        writer.put(key_for(cluster, 0), "w")
+        cluster.drain()
+        (d,), (w,) = writer.frontier[1], writer.frontier[0]
+        assert cluster.ledger.ops[w].cross_deps == {d}
+        token = json.dumps({
+            "v": TOKEN_VERSION,
+            "session": "writer",
+            "frontier": {"0": [[w.sender, w.seqno]]},
+        })
+        heir = cluster.router.session("heir")
+        assert heir.import_token(token) == frozenset()
+        heir.put(key_for(cluster, 1, salt=1), "after")
+        cluster.drain()
+        record = cluster.ledger.ops[cluster.ledger.issue_order[-1]]
+        assert record.shard == 1 and d in record.deps
+
     def test_unknown_version_rejected(self):
         import json
 

@@ -11,8 +11,6 @@ that was missing; the planted gaps prove it is not vacuous.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import pytest
 
 from repro.apps.kvstore import fold_ledger
@@ -22,8 +20,6 @@ from repro.shard import (
     StablePointBarrier,
     sharded_campaign,
 )
-
-from repro.shard.ledger import Ledger
 
 from tests.shard.test_router import key_for, quiet_cluster
 
@@ -48,8 +44,13 @@ def closure_violations(cluster):
 
 
 def reference_fold(cluster, read):
+    ledger = cluster.ledger
     return fold_ledger(sorted(
-        (cluster.ledger.ops[label] for label in read.labels),
+        (
+            ledger.ops[label]
+            for mask in read.masks().values()
+            for label in ledger.cut_labels(mask)
+        ),
         key=lambda record: record.index,
     ))
 
@@ -114,6 +115,7 @@ class TestClosureAuditIsNotVacuous:
                 0: late.reads[0].barrier_labels[0],
                 1: early.reads[0].barrier_labels[1],
             },
+            cuts={0: late.reads[0].cuts[0], 1: early.reads[0].cuts[1]},
             rounds=0,
             issued_at=0.0,
             completed_at=cluster.scheduler.now,
@@ -142,22 +144,73 @@ class TestClosureAuditIsNotVacuous:
 
 class TestAuditIsIndependentOfTheBarrier:
     def test_a_closure_gaps_that_reads_one_cut_is_caught(self, monkeypatch):
-        """The barrier closes its cuts with `Ledger.closure_gaps`.  If
-        that reads only the first shard's cut, the barrier returns
-        snapshots that are not causally closed; the audit walks the
-        covered labels' stamps itself, so the campaign reports them."""
-        closure_gaps = Ledger.closure_gaps
+        """The barrier closes its cuts with `_closure_gaps`.  If that
+        reads only the first shard's cut, the barrier returns snapshots
+        that are not causally closed; the audit walks the covered
+        labels' stamps itself, so the campaign reports them."""
+        closure_gaps = StablePointBarrier._closure_gaps
 
-        def first_cut_only(ledger, cuts):
-            return closure_gaps(ledger, dict(islice(cuts.items(), 1)))
+        def first_cut_only(barrier):
+            first = barrier.shards[0]
+            cuts, labels = barrier._cut, barrier._barrier_labels
+            barrier._cut = {first: cuts[first]}
+            barrier._barrier_labels = {first: labels[first]}
+            try:
+                return closure_gaps(barrier)
+            finally:
+                barrier._cut, barrier._barrier_labels = cuts, labels
 
-        monkeypatch.setattr(Ledger, "closure_gaps", first_cut_only)
+        monkeypatch.setattr(StablePointBarrier, "_closure_gaps", first_cut_only)
         cluster, result = run_campaign(0)
         flagged = [
             v for v in result.violations if v.invariant == "snapshot-closure"
         ]
         assert flagged
         assert all("which it causally follows" in v.detail for v in flagged)
+
+
+class TestTheFoldedCutIsAudited:
+    @pytest.mark.parametrize(
+        "planted, session",
+        [("older-cut", "r"), ("older-cut", "planted"), ("newer-cut", "r")],
+    )
+    def test_a_cut_other_than_the_barriers_past_is_flagged(
+        self, planted, session
+    ):
+        """A read's value and its covered labels come from the cut the
+        barrier computed; the audit decodes the barriers' past from the
+        graph itself and flags a read whose cut holds other writes: an
+        older cut under the newer barriers, judged against the session's
+        clean base or, in another session, from scratch; a newer cut
+        under the older barriers (the base is not below them)."""
+        cluster = quiet_cluster()
+        reader = cluster.router.session("r")
+        reader.read(shards=(0,))
+        cluster.drain()
+        cluster.router.session("w").put(key_for(cluster, 0), "between")
+        cluster.drain()
+        reader.read(shards=(0,))
+        cluster.drain()
+        assert cluster.check_invariants() == []
+        older, newer = reader.reads
+        (between,) = newer.covered[0] - older.covered[0]
+        labels_from, cuts_from = (
+            (newer, older) if planted == "older-cut" else (older, newer)
+        )
+        cluster.ledger.barrier_reads.append(BarrierRead(
+            session=session,
+            shards=(0,),
+            value={},
+            barrier_labels=labels_from.barrier_labels,
+            cuts=cuts_from.cuts,
+            rounds=0,
+            issued_at=0.0,
+            completed_at=cluster.scheduler.now,
+            ledger=cluster.ledger,
+        ))
+        (violation,) = cluster.check_invariants()
+        assert violation.invariant == "snapshot-cut"
+        assert violation.detail.endswith(f"causal past at {between}")
 
 
 class TestOneFold:
@@ -190,7 +243,7 @@ class TestOneFold:
         cluster.router.session("r2").read()
         cluster.drain()
         (second,) = cluster.router.session("r2").reads
-        mask_1, mask_2 = first.cuts()[0], second.cuts()[0]
+        mask_1, mask_2 = first.masks()[0], second.masks()[0]
         assert mask_1 & mask_2 not in (mask_1, mask_2)  # incomparable
         assert second.value == {kb: "n1-and-n2"}
         assert second.value == reference_fold(cluster, second)

@@ -4,12 +4,15 @@ A put's in-group dependencies are the destination shard's frontier
 frozenset itself, and its cross-group dependencies the other shard's
 frontier when exactly one other shard has one — shared by the session,
 the ledger record, the ledger graph and the envelope.  Only a handoff or
-three or more shards combine sets, through ``maximal()``.
+three or more shards combine sets: the other shards' frontiers are
+joined unpruned, so a put's cross stamp is the session's whole causal
+past there.
 
-The stamp this replaced rebuilt every set through ``maximal()``;
-:func:`reference_stamp` keeps that computation as the oracle, and the
-property test below holds every put's ``OpRecord`` to it through random
-puts, gets, observes, barrier reads, token merges and slot moves.
+:func:`reference_stamp` computes the stamp on the ledger graph: the
+in-group part through ``maximal()``, the cross part from the frontier
+with the handoff's causal past projected in.  The property test below
+holds every put's ``OpRecord`` to it through random puts, gets,
+observes, barrier reads, token merges and slot moves.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from repro.shard.cluster import ShardedCluster
 from repro.types import MessageId
 
+from tests.shard import barrier_reference as reference
 from tests.shard.test_router import key_for
 
 Stamp = Tuple[FrozenSet[MessageId], FrozenSet[MessageId]]
@@ -34,16 +38,18 @@ def reference_stamp(
     shard: int,
     handoff: Optional[MessageId],
 ) -> Stamp:
-    """The per-put stamp as it was computed before it was shared:
-    ``maximal(frontier[shard] | {handoff})`` and ``maximal(⋃ others)``."""
+    """The per-put stamp, on the ledger graph: ``maximal(frontier[shard]
+    | {handoff})``, and the union of the other shards' frontiers once
+    the handoff's causal past is projected in."""
     deps = set(frontier.get(shard, ()))
     if handoff is not None:
         deps.add(handoff)
+        frontier = reference.absorb(cluster, frontier, (handoff,))
     cross = set()
     for other, labels in frontier.items():
         if other != shard:
             cross |= labels
-    return cluster.maximal(deps), cluster.maximal(cross)
+    return cluster.maximal(deps), frozenset(cross)
 
 
 def spy_on_stamps(cluster: ShardedCluster) -> Dict[MessageId, Stamp]:
@@ -130,7 +136,8 @@ class TestStampEquivalence:
             assert record.cross_deps == cross, label
 
     def test_the_property_meets_handoffs_and_three_shard_combinations(self):
-        # One fixed sequence that is sure to take both maximal() paths.
+        # One fixed sequence that is sure to take a handoff and a
+        # three-shard combination.
         cluster = ShardedCluster(shards=3, members_per_shard=3, hop_events="off")
         expected = spy_on_stamps(cluster)
         session = cluster.router.session("s")
